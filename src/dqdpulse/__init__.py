@@ -12,8 +12,10 @@ from .algebra import (
 )
 from .device import (
     DEFAULT_DEVICE,
+    SCHEMES,
     DeviceParams,
     FrameSpec,
+    Scheme,
     bgate_frame_hamiltonian,
     frame_hamiltonian,
     fsim_frame_hamiltonian,
@@ -34,7 +36,6 @@ from .fidelity import (
     analytic_rabi_fidelity,
     average_fidelity,
     build_grid,
-    phase_sweep,
 )
 from .kak import (
     CanonicalParams,
@@ -55,7 +56,6 @@ from .pulses import (
     fsim_geometric,
     fsim_polynomial,
     fsim_rectangular,
-    gate_time_for_exchange_cap,
     optimize_eta,
 )
 from .trajectories import (

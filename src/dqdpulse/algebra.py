@@ -95,10 +95,13 @@ def mat_exp_skew(h: np.ndarray, dt: float, tol: float = HERMITIAN_TOL * 100) -> 
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
-def batched_mat_exp_skew(hs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H_k dt) for a stack of Hermitian matrices, shape (n, d, d)."""
+def batched_mat_exp_skew(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """exp(-i H_k dt_k) for a stack of Hermitian matrices, shape (n, d, d).
+
+    ``dt`` is one step for all matrices or an array of n per-matrix steps.
+    """
     w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt)
+    phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
     return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
 
 

@@ -2,7 +2,7 @@
 
 Every run writes its outputs atomically (write to a temp path, then
 rename) and records a manifest listing each emitted file with a content
-hash, the resolved configuration hash, the seed, and the runtime.  The
+hash, the resolved configuration hash, and the runtime.  The
 exit code is 0 only if every invariant check collected during the run
 passed.
 """
@@ -23,10 +23,10 @@ import numpy as np
 from . import experiments as xp
 from .algebra import TWO_PI
 from .config import ExperimentConfig, apply_overrides, load_config
+from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
 from .fidelity import REPORT_CSV_HEADER, average_fidelity, build_grid, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
-from .kak import b_gate
 
 
 def _atomic_write(path: str, lines: Iterable[str]) -> str:
@@ -81,7 +81,6 @@ class RunWriter:
     def finish(self, name: str = "manifest.json") -> str:
         doc = {
             "config_hash": self.cfg.digest(),
-            "seed": self.cfg.seed,
             "runtime_s": round(time.time() - self.t0, 3),
             "files": self.files,
         }
@@ -147,7 +146,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             )
             rep = average_fidelity(
                 channel,
-                xp.fsim_target(schedule) if cfg.scheme != "bgate" else b_gate(),
+                xp.fsim_target(schedule),
                 build_grid(cfg.grid_n, cfg.phases),
                 cfg.convention,
                 scheme=cfg.scheme,
@@ -258,7 +257,7 @@ def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override keys")
-    parser.add_argument("--scheme", choices=("fsim_rect", "fsim_poly", "bgate", "fsim_geometric"))
+    parser.add_argument("--scheme", choices=tuple(SCHEMES))
     parser.add_argument("--theta", type=float)
     parser.add_argument("--xi", type=float)
     parser.add_argument("--gate-time-ns", type=float, dest="gate_time_ns")
@@ -267,7 +266,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-n", type=int, dest="grid_n")
     parser.add_argument("--steps-per-period", type=int, dest="steps_per_period")
     parser.add_argument("--convention", choices=("standard", "paper"))
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--outdir")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--quick", action="store_true", default=None)

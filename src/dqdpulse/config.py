@@ -14,9 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .device import DEFAULT_DEVICE, DeviceParams, load_device_params
-
-SCHEMES = ("fsim_rect", "fsim_poly", "bgate", "fsim_geometric")
+from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params
 
 
 @dataclass
@@ -36,7 +34,6 @@ class ExperimentConfig:
     grid_n: int = 40
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
     steps_per_period: int = 200
-    seed: int = 7
     quick: bool = False
     workers: int = 1
     outdir: str = "out"
@@ -46,12 +43,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
         if self.convention not in ("standard", "paper"):
             raise ValueError("convention must be 'standard' or 'paper'")
         if self.grid_n < 1:
             raise ValueError("grid_n must be >= 1")
-        if self.scheme == "fsim_rect" or self.scheme == "fsim_poly":
+        if SCHEMES[self.scheme].one_step:
             if abs(self.theta) > math.pi / 2.0 + 1e-12 or abs(self.xi) > math.pi + 1e-12:
                 raise ValueError("gate parameters outside |theta| <= pi/2, |xi| <= pi")
         if self.n_reps < 1:

@@ -16,14 +16,17 @@ exactly -i B_y^1 e^{i psi_1}.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import pulses
 from .algebra import TWO_PI
 from .pulses import PulseSchedule, detuning_perturbation
+from .trajectories import PhysicalControls
 
 HBAR = 1.0  # all energies are angular frequencies
 
@@ -102,7 +105,6 @@ class FrameSpec:
     """
 
     coefficients: tuple[float, float, float, float]
-    rwa: bool = False
 
     def unitary(self, t: float) -> np.ndarray:
         return np.diag(np.exp(-1j * np.asarray(self.coefficients) * t))
@@ -111,24 +113,6 @@ class FrameSpec:
         """U^dag H U - i U^dag dU/dt for this diagonal frame."""
         u = self.unitary(t)
         return u.conj().T @ h_lab @ u - np.diag(np.asarray(self.coefficients, dtype=complex))
-
-
-def fsim_frame(schedule: PulseSchedule) -> FrameSpec:
-    # -i(w t/4) I x sigma_z + i(w t/4) sigma_z x I  ->  diag(0, -w/2, w/2, 0)
-    w = schedule.controls.delta_ez
-    return FrameSpec((0.0, -w / 2.0, w / 2.0, 0.0))
-
-
-def bgate_frame(schedule: PulseSchedule) -> FrameSpec:
-    # exp[-i(w1 t/2) sigma_z x I - i(w2 t/2) I x sigma_z]
-    e_z, dez = schedule.controls.e_z, schedule.controls.delta_ez
-    return FrameSpec((e_z, -dez / 2.0, dez / 2.0, -e_z))
-
-
-def geometric_frame(schedule: PulseSchedule) -> FrameSpec:
-    # same rotation as the fSim frame; the middle-block exchange diagonal is
-    # then removed by an identity shift (a global phase)
-    return fsim_frame(schedule)
 
 
 def lab_hamiltonian(
@@ -266,20 +250,116 @@ def _geometric_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -
     return out
 
 
-_FRAME_BATCHES = {
-    "fsim_rect": _fsim_frame_batch,
-    "fsim_poly": _fsim_frame_batch,
-    "bgate": _bgate_frame_batch,
-    "fsim_geometric": _geometric_frame_batch,
+def _fsim_frame(c: PhysicalControls) -> tuple[float, float, float, float]:
+    # -i(w t/4) I x sigma_z + i(w t/4) sigma_z x I  ->  diag(0, -w/2, w/2, 0)
+    return (0.0, -c.delta_ez / 2.0, c.delta_ez / 2.0, 0.0)
+
+
+def _bgate_frame(c: PhysicalControls) -> tuple[float, float, float, float]:
+    # exp[-i(w1 t/2) sigma_z x I - i(w2 t/2) I x sigma_z]
+    return (c.e_z, -c.delta_ez / 2.0, c.delta_ez / 2.0, -c.e_z)
+
+
+def _geometric_energy_shift(schedule: PulseSchedule, t: float) -> float:
+    # the constructor zeroes the middle-block exchange diagonal
+    ts = np.atleast_1d(float(t))
+    w, psi = schedule.carrier(ts)
+    return float(-(schedule.envelope(ts) * np.cos(w * ts + psi))[0])
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the pipeline needs to know about one gate scheme.
+
+    ``build(theta, xi, duration, n_reps, eta, params)`` constructs the
+    schedule; it looks its constructor up on ``pulses`` at call time, so
+    wrappers installed on the module attribute see every build.
+    ``frame_batch(schedule, ts, rwa)`` samples the rotating-frame H(t).
+    ``frame_coefficients(controls)`` is the diagonal frame generator and
+    ``energy_shift(schedule, t)`` the scalar s(t) with
+    H_constructor = FrameSpec.transform(H_lab, t) - s(t) I; identity shifts
+    change only a global phase.
+    """
+
+    build: Callable[..., PulseSchedule]
+    frame_batch: Callable[[PulseSchedule, np.ndarray, bool], np.ndarray]
+    frame_coefficients: Callable[[PhysicalControls], tuple[float, float, float, float]]
+    energy_shift: Callable[[PulseSchedule, float], float]
+    # one-step fSim: (theta, xi) limited to |theta| <= pi/2, |xi| <= pi, and
+    # T capped below by the carrier condition delta_Ez = 2 N pi / T
+    one_step: bool = False
+    # lab Hamiltonian in the weak-exchange form (no exchange diagonal)
+    weak_exchange: bool = False
+
+    def frame(self, schedule: PulseSchedule) -> FrameSpec:
+        return FrameSpec(self.frame_coefficients(schedule.controls))
+
+    def exchange_capped_time(
+        self, theta: float, xi: float, j_max: float, eta: float = -1.0 / 3.0, params: DeviceParams = DEFAULT_DEVICE
+    ) -> float:
+        """Smallest T such that max|J(t)| = j_max.
+
+        Envelopes scale as 1/T, so T = max|J(t) T| / j_max, evaluated on a
+        reference schedule at T = 1.
+        """
+        return 2.0 * self.build(theta, xi, 1.0, 1, eta, params).max_envelope() / j_max
+
+    def gate_time(
+        self, theta: float, xi: float, n_reps: int, eta: float, params: DeviceParams, duration: float | None = None
+    ) -> float:
+        """``duration``, or the exchange-capped time if unset, then the carrier cap."""
+        if duration is None:
+            duration = self.exchange_capped_time(theta, xi, params.j_max, eta, params)
+        if self.one_step and 2.0 * n_reps * math.pi / duration > params.delta_ez:
+            duration = 2.0 * n_reps * math.pi / params.delta_ez
+        return duration
+
+
+# the one-step fSim constructors zero the ground level (s = E_z)
+_ONE_STEP_FSIM = dict(
+    frame_batch=_fsim_frame_batch,
+    frame_coefficients=_fsim_frame,
+    energy_shift=lambda schedule, t: schedule.controls.e_z,
+    one_step=True,
+)
+
+SCHEMES: dict[str, Scheme] = {
+    "fsim_rect": Scheme(
+        build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_rectangular(theta, xi, duration, n_reps),
+        **_ONE_STEP_FSIM,
+    ),
+    "fsim_poly": Scheme(
+        build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_polynomial(theta, xi, duration, n_reps, eta),
+        **_ONE_STEP_FSIM,
+    ),
+    "bgate": Scheme(
+        build=lambda theta, xi, duration, n_reps, eta, params: pulses.bgate_rectangular(
+            duration, params.e_z, params.delta_ez
+        ),
+        frame_batch=_bgate_frame_batch,
+        frame_coefficients=_bgate_frame,
+        energy_shift=lambda schedule, t: 0.0,  # the frame already cancels the static diagonal
+        weak_exchange=True,
+    ),
+    "fsim_geometric": Scheme(
+        build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_geometric(theta, xi, duration),
+        frame_batch=_geometric_frame_batch,
+        frame_coefficients=_fsim_frame,  # same rotation as the fSim frame
+        energy_shift=_geometric_energy_shift,
+    ),
 }
+
+
+def scheme_spec(name: str) -> Scheme:
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme {name!r}; choose from {tuple(SCHEMES)}") from None
 
 
 def frame_hamiltonian(schedule: PulseSchedule, rwa: bool) -> TimeDependentHamiltonian:
     """Scheme-appropriate rotating-frame H(t) for a schedule."""
-    try:
-        batch = _FRAME_BATCHES[schedule.scheme]
-    except KeyError:
-        raise ValueError(f"no frame Hamiltonian registered for scheme {schedule.scheme!r}") from None
+    batch = scheme_spec(schedule.scheme).frame_batch
     fmax = schedule.max_frequency_hz() if not rwa else max(
         seg.carrier_omega for seg in schedule.segments
     ) / TWO_PI
@@ -288,25 +368,6 @@ def frame_hamiltonian(schedule: PulseSchedule, rwa: bool) -> TimeDependentHamilt
         batch=lambda ts: batch(schedule, ts, rwa),
         max_frequency_hz=fmax,
     )
-
-
-def frame_energy_shift(schedule: PulseSchedule, t: float) -> float:
-    """Scalar s(t) with H_constructor = FrameSpec.transform(H_lab, t) - s(t) I.
-
-    The fSim constructors zero the ground level (s = E_z); the geometric
-    constructor zeroes the middle-block exchange diagonal
-    (s = -j cos(wt + psi)); the B-gate frame already cancels the static
-    diagonal (s = 0).  Identity shifts change only a global phase.
-    """
-    if schedule.scheme in ("fsim_rect", "fsim_poly"):
-        return schedule.controls.e_z
-    if schedule.scheme == "fsim_geometric":
-        ts = np.atleast_1d(float(t))
-        w, psi = schedule.carrier(ts)
-        return float(-(schedule.envelope(ts) * np.cos(w * ts + psi))[0])
-    if schedule.scheme == "bgate":
-        return 0.0
-    raise ValueError(f"no frame registered for scheme {schedule.scheme!r}")
 
 
 def weak_exchange_lab_hamiltonian(e_z: float, delta_ez: float, j: float, b_y_r: float) -> np.ndarray:
@@ -330,27 +391,16 @@ def lab_hamiltonian_of_schedule(schedule: PulseSchedule, t: float) -> np.ndarray
     """Instantaneous lab Hamiltonian realized by a schedule's fields.
 
     Exchange J(t) = 2 j cos(wt + psi); drive B_y^R(t) = 2 B_y^1
-    cos(w2 t + psi_1); B_y^L = 0 for every scheme here.  The B-gate scheme
-    uses the weak-exchange form (no exchange diagonal); the fSim schemes
-    keep the full exchange diagonal.
+    cos(w2 t + psi_1); B_y^L = 0 for every scheme here.  Weak-exchange
+    schemes drop the exchange diagonal; the others keep it.
     """
     ts = np.atleast_1d(float(t))
     j_t = float(schedule.exchange(ts)[0])
     amp, w2, ph = schedule.drive(ts)
     b_y_r = float(2.0 * amp[0] * np.cos(w2[0] * ts[0] + ph[0]))
-    if schedule.scheme == "bgate":
+    if scheme_spec(schedule.scheme).weak_exchange:
         return weak_exchange_lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, b_y_r)
     return lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, 0.0, b_y_r)
-
-
-def schedule_frame(schedule: PulseSchedule) -> FrameSpec:
-    if schedule.scheme in ("fsim_rect", "fsim_poly"):
-        return fsim_frame(schedule)
-    if schedule.scheme == "fsim_geometric":
-        return geometric_frame(schedule)
-    if schedule.scheme == "bgate":
-        return bgate_frame(schedule)
-    raise ValueError(f"no frame registered for scheme {schedule.scheme!r}")
 
 
 def coupling_block_hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:

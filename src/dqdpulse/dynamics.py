@@ -20,9 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import unitarity_defect
+from .algebra import batched_mat_exp_skew, unitarity_defect
 from .device import DeviceParams, TimeDependentHamiltonian
-from .pulses import apply_detuning_error, apply_rabi_error  # noqa: F401  (error-injection API)
 
 STEPS_PER_PERIOD = 50
 
@@ -47,14 +46,14 @@ def required_steps(max_frequency_hz: float, duration: float, steps_per_period: i
     return max(16, int(math.ceil(steps_per_period * max_frequency_hz * duration)))
 
 
-def _resolve_hamiltonian(h) -> tuple[Callable[[float], np.ndarray], Callable[[np.ndarray], np.ndarray], float]:
+def _resolve_hamiltonian(h) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     if isinstance(h, TimeDependentHamiltonian):
-        return h, h.matrices, h.max_frequency_hz
+        return h.matrices, h.max_frequency_hz
     if callable(h):
         def batch(ts: np.ndarray) -> np.ndarray:
             return np.stack([np.asarray(h(t), dtype=complex) for t in np.atleast_1d(ts)])
 
-        return h, batch, 0.0
+        return batch, 0.0
     raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
 
 
@@ -99,7 +98,7 @@ def propagate_unitary(
     batch evaluator and frequency bound are used).  With ``sample_times``
     the intermediate propagators U(t_k, 0) are recorded as well.
     """
-    single, batch, fmax = _resolve_hamiltonian(hamiltonian)
+    batch, fmax = _resolve_hamiltonian(hamiltonian)
     floor = required_steps(fmax, duration, steps_per_period)
     if steps is None:
         steps = floor
@@ -113,11 +112,7 @@ def propagate_unitary(
         nodes = np.unique(np.concatenate([nodes, np.asarray(sample_times, dtype=float)]))
     dts = np.diff(nodes)
     mids = nodes[:-1] + dts / 2.0
-    hs = batch(mids)
-    # exp(-i H dt) per step, dt varying across steps
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dts[:, None])
-    factors = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+    factors = batched_mat_exp_skew(batch(mids), dts)
 
     states = None
     times = None
@@ -173,32 +168,19 @@ def _unitary_liouvillian(h: np.ndarray) -> np.ndarray:
     return 1j * (np.kron(h.T, _I4) - np.kron(_I4, h))
 
 
-def dephasing_dissipator(params: DeviceParams, convention: str = "printed") -> np.ndarray:
+def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
     """Superoperator of the projector-dephasing dissipators.
 
-    "printed" assembles -(kappa/2)(s†s rho - 2 s rho s† + rho s†s) term by
-    term as written; "standard" assembles kappa(s rho s† - {s†s, rho}/2).
-    The two are algebraically identical; both are kept so the reading can
-    be pinned by regression tests.
+    sum_s kappa (s rho s^dag - {s^dag s, rho}/2) over the projectors of each
+    qubit is diagonal in the (column-stacked) vec basis: rho_ab decays at
+    kappa_1 where the qubit-1 indices of a and b differ, plus kappa_2 where
+    the qubit-2 indices differ.
     """
-    out = np.zeros((16, 16), dtype=complex)
-    for ops, kappa in ((COLLAPSE_Q1, params.kappa_1), (COLLAPSE_Q2, params.kappa_2)):
-        if kappa == 0.0:
-            continue
-        for s in ops:
-            sd = s.conj().T
-            sds = sd @ s
-            if convention == "printed":
-                out -= (kappa / 2.0) * (
-                    np.kron(_I4, sds) - 2.0 * np.kron(s.conj(), s) + np.kron(sds.T, _I4)
-                )
-            elif convention == "standard":
-                out += kappa * (
-                    np.kron(s.conj(), s) - 0.5 * np.kron(_I4, sds) - 0.5 * np.kron(sds.T, _I4)
-                )
-            else:
-                raise ValueError(f"unknown dissipator convention {convention!r}")
-    return out
+    a, b = np.arange(16) % 4, np.arange(16) // 4  # vec index a + 4 b holds rho_ab
+    rates = np.zeros(16, dtype=complex)
+    rates[a // 2 != b // 2] -= params.kappa_1
+    rates[a % 2 != b % 2] -= params.kappa_2
+    return np.diag(rates)
 
 
 def _require_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -219,7 +201,6 @@ def lindblad_superoperator(
     steps: int | None = None,
     *,
     breakpoints: Sequence[float] = (),
-    convention: str = "printed",
     steps_per_period: int = STEPS_PER_PERIOD,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
@@ -227,7 +208,7 @@ def lindblad_superoperator(
 
     One integration serves any number of initial states.
     """
-    single, batch, fmax = _resolve_hamiltonian(hamiltonian)
+    batch, fmax = _resolve_hamiltonian(hamiltonian)
     floor = required_steps(fmax, duration, steps_per_period)
     if steps is None:
         steps = floor
@@ -237,7 +218,7 @@ def lindblad_superoperator(
             f"for f_max = {fmax:.3e} Hz over {duration:.3e} s"
         )
     sample_set = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    diss = dephasing_dissipator(params, convention)
+    diss = dephasing_dissipator(params)
 
     # Integrate per sub-interval between breakpoints so every RK4 stage
     # samples the correct side of envelope jumps: the endpoint evaluation of
@@ -295,7 +276,6 @@ def propagate_lindblad(
     steps: int | None = None,
     *,
     breakpoints: Sequence[float] = (),
-    convention: str = "printed",
     steps_per_period: int = STEPS_PER_PERIOD,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
@@ -310,7 +290,6 @@ def propagate_lindblad(
         duration,
         steps,
         breakpoints=breakpoints,
-        convention=convention,
         steps_per_period=steps_per_period,
         sample_times=sample_times,
     )

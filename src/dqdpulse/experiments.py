@@ -21,6 +21,7 @@ from .device import (
     DeviceParams,
     coupling_block_hamiltonian,
     frame_hamiltonian,
+    scheme_spec,
 )
 from .dynamics import (
     EvolutionResult,
@@ -42,7 +43,6 @@ from .pulses import (
     fsim_geometric,
     fsim_polynomial,
     fsim_rectangular,
-    gate_time_for_exchange_cap,
 )
 
 # Reference gate parameters used throughout the benchmark datasets.
@@ -104,27 +104,12 @@ def build_schedule(
 ) -> PulseSchedule:
     """Construct a schedule, deriving the gate time from the exchange cap if unset.
 
-    The rectangular benchmark time is capped below by the carrier condition
+    One-step fSim times are capped below by the carrier condition
     delta_Ez = 2 N pi / T <= experimentally achievable delta_Ez.
     """
-    if scheme in ("fsim_rect", "fsim_poly"):
-        if duration is None:
-            duration = gate_time_for_exchange_cap(scheme, theta, xi, params.j_max, eta=eta)
-        dez_needed = 2.0 * n_reps * math.pi / duration
-        if dez_needed > params.delta_ez:
-            duration = 2.0 * n_reps * math.pi / params.delta_ez
-        if scheme == "fsim_rect":
-            return fsim_rectangular(theta, xi, duration, n_reps)
-        return fsim_polynomial(theta, xi, duration, n_reps, eta)
-    if scheme == "fsim_geometric":
-        if duration is None:
-            duration = gate_time_for_exchange_cap(scheme, theta, xi, params.j_max)
-        return fsim_geometric(theta, xi, duration)
-    if scheme == "bgate":
-        if duration is None:
-            duration = gate_time_for_exchange_cap("bgate", theta, xi, params.j_max)
-        return bgate_rectangular(duration, params.e_z, params.delta_ez)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    spec = scheme_spec(scheme)
+    duration = spec.gate_time(theta, xi, n_reps, eta, params, duration)
+    return spec.build(theta, xi, duration, n_reps, eta, params)
 
 
 def gate_channel(
@@ -137,7 +122,6 @@ def gate_channel(
     detuning_eps: float = 0.0,
     steps_per_period: int = STEPS_PER_PERIOD_FULL,
     log: InvariantLog | None = None,
-    convention: str = "printed",
 ) -> np.ndarray:
     """Propagate one configured gate; 4x4 propagator or 16x16 superoperator."""
     if log is not None:
@@ -157,7 +141,6 @@ def gate_channel(
             schedule.duration,
             breakpoints=schedule.breakpoints,
             steps_per_period=steps_per_period,
-            convention=convention,
         )
         if log is not None:
             rho_t = (res.final @ np.eye(4, dtype=complex).ravel(order="F") / 4.0).reshape(4, 4, order="F")
@@ -532,7 +515,10 @@ def initial_phase_sweep(
     quick: bool = False,
 ) -> list[FidelityReport]:
     """Fidelity of the optimal-parameter scheme vs one initial-state phase."""
-    index = {"phi1": 0, "phi2": 1, "phi3": 2}[axis]
+    axes = ("phi1", "phi2", "phi3")
+    if axis not in axes:
+        raise ValueError(f"axis must be one of {axes}, got {axis!r}")
+    index = axes.index(axis)
     items = []
     for n in n_values:
         for v in values:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,47 +140,6 @@ def analytic_rabi_fidelity(delta: float) -> float:
     xi = pi/2.
     """
     return (25.0 + 7.0 * math.cos(delta * math.pi / 2.0)) / 32.0
-
-
-def phase_sweep(
-    channel_for: Callable[[int], np.ndarray],
-    target: np.ndarray,
-    axis: str,
-    values: Sequence[float],
-    n_range: Sequence[int],
-    *,
-    grid_n: int = 40,
-    convention: str = "standard",
-    scheme: str = "",
-    gate_time: float = 0.0,
-) -> list[FidelityReport]:
-    """Average fidelities varying one initial-state phase, others fixed at 0.
-
-    ``channel_for(N)`` supplies the (possibly open-system) channel per
-    repetition count.  Returns one report per (N, phase value).
-    """
-    index = {"phi1": 0, "phi2": 1, "phi3": 2}
-    if axis not in index:
-        raise ValueError("axis must be one of phi1, phi2, phi3")
-    reports = []
-    for n_reps in n_range:
-        channel = channel_for(n_reps)
-        for value in values:
-            phases = [0.0, 0.0, 0.0]
-            phases[index[axis]] = float(value)
-            grid = build_grid(grid_n, phases)
-            reports.append(
-                average_fidelity(
-                    channel,
-                    target,
-                    grid,
-                    convention,
-                    scheme=scheme,
-                    n_reps=n_reps,
-                    gate_time=gate_time,
-                )
-            )
-    return reports
 
 
 REPORT_CSV_HEADER = (

@@ -103,22 +103,17 @@ class PulseSchedule:
                 out[sel] = seg.envelope(np.atleast_1d(ts)[sel])
         return out.reshape(np.shape(ts)) if np.shape(ts) else float(out[0])
 
+    def _per_segment(self, ts: np.ndarray, *fields: str) -> tuple[np.ndarray, ...]:
+        idx = self._segment_index(np.atleast_1d(np.asarray(ts, dtype=float)))
+        return tuple(np.array([getattr(seg, f) for seg in self.segments])[idx] for f in fields)
+
     def carrier(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(omega, psi) of the exchange carrier at each sample time."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = self._segment_index(ts)
-        om = np.array([self.segments[k].carrier_omega for k in idx])
-        ps = np.array([self.segments[k].carrier_phase for k in idx])
-        return om, ps
+        return self._per_segment(ts, "carrier_omega", "carrier_phase")
 
     def drive(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(B_y^1, omega_drive, phase) at each sample time."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        idx = self._segment_index(ts)
-        amp = np.array([self.segments[k].drive_amp for k in idx])
-        om = np.array([self.segments[k].drive_omega for k in idx])
-        ph = np.array([self.segments[k].drive_phase for k in idx])
-        return amp, om, ph
+        return self._per_segment(ts, "drive_amp", "drive_omega", "drive_phase")
 
     def exchange(self, ts: np.ndarray) -> np.ndarray:
         """Full exchange pulse J(t) = 2 j(t) cos(omega t + psi)."""
@@ -442,25 +437,6 @@ def bgate_rectangular(duration: float, e_z: float, delta_ez: float) -> PulseSche
             "weak_exchange_ratio": 2.0 * abs(j_level) / delta_ez,
         },
     )
-
-
-def gate_time_for_exchange_cap(scheme: str, theta: float, xi: float, j_max: float, **kwargs) -> float:
-    """Smallest T such that max|J(t)| = j_max for the given scheme.
-
-    Envelopes scale as 1/T, so T = max|J(t) T| / j_max, evaluated on a
-    reference schedule at T = 1.
-    """
-    builders = {
-        "fsim_rect": lambda: fsim_rectangular(theta, xi, 1.0, 1),
-        "fsim_poly": lambda: fsim_polynomial(theta, xi, 1.0, 1, kwargs.get("eta", -1.0 / 3.0)),
-        "fsim_geometric": lambda: fsim_geometric(theta, xi, 1.0),
-        "bgate": lambda: bgate_rectangular(1.0, kwargs.get("e_z", 1.0), kwargs.get("delta_ez", 0.5)),
-    }
-    if scheme not in builders:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    ref = builders[scheme]()
-    jt_max = 2.0 * ref.max_envelope()
-    return jt_max / j_max
 
 
 # ---------------------------------------------------------------------------

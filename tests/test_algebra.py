@@ -84,6 +84,10 @@ class TestMatExp:
         batch = batched_mat_exp_skew(hs, 0.3)
         for k in range(6):
             np.testing.assert_allclose(batch[k], mat_exp_skew(hs[k], 0.3), atol=1e-13)
+        dts = rng.uniform(0.1, 0.5, 6)
+        per_step = batched_mat_exp_skew(hs, dts)
+        for k in range(6):
+            np.testing.assert_allclose(per_step[k], mat_exp_skew(hs[k], dts[k]), atol=1e-13)
 
 
 class TestIsoclinic:

@@ -5,6 +5,8 @@ import pytest
 
 from dqdpulse.cli import main
 from dqdpulse.config import ExperimentConfig, apply_overrides, config_from_mapping, load_config
+from dqdpulse.device import SCHEMES
+from dqdpulse.experiments import build_schedule
 
 
 class TestConfig:
@@ -46,6 +48,15 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.resolved_outdir().endswith("env_out")
         assert cfg.resolved_workers() == 3
+
+
+class TestSchemeRegistry:
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_every_scheme_is_wired(self, name, tmp_path):
+        assert ExperimentConfig(scheme=name).scheme == name
+        assert main(["synthesize", "--scheme", name, "--samples", "5", "--outdir", str(tmp_path)]) == 0
+        residuals = build_schedule(name).check_constraints()
+        assert residuals and max(residuals.values()) <= 1e-8
 
 
 class TestCliRuns:

@@ -7,9 +7,9 @@ import pytest
 from dqdpulse.algebra import TWO_PI, hermiticity_defect
 from dqdpulse.device import (
     DEFAULT_DEVICE,
+    SCHEMES,
     DeviceParams,
     bgate_frame_hamiltonian,
-    frame_energy_shift,
     frame_hamiltonian,
     fsim_frame_hamiltonian,
     geometric_frame_hamiltonian,
@@ -17,8 +17,8 @@ from dqdpulse.device import (
     lab_hamiltonian_of_schedule,
     load_device_params,
     save_device_params,
-    schedule_frame,
 )
+from dqdpulse.experiments import build_schedule
 from dqdpulse.pulses import bgate_rectangular, fsim_geometric, fsim_rectangular
 
 THETA, XI = math.pi / 4, math.pi / 2
@@ -91,21 +91,23 @@ class TestLabHamiltonian:
 
 
 class TestFrameIdentity:
-    def test_transform_matches_constructor(self):
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_transform_matches_constructor(self, name):
         # U_frame^dag H_lab U_frame - i U_frame^dag dU/dt, minus the scheme's
         # identity shift, equals the rwa=False constructor (relative scale)
         rng = np.random.default_rng(17)
-        for schedule in all_schedules():
-            frame = schedule_frame(schedule)
-            h_of_t = frame_hamiltonian(schedule, rwa=False)
-            scale = max(
-                np.abs(h_of_t(t)).max() for t in rng.uniform(0, schedule.duration, 5)
-            )
-            for t in rng.uniform(0.0, schedule.duration, 100):
-                lhs = frame.transform(lab_hamiltonian_of_schedule(schedule, t), t)
-                lhs -= frame_energy_shift(schedule, t) * np.eye(4)
-                defect = np.abs(lhs - h_of_t(t)).max() / scale
-                assert defect < 1e-10, schedule.scheme
+        spec = SCHEMES[name]
+        schedule = build_schedule(name, n_reps=2)
+        frame = spec.frame(schedule)
+        h_of_t = frame_hamiltonian(schedule, rwa=False)
+        scale = max(
+            np.abs(h_of_t(t)).max() for t in rng.uniform(0, schedule.duration, 5)
+        )
+        for t in rng.uniform(0.0, schedule.duration, 100):
+            lhs = frame.transform(lab_hamiltonian_of_schedule(schedule, t), t)
+            lhs -= spec.energy_shift(schedule, t) * np.eye(4)
+            defect = np.abs(lhs - h_of_t(t)).max() / scale
+            assert defect < 1e-10
 
     def test_constructors_hermitian(self):
         rng = np.random.default_rng(4)
@@ -119,7 +121,7 @@ class TestFrameIdentity:
         schedule = fsim_rectangular(THETA, XI, 45e-9, 1)
         for t in (3e-9, 17e-9, 40e-9):
             h_lab = lab_hamiltonian_of_schedule(schedule, t)
-            frame = schedule_frame(schedule)
+            frame = SCHEMES["fsim_rect"].frame(schedule)
             u = frame.unitary(t)
             transformed = u.conj().T @ h_lab @ u
             np.testing.assert_allclose(

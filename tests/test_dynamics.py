@@ -127,11 +127,22 @@ class TestLindblad:
             )
             assert res.min_eigenvalue > -1e-9
 
-    def test_printed_and_standard_conventions_agree(self):
-        # the printed dissipator layout is algebraically the standard form
-        d1 = dephasing_dissipator(DEFAULT_DEVICE, "printed")
-        d2 = dephasing_dissipator(DEFAULT_DEVICE, "standard")
-        assert np.abs(d1 - d2).max() < 1e-25
+    def test_dissipator_is_diagonal_dephasing_rates(self):
+        # rho_ab decays at kappa_1 where the qubit-1 indices of a and b differ
+        # and at kappa_2 where the qubit-2 indices differ
+        k1, k2 = DEFAULT_DEVICE.kappa_1, DEFAULT_DEVICE.kappa_2
+        rates = np.array([[-k1 * (a // 2 != b // 2) - k2 * (a % 2 != b % 2) for b in range(4)] for a in range(4)])
+        d = dephasing_dissipator(DEFAULT_DEVICE)
+        np.testing.assert_array_equal(d, np.diag(rates.ravel(order="F")))
+        # the Lindblad form kappa (s rho s^dag - {s^dag s, rho}/2), term by term
+        lindblad = np.zeros((16, 16), dtype=complex)
+        for ops, kappa in ((COLLAPSE_Q1, k1), (COLLAPSE_Q2, k2)):
+            for op in ops:
+                sds = op.conj().T @ op
+                lindblad += kappa * (
+                    np.kron(op.conj(), op) - 0.5 * np.kron(np.eye(4), sds) - 0.5 * np.kron(sds.T, np.eye(4))
+                )
+        assert np.abs(d - lindblad).max() <= 1e-15 * (k1 + k2)
 
     def test_rejects_invalid_initial_state(self):
         with pytest.raises(ValueError, match="density"):

@@ -11,7 +11,6 @@ from dqdpulse.fidelity import (
     analytic_rabi_fidelity,
     average_fidelity,
     build_grid,
-    phase_sweep,
     report_row,
     reports_to_csv,
 )
@@ -143,21 +142,6 @@ class TestAnalyticRabiLaw:
         samples = np.abs(overlap) ** 2
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - analytic_rabi_fidelity(delta)) < 3.0 * se + 2e-6
-
-
-class TestPhaseSweep:
-    def test_sweep_shape_and_axis(self):
-        u = fsim_matrix(THETA, XI)
-        reports = phase_sweep(
-            lambda n: u, u, "phi3", [0.0, 1.0, 2.0], [1, 2], grid_n=6
-        )
-        assert len(reports) == 6
-        assert reports[0].phases == (0.0, 0.0, 0.0)
-        assert reports[1].phases == (0.0, 0.0, 1.0)
-
-    def test_invalid_axis(self):
-        with pytest.raises(ValueError):
-            phase_sweep(lambda n: np.eye(4), np.eye(4), "phi9", [0.0], [1])
 
 
 class TestReportCsv:

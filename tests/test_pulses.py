@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdpulse.algebra import TWO_PI
-from dqdpulse.device import DEFAULT_DEVICE
+from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
 from dqdpulse.pulses import (
     PulseSchedule,
     Segment,
@@ -18,7 +18,6 @@ from dqdpulse.pulses import (
     fsim_geometric,
     fsim_polynomial,
     fsim_rectangular,
-    gate_time_for_exchange_cap,
     optimize_eta,
     polynomial_coefficients,
     schedule_to_csv,
@@ -46,7 +45,7 @@ class TestRectangular:
 
     def test_gate_time_from_exchange_cap(self):
         # reference gate time: T ~ 45 ns at J_max / 2pi = 19.7 MHz
-        t_gate = gate_time_for_exchange_cap("fsim_rect", THETA, XI, DEFAULT_DEVICE.j_max)
+        t_gate = SCHEMES["fsim_rect"].exchange_capped_time(THETA, XI, DEFAULT_DEVICE.j_max)
         assert t_gate == pytest.approx(45e-9, rel=0.02)
 
     def test_defining_integrals(self):
@@ -103,7 +102,7 @@ class TestPolynomial:
         assert s.max_envelope() > 3 * s_rep.max_envelope()
 
     def test_gate_time_from_exchange_cap(self):
-        t_gate = gate_time_for_exchange_cap("fsim_poly", THETA, XI, DEFAULT_DEVICE.j_max)
+        t_gate = SCHEMES["fsim_poly"].exchange_capped_time(THETA, XI, DEFAULT_DEVICE.j_max)
         assert t_gate == pytest.approx(50e-9, rel=0.03)
 
     def test_singular_configuration_reported(self):
@@ -142,10 +141,7 @@ class TestBgate:
 
     def test_gate_time_from_exchange_cap(self):
         # max |J| = 3 pi / T = J_max gives the reference T ~ 76 ns
-        t_gate = gate_time_for_exchange_cap(
-            "bgate", THETA, XI, DEFAULT_DEVICE.j_max,
-            e_z=DEFAULT_DEVICE.e_z, delta_ez=DEFAULT_DEVICE.delta_ez,
-        )
+        t_gate = SCHEMES["bgate"].exchange_capped_time(THETA, XI, DEFAULT_DEVICE.j_max)
         assert t_gate == pytest.approx(76e-9, rel=0.02)
 
     def test_drive_amplitudes(self):
@@ -184,7 +180,7 @@ class TestGeometric:
         assert s.controls.e_z == pytest.approx(XI / (2 * T))
 
     def test_gate_time_from_exchange_cap(self):
-        t_gate = gate_time_for_exchange_cap("fsim_geometric", THETA, XI, DEFAULT_DEVICE.j_max)
+        t_gate = SCHEMES["fsim_geometric"].exchange_capped_time(THETA, XI, DEFAULT_DEVICE.j_max)
         assert t_gate == pytest.approx(158e-9, rel=0.02)
 
     def test_leg_areas(self):
