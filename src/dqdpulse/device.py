@@ -134,10 +134,6 @@ def lab_hamiltonian(
     )
 
 
-def lab_hamiltonian_for(params: DeviceParams, j: float, b_y_l: float = 0.0, b_y_r: float = 0.0) -> np.ndarray:
-    return lab_hamiltonian(params.e_z, params.delta_ez, j, b_y_l, b_y_r)
-
-
 class TimeDependentHamiltonian:
     """H(t) with a vectorized batch evaluator, as the propagators expect."""
 
@@ -278,13 +274,15 @@ class Scheme:
     ``frame_coefficients(controls)`` is the diagonal frame generator and
     ``energy_shift(schedule, t)`` the scalar s(t) with
     H_constructor = FrameSpec.transform(H_lab, t) - s(t) I; identity shifts
-    change only a global phase.
+    change only a global phase.  ``reference_time`` is the gate time the
+    benchmark datasets use for the scheme.
     """
 
     build: Callable[..., PulseSchedule]
     frame_batch: Callable[[PulseSchedule, np.ndarray, bool], np.ndarray]
     frame_coefficients: Callable[[PhysicalControls], tuple[float, float, float, float]]
     energy_shift: Callable[[PulseSchedule, float], float]
+    reference_time: float
     # one-step fSim: (theta, xi) limited to |theta| <= pi/2, |xi| <= pi, and
     # T capped below by the carrier condition delta_Ez = 2 N pi / T
     one_step: bool = False
@@ -326,10 +324,12 @@ _ONE_STEP_FSIM = dict(
 SCHEMES: dict[str, Scheme] = {
     "fsim_rect": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_rectangular(theta, xi, duration, n_reps),
+        reference_time=45e-9,
         **_ONE_STEP_FSIM,
     ),
     "fsim_poly": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_polynomial(theta, xi, duration, n_reps, eta),
+        reference_time=50e-9,
         **_ONE_STEP_FSIM,
     ),
     "bgate": Scheme(
@@ -339,6 +339,7 @@ SCHEMES: dict[str, Scheme] = {
         frame_batch=_bgate_frame_batch,
         frame_coefficients=_bgate_frame,
         energy_shift=lambda schedule, t: 0.0,  # the frame already cancels the static diagonal
+        reference_time=76e-9,
         weak_exchange=True,
     ),
     "fsim_geometric": Scheme(
@@ -346,6 +347,7 @@ SCHEMES: dict[str, Scheme] = {
         frame_batch=_geometric_frame_batch,
         frame_coefficients=_fsim_frame,  # same rotation as the fSim frame
         energy_shift=_geometric_energy_shift,
+        reference_time=158e-9,
     ),
 }
 

@@ -1,10 +1,16 @@
 """Time-ordered closed-system propagation and Lindblad open-system evolution.
 
-Closed systems use a midpoint exponential product
-U <- exp(-i H(t + dt/2) dt) U, which is unitary by construction at every
-step and second-order accurate.  Open systems integrate the vectorized
-master equation with classical RK4 on the 16x16 superoperator, so a
-1600-state fidelity grid costs one integration plus cheap linear algebra.
+One driver serves both: it resolves H(t), checks the step floor, builds
+the step grid (breakpoints and sample times on nodes), and walks it in
+memory-bounded chunks, each reduced to one ordered product, recording the
+running product at every sample time.  Only the per-step factor differs:
+
+* closed systems use the midpoint exponential exp(-i H(t + dt/2) dt),
+  unitary by construction and second-order accurate;
+* open systems use one classical RK4 step of the vectorized master
+  equation, which is linear, so the step is the 16x16 matrix
+  I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's taken at the identity.
+  One superoperator serves a whole 1600-state fidelity grid.
 
 Step budgets are guarded by a Nyquist-style floor: dt <= 1/(50 f_max)
 with f_max the fastest frequency present (twice the carrier for
@@ -15,7 +21,8 @@ the required minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +31,14 @@ from .algebra import batched_mat_exp_skew, unitarity_defect
 from .device import DeviceParams, TimeDependentHamiltonian
 
 STEPS_PER_PERIOD = 50
+
+# Step factors held at once: 32 superoperator (16x16) or 512 propagator
+# (4x4) steps, so the 632k-step B gate runs in bounded memory.
+CHUNK_BYTES = 1 << 17
+
+# RK4 end stages at a breakpoint or at T sample H this fraction of a step
+# inside the interval: schedules are right-continuous at envelope jumps.
+_LEFT_LIMIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,18 +72,24 @@ def _resolve_hamiltonian(h) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
 
 
-def _step_grid(duration: float, steps: int, breakpoints: Sequence[float]) -> np.ndarray:
-    """Node times 0 = t_0 < ... < t_n = T with breakpoints on nodes.
+def _step_grid(
+    duration: float, steps: int, breakpoints: Sequence[float], sample_times: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node times 0 = t_0 < ... < t_n = T, and which steps end at a breakpoint or T.
 
     Steps are distributed over the sub-intervals proportionally to length so
-    discontinuous envelopes never straddle a step.
+    discontinuous envelopes never straddle a step; sample times become
+    nodes too.
     """
     pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
     nodes = [0.0]
     for lo, hi in zip(pts[:-1], pts[1:]):
         n = max(1, int(round(steps * (hi - lo) / duration)))
         nodes.extend(np.linspace(lo, hi, n + 1)[1:])
-    return np.asarray(nodes)
+    nodes = np.asarray(nodes)
+    if sample_times is not None:
+        nodes = np.unique(np.concatenate([nodes, sample_times]))
+    return nodes, np.isin(nodes[1:], pts[1:])
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -81,6 +102,58 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
         else:
             mats = np.matmul(mats[1::2], mats[::2])
     return mats[0]
+
+
+def _propagate(
+    hamiltonian,
+    duration: float,
+    steps: int | None,
+    breakpoints: Sequence[float],
+    sample_times: Sequence[float] | None,
+    steps_per_period: int,
+    step_factors: Callable[..., np.ndarray],
+    dim: int,
+) -> EvolutionResult:
+    """Ordered product of per-step factors over [0, duration], chunk by chunk.
+
+    ``step_factors(batch, nodes, left)`` returns the (n, dim, dim) factors of
+    the n steps between consecutive ``nodes``; ``left`` marks the steps that
+    end at a breakpoint or at T.
+    """
+    batch, fmax = _resolve_hamiltonian(hamiltonian)
+    floor = required_steps(fmax, duration, steps_per_period)
+    if steps is None:
+        steps = floor
+    elif steps < floor:
+        raise ValueError(
+            f"step budget {steps} is below the Nyquist-style floor {floor} "
+            f"for f_max = {fmax:.3e} Hz over {duration:.3e} s"
+        )
+    times = None if sample_times is None else np.asarray(sample_times, dtype=float)
+    if times is not None and (times.min(initial=0.0) < 0.0 or times.max(initial=0.0) > duration):
+        raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
+    nodes, left = _step_grid(duration, steps, breakpoints, times)
+    n = nodes.size - 1
+    marks = np.zeros(0, dtype=int) if times is None else np.searchsorted(nodes, times)
+    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+
+    state = np.eye(dim, dtype=complex)
+    snapshots = {0: state}
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        factors = step_factors(batch, nodes[a : b + 1], left[a:b])
+        start = a
+        for m in sorted({*marks[(marks > a) & (marks < b)].tolist(), b}):
+            state = _ordered_product(factors[start - a : m - a]) @ state
+            snapshots[m] = state
+            start = m
+    states = None if times is None else np.stack([snapshots[m] for m in marks])
+    return EvolutionResult(final=state, steps=n, times=times, states=states)
+
+
+def _unitary_factors(batch, nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+    dts = np.diff(nodes)
+    return batched_mat_exp_skew(batch(nodes[:-1] + dts / 2.0), dts)
 
 
 def propagate_unitary(
@@ -98,48 +171,8 @@ def propagate_unitary(
     batch evaluator and frequency bound are used).  With ``sample_times``
     the intermediate propagators U(t_k, 0) are recorded as well.
     """
-    batch, fmax = _resolve_hamiltonian(hamiltonian)
-    floor = required_steps(fmax, duration, steps_per_period)
-    if steps is None:
-        steps = floor
-    elif steps < floor:
-        raise ValueError(
-            f"step budget {steps} is below the Nyquist-style floor {floor} "
-            f"for f_max = {fmax:.3e} Hz over {duration:.3e} s"
-        )
-    nodes = _step_grid(duration, steps, breakpoints)
-    if sample_times is not None:
-        nodes = np.unique(np.concatenate([nodes, np.asarray(sample_times, dtype=float)]))
-    dts = np.diff(nodes)
-    mids = nodes[:-1] + dts / 2.0
-    factors = batched_mat_exp_skew(batch(mids), dts)
-
-    states = None
-    times = None
-    if sample_times is None:
-        u = _ordered_product(factors)
-    else:
-        times = np.asarray(sample_times, dtype=float)
-        marks = np.searchsorted(nodes, times)
-        snapshots: dict[int, np.ndarray] = {}
-        u = np.eye(4, dtype=complex)
-        start = 0
-        for m in sorted(set(marks.tolist())):
-            if m > start:
-                u = _ordered_product(factors[start:m]) @ u
-                start = m
-            snapshots[m] = u.copy()
-        if start < factors.shape[0]:
-            u = _ordered_product(factors[start:]) @ u
-        states = np.stack([snapshots[m] for m in marks])
-    defect = unitarity_defect(u)
-    return EvolutionResult(
-        final=u,
-        steps=len(dts),
-        times=times,
-        states=states,
-        unitarity_defect=defect,
-    )
+    res = _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, _unitary_factors, 4)
+    return replace(res, unitarity_defect=unitarity_defect(res.final))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +196,35 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(4, 4, order="F")
 
 
-def _unitary_liouvillian(h: np.ndarray) -> np.ndarray:
-    # vec(i(rho H - H rho)) with column stacking
-    return 1j * (np.kron(h.T, _I4) - np.kron(_I4, h))
+def _liouvillians(h: np.ndarray, diss: np.ndarray) -> np.ndarray:
+    """i(H^T (x) I - I (x) H) + D for a batch of H: vec(i(rho H - H rho)) + D vec(rho)."""
+    out = np.zeros((h.shape[0], 4, 4, 4, 4), dtype=complex)  # [n, a, c, b, d] is row 4a+c, column 4b+d
+    idx = np.arange(4)
+    out[:, :, idx, :, idx] = 1j * h.transpose(0, 2, 1)  # H^T (x) I: the c = d entries hold H[b, a]
+    out[:, idx, :, idx, :] -= 1j * h  # I (x) H: the a = b entries hold H[c, d]
+    out = out.reshape(-1, 16, 16)
+    out += diss
+    return out
+
+
+def _rk4_factors(batch, nodes: np.ndarray, left: np.ndarray, diss: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of the linear master equation per step, as a 16x16 matrix."""
+    dts = np.diff(nodes)
+    n = dts.size
+    ends = nodes[1:][left] - _LEFT_LIMIT * dts[left]
+    ls = _liouvillians(batch(np.concatenate([nodes, nodes[:-1] + dts / 2.0, ends])), diss)
+    l0, lm = ls[:n], ls[n + 1 : 2 * n + 1]
+    end_index = np.arange(1, n + 1)
+    end_index[left] = np.arange(2 * n + 1, ls.shape[0])
+    l1 = ls[end_index]
+    dt = dts[:, None, None]
+    eye = np.eye(16)
+    k = lm @ (eye + 0.5 * dt * l0)
+    acc = l0 + 2.0 * k
+    k = lm @ (eye + 0.5 * dt * k)
+    acc += 2.0 * k
+    acc += l1 @ (eye + dt * k)
+    return eye + dt / 6.0 * acc
 
 
 def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
@@ -208,60 +267,8 @@ def lindblad_superoperator(
 
     One integration serves any number of initial states.
     """
-    batch, fmax = _resolve_hamiltonian(hamiltonian)
-    floor = required_steps(fmax, duration, steps_per_period)
-    if steps is None:
-        steps = floor
-    elif steps < floor:
-        raise ValueError(
-            f"step budget {steps} is below the Nyquist-style floor {floor} "
-            f"for f_max = {fmax:.3e} Hz over {duration:.3e} s"
-        )
-    sample_set = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    diss = dephasing_dissipator(params)
-
-    # Integrate per sub-interval between breakpoints so every RK4 stage
-    # samples the correct side of envelope jumps: the endpoint evaluation of
-    # each sub-interval is nudged inward by a negligible fraction of a step
-    # (the schedule dispatch is right-continuous at boundaries).
-    pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
-    s = np.eye(16, dtype=complex)
-    sampled = []
-    total_steps = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(1, int(round(steps * (hi - lo) / duration)))
-        nodes = np.linspace(lo, hi, n + 1)
-        if sample_set is not None:
-            inside = sample_set[(sample_set > lo) & (sample_set < hi)]
-            nodes = np.unique(np.concatenate([nodes, inside]))
-        eval_nodes = nodes.copy()
-        eval_nodes[-1] = hi - 1e-9 * (hi - lo) / n
-        mids = nodes[:-1] + np.diff(nodes) / 2.0
-        h_nodes = batch(eval_nodes)
-        h_mids = batch(mids)
-        l_next = _unitary_liouvillian(h_nodes[0]) + diss
-        for k in range(nodes.size - 1):
-            dt = nodes[k + 1] - nodes[k]
-            l0 = l_next
-            lm = _unitary_liouvillian(h_mids[k]) + diss
-            l1 = _unitary_liouvillian(h_nodes[k + 1]) + diss
-            l_next = l1
-            k1 = l0 @ s
-            k2 = lm @ (s + 0.5 * dt * k1)
-            k3 = lm @ (s + 0.5 * dt * k2)
-            k4 = l1 @ (s + dt * k3)
-            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            total_steps += 1
-            if sample_set is not None and np.any(
-                np.isclose(nodes[k + 1], sample_set, rtol=0.0, atol=1e-18 + 1e-12 * duration)
-            ):
-                sampled.append(s.copy())
-    return EvolutionResult(
-        final=s,
-        steps=total_steps,
-        times=sample_set,
-        states=np.stack(sampled) if sampled else None,
-    )
+    rk4 = partial(_rk4_factors, diss=dephasing_dissipator(params))
+    return _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, rk4, 16)
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -325,10 +332,3 @@ def trajectory_rows(times: np.ndarray, rhos: np.ndarray):
         pops = [float(rho[i, i].real) for i in range(4)]
         cohs = [float(abs(rho[i, j])) for i, j in pairs]
         yield (t * 1e9, *pops, *cohs)
-
-
-def trajectory_to_csv(path, times: np.ndarray, rhos: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for row in trajectory_rows(times, rhos):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .device import (
     DEFAULT_DEVICE,
+    SCHEMES,
     DeviceParams,
     coupling_block_hamiltonian,
     frame_hamiltonian,
@@ -48,10 +49,10 @@ from .pulses import (
 # Reference gate parameters used throughout the benchmark datasets.
 THETA_REF = math.pi / 4.0
 XI_REF = math.pi / 2.0
-RECT_GATE_TIME = 45e-9
-POLY_GATE_TIME = 50e-9
-GEOMETRIC_GATE_TIME = 158e-9
-BGATE_GATE_TIME = 76e-9
+RECT_GATE_TIME = SCHEMES["fsim_rect"].reference_time
+POLY_GATE_TIME = SCHEMES["fsim_poly"].reference_time
+GEOMETRIC_GATE_TIME = SCHEMES["fsim_geometric"].reference_time
+BGATE_GATE_TIME = SCHEMES["bgate"].reference_time
 ETA_REF = -1.0 / 3.0
 
 STEPS_PER_PERIOD_FULL = 200
@@ -172,11 +173,10 @@ def table1_entry(
     *,
     quick: bool = False,
     params: DeviceParams = DEFAULT_DEVICE,
-    convention: str = "standard",
     log: InvariantLog | None = None,
 ) -> FidelityReport:
     """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
-    duration = RECT_GATE_TIME if scheme == "fsim_rect" else POLY_GATE_TIME
+    duration = scheme_spec(scheme).reference_time
     schedule = build_schedule(scheme, duration=duration, n_reps=n_reps, params=params)
     channel = gate_channel(
         schedule,
@@ -191,7 +191,6 @@ def table1_entry(
         channel,
         fsim_target(schedule),
         grid,
-        convention,
         scheme=scheme,
         n_reps=n_reps,
         gate_time=schedule.duration,
@@ -319,9 +318,14 @@ def rabi_sweep(
     grid_n: int = 40,
     log: InvariantLog | None = None,
 ) -> list[dict]:
-    """Closed-system RWA-frame fidelity against the analytic amplitude-error law."""
-    duration = RECT_GATE_TIME if scheme == "fsim_rect" else POLY_GATE_TIME
-    schedule = build_schedule(scheme, duration=duration, n_reps=n_reps)
+    """Closed-system RWA-frame fidelity against the analytic amplitude-error law.
+
+    The law holds for the one-step fSim schemes only; others are rejected.
+    """
+    spec = scheme_spec(scheme)
+    if not spec.one_step:
+        raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
+    schedule = build_schedule(scheme, duration=spec.reference_time, n_reps=n_reps)
     target = fsim_target(schedule)
     grid = build_grid(grid_n)
     rows = []

@@ -86,14 +86,15 @@ def _per_state_unitary(u: np.ndarray, target: np.ndarray, states: np.ndarray) ->
     return np.abs(np.einsum("ij,ij->i", ideal.conj(), final)) ** 2
 
 
+def _vec_projectors(states: np.ndarray) -> np.ndarray:
+    # column-stacked vec(|psi><psi|): entry a + 4 b is psi_a psi_b^*
+    return (states.conj()[:, :, None] * states[:, None, :]).reshape(-1, 16)
+
+
 def _per_state_superop(s: np.ndarray, target: np.ndarray, states: np.ndarray) -> np.ndarray:
-    ideal = states @ target.T
-    out = np.empty(states.shape[0])
-    # vec(|psi><psi|) with column stacking is kron-free: outer(psi, psi*).ravel('F')
-    for k, psi in enumerate(states):
-        rho_t = (s @ np.outer(psi, psi.conj()).ravel(order="F")).reshape(4, 4, order="F")
-        out[k] = float(np.real(ideal[k].conj() @ rho_t @ ideal[k]))
-    return out
+    # <psi_f| rho_t |psi_f> = vec(|psi_f><psi_f|)^dag vec(rho_t)
+    ideal = _vec_projectors(states @ target.T)
+    return np.einsum("kj,kj->k", ideal.conj(), _vec_projectors(states) @ s.T).real
 
 
 def average_fidelity(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,19 +51,6 @@ def const(c: float) -> TimeFunction:
 
 def linear(rate: float, offset: float = 0.0) -> TimeFunction:
     return TimeFunction(lambda t: offset + rate * t, lambda t: rate)
-
-
-def smooth_ramp(amplitude: float, duration: float) -> TimeFunction:
-    """Monotone C^1 ramp 0 -> amplitude over [0, duration] (sin^2 profile)."""
-    w = math.pi / duration
-
-    def val(t: float) -> float:
-        return amplitude * math.sin(0.5 * w * t) ** 2
-
-    def der(t: float) -> float:
-        return 0.5 * amplitude * w * math.sin(w * t)
-
-    return TimeFunction(val, der)
 
 
 @dataclass(frozen=True)

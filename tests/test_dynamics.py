@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dqdpulse import dynamics
 from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
 from dqdpulse.device import DEFAULT_DEVICE, DeviceParams, frame_hamiltonian
 from dqdpulse.dynamics import (
@@ -33,6 +34,34 @@ def random_density_matrix(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def rk4_loop_superoperator(h, params, duration, steps, breakpoints):
+    """Reference: classical RK4 on the 16x16 superoperator, one step at a time.
+
+    Each sub-interval between breakpoints gets its share of the steps, and
+    its last end stage samples H just inside the interval (left limit).
+    """
+    diss = dephasing_dissipator(params)
+
+    def liouvillian(t):
+        ht = h(t)
+        return 1j * (np.kron(ht.T, np.eye(4)) - np.kron(np.eye(4), ht)) + diss
+
+    pts = [0.0, *sorted(p for p in breakpoints if 0.0 < p < duration), duration]
+    s = np.eye(16, dtype=complex)
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        nodes = np.linspace(lo, hi, max(1, round(steps * (hi - lo) / duration)) + 1)
+        for t0, t1 in zip(nodes[:-1], nodes[1:]):
+            dt = t1 - t0
+            l0, lm = liouvillian(t0), liouvillian(t0 + dt / 2.0)
+            l1 = liouvillian(t1 - 1e-9 * dt if t1 == hi else t1)
+            k1 = l0 @ s
+            k2 = lm @ (s + 0.5 * dt * k1)
+            k3 = lm @ (s + 0.5 * dt * k2)
+            k4 = l1 @ (s + dt * k3)
+            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
 
 
 class TestUnitaryPropagation:
@@ -144,6 +173,29 @@ class TestLindblad:
                 )
         assert np.abs(d - lindblad).max() <= 1e-15 * (k1 + k2)
 
+    def test_matches_scalar_rk4_loop(self):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        res = lindblad_superoperator(
+            h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints, steps_per_period=200
+        )
+        assert res.steps == 400
+        ref = rk4_loop_superoperator(h, DEFAULT_DEVICE, T45, res.steps, schedule.breakpoints)
+        assert np.abs(res.final - ref).max() <= 1e-12
+
+    def test_samples_include_both_ends(self):
+        # constant H, no dephasing: every snapshot is the exact conjugation
+        rng = np.random.default_rng(7)
+        h, rho0 = random_hermitian(rng), random_density_matrix(rng)
+        times = [0.0, 0.5, 1.0]
+        res = propagate_lindblad(lambda t: h, NO_DECOHERENCE, rho0, 1.0, steps=1000, sample_times=times)
+        assert res.states.shape == (3, 4, 4)
+        np.testing.assert_allclose(res.states[0], rho0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(res.states[-1], res.final)
+        for t, rho in zip(times, res.states):
+            u = mat_exp_skew(h, t)
+            assert np.abs(rho - u @ rho0 @ u.conj().T).max() < 1e-9
+
     def test_rejects_invalid_initial_state(self):
         with pytest.raises(ValueError, match="density"):
             propagate_lindblad(lambda t: np.zeros((4, 4)), DEFAULT_DEVICE, np.eye(4), 1e-9, steps=16)
@@ -152,6 +204,41 @@ class TestLindblad:
         for op in (*COLLAPSE_Q1, *COLLAPSE_Q2):
             np.testing.assert_allclose(op @ op, op, atol=0)
             np.testing.assert_allclose(op, op.conj().T, atol=0)
+
+
+class TestChunkedDriver:
+    # three steps per chunk, so chunk edges fall between and on sample times
+    @staticmethod
+    def three_step_chunks(monkeypatch, dim):
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 16 * dim * dim)
+
+    def test_unitary_chunks_match_default(self, monkeypatch):
+        schedule = fsim_rectangular(THETA, XI, T45, 2)
+        h = frame_hamiltonian(schedule, rwa=False)
+        times = np.concatenate([[0.0, T45], schedule.breakpoints, np.linspace(0.013, 0.97, 23) * T45])
+        kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times)
+        ref = propagate_unitary(h, T45, **kwargs)
+        self.three_step_chunks(monkeypatch, 4)
+        res = propagate_unitary(h, T45, **kwargs)
+        assert res.steps == ref.steps and res.states.shape == (times.size, 4, 4)
+        assert np.abs(res.final - ref.final).max() <= 1e-13
+        assert np.abs(res.states - ref.states).max() <= 1e-13
+
+    def test_lindblad_chunks_match_default(self, monkeypatch):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        times = np.concatenate([schedule.breakpoints, np.linspace(0.0, 1.0, 9) * T45])
+        kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times)
+        ref = lindblad_superoperator(h, DEFAULT_DEVICE, T45, **kwargs)
+        self.three_step_chunks(monkeypatch, 16)
+        res = lindblad_superoperator(h, DEFAULT_DEVICE, T45, **kwargs)
+        assert res.steps == ref.steps and res.states.shape == (times.size, 16, 16)
+        assert np.abs(res.final - ref.final).max() <= 1e-13
+        assert np.abs(res.states - ref.states).max() <= 1e-13
+
+    def test_rejects_sample_times_outside_the_gate(self):
+        with pytest.raises(ValueError, match="sample times"):
+            propagate_unitary(lambda t: np.eye(4), 1.0, steps=16, sample_times=[0.5, 1.5])
 
 
 class TestRabiErrorCommutation:

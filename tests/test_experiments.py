@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from dqdpulse.experiments import initial_phase_sweep
+import dqdpulse
+from dqdpulse.device import SCHEMES
+from dqdpulse.experiments import initial_phase_sweep, rabi_sweep
 
 
 class TestInitialPhaseSweep:
@@ -16,3 +23,19 @@ class TestInitialPhaseSweep:
     def test_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):
             initial_phase_sweep("phi9", [0.0], [1])
+
+
+class TestRabiSweep:
+    @pytest.mark.parametrize("name", [n for n, spec in SCHEMES.items() if not spec.one_step])
+    def test_rejects_schemes_outside_the_law(self, name):
+        with pytest.raises(ValueError, match="one-step"):
+            rabi_sweep([0.0], scheme=name)
+
+    def test_cli_sweep_rabi_bgate_exits_nonzero(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(dqdpulse.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dqdpulse.cli", "sweep", "rabi", "--scheme", "bgate", "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "one-step" in proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqdpulse.algebra import TWO_PI
-from dqdpulse.device import frame_hamiltonian
+from dqdpulse.device import DEFAULT_DEVICE, frame_hamiltonian
 from dqdpulse.dynamics import lindblad_superoperator, propagate_unitary
 from dqdpulse.fidelity import (
     FidelityReport,
@@ -87,6 +87,20 @@ class TestAverageFidelity:
         f_u = average_fidelity(u, target, grid).fidelity
         f_s = average_fidelity(s, target, grid).fidelity
         assert f_u == pytest.approx(f_s, abs=1e-7)
+
+    def test_superoperator_overlap_matches_per_state_loop(self):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        s = lindblad_superoperator(h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints).final
+        target = fsim_matrix(THETA, XI)
+        grid = build_grid(12, (0.3, 1.1, 2.0))
+        expected = []
+        for psi in grid.states:
+            rho_t = (s @ np.outer(psi, psi.conj()).ravel(order="F")).reshape(4, 4, order="F")
+            ideal = target @ psi
+            expected.append(np.real(ideal.conj() @ rho_t @ ideal))
+        per_state = average_fidelity(s, target, grid).per_state
+        assert np.abs(per_state - expected).max() <= 1e-14
 
     def test_grid_mean_linearity(self):
         # mean over the union of two disjoint grids = weighted mean of means

@@ -1,0 +1,34 @@
+"""Static checks on the package source, with the stdlib ``ast`` standing in for a linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dqdpulse
+
+# __init__.py imports names only to re-export them
+MODULES = sorted(p for p in Path(dqdpulse.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression in the module reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_detector_flags_unused_names():
+    source = "import os.path\nimport numpy as np\nfrom typing import Callable, Sequence\nx: Callable = np.eye\n"
+    assert unused_imports(source) == ["Sequence", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
