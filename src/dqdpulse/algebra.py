@@ -205,3 +205,18 @@ def simpson_integrate(
     if abs(total.imag) == 0.0:
         return complex(total.real, 0.0)
     return total
+
+
+def cumulative_simpson(ys: np.ndarray, h: float) -> np.ndarray:
+    """Running Simpson integral of samples on a uniform grid of spacing ``h``.
+
+    Returns len(ys) values starting at 0; ``ys`` needs an odd length of at
+    least 3.  Each interval integrates the parabola through its two nodes
+    and one neighbour: the next node for even intervals, the previous one
+    for odd intervals (the scheme of scipy's ``cumulative_simpson``).
+    """
+    left, mid, right = ys[:-2:2], ys[1:-1:2], ys[2::2]
+    parts = np.empty(len(ys) - 1, dtype=np.result_type(ys, float))
+    parts[0::2] = (h / 12.0) * (5.0 * left + 8.0 * mid - right)
+    parts[1::2] = (h / 12.0) * (8.0 * mid + 5.0 * right - left)
+    return np.concatenate([[0.0], np.cumsum(parts)])

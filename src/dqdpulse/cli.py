@@ -313,17 +313,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_rep.add_argument("target", choices=("table1", "fig1a", "fig4c", "fig4d", "fig5", "fig6"))
 
     args = parser.parse_args(argv)
-    cfg = _resolve(args)
-
-    if args.command == "synthesize":
-        return cmd_synthesize(cfg)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, args.axis)
-    if args.command == "reproduce":
+    try:
+        cfg = _resolve(args)
+        if args.command == "synthesize":
+            return cmd_synthesize(cfg)
+        if args.command == "simulate":
+            return cmd_simulate(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, args.axis)
         return cmd_reproduce(cfg, args.target)
-    raise SystemExit(2)
+    except ValueError as exc:
+        # invalid configs and unsupported combinations: one line, argparse's exit code
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,18 +3,22 @@
 Any U in SU(4) factors as (k1 x k2) A(c1, c2, c3) (k3 x k4) with single-
 qubit k_i and the nonlocal part
 A = exp((i/2) c1 XX) exp((i/2) c2 YY) exp((i/2) c3 ZZ).  Two B gates plus
-six single-qubit gates suffice to realize any A; this module verifies
-that claim numerically by optimizing the single-qubit gates in a
-B-(locals)-B sandwich, with Makhlin-style local invariants as the
-local-equivalence certificate.
+six single-qubit gates suffice to realize any A (Zhang, Vala, Sastry &
+Whaley, PRL 93, 020502 (2004)); this module builds that circuit in closed
+form.  The middle locals follow from the interaction angles of
+``beta_params``; the outer locals come from magic-basis KAK decompositions
+(Kraus & Cirac, PRA 63, 062309 (2001)) of the target and of the B-(locals)-B
+core, matched eigenvalue by eigenvalue.  Makhlin-style local invariants
+serve as the local-equivalence certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .algebra import phase_aligned_distance, require_unitary
 
@@ -89,18 +93,26 @@ def beta_params(c2: float, c3: float) -> tuple[float, float]:
 
     cos(beta1) = 1 - 4 sin^2(c2/2) cos^2(c3/2);
     sin(beta2) = sqrt(cos c2 cos c3 / (1 - 2 sin^2(c2/2) cos^2(c3/2))).
+    Both angles are evaluated as atan2 of half-angle square roots, with
+    1 - 2 sin^2(c2/2) cos^2(c3/2) = sin^2(c3/2) + cos c2 cos^2(c3/2), so no
+    digits cancel near the DCNOT edge (c2 = pi/2, c3 = 0).  There the beta2
+    radicand is 0/0 and the formulas give beta1 = pi, beta2 = 0; at
+    beta1 = pi the construction no longer depends on beta2.
     Raises if either inverse-trig argument leaves its domain.
     """
-    s2c2 = math.sin(c2 / 2.0) ** 2 * math.cos(c3 / 2.0) ** 2
-    cos_b1 = 1.0 - 4.0 * s2c2
+    sin2, cos2 = math.sin(c2 / 2.0), math.cos(c2 / 2.0)
+    sin3, cos3 = math.sin(c3 / 2.0), math.cos(c3 / 2.0)
+    denom = sin3 * sin3 + math.cos(c2) * cos3 * cos3
+    cos_b1 = 2.0 * denom - 1.0
     if abs(cos_b1) > 1.0 + 1e-12:
         raise ValueError(f"cos(beta1) = {cos_b1} outside [-1, 1]")
-    beta1 = math.acos(max(-1.0, min(1.0, cos_b1)))
-    denom = 1.0 - 2.0 * s2c2
-    radicand = math.cos(c2) * math.cos(c3) / denom if denom != 0.0 else math.inf
-    if not 0.0 <= radicand <= 1.0 + 1e-12:
+    numer = math.cos(c2) * math.cos(c3)
+    if numer < -1e-12:
+        radicand = numer / denom if denom != 0.0 else -math.inf
         raise ValueError(f"sin(beta2) radicand = {radicand} outside [0, 1]")
-    beta2 = math.asin(max(0.0, min(1.0, math.sqrt(max(0.0, radicand)))))
+    beta1 = 2.0 * math.atan2(math.sqrt(2.0) * abs(sin2 * cos3), math.sqrt(max(0.0, denom)))
+    # cos^2(beta2) = 2 sin^2(c3/2) cos^2(c2/2) / denom
+    beta2 = math.atan2(math.sqrt(max(0.0, numer)), math.sqrt(2.0) * abs(sin3 * cos2))
     return beta1, beta2
 
 
@@ -118,6 +130,37 @@ def local_invariants(u: np.ndarray) -> tuple[float, float, float]:
     g1 = tr2 / (16.0 * det)
     g2 = (tr2 - np.trace(m @ m)) / (4.0 * det)
     return (float(g1.real), float(g1.imag), float(g2.real))
+
+
+def weyl_coordinates(u: np.ndarray) -> CanonicalParams:
+    """Canonical parameters of ``u`` in the chamber pi - c2 >= c1 >= c2 >= c3 >= 0.
+
+    Read from the magic-basis spectrum: in the magic basis A(c) is diagonal
+    with phases lambda = ((c1-c2+c3), (c1+c2-c3), -(c1+c2+c3), (-c1+c2+c3))/2,
+    and U^T U carries exp(2 i lambda) for every U locally equivalent to A(c).
+    Any assignment of the halved eigenphases, summing to zero, gives some
+    equivalent c; the chamber point then follows from the symmetries of A:
+    shifts of one c_k by pi, permutations, and sign flips of two c_k.
+    """
+    um = _MAGIC.conj().T @ u @ _MAGIC
+    um = um / np.linalg.det(um) ** 0.25
+    lam = np.sort(np.angle(np.linalg.eigvals(um.T @ um)) / 2.0)[::-1]
+    # the halved phases are fixed mod pi; move whole multiples of pi off
+    # the largest (or onto the smallest) so that they sum to zero
+    shift = round(float(lam.sum()) / math.pi)
+    if shift > 0:
+        lam[:shift] -= math.pi
+    elif shift < 0:
+        lam[shift:] += math.pi
+    c = np.array([lam[0] + lam[2], lam[1] + lam[2], lam[0] + lam[1]])
+    c = (c + math.pi / 2.0) % math.pi - math.pi / 2.0
+    c = c[np.argsort(-np.abs(c), kind="stable")]
+    for k in (0, 1):
+        if c[k] < 0.0:
+            c[k], c[2] = -c[k], -c[2]
+    if c[2] < 0.0:
+        c = np.array([math.pi - c[0], c[1], -c[2]])
+    return CanonicalParams(*(float(x) for x in c))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +184,53 @@ def _sandwich(angles: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(k[0], k[1]) @ b @ np.kron(k[2], k[3]) @ b @ np.kron(k[4], k[5])
 
 
+def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
+    """Inverse of ``euler_zyz`` for u in SU(2), in closed form.
+
+    u = [[e^{-i(a+g)/2} cos(b/2), .], [e^{i(a-g)/2} sin(b/2), e^{i(a+g)/2} cos(b/2)]];
+    at a pole the free combination of a and g multiplies a zero entry.
+    """
+    total, diff = float(np.angle(u[1, 1])), float(np.angle(u[1, 0]))
+    return total + diff, 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0])), total - diff
+
+
+def _su2_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) in SU(2) with k = a (x) b, for k in SU(2) (x) SU(2).
+
+    Block (i, j) of k is a_ij b; the largest block fixes b up to sign, and
+    a_ij = tr(b^dag block_ij) / 2.
+    """
+    blocks = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    pivot = np.unravel_index(np.argmax(np.abs(blocks).sum(axis=(2, 3))), (2, 2))
+    b = blocks[pivot] / np.sqrt(np.linalg.det(blocks[pivot]))
+    return np.einsum("ijkl,kl->ij", blocks, b.conj()) / 2.0, b
+
+
+def _magic_kak(u: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Magic-basis KAK: M^dag u M = O_L diag(d) O_R with O_L, O_R in SO(4).
+
+    The real and imaginary parts of the symmetric unitary Q = u_M^T u_M
+    commute, so the eigenvectors of Re Q + r Im Q diagonalize Q for all but
+    finitely many r.  Returns (O_L, d, O_R, off-diagonal residue of Q in the
+    eigenbasis); a residue far above rounding means r hit a bad value.
+    """
+    um = _MAGIC.conj().T @ u @ _MAGIC
+    q = um.T @ um
+    _, p = np.linalg.eigh(q.real + r * q.imag)
+    if np.linalg.det(p) < 0.0:
+        p[:, 0] = -p[:, 0]
+    qd = p.T @ q @ p
+    d = np.sqrt(np.diag(qd))
+    # u_M P diag(1/d) is orthogonal and unitary, hence real
+    o_left = (um @ p / d).real
+    if np.linalg.det(o_left) < 0.0:
+        o_left[:, 0], d[0] = -o_left[:, 0], -d[0]
+    return o_left, d, p.T, float(np.abs(qd - np.diag(np.diag(qd))).max())
+
+
+_PERMS = np.array(list(itertools.permutations(range(4))))
+
+
 def synthesis_to_json(result: "SynthesisResult") -> str:
     """Ordered-gate-list JSON of a synthesized circuit."""
     import json
@@ -149,7 +239,7 @@ def synthesis_to_json(result: "SynthesisResult") -> str:
         "target_canonical": [result.params.c1, result.params.c2, result.params.c3],
         "residual": result.residual,
         "converged": result.converged,
-        "beta": list(result.beta) if result.beta is not None else None,
+        "beta": list(result.beta),
         "gates": result.circuit(),
     }
     return json.dumps(doc, indent=2)
@@ -161,8 +251,8 @@ class SynthesisResult:
 
     params: CanonicalParams
     residual: float
-    angles: np.ndarray  # 6 x 3 Euler angles, circuit order: pre, inter, post
-    beta: tuple[float, float] | None
+    angles: np.ndarray  # 6 x 3 Euler angles in matrix-product order: post, inter, pre
+    beta: tuple[float, float]  # interaction angles of the middle locals
     converged: bool
     restarts_used: int
 
@@ -188,56 +278,65 @@ def synthesize_via_b(
     seed: int = 7,
     tol: float = 1e-6,
 ) -> SynthesisResult:
-    """Find six single-qubit gates realizing A(c) as B-(locals)-B up to phase.
+    """Six single-qubit gates realizing A(c) as B-(locals)-B up to phase.
 
-    Multi-start derivative-free simplex over the 18 Euler angles, followed
-    by a least-squares polish of the best start (the simplex alone stalls
-    around 1e-4 in 18 dimensions).  Nonconvergence after the retry budget
-    is reported, not silenced.
+    Closed-form construction.  With (c1, c2, c3) the chamber coordinates of
+    A(c) and (beta1, beta2) = ``beta_params(c2, c3)``, the middle locals
+    exp(i c1 Y/2) (x) exp(i beta2 Z/2) exp(i beta1 Y/2) exp(i beta2 Z/2)
+    make V = B (middle) B locally equivalent to A(c).  Magic-basis KAK
+    decompositions of A(c) and V, with matched spectra, give the outer
+    locals, which are factored into single-qubit gates and read off as ZYZ
+    angles.  The KAK diagonalizes Re Q + r Im Q with r drawn from
+    ``default_rng(seed)``; an r whose eigenbasis leaves Q off-diagonal
+    above 1e-10 is redrawn, up to ``restarts`` draws (``restarts_used``).
+    ``residual`` is the phase-aligned distance of the rebuilt circuit from
+    A(c), and ``converged`` is ``residual <= tol``.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     target = canonical_gate(c)
+    chamber = weyl_coordinates(target)
+    beta1, beta2 = beta_params(chamber.c2, chamber.c3)
+    middle = [0.0, -chamber.c1, 0.0, -beta2, -beta1, -beta2]
     b = b_gate()
+    core = b @ np.kron(euler_zyz(*middle[:3]), euler_zyz(*middle[3:])) @ b
+
     rng = np.random.default_rng(seed)
-
-    def cost(angles: np.ndarray) -> float:
-        return phase_aligned_distance(_sandwich(angles, b), target)
-
-    def residual_vector(angles: np.ndarray) -> np.ndarray:
-        u = _sandwich(angles, b)
-        tr = np.trace(target.conj().T @ u)
-        phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-        diff = (u - phase * target).ravel()
-        return np.concatenate([diff.real, diff.imag])
-
-    best_angles = None
-    best_cost = math.inf
-    used = 0
-    for attempt in range(restarts):
-        used = attempt + 1
-        x0 = rng.uniform(-math.pi, math.pi, size=18)
-        res = minimize(
-            cost,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 6000, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
-        )
-        x = res.x
-        polish = least_squares(residual_vector, x, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        val = cost(polish.x)
-        if val < best_cost:
-            best_cost = val
-            best_angles = polish.x
-        if best_cost <= tol * 1e-2:
+    for used in range(1, restarts + 1):
+        r = rng.uniform(0.5, 2.0)
+        left_u, d_u, right_u, off_u = _magic_kak(target, r)
+        left_v, d_v, right_v, off_v = _magic_kak(core, r)
+        if max(off_u, off_v) <= 1e-10:
             break
-    try:
-        beta = beta_params(c.c2, c.c3)
-    except ValueError:
-        beta = None
+
+    # d_u = phase * signs * d_v[perm] with phase in {1, i} (the +-1 go into
+    # signs) and a sign pattern of product +1, since both spectra have det 1
+    candidates = np.concatenate([d_v[_PERMS], 1j * d_v[_PERMS]])
+    signs = np.where((d_u * candidates.conj()).real >= 0.0, 1.0, -1.0)
+    mismatch = np.abs(d_u - signs * candidates).max(axis=1)
+    mismatch[signs.prod(axis=1) < 0.0] = np.inf
+    best = int(np.argmin(mismatch))
+    perm = np.eye(4)[_PERMS[best % len(_PERMS)]]
+    if np.linalg.det(perm) < 0.0:
+        # diag(-1, 1, 1, 1) commutes with diag(d_v) and keeps both sides in SO(4)
+        perm[:, 0] = -perm[:, 0]
+    # A_M = phase (O_L^U S P O_L^V^T) V_M (O_R^V^T P^T O_R^U)
+    outer_left = _MAGIC @ (left_u * signs[best]) @ perm @ left_v.T @ _MAGIC.conj().T
+    outer_right = _MAGIC @ right_v.T @ perm.T @ right_u @ _MAGIC.conj().T
+
+    angles = np.array(
+        [
+            *(a for k in _su2_factors(outer_left) for a in _zyz_angles(k)),
+            *middle,
+            *(a for k in _su2_factors(outer_right) for a in _zyz_angles(k)),
+        ]
+    )
+    residual = phase_aligned_distance(_sandwich(angles, b), target)
     return SynthesisResult(
         params=c,
-        residual=float(best_cost),
-        angles=np.asarray(best_angles),
-        beta=beta,
-        converged=bool(best_cost <= tol),
+        residual=residual,
+        angles=angles,
+        beta=(beta1, beta2),
+        converged=bool(residual <= tol),
         restarts_used=used,
     )

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
-from .algebra import TWO_PI, simpson_integrate
+from .algebra import TWO_PI, cumulative_simpson, simpson_integrate
 from .trajectories import (
     GateTarget,
     IntegralConstraint,
@@ -463,9 +462,9 @@ def error_sensitivity(schedule: PulseSchedule, delta_ez: float | None = None, *,
             n += 1
         ts = np.linspace(seg.t_start, seg.t_end, n + 1)
         js = seg.envelope(ts)
-        theta = theta_acc + np.concatenate([[0.0], cumulative_simpson(js, x=ts)])
-        integrand = np.exp(-2j * theta) * js * np.sin(2.0 * w * ts) * 0.5j
         h = (seg.t_end - seg.t_start) / n
+        theta = theta_acc + cumulative_simpson(js, h)
+        integrand = np.exp(-2j * theta) * js * np.sin(2.0 * w * ts) * 0.5j
         total += h / 3.0 * (integrand[0] + integrand[-1] + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
         theta_acc = float(theta[-1])
     return float(abs(total) ** 2)

@@ -60,6 +60,14 @@ class TestSchemeRegistry:
 
 
 class TestCliRuns:
+    def test_invalid_config_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main(["synthesize", "--theta", "2", "--outdir", str(tmp_path / "bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and "theta" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
+
     def test_synthesize_writes_schedule_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "syn"
         rc = main(["synthesize", "--scheme", "bgate", "--outdir", str(out), "--samples", "41"])

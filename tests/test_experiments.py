@@ -37,5 +37,7 @@ class TestRabiSweep:
             [sys.executable, "-m", "dqdpulse.cli", "sweep", "rabi", "--scheme", "bgate", "--outdir", str(tmp_path)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode != 0
+        assert proc.returncode == 2
         assert "one-step" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("dqdpulse: error: ")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dqdpulse.kak import (
     euler_zyz,
     local_invariants,
     synthesize_via_b,
+    weyl_coordinates,
 )
 
 B_REFERENCE = np.array(
@@ -97,6 +99,22 @@ class TestBetaParams:
         with pytest.raises(ValueError, match="outside"):
             beta_params(2.0, 0.0)
 
+    def test_dcnot_edge(self):
+        # just past c2 = pi/2 at c3 = 0 the radicand is 0/0; beta1 = pi there,
+        # and at beta1 = pi the construction no longer depends on beta2
+        assert beta_params(math.nextafter(math.pi / 2, 4.0), 0.0) == (math.pi, 0.0)
+        b1, _ = beta_params(math.pi / 2, 0.0)
+        assert abs(b1 - math.pi) < 1e-7
+
+    def test_matches_printed_formulas(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            c2, c3 = np.sort(rng.uniform(0.05, math.pi / 2 - 0.05, 2))[::-1]
+            x = math.sin(c2 / 2) ** 2 * math.cos(c3 / 2) ** 2
+            b1 = math.acos(1 - 4 * x)
+            b2 = math.asin(math.sqrt(math.cos(c2) * math.cos(c3) / (1 - 2 * x)))
+            assert beta_params(c2, c3) == pytest.approx((b1, b2), abs=1e-7)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
     def test_even_in_both_arguments(self, c2, c3):
@@ -134,7 +152,90 @@ class TestLocalInvariants:
             local_invariants(np.diag([1.0, 0.5, 1.0, 1.0]))
 
 
+def _dressed(u, rng):
+    ks = [euler_zyz(*rng.uniform(-math.pi, math.pi, 3)) for _ in range(4)]
+    return np.kron(ks[0], ks[1]) @ u @ np.kron(ks[2], ks[3])
+
+
+def tetrahedron_points(count, seed):
+    """Seeded points of the chamber pi - c2 >= c1 >= c2 >= c3 >= 0."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        c1, c2, c3 = rng.uniform([0.0, 0.0, 0.0], [math.pi, math.pi / 2, math.pi / 2])
+        if math.pi - c2 >= c1 >= c2 >= c3:
+            points.append(CanonicalParams(c1, c2, c3))
+    return points
+
+
+NAMED_TARGETS = {
+    "identity": (0.0, 0.0, 0.0),
+    "cnot": (math.pi / 2, 0.0, 0.0),
+    "b": (math.pi / 2, math.pi / 4, 0.0),
+    "dcnot": (math.pi / 2, math.pi / 2, 0.0),
+    "swap": (math.pi / 2, math.pi / 2, math.pi / 2),
+    "off_chamber": (0.3, 0.9, -0.5),
+    "shifted_2pi": (0.3 + 2 * math.pi, 0.9 - 2 * math.pi, -0.5),
+}
+
+
+class TestWeylCoordinates:
+    def test_recovers_chamber_points_under_locals(self):
+        rng = np.random.default_rng(11)
+        for c in tetrahedron_points(50, seed=12):
+            w = weyl_coordinates(_dressed(canonical_gate(c), rng))
+            assert (w.c1, w.c2, w.c3) == pytest.approx((c.c1, c.c2, c.c3), abs=1e-9)
+
+    @pytest.mark.parametrize("name", NAMED_TARGETS)
+    def test_folds_into_chamber_with_same_invariants(self, name):
+        u = canonical_gate(CanonicalParams(*NAMED_TARGETS[name]))
+        w = weyl_coordinates(u)
+        assert math.pi - w.c2 + 1e-12 >= w.c1 >= w.c2 - 1e-12 and w.c2 + 1e-12 >= w.c3 >= 0.0
+        gi = np.array(local_invariants(canonical_gate(w)))
+        assert np.abs(gi - np.array(local_invariants(u))).max() < 1e-12
+
+    def test_off_chamber_fold(self):
+        w = weyl_coordinates(canonical_gate(CanonicalParams(0.3, 0.9, -0.5)))
+        assert (w.c1, w.c2, w.c3) == pytest.approx((math.pi - 0.9, 0.5, 0.3), abs=1e-12)
+
+
 class TestSynthesis:
+    def test_tetrahedron_points(self):
+        worst = max(
+            synthesize_via_b(c, seed=k).residual for k, c in enumerate(tetrahedron_points(200, seed=2026))
+        )
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("name", NAMED_TARGETS)
+    def test_named_points(self, name):
+        res = synthesize_via_b(CanonicalParams(*NAMED_TARGETS[name]), seed=1)
+        assert res.converged
+        assert res.residual <= 1e-10
+
+    def test_same_seed_same_angles(self):
+        c = CanonicalParams(1.1, 0.6, 0.2)
+        a, b = synthesize_via_b(c, seed=9), synthesize_via_b(c, seed=9)
+        assert a.angles.tobytes() == b.angles.tobytes()
+        assert a.restarts_used == b.restarts_used >= 1
+
+    def test_middle_angles_are_beta_params(self):
+        c = CanonicalParams(0.3, 0.9, -0.5)
+        res = synthesize_via_b(c)
+        w = weyl_coordinates(canonical_gate(c))
+        b1, b2 = beta_params(w.c2, w.c3)
+        assert res.beta == (b1, b2)
+        np.testing.assert_array_equal(res.angles[6:12], [0.0, -w.c1, 0.0, -b2, -b1, -b2])
+
+    def test_twenty_targets_in_under_a_second(self):
+        start = time.perf_counter()
+        for k, c in enumerate(tetrahedron_points(20, seed=5)):
+            synthesize_via_b(c, restarts=20, seed=1000 + k)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            synthesize_via_b(CanonicalParams(0.5, 0.2, 0.1), restarts=0)
+
     def test_b_itself_trivial(self):
         res = synthesize_via_b(CanonicalParams(math.pi / 2, math.pi / 4, 0.0), restarts=5, seed=3)
         assert res.converged

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdpulse.algebra import TWO_PI
+from dqdpulse.algebra import TWO_PI, cumulative_simpson
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
+from dqdpulse.experiments import POLY_GATE_TIME, sensitivity_vs_eta
 from dqdpulse.pulses import (
     PulseSchedule,
     Segment,
@@ -208,7 +209,54 @@ class TestGeometric:
             fsim_geometric(math.pi / 2, XI, 1.0)
 
 
+def scipy_error_sensitivity(schedule):
+    """q_s with scipy's cumulative_simpson on the node grid of ``error_sensitivity``."""
+    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+    w = schedule.controls.delta_ez
+    total, theta_acc = 0.0j, 0.0
+    periods = max(1.0, w * schedule.duration / TWO_PI)
+    n = int(512 * max(1.0, periods / len(schedule.segments)))
+    n += n % 2
+    for seg in schedule.segments:
+        ts = np.linspace(seg.t_start, seg.t_end, n + 1)
+        js = seg.envelope(ts)
+        theta = theta_acc + np.concatenate([[0.0], scipy_cumulative_simpson(js, x=ts)])
+        f = np.exp(-2j * theta) * js * np.sin(2.0 * w * ts) * 0.5j
+        h = (seg.t_end - seg.t_start) / n
+        total += h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+        theta_acc = float(theta[-1])
+    return abs(total) ** 2
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [2, 4, 64, 1000])
+    def test_matches_scipy(self, n):
+        from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+
+        rng = np.random.default_rng(n)
+        ts = np.linspace(1e-9, 5e-8, n + 1)
+        ys = 1e9 * np.sin(3e8 * ts) + 1e7 * rng.standard_normal(n + 1)
+        ref = np.concatenate([[0.0], scipy_cumulative_simpson(ys, x=ts)])
+        new = cumulative_simpson(ys, (ts[-1] - ts[0]) / n)
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_exact_for_quadratics(self):
+        xs = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(cumulative_simpson(3 * xs**2 - xs, 0.25), xs**3 - xs**2 / 2, atol=1e-14)
+
+
 class TestErrorSensitivity:
+    def test_sensitivity_rows_match_scipy_quadrature(self):
+        etas = np.linspace(-1.0, 1.0, 41)
+        for n_reps in (1, 3):
+            rows = sensitivity_vs_eta(etas, n_reps=n_reps)
+            assert len(rows) >= 40
+            for row in rows:
+                sched = fsim_polynomial(THETA, XI, POLY_GATE_TIME, n_reps, row["eta"])
+                ref = scipy_error_sensitivity(sched)
+                assert abs(row["q_s"] - ref) <= 1e-12 * ref
+
     def test_zero_envelope_zero_sensitivity(self):
         s = fsim_rectangular(0.0, 0.0, T45, 1)
         assert error_sensitivity(s) == 0.0

@@ -1,6 +1,9 @@
 """Static checks on the package source, with the stdlib ``ast`` standing in for a linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,12 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must import without it
+    env = dict(os.environ, PYTHONPATH=str(Path(dqdpulse.__file__).parent.parent))
+    code = "import sys, dqdpulse; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
