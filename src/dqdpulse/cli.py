@@ -25,7 +25,7 @@ from .algebra import TWO_PI
 from .config import ExperimentConfig, apply_overrides, load_config
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
-from .fidelity import REPORT_CSV_HEADER, average_fidelity, build_grid, report_row
+from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
 
 
@@ -129,41 +129,29 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     schedule = _build_schedule(cfg)
     writer = RunWriter(cfg.resolved_outdir(), cfg)
     log = xp.InvariantLog()
+    grid = build_grid(cfg.grid_n, cfg.phases)
+    # the config admits a trajectory only for a single (delta, eps) run
+    sample_times = np.linspace(0.0, schedule.duration, cfg.samples) if cfg.trajectory else None
     reports = []
-    deltas = cfg.rabi_deltas or (0.0,)
-    eps_list = cfg.detuning_eps or (0.0,)
-    for delta in deltas:
-        for eps in eps_list:
-            channel = xp.gate_channel(
+    for delta in cfg.rabi_deltas or (0.0,):
+        for eps in cfg.detuning_eps or (0.0,):
+            rep, res = xp.gate_report(
                 schedule,
+                grid,
+                convention=cfg.convention,
                 rwa=cfg.rwa,
                 decoherence=cfg.decoherence,
                 params=cfg.device(),
                 rabi_delta=delta,
                 detuning_eps=eps,
                 steps_per_period=cfg.steps_per_period,
+                sample_times=sample_times,
                 log=log,
-            )
-            rep = average_fidelity(
-                channel,
-                xp.fsim_target(schedule),
-                build_grid(cfg.grid_n, cfg.phases),
-                cfg.convention,
-                scheme=cfg.scheme,
-                n_reps=cfg.n_reps,
-                gate_time=schedule.duration,
-                rabi_delta=delta,
-                detuning_eps=eps,
-                delta_ez=schedule.controls.delta_ez,
             )
             reports.append(rep)
     writer.write_csv("fidelity.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     if cfg.trajectory:
-        if cfg.scheme != "bgate":
-            raise SystemExit("trajectory export is wired for the bgate scheme")
-        times, rhos, res = xp.bgate_trajectory(cfg.samples, schedule.duration, cfg.device())
-        log.add("unitarity_defect", res.unitarity_defect, 1e-9)
-        writer.write_csv("trajectory.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(times, rhos))
+        writer.write_csv("trajectory.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(res.times, xp.state_path(res)))
     writer.finish()
     for rep in reports:
         print(

@@ -59,6 +59,8 @@ class ExperimentConfig:
         for e in self.detuning_eps:
             if abs(e) > 0.5:
                 raise ValueError("detuning eps outside sane range")
+        if self.trajectory and max(len(self.rabi_deltas), 1) * max(len(self.detuning_eps), 1) > 1:
+            raise ValueError("a trajectory samples one run: give at most one rabi delta and one detuning eps")
         if self.quick and self.grid_n == 40:
             object.__setattr__(self, "grid_n", 10)
 

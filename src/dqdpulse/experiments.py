@@ -1,10 +1,12 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
-Each driver assembles schedules, propagates them (closed-system or with
-projector dephasing), and returns plain row dictionaries ready for CSV
-export.  Everything is deterministic for a fixed configuration; sweep
-fan-out across a worker pool reduces by sorted work key, so the output
-is byte-identical regardless of scheduling.
+Each driver assembles schedules and hands each to ``gate_report``, which
+propagates it once (closed-system or with projector dephasing) and
+averages its fidelity over a product-state grid; the drivers return
+reports or plain row dictionaries ready for CSV export.  Everything is
+deterministic for a fixed configuration; sweep fan-out across a worker
+pool reduces by sorted work key, so the output is byte-identical
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .device import (
 )
 from .dynamics import (
     EvolutionResult,
+    apply_superoperator,
     lindblad_superoperator,
     propagate_unitary,
 )
 from .fidelity import (
     FidelityReport,
+    InitialStateGrid,
     analytic_rabi_fidelity,
     average_fidelity,
     build_grid,
@@ -57,6 +61,13 @@ ETA_REF = -1.0 / 3.0
 
 STEPS_PER_PERIOD_FULL = 200
 STEPS_PER_PERIOD_QUICK = 100
+
+# initial state of the exported trajectories
+PATH_STATE = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
+
+
+def _budget(quick: bool) -> int:
+    return STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL
 
 
 @dataclass
@@ -122,9 +133,15 @@ def gate_channel(
     rabi_delta: float = 0.0,
     detuning_eps: float = 0.0,
     steps_per_period: int = STEPS_PER_PERIOD_FULL,
+    sample_times: Sequence[float] | None = None,
     log: InvariantLog | None = None,
-) -> np.ndarray:
-    """Propagate one configured gate; 4x4 propagator or 16x16 superoperator."""
+) -> EvolutionResult:
+    """Propagate one configured gate.
+
+    ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
+    superoperator; with ``sample_times``, ``states`` holds the same run's
+    propagators or superoperators at those times.
+    """
     if log is not None:
         # design constraints are checked on the pristine schedule; injected
         # errors intentionally violate them
@@ -135,31 +152,60 @@ def gate_channel(
     if detuning_eps:
         schedule = apply_detuning_error(schedule, detuning_eps)
     h = frame_hamiltonian(schedule, rwa)
+    stepping = dict(breakpoints=schedule.breakpoints, steps_per_period=steps_per_period, sample_times=sample_times)
     if decoherence:
-        res = lindblad_superoperator(
-            h,
-            params,
-            schedule.duration,
-            breakpoints=schedule.breakpoints,
-            steps_per_period=steps_per_period,
-        )
+        res = lindblad_superoperator(h, params, schedule.duration, **stepping)
         if log is not None:
-            rho_t = (res.final @ np.eye(4, dtype=complex).ravel(order="F") / 4.0).reshape(4, 4, order="F")
+            rho_t = apply_superoperator(res.final, np.eye(4) / 4.0)
             log.add("lindblad_trace_defect", abs(np.trace(rho_t) - 1.0), 1e-8)
     else:
-        res = propagate_unitary(
-            h,
-            schedule.duration,
-            breakpoints=schedule.breakpoints,
-            steps_per_period=steps_per_period,
-        )
+        res = propagate_unitary(h, schedule.duration, **stepping)
         if log is not None:
             log.add("unitarity_defect", res.unitarity_defect, 1e-9)
-    return res.final
+    return res
 
 
 def fsim_target(schedule: PulseSchedule) -> np.ndarray:
     return schedule.controls.effective_target()
+
+
+def gate_report(
+    schedule: PulseSchedule,
+    grid: InitialStateGrid,
+    *,
+    label: str | None = None,
+    convention: str = "standard",
+    **gate_channel_kwargs,
+) -> tuple[FidelityReport, EvolutionResult]:
+    """Propagate one configured gate once and average its fidelity over ``grid``.
+
+    The report names the schedule's scheme (or ``label``), its repetitions,
+    gate time and delta_Ez, and the errors injected through
+    ``gate_channel_kwargs``, which go to :func:`gate_channel` unchanged.
+    """
+    res = gate_channel(schedule, **gate_channel_kwargs)
+    report = average_fidelity(
+        res.final,
+        fsim_target(schedule),
+        grid,
+        convention,
+        scheme=label or schedule.scheme,
+        n_reps=schedule.meta.get("n_reps", 1),
+        gate_time=schedule.duration,
+        rabi_delta=gate_channel_kwargs.get("rabi_delta", 0.0),
+        detuning_eps=gate_channel_kwargs.get("detuning_eps", 0.0),
+        delta_ez=schedule.controls.delta_ez,
+    )
+    return report, res
+
+
+def state_path(res: EvolutionResult) -> np.ndarray:
+    """rho(t) of PATH_STATE at each sampled propagator or superoperator."""
+    if res.states.shape[-1] == 4:
+        psi = res.states @ PATH_STATE
+        return np.einsum("ni,nj->nij", psi, psi.conj())
+    rho0 = np.outer(PATH_STATE, PATH_STATE.conj())
+    return np.stack([apply_superoperator(s, rho0) for s in res.states])
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +224,11 @@ def table1_entry(
     """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
     duration = scheme_spec(scheme).reference_time
     schedule = build_schedule(scheme, duration=duration, n_reps=n_reps, params=params)
-    channel = gate_channel(
-        schedule,
-        rwa=False,
-        decoherence=True,
-        params=params,
-        steps_per_period=STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL,
-        log=log,
-    )
     grid = build_grid(10 if quick else 40)
-    return average_fidelity(
-        channel,
-        fsim_target(schedule),
-        grid,
-        scheme=scheme,
-        n_reps=n_reps,
-        gate_time=schedule.duration,
-        delta_ez=schedule.controls.delta_ez,
+    report, _ = gate_report(
+        schedule, grid, rwa=False, decoherence=True, params=params, steps_per_period=_budget(quick), log=log
     )
+    return report
 
 
 def _table1_worker(args: tuple) -> tuple[tuple, FidelityReport]:
@@ -233,18 +266,18 @@ def amplitude_landscape(
     xi_points: int = 21,
     eta: float = ETA_REF,
 ) -> list[dict]:
-    """max |J T| over the gate-parameter rectangle |theta|<=pi/2, |xi|<=pi."""
+    """max |J T| over the gate-parameter rectangle |theta|<=pi/2, |xi|<=pi.
+
+    Singular members of a scheme's family are left out.
+    """
+    spec = scheme_spec(scheme)
     rows = []
     for theta in np.linspace(0.0, math.pi / 2.0, theta_points):
         for xi in np.linspace(0.0, math.pi, xi_points):
-            if scheme == "fsim_rect":
-                jt = abs(8.0 * theta + math.pi * xi) / 2.0  # middle level dominates
-                jt = max(jt, abs(8.0 * theta - math.pi * xi) / 2.0)
-            else:
-                if theta == 0.0:
-                    continue
-                sched = fsim_polynomial(theta, xi, 1.0, 1, eta)
-                jt = 2.0 * sched.max_envelope()
+            try:
+                jt = 2.0 * spec.build(theta, xi, 1.0, 1, eta, DEFAULT_DEVICE).max_envelope()
+            except ValueError:
+                continue
             rows.append({"theta_rad": float(theta), "xi_rad": float(xi), "abs_JT_max_rad": float(jt)})
     return rows
 
@@ -278,13 +311,7 @@ def _fidelity_vs_eta_worker(args: tuple) -> tuple[float, float]:
         sched = fsim_polynomial(theta, xi, POLY_GATE_TIME, n_reps, eta)
     except ValueError:
         return eta, math.nan  # singular family member, dropped from the sweep
-    channel = gate_channel(
-        sched,
-        rwa=False,
-        decoherence=True,
-        steps_per_period=STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL,
-    )
-    rep = average_fidelity(channel, fsim_target(sched), build_grid(grid_n))
+    rep, _ = gate_report(sched, build_grid(grid_n), rwa=False, decoherence=True, steps_per_period=_budget(quick))
     return eta, rep.fidelity
 
 
@@ -326,16 +353,10 @@ def rabi_sweep(
     if not spec.one_step:
         raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
     schedule = build_schedule(scheme, duration=spec.reference_time, n_reps=n_reps)
-    target = fsim_target(schedule)
     grid = build_grid(grid_n)
     rows = []
     for delta in deltas:
-        channel = gate_channel(schedule, rwa=True, decoherence=False, rabi_delta=float(delta), log=log)
-        rep = average_fidelity(
-            channel, target, grid,
-            scheme=scheme, n_reps=n_reps, gate_time=schedule.duration,
-            rabi_delta=float(delta), delta_ez=schedule.controls.delta_ez,
-        )
+        rep, _ = gate_report(schedule, grid, rwa=True, decoherence=False, rabi_delta=float(delta), log=log)
         rows.append(
             {
                 "rabi_delta": float(delta),
@@ -349,17 +370,8 @@ def rabi_sweep(
 def _detuning_worker(args: tuple) -> tuple[tuple, FidelityReport]:
     n_reps, eps, grid_n, quick = args
     schedule = build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n_reps)
-    channel = gate_channel(
-        schedule,
-        rwa=True,
-        decoherence=False,
-        detuning_eps=eps,
-        steps_per_period=STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL,
-    )
-    rep = average_fidelity(
-        channel, fsim_target(schedule), build_grid(grid_n),
-        scheme="fsim_poly", n_reps=n_reps, gate_time=schedule.duration,
-        detuning_eps=eps, delta_ez=schedule.controls.delta_ez,
+    rep, _ = gate_report(
+        schedule, build_grid(grid_n), rwa=True, decoherence=False, detuning_eps=eps, steps_per_period=_budget(quick)
     )
     return (n_reps, eps), rep
 
@@ -384,19 +396,13 @@ def detuning_sweep(
 
 def _fig6_worker(args: tuple) -> tuple[tuple, FidelityReport]:
     scheme_label, error_kind, value, grid_n = args
-    duration = GEOMETRIC_GATE_TIME
     if scheme_label == "geometric":
-        schedule = fsim_geometric(THETA_REF, XI_REF, duration)
+        schedule = fsim_geometric(THETA_REF, XI_REF, GEOMETRIC_GATE_TIME)
     else:
         # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
-        schedule = fsim_rectangular(THETA_REF, XI_REF, duration, 2)
-    kwargs = {"rabi_delta": value} if error_kind == "rabi" else {"detuning_eps": value}
-    channel = gate_channel(schedule, rwa=True, decoherence=False, **kwargs)
-    rep = average_fidelity(
-        channel, fsim_target(schedule), build_grid(grid_n),
-        scheme=scheme_label, n_reps=1 if scheme_label == "geometric" else 2,
-        gate_time=duration, delta_ez=schedule.controls.delta_ez, **kwargs,
-    )
+        schedule = fsim_rectangular(THETA_REF, XI_REF, GEOMETRIC_GATE_TIME, 2)
+    error = {"rabi_delta": value} if error_kind == "rabi" else {"detuning_eps": value}
+    rep, _ = gate_report(schedule, build_grid(grid_n), label=scheme_label, rwa=True, decoherence=False, **error)
     return (scheme_label, error_kind, value), rep
 
 
@@ -437,25 +443,22 @@ def bgate_trajectory(
     samples: int = 241,
     duration: float = BGATE_GATE_TIME,
     params: DeviceParams = DEFAULT_DEVICE,
-    steps_per_period: int = 60,
+    steps_per_period: int = STEPS_PER_PERIOD_FULL,
 ) -> tuple[np.ndarray, np.ndarray, EvolutionResult]:
-    """Pre-RWA closed-system evolution of (|00> + |01>)/sqrt(2).
+    """Pre-RWA closed-system evolution of PATH_STATE through the B gate.
 
     Returns (times, density matrices along the path, full evolution result).
     """
     schedule = bgate_rectangular(duration, params.e_z, params.delta_ez)
-    h = frame_hamiltonian(schedule, rwa=False)
-    times = np.linspace(0.0, duration, samples)
-    res = propagate_unitary(
-        h,
-        duration,
-        breakpoints=schedule.breakpoints,
-        sample_times=times,
+    res = gate_channel(
+        schedule,
+        rwa=False,
+        decoherence=False,
+        params=params,
         steps_per_period=steps_per_period,
+        sample_times=np.linspace(0.0, duration, samples),
     )
-    psi0 = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    rhos = np.stack([np.outer(u @ psi0, (u @ psi0).conj()) for u in res.states])
-    return times, rhos, res
+    return res.times, state_path(res), res
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +497,8 @@ def parallel_transport_defect(
 def _phase_sweep_worker(args: tuple) -> tuple[tuple, FidelityReport]:
     n_reps, phases, grid_n, quick, decoherence = args
     schedule = build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n_reps)
-    channel = gate_channel(
-        schedule,
-        rwa=False,
-        decoherence=decoherence,
-        steps_per_period=STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL,
-    )
-    rep = average_fidelity(
-        channel, fsim_target(schedule), build_grid(grid_n, phases),
-        scheme="fsim_poly", n_reps=n_reps, gate_time=schedule.duration,
-        delta_ez=schedule.controls.delta_ez,
+    rep, _ = gate_report(
+        schedule, build_grid(grid_n, phases), rwa=False, decoherence=decoherence, steps_per_period=_budget(quick)
     )
     return (n_reps, phases), rep
 

@@ -381,7 +381,7 @@ class TestCriterion10TwoBGateSynthesis:
 @pytest.fixture(scope="module")
 def channel_n1():
     schedule = xp.build_schedule("fsim_poly", duration=50e-9, n_reps=1)
-    return xp.gate_channel(schedule, rwa=False, decoherence=True), xp.fsim_target(schedule)
+    return xp.gate_channel(schedule, rwa=False, decoherence=True).final, xp.fsim_target(schedule)
 
 
 class TestCriterion11InitialPhaseSweeps:
@@ -417,7 +417,7 @@ class TestCriterion11InitialPhaseSweeps:
 
     def test_large_n_convergence(self):
         schedule = xp.build_schedule("fsim_poly", duration=50e-9, n_reps=10)
-        channel = xp.gate_channel(schedule, rwa=False, decoherence=True)
+        channel = xp.gate_channel(schedule, rwa=False, decoherence=True).final
         target = xp.fsim_target(schedule)
         configs = [(0.0, 0.0, 0.0), (math.pi / 5, 0.0, 0.0), (0.0, math.pi / 3, 0.0), (math.pi / 4, 0.0, 0.0)]
         fids = [

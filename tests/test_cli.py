@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import dqdpulse.experiments as xp
 from dqdpulse.cli import main
 from dqdpulse.config import ExperimentConfig, apply_overrides, config_from_mapping, load_config
-from dqdpulse.device import SCHEMES
+from dqdpulse.device import SCHEMES, frame_hamiltonian
+from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import build_schedule
 
 
@@ -144,6 +146,68 @@ class TestCliRuns:
         # a valid run passes all invariant checks
         rc = main(["synthesize", "--scheme", "fsim_rect", "--outdir", str(tmp_path / "x")])
         assert rc == 0
+
+
+def _csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+class TestTrajectory:
+    """``simulate --trajectory`` samples the run it reports, whatever the scheme."""
+
+    # a coarse budget keeps the 76 ns pre-RWA B gate fast; any budget will do
+    BGATE = ["simulate", "--scheme", "bgate", "--no-decoherence", "--grid-n", "2", "--steps-per-period", "20"]
+
+    def test_bgate_propagates_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("sample_times"))
+            return propagate_unitary(*args, **kwargs)
+
+        monkeypatch.setattr(xp, "propagate_unitary", counted)
+        assert main([*self.BGATE, "--trajectory", "--samples", "31", "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == 1 and len(calls[0]) == 31
+
+    def test_bgate_path_is_the_sampled_run(self, tmp_path):
+        assert main([*self.BGATE, "--trajectory", "--samples", "31", "--outdir", str(tmp_path)]) == 0
+        schedule = build_schedule("bgate")
+        times = np.linspace(0.0, schedule.duration, 31)
+        res = propagate_unitary(
+            frame_hamiltonian(schedule, rwa=False),
+            schedule.duration,
+            breakpoints=schedule.breakpoints,
+            sample_times=times,
+            steps_per_period=20,
+        )
+        psi = res.states @ (np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        expected = np.column_stack([np.abs(psi) ** 2, *(np.abs(rho[:, i, j]) for i, j in pairs)])
+        rows = _csv(tmp_path / "trajectory.csv")
+        np.testing.assert_allclose(rows[:, 0], times * 1e9, rtol=0.0, atol=1e-9)  # 12 digits of ns
+        np.testing.assert_allclose(rows[:, 1:], expected, rtol=0.0, atol=1e-12)
+
+    def test_decohered_fsim_path(self, tmp_path):
+        rc = main(["simulate", "--scheme", "fsim_rect", "--trajectory", "--grid-n", "2", "--samples", "21",
+                   "--outdir", str(tmp_path)])
+        assert rc == 0
+        pops = _csv(tmp_path / "trajectory.csv")[:, 1:5]
+        assert pops.shape == (21, 4)
+        np.testing.assert_allclose(pops[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(pops.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+
+    def test_more_than_one_run_is_rejected(self, tmp_path, capsys):
+        rc = main(["simulate", "--trajectory", "--rabi-deltas", "0", "0.05", "--outdir", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_bgate_has_no_repetitions(self, tmp_path):
+        assert main([*self.BGATE, "--n-reps", "2", "--outdir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fidelity.csv").read_text().strip().splitlines()
+        assert lines[1].split(",")[:2] == ["bgate", "1"]
 
 
 class TestDeterminismAcrossWorkers:

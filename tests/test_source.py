@@ -1,6 +1,9 @@
 """Static checks on the package source, with the stdlib ``ast`` standing in for a linter."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -44,3 +47,97 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The benchmark harness reaches into the package by name from outside it; a
+# rename there would only surface as a crash of the traced benchmark.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(dotted: str):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def _chain(node: ast.AST) -> list[str] | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def dqdpulse_uses(source: str) -> tuple[list[str], list[tuple[str, ast.Call]]]:
+    """Dotted dqdpulse names a script imports or reads off them, and its calls of those names."""
+    tree = ast.parse(source)
+    bound: dict[str, str] = {}  # local name -> dotted dqdpulse name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dqdpulse":
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "dqdpulse":
+                    bound[a.asname or "dqdpulse"] = a.name if a.asname else "dqdpulse"
+    names, calls = list(bound.values()), []
+    for node in ast.walk(tree):
+        target = node.func if isinstance(node, ast.Call) else node
+        chain = _chain(target) if isinstance(target, (ast.Attribute, ast.Name)) else None
+        if chain and chain[0] in bound:
+            dotted = ".".join([bound[chain[0]], *chain[1:]])
+            if isinstance(node, ast.Call):
+                calls.append((dotted, node))
+            elif isinstance(node, ast.Attribute):
+                names.append(dotted)
+    return names, calls
+
+
+def test_traced_entry_points_exist():
+    tracing = _load_script(PERFBENCH / "tracing.py")
+    missing = [f"{m.__name__}.{attr}" for m, attr, _, _ in tracing.FUNCTIONS if not hasattr(m, attr)]
+    missing += [f"{cls.__name__}.{attr}" for cls, attr, _, _ in tracing.METHODS if attr not in cls.__dict__]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_names_resolve(path):
+    names, calls = dqdpulse_uses(path.read_text())
+    unresolved = []
+    for dotted in names:
+        try:
+            _resolve(dotted)
+        except (AttributeError, ImportError):
+            unresolved.append(dotted)
+    assert unresolved == []
+    for dotted, call in calls:
+        fn = _resolve(dotted)
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue
+        try:
+            inspect.signature(fn).bind_partial(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{path.name}:{call.lineno} calls {dotted}: {exc}")
+
+
+def test_use_detector_sees_imports_attributes_and_calls():
+    source = (
+        "import dqdpulse.cli\nfrom dqdpulse import experiments as xp\nfrom dqdpulse.kak import b_gate\n"
+        "xp.gate_channel(s, rwa=True)\ndqdpulse.cli.main\nb_gate()\nxp.build_schedule('bgate').duration\n"
+    )
+    names, calls = dqdpulse_uses(source)
+    assert sorted(names) == [
+        "dqdpulse", "dqdpulse.cli", "dqdpulse.cli.main", "dqdpulse.experiments",
+        "dqdpulse.experiments.build_schedule", "dqdpulse.experiments.gate_channel", "dqdpulse.kak.b_gate",
+    ]
+    assert sorted(dotted for dotted, _ in calls) == [
+        "dqdpulse.experiments.build_schedule", "dqdpulse.experiments.gate_channel", "dqdpulse.kak.b_gate",
+    ]
