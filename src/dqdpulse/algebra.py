@@ -25,6 +25,11 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 UNIT_QUATERNION_TOL = 1e-12
 
+# batched_mat_exp_skew: largest 1-norm summed by the Taylor series before
+# scaling and squaring, and the bound on the truncated remainder.
+_TAYLOR_THETA = 0.5
+_TAYLOR_TOL = 2.0**-53
+
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Frobenius norm of M - M^dagger."""
@@ -99,10 +104,38 @@ def batched_mat_exp_skew(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     """exp(-i H_k dt_k) for a stack of Hermitian matrices, shape (n, d, d).
 
     ``dt`` is one step for all matrices or an array of n per-matrix steps.
+
+    Truncated Taylor series with scaling and squaring (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)), shared by the whole stack:
+    A_k = -i H_k dt_k is scaled by 2^-s so that nu = max_k ||A_k||_1 is at
+    most ``_TAYLOR_THETA``, the degree m is the smallest whose remainder
+    bound nu^(m+1)/(m+1)! e^nu is at most ``_TAYLOR_TOL``, the series is
+    summed by Horner's rule and the result squared s times.  The factors
+    are unitary to rounding, not by construction.  Propagation steps sit
+    near ||A||_1 = 1e-5, where m = 3 costs two matrix products.
     """
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
-    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+    dt = np.asarray(dt, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input is reported below
+        a = (-1j * np.reshape(dt, (-1, 1, 1))) * hs
+        nu = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(nu):
+        bad = "dt" if not np.isfinite(dt).all() else "H" if not np.isfinite(hs).all() else "H dt"
+        raise ValueError(f"cannot exponentiate: {bad} has non-finite entries")
+    squarings = 0
+    if nu > _TAYLOR_THETA:
+        squarings = math.ceil(math.log2(nu / _TAYLOR_THETA))
+        a *= 2.0**-squarings
+        nu *= 2.0**-squarings
+    m = 1
+    while nu ** (m + 1) / math.factorial(m + 1) * math.exp(nu) > _TAYLOR_TOL:
+        m += 1
+    eye = np.eye(a.shape[-1])
+    e = eye + a / m
+    for k in range(m - 1, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
 
 def isoclinic_left(q: Quaternion, tol: float = UNIT_QUATERNION_TOL) -> np.ndarray:

@@ -6,7 +6,8 @@ memory-bounded chunks, each reduced to one ordered product, recording the
 running product at every sample time.  Only the per-step factor differs:
 
 * closed systems use the midpoint exponential exp(-i H(t + dt/2) dt),
-  unitary by construction and second-order accurate;
+  second-order accurate; its scaled Taylor series is unitary to rounding,
+  and ``propagate_unitary`` reports the product's unitarity defect;
 * open systems use one classical RK4 step of the vectorized master
   equation, which is linear, so the step is the 16x16 matrix
   I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's taken at the identity.
@@ -39,6 +40,10 @@ CHUNK_BYTES = 1 << 17
 # RK4 end stages at a breakpoint or at T sample H this fraction of a step
 # inside the interval: schedules are right-continuous at envelope jumps.
 _LEFT_LIMIT = 1e-9
+
+# A sample time this fraction of the local step from a node is that node;
+# merged as a node of its own, a rounding-level miss adds a degenerate step.
+_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,12 +79,14 @@ def _resolve_hamiltonian(h) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
 
 def _step_grid(
     duration: float, steps: int, breakpoints: Sequence[float], sample_times: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node times 0 = t_0 < ... < t_n = T, and which steps end at a breakpoint or T.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node times 0 = t_0 < ... < t_n = T, which steps end at a breakpoint or T,
+    and the node index of each sample time.
 
     Steps are distributed over the sub-intervals proportionally to length so
     discontinuous envelopes never straddle a step; sample times become
-    nodes too.
+    nodes too, except that one within ``_SNAP`` of the local step of a node
+    is taken as that node.
     """
     pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
     nodes = [0.0]
@@ -87,9 +94,15 @@ def _step_grid(
         n = max(1, int(round(steps * (hi - lo) / duration)))
         nodes.extend(np.linspace(lo, hi, n + 1)[1:])
     nodes = np.asarray(nodes)
+    marks = np.zeros(0, dtype=int)
     if sample_times is not None:
-        nodes = np.unique(np.concatenate([nodes, sample_times]))
-    return nodes, np.isin(nodes[1:], pts[1:])
+        i = np.clip(np.searchsorted(nodes, sample_times), 1, nodes.size - 1)
+        lo, hi = nodes[i - 1], nodes[i]
+        tol = _SNAP * (hi - lo)
+        snapped = np.where(sample_times - lo <= tol, lo, np.where(hi - sample_times <= tol, hi, sample_times))
+        nodes = np.unique(np.concatenate([nodes, snapped]))
+        marks = np.searchsorted(nodes, snapped)
+    return nodes, np.isin(nodes[1:], pts[1:]), marks
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -132,9 +145,8 @@ def _propagate(
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
     if times is not None and (times.min(initial=0.0) < 0.0 or times.max(initial=0.0) > duration):
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
-    nodes, left = _step_grid(duration, steps, breakpoints, times)
+    nodes, left, marks = _step_grid(duration, steps, breakpoints, times)
     n = nodes.size - 1
-    marks = np.zeros(0, dtype=int) if times is None else np.searchsorted(nodes, times)
     chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
 
     state = np.eye(dim, dtype=complex)

@@ -143,10 +143,7 @@ def gate_channel(
     propagators or superoperators at those times.
     """
     if log is not None:
-        # design constraints are checked on the pristine schedule; injected
-        # errors intentionally violate them
-        for label, residual in schedule.check_constraints().items():
-            log.add(f"{schedule.scheme}_{label}", residual, 1e-8)
+        _log_constraints(schedule, log)
     if rabi_delta:
         schedule = apply_rabi_error(schedule, rabi_delta)
     if detuning_eps:
@@ -155,14 +152,26 @@ def gate_channel(
     stepping = dict(breakpoints=schedule.breakpoints, steps_per_period=steps_per_period, sample_times=sample_times)
     if decoherence:
         res = lindblad_superoperator(h, params, schedule.duration, **stepping)
-        if log is not None:
-            rho_t = apply_superoperator(res.final, np.eye(4) / 4.0)
-            log.add("lindblad_trace_defect", abs(np.trace(rho_t) - 1.0), 1e-8)
     else:
         res = propagate_unitary(h, schedule.duration, **stepping)
-        if log is not None:
-            log.add("unitarity_defect", res.unitarity_defect, 1e-9)
+    if log is not None:
+        _log_run(res, decoherence, log)
     return res
+
+
+def _log_constraints(schedule: PulseSchedule, log: InvariantLog) -> None:
+    # design constraints are checked on the pristine schedule; injected
+    # errors intentionally violate them
+    for label, residual in schedule.check_constraints().items():
+        log.add(f"{schedule.scheme}_{label}", residual, 1e-8)
+
+
+def _log_run(res: EvolutionResult, decoherence: bool, log: InvariantLog) -> None:
+    if decoherence:
+        rho_t = apply_superoperator(res.final, np.eye(4) / 4.0)
+        log.add("lindblad_trace_defect", abs(np.trace(rho_t) - 1.0), 1e-8)
+    else:
+        log.add("unitarity_defect", res.unitarity_defect, 1e-9)
 
 
 def fsim_target(schedule: PulseSchedule) -> np.ndarray:
@@ -354,9 +363,13 @@ def rabi_sweep(
         raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
     schedule = build_schedule(scheme, duration=spec.reference_time, n_reps=n_reps)
     grid = build_grid(grid_n)
+    if log is not None:
+        _log_constraints(schedule, log)
     rows = []
     for delta in deltas:
-        rep, _ = gate_report(schedule, grid, rwa=True, decoherence=False, rabi_delta=float(delta), log=log)
+        rep, res = gate_report(schedule, grid, rwa=True, decoherence=False, rabi_delta=float(delta))
+        if log is not None:
+            _log_run(res, False, log)
         rows.append(
             {
                 "rabi_delta": float(delta),

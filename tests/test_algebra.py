@@ -90,6 +90,68 @@ class TestMatExp:
             np.testing.assert_allclose(per_step[k], mat_exp_skew(hs[k], dts[k]), atol=1e-13)
 
 
+def hermitian_batch(rng, norms, dts):
+    """Random Hermitian stack with ||H_k dt_k||_1 = norms[k]."""
+    hs = np.stack([random_hermitian(rng) for _ in norms])
+    one_norms = np.abs(hs * dts[:, None, None]).sum(axis=-2).max(axis=-1)
+    return hs * (norms / one_norms)[:, None, None]
+
+
+class TestBatchedTaylorExponential:
+    # 1e-8 to 1e2 covers the unscaled series and up to 8 squarings
+    NORMS = [1e-8, 1e-6, 3.4e-5, 5e-4, 1e-2, 0.3, 0.5, 0.7, 2.0, 10.0, 1e2]
+
+    @staticmethod
+    def assert_matches_references(hs, dts, out):
+        for h, dt, u in zip(hs, dts, out):
+            assert np.abs(u - mat_exp_skew(h, dt)).max() <= 1e-13
+            assert np.abs(u - expm(-1j * h * dt)).max() <= 1e-13
+            assert unitarity_defect(u) <= 1e-13
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_one_norm_per_batch(self, norm):
+        rng = np.random.default_rng(int(-math.log10(norm) * 10) + 100)
+        dts = rng.uniform(0.5, 2.0, 12)
+        hs = hermitian_batch(rng, np.full(12, norm), dts)
+        self.assert_matches_references(hs, dts, batched_mat_exp_skew(hs, dts))
+
+    def test_mixed_norms_and_steps_in_one_batch(self):
+        # the scaling is set by the largest step; the smallest ones are squared with it
+        rng = np.random.default_rng(17)
+        norms = np.array(self.NORMS * 2)
+        dts = rng.uniform(1e-3, 1e3, norms.size)
+        hs = hermitian_batch(rng, norms, dts)
+        self.assert_matches_references(hs, dts, batched_mat_exp_skew(hs, dts))
+
+    def test_scalar_step_broadcasts(self):
+        rng = np.random.default_rng(23)
+        hs = hermitian_batch(rng, np.array([1e-4, 0.2, 4.0]), np.ones(3))
+        self.assert_matches_references(hs, np.full(3, 0.7), batched_mat_exp_skew(hs, 0.7))
+
+    def test_zero_generator_is_identity(self):
+        out = batched_mat_exp_skew(np.zeros((5, 4, 4), dtype=complex), np.array([0.0, 1e-9, 1.0, 1e3, 1e9]))
+        np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_hamiltonian(self, bad):
+        hs = np.stack([np.eye(4, dtype=complex)] * 3)
+        hs[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="H has non-finite"):
+            batched_mat_exp_skew(hs, np.array([0.1, 0.0, 0.1]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, bad):
+        hs = np.stack([np.eye(4, dtype=complex)] * 3)
+        with pytest.raises(ValueError, match="dt has non-finite"):
+            batched_mat_exp_skew(hs, np.array([0.1, bad, 0.1]))
+        with pytest.raises(ValueError, match="dt has non-finite"):
+            batched_mat_exp_skew(hs, bad)
+
+    def test_rejects_overflowing_product(self):
+        with pytest.raises(ValueError, match="H dt has non-finite"):
+            batched_mat_exp_skew(np.stack([1e200 * np.eye(4)] * 2), 1e200)
+
+
 class TestIsoclinic:
     def test_unit_quaternion_gives_identity(self):
         np.testing.assert_allclose(isoclinic_left(Quaternion(1, 0, 0, 0)), np.eye(4), atol=0)

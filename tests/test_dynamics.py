@@ -5,7 +5,7 @@ import pytest
 
 from dqdpulse import dynamics
 from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
-from dqdpulse.device import DEFAULT_DEVICE, DeviceParams, frame_hamiltonian
+from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, frame_hamiltonian
 from dqdpulse.dynamics import (
     COLLAPSE_Q1,
     COLLAPSE_Q2,
@@ -16,6 +16,7 @@ from dqdpulse.dynamics import (
     propagate_unitary,
     required_steps,
 )
+from dqdpulse.experiments import build_schedule
 from dqdpulse.pulses import apply_rabi_error, fsim_rectangular
 from dqdpulse.trajectories import fsim_matrix
 
@@ -64,6 +65,20 @@ def rk4_loop_superoperator(h, params, duration, steps, breakpoints):
     return s
 
 
+def eigh_loop_propagator(h, duration, steps, breakpoints):
+    """Reference: midpoint steps exponentiated one at a time by eigh.
+
+    Each sub-interval between breakpoints gets its share of the steps.
+    """
+    pts = [0.0, *sorted(p for p in breakpoints if 0.0 < p < duration), duration]
+    u = np.eye(4, dtype=complex)
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        nodes = np.linspace(lo, hi, max(1, round(steps * (hi - lo) / duration)) + 1)
+        for t0, t1 in zip(nodes[:-1], nodes[1:]):
+            u = mat_exp_skew(h(t0 + (t1 - t0) / 2.0), t1 - t0) @ u
+    return u
+
+
 class TestUnitaryPropagation:
     def test_constant_hamiltonian_matches_exact(self):
         rng = np.random.default_rng(0)
@@ -105,6 +120,58 @@ class TestUnitaryPropagation:
         np.testing.assert_allclose(res.states[0], np.eye(4), atol=1e-14)
         np.testing.assert_allclose(res.states[3], res.final, atol=1e-14)
         np.testing.assert_allclose(res.states[2], mat_exp_skew(h, 0.5), atol=1e-10)
+
+    def test_fsim_rect_matches_eigh_loop(self):
+        # the gate at the CLI budget; its steps sit near ||H dt||_1 = 1e-5
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        res = propagate_unitary(h, T45, breakpoints=schedule.breakpoints, steps_per_period=200)
+        assert res.steps == 400
+        ref = eigh_loop_propagator(h, T45, res.steps, schedule.breakpoints)
+        assert np.abs(res.final - ref).max() <= 1e-12
+
+
+class TestSampleTimeSnapping:
+    SAMPLES = 2001
+
+    def grid(self, schedule):
+        h = frame_hamiltonian(schedule, rwa=False)
+        steps = required_steps(h.max_frequency_hz, schedule.duration, 200)
+        times = np.linspace(0.0, schedule.duration, self.SAMPLES)
+        nodes, _, marks = dynamics._step_grid(schedule.duration, steps, schedule.breakpoints, times)
+        return nodes, marks, schedule.duration / steps
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    def test_no_degenerate_steps(self, scheme, monkeypatch):
+        schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time)
+        nodes, marks, nominal = self.grid(schedule)
+        assert np.diff(nodes).min() >= 1e-6 * nominal
+        assert marks[0] == 0 and marks[-1] == nodes.size - 1
+        monkeypatch.setattr(dynamics, "_SNAP", 0.0)
+        unsnapped, _, _ = self.grid(schedule)
+        assert (np.diff(unsnapped) < 1e-6 * nominal).sum() > 0
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    def test_samples_match_unsnapped_run(self, scheme, monkeypatch):
+        schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time)
+        h = frame_hamiltonian(schedule, rwa=False)
+        times = np.linspace(0.0, schedule.duration, self.SAMPLES)
+        kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times, steps_per_period=200)
+        res = propagate_unitary(h, schedule.duration, **kwargs)
+        monkeypatch.setattr(dynamics, "_SNAP", 0.0)
+        ref = propagate_unitary(h, schedule.duration, **kwargs)
+        assert res.steps < ref.steps
+        np.testing.assert_array_equal(res.times, times)
+        assert np.abs(res.states - ref.states).max() <= 1e-12
+        assert np.abs(res.final - ref.final).max() <= 1e-12
+
+    def test_bgate_step_count_unchanged(self, monkeypatch):
+        schedule = build_schedule("bgate")
+        nodes, _, nominal = self.grid(schedule)
+        assert nodes.size - 1 == 633_885
+        assert np.diff(nodes).min() >= 1e-6 * nominal
+        monkeypatch.setattr(dynamics, "_SNAP", 0.0)
+        np.testing.assert_array_equal(self.grid(schedule)[0], nodes)
 
 
 class TestLindblad:

@@ -7,7 +7,7 @@ import pytest
 
 import dqdpulse
 from dqdpulse.device import SCHEMES
-from dqdpulse.experiments import initial_phase_sweep, rabi_sweep
+from dqdpulse.experiments import InvariantLog, initial_phase_sweep, rabi_sweep
 
 
 class TestInitialPhaseSweep:
@@ -41,3 +41,14 @@ class TestRabiSweep:
         assert "one-step" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("dqdpulse: error: ")
+
+    def test_pristine_constraints_logged_once(self):
+        log = InvariantLog()
+        rows = rabi_sweep([-0.05, 0.0, 0.05], grid_n=4, log=log)
+        assert len(rows) == 3
+        names = [c.name for c in log.checks]
+        assert names.count("unitarity_defect") == 3
+        constraints = [n for n in names if n != "unitarity_defect"]
+        assert constraints and sorted(constraints) == sorted(set(constraints))
+        assert {"fsim_rect_area", "fsim_rect_cosine_moment"} <= set(constraints)
+        assert log.ok
