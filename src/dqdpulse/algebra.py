@@ -76,9 +76,6 @@ class Quaternion:
     def is_unit(self, tol: float = UNIT_QUATERNION_TOL) -> bool:
         return abs(self.w**2 + self.x**2 + self.y**2 + self.z**2 - 1.0) <= tol
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
 
 def _require_unit(q: Quaternion, tol: float) -> Quaternion:
     if not q.is_unit(tol):

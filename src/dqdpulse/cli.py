@@ -110,8 +110,7 @@ def cmd_synthesize(cfg: ExperimentConfig) -> int:
     writer = RunWriter(cfg.resolved_outdir(), cfg)
     writer.write_csv(f"schedule_{cfg.scheme}.csv", SCHEDULE_CSV_HEADER, schedule_rows(schedule, cfg.samples))
     log = xp.InvariantLog()
-    for label, residual in schedule.check_constraints().items():
-        log.add(f"{cfg.scheme}_{label}", residual, 1e-8)
+    xp.log_constraints(schedule, log)
     writer.finish()
     summary = (
         f"scheme={cfg.scheme} T={schedule.duration * 1e9:.4g} ns "
@@ -132,6 +131,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     grid = build_grid(cfg.grid_n, cfg.phases)
     # the config admits a trajectory only for a single (delta, eps) run
     sample_times = np.linspace(0.0, schedule.duration, cfg.samples) if cfg.trajectory else None
+    xp.log_constraints(schedule, log)
     reports = []
     for delta in cfg.rabi_deltas or (0.0,):
         for eps in cfg.detuning_eps or (0.0,):
@@ -146,8 +146,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 detuning_eps=eps,
                 steps_per_period=cfg.steps_per_period,
                 sample_times=sample_times,
-                log=log,
             )
+            xp.log_run(res, cfg.decoherence, log)
             reports.append(rep)
     writer.write_csv("fidelity.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     if cfg.trajectory:
@@ -180,6 +180,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
             grid_n=cfg.grid_n,
             workers=workers,
             quick=cfg.quick,
+            log=log,
         )
         writer.write_csv("detuning_sweep.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     elif axis == "eta":
@@ -193,6 +194,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
             grid_n=cfg.grid_n,
             workers=workers,
             quick=cfg.quick,
+            log=log,
         )
         writer.write_csv("phase_sweep.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     else:
@@ -207,7 +209,7 @@ def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
     workers = cfg.resolved_workers()
     log = xp.InvariantLog()
     if target == "table1":
-        reports = xp.table1(quick=cfg.quick, workers=workers)
+        reports = xp.table1(quick=cfg.quick, workers=workers, log=log)
         writer.write_csv("table1.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     elif target == "fig1a":
         rows = xp.amplitude_landscape("fsim_rect")
@@ -219,7 +221,7 @@ def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
         rows = xp.sensitivity_vs_eta()
         writer.write_csv("fig4c.csv", "eta,q_s", ((r["eta"], r["q_s"]) for r in rows))
     elif target == "fig4d":
-        rows = xp.fidelity_vs_eta(workers=workers, quick=cfg.quick)
+        rows = xp.fidelity_vs_eta(workers=workers, quick=cfg.quick, log=log)
         writer.write_csv("fig4d.csv", "eta,fidelity", ((r["eta"], r["fidelity"]) for r in rows))
     elif target == "fig5":
         deltas = np.linspace(-0.1, 0.1, 11)
@@ -229,12 +231,12 @@ def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
             ((r["rabi_delta"], r["fidelity_numeric"], r["fidelity_analytic"]) for r in rows),
         )
         reports = xp.detuning_sweep(
-            np.linspace(-0.1, 0.1, 11), (1, 2, 3), grid_n=cfg.grid_n, workers=workers, quick=cfg.quick
+            np.linspace(-0.1, 0.1, 11), (1, 2, 3), grid_n=cfg.grid_n, workers=workers, quick=cfg.quick, log=log
         )
         writer.write_csv("fig5b.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     elif target == "fig6":
         grid = np.linspace(-0.1, 0.1, 11)
-        rows = xp.robustness_comparison(grid, grid, grid_n=cfg.grid_n, workers=workers)
+        rows = xp.robustness_comparison(grid, grid, grid_n=cfg.grid_n, workers=workers, log=log)
         writer.write_csv("fig6.csv", REPORT_CSV_HEADER, (report_row(r["report"]) for r in rows))
     else:
         raise SystemExit(f"unknown reproduce target {target!r}")

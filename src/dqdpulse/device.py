@@ -28,8 +28,6 @@ from .algebra import TWO_PI
 from .pulses import PulseSchedule, detuning_perturbation
 from .trajectories import PhysicalControls
 
-HBAR = 1.0  # all energies are angular frequencies
-
 
 @dataclass(frozen=True)
 class DeviceParams:

@@ -193,7 +193,6 @@ def propagate_unitary(
 
 _I2 = np.eye(2)
 _P = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-_I4 = np.eye(4)
 
 # projector collapse operators: |j><j| x I on qubit 1, I x |j'><j'| on qubit 2
 COLLAPSE_Q1 = tuple(np.kron(p, _I2) for p in _P)

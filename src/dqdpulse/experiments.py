@@ -1,12 +1,14 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
-Each driver assembles schedules and hands each to ``gate_report``, which
-propagates it once (closed-system or with projector dephasing) and
-averages its fidelity over a product-state grid; the drivers return
-reports or plain row dictionaries ready for CSV export.  Everything is
-deterministic for a fixed configuration; sweep fan-out across a worker
-pool reduces by sorted work key, so the output is byte-identical
-regardless of scheduling.
+Each propagating driver is a list of gate jobs handed to ``run_jobs``.  A
+job names a schedule, an initial-state grid and the ``gate_report``
+arguments as plain data; the runner builds the schedule, propagates it
+once (closed-system or with projector dephasing) and averages its fidelity
+over the grid, in a process pool when asked.  Reports come back in job
+order for any worker count, so the output is byte-identical regardless of
+scheduling.  The runner records the invariant checks the CLI exit code
+keys off: each distinct pristine schedule's constraint residuals once,
+and one unitarity or Lindblad-trace check per job.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +47,8 @@ from .pulses import (
     apply_rabi_error,
     bgate_rectangular,
     error_sensitivity,
-    fsim_geometric,
     fsim_polynomial,
-    fsim_rectangular,
+    polynomial_coefficients,
 )
 
 # Reference gate parameters used throughout the benchmark datasets.
@@ -134,7 +135,6 @@ def gate_channel(
     detuning_eps: float = 0.0,
     steps_per_period: int = STEPS_PER_PERIOD_FULL,
     sample_times: Sequence[float] | None = None,
-    log: InvariantLog | None = None,
 ) -> EvolutionResult:
     """Propagate one configured gate.
 
@@ -142,8 +142,6 @@ def gate_channel(
     superoperator; with ``sample_times``, ``states`` holds the same run's
     propagators or superoperators at those times.
     """
-    if log is not None:
-        _log_constraints(schedule, log)
     if rabi_delta:
         schedule = apply_rabi_error(schedule, rabi_delta)
     if detuning_eps:
@@ -151,22 +149,18 @@ def gate_channel(
     h = frame_hamiltonian(schedule, rwa)
     stepping = dict(breakpoints=schedule.breakpoints, steps_per_period=steps_per_period, sample_times=sample_times)
     if decoherence:
-        res = lindblad_superoperator(h, params, schedule.duration, **stepping)
-    else:
-        res = propagate_unitary(h, schedule.duration, **stepping)
-    if log is not None:
-        _log_run(res, decoherence, log)
-    return res
+        return lindblad_superoperator(h, params, schedule.duration, **stepping)
+    return propagate_unitary(h, schedule.duration, **stepping)
 
 
-def _log_constraints(schedule: PulseSchedule, log: InvariantLog) -> None:
+def log_constraints(schedule: PulseSchedule, log: InvariantLog) -> None:
     # design constraints are checked on the pristine schedule; injected
     # errors intentionally violate them
     for label, residual in schedule.check_constraints().items():
         log.add(f"{schedule.scheme}_{label}", residual, 1e-8)
 
 
-def _log_run(res: EvolutionResult, decoherence: bool, log: InvariantLog) -> None:
+def log_run(res: EvolutionResult, decoherence: bool, log: InvariantLog) -> None:
     if decoherence:
         rho_t = apply_superoperator(res.final, np.eye(4) / 4.0)
         log.add("lindblad_trace_defect", abs(np.trace(rho_t) - 1.0), 1e-8)
@@ -218,31 +212,62 @@ def state_path(res: EvolutionResult) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Gate jobs
+# ---------------------------------------------------------------------------
+
+# (build_schedule kwargs, build_grid args, gate_report kwargs): plain data, so
+# a job pickles to a pool worker, which rebuilds the schedule's closures
+Job = tuple[dict, tuple, dict]
+
+
+def _run_job(job: Job, check_constraints: bool) -> tuple[FidelityReport, InvariantLog]:
+    schedule_kwargs, grid_args, report_kwargs = job
+    schedule = build_schedule(**schedule_kwargs)
+    checks = InvariantLog()
+    if check_constraints:
+        log_constraints(schedule, checks)
+    report, res = gate_report(schedule, build_grid(*grid_args), **report_kwargs)
+    log_run(res, report_kwargs["decoherence"], checks)
+    return report, checks
+
+
+def run_jobs(jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
+    """Reports of ``jobs`` in job order, from a process pool when ``workers`` > 1.
+
+    ``log`` receives each job's checks in job order: the constraint
+    residuals of its pristine schedule the first time that schedule
+    appears, then one unitarity or Lindblad-trace check of its run.
+    """
+    first: dict[tuple, int] = {}
+    keys = [tuple(sorted(job[0].items())) for job in jobs]
+    flags = [log is not None and first.setdefault(key, i) == i for i, key in enumerate(keys)]
+    if workers <= 1 or len(jobs) <= 1:
+        out = list(map(_run_job, jobs, flags))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(_run_job, jobs, flags))
+    if log is not None:
+        for _, checks in out:
+            log.extend(checks)
+    return [report for report, _ in out]
+
+
+# ---------------------------------------------------------------------------
 # Fidelity table (the `table1` dataset)
 # ---------------------------------------------------------------------------
 
 
-def table1_entry(
-    scheme: str,
-    n_reps: int,
-    *,
-    quick: bool = False,
-    params: DeviceParams = DEFAULT_DEVICE,
-    log: InvariantLog | None = None,
-) -> FidelityReport:
-    """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
-    duration = scheme_spec(scheme).reference_time
-    schedule = build_schedule(scheme, duration=duration, n_reps=n_reps, params=params)
-    grid = build_grid(10 if quick else 40)
-    report, _ = gate_report(
-        schedule, grid, rwa=False, decoherence=True, params=params, steps_per_period=_budget(quick), log=log
+def _table1_job(scheme: str, n_reps: int, quick: bool) -> Job:
+    return (
+        dict(scheme=scheme, duration=scheme_spec(scheme).reference_time, n_reps=n_reps),
+        (10 if quick else 40,),
+        dict(rwa=False, decoherence=True, steps_per_period=_budget(quick)),
     )
-    return report
 
 
-def _table1_worker(args: tuple) -> tuple[tuple, FidelityReport]:
-    scheme, n_reps, quick = args
-    return (scheme, n_reps), table1_entry(scheme, n_reps, quick=quick)
+def table1_entry(scheme: str, n_reps: int, *, quick: bool = False) -> FidelityReport:
+    """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
+    return run_jobs([_table1_job(scheme, n_reps, quick)])[0]
 
 
 def table1(
@@ -250,18 +275,11 @@ def table1(
     quick: bool = False,
     n_values: Sequence[int] = tuple(range(1, 11)),
     workers: int = 1,
+    log: InvariantLog | None = None,
 ) -> list[FidelityReport]:
     """Both fidelity-table rows (rectangular and optimal-parameter) over N."""
-    items = [(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in n_values]
-    results = dict(_run_pool(_table1_worker, items, workers))
-    return [results[(scheme, n)] for scheme, n, _ in items]
-
-
-def _run_pool(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    jobs = [_table1_job(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in n_values]
+    return run_jobs(jobs, workers, log)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +322,22 @@ def sensitivity_vs_eta(
 ) -> list[dict]:
     if eta_grid is None:
         eta_grid = np.linspace(-1.0, 1.0, 201)
-    rows = []
-    for eta in eta_grid:
+    return [
+        {"eta": eta, "q_s": error_sensitivity(fsim_polynomial(theta, xi, POLY_GATE_TIME, n_reps, eta))}
+        for eta in _regular_etas(eta_grid, theta, xi)
+    ]
+
+
+def _regular_etas(eta_grid: Sequence[float], theta: float, xi: float) -> list[float]:
+    """The eta values of ``eta_grid`` that are not singular members of the family."""
+    etas = []
+    for eta in map(float, eta_grid):
         try:
-            sched = fsim_polynomial(theta, xi, POLY_GATE_TIME, n_reps, float(eta))
+            polynomial_coefficients(theta, xi, 1, eta)
         except ValueError:
             continue
-        rows.append({"eta": float(eta), "q_s": error_sensitivity(sched)})
-    return rows
-
-
-def _fidelity_vs_eta_worker(args: tuple) -> tuple[float, float]:
-    eta, theta, xi, n_reps, grid_n, quick = args
-    try:
-        sched = fsim_polynomial(theta, xi, POLY_GATE_TIME, n_reps, eta)
-    except ValueError:
-        return eta, math.nan  # singular family member, dropped from the sweep
-    rep, _ = gate_report(sched, build_grid(grid_n), rwa=False, decoherence=True, steps_per_period=_budget(quick))
-    return eta, rep.fidelity
+        etas.append(eta)
+    return etas
 
 
 def fidelity_vs_eta(
@@ -332,13 +348,20 @@ def fidelity_vs_eta(
     grid_n: int = 10,
     workers: int = 1,
     quick: bool = False,
+    log: InvariantLog | None = None,
 ) -> list[dict]:
-    """Decohered pre-RWA fidelity over the eta family (100-state grid)."""
+    """Decohered pre-RWA fidelity over the eta family (100-state grid).
+
+    Singular family members are dropped from the sweep.
+    """
     if eta_grid is None:
         eta_grid = np.linspace(-1.0, 1.0, 41)
-    items = [(float(e), theta, xi, n_reps, grid_n, quick) for e in eta_grid]
-    out = _run_pool(_fidelity_vs_eta_worker, items, workers)
-    return [{"eta": e, "fidelity": f} for e, f in sorted(out) if math.isfinite(f)]
+    etas = _regular_etas(eta_grid, theta, xi)
+    schedule = dict(scheme="fsim_poly", theta=theta, xi=xi, duration=POLY_GATE_TIME, n_reps=n_reps)
+    report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
+    jobs = [({**schedule, "eta": eta}, (grid_n,), report) for eta in etas]
+    reports = run_jobs(jobs, workers, log)
+    return [{"eta": eta, "fidelity": rep.fidelity} for eta, rep in zip(etas, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,32 +384,16 @@ def rabi_sweep(
     spec = scheme_spec(scheme)
     if not spec.one_step:
         raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
-    schedule = build_schedule(scheme, duration=spec.reference_time, n_reps=n_reps)
-    grid = build_grid(grid_n)
-    if log is not None:
-        _log_constraints(schedule, log)
-    rows = []
-    for delta in deltas:
-        rep, res = gate_report(schedule, grid, rwa=True, decoherence=False, rabi_delta=float(delta))
-        if log is not None:
-            _log_run(res, False, log)
-        rows.append(
-            {
-                "rabi_delta": float(delta),
-                "fidelity_numeric": rep.fidelity,
-                "fidelity_analytic": analytic_rabi_fidelity(float(delta)),
-            }
-        )
-    return rows
-
-
-def _detuning_worker(args: tuple) -> tuple[tuple, FidelityReport]:
-    n_reps, eps, grid_n, quick = args
-    schedule = build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n_reps)
-    rep, _ = gate_report(
-        schedule, build_grid(grid_n), rwa=True, decoherence=False, detuning_eps=eps, steps_per_period=_budget(quick)
-    )
-    return (n_reps, eps), rep
+    schedule = dict(scheme=scheme, duration=spec.reference_time, n_reps=n_reps)
+    jobs = [(schedule, (grid_n,), dict(rwa=True, decoherence=False, rabi_delta=float(d))) for d in deltas]
+    return [
+        {
+            "rabi_delta": rep.rabi_delta,
+            "fidelity_numeric": rep.fidelity,
+            "fidelity_analytic": analytic_rabi_fidelity(rep.rabi_delta),
+        }
+        for rep in run_jobs(jobs, log=log)
+    ]
 
 
 def detuning_sweep(
@@ -395,11 +402,16 @@ def detuning_sweep(
     grid_n: int = 40,
     workers: int = 1,
     quick: bool = False,
+    log: InvariantLog | None = None,
 ) -> list[FidelityReport]:
     """Optimal-parameter-pulse fidelity under frame-frequency miscalibration."""
-    items = [(n, float(e), grid_n, quick) for n in n_values for e in eps_values]
-    results = dict(_run_pool(_detuning_worker, items, workers))
-    return [results[(n, e)] for n, e, _, _ in items]
+    report = dict(rwa=True, decoherence=False, steps_per_period=_budget(quick))
+    jobs = [
+        (dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n), (grid_n,), {**report, "detuning_eps": float(e)})
+        for n in n_values
+        for e in eps_values
+    ]
+    return run_jobs(jobs, workers, log)
 
 
 # ---------------------------------------------------------------------------
@@ -407,43 +419,34 @@ def detuning_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _fig6_worker(args: tuple) -> tuple[tuple, FidelityReport]:
-    scheme_label, error_kind, value, grid_n = args
-    if scheme_label == "geometric":
-        schedule = fsim_geometric(THETA_REF, XI_REF, GEOMETRIC_GATE_TIME)
-    else:
-        # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
-        schedule = fsim_rectangular(THETA_REF, XI_REF, GEOMETRIC_GATE_TIME, 2)
-    error = {"rabi_delta": value} if error_kind == "rabi" else {"detuning_eps": value}
-    rep, _ = gate_report(schedule, build_grid(grid_n), label=scheme_label, rwa=True, decoherence=False, **error)
-    return (scheme_label, error_kind, value), rep
-
-
 def robustness_comparison(
     deltas: Sequence[float],
     eps_values: Sequence[float],
     grid_n: int = 40,
     workers: int = 1,
+    log: InvariantLog | None = None,
 ) -> list[dict]:
     """Geometric+dynamic vs purely dynamic fidelity under control errors.
 
     Both schemes run in the RWA frame with decoherence off and the same
-    delta_Ez = 4 pi / T, isolating control-error robustness.
+    delta_Ez = 4 pi / T, isolating control-error robustness.  Rows are
+    sorted by (scheme, error kind, value).
     """
-    items = [("geometric", "rabi", float(d), grid_n) for d in deltas]
-    items += [("dynamic", "rabi", float(d), grid_n) for d in deltas]
-    items += [("geometric", "detuning", float(e), grid_n) for e in eps_values]
-    items += [("dynamic", "detuning", float(e), grid_n) for e in eps_values]
-    results = dict(_run_pool(_fig6_worker, items, workers))
+    schedules = {
+        # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
+        "dynamic": dict(scheme="fsim_rect", duration=GEOMETRIC_GATE_TIME, n_reps=2),
+        "geometric": dict(scheme="fsim_geometric", duration=GEOMETRIC_GATE_TIME),
+    }
+    errors = {"detuning": ("detuning_eps", eps_values), "rabi": ("rabi_delta", deltas)}
+    keys = [(s, k, v) for s in schedules for k, (_, values) in errors.items() for v in sorted(map(float, values))]
+    jobs = [
+        (schedules[s], (grid_n,), {"label": s, "rwa": True, "decoherence": False, errors[k][0]: v})
+        for s, k, v in keys
+    ]
+    reports = run_jobs(jobs, workers, log)
     return [
-        {
-            "scheme": k[0],
-            "error_kind": k[1],
-            "value": k[2],
-            "fidelity": results[k].fidelity,
-            "report": results[k],
-        }
-        for k in sorted(results)
+        {"scheme": s, "error_kind": k, "value": v, "fidelity": rep.fidelity, "report": rep}
+        for (s, k, v), rep in zip(keys, reports)
     ]
 
 
@@ -507,15 +510,6 @@ def parallel_transport_defect(
 # ---------------------------------------------------------------------------
 
 
-def _phase_sweep_worker(args: tuple) -> tuple[tuple, FidelityReport]:
-    n_reps, phases, grid_n, quick, decoherence = args
-    schedule = build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n_reps)
-    rep, _ = gate_report(
-        schedule, build_grid(grid_n, phases), rwa=False, decoherence=decoherence, steps_per_period=_budget(quick)
-    )
-    return (n_reps, phases), rep
-
-
 def initial_phase_sweep(
     axis: str,
     values: Sequence[float],
@@ -525,17 +519,18 @@ def initial_phase_sweep(
     decoherence: bool = True,
     workers: int = 1,
     quick: bool = False,
+    log: InvariantLog | None = None,
 ) -> list[FidelityReport]:
     """Fidelity of the optimal-parameter scheme vs one initial-state phase."""
     axes = ("phi1", "phi2", "phi3")
     if axis not in axes:
         raise ValueError(f"axis must be one of {axes}, got {axis!r}")
     index = axes.index(axis)
-    items = []
+    report = dict(rwa=False, decoherence=decoherence, steps_per_period=_budget(quick))
+    jobs = []
     for n in n_values:
         for v in values:
             phases = [0.0, 0.0, 0.0]
             phases[index] = float(v)
-            items.append((n, tuple(phases), grid_n, quick, decoherence))
-    results = dict(_run_pool(_phase_sweep_worker, items, workers))
-    return [results[(n, phases)] for (n, phases, _, _, _) in items]
+            jobs.append((dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n), (grid_n, tuple(phases)), report))
+    return run_jobs(jobs, workers, log)

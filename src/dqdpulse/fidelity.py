@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,11 +161,3 @@ def report_row(report: FidelityReport) -> tuple:
         report.phases[2],
         report.fidelity,
     )
-
-
-def reports_to_csv(reports: Iterable[FidelityReport], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(REPORT_CSV_HEADER + "\n")
-        for rep in reports:
-            row = report_row(rep)
-            fh.write(row[0] + "," + ",".join(f"{v:.12g}" for v in row[1:]) + "\n")

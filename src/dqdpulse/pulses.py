@@ -80,13 +80,6 @@ class PulseSchedule:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(seg.t_start for seg in self.segments[1:])
 
-    def segment_at(self, t: float) -> Segment:
-        # right-open segments; the final point belongs to the last segment
-        for seg in self.segments:
-            if t < seg.t_end:
-                return seg
-        return self.segments[-1]
-
     def _segment_index(self, ts: np.ndarray) -> np.ndarray:
         edges = np.array([seg.t_end for seg in self.segments[:-1]])
         return np.searchsorted(edges, ts, side="right")
@@ -565,10 +558,3 @@ def schedule_rows(schedule: PulseSchedule, samples: int = 2001) -> Iterable[tupl
             psi[k],
             by[k] / TWO_PI / 1e6,
         )
-
-
-def schedule_to_csv(schedule: PulseSchedule, path, samples: int = 2001) -> None:
-    with open(path, "w") as fh:
-        fh.write(SCHEDULE_CSV_HEADER + "\n")
-        for row in schedule_rows(schedule, samples):
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -1,9 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dqdpulse.experiments as xp
+from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
 from dqdpulse.config import ExperimentConfig, apply_overrides, config_from_mapping, load_config
 from dqdpulse.device import SCHEMES, frame_hamiltonian
@@ -77,6 +80,10 @@ class TestCliRuns:
         lines = (out / "schedule_bgate.csv").read_text().strip().splitlines()
         assert lines[0] == "t_ns,j_over_2pi_MHz,J_over_2pi_MHz,psi_rad,By_over_2pi_MHz"
         assert len(lines) == 42
+        first = [float(x) for x in lines[1].split(",")]
+        assert first[0] == 0.0
+        # j level in MHz: -3 pi / (2T) / 2pi
+        assert first[1] == pytest.approx(-3 * math.pi / (2 * build_schedule("bgate").duration) / TWO_PI / 1e6)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"][0]["rows"] == 41
         assert "config_hash" in manifest and "runtime_s" in manifest
@@ -105,6 +112,7 @@ class TestCliRuns:
         assert rc == 0
         lines = (out / "fidelity.csv").read_text().strip().splitlines()
         assert lines[0].startswith("scheme,N,delta_Ez_over_2pi_MHz")
+        assert len(lines) == 2
         fid = float(lines[1].split(",")[-1])
         assert fid > 0.999  # RWA frame, no decoherence: exact gate up to stepping
 
@@ -146,6 +154,36 @@ class TestCliRuns:
         # a valid run passes all invariant checks
         rc = main(["synthesize", "--scheme", "fsim_rect", "--outdir", str(tmp_path / "x")])
         assert rc == 0
+
+    def test_failed_run_check_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        runs = []
+
+        def first_run_fails(*args, **kwargs):
+            runs.append(propagate_unitary(*args, **kwargs))
+            return replace(runs[-1], unitarity_defect=1.0) if len(runs) == 1 else runs[-1]
+
+        monkeypatch.setattr(xp, "propagate_unitary", first_run_fails)
+        rc = main(
+            [
+                "sweep", "detuning", "--detuning-eps", "0", "0.05", "--n-values", "1", "--grid-n", "2",
+                "--quick", "--workers", "1", "--outdir", str(tmp_path),
+            ]
+        )
+        assert rc == 1 and len(runs) == 2
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1 and "[FAIL] unitarity_defect" in out
+
+    def test_simulate_logs_pristine_constraints_once(self, tmp_path, capsys):
+        rc = main(
+            [
+                "simulate", "--scheme", "fsim_rect", "--rwa", "--no-decoherence", "--rabi-deltas", "0", "0.05",
+                "--detuning-eps", "0", "0.01", "--grid-n", "2", "--outdir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        checks = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert checks == ["[ok] fsim_rect_area", "[ok] fsim_rect_cosine_moment"] + ["[ok] unitarity_defect"] * 4
 
 
 def _csv(path):
@@ -220,6 +258,17 @@ class TestDeterminismAcrossWorkers:
         assert main(args + ["--outdir", str(out1), "--workers", "1"]) == 0
         assert main(args + ["--outdir", str(out2), "--workers", "2"]) == 0
         assert (out1 / "detuning_sweep.csv").read_bytes() == (out2 / "detuning_sweep.csv").read_bytes()
+
+    def test_fig6_csv_and_checks_identical(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["reproduce", "fig6", "--grid-n", "2", "--workers", workers, "--outdir", str(out)]) == 0
+            runs.append(((out / "fig6.csv").read_bytes(), capsys.readouterr().out.splitlines()))
+        assert runs[0] == runs[1]
+        # 44 runs, plus the constraints of the geometric (3) and rectangular (2) schedules
+        assert len(runs[0][1]) == 49
 
 
 class TestReproduceTable1:

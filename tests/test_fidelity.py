@@ -12,7 +12,6 @@ from dqdpulse.fidelity import (
     average_fidelity,
     build_grid,
     report_row,
-    reports_to_csv,
 )
 from dqdpulse.pulses import fsim_rectangular
 from dqdpulse.trajectories import fsim_matrix
@@ -159,7 +158,7 @@ class TestAnalyticRabiLaw:
 
 
 class TestReportCsv:
-    def test_round_trip_row(self, tmp_path):
+    def test_round_trip_row(self):
         rep = FidelityReport(
             fidelity=0.5,
             per_state=np.array([0.5]),
@@ -172,8 +171,3 @@ class TestReportCsv:
         assert row[0] == "fsim_rect"
         assert row[2] == pytest.approx(44.0)
         assert row[3] == pytest.approx(45.0)
-        path = tmp_path / "reports.csv"
-        reports_to_csv([rep], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("scheme,N,delta_Ez_over_2pi_MHz")
-        assert len(lines) == 2

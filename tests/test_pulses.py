@@ -21,7 +21,6 @@ from dqdpulse.pulses import (
     fsim_rectangular,
     optimize_eta,
     polynomial_coefficients,
-    schedule_to_csv,
 )
 
 THETA, XI = math.pi / 4, math.pi / 2
@@ -337,15 +336,3 @@ class TestScheduleStructure:
     def test_constraints_hold_across_family(self, n, theta, xi):
         s = fsim_rectangular(theta, xi, T45, n)
         assert max(s.check_constraints().values()) < 1e-8
-
-    def test_csv_export(self, tmp_path):
-        s = bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
-        path = tmp_path / "schedule.csv"
-        schedule_to_csv(s, path, samples=11)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_ns,j_over_2pi_MHz,J_over_2pi_MHz,psi_rad,By_over_2pi_MHz"
-        assert len(lines) == 12
-        first = [float(x) for x in lines[1].split(",")]
-        assert first[0] == 0.0
-        # j level in MHz: -3 pi / (2T) / 2pi
-        assert first[1] == pytest.approx(-3 * math.pi / (2 * 76e-9) / TWO_PI / 1e6)

@@ -40,6 +40,35 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level ``_private`` names that no expression in the module reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(n for n in bound - read if n.startswith("_") and not n.startswith("__"))
+
+
+def test_detector_flags_unread_private_names():
+    source = (
+        "import numpy as np\n_I4 = np.eye(4)\n_SCALE: float = 2.0\n_a, b = 1, 2\n__all__ = ['f']\n"
+        "class _Unused:\n    pass\n"
+        "def _helper():\n    return _SCALE\n"
+        "def f(x):\n    _local = x\n    return _helper() * _local\n"
+    )
+    assert unread_private_names(source) == ["_I4", "_Unused", "_a"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must import without it
     env = dict(os.environ, PYTHONPATH=str(Path(dqdpulse.__file__).parent.parent))
