@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdpulse.algebra import TWO_PI, cumulative_simpson
+from dqdpulse.cli import RunWriter
+from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
 from dqdpulse.experiments import POLY_GATE_TIME, sensitivity_vs_eta
 from dqdpulse.pulses import (
@@ -20,7 +22,9 @@ from dqdpulse.pulses import (
     fsim_polynomial,
     fsim_rectangular,
     optimize_eta,
+    SCHEDULE_CSV_HEADER,
     polynomial_coefficients,
+    schedule_rows,
 )
 
 THETA, XI = math.pi / 4, math.pi / 2
@@ -336,3 +340,15 @@ class TestScheduleStructure:
     def test_constraints_hold_across_family(self, n, theta, xi):
         s = fsim_rectangular(theta, xi, T45, n)
         assert max(s.check_constraints().values()) < 1e-8
+
+    def test_csv_export(self, tmp_path):
+        s = bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
+        writer = RunWriter(str(tmp_path), ExperimentConfig())
+        path = writer.write_csv("schedule.csv", SCHEDULE_CSV_HEADER, schedule_rows(s, samples=11))
+        lines = open(path).read().strip().splitlines()
+        assert lines[0] == "t_ns,j_over_2pi_MHz,J_over_2pi_MHz,psi_rad,By_over_2pi_MHz"
+        assert len(lines) == 12
+        first = [float(x) for x in lines[1].split(",")]
+        assert first[0] == 0.0
+        # j level in MHz: -3 pi / (2T) / 2pi
+        assert first[1] == pytest.approx(-3 * math.pi / (2 * 76e-9) / TWO_PI / 1e6)
