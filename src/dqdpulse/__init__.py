@@ -16,10 +16,7 @@ from .device import (
     DeviceParams,
     FrameSpec,
     Scheme,
-    bgate_frame_hamiltonian,
     frame_hamiltonian,
-    fsim_frame_hamiltonian,
-    geometric_frame_hamiltonian,
     lab_hamiltonian,
     load_device_params,
     save_device_params,

@@ -2,10 +2,13 @@
 
 The lab Hamiltonian (two-qubit basis {|00>, |01>, |10>, |11>}) combines
 the mean Zeeman splitting E_z, the Zeeman difference delta_Ez, the
-exchange coupling J, and transverse drive fields B_y^{L,R}.  Each gate
-scheme propagates in its own diagonal rotating frame; the constructors
-here return the frame Hamiltonian either with the counter-rotating
-residues retained (rwa=False) or dropped (rwa=True).
+exchange coupling J, and transverse drive fields B_y^{L,R}.  Each
+diagonal rotating frame has one constructor, returning the frame
+Hamiltonian with the counter-rotating residues retained (rwa=False) or
+dropped (rwa=True): the fSim frame serves the one-step and the geometric
+fSim schemes, the two-frequency frame the B gate.  A new scheme needs a
+constructor only if it rotates into a new frame.  ``frame_hamiltonian``
+evaluates H(t) and adds a schedule's detuning error, once for all schemes.
 
 Drive convention: a stored drive amplitude B_y^1 corresponds to the
 physical field B_y^R(t) = 2 B_y^1 cos(omega_2 t + psi_1), mirroring the
@@ -43,8 +46,12 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in ("e_z", "delta_ez", "j_max", "b_y_l0", "b_y_r0", "t2_q1", "t2_q2"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        # gate times divide by both; T2 = 0 is the no-dephasing sentinel
+        for name in ("delta_ez", "j_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def kappa_1(self) -> float:
@@ -147,52 +154,38 @@ class TimeDependentHamiltonian:
         return self._batch(np.asarray(ts, dtype=float))
 
 
-def _batched_diag_embed(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    out = np.zeros((n, 4, 4), dtype=complex)
-    idx = np.arange(4)
-    out[:, idx, idx] = d
-    return out
-
-
-def fsim_frame_hamiltonian(schedule: PulseSchedule, t: float, rwa: bool) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the dynamical fSim schemes.
-
-    Ground level set to zero: diag(0, -j cos(wt) - E_z, -j cos(wt) - E_z,
-    -2 E_z); coupling j/2 with, for rwa=False, the counter-rotating residue
-    j e^{-2iwt}/2 kept in the (|01>, |10>) block.
-    """
-    return _fsim_frame_batch(schedule, np.atleast_1d(float(t)), rwa)[0]
-
-
 def _fsim_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
+    """Rotating-frame Hamiltonian of the fSim schemes, one-step and geometric.
+
+    Both are driven by J = 2 j cos(wt + psi) and share one frame, with the
+    middle-block exchange diagonal zeroed: diag(E_z + j cos(wt + psi), 0, 0,
+    j cos(wt + psi) - E_z) and coupling j e^{i psi}/2 in the (|01>, |10>)
+    block; rwa=False keeps the counter-rotating residue j e^{-i(2wt + psi)}/2.
+    Each segment's carrier (w, psi) is read, so psi = 0 gives the one-step gate.
+    """
     j = schedule.envelope(ts)
-    w = schedule.controls.delta_ez
+    w, psi = schedule.carrier(ts)
     e_z = schedule.controls.e_z
-    jc = j * np.cos(w * ts)
-    cpl = j / 2.0 if rwa else j * (1.0 + np.exp(-2j * w * ts)) / 2.0
-    cpl = np.broadcast_to(cpl, ts.shape).astype(complex)
-    out = _batched_diag_embed(
-        np.stack([np.zeros_like(ts), -jc - e_z, -jc - e_z, np.full_like(ts, -2.0 * e_z)], axis=1)
-    )
+    jc = j * np.cos(w * ts + psi)
+    if rwa:
+        cpl = (j / 2.0) * np.exp(1j * psi)
+    else:
+        cpl = (j / 2.0) * (np.exp(1j * psi) + np.exp(-1j * (2.0 * w * ts + psi)))
+    out = np.zeros((ts.shape[0], 4, 4), dtype=complex)
+    out[:, 0, 0] = e_z + jc
+    out[:, 3, 3] = jc - e_z
     out[:, 1, 2] = cpl
     out[:, 2, 1] = np.conj(cpl)
-    if schedule.detuning_eps:
-        out += detuning_perturbation(e_z, w, schedule.detuning_eps)[None, :, :]
     return out
 
 
-def bgate_frame_hamiltonian(schedule: PulseSchedule, t: float, rwa: bool) -> np.ndarray:
+def _bgate_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
     """Rotating-frame Hamiltonian of the weak-exchange B-gate scheme.
 
     rwa=True: constant drive entries -i B_y^1 e^{i psi_1} on (|00>,|01>) and
     (|10>,|11>) plus exchange j/2 on (|01>,|10>), zero diagonal.  rwa=False
     keeps every oscillatory residue generated by the two-frequency frame.
     """
-    return _bgate_frame_batch(schedule, np.atleast_1d(float(t)), rwa)[0]
-
-
-def _bgate_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
     j = schedule.envelope(ts)
     dez = schedule.controls.delta_ez
     amp, w2, psi1 = schedule.drive(ts)
@@ -210,37 +203,6 @@ def _bgate_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np
     out[:, 3, 2] = np.conj(drive)
     out[:, 1, 2] = cpl
     out[:, 2, 1] = np.conj(cpl)
-    if schedule.detuning_eps:
-        out += detuning_perturbation(schedule.controls.e_z, dez, schedule.detuning_eps)[None, :, :]
-    return out
-
-
-def geometric_frame_hamiltonian(schedule: PulseSchedule, t: float, rwa: bool) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the geometric+dynamical fSim scheme.
-
-    Diagonal (E_z + j cos(wt + psi), 0, 0, j cos(wt + psi) - E_z) with
-    coupling j e^{i psi}/2 in the middle block; rwa=False keeps the
-    counter-rotating coupling residue.
-    """
-    return _geometric_frame_batch(schedule, np.atleast_1d(float(t)), rwa)[0]
-
-
-def _geometric_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
-    j = schedule.envelope(ts)
-    w, psi = schedule.carrier(ts)
-    e_z = schedule.controls.e_z
-    jc = j * np.cos(w * ts + psi)
-    if rwa:
-        cpl = (j / 2.0) * np.exp(1j * psi)
-    else:
-        cpl = (j / 2.0) * (np.exp(1j * psi) + np.exp(-1j * (2.0 * w * ts + psi)))
-    out = _batched_diag_embed(
-        np.stack([e_z + jc, np.zeros_like(ts), np.zeros_like(ts), jc - e_z], axis=1)
-    )
-    out[:, 1, 2] = cpl
-    out[:, 2, 1] = np.conj(cpl)
-    if schedule.detuning_eps:
-        out += detuning_perturbation(e_z, schedule.controls.delta_ez, schedule.detuning_eps)[None, :, :]
     return out
 
 
@@ -254,7 +216,7 @@ def _bgate_frame(c: PhysicalControls) -> tuple[float, float, float, float]:
     return (c.e_z, -c.delta_ez / 2.0, c.delta_ez / 2.0, -c.e_z)
 
 
-def _geometric_energy_shift(schedule: PulseSchedule, t: float) -> float:
+def _fsim_energy_shift(schedule: PulseSchedule, t: float) -> float:
     # the constructor zeroes the middle-block exchange diagonal
     ts = np.atleast_1d(float(t))
     w, psi = schedule.carrier(ts)
@@ -268,7 +230,8 @@ class Scheme:
     ``build(theta, xi, duration, n_reps, eta, params)`` constructs the
     schedule; it looks its constructor up on ``pulses`` at call time, so
     wrappers installed on the module attribute see every build.
-    ``frame_batch(schedule, ts, rwa)`` samples the rotating-frame H(t).
+    ``frame_batch(schedule, ts, rwa)`` samples the designed pulse's
+    rotating-frame H(t); ``frame_hamiltonian`` adds any detuning error.
     ``frame_coefficients(controls)`` is the diagonal frame generator and
     ``energy_shift(schedule, t)`` the scalar s(t) with
     H_constructor = FrameSpec.transform(H_lab, t) - s(t) I; identity shifts
@@ -311,24 +274,20 @@ class Scheme:
         return duration
 
 
-# the one-step fSim constructors zero the ground level (s = E_z)
-_ONE_STEP_FSIM = dict(
-    frame_batch=_fsim_frame_batch,
-    frame_coefficients=_fsim_frame,
-    energy_shift=lambda schedule, t: schedule.controls.e_z,
-    one_step=True,
-)
+_FSIM = dict(frame_batch=_fsim_frame_batch, frame_coefficients=_fsim_frame, energy_shift=_fsim_energy_shift)
 
 SCHEMES: dict[str, Scheme] = {
     "fsim_rect": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_rectangular(theta, xi, duration, n_reps),
         reference_time=45e-9,
-        **_ONE_STEP_FSIM,
+        one_step=True,
+        **_FSIM,
     ),
     "fsim_poly": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_polynomial(theta, xi, duration, n_reps, eta),
         reference_time=50e-9,
-        **_ONE_STEP_FSIM,
+        one_step=True,
+        **_FSIM,
     ),
     "bgate": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.bgate_rectangular(
@@ -342,10 +301,8 @@ SCHEMES: dict[str, Scheme] = {
     ),
     "fsim_geometric": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_geometric(theta, xi, duration),
-        frame_batch=_geometric_frame_batch,
-        frame_coefficients=_fsim_frame,  # same rotation as the fSim frame
-        energy_shift=_geometric_energy_shift,
         reference_time=158e-9,
+        **_FSIM,
     ),
 }
 
@@ -358,14 +315,26 @@ def scheme_spec(name: str) -> Scheme:
 
 
 def frame_hamiltonian(schedule: PulseSchedule, rwa: bool) -> TimeDependentHamiltonian:
-    """Scheme-appropriate rotating-frame H(t) for a schedule."""
-    batch = scheme_spec(schedule.scheme).frame_batch
+    """Scheme-appropriate rotating-frame H(t) for a schedule.
+
+    Adds ``detuning_perturbation`` when the schedule carries a detuning error.
+    """
+    construct = scheme_spec(schedule.scheme).frame_batch
+    c = schedule.controls
+    detuning = detuning_perturbation(c.e_z, c.delta_ez, schedule.detuning_eps)
     fmax = schedule.max_frequency_hz() if not rwa else max(
         seg.carrier_omega for seg in schedule.segments
     ) / TWO_PI
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        out = construct(schedule, ts, rwa)
+        if schedule.detuning_eps:
+            out += detuning
+        return out
+
     return TimeDependentHamiltonian(
-        single=lambda t: batch(schedule, np.atleast_1d(float(t)), rwa)[0],
-        batch=lambda ts: batch(schedule, ts, rwa),
+        single=lambda t: batch(np.atleast_1d(float(t)))[0],
+        batch=batch,
         max_frequency_hz=fmax,
     )
 
@@ -401,16 +370,3 @@ def lab_hamiltonian_of_schedule(schedule: PulseSchedule, t: float) -> np.ndarray
     if scheme_spec(schedule.scheme).weak_exchange:
         return weak_exchange_lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, b_y_r)
     return lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, 0.0, b_y_r)
-
-
-def coupling_block_hamiltonian(schedule: PulseSchedule, t: float) -> np.ndarray:
-    """Coupling-only part of the geometric frame Hamiltonian (both blocks zeroed).
-
-    This is the generator whose expectation must vanish along the bright
-    state for parallel transport.
-    """
-    h = geometric_frame_hamiltonian(schedule, t, rwa=True)
-    out = np.zeros_like(h)
-    out[1, 2] = h[1, 2]
-    out[2, 1] = h[2, 1]
-    return out

@@ -15,8 +15,8 @@ running product at every sample time.  Only the per-step factor differs:
 
 Step budgets are guarded by a Nyquist-style floor: dt <= 1/(50 f_max)
 with f_max the fastest frequency present (twice the carrier for
-counter-rotating residues).  Requests below the floor are rejected with
-the required minimum.
+counter-rotating residues).  Requests below the floor, as a step count or
+as fewer than 50 steps per period, are rejected with the required minimum.
 """
 
 from __future__ import annotations
@@ -133,10 +133,12 @@ def _propagate(
     the n steps between consecutive ``nodes``; ``left`` marks the steps that
     end at a breakpoint or at T.
     """
+    if steps_per_period < STEPS_PER_PERIOD:
+        raise ValueError(f"steps_per_period {steps_per_period} is below the floor {STEPS_PER_PERIOD}")
     batch, fmax = _resolve_hamiltonian(hamiltonian)
-    floor = required_steps(fmax, duration, steps_per_period)
+    floor = required_steps(fmax, duration)
     if steps is None:
-        steps = floor
+        steps = required_steps(fmax, duration, steps_per_period)
     elif steps < floor:
         raise ValueError(
             f"step budget {steps} is below the Nyquist-style floor {floor} "

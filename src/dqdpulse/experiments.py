@@ -24,7 +24,6 @@ from .device import (
     DEFAULT_DEVICE,
     SCHEMES,
     DeviceParams,
-    coupling_block_hamiltonian,
     frame_hamiltonian,
     scheme_spec,
 )
@@ -496,13 +495,10 @@ def parallel_transport_defect(
     res = propagate_unitary(
         h, schedule.duration, breakpoints=schedule.breakpoints, sample_times=times
     )
-    b = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    worst = 0.0
-    for t, u in zip(times, res.states):
-        hc = coupling_block_hamiltonian(schedule, float(t))
-        bt = u @ b
-        worst = max(worst, abs(np.vdot(bt, hc @ bt)))
-    return worst * schedule.duration
+    bt = res.states @ (np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0))
+    # H_c is the middle-block coupling alone, so <b|H_c|b> = 2 Re(b_1* H_12 b_2)
+    h12 = h.matrices(times)[:, 1, 2]
+    return float(np.abs(2.0 * (bt[:, 1].conj() * h12 * bt[:, 2]).real).max()) * schedule.duration
 
 
 # ---------------------------------------------------------------------------

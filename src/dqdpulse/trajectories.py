@@ -224,7 +224,7 @@ def fsim_matrix(theta: float, xi: float) -> np.ndarray:
 class GateTarget:
     """A gate family member with its intended evolution time."""
 
-    kind: str  # "fsim" | "b1" | "b2" | "b" | "iswap_like"
+    kind: str  # "fsim" | "b1" | "b2" | "b"
     duration: float
     theta: float = 0.0
     xi: float = 0.0
@@ -240,8 +240,6 @@ class GateTarget:
 
         if self.kind == "fsim":
             return fsim_matrix(self.theta, self.xi)
-        if self.kind == "iswap_like":
-            return fsim_matrix(self.theta, 0.0)
         if self.kind == "b1":
             return b_factor("B1", self.gamma)
         if self.kind == "b2":

@@ -73,6 +73,23 @@ class TestCliRuns:
         assert err.count("\n") == 1
         assert not (tmp_path / "bad").exists()
 
+    def test_steps_per_period_below_floor_is_a_one_line_error(self, tmp_path, capsys):
+        rc = main(["simulate", "--grid-n", "2", "--steps-per-period", "0", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and "below the floor" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["j_max_hz", "delta_e_z_hz"])
+    def test_zero_device_constant_is_a_one_line_error(self, key, tmp_path, capsys):
+        device = tmp_path / "device.json"
+        device.write_text(json.dumps({key: 0}))
+        rc = main(["synthesize", "--scheme", "fsim_rect", "--device-file", str(device), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and "must be positive" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_synthesize_writes_schedule_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "syn"
         rc = main(["synthesize", "--scheme", "bgate", "--outdir", str(out), "--samples", "41"])
@@ -193,8 +210,8 @@ def _csv(path):
 class TestTrajectory:
     """``simulate --trajectory`` samples the run it reports, whatever the scheme."""
 
-    # a coarse budget keeps the 76 ns pre-RWA B gate fast; any budget will do
-    BGATE = ["simulate", "--scheme", "bgate", "--no-decoherence", "--grid-n", "2", "--steps-per-period", "20"]
+    # the floor budget, 50 steps per period, keeps the 76 ns pre-RWA B gate fast
+    BGATE = ["simulate", "--scheme", "bgate", "--no-decoherence", "--grid-n", "2", "--steps-per-period", "50"]
 
     def test_bgate_propagates_once(self, tmp_path, monkeypatch):
         calls = []
@@ -216,7 +233,7 @@ class TestTrajectory:
             schedule.duration,
             breakpoints=schedule.breakpoints,
             sample_times=times,
-            steps_per_period=20,
+            steps_per_period=50,
         )
         psi = res.states @ (np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0))
         rho = psi[:, :, None] * psi[:, None, :].conj()

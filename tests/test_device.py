@@ -9,17 +9,20 @@ from dqdpulse.device import (
     DEFAULT_DEVICE,
     SCHEMES,
     DeviceParams,
-    bgate_frame_hamiltonian,
     frame_hamiltonian,
-    fsim_frame_hamiltonian,
-    geometric_frame_hamiltonian,
     lab_hamiltonian,
     lab_hamiltonian_of_schedule,
     load_device_params,
     save_device_params,
 )
 from dqdpulse.experiments import build_schedule
-from dqdpulse.pulses import bgate_rectangular, fsim_geometric, fsim_rectangular
+from dqdpulse.pulses import (
+    apply_detuning_error,
+    bgate_rectangular,
+    detuning_perturbation,
+    fsim_geometric,
+    fsim_rectangular,
+)
 
 THETA, XI = math.pi / 4, math.pi / 2
 
@@ -46,6 +49,13 @@ class TestDeviceParams:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             DeviceParams(e_z=-1.0)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    @pytest.mark.parametrize("name", ["delta_ez", "j_max"])
+    def test_rejects_zero_divisors(self, name, value):
+        # gate times divide by delta_Ez (carrier cap) and J_max (exchange cap)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            DeviceParams(**{name: value})
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "device.json"
@@ -109,6 +119,17 @@ class TestFrameIdentity:
             defect = np.abs(lhs - h_of_t(t)).max() / scale
             assert defect < 1e-10
 
+    @pytest.mark.parametrize("rwa", [True, False])
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_detuning_error_adds_its_perturbation(self, name, rwa):
+        schedule = build_schedule(name, n_reps=2)
+        ts = np.linspace(0.0, schedule.duration, 97)
+        pristine = frame_hamiltonian(schedule, rwa).matrices(ts)
+        detuned = frame_hamiltonian(apply_detuning_error(schedule, 0.03), rwa).matrices(ts)
+        c = schedule.controls
+        expected = np.broadcast_to(detuning_perturbation(c.e_z, c.delta_ez, 0.03), pristine.shape)
+        np.testing.assert_allclose(detuned - pristine, expected, rtol=0.0, atol=1e-12 * np.abs(pristine).max())
+
     def test_constructors_hermitian(self):
         rng = np.random.default_rng(4)
         for schedule in all_schedules():
@@ -133,16 +154,14 @@ class TestFsimFrame:
     def test_rwa_coupling_is_half_envelope(self):
         schedule = fsim_rectangular(THETA, XI, 45e-9, 1)
         t = 0.4 * 45e-9
-        h = fsim_frame_hamiltonian(schedule, t, rwa=True)
+        h = frame_hamiltonian(schedule, rwa=True)(t)
         j = float(schedule.envelope(np.array([t]))[0])
         assert h[1, 2] == pytest.approx(j / 2)
 
     def test_rwa_residue_only_in_coupling(self):
         schedule = fsim_rectangular(THETA, XI, 45e-9, 1)
         for t in (1e-9, 11e-9, 30e-9):
-            diff = fsim_frame_hamiltonian(schedule, t, rwa=False) - fsim_frame_hamiltonian(
-                schedule, t, rwa=True
-            )
+            diff = frame_hamiltonian(schedule, rwa=False)(t) - frame_hamiltonian(schedule, rwa=True)(t)
             j = float(schedule.envelope(np.array([t]))[0])
             w = schedule.controls.delta_ez
             assert diff[1, 2] == pytest.approx(j * np.exp(-2j * w * t) / 2)
@@ -154,7 +173,7 @@ class TestFsimFrame:
         schedule = fsim_rectangular(THETA, XI, 45e-9, 1)
         w = schedule.controls.delta_ez
         t = math.pi / (2 * w)
-        h = fsim_frame_hamiltonian(schedule, t, rwa=False)
+        h = frame_hamiltonian(schedule, rwa=False)(t)
         j = float(schedule.envelope(np.array([t]))[0])
         assert h[1, 2] == pytest.approx(j * (1 - 1) / 2, abs=1e-6 * abs(j))
 
@@ -163,7 +182,7 @@ class TestBgateFrame:
     def test_drive_off_pure_exchange(self):
         schedule = bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
         t = 10e-9
-        h = bgate_frame_hamiltonian(schedule, t, rwa=True)
+        h = frame_hamiltonian(schedule, rwa=True)(t)
         j = float(schedule.envelope(np.array([t]))[0])
         drive_free = h.copy()
         drive_free[0, 1] = drive_free[1, 0] = drive_free[2, 3] = drive_free[3, 2] = 0.0
@@ -175,7 +194,7 @@ class TestBgateFrame:
         # -i B e^{i pi/2} = B
         schedule = bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
         t = 10e-9  # inside the B1 segment, psi_1 = pi/2
-        h = bgate_frame_hamiltonian(schedule, t, rwa=True)
+        h = frame_hamiltonian(schedule, rwa=True)(t)
         amp = schedule.segments[0].drive_amp
         assert h[0, 1] == pytest.approx(amp)
         assert abs(h[0, 1].imag) < 1e-12 * abs(amp)
@@ -188,7 +207,7 @@ class TestBgateFrame:
         omega1 = 2 * schedule.controls.e_z - omega2
         assert omega1 - omega2 == pytest.approx(-schedule.controls.delta_ez)
         for t in (5e-9, 50e-9):
-            h = bgate_frame_hamiltonian(schedule, t, rwa=False)
+            h = frame_hamiltonian(schedule, rwa=False)(t)
             assert np.abs(np.diag(h)).max() == 0.0
 
 
@@ -196,14 +215,14 @@ class TestGeometricFrame:
     def test_coupling_phase(self):
         schedule = fsim_geometric(THETA, XI, 158e-9)
         t = 5e-9  # segment 1, psi = pi/2 -> coupling i j / 2
-        h = geometric_frame_hamiltonian(schedule, t, rwa=True)
+        h = frame_hamiltonian(schedule, rwa=True)(t)
         j = float(schedule.envelope(np.array([t]))[0])
         assert h[1, 2] == pytest.approx(1j * j / 2)
 
     def test_diagonal_at_carrier_zero(self):
         schedule = fsim_geometric(THETA, XI, 158e-9)
         # psi = pi/2 in segment 1, so the carrier cosine vanishes at t = 0
-        h = geometric_frame_hamiltonian(schedule, 0.0, rwa=True)
+        h = frame_hamiltonian(schedule, rwa=True)(0.0)
         e_z = schedule.controls.e_z
         np.testing.assert_allclose(
             np.diag(h).real, [e_z, 0.0, 0.0, -e_z], atol=1e-6 * e_z
@@ -212,7 +231,7 @@ class TestGeometricFrame:
     def test_block_decoupling(self):
         schedule = fsim_geometric(THETA, XI, 158e-9)
         for t in np.linspace(1e-9, 157e-9, 9):
-            h = geometric_frame_hamiltonian(schedule, float(t), rwa=False)
+            h = frame_hamiltonian(schedule, rwa=False)(float(t))
             for i in (0, 3):
                 for j in (1, 2):
                     assert h[i, j] == 0.0

@@ -9,6 +9,7 @@ from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, frame_hamilto
 from dqdpulse.dynamics import (
     COLLAPSE_Q1,
     COLLAPSE_Q2,
+    STEPS_PER_PERIOD,
     apply_superoperator,
     dephasing_dissipator,
     lindblad_superoperator,
@@ -329,6 +330,12 @@ class TestRabiErrorCommutation:
 
 
 class TestStepFloor:
+    def test_steps_per_period_below_floor_rejected(self):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        with pytest.raises(ValueError, match=f"below the floor {STEPS_PER_PERIOD}"):
+            propagate_unitary(h, T45, breakpoints=schedule.breakpoints, steps_per_period=20)
+
     def test_required_steps_scaling(self):
         assert required_steps(1e8, 1e-7) == 50 * 10
         assert required_steps(0.0, 1.0) == 16

@@ -1,13 +1,37 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dqdpulse
-from dqdpulse.device import SCHEMES
-from dqdpulse.experiments import InvariantLog, initial_phase_sweep, rabi_sweep
+from dqdpulse.device import SCHEMES, frame_hamiltonian
+from dqdpulse.dynamics import propagate_unitary
+from dqdpulse.experiments import InvariantLog, initial_phase_sweep, parallel_transport_defect, rabi_sweep
+from dqdpulse.pulses import fsim_rectangular
+
+
+class TestParallelTransportDefect:
+    def test_matches_per_sample_loop(self):
+        # the one-step gate is far from parallel transport, so the defect is well above rounding
+        schedule = fsim_rectangular(math.pi / 4, math.pi / 2, 158e-9)
+        n = 200
+        h = frame_hamiltonian(schedule, rwa=True)
+        times = (np.arange(n) + 0.5) * schedule.duration / n
+        res = propagate_unitary(h, schedule.duration, breakpoints=schedule.breakpoints, sample_times=times)
+        b = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+        worst = 0.0
+        for t, u in zip(times, res.states):
+            hc = np.zeros((4, 4), dtype=complex)
+            hc[1, 2], hc[2, 1] = h(t)[1, 2], h(t)[2, 1]
+            bt = u @ b
+            worst = max(worst, abs(np.vdot(bt, hc @ bt)))
+        expected = worst * schedule.duration
+        assert expected > 1e-3
+        assert parallel_transport_defect(schedule, sample_count=n) == pytest.approx(expected, rel=1e-12)
 
 
 class TestInitialPhaseSweep:

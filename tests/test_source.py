@@ -69,6 +69,60 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names, attributes and string constants read anywhere in a module, except
+    a top-level definition's reads of its own name (recursion is not a use)."""
+    read = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)  # getattr-style lookups, as in perfbench/tracing.py
+        read.discard(own)
+    return read
+
+
+def unreferenced_public_names(defining: list[str], readers: list[str]) -> list[str]:
+    """Public top-level functions and classes of the ``defining`` sources that
+    no source (defining or reader) reads outside their own definitions.
+
+    Re-export lists such as ``__init__.py`` belong in neither argument:
+    importing a name is not a use of it.
+    """
+    trees = [ast.parse(s) for s in defining]
+    public = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = set().union(*(_names_read(t) for t in trees), *(_names_read(ast.parse(s)) for s in readers))
+    return sorted(public - read)
+
+
+def test_detector_flags_unreferenced_public_names():
+    module = (
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def looked_up():\n    pass\n"
+        "class Dead:\n    pass\n"
+        "def _private():\n    pass\n"
+        "def caller():\n    return used()\n"
+    )
+    reader = "import m\nfrom m import Dead\nm.caller()\ngetattr(m, 'looked_up')\n"
+    assert unreferenced_public_names([module], [reader]) == ["Dead", "recursive"]
+
+
+def test_no_unreferenced_public_names():
+    root = Path(dqdpulse.__file__).resolve().parent.parent.parent
+    readers = [p.read_text() for d in ("tests", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert unreferenced_public_names([p.read_text() for p in MODULES], readers) == []
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must import without it
     env = dict(os.environ, PYTHONPATH=str(Path(dqdpulse.__file__).parent.parent))
