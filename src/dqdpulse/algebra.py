@@ -20,7 +20,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Default tolerances; every check below accepts an override.
+# Default tolerances; the require_* checks and Quaternion.is_unit accept an override.
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 UNIT_QUATERNION_TOL = 1e-12
@@ -67,18 +67,12 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
     def is_unit(self, tol: float = UNIT_QUATERNION_TOL) -> bool:
         return abs(self.w**2 + self.x**2 + self.y**2 + self.z**2 - 1.0) <= tol
 
 
-def _require_unit(q: Quaternion, tol: float) -> Quaternion:
-    if not q.is_unit(tol):
+def _require_unit(q: Quaternion) -> Quaternion:
+    if not q.is_unit():
         raise ValueError(f"quaternion is not unit-normalized: |q|^2 - 1 = {q.norm()**2 - 1.0:.3e}")
     return q
 
@@ -135,9 +129,9 @@ def batched_mat_exp_skew(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     return e
 
 
-def isoclinic_left(q: Quaternion, tol: float = UNIT_QUATERNION_TOL) -> np.ndarray:
+def isoclinic_left(q: Quaternion) -> np.ndarray:
     """Left-isoclinic 4D rotation factor built from a unit quaternion."""
-    _require_unit(q, tol)
+    _require_unit(q)
     qw, qx, qy, qz = q.w, q.x, q.y, q.z
     return np.array(
         [
@@ -149,9 +143,9 @@ def isoclinic_left(q: Quaternion, tol: float = UNIT_QUATERNION_TOL) -> np.ndarra
     )
 
 
-def isoclinic_right(p: Quaternion, tol: float = UNIT_QUATERNION_TOL) -> np.ndarray:
+def isoclinic_right(p: Quaternion) -> np.ndarray:
     """Right-isoclinic 4D rotation factor built from a unit quaternion."""
-    _require_unit(p, tol)
+    _require_unit(p)
     pw, px, py, pz = p.w, p.x, p.y, p.z
     return np.array(
         [

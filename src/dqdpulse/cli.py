@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments as xp
 from .algebra import TWO_PI
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import ExperimentConfig, load_config
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
 from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
@@ -264,13 +264,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "target", "axis", "func") and v is not None
-    }
-    return apply_overrides(cfg, overrides)
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "target", "axis", "func")}
+    return load_config(args.config, overrides)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params
+from .dynamics import require_step_floor
 
 
 @dataclass
@@ -31,7 +32,7 @@ class ExperimentConfig:
     decoherence: bool = True
     rwa: bool = False
     convention: str = "standard"
-    grid_n: int = 40
+    grid_n: int | None = None  # None: 10 under quick, else 40
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
     steps_per_period: int = 200
     quick: bool = False
@@ -46,8 +47,11 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
         if self.convention not in ("standard", "paper"):
             raise ValueError("convention must be 'standard' or 'paper'")
+        if self.grid_n is None:
+            self.grid_n = 10 if self.quick else 40
         if self.grid_n < 1:
             raise ValueError("grid_n must be >= 1")
+        require_step_floor(self.steps_per_period)
         if SCHEMES[self.scheme].one_step:
             if abs(self.theta) > math.pi / 2.0 + 1e-12 or abs(self.xi) > math.pi + 1e-12:
                 raise ValueError("gate parameters outside |theta| <= pi/2, |xi| <= pi")
@@ -61,8 +65,6 @@ class ExperimentConfig:
                 raise ValueError("detuning eps outside sane range")
         if self.trajectory and max(len(self.rabi_deltas), 1) * max(len(self.detuning_eps), 1) > 1:
             raise ValueError("a trajectory samples one run: give at most one rabi delta and one detuning eps")
-        if self.quick and self.grid_n == 40:
-            object.__setattr__(self, "grid_n", 10)
 
     @property
     def gate_time(self) -> float | None:
@@ -102,14 +104,13 @@ def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path: str | os.PathLike) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_mapping(json.load(fh))
-
-
-def apply_overrides(cfg: ExperimentConfig, overrides: Mapping[str, Any]) -> ExperimentConfig:
-    doc = dataclasses.asdict(cfg)
-    for key, val in overrides.items():
-        if val is not None:
-            doc[key] = val
+def load_config(path: str | os.PathLike | None, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
+    """The JSON document at ``path`` (None: no document) with each non-None
+    override replacing its key, constructed once, so that defaults which
+    depend on other keys (``grid_n`` under ``quick``) see only the keys given."""
+    doc = {}
+    if path is not None:
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return config_from_mapping(doc)

@@ -66,6 +66,11 @@ def required_steps(max_frequency_hz: float, duration: float, steps_per_period: i
     return max(16, int(math.ceil(steps_per_period * max_frequency_hz * duration)))
 
 
+def require_step_floor(steps_per_period: int) -> None:
+    if steps_per_period < STEPS_PER_PERIOD:
+        raise ValueError(f"steps_per_period {steps_per_period} is below the floor {STEPS_PER_PERIOD}")
+
+
 def _resolve_hamiltonian(h) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     if isinstance(h, TimeDependentHamiltonian):
         return h.matrices, h.max_frequency_hz
@@ -133,8 +138,7 @@ def _propagate(
     the n steps between consecutive ``nodes``; ``left`` marks the steps that
     end at a breakpoint or at T.
     """
-    if steps_per_period < STEPS_PER_PERIOD:
-        raise ValueError(f"steps_per_period {steps_per_period} is below the floor {STEPS_PER_PERIOD}")
+    require_step_floor(steps_per_period)
     batch, fmax = _resolve_hamiltonian(hamiltonian)
     floor = required_steps(fmax, duration)
     if steps is None:

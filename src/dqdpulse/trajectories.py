@@ -7,9 +7,12 @@ this module builds
 
 * the closed-form propagator U(t) = K(t) M_L M_R K(0)^dag, with M_L/M_R
   the left/right isoclinic factors, and
-* the matching generator H(t) = i dU/dt U^dag, whose off-diagonal
-  amplitudes Omega_ij are explicit trigonometric polynomials in the
-  azimuths and their first derivatives.
+* the matching generator H(t) = i dU/dt U^dag = i K Omega K^dag - diag(dvphi/dt).
+  The isoclinic factors commute, so Omega = dU_r/dt U_r^T = M_L(l) + M_R(r)
+  with l = dq/dt q^-1 and r = p^-1 dp/dt the quaternions' angular
+  velocities, each gamma' n + sin gamma cos gamma n' +- sin^2 gamma (n x n')
+  (+ left, - right) for q = (cos gamma, sin gamma n); the six amplitudes
+  Omega_ij are sums and differences of their components.
 
 It also solves the boundary-value constraints that turn an fSim(theta, xi)
 or B-gate target into physical control parameters (frame frequencies plus
@@ -93,111 +96,62 @@ class AzimuthTrajectory:
         return isoclinic_left(q) @ isoclinic_right(p)
 
 
-def parameterized_propagator(traj: AzimuthTrajectory, t: float, *, zero_tol: float = 1e-12) -> np.ndarray:
+def parameterized_propagator(traj: AzimuthTrajectory, t: float) -> np.ndarray:
     """Closed-form evolution operator K(t) M_L M_R K(0)^dag.
 
     Rejects trajectories violating gamma1(0) = gamma2(0) = 0, which is what
     guarantees U(0, 0) = I.
     """
     g10, g20 = traj.gamma1(0.0), traj.gamma2(0.0)
-    if abs(g10) > zero_tol or abs(g20) > zero_tol:
+    if abs(g10) > 1e-12 or abs(g20) > 1e-12:
         raise ValueError(
             f"trajectory must start at gamma1(0) = gamma2(0) = 0, got ({g10:.3e}, {g20:.3e})"
         )
     return traj.k_matrix(t) @ traj.rotation(t).astype(complex) @ traj.k_matrix(0.0).conj().T
 
 
-def coupling_amplitudes(traj: AzimuthTrajectory, t: float) -> dict[str, float]:
-    """The six generator amplitudes Omega_ij = (dU_r/dt U_r^T)_{ij}.
+def _angular_velocity(
+    gamma: TimeFunction, theta: TimeFunction, phi: TimeFunction, t: float, sign: float
+) -> tuple[float, float, float]:
+    """dq/dt q^-1 (``sign`` = +1) or q^-1 dq/dt (-1) for q = (cos gamma, sin gamma n(theta, phi)).
 
-    Written out as explicit trig polynomials in the azimuths; equal to the
-    numerically differentiated generator of :meth:`AzimuthTrajectory.rotation`
-    (covered by tests).
+    Summed in the orthonormal frame (n, e_theta, e_phi), where
+    n' = theta' e_theta + sin theta phi' e_phi and n x n' = theta' e_phi - sin theta phi' e_theta.
     """
-    g1, th1, ph1, g2, th2, ph2 = traj.azimuths(t)
-    dg1, dth1, dph1 = traj.gamma1.derivative(t), traj.theta1.derivative(t), traj.phi1.derivative(t)
-    dg2, dth2, dph2 = traj.gamma2.derivative(t), traj.theta2.derivative(t), traj.phi2.derivative(t)
+    g, th, ph = gamma(t), theta(t), phi(t)
+    dg, dth, dph = gamma.derivative(t), theta.derivative(t), phi.derivative(t)
+    sg, cg = math.sin(g), math.cos(g)
+    st, ct = math.sin(th), math.cos(th)
+    sp, cp = math.sin(ph), math.cos(ph)
+    a = sg * cg * dth - sign * sg * sg * st * dph  # along e_theta = (-st, ct cp, ct sp)
+    b = sg * cg * st * dph + sign * sg * sg * dth  # along e_phi = (0, -sp, cp)
+    radial = dg * st + a * ct  # in the (y, z) plane, along (cp, sp)
+    return dg * ct - a * st, radial * cp - b * sp, radial * sp + b * cp
 
-    s1, c1 = math.sin(g1), math.cos(g1)
-    s2, c2 = math.sin(g2), math.cos(g2)
-    st1, ct1 = math.sin(th1), math.cos(th1)
-    st2, ct2 = math.sin(th2), math.cos(th2)
-    sp1, cp1 = math.sin(ph1), math.cos(ph1)
-    sp2, cp2 = math.sin(ph2), math.cos(ph2)
 
-    o12 = (
-        s1 * st1 * (dth1 * c1 - dph1 * s1 * st1)
-        + s2 * st2 * (dth2 * c2 + dph2 * s2 * st2)
-        - dg1 * ct1
-        - dg2 * ct2
-    )
-    o13 = (
-        dth1 * s1 * (s1 * sp1 - c1 * ct1 * cp1)
-        - dth2 * s2 * (s2 * sp2 + c2 * ct2 * cp2)
-        - dg1 * st1 * cp1
-        - dg2 * st2 * cp2
-        + dph1 * s1 * st1 * (c1 * sp1 + s1 * ct1 * cp1)
-        + dph2 * s2 * st2 * (c2 * sp2 - s2 * ct2 * cp2)
-    )
-    o14 = (
-        -dth1 * s1 * (s1 * cp1 + c1 * ct1 * sp1)
-        + dth2 * s2 * (s2 * cp2 - c2 * ct2 * sp2)
-        - dg1 * st1 * sp1
-        - dg2 * st2 * sp2
-        - dph1 * s1 * st1 * (c1 * cp1 - s1 * ct1 * sp1)
-        - dph2 * s2 * st2 * (c2 * cp2 + s2 * ct2 * sp2)
-    )
-    o23 = (
-        -dth1 * s1 * (s1 * cp1 + c1 * ct1 * sp1)
-        - dth2 * s2 * (s2 * cp2 - c2 * ct2 * sp2)
-        - dg1 * st1 * sp1
-        + dg2 * st2 * sp2
-        - dph1 * s1 * st1 * (c1 * cp1 - s1 * ct1 * sp1)
-        + dph2 * s2 * st2 * (c2 * cp2 + s2 * ct2 * sp2)
-    )
-    o24 = (
-        -dth1 * s1 * (s1 * sp1 - c1 * ct1 * cp1)
-        - dth2 * s2 * (s2 * sp2 + c2 * ct2 * cp2)
-        + dg1 * st1 * cp1
-        - dg2 * st2 * cp2
-        - dph1 * s1 * st1 * (c1 * sp1 + s1 * ct1 * cp1)
-        + dph2 * s2 * st2 * (c2 * sp2 - s2 * ct2 * cp2)
-    )
-    o34 = (
-        s1 * st1 * (dth1 * c1 - dph1 * s1 * st1)
-        - s2 * st2 * (dth2 * c2 + dph2 * s2 * st2)
-        - dg1 * ct1
-        + dg2 * ct2
-    )
-    return {"o12": o12, "o13": o13, "o14": o14, "o23": o23, "o24": o24, "o34": o34}
+# Generator entry (row, column) of each amplitude.
+_PAIRS = {"o12": (0, 1), "o13": (0, 2), "o14": (0, 3), "o23": (1, 2), "o24": (1, 3), "o34": (2, 3)}
+
+
+def coupling_amplitudes(traj: AzimuthTrajectory, t: float) -> dict[str, float]:
+    """The six generator amplitudes Omega_ij = (dU_r/dt U_r^T)_{ij} = (M_L(l) + M_R(r))_{ij}."""
+    l1, l2, l3 = _angular_velocity(traj.gamma1, traj.theta1, traj.phi1, t, 1.0)
+    r1, r2, r3 = _angular_velocity(traj.gamma2, traj.theta2, traj.phi2, t, -1.0)
+    return {
+        "o12": -(l1 + r1), "o13": -(l2 + r2), "o14": -(l3 + r3),
+        "o23": r3 - l3, "o24": l2 - r2, "o34": r1 - l1,
+    }
 
 
 def parameterized_hamiltonian(traj: AzimuthTrajectory, t: float) -> np.ndarray:
-    """Generator i dU/dt U^dag of the parameterized evolution (hbar = 1).
-
-    Diagonal (0, -dvphi2, -dvphi3, -dvphi4); off-diagonals i Omega_ij times
-    the appropriate level-phase differences.
-    """
-    om = coupling_amplitudes(traj, t)
-    vp = traj.level_phases(t)
-    dvp2 = traj.vphi2.derivative(t)
-    dvp3 = traj.vphi3.derivative(t)
-    dvp4 = traj.vphi4.derivative(t)
-
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = 0.0
-    h[1, 1] = -dvp2
-    h[2, 2] = -dvp3
-    h[3, 3] = -dvp4
-    h[0, 1] = 1j * om["o12"] * np.exp(-1j * vp[1])
-    h[0, 2] = 1j * om["o13"] * np.exp(-1j * vp[2])
-    h[0, 3] = 1j * om["o14"] * np.exp(-1j * vp[3])
-    h[1, 2] = 1j * om["o23"] * np.exp(1j * (vp[1] - vp[2]))
-    h[1, 3] = 1j * om["o24"] * np.exp(1j * (vp[1] - vp[3]))
-    h[2, 3] = 1j * om["o34"] * np.exp(1j * (vp[2] - vp[3]))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            h[j, i] = np.conj(h[i, j])
+    """Generator i dU/dt U^dag = i K Omega K^dag - diag(dvphi/dt) (hbar = 1)."""
+    omega = np.zeros((4, 4))
+    for key, value in coupling_amplitudes(traj, t).items():
+        i, j = _PAIRS[key]
+        omega[i, j], omega[j, i] = value, -value
+    k = np.exp(1j * traj.level_phases(t))
+    h = 1j * k[:, None] * omega * k.conj()
+    h[1, 1], h[2, 2], h[3, 3] = -traj.vphi2.derivative(t), -traj.vphi3.derivative(t), -traj.vphi4.derivative(t)
     return h
 
 

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dqdpulse.cli as cli
 import dqdpulse.experiments as xp
 from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
-from dqdpulse.config import ExperimentConfig, apply_overrides, config_from_mapping, load_config
+from dqdpulse.config import ExperimentConfig, config_from_mapping, load_config
 from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import build_schedule
@@ -23,6 +24,19 @@ class TestConfig:
     def test_quick_downscales_grid(self):
         cfg = ExperimentConfig(quick=True)
         assert cfg.grid_n == 10
+
+    @pytest.mark.parametrize(
+        "flags, doc, grid_n",
+        [(["--quick", "--grid-n", "40"], None, 40), (["--quick"], None, 10), (["--quick"], {"grid_n": 40}, 40)],
+    )
+    def test_quick_grid_only_when_no_grid_given(self, flags, doc, grid_n, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synthesize", seen.append)
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        main(["synthesize", *flags])
+        assert seen[0].quick and seen[0].grid_n == grid_n
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -39,7 +53,7 @@ class TestConfig:
         path.write_text(json.dumps({"scheme": "fsim_poly", "n_reps": 3, "grid_n": 12}))
         cfg = load_config(path)
         assert cfg.scheme == "fsim_poly"
-        cfg2 = apply_overrides(cfg, {"grid_n": 5, "scheme": None})
+        cfg2 = load_config(path, {"grid_n": 5, "scheme": None})
         assert cfg2.grid_n == 5
         assert cfg2.scheme == "fsim_poly"
 
@@ -74,11 +88,12 @@ class TestCliRuns:
         assert not (tmp_path / "bad").exists()
 
     def test_steps_per_period_below_floor_is_a_one_line_error(self, tmp_path, capsys):
-        rc = main(["simulate", "--grid-n", "2", "--steps-per-period", "0", "--outdir", str(tmp_path)])
+        rc = main(["simulate", "--grid-n", "2", "--steps-per-period", "0", "--outdir", str(tmp_path / "bad")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("dqdpulse: error: ") and "below the floor" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("key", ["j_max_hz", "delta_e_z_hz"])
     def test_zero_device_constant_is_a_one_line_error(self, key, tmp_path, capsys):

@@ -69,39 +69,55 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
-def _names_read(tree: ast.Module) -> set[str]:
-    """Names, attributes and string constants read anywhere in a module, except
-    a top-level definition's reads of its own name (recursion is not a use)."""
+def _names_read(node: ast.AST) -> set[str]:
+    """Names, attributes and string constants read anywhere under ``node``,
+    except a definition's reads of its own name (recursion is not a use)."""
     read = set()
-    for stmt in tree.body:
-        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)  # getattr-style lookups, as in perfbench/tracing.py
-        read.discard(own)
+    for child in ast.iter_child_nodes(node):
+        read |= _names_read(child)
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            read.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            read.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            read.add(child.value)  # getattr-style lookups, as in perfbench/tracing.py
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        read.discard(node.name)
     return read
 
 
+def _public_definitions(tree: ast.Module) -> dict[str, str]:
+    """Reported name -> name read at a use, for the public top-level functions
+    and classes of a module and the public methods of its top-level classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    public = {}
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            public[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            public.update(
+                (f"{node.name}.{m.name}", m.name)
+                for m in node.body
+                if isinstance(m, defs[:2]) and not m.name.startswith("_")
+            )
+    return public
+
+
 def unreferenced_public_names(defining: list[str], readers: list[str]) -> list[str]:
-    """Public top-level functions and classes of the ``defining`` sources that
-    no source (defining or reader) reads outside their own definitions.
+    """Public top-level functions and classes, and public methods of top-level
+    classes, of the ``defining`` sources that no source (defining or reader)
+    reads outside their own definitions.  A method counts as read wherever an
+    attribute of its name is.
 
     Re-export lists such as ``__init__.py`` belong in neither argument:
     importing a name is not a use of it.
     """
     trees = [ast.parse(s) for s in defining]
-    public = {
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    public = {}
+    for tree in trees:
+        public.update(_public_definitions(tree))
     read = set().union(*(_names_read(t) for t in trees), *(_names_read(ast.parse(s)) for s in readers))
-    return sorted(public - read)
+    return sorted(name for name, used_as in public.items() if used_as not in read)
 
 
 def test_detector_flags_unreferenced_public_names():
@@ -115,6 +131,19 @@ def test_detector_flags_unreferenced_public_names():
     )
     reader = "import m\nfrom m import Dead\nm.caller()\ngetattr(m, 'looked_up')\n"
     assert unreferenced_public_names([module], [reader]) == ["Dead", "recursive"]
+
+
+def test_detector_flags_unread_public_methods():
+    module = (
+        "class Point:\n"
+        "    def norm(self):\n        return 1\n"
+        "    def normalized(self):\n        return self.normalized()\n"
+        "    def _private(self):\n        pass\n"
+        "    def __repr__(self):\n        return ''\n"
+        "    @property\n    def size(self):\n        return self.norm()\n"
+    )
+    reader = "from m import Point\nPoint().size\n"
+    assert unreferenced_public_names([module], [reader]) == ["Point.normalized"]
 
 
 def test_no_unreferenced_public_names():

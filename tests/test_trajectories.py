@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ def random_trajectory(seed):
         vphi3=trig_fn(rng),
         vphi4=trig_fn(rng),
     )
+
+
+def crossing_fn(rng):
+    """Random TimeFunction that passes through pi/2 at t = 1/2."""
+    wobble = trig_fn(rng, amplitude=0.1)
+    rate = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0)
+    offset = math.pi / 2.0 - wobble(0.5)
+    return TimeFunction(lambda t: offset + rate * (t - 0.5) + wobble(t), lambda t: rate + wobble.derivative(t))
 
 
 def fsim_trajectory(theta, xi, duration=T):
@@ -171,6 +180,23 @@ class TestHamiltonian:
                 h_fd = 1j * du @ parameterized_propagator(traj, t).conj().T
                 h = parameterized_hamiltonian(traj, t)
                 assert np.abs(h - h_fd).max() < 1e-6
+
+    def test_amplitudes_are_rotation_generator(self):
+        # the angular-velocity amplitudes against dU_r/dt U_r^T of the isoclinic
+        # matrix product, by a fourth-order central difference, where gamma
+        # crosses pi/2 and the sin^2 gamma cross term is largest
+        h = 5e-4
+        pairs = {"o12": (0, 1), "o13": (0, 2), "o14": (0, 3), "o23": (1, 2), "o24": (1, 3), "o34": (2, 3)}
+        for seed in range(5):
+            rng = np.random.default_rng(seed + 40)
+            traj = replace(random_trajectory(seed + 40), gamma1=crossing_fn(rng), gamma2=crossing_fn(rng))
+            assert traj.gamma1(0.5) == pytest.approx(math.pi / 2) and traj.gamma2(0.5) == pytest.approx(math.pi / 2)
+            for t in np.linspace(0.3, 0.7, 9):
+                r = traj.rotation
+                du = (r(t - 2 * h) - 8 * r(t - h) + 8 * r(t + h) - r(t + 2 * h)) / (12 * h)
+                omega = du @ r(t).T
+                om = coupling_amplitudes(traj, t)
+                assert max(abs(om[key] - omega[i, j]) for key, (i, j) in pairs.items()) < 1e-9
 
     def test_time_function_derivative_consistency(self):
         rng = np.random.default_rng(31)
