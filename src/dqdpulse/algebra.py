@@ -77,16 +77,17 @@ def _require_unit(q: Quaternion) -> Quaternion:
     return q
 
 
-def mat_exp_skew(h: np.ndarray, dt: float, tol: float = HERMITIAN_TOL * 100) -> np.ndarray:
+def mat_exp_skew(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i H dt) for Hermitian H, exact via eigendecomposition.
 
     The 4x4 generators here are always Hermitian, so the spectral form is
     both exact and unconditionally unitary.  Non-Hermitian input (beyond
-    ``tol`` in Frobenius norm) is rejected with the offending defect.
+    100 * HERMITIAN_TOL in Frobenius norm) is rejected with the offending
+    defect.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
-    require_hermitian(h, tol)
+    require_hermitian(h, HERMITIAN_TOL * 100)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 

@@ -78,19 +78,13 @@ class RunWriter:
         self.files.append({"path": name, "sha256": _sha256(path), "rows": count})
         return path
 
-    def finish(self, name: str = "manifest.json") -> str:
+    def finish(self) -> str:
         doc = {
             "config_hash": self.cfg.digest(),
             "runtime_s": round(time.time() - self.t0, 3),
             "files": self.files,
         }
-        path = os.path.join(self.outdir, name)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        return _atomic_write(os.path.join(self.outdir, "manifest.json"), [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _build_schedule(cfg: ExperimentConfig):
@@ -163,8 +157,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
     workers = cfg.resolved_workers()
+    writer = RunWriter(cfg.resolved_outdir(), cfg)
     log = xp.InvariantLog()
     if axis == "rabi":
         rows = xp.rabi_sweep(cfg.rabi_deltas or np.linspace(-0.1, 0.1, 11), scheme=cfg.scheme, grid_n=cfg.grid_n, log=log)
@@ -205,14 +199,14 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
 
 
 def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
     workers = cfg.resolved_workers()
+    writer = RunWriter(cfg.resolved_outdir(), cfg)
     log = xp.InvariantLog()
     if target == "table1":
         reports = xp.table1(quick=cfg.quick, workers=workers, log=log)
         writer.write_csv("table1.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     elif target == "fig1a":
-        rows = xp.amplitude_landscape("fsim_rect")
+        rows = xp.amplitude_landscape()
         writer.write_csv(
             "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad",
             ((r["theta_rad"], r["xi_rad"], r["abs_JT_max_rad"]) for r in rows),

@@ -57,6 +57,12 @@ class ExperimentConfig:
                 raise ValueError("gate parameters outside |theta| <= pi/2, |xi| <= pi")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError("every n_values entry must be >= 1")
+        if self.samples < 2:
+            raise ValueError("samples must be >= 2 (both ends of [0, T])")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         for d in self.rabi_deltas:
             if abs(d) > 0.5:
                 raise ValueError("rabi delta outside sane range")
@@ -80,7 +86,11 @@ class ExperimentConfig:
 
     def resolved_workers(self) -> int:
         env = os.environ.get("DQDPULSE_WORKERS")
-        return int(env) if env else self.workers
+        if not env:
+            return self.workers
+        if not env.strip().isdigit() or int(env) < 1:
+            raise ValueError(f"DQDPULSE_WORKERS must be an integer >= 1, got {env!r}")
+        return int(env)
 
     def to_json(self) -> str:
         doc = dataclasses.asdict(self)

@@ -259,13 +259,13 @@ def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
     return np.diag(rates)
 
 
-def _require_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _require_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("density matrix must be 4x4")
     if abs(np.trace(rho) - 1.0) > 1e-8 or np.linalg.norm(rho - rho.conj().T) > 1e-8:
         raise ValueError("initial state is not a valid density matrix (trace/Hermiticity)")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError("initial state is not positive semidefinite")
     return rho
 
@@ -300,22 +300,16 @@ def propagate_lindblad(
     steps: int | None = None,
     *,
     breakpoints: Sequence[float] = (),
-    steps_per_period: int = STEPS_PER_PERIOD,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
-    """Open-system evolution of one density matrix under projector dephasing.
+    """Open-system evolution of one density matrix under projector dephasing,
+    at the step floor unless ``steps`` is given.
 
     Trace deviation is reported, never silently renormalized.
     """
     rho0 = _require_density_matrix(rho0)
     res = lindblad_superoperator(
-        hamiltonian,
-        params,
-        duration,
-        steps,
-        breakpoints=breakpoints,
-        steps_per_period=steps_per_period,
-        sample_times=sample_times,
+        hamiltonian, params, duration, steps, breakpoints=breakpoints, sample_times=sample_times
     )
     rho_t = apply_superoperator(res.final, rho0)
     states = None

@@ -47,6 +47,7 @@ from .pulses import (
     bgate_rectangular,
     error_sensitivity,
     fsim_polynomial,
+    fsim_rectangular,
     polynomial_coefficients,
 )
 
@@ -269,15 +270,9 @@ def table1_entry(scheme: str, n_reps: int, *, quick: bool = False) -> FidelityRe
     return run_jobs([_table1_job(scheme, n_reps, quick)])[0]
 
 
-def table1(
-    *,
-    quick: bool = False,
-    n_values: Sequence[int] = tuple(range(1, 11)),
-    workers: int = 1,
-    log: InvariantLog | None = None,
-) -> list[FidelityReport]:
-    """Both fidelity-table rows (rectangular and optimal-parameter) over N."""
-    jobs = [_table1_job(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in n_values]
+def table1(*, quick: bool = False, workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
+    """Both fidelity-table rows (rectangular and optimal-parameter) over N = 1..10."""
+    jobs = [_table1_job(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)]
     return run_jobs(jobs, workers, log)
 
 
@@ -286,24 +281,13 @@ def table1(
 # ---------------------------------------------------------------------------
 
 
-def amplitude_landscape(
-    scheme: str = "fsim_rect",
-    theta_points: int = 21,
-    xi_points: int = 21,
-    eta: float = ETA_REF,
-) -> list[dict]:
-    """max |J T| over the gate-parameter rectangle |theta|<=pi/2, |xi|<=pi.
-
-    Singular members of a scheme's family are left out.
-    """
-    spec = scheme_spec(scheme)
+def amplitude_landscape() -> list[dict]:
+    """max |J T| of the rectangular scheme on a 21 x 21 grid of
+    0 <= theta <= pi/2, 0 <= xi <= pi."""
     rows = []
-    for theta in np.linspace(0.0, math.pi / 2.0, theta_points):
-        for xi in np.linspace(0.0, math.pi, xi_points):
-            try:
-                jt = 2.0 * spec.build(theta, xi, 1.0, 1, eta, DEFAULT_DEVICE).max_envelope()
-            except ValueError:
-                continue
+    for theta in np.linspace(0.0, math.pi / 2.0, 21):
+        for xi in np.linspace(0.0, math.pi, 21):
+            jt = 2.0 * fsim_rectangular(theta, xi, 1.0).max_envelope()
             rows.append({"theta_rad": float(theta), "xi_rad": float(xi), "abs_JT_max_rad": float(jt)})
     return rows
 
@@ -313,52 +297,40 @@ def amplitude_landscape(
 # ---------------------------------------------------------------------------
 
 
-def sensitivity_vs_eta(
-    eta_grid: Sequence[float] | None = None,
-    theta: float = THETA_REF,
-    xi: float = XI_REF,
-    n_reps: int = 1,
-) -> list[dict]:
+def sensitivity_vs_eta(eta_grid: Sequence[float] | None = None, n_reps: int = 1) -> list[dict]:
+    """q_s of the reference polynomial gate (theta = pi/4, xi = pi/2) over eta."""
     if eta_grid is None:
         eta_grid = np.linspace(-1.0, 1.0, 201)
     return [
-        {"eta": eta, "q_s": error_sensitivity(fsim_polynomial(theta, xi, POLY_GATE_TIME, n_reps, eta))}
-        for eta in _regular_etas(eta_grid, theta, xi)
+        {"eta": eta, "q_s": error_sensitivity(fsim_polynomial(THETA_REF, XI_REF, POLY_GATE_TIME, n_reps, eta))}
+        for eta in _regular_etas(eta_grid)
     ]
 
 
-def _regular_etas(eta_grid: Sequence[float], theta: float, xi: float) -> list[float]:
-    """The eta values of ``eta_grid`` that are not singular members of the family."""
+def _regular_etas(eta_grid: Sequence[float]) -> list[float]:
+    """The eta values of ``eta_grid`` that are not singular members of the
+    reference gate's family."""
     etas = []
     for eta in map(float, eta_grid):
         try:
-            polynomial_coefficients(theta, xi, 1, eta)
+            polynomial_coefficients(THETA_REF, XI_REF, 1, eta)
         except ValueError:
             continue
         etas.append(eta)
     return etas
 
 
-def fidelity_vs_eta(
-    eta_grid: Sequence[float] | None = None,
-    theta: float = THETA_REF,
-    xi: float = XI_REF,
-    n_reps: int = 1,
-    grid_n: int = 10,
-    workers: int = 1,
-    quick: bool = False,
-    log: InvariantLog | None = None,
-) -> list[dict]:
-    """Decohered pre-RWA fidelity over the eta family (100-state grid).
+def fidelity_vs_eta(workers: int = 1, quick: bool = False, log: InvariantLog | None = None) -> list[dict]:
+    """Decohered pre-RWA fidelity of the reference polynomial gate
+    (theta = pi/4, xi = pi/2, N = 1) at 41 eta values in [-1, 1], each on
+    the 100-state grid.
 
     Singular family members are dropped from the sweep.
     """
-    if eta_grid is None:
-        eta_grid = np.linspace(-1.0, 1.0, 41)
-    etas = _regular_etas(eta_grid, theta, xi)
-    schedule = dict(scheme="fsim_poly", theta=theta, xi=xi, duration=POLY_GATE_TIME, n_reps=n_reps)
+    etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
+    schedule = dict(scheme="fsim_poly", duration=POLY_GATE_TIME)
     report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
-    jobs = [({**schedule, "eta": eta}, (grid_n,), report) for eta in etas]
+    jobs = [({**schedule, "eta": eta}, (10,), report) for eta in etas]
     reports = run_jobs(jobs, workers, log)
     return [{"eta": eta, "fidelity": rep.fidelity} for eta, rep in zip(etas, reports)]
 
@@ -372,18 +344,18 @@ def rabi_sweep(
     deltas: Sequence[float],
     *,
     scheme: str = "fsim_rect",
-    n_reps: int = 1,
     grid_n: int = 40,
     log: InvariantLog | None = None,
 ) -> list[dict]:
-    """Closed-system RWA-frame fidelity against the analytic amplitude-error law.
+    """Closed-system RWA-frame fidelity of the N = 1 gate against the analytic
+    amplitude-error law.
 
     The law holds for the one-step fSim schemes only; others are rejected.
     """
     spec = scheme_spec(scheme)
     if not spec.one_step:
         raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
-    schedule = dict(scheme=scheme, duration=spec.reference_time, n_reps=n_reps)
+    schedule = dict(scheme=scheme, duration=spec.reference_time)
     jobs = [(schedule, (grid_n,), dict(rwa=True, decoherence=False, rabi_delta=float(d))) for d in deltas]
     return [
         {
@@ -454,24 +426,16 @@ def robustness_comparison(
 # ---------------------------------------------------------------------------
 
 
-def bgate_trajectory(
-    samples: int = 241,
-    duration: float = BGATE_GATE_TIME,
-    params: DeviceParams = DEFAULT_DEVICE,
-    steps_per_period: int = STEPS_PER_PERIOD_FULL,
-) -> tuple[np.ndarray, np.ndarray, EvolutionResult]:
-    """Pre-RWA closed-system evolution of PATH_STATE through the B gate.
+def bgate_trajectory() -> tuple[np.ndarray, np.ndarray, EvolutionResult]:
+    """Pre-RWA closed-system evolution of PATH_STATE through the B gate of the
+    default device at its 76 ns reference time, sampled at 241 times with 200
+    steps per period.
 
     Returns (times, density matrices along the path, full evolution result).
     """
-    schedule = bgate_rectangular(duration, params.e_z, params.delta_ez)
+    schedule = bgate_rectangular(BGATE_GATE_TIME, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
     res = gate_channel(
-        schedule,
-        rwa=False,
-        decoherence=False,
-        params=params,
-        steps_per_period=steps_per_period,
-        sample_times=np.linspace(0.0, duration, samples),
+        schedule, rwa=False, decoherence=False, sample_times=np.linspace(0.0, BGATE_GATE_TIME, 241)
     )
     return res.times, state_path(res), res
 

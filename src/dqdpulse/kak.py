@@ -276,7 +276,6 @@ def synthesize_via_b(
     *,
     restarts: int = 20,
     seed: int = 7,
-    tol: float = 1e-6,
 ) -> SynthesisResult:
     """Six single-qubit gates realizing A(c) as B-(locals)-B up to phase.
 
@@ -290,7 +289,7 @@ def synthesize_via_b(
     ``default_rng(seed)``; an r whose eigenbasis leaves Q off-diagonal
     above 1e-10 is redrawn, up to ``restarts`` draws (``restarts_used``).
     ``residual`` is the phase-aligned distance of the rebuilt circuit from
-    A(c), and ``converged`` is ``residual <= tol``.
+    A(c), and ``converged`` is ``residual <= 1e-6``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -337,6 +336,6 @@ def synthesize_via_b(
         residual=residual,
         angles=angles,
         beta=(beta1, beta2),
-        converged=bool(residual <= tol),
+        converged=bool(residual <= 1e-6),
         restarts_used=used,
     )

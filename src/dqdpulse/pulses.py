@@ -89,10 +89,9 @@ class PulseSchedule:
         ts = np.asarray(ts, dtype=float)
         idx = self._segment_index(np.atleast_1d(ts))
         out = np.empty(idx.shape, dtype=float)
-        for k, seg in enumerate(self.segments):
+        for k in np.flatnonzero(np.bincount(idx)):  # np.unique would import numpy.ma (1.7 MB)
             sel = idx == k
-            if np.any(sel):
-                out[sel] = seg.envelope(np.atleast_1d(ts)[sel])
+            out[sel] = self.segments[k].envelope(np.atleast_1d(ts)[sel])
         return out.reshape(np.shape(ts)) if np.shape(ts) else float(out[0])
 
     def _per_segment(self, ts: np.ndarray, *fields: str) -> tuple[np.ndarray, ...]:
@@ -114,19 +113,20 @@ class PulseSchedule:
         out = 2.0 * j * np.cos(om * np.atleast_1d(ts) + ps)
         return out.reshape(np.shape(ts)) if np.shape(ts) else float(out[0])
 
-    def max_envelope(self, samples_per_segment: int = 2001) -> float:
-        """max_t |j(t)| over a dense per-segment sampling."""
+    def max_envelope(self) -> float:
+        """max_t |j(t)| over 2001 samples per segment."""
         peak = 0.0
         for seg in self.segments:
-            ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
+            ts = np.linspace(seg.t_start, seg.t_end, 2001)
             peak = max(peak, float(np.max(np.abs(seg.envelope(ts)))))
         return peak
 
-    def max_exchange(self, samples_per_segment: int = 4001) -> float:
-        """max_t |J(t)|; for these carriers this equals 2 max|j| on a dense grid."""
+    def max_exchange(self) -> float:
+        """max_t |J(t)| over 4001 samples per segment; for these carriers this
+        equals 2 max|j|."""
         peak = 0.0
         for seg in self.segments:
-            ts = np.linspace(seg.t_start, seg.t_end, samples_per_segment)
+            ts = np.linspace(seg.t_start, seg.t_end, 4001)
             peak = max(peak, float(np.max(np.abs(2.0 * seg.envelope(ts) * np.cos(seg.carrier_omega * ts + seg.carrier_phase)))))
         return peak
 
@@ -147,12 +147,12 @@ class PulseSchedule:
         weight: Callable[[np.ndarray], np.ndarray] | None = None,
         t_start: float = 0.0,
         t_end: float | None = None,
-        panels: int = 20_000,
     ) -> float:
         """Simpson quadrature of j(t) * weight(t), split exactly at segments.
 
         Each sub-interval samples its own segment's closed-form envelope, so
-        discontinuities at the boundaries cost nothing.
+        discontinuities at the boundaries cost nothing.  The 20,000-panel
+        budget of [0, T] is shared in proportion to length.
         """
         t_end = self.duration if t_end is None else t_end
         total = 0.0
@@ -165,30 +165,27 @@ class PulseSchedule:
                 f = seg.envelope
             else:
                 f = lambda ts, _seg=seg: _seg.envelope(ts) * weight(ts)
-            total += complex(simpson_integrate(f, lo, hi, panels=max(64, int(panels * (hi - lo) / self.duration)))).real
+            total += complex(simpson_integrate(f, lo, hi, panels=max(64, int(20_000 * (hi - lo) / self.duration)))).real
         return total
 
-    def integrate_exchange(self, t_start: float = 0.0, t_end: float | None = None, panels: int = 40_000) -> float:
-        """Simpson quadrature of the full pulse J(t) = 2 j cos(wt + psi)."""
-        t_end = self.duration if t_end is None else t_end
+    def integrate_exchange(self) -> float:
+        """Simpson quadrature of the full pulse J(t) = 2 j cos(wt + psi) over
+        [0, T], 40,000 panels shared by the segments in proportion to length."""
         total = 0.0
         for seg in self.segments:
-            lo = max(t_start, seg.t_start)
-            hi = min(t_end, seg.t_end)
-            if hi <= lo:
-                continue
             f = lambda ts, _s=seg: 2.0 * _s.envelope(ts) * np.cos(_s.carrier_omega * ts + _s.carrier_phase)
-            total += complex(simpson_integrate(f, lo, hi, panels=max(64, int(panels * (hi - lo) / self.duration)))).real
+            panels = max(64, int(40_000 * (seg.t_end - seg.t_start) / self.duration))
+            total += complex(simpson_integrate(f, seg.t_start, seg.t_end, panels=panels)).real
         return total
 
-    def check_constraints(self, panels: int = 20_000) -> dict[str, float]:
+    def check_constraints(self) -> dict[str, float]:
         """Evaluate every defining integral by Simpson quadrature.
 
         Returns {label: |integral - target|}.
         """
         residuals: dict[str, float] = {}
         for c in self.controls.constraints:
-            val = self.integrate_envelope(c.weight, c.t_start, c.t_end, panels)
+            val = self.integrate_envelope(c.weight, c.t_start, c.t_end)
             residuals[c.label] = abs(val - c.target)
         return residuals
 
@@ -283,7 +280,6 @@ def fsim_polynomial(
     eta: float = -1.0 / 3.0,
     *,
     repeat: bool = True,
-    shifted: bool = False,
 ) -> PulseSchedule:
     """Smooth degree-6 polynomial envelope with tunable parameter eta.
 
@@ -293,7 +289,7 @@ def fsim_polynomial(
     single-pulse variant (``repeat=False``) instead recomputes beta against
     the cos(2 N pi t / T) moment, at the cost of a much larger amplitude.
     """
-    controls = solve_fsim_controls(theta, xi, duration, n_reps, shifted=shifted)
+    controls = solve_fsim_controls(theta, xi, duration, n_reps)
     omega = controls.delta_ez
     if repeat:
         alpha_hat, beta = polynomial_coefficients(theta, xi, 1, eta)
@@ -355,9 +351,9 @@ def fsim_geometric(theta: float, xi: float, duration: float) -> PulseSchedule:
         for k, (j, psi) in enumerate(layout)
     )
     constraints = (
-        IntegralConstraint("leg1_area", math.pi / 2.0, "plain", t_start=0.0, t_end=quarter),
-        IntegralConstraint("leg2_area", math.pi, "plain", t_start=quarter, t_end=3 * quarter),
-        IntegralConstraint("leg3_area", math.pi / 2.0, "plain", t_start=3 * quarter, t_end=duration),
+        IntegralConstraint("leg1_area", math.pi / 2.0, t_start=0.0, t_end=quarter),
+        IntegralConstraint("leg2_area", math.pi, t_start=quarter, t_end=3 * quarter),
+        IntegralConstraint("leg3_area", math.pi / 2.0, t_start=3 * quarter, t_end=duration),
     )
     controls = PhysicalControls(
         scheme="fsim_geometric",
@@ -404,8 +400,8 @@ def bgate_rectangular(duration: float, e_z: float, delta_ez: float) -> PulseSche
         ),
     )
     constraints = (
-        IntegralConstraint("b1_area", -math.pi, "plain", t_start=0.0, t_end=switch),
-        IntegralConstraint("b2_area", -math.pi / 2.0, "plain", t_start=switch, t_end=duration),
+        IntegralConstraint("b1_area", -math.pi, t_start=0.0, t_end=switch),
+        IntegralConstraint("b2_area", -math.pi / 2.0, t_start=switch, t_end=duration),
     )
     controls = PhysicalControls(
         scheme="bgate",
@@ -436,15 +432,16 @@ def bgate_rectangular(duration: float, e_z: float, delta_ez: float) -> PulseSche
 # ---------------------------------------------------------------------------
 
 
-def error_sensitivity(schedule: PulseSchedule, delta_ez: float | None = None, *, oversample: int = 1) -> float:
+def error_sensitivity(schedule: PulseSchedule, *, oversample: int = 1) -> float:
     """Second-order sensitivity q_s to the counter-rotating residue.
 
     q_s = | integral_0^T exp(-2 i theta(t)) j(t) sin(2 delta_Ez t) (i/2) dt |^2
-    with theta(t) the accumulated envelope area.  Quadrature resolves both
-    the carrier and the envelope, with segment edges as breakpoints;
-    ``oversample`` multiplies the node density (used by convergence checks).
+    with theta(t) the accumulated envelope area and delta_Ez the schedule's
+    own carrier.  Quadrature resolves both the carrier and the envelope, with
+    segment edges as breakpoints; ``oversample`` multiplies the node density
+    (used by convergence checks).
     """
-    w = schedule.controls.delta_ez if delta_ez is None else delta_ez
+    w = schedule.controls.delta_ez
     total = 0.0 + 0.0j
     theta_acc = 0.0
     periods = max(1.0, w * schedule.duration / TWO_PI)

@@ -52,8 +52,8 @@ def const(c: float) -> TimeFunction:
     return TimeFunction(lambda t: c, lambda t: 0.0)
 
 
-def linear(rate: float, offset: float = 0.0) -> TimeFunction:
-    return TimeFunction(lambda t: offset + rate * t, lambda t: rate)
+def linear(rate: float) -> TimeFunction:
+    return TimeFunction(lambda t: rate * t, lambda t: rate)
 
 
 @dataclass(frozen=True)
@@ -205,26 +205,18 @@ class GateTarget:
 
 @dataclass(frozen=True)
 class IntegralConstraint:
-    """A required value of integral_0^T j(t) w(t) dt on the exchange envelope.
-
-    ``kind`` selects the weight: "plain" (w = 1) or "cosine"
-    (w = cos(omega t + phase)).
+    """A required value of the integral of j(t) cos(omega t) over [t_start, t_end]
+    on the exchange envelope; omega = 0 (cos 0 = 1 exactly) is the plain area.
     """
 
     label: str
     target: float
-    kind: str = "plain"
     omega: float = 0.0
-    phase: float = 0.0
     t_start: float = 0.0
     t_end: float | None = None  # None means the schedule duration
 
     def weight(self, ts: np.ndarray) -> np.ndarray:
-        if self.kind == "plain":
-            return np.ones_like(ts)
-        if self.kind == "cosine":
-            return np.cos(self.omega * ts + self.phase)
-        raise ValueError(f"unknown constraint kind {self.kind!r}")
+        return np.cos(self.omega * ts)
 
 
 @dataclass(frozen=True)
@@ -243,7 +235,6 @@ class PhysicalControls:
     target: GateTarget
     theta_shifted: bool = False  # Eq.-24-style completion: effective gate fSim(theta+pi, xi)
     drive_amp: float = 0.0  # B_y^1 (rad/s), B-gate schemes only
-    drive_omega: float = 0.0
     drive_phase: float = 0.0
 
     def effective_target(self) -> np.ndarray:
@@ -270,8 +261,8 @@ def solve_fsim_controls(
     omega = 2.0 * n_reps * math.pi / duration
     e_z = xi / (2.0 * duration) + (math.pi / duration if shifted else 0.0)
     constraints = (
-        IntegralConstraint("area", 2.0 * theta, "plain"),
-        IntegralConstraint("cosine_moment", -xi / 2.0, "cosine", omega=omega),
+        IntegralConstraint("area", 2.0 * theta),
+        IntegralConstraint("cosine_moment", -xi / 2.0, omega=omega),
     )
     return PhysicalControls(
         scheme="fsim",
@@ -316,7 +307,7 @@ def solve_bgate_controls(
         j_level = -4.0 * gamma / duration
     drive_amp = j_level * cot / 4.0
     target = GateTarget("b1" if kind == "B1" else "b2", duration, gamma=gamma)
-    constraints = (IntegralConstraint("area", -4.0 * gamma, "plain"),)
+    constraints = (IntegralConstraint("area", -4.0 * gamma),)
     return PhysicalControls(
         scheme="bgate",
         duration=duration,
@@ -325,6 +316,5 @@ def solve_bgate_controls(
         constraints=constraints,
         target=target,
         drive_amp=drive_amp,
-        drive_omega=omega2,
         drive_phase=math.pi / 2.0 if kind == "B1" else 0.0,
     )

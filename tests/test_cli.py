@@ -95,6 +95,36 @@ class TestCliRuns:
         assert err.count("\n") == 1
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize(
+        "argv, workers_env",
+        [
+            (["simulate", "--grid-n", "2", "--trajectory", "--samples", "0"], None),
+            (["simulate", "--grid-n", "2", "--trajectory", "--samples", "-3"], None),
+            (["synthesize", "--samples", "0"], None),
+            (["synthesize", "--samples", "1"], None),
+            (["sweep", "detuning", "--quick", "--workers", "-2"], None),
+            (["sweep", "detuning", "--quick", "--n-values", "0"], None),
+            (["sweep", "detuning", "--quick", "--n-values", "1", "-1"], None),
+            (["reproduce", "fig4c"], "0"),
+            (["reproduce", "fig4c"], "two"),
+            (["sweep", "phase", "--quick"], "-1"),
+        ],
+        ids=[
+            "simulate-samples-0", "simulate-samples-negative", "synthesize-samples-0", "synthesize-samples-1",
+            "workers-negative", "n-values-0", "n-values-negative", "env-workers-0", "env-workers-text",
+            "env-workers-negative",
+        ],
+    )
+    def test_invalid_run_size_is_a_one_line_error(self, argv, workers_env, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DQDPULSE_OUTDIR", raising=False)
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        if workers_env is not None:
+            monkeypatch.setenv("DQDPULSE_WORKERS", workers_env)
+        assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("key", ["j_max_hz", "delta_e_z_hz"])
     def test_zero_device_constant_is_a_one_line_error(self, key, tmp_path, capsys):
         device = tmp_path / "device.json"

@@ -152,6 +152,115 @@ def test_no_unreferenced_public_names():
     assert unreferenced_public_names([p.read_text() for p in MODULES], readers) == []
 
 
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _options(tree: ast.Module) -> list[tuple[str, str, str, int | None, bool]]:
+    """(reported name, callee name, parameter or field name, call position,
+    is a field) of every defaulted parameter of every function and method and
+    every defaulted dataclass field; the position is None for keyword-only
+    parameters and does not count ``self``."""
+    found = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    fields = [s for s in child.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    found.extend(
+                        (f"{child.name}.{s.target.id}", child.name, s.target.id, i, True)
+                        for i, s in enumerate(fields)
+                        if s.value is not None
+                    )
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{cls.name}.{child.name}" if cls else child.name
+                callee = cls.name if cls and child.name == "__init__" else child.name
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                skip = 1 if cls else 0  # self
+                found.extend((f"{qual}({p.arg})", callee, p.arg, i - skip, False) for i, p in enumerate(positional) if i >= first)
+                found.extend(
+                    (f"{qual}({p.arg})", callee, p.arg, None, False)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None
+                )
+                visit(child, None)  # a function nested in a method is not a method
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def unset_options(defining: list[str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods of the ``defining``
+    sources, and defaulted fields of their dataclasses, that no call in any
+    source (defining or caller) passes, by keyword or by position.
+
+    Calls are matched by bare callee name (a class name for ``__init__`` and
+    for fields), so a name collision can hide an unset option but never
+    reports a set one.  A call of the name with ``*`` or ``**`` arguments
+    passes everything, and ``replace(obj, name=...)`` passes every field
+    called ``name``.
+    """
+    trees = [ast.parse(s) for s in defining]
+    keywords, positions, everything = set(), set(), set()
+    for call in (n for t in [*trees, *map(ast.parse, callers)] for n in ast.walk(t) if isinstance(n, ast.Call)):
+        name = _callee(call)
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            everything.add(name)
+        keywords.update((name, k.arg) for k in call.keywords if k.arg)
+        positions.update((name, i) for i in range(len(call.args)))
+    unset = []
+    for tree in trees:
+        for reported, callee, name, position, field in _options(tree):
+            passed = callee in everything or (callee, name) in keywords or (callee, position) in positions
+            if field:
+                passed = passed or "replace" in everything or ("replace", name) in keywords
+            if not passed:
+                unset.append(reported)
+    return sorted(unset)
+
+
+def test_detector_flags_unset_options():
+    module = (
+        "from dataclasses import dataclass, replace\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return g(a)\n"
+        "def g(x, y=0):\n    return x\n"
+        "def h(x=0):\n    return x\n"
+        "class Writer:\n"
+        "    def __init__(self, path, mode='w'):\n        self.path = path\n"
+        "    def write(self, text, end='\\n'):\n        return text\n"
+        "@dataclass\n"
+        "class Point:\n    x: float\n    y: float = 0.0\n    z: float = 0.0\n    w: float = 0.0\n"
+    )
+    caller = (
+        "f(1, 2, e=5)\nh(*args)\nWriter('p').write('t', '')\n"
+        "p = Point(1.0, 2.0)\nreplace(p, w=1.0)\n"
+    )
+    assert unset_options([module], [caller]) == [
+        "Point.z", "Writer.__init__(mode)", "f(c)", "f(d)", "g(y)",
+    ]
+
+
+def test_every_option_has_a_caller():
+    root = Path(dqdpulse.__file__).resolve().parent.parent.parent
+    callers = [p.read_text() for d in ("tests", "scripts", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert unset_options([p.read_text() for p in MODULES], callers) == []
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must import without it
     env = dict(os.environ, PYTHONPATH=str(Path(dqdpulse.__file__).parent.parent))
