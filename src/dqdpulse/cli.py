@@ -156,6 +156,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0 if log.ok else 1
 
 
+# The flags each sweep reads besides --config and --outdir (--quick through
+# grid_n's default); a sweep rejects any other flag rather than ignore it.
+SWEEP_FLAGS = {
+    "rabi": {"scheme", "grid_n", "quick", "rabi_deltas"},
+    "detuning": {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
+    "eta": set(),
+    "phase": {"grid_n", "quick", "workers", "n_values"},
+}
+
+
 def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
     workers = cfg.resolved_workers()
     writer = RunWriter(cfg.resolved_outdir(), cfg)
@@ -259,6 +269,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "target", "axis", "func")}
+    if args.command == "sweep":
+        reads = SWEEP_FLAGS[args.axis] | {"outdir"}
+        unread = sorted(k for k, v in overrides.items() if v is not None and k not in reads)
+        if unread:
+            flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+            raise ValueError(f"sweep {args.axis} does not read {flags}")
     return load_config(args.config, overrides)
 
 

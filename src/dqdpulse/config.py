@@ -82,7 +82,8 @@ class ExperimentConfig:
         return DEFAULT_DEVICE
 
     def resolved_outdir(self) -> str:
-        return os.environ.get("DQDPULSE_OUTDIR", self.outdir)
+        # an empty DQDPULSE_OUTDIR is unset, as for DQDPULSE_WORKERS
+        return os.environ.get("DQDPULSE_OUTDIR") or self.outdir
 
     def resolved_workers(self) -> int:
         env = os.environ.get("DQDPULSE_WORKERS")

@@ -13,6 +13,20 @@ running product at every sample time.  Only the per-step factor differs:
   I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's taken at the identity.
   One superoperator serves a whole 1600-state fidelity grid.
 
+A schedule that repeats every T/N (an N-fold fSim gate: its envelope
+repeats, and every frame frequency is a multiple of 2 pi N / T) has the
+one-period (monodromy) propagator of Shirley, Phys. Rev. 138, B979 (1965):
+U(T) = U(T/N)^N, and likewise S(T) = S(T/N)^N for the superoperator, since
+the dissipator is constant.  Given ``repetitions`` = N, the driver steps
+through [0, T/N] alone, with that repetition's breakpoints and step budget,
+and raises the product to the N-th power by repeated squaring.  The
+budget of one repetition is an N-th of the whole gate's, so where the
+grid of [0, T] is N copies of the one-repetition grid, the power matches
+the full walk to rounding at an N-th of the steps.  The caller vouches
+that H(t) repeats.  A run with sample times needs the states between
+repetitions, so it steps through all of them and takes no repetition
+count.
+
 Step budgets are guarded by a Nyquist-style floor: dt <= 1/(50 f_max)
 with f_max the fastest frequency present (twice the carrier for
 counter-rotating residues).  Requests below the floor, as a step count or
@@ -43,6 +57,8 @@ _LEFT_LIMIT = 1e-9
 
 # A sample time this fraction of the local step from a node is that node;
 # merged as a node of its own, a rounding-level miss adds a degenerate step.
+# A budget this fraction above a whole step count is that count: spp f T
+# lands a rounding error above an integer for whole-period durations.
 _SNAP = 1e-9
 
 
@@ -51,7 +67,8 @@ class EvolutionResult:
     """Outcome of one propagation."""
 
     final: np.ndarray  # propagator (closed) or density matrix (open)
-    steps: int
+    steps: int  # steps integrated: those of one repetition when raised to a power
+    repetitions: int = 1
     times: np.ndarray | None = None
     states: np.ndarray | None = None  # sampled propagators / density matrices
     unitarity_defect: float = 0.0
@@ -63,7 +80,7 @@ def required_steps(max_frequency_hz: float, duration: float, steps_per_period: i
     """Step floor resolving the fastest oscillation present."""
     if max_frequency_hz <= 0.0:
         return 16
-    return max(16, int(math.ceil(steps_per_period * max_frequency_hz * duration)))
+    return max(16, int(math.ceil(steps_per_period * max_frequency_hz * duration * (1.0 - _SNAP))))
 
 
 def require_step_floor(steps_per_period: int) -> None:
@@ -129,29 +146,37 @@ def _propagate(
     breakpoints: Sequence[float],
     sample_times: Sequence[float] | None,
     steps_per_period: int,
+    repetitions: int,
     step_factors: Callable[..., np.ndarray],
     dim: int,
 ) -> EvolutionResult:
-    """Ordered product of per-step factors over [0, duration], chunk by chunk.
+    """Ordered product of per-step factors over one repetition, chunk by
+    chunk, raised to the ``repetitions``-th power.
 
+    ``steps`` budgets one repetition, [0, duration / repetitions].
     ``step_factors(batch, nodes, left)`` returns the (n, dim, dim) factors of
     the n steps between consecutive ``nodes``; ``left`` marks the steps that
-    end at a breakpoint or at T.
+    end at a breakpoint or at the end of the repetition.
     """
     require_step_floor(steps_per_period)
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if repetitions > 1 and sample_times is not None:
+        raise ValueError("sample times need every repetition stepped through; give no repetition count with them")
+    period = duration / repetitions
     batch, fmax = _resolve_hamiltonian(hamiltonian)
-    floor = required_steps(fmax, duration)
+    floor = required_steps(fmax, period)
     if steps is None:
-        steps = required_steps(fmax, duration, steps_per_period)
+        steps = required_steps(fmax, period, steps_per_period)
     elif steps < floor:
         raise ValueError(
             f"step budget {steps} is below the Nyquist-style floor {floor} "
-            f"for f_max = {fmax:.3e} Hz over {duration:.3e} s"
+            f"for f_max = {fmax:.3e} Hz over {period:.3e} s"
         )
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
     if times is not None and (times.min(initial=0.0) < 0.0 or times.max(initial=0.0) > duration):
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
-    nodes, left, marks = _step_grid(duration, steps, breakpoints, times)
+    nodes, left, marks = _step_grid(period, steps, breakpoints, times)
     n = nodes.size - 1
     chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
 
@@ -166,7 +191,8 @@ def _propagate(
             snapshots[m] = state
             start = m
     states = None if times is None else np.stack([snapshots[m] for m in marks])
-    return EvolutionResult(final=state, steps=n, times=times, states=states)
+    final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
+    return EvolutionResult(final=final, steps=n, repetitions=repetitions, times=times, states=states)
 
 
 def _unitary_factors(batch, nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -182,14 +208,19 @@ def propagate_unitary(
     breakpoints: Sequence[float] = (),
     sample_times: Sequence[float] | None = None,
     steps_per_period: int = STEPS_PER_PERIOD,
+    repetitions: int = 1,
 ) -> EvolutionResult:
     """Time-ordered propagator over [0, duration].
 
     ``hamiltonian`` is H(t) (callable, or a TimeDependentHamiltonian whose
     batch evaluator and frequency bound are used).  With ``sample_times``
-    the intermediate propagators U(t_k, 0) are recorded as well.
+    the intermediate propagators U(t_k, 0) are recorded as well.  With
+    ``repetitions`` = N, H(t) repeats every duration / N: one repetition is
+    integrated, on ``steps`` steps, and raised to the N-th power.
     """
-    res = _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, _unitary_factors, 4)
+    res = _propagate(
+        hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, _unitary_factors, 4
+    )
     return replace(res, unitarity_defect=unitarity_defect(res.final))
 
 
@@ -279,13 +310,15 @@ def lindblad_superoperator(
     breakpoints: Sequence[float] = (),
     steps_per_period: int = STEPS_PER_PERIOD,
     sample_times: Sequence[float] | None = None,
+    repetitions: int = 1,
 ) -> EvolutionResult:
     """RK4-integrated propagation superoperator S with vec(rho_T) = S vec(rho_0).
 
-    One integration serves any number of initial states.
+    One integration serves any number of initial states.  ``repetitions``
+    is as for :func:`propagate_unitary`.
     """
     rk4 = partial(_rk4_factors, diss=dephasing_dissipator(params))
-    return _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, rk4, 16)
+    return _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, rk4, 16)
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

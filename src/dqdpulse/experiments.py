@@ -140,14 +140,21 @@ def gate_channel(
 
     ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
     superoperator; with ``sample_times``, ``states`` holds the same run's
-    propagators or superoperators at those times.
+    propagators or superoperators at those times.  Without sample times a
+    repeating schedule is propagated over one repetition and raised to the
+    power of its repetition count.
     """
     if rabi_delta:
         schedule = apply_rabi_error(schedule, rabi_delta)
     if detuning_eps:
         schedule = apply_detuning_error(schedule, detuning_eps)
     h = frame_hamiltonian(schedule, rwa)
-    stepping = dict(breakpoints=schedule.breakpoints, steps_per_period=steps_per_period, sample_times=sample_times)
+    stepping = dict(
+        breakpoints=schedule.breakpoints,
+        steps_per_period=steps_per_period,
+        sample_times=sample_times,
+        repetitions=schedule.repetitions if sample_times is None else 1,
+    )
     if decoherence:
         return lindblad_superoperator(h, params, schedule.duration, **stepping)
     return propagate_unitary(h, schedule.duration, **stepping)

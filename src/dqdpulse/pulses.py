@@ -10,7 +10,10 @@ exactly rather than smoothed.
 
 The N-repetition rule compresses the base envelope N-fold in time and
 repeats it, leaving amplitudes unchanged; the defining integrals are
-preserved because each repetition spans a whole carrier period.
+preserved because each repetition spans a whole carrier period.  A
+schedule built that way records N as its ``repetitions`` count, which
+its constructor checks against the segments, so the propagators may
+integrate one repetition and raise it to the N-th power.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .trajectories import (
 )
 
 Envelope = Callable[[np.ndarray], np.ndarray]
+
+# per-segment fields every repetition shares
+_CARRIER_FIELDS = ("carrier_omega", "carrier_phase", "drive_amp", "drive_omega", "drive_phase")
 
 
 def _const_envelope(level: float) -> Envelope:
@@ -62,6 +68,10 @@ class PulseSchedule:
     rabi_delta: float = 0.0
     detuning_eps: float = 0.0
     meta: Mapping[str, float] = field(default_factory=dict)
+    # N when the controls repeat every T/N: segment k m + i is segment i
+    # shifted by k T/N, with the same carriers, each a whole number of turns
+    # per repetition.  Rabi and detuning errors keep the count.
+    repetitions: int = 1
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -75,6 +85,40 @@ class PulseSchedule:
             t = seg.t_end
         if not math.isclose(t, self.duration, rel_tol=1e-12):
             raise ValueError("segments must end exactly at the schedule duration")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if self.repetitions > 1:
+            self._check_repetitions()
+
+    def _check_repetitions(self) -> None:
+        """Reject a repetition count that the segments contradict."""
+        n, period = self.repetitions, self.period
+        if len(self.segments) % n:
+            raise ValueError(f"{len(self.segments)} segments do not split into {n} repetitions")
+        per_rep = len(self.segments) // n
+        tol = 1e-12 * self.duration
+        for i, seg in enumerate(self.segments[per_rep:], start=per_rep):
+            base, shift = self.segments[i % per_rep], (i // per_rep) * period
+            if abs(seg.t_start - shift - base.t_start) > tol or abs(seg.t_end - shift - base.t_end) > tol:
+                raise ValueError(f"segment {i} does not start and end one repetition after segment {i % per_rep}")
+            if any(getattr(seg, f) != getattr(base, f) for f in _CARRIER_FIELDS):
+                raise ValueError(f"segment {i} has other carrier or drive fields than segment {i % per_rep}")
+            ts = np.linspace(base.t_start, base.t_end, 3)
+            ref = base.envelope(ts)
+            if np.abs(seg.envelope(ts + shift) - ref).max() > 1e-9 * np.abs(ref).max():
+                raise ValueError(f"segment {i} envelope is not segment {i % per_rep}'s shifted by a repetition")
+        for seg in self.segments[:per_rep]:
+            for omega in (seg.carrier_omega, seg.drive_omega if seg.drive_amp else 0.0):
+                turns = omega * period / TWO_PI
+                if not math.isclose(turns, round(turns), rel_tol=1e-12, abs_tol=1e-12):
+                    raise ValueError(
+                        f"carrier {omega:.6e} rad/s makes {turns:.12g} turns per repetition, not a whole number"
+                    )
+
+    @property
+    def period(self) -> float:
+        """Length T/N of one repetition."""
+        return self.duration / self.repetitions
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -222,6 +266,7 @@ def fsim_rectangular(
         scheme="fsim_rect",
         controls=controls,
         meta={"theta": theta, "xi": xi, "n_reps": n_reps, "j_lo": lo, "j_hi": hi},
+        repetitions=n_reps,
     )
 
 
@@ -316,6 +361,7 @@ def fsim_polynomial(
             "alpha_hat": alpha_hat,
             "beta": beta,
         },
+        repetitions=n_reps if repeat else 1,
     )
 
 

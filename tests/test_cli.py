@@ -125,6 +125,31 @@ class TestCliRuns:
         assert err.startswith("dqdpulse: error: ") and err.count("\n") == 1
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "rabi", "--n-reps", "3"], "--n-reps"),
+            (["sweep", "rabi", "--workers", "2", "--steps-per-period", "100"], "--steps-per-period, --workers"),
+            (["sweep", "eta", "--theta", "0.5"], "--theta"),
+            (["sweep", "eta", "--grid-n", "2", "--quick"], "--grid-n, --quick"),
+            (["sweep", "detuning", "--scheme", "fsim_rect"], "--scheme"),
+            (["sweep", "phase", "--rabi-deltas", "0.05"], "--rabi-deltas"),
+        ],
+        ids=["rabi-n-reps", "rabi-workers-steps", "eta-theta", "eta-grid", "detuning-scheme", "phase-rabi-deltas"],
+    )
+    def test_sweep_rejects_flags_it_does_not_read(self, argv, flag, tmp_path, capsys):
+        assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dqdpulse: error: sweep {argv[1]} does not read {flag}\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_empty_outdir_variable_is_unset(self, tmp_path, monkeypatch, capsys):
+        # DQDPULSE_OUTDIR= dqdpulse synthesize --samples 5
+        monkeypatch.setenv("DQDPULSE_OUTDIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["synthesize", "--samples", "5"]) == 0
+        assert len((tmp_path / "out" / "schedule_fsim_rect.csv").read_text().splitlines()) == 6
+
     @pytest.mark.parametrize("key", ["j_max_hz", "delta_e_z_hz"])
     def test_zero_device_constant_is_a_one_line_error(self, key, tmp_path, capsys):
         device = tmp_path / "device.json"

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from dqdpulse.dynamics import (
     propagate_unitary,
     required_steps,
 )
-from dqdpulse.experiments import build_schedule
-from dqdpulse.pulses import apply_rabi_error, fsim_rectangular
+from dqdpulse.experiments import build_schedule, gate_channel
+from dqdpulse.pulses import apply_detuning_error, apply_rabi_error, fsim_rectangular
 from dqdpulse.trajectories import fsim_matrix
 
 THETA, XI = math.pi / 4, math.pi / 2
@@ -339,3 +340,59 @@ class TestStepFloor:
     def test_required_steps_scaling(self):
         assert required_steps(1e8, 1e-7) == 50 * 10
         assert required_steps(0.0, 1.0) == 16
+
+
+# the fidelity table's schemes and gate times, N = 1..10
+TABLE_CELLS = [(scheme, n) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)]
+
+
+class TestRepetitionPower:
+    @staticmethod
+    def table_schedule(scheme, n):
+        return build_schedule(scheme, duration=SCHEMES[scheme].reference_time, n_reps=n)
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme, n", TABLE_CELLS)
+    def test_budget_of_one_repetition_is_an_nth_of_the_whole(self, scheme, n, rwa):
+        # spp f_max T/N is a whole number that lands a rounding error above it
+        # for some cells; the budget must not gain a step there
+        schedule = self.table_schedule(scheme, n)
+        fmax = frame_hamiltonian(schedule, rwa).max_frequency_hz
+        whole = round(200 * fmax * schedule.duration)
+        assert required_steps(fmax, schedule.period, 200) * n == required_steps(fmax, schedule.duration, 200) == whole
+
+    @pytest.mark.parametrize("error", ["none", "rabi", "detuning"])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    def test_power_matches_full_grid(self, scheme, rwa, error):
+        for n in range(2, 11):
+            schedule = self.table_schedule(scheme, n)
+            if error == "rabi":
+                schedule = apply_rabi_error(schedule, 0.05)
+            elif error == "detuning":
+                schedule = apply_detuning_error(schedule, -0.05)
+            assert schedule.repetitions == n
+            h = frame_hamiltonian(schedule, rwa)
+            kwargs = dict(breakpoints=schedule.breakpoints, steps_per_period=100)
+            for run in (
+                partial(propagate_unitary, h, schedule.duration, **kwargs),
+                partial(lindblad_superoperator, h, DEFAULT_DEVICE, schedule.duration, **kwargs),
+            ):
+                full, power = run(), run(repetitions=n)
+                assert (power.steps * n, power.repetitions) == (full.steps, n)
+                assert np.abs(power.final - full.final).max() <= 1e-13
+
+    def test_sampled_run_steps_through_every_repetition(self):
+        schedule = self.table_schedule("fsim_poly", 3)
+        times = np.linspace(0.0, schedule.duration, 7)
+        sampled = gate_channel(schedule, rwa=False, decoherence=False, sample_times=times)
+        power = gate_channel(schedule, rwa=False, decoherence=False)
+        assert (sampled.repetitions, power.repetitions) == (1, 3)
+        assert sampled.steps == 3 * power.steps
+        assert np.abs(sampled.states[-1] - power.final).max() <= 1e-13
+
+    def test_sample_times_with_repetitions_rejected(self):
+        schedule = self.table_schedule("fsim_rect", 2)
+        h = frame_hamiltonian(schedule, rwa=True)
+        with pytest.raises(ValueError, match="sample times"):
+            propagate_unitary(h, schedule.duration, sample_times=[0.0, schedule.duration], repetitions=2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,3 +353,47 @@ class TestScheduleStructure:
         assert first[0] == 0.0
         # j level in MHz: -3 pi / (2T) / 2pi
         assert first[1] == pytest.approx(-3 * math.pi / (2 * 76e-9) / TWO_PI / 1e6)
+
+
+def _with_last_segment(schedule, **fields):
+    segments = (*schedule.segments[:-1], replace(schedule.segments[-1], **fields))
+    return replace(schedule, segments=segments)
+
+
+def _with_carriers_scaled(schedule, factor):
+    segments = tuple(replace(seg, carrier_omega=factor * seg.carrier_omega) for seg in schedule.segments)
+    return replace(schedule, segments=segments)
+
+
+class TestRepetitions:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_repeated_fsim_schemes_count_their_repetitions(self, n):
+        assert fsim_rectangular(THETA, XI, T45, n).repetitions == n
+        assert fsim_polynomial(THETA, XI, T50, n).repetitions == n
+        assert fsim_polynomial(THETA, XI, T50, n, repeat=False).repetitions == 1
+
+    def test_other_schemes_do_not_repeat(self):
+        assert fsim_geometric(THETA, XI, 158e-9).repetitions == 1
+        assert bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez).repetitions == 1
+
+    def test_errors_keep_the_count(self):
+        s = fsim_polynomial(THETA, XI, T50, 3)
+        assert apply_rabi_error(s, 0.05).repetitions == 3
+        assert apply_detuning_error(s, 0.05).repetitions == 3
+
+    @pytest.mark.parametrize(
+        "contradict, match",
+        [
+            (lambda s: replace(s, repetitions=0), "repetitions"),
+            (lambda s: replace(s, repetitions=4), "split"),  # 6 segments
+            (lambda s: replace(s, repetitions=3), "start and end"),  # segments of T/8, T/4, T/8
+            (lambda s: _with_last_segment(s, carrier_phase=0.1), "carrier or drive"),
+            (lambda s: _with_last_segment(s, drive_amp=1e6), "carrier or drive"),
+            (lambda s: _with_last_segment(s, envelope=lambda ts: 1.01 * s.segments[2].envelope(ts)), "envelope"),
+            (lambda s: _with_carriers_scaled(s, 1.5), "whole number"),
+        ],
+        ids=["zero", "segment-count", "boundaries", "carrier-phase", "drive", "envelope", "carrier-turns"],
+    )
+    def test_contradicted_count_rejected(self, contradict, match):
+        with pytest.raises(ValueError, match=match):
+            contradict(fsim_rectangular(THETA, XI, T45, 2))
