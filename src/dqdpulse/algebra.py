@@ -93,7 +93,7 @@ def mat_exp_skew(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def batched_mat_exp_skew(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
-    """exp(-i H_k dt_k) for a stack of Hermitian matrices, shape (n, d, d).
+    """exp(-i H_k dt_k) for a stack of matrices, shape (n, d, d).
 
     ``dt`` is one step for all matrices or an array of n per-matrix steps.
 
@@ -102,8 +102,9 @@ def batched_mat_exp_skew(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     A_k = -i H_k dt_k is scaled by 2^-s so that nu = max_k ||A_k||_1 is at
     most ``_TAYLOR_THETA``, the degree m is the smallest whose remainder
     bound nu^(m+1)/(m+1)! e^nu is at most ``_TAYLOR_TOL``, the series is
-    summed by Horner's rule and the result squared s times.  The factors
-    are unitary to rounding, not by construction.  Propagation steps sit
+    summed by Horner's rule and the result squared s times.  The bound
+    holds for any matrix; for Hermitian H the factors are unitary to
+    rounding, not by construction.  Propagation steps sit
     near ||A||_1 = 1e-5, where m = 3 costs two matrix products.
     """
     dt = np.asarray(dt, dtype=float)

@@ -2,9 +2,10 @@
 
 Every run writes its outputs atomically (write to a temp path, then
 rename) and records a manifest listing each emitted file with a content
-hash, the resolved configuration hash, and the runtime.  The
-exit code is 0 only if every invariant check collected during the run
-passed.
+hash, the resolved configuration hash, and the runtime; ``simulate`` adds
+how it propagated each run: the step rule, the steps integrated, the
+repetitions, the steps per period and f_max.  The exit code is 0 only if
+every invariant check collected during the run passed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class RunWriter:
         self.outdir = outdir
         self.cfg = cfg
         self.files: list[dict] = []
+        self.propagations: list[dict] = []
         self.t0 = time.time()
         os.makedirs(outdir, exist_ok=True)
 
@@ -84,6 +86,8 @@ class RunWriter:
             "runtime_s": round(time.time() - self.t0, 3),
             "files": self.files,
         }
+        if self.propagations:
+            doc["propagations"] = self.propagations
         return _atomic_write(os.path.join(self.outdir, "manifest.json"), [json.dumps(doc, indent=2, sort_keys=True)])
 
 
@@ -143,6 +147,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             )
             xp.log_run(res, cfg.decoherence, log)
             reports.append(rep)
+            how = ("rule", "steps", "repetitions", "steps_per_period", "max_frequency_hz")
+            writer.propagations.append({"rabi_delta": delta, "detuning_eps": eps, **{k: getattr(res, k) for k in how}})
     writer.write_csv("fidelity.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
     if cfg.trajectory:
         writer.write_csv("trajectory.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(res.times, xp.state_path(res)))
@@ -156,13 +162,22 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0 if log.ok else 1
 
 
-# The flags each sweep reads besides --config and --outdir (--quick through
-# grid_n's default); a sweep rejects any other flag rather than ignore it.
+# The flags each sweep and each reproduce target reads besides --config and
+# --outdir (--quick through grid_n's default); the run rejects any other
+# flag rather than ignore it.
 SWEEP_FLAGS = {
     "rabi": {"scheme", "grid_n", "quick", "rabi_deltas"},
     "detuning": {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
     "eta": set(),
     "phase": {"grid_n", "quick", "workers", "n_values"},
+}
+REPRODUCE_FLAGS = {
+    "table1": {"quick", "workers"},
+    "fig1a": set(),
+    "fig4c": set(),
+    "fig4d": {"quick", "workers"},
+    "fig5": {"grid_n", "quick", "workers"},
+    "fig6": {"grid_n", "quick", "workers"},
 }
 
 
@@ -269,12 +284,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "target", "axis", "func")}
-    if args.command == "sweep":
-        reads = SWEEP_FLAGS[args.axis] | {"outdir"}
+    if args.command in ("sweep", "reproduce"):
+        name = args.axis if args.command == "sweep" else args.target
+        reads = (SWEEP_FLAGS if args.command == "sweep" else REPRODUCE_FLAGS)[name] | {"outdir"}
         unread = sorted(k for k, v in overrides.items() if v is not None and k not in reads)
         if unread:
             flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-            raise ValueError(f"sweep {args.axis} does not read {flags}")
+            raise ValueError(f"{args.command} {name} does not read {flags}")
     return load_config(args.config, overrides)
 
 

@@ -34,7 +34,7 @@ class ExperimentConfig:
     convention: str = "standard"
     grid_n: int | None = None  # None: 10 under quick, else 40
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    steps_per_period: int = 200
+    steps_per_period: int | None = None  # None: the step rule's default
     quick: bool = False
     workers: int = 1
     outdir: str = "out"
@@ -51,7 +51,8 @@ class ExperimentConfig:
             self.grid_n = 10 if self.quick else 40
         if self.grid_n < 1:
             raise ValueError("grid_n must be >= 1")
-        require_step_floor(self.steps_per_period)
+        if self.steps_per_period is not None:
+            require_step_floor(self.steps_per_period)
         if SCHEMES[self.scheme].one_step:
             if abs(self.theta) > math.pi / 2.0 + 1e-12 or abs(self.xi) > math.pi + 1e-12:
                 raise ValueError("gate parameters outside |theta| <= pi/2, |xi| <= pi")

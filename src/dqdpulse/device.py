@@ -2,22 +2,28 @@
 
 The lab Hamiltonian (two-qubit basis {|00>, |01>, |10>, |11>}) combines
 the mean Zeeman splitting E_z, the Zeeman difference delta_Ez, the
-exchange coupling J, and transverse drive fields B_y^{L,R}.  Each
-diagonal rotating frame has one constructor, returning the frame
-Hamiltonian with the counter-rotating residues retained (rwa=False) or
-dropped (rwa=True): the fSim frame serves the one-step and the geometric
-fSim schemes, the two-frequency frame the B gate.  A new scheme needs a
-constructor only if it rotates into a new frame.  ``frame_hamiltonian``
-evaluates H(t) and adds a schedule's detuning error, once for all schemes.
+exchange coupling J, and transverse drive fields B_y^{L,R}: a static
+diagonal plus J(t) M_J plus B_y^R(t) M_B.  Each scheme names a diagonal
+rotating frame (the fSim frame serves the one-step and the geometric fSim
+schemes, the two-frequency frame the B gate), and ``frame_hamiltonian``
+derives the frame Hamiltonian from the lab one, for every scheme alike:
+on each segment it is a short list of Fourier terms, each a frequency, a
+constant 4x4 matrix and a flag for whether the envelope j(t) scales it.
+The counter-rotating terms (twice a carrier) are kept (rwa=False) or
+dropped (rwa=True), and a schedule's detuning error joins the static term.
+A new scheme needs only its frame coefficients.
 
 Drive convention: a stored drive amplitude B_y^1 corresponds to the
 physical field B_y^R(t) = 2 B_y^1 cos(omega_2 t + psi_1), mirroring the
-J = 2 j cos(omega t + psi) convention, so the rotating-wave coupling is
-exactly -i B_y^1 e^{i psi_1}.
+J = 2 j cos(omega t + psi) convention.  In the two-frequency frame the
+co-rotating half of the drive is static, so the rotating-wave coupling on
+(|00>, |01>) and (|10>, |11>) is -i B_y^1 e^{-i psi_1}, the time average
+of the pre-RWA frame.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -28,7 +34,7 @@ import numpy as np
 
 from . import pulses
 from .algebra import TWO_PI
-from .pulses import PulseSchedule, detuning_perturbation
+from .pulses import PulseSchedule, Segment, detuning_perturbation
 from .trajectories import PhysicalControls
 
 
@@ -121,89 +127,87 @@ class FrameSpec:
 
 
 def lab_hamiltonian(
-    e_z: float, delta_ez: float, j: float, b_y_l: float = 0.0, b_y_r: float = 0.0
+    e_z: float, delta_ez: float, j: float, b_y_l: float = 0.0, b_y_r: float = 0.0, weak_exchange: bool = False
 ) -> np.ndarray:
     """Instantaneous lab-frame Hamiltonian of the double dot.
 
     ``j``, ``b_y_l``, ``b_y_r`` are the instantaneous values of the exchange
-    and transverse fields (rad/s).
+    and transverse fields (rad/s).  ``weak_exchange`` (J << delta_Ez) drops
+    the exchange diagonal and keeps only the flip-flop coupling J/2.
     """
+    jd = 0.0 if weak_exchange else j / 2.0
     return np.array(
         [
             [e_z, -1j * b_y_r, -1j * b_y_l, 0.0],
-            [1j * b_y_r, -(delta_ez + j) / 2.0, j / 2.0, -1j * b_y_l],
-            [1j * b_y_l, j / 2.0, (delta_ez - j) / 2.0, -1j * b_y_r],
+            [1j * b_y_r, -delta_ez / 2.0 - jd, j / 2.0, -1j * b_y_l],
+            [1j * b_y_l, j / 2.0, delta_ez / 2.0 - jd, -1j * b_y_r],
             [0.0, 1j * b_y_l, 1j * b_y_r, -e_z],
         ],
         dtype=complex,
     )
 
 
-class TimeDependentHamiltonian:
-    """H(t) with a vectorized batch evaluator, as the propagators expect."""
+@dataclass(frozen=True)
+class FourierTerms:
+    """A frame Hamiltonian as a short sum of Fourier terms on each segment.
 
-    def __init__(self, single: Callable[[float], np.ndarray], batch: Callable[[np.ndarray], np.ndarray], max_frequency_hz: float):
+    On segment s, H(t) = sum_k w_k(t) e^{i nu_k t} mats[s, k], where w_k is
+    the segment's envelope j(t) for the terms ``scaled`` marks and 1 for
+    the others.  Segment s covers [edges[s - 1], edges[s]), located as
+    ``PulseSchedule.envelope`` locates it.
+    """
+
+    nus: np.ndarray  # (K,) angular frequencies
+    scaled: np.ndarray  # (K,) bool
+    mats: np.ndarray  # (S, K, 4, 4)
+    segments: tuple[Segment, ...]
+    edges: np.ndarray  # (S - 1,)
+
+    def segment_index(self, ts: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.edges, ts, side="right")
+
+    def evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """H at each time: the (n, K) weights times each sample's (K, 16) terms."""
+        seg = self.segment_index(ts)
+        j = np.empty(ts.size)
+        for s in np.flatnonzero(np.bincount(seg)):
+            sel = seg == s
+            level = self.segments[s].level
+            j[sel] = self.segments[s].envelope(ts[sel]) if level is None else level
+        coef = np.exp(1j * np.multiply.outer(ts, self.nus)) * np.where(self.scaled, j[:, None], 1.0)
+        rows = self.mats.reshape(len(self.segments), -1, 16)[seg]
+        return np.matmul(coef[:, None, :], rows).reshape(-1, 4, 4)
+
+
+class TimeDependentHamiltonian:
+    """H(t) with a vectorized batch evaluator, as the propagators expect.
+
+    Built from ``terms``, as every frame Hamiltonian is, H(t) is their sum
+    and the unitary propagator may integrate the terms exactly; built from
+    ``single`` and ``batch`` callables, H(t) is only ever sampled.
+    """
+
+    def __init__(
+        self,
+        single: Callable[[float], np.ndarray] | None = None,
+        batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        *,
+        max_frequency_hz: float,
+        terms: FourierTerms | None = None,
+    ):
         self._single = single
         self._batch = batch
         self.max_frequency_hz = max_frequency_hz
+        self.terms = terms
 
     def __call__(self, t: float) -> np.ndarray:
-        return self._single(t)
+        if self._single is not None:
+            return self._single(t)
+        return self.matrices(np.array([float(t)]))[0]
 
     def matrices(self, ts: np.ndarray) -> np.ndarray:
-        return self._batch(np.asarray(ts, dtype=float))
-
-
-def _fsim_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the fSim schemes, one-step and geometric.
-
-    Both are driven by J = 2 j cos(wt + psi) and share one frame, with the
-    middle-block exchange diagonal zeroed: diag(E_z + j cos(wt + psi), 0, 0,
-    j cos(wt + psi) - E_z) and coupling j e^{i psi}/2 in the (|01>, |10>)
-    block; rwa=False keeps the counter-rotating residue j e^{-i(2wt + psi)}/2.
-    Each segment's carrier (w, psi) is read, so psi = 0 gives the one-step gate.
-    """
-    j = schedule.envelope(ts)
-    w, psi = schedule.carrier(ts)
-    e_z = schedule.controls.e_z
-    jc = j * np.cos(w * ts + psi)
-    if rwa:
-        cpl = (j / 2.0) * np.exp(1j * psi)
-    else:
-        cpl = (j / 2.0) * (np.exp(1j * psi) + np.exp(-1j * (2.0 * w * ts + psi)))
-    out = np.zeros((ts.shape[0], 4, 4), dtype=complex)
-    out[:, 0, 0] = e_z + jc
-    out[:, 3, 3] = jc - e_z
-    out[:, 1, 2] = cpl
-    out[:, 2, 1] = np.conj(cpl)
-    return out
-
-
-def _bgate_frame_batch(schedule: PulseSchedule, ts: np.ndarray, rwa: bool) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the weak-exchange B-gate scheme.
-
-    rwa=True: constant drive entries -i B_y^1 e^{i psi_1} on (|00>,|01>) and
-    (|10>,|11>) plus exchange j/2 on (|01>,|10>), zero diagonal.  rwa=False
-    keeps every oscillatory residue generated by the two-frequency frame.
-    """
-    j = schedule.envelope(ts)
-    dez = schedule.controls.delta_ez
-    amp, w2, psi1 = schedule.drive(ts)
-    out = np.zeros((ts.shape[0], 4, 4), dtype=complex)
-    if rwa:
-        drive = -1j * amp * np.exp(1j * psi1)
-        cpl = (j / 2.0).astype(complex)
-    else:
-        # (1,2)/(3,4): -i 2 B cos(w2 t + psi) e^{i w2 t}; (2,3): j cos(dez t) e^{-i dez t}
-        drive = -1j * 2.0 * amp * np.cos(w2 * ts + psi1) * np.exp(1j * w2 * ts)
-        cpl = j * np.cos(dez * ts) * np.exp(-1j * dez * ts)
-    out[:, 0, 1] = drive
-    out[:, 1, 0] = np.conj(drive)
-    out[:, 2, 3] = drive
-    out[:, 3, 2] = np.conj(drive)
-    out[:, 1, 2] = cpl
-    out[:, 2, 1] = np.conj(cpl)
-    return out
+        ts = np.asarray(ts, dtype=float)
+        return self._batch(ts) if self.terms is None else self.terms.evaluate(ts)
 
 
 def _fsim_frame(c: PhysicalControls) -> tuple[float, float, float, float]:
@@ -216,13 +220,6 @@ def _bgate_frame(c: PhysicalControls) -> tuple[float, float, float, float]:
     return (c.e_z, -c.delta_ez / 2.0, c.delta_ez / 2.0, -c.e_z)
 
 
-def _fsim_energy_shift(schedule: PulseSchedule, t: float) -> float:
-    # the constructor zeroes the middle-block exchange diagonal
-    ts = np.atleast_1d(float(t))
-    w, psi = schedule.carrier(ts)
-    return float(-(schedule.envelope(ts) * np.cos(w * ts + psi))[0])
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Everything the pipeline needs to know about one gate scheme.
@@ -230,19 +227,14 @@ class Scheme:
     ``build(theta, xi, duration, n_reps, eta, params)`` constructs the
     schedule; it looks its constructor up on ``pulses`` at call time, so
     wrappers installed on the module attribute see every build.
-    ``frame_batch(schedule, ts, rwa)`` samples the designed pulse's
-    rotating-frame H(t); ``frame_hamiltonian`` adds any detuning error.
-    ``frame_coefficients(controls)`` is the diagonal frame generator and
-    ``energy_shift(schedule, t)`` the scalar s(t) with
-    H_constructor = FrameSpec.transform(H_lab, t) - s(t) I; identity shifts
-    change only a global phase.  ``reference_time`` is the gate time the
-    benchmark datasets use for the scheme.
+    ``frame_coefficients(controls)`` is the diagonal frame generator, from
+    which ``frame_hamiltonian`` derives the rotating-frame H(t) of the lab
+    Hamiltonian.  ``reference_time`` is the gate time the benchmark
+    datasets use for the scheme.
     """
 
     build: Callable[..., PulseSchedule]
-    frame_batch: Callable[[PulseSchedule, np.ndarray, bool], np.ndarray]
     frame_coefficients: Callable[[PhysicalControls], tuple[float, float, float, float]]
-    energy_shift: Callable[[PulseSchedule, float], float]
     reference_time: float
     # one-step fSim: (theta, xi) limited to |theta| <= pi/2, |xi| <= pi, and
     # T capped below by the carrier condition delta_Ez = 2 N pi / T
@@ -274,35 +266,31 @@ class Scheme:
         return duration
 
 
-_FSIM = dict(frame_batch=_fsim_frame_batch, frame_coefficients=_fsim_frame, energy_shift=_fsim_energy_shift)
-
 SCHEMES: dict[str, Scheme] = {
     "fsim_rect": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_rectangular(theta, xi, duration, n_reps),
+        frame_coefficients=_fsim_frame,
         reference_time=45e-9,
         one_step=True,
-        **_FSIM,
     ),
     "fsim_poly": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_polynomial(theta, xi, duration, n_reps, eta),
+        frame_coefficients=_fsim_frame,
         reference_time=50e-9,
         one_step=True,
-        **_FSIM,
     ),
     "bgate": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.bgate_rectangular(
             duration, params.e_z, params.delta_ez
         ),
-        frame_batch=_bgate_frame_batch,
         frame_coefficients=_bgate_frame,
-        energy_shift=lambda schedule, t: 0.0,  # the frame already cancels the static diagonal
         reference_time=76e-9,
         weak_exchange=True,
     ),
     "fsim_geometric": Scheme(
         build=lambda theta, xi, duration, n_reps, eta, params: pulses.fsim_geometric(theta, xi, duration),
+        frame_coefficients=_fsim_frame,
         reference_time=158e-9,
-        **_FSIM,
     ),
 }
 
@@ -314,46 +302,72 @@ def scheme_spec(name: str) -> Scheme:
         raise ValueError(f"unknown scheme {name!r}; choose from {tuple(SCHEMES)}") from None
 
 
+def _segment_terms(
+    seg: Segment, coefficients: np.ndarray, static: np.ndarray, weak_exchange: bool, rwa: bool
+) -> dict[tuple[float, bool], np.ndarray]:
+    """{(nu, j-scaled): matrix} of the frame H(t) on one segment.
+
+    The frame turns lab entry (a, b) by e^{i (c_a - c_b) t}; each carrier
+    2 cos(w t + p) = e^{i(w t + p)} + e^{-i(w t + p)} adds +-w to that.
+    RWA drops the terms at twice the carrier (the counter-rotating ones).
+    """
+    terms = {(0.0, False): static.copy()}
+    fields = [(lab_hamiltonian(0.0, 0.0, 1.0, weak_exchange=weak_exchange), True, seg.carrier_omega, seg.carrier_phase)]
+    if seg.drive_amp:
+        fields.append((lab_hamiltonian(0.0, 0.0, 0.0, b_y_r=seg.drive_amp), False, seg.drive_omega, seg.drive_phase))
+    c = coefficients.tolist()
+    for m, scaled, w, p in fields:
+        for a, b in zip(*np.nonzero(m)):
+            for sign in (1.0, -1.0):
+                nu = sign * w + (c[a] - c[b])
+                if rwa and nu and math.isclose(abs(nu), 2.0 * w, rel_tol=1e-12):
+                    continue
+                if (nu, scaled) not in terms:
+                    terms[nu, scaled] = np.zeros((4, 4), dtype=complex)
+                terms[nu, scaled][a, b] += m[a, b] * cmath.exp(1j * sign * p)
+    return terms
+
+
 def frame_hamiltonian(schedule: PulseSchedule, rwa: bool) -> TimeDependentHamiltonian:
-    """Scheme-appropriate rotating-frame H(t) for a schedule.
+    """The scheme's rotating-frame H(t) of the lab Hamiltonian, as Fourier terms.
 
-    Adds ``detuning_perturbation`` when the schedule carries a detuning error.
+    The lab Hamiltonian is a static diagonal plus J(t) M_J plus B_y^R(t) M_B
+    (``lab_hamiltonian``); the frame U = exp(-i t diag(c)) of the scheme
+    gives U^dag H U - diag(c), one set of terms per segment.  The static
+    term carries the schedule's detuning error.  f_max is the largest
+    |nu| / 2 pi kept; under RWA at least the exchange carrier's, so a frame
+    whose kept terms are all static keeps the step budget of the carrier
+    it averages over.
     """
-    construct = scheme_spec(schedule.scheme).frame_batch
+    spec = scheme_spec(schedule.scheme)
     c = schedule.controls
-    detuning = detuning_perturbation(c.e_z, c.delta_ez, schedule.detuning_eps)
-    fmax = schedule.max_frequency_hz() if not rwa else max(
-        seg.carrier_omega for seg in schedule.segments
-    ) / TWO_PI
-
-    def batch(ts: np.ndarray) -> np.ndarray:
-        out = construct(schedule, ts, rwa)
-        if schedule.detuning_eps:
-            out += detuning
-        return out
-
-    return TimeDependentHamiltonian(
-        single=lambda t: batch(np.atleast_1d(float(t)))[0],
-        batch=batch,
-        max_frequency_hz=fmax,
+    coefficients = np.asarray(spec.frame_coefficients(c), dtype=float)
+    static = lab_hamiltonian(c.e_z, c.delta_ez, 0.0) - np.diag(coefficients)
+    static += detuning_perturbation(c.e_z, c.delta_ez, schedule.detuning_eps)
+    distinct: dict[tuple, dict] = {}  # segments with the same carriers share their terms
+    per_segment = []
+    for seg in schedule.segments:
+        key = (seg.carrier_omega, seg.carrier_phase, seg.drive_amp, seg.drive_omega, seg.drive_phase)
+        if key not in distinct:
+            distinct[key] = _segment_terms(seg, coefficients, static, spec.weak_exchange, rwa)
+        per_segment.append(distinct[key])
+    keys = sorted(set().union(*per_segment))
+    mats = np.zeros((len(per_segment), len(keys), 4, 4), dtype=complex)
+    for s, terms in enumerate(per_segment):
+        for key, m in terms.items():
+            mats[s, keys.index(key)] = m
+    nus = np.array([nu for nu, _ in keys])
+    fmax = float(np.abs(nus).max())
+    if rwa:
+        fmax = max(fmax, max(seg.carrier_omega for seg in schedule.segments))
+    terms = FourierTerms(
+        nus=nus,
+        scaled=np.array([scaled for _, scaled in keys]),
+        mats=mats,
+        segments=schedule.segments,
+        edges=np.array([seg.t_end for seg in schedule.segments[:-1]]),
     )
-
-
-def weak_exchange_lab_hamiltonian(e_z: float, delta_ez: float, j: float, b_y_r: float) -> np.ndarray:
-    """Lab Hamiltonian in the weak-exchange regime (J << delta_Ez).
-
-    The exchange contribution to the diagonal is dropped; only the flip-flop
-    coupling J/2 and the right-dot drive survive.
-    """
-    return np.array(
-        [
-            [e_z, -1j * b_y_r, 0.0, 0.0],
-            [1j * b_y_r, -delta_ez / 2.0, j / 2.0, 0.0],
-            [0.0, j / 2.0, delta_ez / 2.0, -1j * b_y_r],
-            [0.0, 0.0, 1j * b_y_r, -e_z],
-        ],
-        dtype=complex,
-    )
+    return TimeDependentHamiltonian(max_frequency_hz=fmax / TWO_PI, terms=terms)
 
 
 def lab_hamiltonian_of_schedule(schedule: PulseSchedule, t: float) -> np.ndarray:
@@ -367,6 +381,5 @@ def lab_hamiltonian_of_schedule(schedule: PulseSchedule, t: float) -> np.ndarray
     j_t = float(schedule.exchange(ts)[0])
     amp, w2, ph = schedule.drive(ts)
     b_y_r = float(2.0 * amp[0] * np.cos(w2[0] * ts[0] + ph[0]))
-    if scheme_spec(schedule.scheme).weak_exchange:
-        return weak_exchange_lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, b_y_r)
-    return lab_hamiltonian(schedule.controls.e_z, schedule.controls.delta_ez, j_t, 0.0, b_y_r)
+    c = schedule.controls
+    return lab_hamiltonian(c.e_z, c.delta_ez, j_t, 0.0, b_y_r, weak_exchange=scheme_spec(schedule.scheme).weak_exchange)

@@ -28,6 +28,7 @@ from .device import (
     scheme_spec,
 )
 from .dynamics import (
+    DEFAULT_STEPS_PER_PERIOD,
     EvolutionResult,
     apply_superoperator,
     lindblad_superoperator,
@@ -60,15 +61,17 @@ GEOMETRIC_GATE_TIME = SCHEMES["fsim_geometric"].reference_time
 BGATE_GATE_TIME = SCHEMES["bgate"].reference_time
 ETA_REF = -1.0 / 3.0
 
-STEPS_PER_PERIOD_FULL = 200
+# the budgets of the midpoint and RK4 rules; a Magnus-Filon run takes the
+# floor unless given one
+STEPS_PER_PERIOD_FULL = DEFAULT_STEPS_PER_PERIOD["rk4"]
 STEPS_PER_PERIOD_QUICK = 100
 
 # initial state of the exported trajectories
 PATH_STATE = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def _budget(quick: bool) -> int:
-    return STEPS_PER_PERIOD_QUICK if quick else STEPS_PER_PERIOD_FULL
+def _budget(quick: bool) -> int | None:
+    return STEPS_PER_PERIOD_QUICK if quick else None
 
 
 @dataclass
@@ -133,10 +136,11 @@ def gate_channel(
     params: DeviceParams = DEFAULT_DEVICE,
     rabi_delta: float = 0.0,
     detuning_eps: float = 0.0,
-    steps_per_period: int = STEPS_PER_PERIOD_FULL,
+    steps_per_period: int | None = None,
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
-    """Propagate one configured gate.
+    """Propagate one configured gate, at ``steps_per_period`` or else the
+    step rule's default budget.
 
     ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
     superoperator; with ``sample_times``, ``states`` holds the same run's
@@ -435,8 +439,8 @@ def robustness_comparison(
 
 def bgate_trajectory() -> tuple[np.ndarray, np.ndarray, EvolutionResult]:
     """Pre-RWA closed-system evolution of PATH_STATE through the B gate of the
-    default device at its 76 ns reference time, sampled at 241 times with 200
-    steps per period.
+    default device at its 76 ns reference time, sampled at 241 times at the
+    default budget.
 
     Returns (times, density matrices along the path, full evolution result).
     """

@@ -39,8 +39,14 @@ Envelope = Callable[[np.ndarray], np.ndarray]
 _CARRIER_FIELDS = ("carrier_omega", "carrier_phase", "drive_amp", "drive_omega", "drive_phase")
 
 
-def _const_envelope(level: float) -> Envelope:
-    return lambda ts: np.full_like(np.asarray(ts, dtype=float), level)
+@dataclass(frozen=True)
+class _Constant:
+    """Constant envelope j(t) = level; the frame reads the level directly."""
+
+    level: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return np.full_like(np.asarray(ts, dtype=float), self.level)
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,11 @@ class Segment:
     drive_amp: float = 0.0  # B_y^1 amplitude (rad/s); physical field is 2 B_y^1 cos(...)
     drive_omega: float = 0.0
     drive_phase: float = 0.0
+
+    @property
+    def level(self) -> float | None:
+        """j of a constant envelope, None for any other."""
+        return self.envelope.level if isinstance(self.envelope, _Constant) else None
 
 
 @dataclass(frozen=True)
@@ -174,18 +185,6 @@ class PulseSchedule:
             peak = max(peak, float(np.max(np.abs(2.0 * seg.envelope(ts) * np.cos(seg.carrier_omega * ts + seg.carrier_phase)))))
         return peak
 
-    def max_frequency_hz(self) -> float:
-        """Largest oscillation frequency present (Hz), for step-floor sizing.
-
-        Counter-rotating residues oscillate at twice the respective carrier.
-        """
-        fmax = 0.0
-        for seg in self.segments:
-            fmax = max(fmax, 2.0 * seg.carrier_omega / TWO_PI)
-            if seg.drive_amp:
-                fmax = max(fmax, 2.0 * seg.drive_omega / TWO_PI)
-        return fmax
-
     def integrate_envelope(
         self,
         weight: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -258,7 +257,7 @@ def fsim_rectangular(
         t0 = k * rep
         for frac0, frac1, level in ((0.0, 0.25, lo), (0.25, 0.75, hi), (0.75, 1.0, lo)):
             segments.append(
-                Segment(t0 + frac0 * rep, t0 + frac1 * rep, _const_envelope(level), omega)
+                Segment(t0 + frac0 * rep, t0 + frac1 * rep, _Constant(level), omega)
             )
     return PulseSchedule(
         segments=tuple(segments),
@@ -393,7 +392,7 @@ def fsim_geometric(theta: float, xi: float, duration: float) -> PulseSchedule:
         (j_outer, math.pi / 2.0),
     )
     segments = tuple(
-        Segment(k * quarter, (k + 1) * quarter, _const_envelope(j), omega, psi)
+        Segment(k * quarter, (k + 1) * quarter, _Constant(j), omega, psi)
         for k, (j, psi) in enumerate(layout)
     )
     constraints = (
@@ -437,11 +436,11 @@ def bgate_rectangular(duration: float, e_z: float, delta_ez: float) -> PulseSche
     switch = 2.0 * duration / 3.0
     segments = (
         Segment(
-            0.0, switch, _const_envelope(j_level), delta_ez, 0.0,
+            0.0, switch, _Constant(j_level), delta_ez, 0.0,
             drive_amp=c1.drive_amp, drive_omega=omega2, drive_phase=c1.drive_phase,
         ),
         Segment(
-            switch, duration, _const_envelope(j_level), delta_ez, 0.0,
+            switch, duration, _Constant(j_level), delta_ez, 0.0,
             drive_amp=c2.drive_amp, drive_omega=omega2, drive_phase=c2.drive_phase,
         ),
     )
@@ -553,6 +552,8 @@ def apply_rabi_error(schedule: PulseSchedule, delta: float) -> PulseSchedule:
         return schedule
 
     def scaled(env: Envelope) -> Envelope:
+        if isinstance(env, _Constant):
+            return _Constant((1.0 + delta) * env.level)
         return lambda ts: (1.0 + delta) * env(ts)
 
     segments = tuple(replace(seg, envelope=scaled(seg.envelope)) for seg in schedule.segments)

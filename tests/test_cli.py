@@ -11,7 +11,7 @@ from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
 from dqdpulse.config import ExperimentConfig, config_from_mapping, load_config
 from dqdpulse.device import SCHEMES, frame_hamiltonian
-from dqdpulse.dynamics import propagate_unitary
+from dqdpulse.dynamics import propagate_unitary, required_steps
 from dqdpulse.experiments import build_schedule
 
 
@@ -143,6 +143,23 @@ class TestCliRuns:
         assert err == f"dqdpulse: error: sweep {argv[1]} does not read {flag}\n"
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (
+                ["reproduce", "fig1a", "--scheme", "bgate", "--n-reps", "3", "--steps-per-period", "400"],
+                "--n-reps, --scheme, --steps-per-period",
+            ),
+            (["reproduce", "table1", "--steps-per-period", "400"], "--steps-per-period"),
+        ],
+        ids=["fig1a-gate-flags", "table1-steps"],
+    )
+    def test_reproduce_rejects_flags_it_does_not_read(self, argv, flag, tmp_path, capsys):
+        assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dqdpulse: error: reproduce {argv[1]} does not read {flag}\n"
+        assert not (tmp_path / "bad").exists()
+
     def test_empty_outdir_variable_is_unset(self, tmp_path, monkeypatch, capsys):
         # DQDPULSE_OUTDIR= dqdpulse synthesize --samples 5
         monkeypatch.setenv("DQDPULSE_OUTDIR", "")
@@ -219,6 +236,21 @@ class TestCliRuns:
         # initial populations of (|00> + |01>)/sqrt(2)
         assert first[1] == pytest.approx(0.5, abs=1e-9)
         assert first[2] == pytest.approx(0.5, abs=1e-9)
+        # the manifest says how: the Magnus-Filon step at its default budget,
+        # on the floor's steps plus the nodes the sample times add
+        (record,) = json.loads((out / "manifest.json").read_text())["propagations"]
+        schedule = build_schedule("bgate")
+        fmax = frame_hamiltonian(schedule, rwa=False).max_frequency_hz
+        floor = required_steps(fmax, schedule.duration)
+        assert floor <= record.pop("steps") <= floor + 31
+        assert record == {
+            "rabi_delta": 0.0,
+            "detuning_eps": 0.0,
+            "rule": "magnus_filon",
+            "repetitions": 1,
+            "steps_per_period": 50,
+            "max_frequency_hz": fmax,
+        }
 
     def test_reproduce_fig1a(self, tmp_path):
         out = tmp_path / "fig1a"

@@ -18,6 +18,7 @@ from dqdpulse.device import (
 from dqdpulse.experiments import build_schedule
 from dqdpulse.pulses import (
     apply_detuning_error,
+    apply_rabi_error,
     bgate_rectangular,
     detuning_perturbation,
     fsim_geometric,
@@ -103,8 +104,8 @@ class TestLabHamiltonian:
 class TestFrameIdentity:
     @pytest.mark.parametrize("name", list(SCHEMES))
     def test_transform_matches_constructor(self, name):
-        # U_frame^dag H_lab U_frame - i U_frame^dag dU/dt, minus the scheme's
-        # identity shift, equals the rwa=False constructor (relative scale)
+        # U_frame^dag H_lab U_frame - i U_frame^dag dU/dt equals the rwa=False
+        # frame Hamiltonian, with no identity shift (relative scale)
         rng = np.random.default_rng(17)
         spec = SCHEMES[name]
         schedule = build_schedule(name, n_reps=2)
@@ -115,9 +116,42 @@ class TestFrameIdentity:
         )
         for t in rng.uniform(0.0, schedule.duration, 100):
             lhs = frame.transform(lab_hamiltonian_of_schedule(schedule, t), t)
-            lhs -= spec.energy_shift(schedule, t) * np.eye(4)
             defect = np.abs(lhs - h_of_t(t)).max() / scale
             assert defect < 1e-10
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_rwa_keeps_the_static_terms(self, name):
+        # RWA drops terms and changes none: the nu = 0 part (the time average)
+        # of the rwa=False terms equals that of the rwa=True terms, and every
+        # rwa=True term is an rwa=False one
+        schedule = apply_rabi_error(apply_detuning_error(build_schedule(name, n_reps=2), 0.03), 0.05)
+        full, rwa = (frame_hamiltonian(schedule, flag).terms for flag in (False, True))
+
+        def by_key(terms):
+            return {(nu, sc): terms.mats[:, k] for k, (nu, sc) in enumerate(zip(terms.nus, terms.scaled))}
+
+        kept, every = by_key(rwa), by_key(full)
+        assert {key for key in kept if key[0] == 0.0} == {key for key in every if key[0] == 0.0}
+        for key, mats in kept.items():
+            np.testing.assert_array_equal(mats, every[key])
+        assert set(every) - set(kept) and all(nu != 0.0 for nu, _ in set(every) - set(kept))
+
+    def test_bgate_rwa_frame_is_the_static_part(self):
+        # every kept B-gate term is static, so the RWA frame is the nu = 0
+        # part (the time average) of the pre-RWA frame; its drive entry is
+        # -i B e^{-i psi_1}
+        schedule = build_schedule("bgate")
+        full = frame_hamiltonian(schedule, rwa=False)
+        static = full.terms.nus == 0.0
+        rng = np.random.default_rng(5)
+        for t in rng.uniform(0.0, schedule.duration, 20):
+            s = full.terms.segment_index(t)
+            level = schedule.segments[s].level
+            average = sum(m * (level if sc else 1.0) for m, sc in zip(full.terms.mats[s, static], full.terms.scaled[static]))
+            h = frame_hamiltonian(schedule, rwa=True)(t)
+            np.testing.assert_allclose(h, average, rtol=0.0, atol=1e-15 * np.abs(h).max())
+            seg = schedule.segments[s]
+            assert h[0, 1] == pytest.approx(-1j * seg.drive_amp * np.exp(-1j * seg.drive_phase), rel=1e-15)
 
     @pytest.mark.parametrize("rwa", [True, False])
     @pytest.mark.parametrize("name", list(SCHEMES))
@@ -191,12 +225,12 @@ class TestBgateFrame:
         np.testing.assert_allclose(drive_free, expected, atol=0)
 
     def test_drive_phase_pi_half_gives_real_entry(self):
-        # -i B e^{i pi/2} = B
+        # -i B e^{-i pi/2} = -B
         schedule = bgate_rectangular(76e-9, DEFAULT_DEVICE.e_z, DEFAULT_DEVICE.delta_ez)
         t = 10e-9  # inside the B1 segment, psi_1 = pi/2
         h = frame_hamiltonian(schedule, rwa=True)(t)
         amp = schedule.segments[0].drive_amp
-        assert h[0, 1] == pytest.approx(amp)
+        assert h[0, 1] == pytest.approx(-amp)
         assert abs(h[0, 1].imag) < 1e-12 * abs(amp)
 
     def test_frame_frequencies_zero_the_diagonal(self):

@@ -6,7 +6,7 @@ import pytest
 
 from dqdpulse import dynamics
 from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
-from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, frame_hamiltonian
+from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, TimeDependentHamiltonian, frame_hamiltonian
 from dqdpulse.dynamics import (
     COLLAPSE_Q1,
     COLLAPSE_Q2,
@@ -67,6 +67,11 @@ def rk4_loop_superoperator(h, params, duration, steps, breakpoints):
     return s
 
 
+def sampled(h):
+    """``h`` without its Fourier terms, so the propagator takes the midpoint rule."""
+    return TimeDependentHamiltonian(single=h, batch=h.matrices, max_frequency_hz=h.max_frequency_hz)
+
+
 def eigh_loop_propagator(h, duration, steps, breakpoints):
     """Reference: midpoint steps exponentiated one at a time by eigh.
 
@@ -124,11 +129,12 @@ class TestUnitaryPropagation:
         np.testing.assert_allclose(res.states[2], mat_exp_skew(h, 0.5), atol=1e-10)
 
     def test_fsim_rect_matches_eigh_loop(self):
-        # the gate at the CLI budget; its steps sit near ||H dt||_1 = 1e-5
+        # the gate at the midpoint rule's budget; its steps sit near
+        # ||H dt||_1 = 1e-5.  Without its terms, H is sampled at midpoints.
         schedule = fsim_rectangular(THETA, XI, T45, 1)
-        h = frame_hamiltonian(schedule, rwa=False)
+        h = sampled(frame_hamiltonian(schedule, rwa=False))
         res = propagate_unitary(h, T45, breakpoints=schedule.breakpoints, steps_per_period=200)
-        assert res.steps == 400
+        assert (res.steps, res.rule) == (400, "midpoint")
         ref = eigh_loop_propagator(h, T45, res.steps, schedule.breakpoints)
         assert np.abs(res.final - ref).max() <= 1e-12
 
@@ -281,14 +287,18 @@ class TestChunkedDriver:
     def three_step_chunks(monkeypatch, dim):
         monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 16 * dim * dim)
 
-    def test_unitary_chunks_match_default(self, monkeypatch):
+    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
+    def test_unitary_chunks_match_default(self, rule, monkeypatch):
         schedule = fsim_rectangular(THETA, XI, T45, 2)
         h = frame_hamiltonian(schedule, rwa=False)
+        if rule == "midpoint":
+            h = sampled(h)
         times = np.concatenate([[0.0, T45], schedule.breakpoints, np.linspace(0.013, 0.97, 23) * T45])
         kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times)
         ref = propagate_unitary(h, T45, **kwargs)
         self.three_step_chunks(monkeypatch, 4)
         res = propagate_unitary(h, T45, **kwargs)
+        assert res.rule == ref.rule == rule
         assert res.steps == ref.steps and res.states.shape == (times.size, 4, 4)
         assert np.abs(res.final - ref.final).max() <= 1e-13
         assert np.abs(res.states - ref.states).max() <= 1e-13
@@ -396,3 +406,92 @@ class TestRepetitionPower:
         h = frame_hamiltonian(schedule, rwa=True)
         with pytest.raises(ValueError, match="sample times"):
             propagate_unitary(h, schedule.duration, sample_times=[0.0, schedule.duration], repetitions=2)
+
+
+class TestFilonWeights:
+    # nu h over 1e-8..1 with both signs; nu_k + nu_l reaches 2, so pairs fall
+    # on both sides of the series radius |z| = 1
+    H = 2.5e-11
+    NUS = np.array([-1.0, -0.55, -1e-8, 0.0, 1e-5, 0.1, 0.5, 1.0]) / H
+
+    def test_against_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+        phi, jj = dynamics.filon_weights(self.NUS, [self.H])
+        with mp.workdps(30):
+            h = mp.mpf(self.H)
+
+            def inner(nu, s):  # int_0^s e^{i nu r} dr, closed form at 30 digits
+                return s if nu == 0 else (mp.expj(nu * s) - 1) / (1j * nu)
+
+            for k, a in enumerate(map(mp.mpf, self.NUS)):
+                exact = mp.quad(lambda s: mp.expj(a * s), [0, h])
+                assert abs(phi[0, k] - complex(exact)) <= 1e-14 * abs(exact)
+                for l, b in enumerate(map(mp.mpf, self.NUS)):
+                    exact = mp.quad(lambda s: mp.expj(a * s) * inner(b, s), [0, h])
+                    assert abs(jj[0, k, l] - complex(exact)) <= 1e-14 * abs(exact), (k, l)
+
+    def test_one_row_per_step_length(self):
+        phi, jj = dynamics.filon_weights(self.NUS, [self.H, 2 * self.H, self.H])
+        assert phi.shape == (3, 8) and jj.shape == (3, 8, 8)
+        np.testing.assert_array_equal(phi[0], phi[2])
+        np.testing.assert_allclose(jj[:, 3, 3], [self.H**2 / 2, 2 * self.H**2, self.H**2 / 2], rtol=1e-15)
+
+
+def richardson_reference(h, duration, steps, breakpoints=()):
+    """Midpoint propagators at ``steps`` and twice that, extrapolated to fourth order."""
+    coarse, fine = (propagate_unitary(sampled(h), duration, n, breakpoints=breakpoints).final for n in (steps, 2 * steps))
+    return (4.0 * fine - coarse) / 3.0
+
+
+class TestMagnusFilon:
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric"])
+    def test_fourth_order_on_fsim_frames(self, scheme):
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=False)
+        floor = required_steps(h.max_frequency_hz, schedule.duration)
+        ref = richardson_reference(h, schedule.duration, 64 * floor, schedule.breakpoints)
+        runs = [propagate_unitary(h, schedule.duration, m * floor, breakpoints=schedule.breakpoints) for m in (1, 2, 4)]
+        assert {r.rule for r in runs} == {"magnus_filon"}
+        errs = [np.linalg.norm(r.final - ref) for r in runs]
+        assert errs[-1] > 1e-11  # above rounding
+        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.1)
+        assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.1)
+
+    def test_fourth_order_on_a_bgate_span(self):
+        # at the floor the B gate is already exact to rounding; on a span of
+        # 0.5 ns a floor lowered 128-fold admits steps up to several fast
+        # periods long, where the order shows
+        schedule = build_schedule("bgate")
+        h = frame_hamiltonian(schedule, rwa=False)
+        span = 0.5e-9
+        floor = required_steps(h.max_frequency_hz, span)
+        ref = richardson_reference(h, span, 16 * floor)
+        coarse = TimeDependentHamiltonian(max_frequency_hz=h.max_frequency_hz / 128, terms=h.terms)
+        errs = [np.linalg.norm(propagate_unitary(coarse, span, floor // m).final - ref) for m in (16, 8, 4)]
+        assert errs[-1] > 1e-12
+        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.15)
+        assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.15)
+        default = propagate_unitary(h, span)
+        assert (default.rule, default.steps_per_period, default.steps) == ("magnus_filon", STEPS_PER_PERIOD, floor)
+        assert np.linalg.norm(default.final - ref) <= 1e-10
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric"])
+    def test_default_budget_in_the_rwa_frame(self, scheme):
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=True)
+        ref = richardson_reference(h, schedule.duration, 4096, schedule.breakpoints)
+        res = propagate_unitary(h, schedule.duration, breakpoints=schedule.breakpoints)
+        assert res.steps == required_steps(h.max_frequency_hz, schedule.duration)
+        assert np.linalg.norm(res.final - ref) <= 1e-10
+
+    def test_step_rule_of_each_run(self):
+        # constant envelopes take the Magnus-Filon step, errors included; the
+        # polynomial envelope the midpoint rule; decohered runs RK4
+        geometric = build_schedule("fsim_geometric")
+        errors = dict(rabi_delta=0.05, detuning_eps=0.02)
+        closed = gate_channel(geometric, rwa=False, decoherence=False, **errors)
+        assert (closed.rule, closed.steps_per_period) == ("magnus_filon", STEPS_PER_PERIOD)
+        poly = gate_channel(build_schedule("fsim_poly"), rwa=True, decoherence=False, **errors)
+        assert (poly.rule, poly.steps_per_period) == ("midpoint", 200)
+        open_run = gate_channel(geometric, rwa=True, decoherence=True, steps_per_period=100)
+        assert (open_run.rule, open_run.steps_per_period) == ("rk4", 100)

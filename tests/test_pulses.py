@@ -306,6 +306,13 @@ class TestErrorInjection:
         assert scaled.segments[0].drive_amp == s.segments[0].drive_amp
         assert scaled.rabi_delta == pytest.approx(0.1)
 
+    def test_rabi_keeps_constant_levels(self):
+        # the frame reads a constant envelope's level, so scaling must keep it one
+        s = fsim_rectangular(THETA, XI, T45, 2)
+        scaled = apply_rabi_error(s, -0.05)
+        assert [seg.level for seg in scaled.segments] == [0.95 * seg.level for seg in s.segments]
+        assert fsim_polynomial(THETA, XI, T50, 1).segments[0].level is None
+
     def test_rabi_warns_beyond_range(self):
         s = fsim_rectangular(THETA, XI, T45, 1)
         with pytest.warns(UserWarning, match="Rabi"):
