@@ -26,9 +26,22 @@ and it is chosen by the kind of Hamiltonian:
   I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's taken at the identity.
   One superoperator serves a whole 1600-state fidelity grid.
 
-Closed factors are exponentiated by a scaled Taylor series, unitary to
-rounding, and ``propagate_unitary`` reports the product's unitarity
-defect.  Without a budget, a run takes its rule's default
+Every step factor and ordered product is real, which numpy multiplies
+several times faster than complex matrices of the same information.  A
+closed step exp(A), A = -i H dt, is taken in the real form
+X + iY -> [[X, -Y], [Y, X]] of A, an 8x8 matrix; the map is a ring
+homomorphism, so it commutes with products and with the scaled Taylor
+series (``algebra.batched_expm``) that exponentiates it, unitary to
+rounding.  An open step acts on the coefficients of rho in the orthonormal
+Pauli basis sigma_a (x) sigma_b / 2, where the Liouvillian, which
+preserves Hermiticity, is a real 16x16 matrix: H's 16 real coefficients
+times fixed structure constants, plus the dissipator (Havel, J. Math.
+Phys. 44, 534 (2003)).  The real product goes back to the complex
+propagator, or to the superoperator on column-stacked vec(rho), once, at
+the snapshots and at the end; ``propagate_unitary`` reports the
+propagator's unitarity defect.
+
+Without a budget, a run takes its rule's default
 (``DEFAULT_STEPS_PER_PERIOD``): the floor of 50 steps per period for the
 Magnus-Filon step, 200 for the midpoint and RK4 rules.  Every result
 records its rule, steps, budget and f_max.
@@ -62,7 +75,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import batched_mat_exp_skew, unitarity_defect
+from .algebra import batched_expm, complexify, realify, skew_generator, unitarity_defect
 from .device import DeviceParams, FourierTerms, TimeDependentHamiltonian
 
 STEPS_PER_PERIOD = 50
@@ -77,8 +90,9 @@ DEFAULT_STEPS_PER_PERIOD = {"magnus_filon": STEPS_PER_PERIOD, "midpoint": 200, "
 # sums are then at least 1/4, so the remainder is below 2^-53 of them
 _SERIES_TOL = 2.0**-56
 
-# Step factors held at once: 32 superoperator (16x16) or 512 propagator
-# (4x4) steps, so the 632k-step B gate runs in bounded memory.
+# Bytes of step factors held at once: 64 superoperator or 256 propagator
+# steps, real 16x16 and 8x8 float64 factors, so the 632k-step B gate runs in
+# bounded memory.
 CHUNK_BYTES = 1 << 17
 
 # RK4 end stages at a breakpoint or at T sample H this fraction of a step
@@ -172,8 +186,8 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-# step_factors(nodes, left) -> factors(a, b): the (b - a, dim, dim) factors of
-# steps a..b-1 of the grid; ``left`` marks the steps that end at a breakpoint
+# step_factors(nodes, left) -> factors(a, b): the real (b - a, dim, dim) factors
+# of steps a..b-1 of the grid; ``left`` marks the steps that end at a breakpoint
 StepFactors = Callable[[np.ndarray, np.ndarray], Callable[[int, int], np.ndarray]]
 
 
@@ -188,12 +202,16 @@ def _propagate(
     steps_per_period: int | None,
     repetitions: int,
     dim: int,
+    restore: Callable[[np.ndarray], np.ndarray],
 ) -> EvolutionResult:
-    """Ordered product of per-step factors over one repetition, chunk by
-    chunk, raised to the ``repetitions``-th power.
+    """Ordered product of real per-step factors over one repetition, chunk
+    by chunk, raised to the ``repetitions``-th power.
 
     ``steps`` budgets one repetition, [0, duration / repetitions]; without
     it, ``steps_per_period`` does, or else the rule's default budget.
+    ``restore`` maps a stack of real products to the complex propagators or
+    superoperators the result reports, once for the snapshots and the final
+    product together.
     """
     if steps_per_period is None:
         steps_per_period = DEFAULT_STEPS_PER_PERIOD[rule]
@@ -217,10 +235,10 @@ def _propagate(
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
     nodes, left, marks = _step_grid(period, steps, breakpoints, times)
     n = nodes.size - 1
-    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
     factors_of = step_factors(nodes, left)
 
-    state = np.eye(dim, dtype=complex)
+    state = np.eye(dim)
     snapshots = {0: state}
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
@@ -230,8 +248,12 @@ def _propagate(
             state = _ordered_product(factors[start - a : m - a]) @ state
             snapshots[m] = state
             start = m
-    states = None if times is None else np.stack([snapshots[m] for m in marks])
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
+    if times is None:
+        states, final = None, restore(final)
+    else:  # restored together, so a sample at T is the final product bit for bit
+        out = restore(np.stack([*(snapshots[m] for m in marks), final]))
+        states, final = out[:-1], out[-1]
     return EvolutionResult(
         final=final,
         steps=n,
@@ -247,7 +269,7 @@ def _propagate(
 def _midpoint_factors(batch, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
     dts = np.diff(nodes)
     mids = nodes[:-1] + dts / 2.0
-    return lambda a, b: batched_mat_exp_skew(batch(mids[a:b]), dts[a:b])
+    return lambda a, b: batched_expm(skew_generator(batch(mids[a:b]), dts[a:b]))
 
 
 def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +313,7 @@ def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         m = np.zeros((int((~small).sum()), 3, 3), dtype=complex)
         m[:, 0, 1] = m[:, 1, 2] = 1.0
         m[:, 1, 1], m[:, 2, 2] = z1[~small], z2[~small]
-        e = batched_mat_exp_skew(1j * m, 1.0)  # exp(m)
+        e = batched_expm(m)
         f1[~small], f2[~small] = e[:, 0, 1], e[:, 0, 2]
     return hs[:, None] * np.diagonal(f1, axis1=1, axis2=2), hs[:, None, None] ** 2 * f2
 
@@ -317,13 +339,16 @@ def _generators(terms: FourierTerms, segments: np.ndarray) -> tuple[np.ndarray, 
 
 class _MagnusFilon:
     """Fourth-order Magnus-Filon factors exp(Omega_1 + Omega_2) of a
-    Hamiltonian given as Fourier terms on constant-envelope segments.
+    Hamiltonian given as Fourier terms on constant-envelope segments, in
+    real form.
 
     On a step [t0, t0 + h] of a segment where H = sum_k G_k e^{i nu_k t},
     i Omega = sum_k e^{i nu_k t0} phi_k G_k
               - (i/2) sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) [G_k, G_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length.
+    length.  Written i Omega = sum_j c_j R_j over those rows R_j, the real
+    form of Omega is sum_j Re c_j realify(-i R_j) + Im c_j realify(R_j):
+    one real product of the interleaved (Re c, Im c) with realified rows.
     """
 
     def __init__(self, terms: FourierTerms, nodes: np.ndarray, left: np.ndarray):
@@ -332,7 +357,10 @@ class _MagnusFilon:
         segment = terms.segment_index(self.t0 + dts / 2.0)
         used = np.flatnonzero(np.bincount(segment))
         self.row = np.searchsorted(used, segment)  # each step's row block
-        self.nus, self.k, self.l, self.rows = _generators(terms, used)
+        self.nus, self.k, self.l, rows = _generators(terms, used)
+        rows = rows.reshape(used.size, -1, 4, 4)
+        pairs = np.stack([realify(-1j * rows), realify(rows)], axis=2)  # (S, K + P, 2, 8, 8)
+        self.rows = pairs.reshape(used.size, -1, 64)
         hs, self.length = np.unique(dts, return_inverse=True)
         self.phi, jj = filon_weights(self.nus, hs)
         self.dj = -0.5j * (jj[:, self.k, self.l] - jj[:, self.l, self.k])
@@ -342,11 +370,12 @@ class _MagnusFilon:
         phase = np.exp(1j * np.multiply.outer(self.t0[a:b], self.nus))
         coef = np.concatenate([phase * self.phi[u], phase[:, self.k] * phase[:, self.l] * self.dj[u]], axis=1)
         row = self.row[a:b]
-        heff = np.empty((b - a, 16), dtype=complex)
+        coef = coef.view(float)  # Re c_j, Im c_j interleaved
+        omega = np.empty((b - a, 64))
         cuts = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), b - a]
         for lo, hi in zip(cuts[:-1], cuts[1:]):  # one product per segment in the chunk
-            heff[lo:hi] = coef[lo:hi] @ self.rows[row[lo]]
-        return batched_mat_exp_skew(heff.reshape(-1, 4, 4), 1.0)
+            omega[lo:hi] = coef[lo:hi] @ self.rows[row[lo]]
+        return batched_expm(omega.reshape(-1, 8, 8))
 
 
 def propagate_unitary(
@@ -377,7 +406,8 @@ def propagate_unitary(
     else:
         rule, factors = "midpoint", partial(_midpoint_factors, batch)
     res = _propagate(
-        fmax, rule, factors, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, 4
+        fmax, rule, factors, duration, steps, breakpoints, sample_times, steps_per_period, repetitions,
+        8, complexify,
     )
     return replace(res, unitarity_defect=unitarity_defect(res.final))
 
@@ -402,19 +432,56 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(4, 4, order="F")
 
 
+# The orthonormal Hermitian operator basis B_mu = sigma_a (x) sigma_b / 2,
+# mu = 4 a + b, and the unitary T whose column mu is vec(B_mu): a
+# Hermiticity-preserving superoperator S on vec(rho) is the real matrix
+# T^dag S T on the coefficients r_mu = tr(B_mu rho) (Havel, J. Math. Phys.
+# 44, 534 (2003)).
+_SIGMA = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI = np.einsum("aij,bkl->abikjl", _SIGMA, _SIGMA).reshape(16, 4, 4) / 2.0
+_T = _PAULI.transpose(0, 2, 1).reshape(16, 16).T
+
+
+def _commutator_constants() -> np.ndarray:
+    """The (32, 256) real matrix taking the interleaved (Re, Im) entries of a
+    Hermitian H to its Liouvillian -i[H, .] in the basis B, row-major.
+
+    H has the real coefficients h_k = tr(B_k H), the sum of Re B_k Re H +
+    Im B_k Im H over the entries, and -i[B_k, .] the real matrix
+    f_k[mu, nu] = -i tr(B_mu [B_k, B_nu]).
+    """
+    prod = np.einsum("kij,njl->knil", _PAULI, _PAULI)
+    f = -1j * np.einsum("mij,knji->kmn", _PAULI, prod - prod.transpose(1, 0, 2, 3))
+    coefficients = _PAULI.reshape(16, 16).view(float).T  # (32, 16)
+    return coefficients @ f.real.reshape(16, 256)
+
+
+_COMMUTATORS = _commutator_constants()
+
+
+def _in_pauli_basis(s: np.ndarray) -> np.ndarray:
+    """T^dag S T of a Hermiticity-preserving superoperator on vec(rho), real."""
+    return (_T.conj().T @ s @ _T).real
+
+
+def _from_pauli_basis(s: np.ndarray) -> np.ndarray:
+    """T S T^dag for a stack of superoperators in the basis B: the vec-basis form."""
+    return _T @ s @ _T.conj().T
+
+
 def _liouvillians(h: np.ndarray, diss: np.ndarray) -> np.ndarray:
-    """i(H^T (x) I - I (x) H) + D for a batch of H: vec(i(rho H - H rho)) + D vec(rho)."""
-    out = np.zeros((h.shape[0], 4, 4, 4, 4), dtype=complex)  # [n, a, c, b, d] is row 4a+c, column 4b+d
-    idx = np.arange(4)
-    out[:, :, idx, :, idx] = 1j * h.transpose(0, 2, 1)  # H^T (x) I: the c = d entries hold H[b, a]
-    out[:, idx, :, idx, :] -= 1j * h  # I (x) H: the a = b entries hold H[c, d]
-    out = out.reshape(-1, 16, 16)
+    """The real Liouvillians -i[H, .] + D in the basis B for a batch of
+    Hermitian H, with D given in that basis: one real product of H's
+    entries with the commutator constants."""
+    entries = np.ascontiguousarray(h, dtype=complex).reshape(-1, 16).view(float)  # Re, Im interleaved
+    out = (entries @ _COMMUTATORS).reshape(-1, 16, 16)
     out += diss
     return out
 
 
 def _rk4_factors(batch, nodes: np.ndarray, left: np.ndarray, diss: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of the linear master equation per step, as a 16x16 matrix."""
+    """One classical RK4 step of the linear master equation per step, as a
+    real 16x16 matrix in the basis B."""
     dts = np.diff(nodes)
     n = dts.size
     ends = nodes[1:][left] - _LEFT_LIMIT * dts[left]
@@ -425,12 +492,25 @@ def _rk4_factors(batch, nodes: np.ndarray, left: np.ndarray, diss: np.ndarray) -
     l1 = ls[end_index]
     dt = dts[:, None, None]
     eye = np.eye(16)
-    k = lm @ (eye + 0.5 * dt * l0)
-    acc = l0 + 2.0 * k
-    k = lm @ (eye + 0.5 * dt * k)
-    acc += 2.0 * k
-    acc += l1 @ (eye + dt * k)
-    return eye + dt / 6.0 * acc
+    # k1 = l0, k2 = lm (I + dt/2 k1), k3 = lm (I + dt/2 k2), k4 = l1 (I + dt k3),
+    # in place: a fresh temporary of a chunk's size costs more than its arithmetic
+    x = l0 * (0.5 * dt)
+    x += eye
+    k = lm @ x
+    acc = k * 2.0
+    acc += l0
+    np.multiply(k, 0.5 * dt, out=x)
+    x += eye
+    np.matmul(lm, x, out=k)
+    acc += k
+    acc += k
+    np.multiply(k, dt, out=x)
+    x += eye
+    np.matmul(l1, x, out=k)
+    acc += k
+    acc *= dt / 6.0
+    acc += eye
+    return acc
 
 
 def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
@@ -473,16 +553,18 @@ def lindblad_superoperator(
     """RK4-integrated propagation superoperator S with vec(rho_T) = S vec(rho_0).
 
     One integration serves any number of initial states.  ``repetitions``
-    is as for :func:`propagate_unitary`.
+    is as for :func:`propagate_unitary`.  H(t) must be Hermitian: the steps
+    are taken in the Pauli basis, where only its Hermitian part enters.
     """
     batch, fmax, _ = _resolve_hamiltonian(hamiltonian)
-    diss = dephasing_dissipator(params)
+    diss = _in_pauli_basis(dephasing_dissipator(params))
 
     def rk4(nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
         return lambda a, b: _rk4_factors(batch, nodes[a : b + 1], left[a:b], diss)
 
     return _propagate(
-        fmax, "rk4", rk4, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, 16
+        fmax, "rk4", rk4, duration, steps, breakpoints, sample_times, steps_per_period, repetitions,
+        16, _from_pauli_basis,
     )
 
 

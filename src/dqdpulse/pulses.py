@@ -557,7 +557,7 @@ def apply_rabi_error(schedule: PulseSchedule, delta: float) -> PulseSchedule:
         return lambda ts: (1.0 + delta) * env(ts)
 
     segments = tuple(replace(seg, envelope=scaled(seg.envelope)) for seg in schedule.segments)
-    return replace(schedule, segments=segments, rabi_delta=schedule.rabi_delta + delta)
+    return _same_layout(schedule, segments=segments, rabi_delta=schedule.rabi_delta + delta)
 
 
 def apply_detuning_error(schedule: PulseSchedule, eps: float) -> PulseSchedule:
@@ -571,7 +571,16 @@ def apply_detuning_error(schedule: PulseSchedule, eps: float) -> PulseSchedule:
 
     if abs(eps) > 0.1:
         warnings.warn(f"detuning error |eps| = {abs(eps)} exceeds the modeled range 0.1")
-    return replace(schedule, detuning_eps=schedule.detuning_eps + eps)
+    return _same_layout(schedule, detuning_eps=schedule.detuning_eps + eps)
+
+
+def _same_layout(schedule: PulseSchedule, **changes) -> PulseSchedule:
+    """``dataclasses.replace`` for changes that keep the segment layout: the
+    boundaries, the carriers and how the envelopes repeat, which the schedule
+    was checked against when it was built, are not checked again."""
+    out = object.__new__(PulseSchedule)
+    out.__dict__.update(vars(schedule), **changes)
+    return out
 
 
 def detuning_perturbation(e_z: float, delta_ez: float, eps: float) -> np.ndarray:

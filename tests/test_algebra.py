@@ -9,14 +9,17 @@ from scipy.linalg import expm
 from dqdpulse.algebra import (
     Quaternion,
     azimuths_to_quaternions,
-    batched_mat_exp_skew,
+    batched_expm,
+    complexify,
     gate_infidelity,
     hermiticity_defect,
     isoclinic_left,
     isoclinic_right,
     mat_exp_skew,
     phase_aligned_distance,
+    realify,
     simpson_integrate,
+    skew_generator,
     unitarity_defect,
 )
 
@@ -26,6 +29,11 @@ angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 def random_hermitian(rng, scale=1.0):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return scale * (a + a.conj().T) / 2.0
+
+
+def exp_skew_real(hs, dt):
+    """exp(-i H_k dt_k) through the real path: realified generator, real exponential."""
+    return complexify(batched_expm(skew_generator(hs, dt)))
 
 
 class TestMatExp:
@@ -81,11 +89,11 @@ class TestMatExp:
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(7)
         hs = np.stack([random_hermitian(rng) for _ in range(6)])
-        batch = batched_mat_exp_skew(hs, 0.3)
+        batch = exp_skew_real(hs, 0.3)
         for k in range(6):
             np.testing.assert_allclose(batch[k], mat_exp_skew(hs[k], 0.3), atol=1e-13)
         dts = rng.uniform(0.1, 0.5, 6)
-        per_step = batched_mat_exp_skew(hs, dts)
+        per_step = exp_skew_real(hs, dts)
         for k in range(6):
             np.testing.assert_allclose(per_step[k], mat_exp_skew(hs[k], dts[k]), atol=1e-13)
 
@@ -113,7 +121,7 @@ class TestBatchedTaylorExponential:
         rng = np.random.default_rng(int(-math.log10(norm) * 10) + 100)
         dts = rng.uniform(0.5, 2.0, 12)
         hs = hermitian_batch(rng, np.full(12, norm), dts)
-        self.assert_matches_references(hs, dts, batched_mat_exp_skew(hs, dts))
+        self.assert_matches_references(hs, dts, exp_skew_real(hs, dts))
 
     def test_mixed_norms_and_steps_in_one_batch(self):
         # the scaling is set by the largest step; the smallest ones are squared with it
@@ -121,15 +129,15 @@ class TestBatchedTaylorExponential:
         norms = np.array(self.NORMS * 2)
         dts = rng.uniform(1e-3, 1e3, norms.size)
         hs = hermitian_batch(rng, norms, dts)
-        self.assert_matches_references(hs, dts, batched_mat_exp_skew(hs, dts))
+        self.assert_matches_references(hs, dts, exp_skew_real(hs, dts))
 
     def test_scalar_step_broadcasts(self):
         rng = np.random.default_rng(23)
         hs = hermitian_batch(rng, np.array([1e-4, 0.2, 4.0]), np.ones(3))
-        self.assert_matches_references(hs, np.full(3, 0.7), batched_mat_exp_skew(hs, 0.7))
+        self.assert_matches_references(hs, np.full(3, 0.7), exp_skew_real(hs, 0.7))
 
     def test_zero_generator_is_identity(self):
-        out = batched_mat_exp_skew(np.zeros((5, 4, 4), dtype=complex), np.array([0.0, 1e-9, 1.0, 1e3, 1e9]))
+        out = exp_skew_real(np.zeros((5, 4, 4), dtype=complex), np.array([0.0, 1e-9, 1.0, 1e3, 1e9]))
         np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (5, 4, 4)))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -137,19 +145,68 @@ class TestBatchedTaylorExponential:
         hs = np.stack([np.eye(4, dtype=complex)] * 3)
         hs[1, 2, 3] = bad
         with pytest.raises(ValueError, match="H has non-finite"):
-            batched_mat_exp_skew(hs, np.array([0.1, 0.0, 0.1]))
+            exp_skew_real(hs, np.array([0.1, 0.0, 0.1]))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_step(self, bad):
         hs = np.stack([np.eye(4, dtype=complex)] * 3)
         with pytest.raises(ValueError, match="dt has non-finite"):
-            batched_mat_exp_skew(hs, np.array([0.1, bad, 0.1]))
+            exp_skew_real(hs, np.array([0.1, bad, 0.1]))
         with pytest.raises(ValueError, match="dt has non-finite"):
-            batched_mat_exp_skew(hs, bad)
+            exp_skew_real(hs, bad)
 
     def test_rejects_overflowing_product(self):
         with pytest.raises(ValueError, match="H dt has non-finite"):
-            batched_mat_exp_skew(np.stack([1e200 * np.eye(4)] * 2), 1e200)
+            exp_skew_real(np.stack([1e200 * np.eye(4)] * 2), 1e200)
+
+
+def random_complex(rng, n, one_norm):
+    """n random complex 4x4 matrices, neither Hermitian nor normal, of 1-norm ``one_norm``."""
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return a * (one_norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+class TestRealForm:
+    def test_round_trip_and_layout(self):
+        rng = np.random.default_rng(29)
+        a = random_complex(rng, 5, 1.0)
+        r = realify(a)
+        assert r.shape == (5, 8, 8) and r.dtype == np.dtype(float)
+        np.testing.assert_array_equal(r[:, :4, 4:], -a.imag)
+        np.testing.assert_array_equal(complexify(r), a)
+
+    def test_products_commute_with_realify(self):
+        rng = np.random.default_rng(31)
+        a, b = random_complex(rng, 20, 1.0), random_complex(rng, 20, 1.0)
+        assert np.abs(realify(a) @ realify(b) - realify(a @ b)).max() <= 1e-14
+
+    @pytest.mark.parametrize("one_norm", [1e-8, 1e-5, 0.3, 0.5, 2.0])
+    def test_expm_commutes_with_realify(self, one_norm):
+        # general matrices over the unscaled series and a few squarings
+        rng = np.random.default_rng(int(one_norm * 1e3) + 37)
+        a = random_complex(rng, 12, one_norm)
+        complex_path = batched_expm(a)
+        assert np.abs(batched_expm(realify(a)) - realify(complex_path)).max() <= 1e-14 * np.abs(complex_path).max()
+        for m, e in zip(a, complex_path):
+            assert np.abs(e - expm(m)).max() <= 1e-14 * np.abs(e).max()
+
+    # propagation steps sit at 1-norms of 1e-5 to 1; at 1e2 eight squarings
+    # amplify rounding to 3e-14, within the 1e-13 both paths keep to exp
+    @pytest.mark.parametrize("one_norm", [1e-5, 1e-2, 0.5, 2.0, 10.0])
+    def test_expm_of_skew_generators_commutes_with_realify(self, one_norm):
+        rng = np.random.default_rng(int(one_norm * 10) + 41)
+        hs = hermitian_batch(rng, np.full(12, one_norm), np.ones(12))
+        assert np.abs(batched_expm(skew_generator(hs, 1.0)) - realify(batched_expm(-1j * hs))).max() <= 1e-14
+
+    def test_expm_keeps_real_input_real(self):
+        assert batched_expm(np.zeros((2, 8, 8))).dtype == np.dtype(float)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_expm_rejects_non_finite_input(self, bad):
+        a = np.zeros((3, 8, 8))
+        a[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="A has non-finite"):
+            batched_expm(a)
 
 
 class TestIsoclinic:

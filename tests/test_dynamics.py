@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dqdpulse import dynamics
-from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
+from dqdpulse.algebra import batched_expm, mat_exp_skew, phase_aligned_distance
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, TimeDependentHamiltonian, frame_hamiltonian
 from dqdpulse.dynamics import (
     COLLAPSE_Q1,
@@ -282,10 +282,11 @@ class TestLindblad:
 
 
 class TestChunkedDriver:
-    # three steps per chunk, so chunk edges fall between and on sample times
+    # three steps per chunk, so chunk edges fall between and on sample times;
+    # a step factor is a real dim x dim float64 matrix
     @staticmethod
     def three_step_chunks(monkeypatch, dim):
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 16 * dim * dim)
+        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * dim * dim)
 
     @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
     def test_unitary_chunks_match_default(self, rule, monkeypatch):
@@ -296,7 +297,7 @@ class TestChunkedDriver:
         times = np.concatenate([[0.0, T45], schedule.breakpoints, np.linspace(0.013, 0.97, 23) * T45])
         kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times)
         ref = propagate_unitary(h, T45, **kwargs)
-        self.three_step_chunks(monkeypatch, 4)
+        self.three_step_chunks(monkeypatch, 8)
         res = propagate_unitary(h, T45, **kwargs)
         assert res.rule == ref.rule == rule
         assert res.steps == ref.steps and res.states.shape == (times.size, 4, 4)
@@ -314,6 +315,25 @@ class TestChunkedDriver:
         assert res.steps == ref.steps and res.states.shape == (times.size, 16, 16)
         assert np.abs(res.final - ref.final).max() <= 1e-13
         assert np.abs(res.states - ref.states).max() <= 1e-13
+
+    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint", "rk4"])
+    def test_chunks_hold_at_most_chunk_bytes(self, rule, monkeypatch):
+        # every chunk of real factors reaches the ordered product whole when
+        # there are no sample times; the runs are long enough to fill one
+        held = []
+        reduce = dynamics._ordered_product
+        monkeypatch.setattr(dynamics, "_ordered_product", lambda mats: held.append(mats) or reduce(mats))
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        kwargs = dict(breakpoints=schedule.breakpoints, steps_per_period=200)
+        if rule == "rk4":
+            res = lindblad_superoperator(h, DEFAULT_DEVICE, T45, **kwargs)
+        else:
+            res = propagate_unitary(h if rule == "magnus_filon" else sampled(h), T45, **kwargs)
+        assert (res.rule, res.steps) == (rule, 400)
+        assert {m.dtype for m in held} == {np.dtype(float)}
+        assert max(m.nbytes for m in held) == dynamics.CHUNK_BYTES
+        assert sum(m.shape[0] for m in held) == res.steps
 
     def test_rejects_sample_times_outside_the_gate(self):
         with pytest.raises(ValueError, match="sample times"):
@@ -495,3 +515,97 @@ class TestMagnusFilon:
         assert (poly.rule, poly.steps_per_period) == ("midpoint", 200)
         open_run = gate_channel(geometric, rwa=True, decoherence=True, steps_per_period=100)
         assert (open_run.rule, open_run.steps_per_period) == ("rk4", 100)
+
+
+def vec_liouvillians(hs, diss):
+    """Oracle: i(H^T (x) I - I (x) H) + D, the Liouvillian on column-stacked
+    vec(rho), for a stack of H."""
+    eye = np.eye(4)
+    commutator = np.einsum("nji,kl->nikjl", hs, eye) - np.einsum("ij,nkl->nikjl", eye, hs)
+    return 1j * commutator.reshape(-1, 16, 16) + diss
+
+
+def complex_rk4_superoperator(h, params, period, steps, breakpoints, repetitions):
+    """Oracle: the RK4 step matrices of one repetition from complex vec-basis
+    Liouvillians, multiplied in order and raised to the repetition count."""
+    nodes, left, _ = dynamics._step_grid(period, steps, breakpoints, None)
+    dts = np.diff(nodes)
+    ends = np.where(left, nodes[1:] - dynamics._LEFT_LIMIT * dts, nodes[1:])
+    diss = dephasing_dissipator(params)
+    l0, lm, l1 = (vec_liouvillians(h.matrices(t), diss) for t in (nodes[:-1], nodes[:-1] + dts / 2.0, ends))
+    dt, eye = dts[:, None, None], np.eye(16)
+    k2 = lm @ (eye + 0.5 * dt * l0)
+    k3 = lm @ (eye + 0.5 * dt * k2)
+    k4 = l1 @ (eye + dt * k3)
+    s = np.eye(16, dtype=complex)
+    for m in eye + dt / 6.0 * (l0 + 2.0 * k2 + 2.0 * k3 + k4):
+        s = m @ s
+    return np.linalg.matrix_power(s, repetitions)
+
+
+def complex_magnus_filon(h, duration, breakpoints):
+    """Oracle: the Magnus-Filon propagator at the floor from complex 4x4
+    generators i Omega, exponentiated as exp(-i (i Omega)) in complex form."""
+    terms = h.terms
+    nodes, _, _ = dynamics._step_grid(duration, required_steps(h.max_frequency_hz, duration), breakpoints, None)
+    t0, dts = nodes[:-1], np.diff(nodes)
+    segment = terms.segment_index(t0 + dts / 2.0)
+    used = np.flatnonzero(np.bincount(segment))
+    nus, k, l, rows = dynamics._generators(terms, used)
+    hs, length = np.unique(dts, return_inverse=True)
+    phi, jj = dynamics.filon_weights(nus, hs)
+    dj = -0.5j * (jj[:, k, l] - jj[:, l, k])
+    phase = np.exp(1j * np.multiply.outer(t0, nus))
+    coef = np.concatenate([phase * phi[length], phase[:, k] * phase[:, l] * dj[length]], axis=1)
+    i_omega = np.einsum("nj,njk->nk", coef, rows[np.searchsorted(used, segment)]).reshape(-1, 4, 4)
+    u = np.eye(4, dtype=complex)
+    for a in range(0, i_omega.shape[0], 512):
+        u = dynamics._ordered_product(batched_expm(-1j * i_omega[a : a + 512])) @ u
+    return u
+
+
+class TestRealKernels:
+    def test_pauli_basis_liouvillian_is_real(self):
+        # H from 1e-3 to frame-like 1e10 rad/s against dephasing rates near 1e4
+        rng = np.random.default_rng(41)
+        hs = np.stack([random_hermitian(rng, scale) for scale in (1e-3, 1.0, 1e3, 1e10)])
+        diss = dephasing_dissipator(DEFAULT_DEVICE)
+        vec = vec_liouvillians(hs, diss)
+        pauli = dynamics._T.conj().T @ vec @ dynamics._T
+        scale = np.abs(vec).max(axis=(1, 2))
+        assert (np.abs(pauli.imag).max(axis=(1, 2)) <= 1e-15 * scale).all()
+        real = dynamics._liouvillians(hs, dynamics._in_pauli_basis(diss))
+        assert real.dtype == np.dtype(float)
+        assert (np.abs(real - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
+
+    def test_pauli_basis_round_trip(self):
+        np.testing.assert_allclose(dynamics._T.conj().T @ dynamics._T, np.eye(16), rtol=0, atol=1e-16)
+        h = random_hermitian(np.random.default_rng(43))
+        s = vec_liouvillians(h[None], dephasing_dissipator(DEFAULT_DEVICE))[0]
+        back = dynamics._from_pauli_basis(dynamics._in_pauli_basis(s))
+        assert np.abs(back - s).max() <= 1e-15 * np.abs(s).max()
+
+    # the six cells the acceptance suite checks against the paper's table
+    @pytest.mark.parametrize(
+        "scheme, n",
+        [("fsim_rect", 1), ("fsim_rect", 2), ("fsim_rect", 3), ("fsim_poly", 1), ("fsim_poly", 3), ("fsim_poly", 10)],
+    )
+    def test_table_cells_match_complex_rk4(self, scheme, n):
+        schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time, n_reps=n)
+        res = gate_channel(schedule, rwa=False, decoherence=True)
+        h = frame_hamiltonian(schedule, rwa=False)
+        ref = complex_rk4_superoperator(h, DEFAULT_DEVICE, schedule.period, res.steps, schedule.breakpoints, n)
+        assert res.repetitions == n
+        assert np.abs(res.final - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
+    def test_closed_propagators_match_complex_taylor(self, scheme):
+        # the B gate on its first eighth, 19.7k steps: over the whole gate's
+        # 158k steps the two roundings drift apart by about 2.3e-13
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=False)
+        span = schedule.duration / (8 if scheme == "bgate" else 1)
+        res = propagate_unitary(h, span, breakpoints=schedule.breakpoints)
+        assert res.rule == "magnus_filon"
+        ref = complex_magnus_filon(h, span, schedule.breakpoints)
+        assert np.abs(res.final - ref).max() <= 1e-13

@@ -388,6 +388,31 @@ class TestRepetitions:
         assert apply_rabi_error(s, 0.05).repetitions == 3
         assert apply_detuning_error(s, 0.05).repetitions == 3
 
+    def test_error_helpers_do_not_resample_envelopes(self):
+        # the layout is checked once, when the schedule is built
+        calls = []
+
+        def counted(env):
+            return lambda ts: calls.append(len(ts)) or env(ts)
+
+        s = fsim_polynomial(THETA, XI, T50, 3)
+        s = replace(s, segments=tuple(replace(seg, envelope=counted(seg.envelope)) for seg in s.segments))
+        assert calls
+        calls.clear()
+        perturbed = apply_detuning_error(apply_rabi_error(s, 0.05), 0.02)
+        assert calls == []
+        assert (perturbed.repetitions, perturbed.rabi_delta, perturbed.detuning_eps) == (3, 0.05, 0.02)
+        assert (s.rabi_delta, s.detuning_eps) == (0.0, 0.0)
+        ts = np.linspace(0.0, T50, 7)
+        np.testing.assert_allclose(perturbed.envelope(ts), 1.05 * s.envelope(ts), rtol=1e-15)
+
+    def test_mismatched_count_raises_at_construction(self):
+        s = fsim_rectangular(THETA, XI, T45, 2)
+        with pytest.raises(ValueError, match="split"):
+            PulseSchedule(s.segments, s.duration, s.scheme, s.controls, repetitions=4)
+        with pytest.raises(ValueError, match="start and end"):
+            PulseSchedule(s.segments, s.duration, s.scheme, s.controls, repetitions=3)
+
     @pytest.mark.parametrize(
         "contradict, match",
         [

@@ -270,6 +270,31 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def scipy_imports(source: str) -> list[str]:
+    """The scipy modules a source imports, at any depth of nesting."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+            found.append(node.module)
+    return found
+
+
+def test_detector_flags_scipy_imports():
+    source = (
+        "import numpy, scipy.linalg as sl\nfrom . import scipy_like\nimport scipyish\n"
+        "def f():\n    from scipy.optimize import brentq\n    import scipy\n"
+    )
+    assert sorted(scipy_imports(source)) == ["scipy", "scipy.linalg", "scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(dqdpulse.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    # numpy is the package's one runtime dependency; scipy serves the tests as an oracle
+    assert scipy_imports(path.read_text()) == []
+
+
 # The benchmark harness reaches into the package by name from outside it; a
 # rename there would only surface as a crash of the traced benchmark.
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
