@@ -115,23 +115,6 @@ def complexify(r: np.ndarray) -> np.ndarray:
     return r[..., :d, :d] + 1j * r[..., d:, :d]
 
 
-def skew_generator(hs: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
-    """The real forms of A_k = -i H_k dt_k for a stack of matrices (n, d, d):
-    [[Im H, Re H], [-Re H, Im H]] dt_k, shape (n, 2d, 2d).
-
-    ``dt`` is one step for all matrices or an array of n per-matrix steps.
-    Non-finite input is rejected, naming ``dt``, ``H`` or an overflowing
-    ``H dt``.
-    """
-    dt = np.reshape(np.asarray(dt, dtype=float), (-1, 1, 1))
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input is reported below
-        a = realify(hs * (-1j * dt))
-    if not np.isfinite(a).all():
-        bad = "dt" if not np.isfinite(dt).all() else "H" if not np.isfinite(hs).all() else "H dt"
-        raise ValueError(f"cannot exponentiate: {bad} has non-finite entries")
-    return a
-
-
 def batched_expm(a: np.ndarray) -> np.ndarray:
     """exp(A_k) for a stack of real or complex matrices, shape (n, d, d).
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import experiments as xp
 from .algebra import TWO_PI
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, config_document, config_from_mapping
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
 from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
@@ -164,7 +164,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 # The flags each sweep and each reproduce target reads besides --config and
 # --outdir (--quick through grid_n's default); the run rejects any other
-# flag rather than ignore it.
+# flag or config-document key rather than ignore it.
 SWEEP_FLAGS = {
     "rabi": {"scheme", "grid_n", "quick", "rabi_deltas"},
     "detuning": {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
@@ -284,14 +284,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "target", "axis", "func")}
+    doc = config_document(args.config, overrides)
     if args.command in ("sweep", "reproduce"):
         name = args.axis if args.command == "sweep" else args.target
         reads = (SWEEP_FLAGS if args.command == "sweep" else REPRODUCE_FLAGS)[name] | {"outdir"}
-        unread = sorted(k for k, v in overrides.items() if v is not None and k not in reads)
+        unread = sorted(k for k, v in doc.items() if v is not None and k not in reads)
         if unread:
             flags = ", ".join("--" + k.replace("_", "-") for k in unread)
             raise ValueError(f"{args.command} {name} does not read {flags}")
-    return load_config(args.config, overrides)
+    return config_from_mapping(doc)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -53,6 +53,11 @@ class ExperimentConfig:
             raise ValueError("grid_n must be >= 1")
         if self.steps_per_period is not None:
             require_step_floor(self.steps_per_period)
+        for name in ("theta", "xi", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.gate_time_ns is not None and not 0.0 < self.gate_time_ns < math.inf:
+            raise ValueError("gate_time_ns must be finite and > 0")
         if SCHEMES[self.scheme].one_step:
             if abs(self.theta) > math.pi / 2.0 + 1e-12 or abs(self.xi) > math.pi + 1e-12:
                 raise ValueError("gate parameters outside |theta| <= pi/2, |xi| <= pi")
@@ -65,10 +70,10 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         for d in self.rabi_deltas:
-            if abs(d) > 0.5:
+            if not abs(d) <= 0.5:
                 raise ValueError("rabi delta outside sane range")
         for e in self.detuning_eps:
-            if abs(e) > 0.5:
+            if not abs(e) <= 0.5:
                 raise ValueError("detuning eps outside sane range")
         if self.trajectory and max(len(self.rabi_deltas), 1) * max(len(self.detuning_eps), 1) > 1:
             raise ValueError("a trajectory samples one run: give at most one rabi delta and one detuning eps")
@@ -116,13 +121,13 @@ def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path: str | os.PathLike | None, overrides: Mapping[str, Any] | None = None) -> ExperimentConfig:
-    """The JSON document at ``path`` (None: no document) with each non-None
-    override replacing its key, constructed once, so that defaults which
-    depend on other keys (``grid_n`` under ``quick``) see only the keys given."""
+def config_document(path: str | os.PathLike | None, overrides: Mapping[str, Any]) -> dict[str, Any]:
+    """The JSON document at ``path`` (None: none) with each non-None override
+    replacing its key: a config is constructed from it once, so that defaults
+    depending on other keys (``grid_n`` under ``quick``) see only those given."""
     doc = {}
     if path is not None:
         with open(path) as fh:
             doc = json.load(fh)
-    doc.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-    return config_from_mapping(doc)
+    doc.update((k, v) for k, v in overrides.items() if v is not None)
+    return doc

@@ -166,25 +166,28 @@ class FourierTerms:
     def segment_index(self, ts: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edges, ts, side="right")
 
-    def evaluate(self, ts: np.ndarray) -> np.ndarray:
-        """H at each time: the (n, K) weights times each sample's (K, 16) terms."""
+    def coefficients(self, ts: np.ndarray) -> np.ndarray:
+        """The (n, K) coefficients c_k = w_k(t) e^{i nu_k t} at each time."""
         seg = self.segment_index(ts)
         j = np.empty(ts.size)
         for s in np.flatnonzero(np.bincount(seg)):
             sel = seg == s
             level = self.segments[s].level
             j[sel] = self.segments[s].envelope(ts[sel]) if level is None else level
-        coef = np.exp(1j * np.multiply.outer(ts, self.nus)) * np.where(self.scaled, j[:, None], 1.0)
-        rows = self.mats.reshape(len(self.segments), -1, 16)[seg]
-        return np.matmul(coef[:, None, :], rows).reshape(-1, 4, 4)
+        return np.exp(1j * np.multiply.outer(ts, self.nus)) * np.where(self.scaled, j[:, None], 1.0)
+
+    def evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """H at each time: the (n, K) coefficients times each sample's (K, 16) terms."""
+        rows = self.mats.reshape(len(self.segments), -1, 16)[self.segment_index(ts)]
+        return np.matmul(self.coefficients(ts)[:, None, :], rows).reshape(-1, 4, 4)
 
 
 class TimeDependentHamiltonian:
     """H(t) with a vectorized batch evaluator, as the propagators expect.
 
-    Built from ``terms``, as every frame Hamiltonian is, H(t) is their sum
-    and the unitary propagator may integrate the terms exactly; built from
-    ``single`` and ``batch`` callables, H(t) is only ever sampled.
+    Built from ``terms``, as every frame Hamiltonian is, H(t) is their sum,
+    and the propagators take the terms' coefficients and matrices without
+    forming H; built from ``single`` and ``batch`` callables, H(t) is sampled.
     """
 
     def __init__(
@@ -261,6 +264,8 @@ class Scheme:
         """``duration``, or the exchange-capped time if unset, then the carrier cap."""
         if duration is None:
             duration = self.exchange_capped_time(theta, xi, params.j_max, eta, params)
+            if not duration > 0.0:
+                raise ValueError(f"theta = {theta:g}, xi = {xi:g} needs no exchange; give a gate time")
         if self.one_step and 2.0 * n_reps * math.pi / duration > params.delta_ez:
             duration = 2.0 * n_reps * math.pi / params.delta_ez
         return duration

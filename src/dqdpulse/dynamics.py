@@ -3,43 +3,40 @@
 One driver serves both: it resolves H(t), checks the step floor, builds
 the step grid (breakpoints and sample times on nodes), and walks it in
 memory-bounded chunks, each reduced to one ordered product, recording the
-running product at every sample time.  Only the per-step factor differs,
-and it is chosen by the kind of Hamiltonian:
+running product at every sample time.
 
-* closed systems whose H is given as Fourier terms (every frame
-  Hamiltonian is: ``device.frame_hamiltonian``) with a constant envelope
-  on every segment stepped through -- ``fsim_rect``, ``fsim_geometric``
-  and ``bgate``, with their Rabi and detuning errors -- take the
-  fourth-order Magnus-Filon step (Iserles, BIT 42, 561 (2002); Blanes,
-  Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): on each segment
-  H = sum_k G_k e^{i nu_k t}, and the first two Magnus terms of a step
-  are sums of G_k and of their commutators [G_k, G_l] weighted by exact
-  oscillatory integrals (``filon_weights``), so no H is sampled.  Its
-  error is fourth order in the step once a step is shorter than the
-  fastest period, which the floor guarantees;
-* other closed systems -- ``fsim_poly``, whose envelope is a polynomial,
-  plain callables, and a TimeDependentHamiltonian built from sampling
-  callables -- use the midpoint exponential exp(-i H(t + dt/2) dt),
-  second-order accurate;
-* open systems use one classical RK4 step of the vectorized master
-  equation, which is linear, so the step is the 16x16 matrix
-  I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's taken at the identity.
-  One superoperator serves a whole 1600-state fidelity grid.
+H(t) is resolved once into per-segment term matrices R and coefficients
+c(t): a frame Hamiltonian's Fourier terms give
+c_k = w_k(t) e^{i nu_k t}; any other H is one segment of the 16 unit
+matrices, with H's entries as coefficients.  Each step rule builds its
+generators the same way, the interleaved (Re c, Im c) of its samples times
+a real row table of their segment (``_combine``), so none forms a complex H:
 
-Every step factor and ordered product is real, which numpy multiplies
-several times faster than complex matrices of the same information.  A
-closed step exp(A), A = -i H dt, is taken in the real form
-X + iY -> [[X, -Y], [Y, X]] of A, an 8x8 matrix; the map is a ring
-homomorphism, so it commutes with products and with the scaled Taylor
-series (``algebra.batched_expm``) that exponentiates it, unitary to
-rounding.  An open step acts on the coefficients of rho in the orthonormal
-Pauli basis sigma_a (x) sigma_b / 2, where the Liouvillian, which
-preserves Hermiticity, is a real 16x16 matrix: H's 16 real coefficients
-times fixed structure constants, plus the dissipator (Havel, J. Math.
-Phys. 44, 534 (2003)).  The real product goes back to the complex
-propagator, or to the superoperator on column-stacked vec(rho), once, at
-the snapshots and at the end; ``propagate_unitary`` reports the
-propagator's unitarity defect.
+* closed runs whose Fourier terms have constant envelopes on every segment
+  stepped through (``fsim_rect``, ``fsim_geometric``, ``bgate``, with their
+  Rabi and detuning errors) take the fourth-order Magnus-Filon step
+  (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+  151 (2009)): with H = sum_k G_k e^{i nu_k t} on a segment, its rows are
+  G_k and [G_k, G_l] and its coefficients exact oscillatory integrals
+  (``filon_weights``).  The error is fourth order once a step is shorter
+  than the fastest period, which the floor guarantees;
+* other closed runs (``fsim_poly``, whose envelope is a polynomial, and
+  sampled H) take the second-order midpoint exponential
+  exp(-i H(t + dt/2) dt), with coefficients c(t + dt/2) dt;
+* open runs take one classical RK4 step of the linear vectorized master
+  equation, the 16x16 matrix I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's
+  taken at the identity; one superoperator serves a 1600-state grid.
+
+Rows, step factors and products are real, which numpy multiplies several
+times faster than complex matrices.  Closed rows are realify(-i R) and
+realify(R), real forms X + iY -> [[X, -Y], [Y, X]]: a ring homomorphism, so
+it commutes with products and with the Taylor series
+(``algebra.batched_expm``) of an 8x8 step.  Open rows are the Liouvillians
+-i[R, .] in the orthonormal Pauli basis sigma_a (x) sigma_b / 2, where a
+Hermitian H's is real, from one table of the unit matrices'; the dissipator
+is added (Havel, J. Math. Phys. 44, 534 (2003)).  The product returns to
+the complex propagator, or to the superoperator on column-stacked vec(rho),
+once, at the snapshots and at the end.
 
 Without a budget, a run takes its rule's default
 (``DEFAULT_STEPS_PER_PERIOD``): the floor of 50 steps per period for the
@@ -75,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import batched_expm, complexify, realify, skew_generator, unitarity_defect
+from .algebra import batched_expm, complexify, realify, unitarity_defect
 from .device import DeviceParams, FourierTerms, TimeDependentHamiltonian
 
 STEPS_PER_PERIOD = 50
@@ -85,10 +82,11 @@ STEPS_PER_PERIOD = 50
 # order, so the floor serves; the midpoint and RK4 rules keep 200.
 DEFAULT_STEPS_PER_PERIOD = {"magnus_filon": STEPS_PER_PERIOD, "midpoint": 200, "rk4": 200}
 
-# filon_weights sums its power series (where |nu h| <= 1) until the bound
-# (n + 1) r^n / (n + 2)! on the next term, at radius r, is below this; the
-# sums are then at least 1/4, so the remainder is below 2^-53 of them
+# filon_weights sums power series in z = i nu h, |z| up to the radius, until
+# the next term's bound (n + 1) r^n / (n + 2)! at r = max |z| is below the
+# tolerance: within 2.1e-15 of 40-digit values.  The floor keeps |z| < 0.4.
 _SERIES_TOL = 2.0**-56
+_SERIES_RADIUS = 4.5
 
 # Bytes of step factors held at once: 64 superoperator or 256 propagator
 # steps, real 16x16 and 8x8 float64 factors, so the 632k-step B gate runs in
@@ -135,15 +133,55 @@ def require_step_floor(steps_per_period: int) -> None:
         raise ValueError(f"steps_per_period {steps_per_period} is below the floor {STEPS_PER_PERIOD}")
 
 
-def _resolve_hamiltonian(h) -> tuple[Callable[[np.ndarray], np.ndarray], float, FourierTerms | None]:
-    if isinstance(h, TimeDependentHamiltonian):
-        return h.matrices, h.max_frequency_hz, h.terms
-    if callable(h):
-        def batch(ts: np.ndarray) -> np.ndarray:
-            return np.stack([np.asarray(h(t), dtype=complex) for t in np.atleast_1d(ts)])
+@dataclass(frozen=True)
+class _Sampled:
+    """Sampled H as ``FourierTerms``: one segment of the 16 unit matrices E_ab, H's entries as coefficients."""
 
-        return batch, 0.0, None
+    batch: Callable[[np.ndarray], np.ndarray]
+    mats = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
+    edges = np.zeros(0)
+
+    def segment_index(self, ts: np.ndarray) -> np.ndarray:
+        return np.zeros(ts.shape, dtype=int)
+
+    def coefficients(self, ts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.batch(ts), dtype=complex).reshape(-1, 16)
+
+
+_Terms = FourierTerms | _Sampled  # H(t) = sum_k c_k(t) mats[s, k] on segment s, [edges[s - 1], edges[s])
+
+
+def _resolve_hamiltonian(h) -> tuple[_Terms, float]:
+    if isinstance(h, TimeDependentHamiltonian):
+        return (h.terms if h.terms is not None else _Sampled(h.matrices)), h.max_frequency_hz
+    if callable(h):
+        return _Sampled(lambda ts: np.stack([np.asarray(h(t), dtype=complex) for t in ts])), 0.0
     raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
+
+
+def _stepped(terms: _Terms, duration: float) -> np.ndarray:
+    """The term matrices of the segments that start before ``duration``."""
+    return terms.mats[: np.searchsorted(terms.edges, duration) + 1]
+
+
+def _combine(coef: np.ndarray, segment: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k c_k rows[s, k] for each sample, s its segment, in real arithmetic,
+    one product per segment present; the finiteness check of every rule."""
+    if not np.isfinite(coef).all():
+        raise ValueError("cannot propagate: H has non-finite entries")
+    coef = np.ascontiguousarray(coef).view(float)  # Re c, Im c interleaved
+    present = np.flatnonzero(np.bincount(segment))
+    if present.size == 1:
+        return coef @ rows[present[0]]
+    out = np.empty((coef.shape[0], rows.shape[-1]))
+    for s in present:
+        out[segment == s] = coef[segment == s] @ rows[s]
+    return out
+
+
+def _closed_rows(mats: np.ndarray) -> np.ndarray:
+    """(S, 2K, 64) rows realify(-i R_k), realify(R_k): the real form of -i sum_k c_k R_k."""
+    return np.stack([realify(-1j * mats), realify(mats)], axis=2).reshape(mats.shape[0], -1, 64)
 
 
 def _step_grid(
@@ -266,10 +304,17 @@ def _propagate(
     )
 
 
-def _midpoint_factors(batch, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
+def _midpoint_factors(h: _Terms, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
     dts = np.diff(nodes)
     mids = nodes[:-1] + dts / 2.0
-    return lambda a, b: batched_expm(skew_generator(batch(mids[a:b]), dts[a:b]))
+    segment, rows = h.segment_index(mids), _closed_rows(_stepped(h, nodes[-1]))
+
+    def factors(a: int, b: int) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
+            coef = h.coefficients(mids[a:b]) * dts[a:b, None]
+        return batched_expm(_combine(coef, segment[a:b], rows).reshape(-1, 8, 8))
+
+    return factors
 
 
 def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,43 +324,29 @@ def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     jj[u, k, l] = int_0^h e^{i nu_k s} int_0^s e^{i nu_l r} dr ds at h = hs[u].
     Both are divided differences of exp (Hermite-Genocchi): with
     z1 = i nu_k h and z2 = i (nu_k + nu_l) h, phi = h f[0, z1] and
-    jj = h^2 f[0, z1, z2].  Where |z1| and |z2| are at most 1, which every
-    step at or above the floor meets, they are summed as power series,
-    free of the cancellation of the closed forms as nu h -> 0; elsewhere
-    they are the first row of the exponential of the bidiagonal matrix
-    [[0, 1, 0], [0, z1, 1], [0, 0, z2]] (McCurdy, Ng & Parlett, Math.
-    Comp. 43, 491 (1984)).
+    jj = h^2 f[0, z1, z2], summed as power series, free of the cancellation
+    of the closed forms as nu h -> 0, up to |z2| = 2 |nu| h = _SERIES_RADIUS.
     """
     hs = np.asarray(hs, dtype=float)
     x = 1j * np.multiply.outer(hs, np.asarray(nus, dtype=float))
-    z1 = np.broadcast_to(x[:, :, None], x.shape + x.shape[-1:])
-    z2 = z1 + x[:, None, :]
-    small = np.maximum(np.abs(z1), np.abs(z2)) <= 1.0
-    f1 = np.empty(z1.shape, dtype=complex)
-    f2 = np.empty(z1.shape, dtype=complex)
-    # f[0, z1] = sum z1^n / (n + 1)!; f[0, z1, z2] = sum c_n / (n + 2)! with
-    # c_n = sum_{p + q = n} z1^p z2^q = z1 c_{n-1} + z2^n
-    a, b = z1[small], z2[small]
-    r = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    z1, z2 = x[:, :, None], x[:, :, None] + x[:, None, :]
+    r = 2.0 * np.abs(x).max(initial=0.0)  # max |z2|, at k = l
+    if not r <= _SERIES_RADIUS:
+        raise ValueError(f"Magnus-Filon step too long: |z| = 2 |nu h| reaches {r:.3g}, above {_SERIES_RADIUS}")
     terms = 1
     while (terms + 1) * r**terms / math.factorial(terms + 2) > _SERIES_TOL:
         terms += 1
-    pa, pb, cn = np.ones_like(a), np.ones_like(a), np.ones_like(a)
-    s1, s2 = np.ones_like(a), 0.5 * cn
+    # f[0, z1] = sum z1^n / (n + 1)!; f[0, z1, z2] = sum c_n / (n + 2)! with
+    # c_n = sum_{p + q = n} z1^p z2^q = z1 c_{n-1} + z2^n
+    p1, s1 = np.ones_like(x), np.ones_like(x)
+    p2, cn, s2 = np.ones_like(z2), np.ones_like(z2), np.full_like(z2, 0.5)
     for n in range(1, terms):
-        pa *= a
-        s1 += pa / math.factorial(n + 1)
-        pb *= b
-        cn = a * cn + pb
+        p1 *= x
+        s1 += p1 / math.factorial(n + 1)
+        p2 *= z2
+        cn = z1 * cn + p2
         s2 += cn / math.factorial(n + 2)
-    f1[small], f2[small] = s1, s2
-    if not small.all():
-        m = np.zeros((int((~small).sum()), 3, 3), dtype=complex)
-        m[:, 0, 1] = m[:, 1, 2] = 1.0
-        m[:, 1, 1], m[:, 2, 2] = z1[~small], z2[~small]
-        e = batched_expm(m)
-        f1[~small], f2[~small] = e[:, 0, 1], e[:, 0, 2]
-    return hs[:, None] * np.diagonal(f1, axis1=1, axis2=2), hs[:, None, None] ** 2 * f2
+    return hs[:, None] * s1, hs[:, None, None] ** 2 * s2
 
 
 def _generators(terms: FourierTerms, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -346,21 +377,16 @@ class _MagnusFilon:
     i Omega = sum_k e^{i nu_k t0} phi_k G_k
               - (i/2) sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) [G_k, G_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length.  Written i Omega = sum_j c_j R_j over those rows R_j, the real
-    form of Omega is sum_j Re c_j realify(-i R_j) + Im c_j realify(R_j):
-    one real product of the interleaved (Re c, Im c) with realified rows.
+    length: Filon coefficients of the rows G_k and [G_k, G_l].
     """
 
-    def __init__(self, terms: FourierTerms, nodes: np.ndarray, left: np.ndarray):
+    def __init__(self, h: _Terms, nodes: np.ndarray, left: np.ndarray):
         self.t0 = nodes[:-1]
         dts = np.diff(nodes)
-        segment = terms.segment_index(self.t0 + dts / 2.0)
-        used = np.flatnonzero(np.bincount(segment))
-        self.row = np.searchsorted(used, segment)  # each step's row block
-        self.nus, self.k, self.l, rows = _generators(terms, used)
-        rows = rows.reshape(used.size, -1, 4, 4)
-        pairs = np.stack([realify(-1j * rows), realify(rows)], axis=2)  # (S, K + P, 2, 8, 8)
-        self.rows = pairs.reshape(used.size, -1, 64)
+        self.segment = h.segment_index(self.t0 + dts / 2.0)
+        count = len(_stepped(h, nodes[-1]))
+        self.nus, self.k, self.l, rows = _generators(h, np.arange(count))
+        self.rows = _closed_rows(rows.reshape(count, -1, 4, 4))
         hs, self.length = np.unique(dts, return_inverse=True)
         self.phi, jj = filon_weights(self.nus, hs)
         self.dj = -0.5j * (jj[:, self.k, self.l] - jj[:, self.l, self.k])
@@ -369,13 +395,7 @@ class _MagnusFilon:
         u = self.length[a:b]
         phase = np.exp(1j * np.multiply.outer(self.t0[a:b], self.nus))
         coef = np.concatenate([phase * self.phi[u], phase[:, self.k] * phase[:, self.l] * self.dj[u]], axis=1)
-        row = self.row[a:b]
-        coef = coef.view(float)  # Re c_j, Im c_j interleaved
-        omega = np.empty((b - a, 64))
-        cuts = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), b - a]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):  # one product per segment in the chunk
-            omega[lo:hi] = coef[lo:hi] @ self.rows[row[lo]]
-        return batched_expm(omega.reshape(-1, 8, 8))
+        return batched_expm(_combine(coef, self.segment[a:b], self.rows).reshape(-1, 8, 8))
 
 
 def propagate_unitary(
@@ -391,7 +411,7 @@ def propagate_unitary(
     """Time-ordered propagator over [0, duration].
 
     ``hamiltonian`` is H(t): a callable, or a TimeDependentHamiltonian whose
-    batch evaluator and frequency bound are used.  One given as Fourier
+    terms (or else batch evaluator) and frequency bound are used.  One given as Fourier
     terms whose segments (those of one repetition) all have constant
     envelopes is integrated by the Magnus-Filon step, any other by the
     midpoint rule.  With ``sample_times`` the intermediate propagators
@@ -399,12 +419,12 @@ def propagate_unitary(
     repeats every duration / N: one repetition is integrated, on ``steps``
     steps, and raised to the N-th power.
     """
-    batch, fmax, terms = _resolve_hamiltonian(hamiltonian)
-    stepped = () if terms is None else terms.segments[: terms.segment_index(duration / repetitions) + 1]
-    if terms is not None and None not in [seg.level for seg in stepped]:
-        rule, factors = "magnus_filon", partial(_MagnusFilon, terms)
+    h, fmax = _resolve_hamiltonian(hamiltonian)
+    stepped = h.segments[: len(_stepped(h, duration / repetitions))] if isinstance(h, FourierTerms) else ()
+    if isinstance(h, FourierTerms) and None not in [seg.level for seg in stepped]:
+        rule, factors = "magnus_filon", partial(_MagnusFilon, h)
     else:
-        rule, factors = "midpoint", partial(_midpoint_factors, batch)
+        rule, factors = "midpoint", partial(_midpoint_factors, h)
     res = _propagate(
         fmax, rule, factors, duration, steps, breakpoints, sample_times, steps_per_period, repetitions,
         8, complexify,
@@ -424,14 +444,6 @@ COLLAPSE_Q1 = tuple(np.kron(p, _I2) for p in _P)
 COLLAPSE_Q2 = tuple(np.kron(_I2, p) for p in _P)
 
 
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.flatten(order="F")
-
-
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(4, 4, order="F")
-
-
 # The orthonormal Hermitian operator basis B_mu = sigma_a (x) sigma_b / 2,
 # mu = 4 a + b, and the unitary T whose column mu is vec(B_mu): a
 # Hermiticity-preserving superoperator S on vec(rho) is the real matrix
@@ -442,21 +454,10 @@ _PAULI = np.einsum("aij,bkl->abikjl", _SIGMA, _SIGMA).reshape(16, 4, 4) / 2.0
 _T = _PAULI.transpose(0, 2, 1).reshape(16, 16).T
 
 
-def _commutator_constants() -> np.ndarray:
-    """The (32, 256) real matrix taking the interleaved (Re, Im) entries of a
-    Hermitian H to its Liouvillian -i[H, .] in the basis B, row-major.
-
-    H has the real coefficients h_k = tr(B_k H), the sum of Re B_k Re H +
-    Im B_k Im H over the entries, and -i[B_k, .] the real matrix
-    f_k[mu, nu] = -i tr(B_mu [B_k, B_nu]).
-    """
-    prod = np.einsum("kij,njl->knil", _PAULI, _PAULI)
-    f = -1j * np.einsum("mij,knji->kmn", _PAULI, prod - prod.transpose(1, 0, 2, 3))
-    coefficients = _PAULI.reshape(16, 16).view(float).T  # (32, 16)
-    return coefficients @ f.real.reshape(16, 256)
-
-
-_COMMUTATORS = _commutator_constants()
+# The Liouvillians -i[E_ab, .] of the 16 unit matrices in the basis B, (16, 256)
+_UNIT_LIOUVILLIANS = np.stack(
+    [_T.conj().T @ (1j * (np.kron(e.T, np.eye(4)) - np.kron(np.eye(4), e))) @ _T for e in np.eye(16).reshape(16, 4, 4)]
+).reshape(16, 256)
 
 
 def _in_pauli_basis(s: np.ndarray) -> np.ndarray:
@@ -469,48 +470,56 @@ def _from_pauli_basis(s: np.ndarray) -> np.ndarray:
     return _T @ s @ _T.conj().T
 
 
-def _liouvillians(h: np.ndarray, diss: np.ndarray) -> np.ndarray:
-    """The real Liouvillians -i[H, .] + D in the basis B for a batch of
-    Hermitian H, with D given in that basis: one real product of H's
-    entries with the commutator constants."""
-    entries = np.ascontiguousarray(h, dtype=complex).reshape(-1, 16).view(float)  # Re, Im interleaved
-    out = (entries @ _COMMUTATORS).reshape(-1, 16, 16)
-    out += diss
-    return out
+def _open_rows(mats: np.ndarray) -> np.ndarray:
+    """(S, 2K, 256) rows Re L_k, -Im L_k, L_k = -i[R_k, .] in the basis B: the
+    real part of the Liouvillian of sum_k c_k R_k, all of it for Hermitian H."""
+    ls = mats.reshape(mats.shape[0], -1, 16) @ _UNIT_LIOUVILLIANS
+    return np.stack([ls.real, -ls.imag], axis=2).reshape(mats.shape[0], -1, 256)
 
 
-def _rk4_factors(batch, nodes: np.ndarray, left: np.ndarray, diss: np.ndarray) -> np.ndarray:
+def _rk4_factors(h: _Terms, diss: np.ndarray, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """One classical RK4 step of the linear master equation per step, as a
-    real 16x16 matrix in the basis B."""
-    dts = np.diff(nodes)
-    n = dts.size
-    ends = nodes[1:][left] - _LEFT_LIMIT * dts[left]
-    ls = _liouvillians(batch(np.concatenate([nodes, nodes[:-1] + dts / 2.0, ends])), diss)
-    l0, lm = ls[:n], ls[n + 1 : 2 * n + 1]
-    end_index = np.arange(1, n + 1)
-    end_index[left] = np.arange(2 * n + 1, ls.shape[0])
-    l1 = ls[end_index]
-    dt = dts[:, None, None]
-    eye = np.eye(16)
-    # k1 = l0, k2 = lm (I + dt/2 k1), k3 = lm (I + dt/2 k2), k4 = l1 (I + dt k3),
-    # in place: a fresh temporary of a chunk's size costs more than its arithmetic
-    x = l0 * (0.5 * dt)
-    x += eye
-    k = lm @ x
-    acc = k * 2.0
-    acc += l0
-    np.multiply(k, 0.5 * dt, out=x)
-    x += eye
-    np.matmul(lm, x, out=k)
-    acc += k
-    acc += k
-    np.multiply(k, dt, out=x)
-    x += eye
-    np.matmul(l1, x, out=k)
-    acc += k
-    acc *= dt / 6.0
-    acc += eye
-    return acc
+    real 16x16 matrix in the basis B, from Liouvillians -i[H, .] + D."""
+    rows = _open_rows(_stepped(h, nodes[-1]))
+
+    def factors(a: int, b: int) -> np.ndarray:
+        dts = np.diff(nodes[a : b + 1])
+        n, t0 = dts.size, nodes[a:b]
+        # a step ending at a breakpoint or T takes H just inside; where that is
+        # an interior node, the node's own H starts the next step
+        ends = nodes[a + 1 : b + 1] - np.where(left[a:b], _LEFT_LIMIT * dts, 0.0)
+        split = np.flatnonzero(left[a : b - 1])
+        ts = np.concatenate([t0, ends[-1:], t0 + dts / 2.0, ends[split]])
+        ls = _combine(h.coefficients(ts), h.segment_index(ts), rows)
+        ls += diss.reshape(-1)
+        ls = ls.reshape(-1, 16, 16)
+        l0, lm = ls[:n], ls[n + 1 : 2 * n + 1]
+        end_index = np.arange(1, n + 1)
+        end_index[split] = np.arange(2 * n + 1, ls.shape[0])
+        l1 = ls[end_index]
+        dt = dts[:, None, None]
+        eye = np.eye(16)
+        # k1 = l0, k2 = lm (I + dt/2 k1), k3 = lm (I + dt/2 k2), k4 = l1 (I + dt k3),
+        # in place: a fresh temporary of a chunk's size costs more than its arithmetic
+        x = l0 * (0.5 * dt)
+        x += eye
+        k = lm @ x
+        acc = k * 2.0
+        acc += l0
+        np.multiply(k, 0.5 * dt, out=x)
+        x += eye
+        np.matmul(lm, x, out=k)
+        acc += k
+        acc += k
+        np.multiply(k, dt, out=x)
+        x += eye
+        np.matmul(l1, x, out=k)
+        acc += k
+        acc *= dt / 6.0
+        acc += eye
+        return acc
+
+    return factors
 
 
 def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
@@ -556,20 +565,16 @@ def lindblad_superoperator(
     is as for :func:`propagate_unitary`.  H(t) must be Hermitian: the steps
     are taken in the Pauli basis, where only its Hermitian part enters.
     """
-    batch, fmax, _ = _resolve_hamiltonian(hamiltonian)
+    h, fmax = _resolve_hamiltonian(hamiltonian)
     diss = _in_pauli_basis(dephasing_dissipator(params))
-
-    def rk4(nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
-        return lambda a, b: _rk4_factors(batch, nodes[a : b + 1], left[a:b], diss)
-
     return _propagate(
-        fmax, "rk4", rk4, duration, steps, breakpoints, sample_times, steps_per_period, repetitions,
-        16, _from_pauli_basis,
+        fmax, "rk4", partial(_rk4_factors, h, diss), duration, steps, breakpoints, sample_times, steps_per_period,
+        repetitions, 16, _from_pauli_basis,
     )
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return _unvec(s @ _vec(np.asarray(rho, dtype=complex)))
+    return (s @ np.asarray(rho, dtype=complex).flatten(order="F")).reshape(4, 4, order="F")
 
 
 def propagate_lindblad(
@@ -583,7 +588,7 @@ def propagate_lindblad(
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
     """Open-system evolution of one density matrix under projector dephasing,
-    at the step floor unless ``steps`` is given.
+    at RK4's default of 200 steps per period unless ``steps`` is given.
 
     Trace deviation is reported, never silently renormalized.
     """

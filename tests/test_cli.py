@@ -9,7 +9,7 @@ import dqdpulse.cli as cli
 import dqdpulse.experiments as xp
 from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
-from dqdpulse.config import ExperimentConfig, config_from_mapping, load_config
+from dqdpulse.config import ExperimentConfig, config_document, config_from_mapping
 from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary, required_steps
 from dqdpulse.experiments import build_schedule
@@ -51,9 +51,9 @@ class TestConfig:
     def test_load_and_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scheme": "fsim_poly", "n_reps": 3, "grid_n": 12}))
-        cfg = load_config(path)
+        cfg = config_from_mapping(config_document(path, {}))
         assert cfg.scheme == "fsim_poly"
-        cfg2 = load_config(path, {"grid_n": 5, "scheme": None})
+        cfg2 = config_from_mapping(config_document(path, {"grid_n": 5, "scheme": None}))
         assert cfg2.grid_n == 5
         assert cfg2.scheme == "fsim_poly"
 
@@ -158,6 +158,58 @@ class TestCliRuns:
         assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
         err = capsys.readouterr().err
         assert err == f"dqdpulse: error: reproduce {argv[1]} does not read {flag}\n"
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc, flag",
+        [
+            (["sweep", "rabi"], {"n_reps": 3}, "--n-reps"),
+            (["sweep", "eta"], {"grid_n": 2, "quick": True}, "--grid-n, --quick"),
+            (["sweep", "detuning", "--quick"], {"scheme": "fsim_rect"}, "--scheme"),
+            (["sweep", "phase", "--rabi-deltas", "0.05"], {"workers": 1, "theta": 0.5}, "--rabi-deltas, --theta"),
+            (
+                ["reproduce", "fig1a"],
+                {"scheme": "bgate", "n_reps": 3, "steps_per_period": 400},
+                "--n-reps, --scheme, --steps-per-period",
+            ),
+            (["reproduce", "table1"], {"quick": True, "steps_per_period": 400}, "--steps-per-period"),
+        ],
+        ids=["rabi-n-reps", "eta-grid", "detuning-scheme", "phase-flag-and-key", "fig1a-gate-keys", "table1-steps"],
+    )
+    def test_config_keys_are_checked_like_flags(self, argv, doc, flag, tmp_path, capsys):
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(tmp_path / "doc.json"), "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dqdpulse: error: {argv[0]} {argv[1]} does not read {flag}\n"
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--theta", "0", "--xi", "0"], "needs no exchange"),
+            (["synthesize", "--theta", "0", "--xi", "0"], "needs no exchange"),
+            (["simulate", "--gate-time-ns", "0"], "gate_time_ns"),
+            (["synthesize", "--gate-time-ns", "-45"], "gate_time_ns"),
+            (["simulate", "--gate-time-ns", "inf"], "gate_time_ns"),
+            (["simulate", "--gate-time-ns", "nan"], "gate_time_ns"),
+            (["simulate", "--theta", "nan"], "theta"),
+            (["synthesize", "--theta", "nan"], "theta"),
+            (["synthesize", "--scheme", "bgate", "--xi", "inf"], "xi"),
+            (["simulate", "--scheme", "fsim_poly", "--eta", "nan"], "eta"),
+            (["simulate", "--rabi-deltas", "nan"], "rabi delta"),
+            (["simulate", "--no-decoherence", "--detuning-eps", "0", "nan"], "detuning eps"),
+        ],
+        ids=[
+            "simulate-no-exchange", "synthesize-no-exchange", "gate-time-0", "gate-time-negative", "gate-time-inf",
+            "gate-time-nan", "simulate-theta-nan", "synthesize-theta-nan", "xi-inf", "eta-nan", "rabi-delta-nan",
+            "detuning-eps-nan",
+        ],
+    )
+    def test_invalid_gate_parameters_are_a_one_line_error(self, argv, message, tmp_path, capsys):
+        assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and message in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "bad").exists()
 
     def test_empty_outdir_variable_is_unset(self, tmp_path, monkeypatch, capsys):

@@ -6,7 +6,14 @@ import pytest
 
 from dqdpulse import dynamics
 from dqdpulse.algebra import batched_expm, mat_exp_skew, phase_aligned_distance
-from dqdpulse.device import DEFAULT_DEVICE, SCHEMES, DeviceParams, TimeDependentHamiltonian, frame_hamiltonian
+from dqdpulse.device import (
+    DEFAULT_DEVICE,
+    SCHEMES,
+    DeviceParams,
+    FourierTerms,
+    TimeDependentHamiltonian,
+    frame_hamiltonian,
+)
 from dqdpulse.dynamics import (
     COLLAPSE_Q1,
     COLLAPSE_Q2,
@@ -137,6 +144,32 @@ class TestUnitaryPropagation:
         assert (res.steps, res.rule) == (400, "midpoint")
         ref = eigh_loop_propagator(h, T45, res.steps, schedule.breakpoints)
         assert np.abs(res.final - ref).max() <= 1e-12
+
+
+class TestNonFiniteHamiltonian:
+    # one bad entry of H at every time: each rule's coefficients are checked once
+    @staticmethod
+    def hamiltonian(bad, kind):
+        def single(t):
+            h = np.zeros((4, 4), dtype=complex)
+            h[1, 2] = bad
+            return h
+
+        if kind == "callable":
+            return single
+        return TimeDependentHamiltonian(batch=lambda ts: np.stack([single(t) for t in ts]), max_frequency_hz=0.0)
+
+    @pytest.mark.parametrize("kind", ["callable", "sampled"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_unitary_rejects(self, bad, kind):
+        with pytest.raises(ValueError, match="H has non-finite"):
+            propagate_unitary(self.hamiltonian(bad, kind), 1e-8, steps=16)
+
+    @pytest.mark.parametrize("kind", ["callable", "sampled"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_lindblad_rejects(self, bad, kind):
+        with pytest.raises(ValueError, match="H has non-finite"):
+            lindblad_superoperator(self.hamiltonian(bad, kind), DEFAULT_DEVICE, 1e-8, steps=16)
 
 
 class TestSampleTimeSnapping:
@@ -428,27 +461,41 @@ class TestRepetitionPower:
             propagate_unitary(h, schedule.duration, sample_times=[0.0, schedule.duration], repetitions=2)
 
 
+def assert_filon_matches_quadrature(nus, step):
+    mp = pytest.importorskip("mpmath")
+    phi, jj = dynamics.filon_weights(nus, [step])
+    with mp.workdps(30):
+        h = mp.mpf(step)
+
+        def inner(nu, s):  # int_0^s e^{i nu r} dr, closed form at 30 digits
+            return s if nu == 0 else (mp.expj(nu * s) - 1) / (1j * nu)
+
+        for k, a in enumerate(map(mp.mpf, nus)):
+            exact = mp.quad(lambda s: mp.expj(a * s), [0, h])
+            assert abs(phi[0, k] - complex(exact)) <= 1e-14 * abs(exact)
+            for l, b in enumerate(map(mp.mpf, nus)):
+                exact = mp.quad(lambda s: mp.expj(a * s) * inner(b, s), [0, h])
+                assert abs(jj[0, k, l] - complex(exact)) <= 1e-14 * abs(exact), (k, l)
+
+
 class TestFilonWeights:
-    # nu h over 1e-8..1 with both signs; nu_k + nu_l reaches 2, so pairs fall
-    # on both sides of the series radius |z| = 1
+    # nu h over 1e-8..1 with both signs, so nu_k + nu_l reaches 2
     H = 2.5e-11
     NUS = np.array([-1.0, -0.55, -1e-8, 0.0, 1e-5, 0.1, 0.5, 1.0]) / H
 
     def test_against_quadrature(self):
-        mp = pytest.importorskip("mpmath")
-        phi, jj = dynamics.filon_weights(self.NUS, [self.H])
-        with mp.workdps(30):
-            h = mp.mpf(self.H)
+        assert_filon_matches_quadrature(self.NUS, self.H)
 
-            def inner(nu, s):  # int_0^s e^{i nu r} dr, closed form at 30 digits
-                return s if nu == 0 else (mp.expj(nu * s) - 1) / (1j * nu)
+    def test_against_quadrature_at_the_series_radius(self):
+        # nu_k + nu_l, and so |z2|, reaches the radius
+        half = dynamics._SERIES_RADIUS / 2
+        assert_filon_matches_quadrature(np.array([-half, -0.6 * half, 0.0, 0.3 * half, half]) / self.H, self.H)
 
-            for k, a in enumerate(map(mp.mpf, self.NUS)):
-                exact = mp.quad(lambda s: mp.expj(a * s), [0, h])
-                assert abs(phi[0, k] - complex(exact)) <= 1e-14 * abs(exact)
-                for l, b in enumerate(map(mp.mpf, self.NUS)):
-                    exact = mp.quad(lambda s: mp.expj(a * s) * inner(b, s), [0, h])
-                    assert abs(jj[0, k, l] - complex(exact)) <= 1e-14 * abs(exact), (k, l)
+    def test_rejects_steps_beyond_the_series_radius(self):
+        nus = np.array([0.0, (dynamics._SERIES_RADIUS / 2 + 1e-9) / self.H])
+        with pytest.raises(ValueError, match="step too long"):
+            dynamics.filon_weights(nus, [self.H])
+        dynamics.filon_weights(nus, [self.H / 2])
 
     def test_one_row_per_step_length(self):
         phi, jj = dynamics.filon_weights(self.NUS, [self.H, 2 * self.H, self.H])
@@ -517,6 +564,23 @@ class TestMagnusFilon:
         assert (open_run.rule, open_run.steps_per_period) == ("rk4", 100)
 
 
+class TestGeneratorPath:
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_gate_channel_samples_no_complex_hamiltonian(self, scheme, rwa, decoherence, monkeypatch):
+        # every rule takes a frame's coefficients and projected term rows;
+        # the B gate is shortened, which keeps its drive and its switch
+        calls = []
+        for owner, name in ((TimeDependentHamiltonian, "matrices"), (FourierTerms, "evaluate")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        schedule = build_schedule(scheme, duration=2e-9 if scheme == "bgate" else None)
+        res = gate_channel(schedule, rwa=rwa, decoherence=decoherence, rabi_delta=0.02, detuning_eps=0.01)
+        assert res.steps > 0 and np.isfinite(res.final).all()
+        assert calls == []
+
+
 def vec_liouvillians(hs, diss):
     """Oracle: i(H^T (x) I - I (x) H) + D, the Liouvillian on column-stacked
     vec(rho), for a stack of H."""
@@ -532,14 +596,17 @@ def complex_rk4_superoperator(h, params, period, steps, breakpoints, repetitions
     dts = np.diff(nodes)
     ends = np.where(left, nodes[1:] - dynamics._LEFT_LIMIT * dts, nodes[1:])
     diss = dephasing_dissipator(params)
-    l0, lm, l1 = (vec_liouvillians(h.matrices(t), diss) for t in (nodes[:-1], nodes[:-1] + dts / 2.0, ends))
-    dt, eye = dts[:, None, None], np.eye(16)
-    k2 = lm @ (eye + 0.5 * dt * l0)
-    k3 = lm @ (eye + 0.5 * dt * k2)
-    k4 = l1 @ (eye + dt * k3)
-    s = np.eye(16, dtype=complex)
-    for m in eye + dt / 6.0 * (l0 + 2.0 * k2 + 2.0 * k3 + k4):
-        s = m @ s
+    s, eye = np.eye(16, dtype=complex), np.eye(16)
+    for a in range(0, dts.size, 1024):  # in pieces, to bound memory
+        dt = dts[a : a + 1024]
+        t0 = nodes[a : a + dt.size]
+        l0, lm, l1 = (vec_liouvillians(h.matrices(t), diss) for t in (t0, t0 + dt / 2.0, ends[a : a + dt.size]))
+        dt = dt[:, None, None]
+        k2 = lm @ (eye + 0.5 * dt * l0)
+        k3 = lm @ (eye + 0.5 * dt * k2)
+        k4 = l1 @ (eye + dt * k3)
+        for m in eye + dt / 6.0 * (l0 + 2.0 * k2 + 2.0 * k3 + k4):
+            s = m @ s
     return np.linalg.matrix_power(s, repetitions)
 
 
@@ -565,6 +632,15 @@ def complex_magnus_filon(h, duration, breakpoints):
 
 
 class TestRealKernels:
+    @staticmethod
+    def open_generators(h, ts, diss):
+        """The Pauli-basis Liouvillians the RK4 rule builds: every segment's
+        open rows, combined with H's coefficients, plus the dissipator."""
+        terms, _ = dynamics._resolve_hamiltonian(h)
+        rows = dynamics._open_rows(terms.mats)
+        real = dynamics._combine(terms.coefficients(ts), terms.segment_index(ts), rows)
+        return (real + dynamics._in_pauli_basis(diss).reshape(-1)).reshape(-1, 16, 16)
+
     def test_pauli_basis_liouvillian_is_real(self):
         # H from 1e-3 to frame-like 1e10 rad/s against dephasing rates near 1e4
         rng = np.random.default_rng(41)
@@ -574,8 +650,29 @@ class TestRealKernels:
         pauli = dynamics._T.conj().T @ vec @ dynamics._T
         scale = np.abs(vec).max(axis=(1, 2))
         assert (np.abs(pauli.imag).max(axis=(1, 2)) <= 1e-15 * scale).all()
-        real = dynamics._liouvillians(hs, dynamics._in_pauli_basis(diss))
+        # a plain callable's rows: the Liouvillians of the unit matrices E_ab
+        real = self.open_generators(lambda t: hs[int(t)], np.arange(4.0), diss)
         assert real.dtype == np.dtype(float)
+        assert (np.abs(real - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
+
+    @pytest.mark.parametrize("error", ["none", "rabi", "detuning"])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_open_rows_of_every_frame_match_vec_liouvillians(self, scheme, rwa, error):
+        # every segment's Fourier terms, projected once, against the complex
+        # H(t) the frame evaluates, at times on and between the breakpoints
+        schedule = build_schedule(scheme, n_reps=2 if SCHEMES[scheme].one_step else 1)
+        if error == "rabi":
+            schedule = apply_rabi_error(schedule, 0.05)
+        elif error == "detuning":
+            schedule = apply_detuning_error(schedule, -0.03)
+        h = frame_hamiltonian(schedule, rwa)
+        ts = np.unique(np.concatenate([np.linspace(0.0, schedule.duration, 101), schedule.breakpoints]))
+        diss = dephasing_dissipator(DEFAULT_DEVICE)
+        real = self.open_generators(h, ts, diss)
+        vec = vec_liouvillians(h.matrices(ts), diss)
+        pauli = dynamics._T.conj().T @ vec @ dynamics._T
+        scale = np.abs(vec).max(axis=(1, 2))
         assert (np.abs(real - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
 
     def test_pauli_basis_round_trip(self):
@@ -596,6 +693,18 @@ class TestRealKernels:
         h = frame_hamiltonian(schedule, rwa=False)
         ref = complex_rk4_superoperator(h, DEFAULT_DEVICE, schedule.period, res.steps, schedule.breakpoints, n)
         assert res.repetitions == n
+        assert np.abs(res.final - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", ["fsim_geometric", "bgate"])
+    def test_drives_and_phase_switches_match_complex_rk4(self, scheme, rwa):
+        # the B gate's drive terms on its first 64th, 9.9k steps; the
+        # geometric fSim's phase-switched segments over the whole gate
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa)
+        span = schedule.duration / (64 if scheme == "bgate" else 1)
+        res = lindblad_superoperator(h, DEFAULT_DEVICE, span, breakpoints=schedule.breakpoints)
+        ref = complex_rk4_superoperator(h, DEFAULT_DEVICE, span, res.steps, schedule.breakpoints, 1)
         assert np.abs(res.final - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
