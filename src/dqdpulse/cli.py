@@ -11,12 +11,13 @@ every invariant check collected during the run passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .algebra import TWO_PI
 from .config import ExperimentConfig, config_document, config_from_mapping
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
-from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
+from .fidelity import REPORT_CSV_HEADER, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
 
 
@@ -55,7 +56,9 @@ def _fmt_row(values: Sequence) -> str:
 
 
 class RunWriter:
-    """Accumulates output files and writes the manifest at the end."""
+    """Accumulates output files and writes the manifest at the end; the output
+    directory is made with the first file, so a run that fails before any
+    output leaves none."""
 
     def __init__(self, outdir: str, cfg: ExperimentConfig):
         self.outdir = outdir
@@ -63,10 +66,13 @@ class RunWriter:
         self.files: list[dict] = []
         self.propagations: list[dict] = []
         self.t0 = time.time()
-        os.makedirs(outdir, exist_ok=True)
+
+    def _path(self, name: str) -> str:
+        os.makedirs(self.outdir, exist_ok=True)
+        return os.path.join(self.outdir, name)
 
     def write_csv(self, name: str, header: str, rows: Iterable[Sequence]) -> str:
-        path = os.path.join(self.outdir, name)
+        path = self._path(name)
         count = 0
 
         def lines():
@@ -88,28 +94,34 @@ class RunWriter:
         }
         if self.propagations:
             doc["propagations"] = self.propagations
-        return _atomic_write(os.path.join(self.outdir, "manifest.json"), [json.dumps(doc, indent=2, sort_keys=True)])
+        return _atomic_write(self._path("manifest.json"), [json.dumps(doc, indent=2, sort_keys=True)])
 
 
-def _build_schedule(cfg: ExperimentConfig):
-    return xp.build_schedule(
-        cfg.scheme,
-        theta=cfg.theta,
-        xi=cfg.xi,
-        duration=cfg.gate_time,
-        n_reps=cfg.n_reps,
-        eta=cfg.eta,
+def _gate(cfg: ExperimentConfig) -> dict:
+    """``build_schedule`` arguments of the configured gate, on its device read once."""
+    return dict(
+        scheme=cfg.scheme, theta=cfg.theta, xi=cfg.xi, duration=cfg.gate_time, n_reps=cfg.n_reps, eta=cfg.eta,
         params=cfg.device(),
     )
 
 
-def cmd_synthesize(cfg: ExperimentConfig) -> int:
-    schedule = _build_schedule(cfg)
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
+def _write_dicts(writer: RunWriter, name: str, header: str, rows: Iterable[dict]) -> None:
+    cols = header.split(",")
+    writer.write_csv(name, header, ([r[c] for c in cols] for r in rows))
+
+
+def _write_reports(writer: RunWriter, name: str, reports: Iterable) -> None:
+    writer.write_csv(name, REPORT_CSV_HEADER, map(report_row, reports))
+
+
+# The run bodies: each takes (cfg, writer, log), writes its files and records
+# its invariant checks; the dispatch in ``main`` writes the manifest.
+
+
+def _synthesize(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    schedule = xp.build_schedule(**_gate(cfg))
     writer.write_csv(f"schedule_{cfg.scheme}.csv", SCHEDULE_CSV_HEADER, schedule_rows(schedule, cfg.samples))
-    log = xp.InvariantLog()
     xp.log_constraints(schedule, log)
-    writer.finish()
     summary = (
         f"scheme={cfg.scheme} T={schedule.duration * 1e9:.4g} ns "
         f"max|J|/2pi={schedule.max_exchange() / TWO_PI / 1e6:.4g} MHz "
@@ -118,150 +130,119 @@ def cmd_synthesize(cfg: ExperimentConfig) -> int:
     if "weak_exchange_ratio" in schedule.meta:
         summary += f" J/delta_Ez={schedule.meta['weak_exchange_ratio']:.3g}"
     print(summary)
-    print(log.summary())
-    return 0 if log.ok else 1
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    schedule = _build_schedule(cfg)
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
-    log = xp.InvariantLog()
-    grid = build_grid(cfg.grid_n, cfg.phases)
+def _simulate(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    gate = _gate(cfg)
     # the config admits a trajectory only for a single (delta, eps) run
-    sample_times = np.linspace(0.0, schedule.duration, cfg.samples) if cfg.trajectory else None
-    xp.log_constraints(schedule, log)
-    reports = []
-    for delta in cfg.rabi_deltas or (0.0,):
-        for eps in cfg.detuning_eps or (0.0,):
-            rep, res = xp.gate_report(
-                schedule,
-                grid,
-                convention=cfg.convention,
-                rwa=cfg.rwa,
-                decoherence=cfg.decoherence,
-                params=cfg.device(),
-                rabi_delta=delta,
-                detuning_eps=eps,
-                steps_per_period=cfg.steps_per_period,
-                sample_times=sample_times,
-            )
-            xp.log_run(res, cfg.decoherence, log)
-            reports.append(rep)
-            how = ("rule", "steps", "repetitions", "steps_per_period", "max_frequency_hz")
-            writer.propagations.append({"rabi_delta": delta, "detuning_eps": eps, **{k: getattr(res, k) for k in how}})
-    writer.write_csv("fidelity.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
+    sample_times = np.linspace(0.0, xp.build_schedule(**gate).duration, cfg.samples) if cfg.trajectory else None
+    run = dict(
+        convention=cfg.convention, rwa=cfg.rwa, decoherence=cfg.decoherence, params=gate["params"],
+        steps_per_period=cfg.steps_per_period, sample_times=sample_times,
+    )
+    pairs = [(d, e) for d in cfg.rabi_deltas or (0.0,) for e in cfg.detuning_eps or (0.0,)]
+    jobs = [(gate, (cfg.grid_n, cfg.phases), {**run, "rabi_delta": d, "detuning_eps": e}) for d, e in pairs]
+    out = xp.run_jobs(jobs, log=log)
+    how = ("rule", "steps", "repetitions", "steps_per_period", "max_frequency_hz")
+    writer.propagations = [
+        {"rabi_delta": d, "detuning_eps": e, **{k: getattr(res, k) for k in how}} for (d, e), (_, res) in zip(pairs, out)
+    ]
+    _write_reports(writer, "fidelity.csv", (rep for rep, _ in out))
     if cfg.trajectory:
+        res = out[0][1]
         writer.write_csv("trajectory.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(res.times, xp.state_path(res)))
-    writer.finish()
-    for rep in reports:
+    for rep, _ in out:
         print(
             f"scheme={rep.scheme} N={rep.n_reps} delta={rep.rabi_delta:+.3f} "
             f"eps={rep.detuning_eps:+.3f} F={rep.fidelity:.6f}"
         )
-    print(log.summary())
-    return 0 if log.ok else 1
 
 
-# The flags each sweep and each reproduce target reads besides --config and
-# --outdir (--quick through grid_n's default); the run rejects any other
-# flag or config-document key rather than ignore it.
-SWEEP_FLAGS = {
-    "rabi": {"scheme", "grid_n", "quick", "rabi_deltas"},
-    "detuning": {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
-    "eta": set(),
-    "phase": {"grid_n", "quick", "workers", "n_values"},
-}
-REPRODUCE_FLAGS = {
-    "table1": {"quick", "workers"},
-    "fig1a": set(),
-    "fig4c": set(),
-    "fig4d": {"quick", "workers"},
-    "fig5": {"grid_n", "quick", "workers"},
-    "fig6": {"grid_n", "quick", "workers"},
-}
+# the rabi-delta and detuning-eps grid of fig5 and fig6, and the sweeps' default
+_ERRORS = np.linspace(-0.1, 0.1, 11)
+_N_VALUES = (1, 2, 3)
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str) -> int:
+def _rabi(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog, name: str, deltas, scheme: str) -> None:
+    rows = xp.rabi_sweep(deltas, scheme=scheme, grid_n=cfg.grid_n, log=log)
+    _write_dicts(writer, name, "rabi_delta,fidelity_numeric,fidelity_analytic", rows)
+
+
+def _detuning(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog, name: str, eps, n_values) -> None:
     workers = cfg.resolved_workers()
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
-    log = xp.InvariantLog()
-    if axis == "rabi":
-        rows = xp.rabi_sweep(cfg.rabi_deltas or np.linspace(-0.1, 0.1, 11), scheme=cfg.scheme, grid_n=cfg.grid_n, log=log)
-        writer.write_csv(
-            "rabi_sweep.csv",
-            "rabi_delta,fidelity_numeric,fidelity_analytic",
-            ((r["rabi_delta"], r["fidelity_numeric"], r["fidelity_analytic"]) for r in rows),
-        )
-    elif axis == "detuning":
-        reports = xp.detuning_sweep(
-            cfg.detuning_eps or np.linspace(-0.1, 0.1, 11),
-            cfg.n_values or (1, 2, 3),
-            grid_n=cfg.grid_n,
-            workers=workers,
-            quick=cfg.quick,
-            log=log,
-        )
-        writer.write_csv("detuning_sweep.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
-    elif axis == "eta":
-        rows = xp.sensitivity_vs_eta()
-        writer.write_csv("eta_sensitivity.csv", "eta,q_s", ((r["eta"], r["q_s"]) for r in rows))
-    elif axis == "phase":
-        reports = xp.initial_phase_sweep(
-            "phi1",
-            cfg.phases if any(cfg.phases) else np.linspace(0.0, math.pi, 5),
-            cfg.n_values or (1, 2, 3),
-            grid_n=cfg.grid_n,
-            workers=workers,
-            quick=cfg.quick,
-            log=log,
-        )
-        writer.write_csv("phase_sweep.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
-    else:
-        raise SystemExit(f"unknown sweep axis {axis!r}")
-    writer.finish()
-    print(log.summary() or "no invariant checks recorded")
-    return 0 if log.ok else 1
+    reports = xp.detuning_sweep(eps, n_values, grid_n=cfg.grid_n, workers=workers, quick=cfg.quick, log=log)
+    _write_reports(writer, name, reports)
 
 
-def cmd_reproduce(cfg: ExperimentConfig, target: str) -> int:
-    workers = cfg.resolved_workers()
-    writer = RunWriter(cfg.resolved_outdir(), cfg)
-    log = xp.InvariantLog()
-    if target == "table1":
-        reports = xp.table1(quick=cfg.quick, workers=workers, log=log)
-        writer.write_csv("table1.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
-    elif target == "fig1a":
-        rows = xp.amplitude_landscape()
-        writer.write_csv(
-            "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad",
-            ((r["theta_rad"], r["xi_rad"], r["abs_JT_max_rad"]) for r in rows),
-        )
-    elif target == "fig4c":
-        rows = xp.sensitivity_vs_eta()
-        writer.write_csv("fig4c.csv", "eta,q_s", ((r["eta"], r["q_s"]) for r in rows))
-    elif target == "fig4d":
-        rows = xp.fidelity_vs_eta(workers=workers, quick=cfg.quick, log=log)
-        writer.write_csv("fig4d.csv", "eta,fidelity", ((r["eta"], r["fidelity"]) for r in rows))
-    elif target == "fig5":
-        deltas = np.linspace(-0.1, 0.1, 11)
-        rows = xp.rabi_sweep(deltas, grid_n=cfg.grid_n, log=log)
-        writer.write_csv(
-            "fig5a.csv", "rabi_delta,fidelity_numeric,fidelity_analytic",
-            ((r["rabi_delta"], r["fidelity_numeric"], r["fidelity_analytic"]) for r in rows),
-        )
-        reports = xp.detuning_sweep(
-            np.linspace(-0.1, 0.1, 11), (1, 2, 3), grid_n=cfg.grid_n, workers=workers, quick=cfg.quick, log=log
-        )
-        writer.write_csv("fig5b.csv", REPORT_CSV_HEADER, (report_row(r) for r in reports))
-    elif target == "fig6":
-        grid = np.linspace(-0.1, 0.1, 11)
-        rows = xp.robustness_comparison(grid, grid, grid_n=cfg.grid_n, workers=workers, log=log)
-        writer.write_csv("fig6.csv", REPORT_CSV_HEADER, (report_row(r["report"]) for r in rows))
-    else:
-        raise SystemExit(f"unknown reproduce target {target!r}")
-    writer.finish()
-    print(log.summary() or "invariants: none recorded for this target")
-    return 0 if log.ok else 1
+def _eta(name: str, cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _write_dicts(writer, name, "eta,q_s", xp.sensitivity_vs_eta())
+
+
+def _sweep_rabi(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _rabi(cfg, writer, log, "rabi_sweep.csv", cfg.rabi_deltas or _ERRORS, cfg.scheme)
+
+
+def _sweep_detuning(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _detuning(cfg, writer, log, "detuning_sweep.csv", cfg.detuning_eps or _ERRORS, cfg.n_values or _N_VALUES)
+
+
+def _sweep_phase(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    phases, n_values, workers = np.linspace(0.0, np.pi, 5), cfg.n_values or _N_VALUES, cfg.resolved_workers()
+    reports = xp.initial_phase_sweep("phi1", phases, n_values, cfg.grid_n, workers=workers, quick=cfg.quick, log=log)
+    _write_reports(writer, "phase_sweep.csv", reports)
+
+
+def _table1(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _write_reports(writer, "table1.csv", xp.table1(quick=cfg.quick, workers=cfg.resolved_workers(), log=log))
+
+
+def _fig1a(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _write_dicts(writer, "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad", xp.amplitude_landscape())
+
+
+def _fig4d(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    rows = xp.fidelity_vs_eta(workers=cfg.resolved_workers(), quick=cfg.quick, log=log)
+    _write_dicts(writer, "fig4d.csv", "eta,fidelity", rows)
+
+
+def _fig5(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    _rabi(cfg, writer, log, "fig5a.csv", _ERRORS, "fsim_rect")
+    _detuning(cfg, writer, log, "fig5b.csv", _ERRORS, _N_VALUES)
+
+
+def _fig6(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    rows = xp.robustness_comparison(_ERRORS, _ERRORS, grid_n=cfg.grid_n, workers=cfg.resolved_workers(), log=log)
+    _write_reports(writer, "fig6.csv", (r["report"] for r in rows))
+
+
+# Every run, by command and target (None for a command without targets): the
+# config fields it reads besides outdir (quick through grid_n's default), and
+# its body.  A run rejects any other flag or config-document key rather than
+# ignore it.
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_GATE = {"scheme", "theta", "xi", "gate_time_ns", "n_reps", "eta", "device_file"}
+_SIMULATE = _GATE | {
+    "grid_n", "quick", "phases", "convention", "rwa", "decoherence", "rabi_deltas", "detuning_eps",
+    "steps_per_period", "samples", "trajectory",
+}
+RUNS = {
+    "synthesize": {None: (_GATE | {"samples"}, _synthesize)},
+    "simulate": {None: (_SIMULATE, _simulate)},
+    "sweep": {
+        "rabi": ({"scheme", "grid_n", "quick", "rabi_deltas"}, _sweep_rabi),
+        "detuning": ({"grid_n", "quick", "workers", "detuning_eps", "n_values"}, _sweep_detuning),
+        "eta": (set(), partial(_eta, "eta_sensitivity.csv")),
+        "phase": ({"grid_n", "quick", "workers", "n_values"}, _sweep_phase),
+    },
+    "reproduce": {
+        "table1": ({"quick", "workers"}, _table1),
+        "fig1a": (set(), _fig1a),
+        "fig4c": (set(), partial(_eta, "fig4c.csv")),
+        "fig4d": ({"quick", "workers"}, _fig4d),
+        "fig5": ({"grid_n", "quick", "workers"}, _fig5),
+        "fig6": ({"grid_n", "quick", "workers"}, _fig6),
+    },
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -282,62 +263,54 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int)
 
 
-def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "target", "axis", "func")}
-    doc = config_document(args.config, overrides)
-    if args.command in ("sweep", "reproduce"):
-        name = args.axis if args.command == "sweep" else args.target
-        reads = (SWEEP_FLAGS if args.command == "sweep" else REPRODUCE_FLAGS)[name] | {"outdir"}
-        unread = sorted(k for k, v in doc.items() if v is not None and k not in reads)
-        if unread:
-            flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-            raise ValueError(f"{args.command} {name} does not read {flags}")
-    return config_from_mapping(doc)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dqdpulse",
         description="Synthesize and verify composite two-qubit gate pulse schedules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_syn = sub.add_parser("synthesize", help="emit a pulse-schedule CSV")
-    _add_common(p_syn)
-
-    p_sim = sub.add_parser("simulate", help="propagate a schedule and report fidelities")
-    _add_common(p_sim)
+    parsers = {
+        "synthesize": sub.add_parser("synthesize", help="emit a pulse-schedule CSV"),
+        "simulate": sub.add_parser("simulate", help="propagate a schedule and report fidelities"),
+        "sweep": sub.add_parser("sweep", help="sweep an error or design axis"),
+        "reproduce": sub.add_parser("reproduce", help="regenerate a benchmark dataset"),
+    }
+    for p in parsers.values():
+        _add_common(p)
+    p_sim, p_swp = parsers["simulate"], parsers["sweep"]
     p_sim.add_argument("--no-decoherence", dest="decoherence", action="store_false", default=None)
     p_sim.add_argument("--rwa", action="store_true", default=None)
-    p_sim.add_argument("--rabi-deltas", type=float, nargs="*", dest="rabi_deltas")
-    p_sim.add_argument("--detuning-eps", type=float, nargs="*", dest="detuning_eps")
+    for p in (p_sim, p_swp):
+        p.add_argument("--rabi-deltas", type=float, nargs="*", dest="rabi_deltas")
+        p.add_argument("--detuning-eps", type=float, nargs="*", dest="detuning_eps")
     p_sim.add_argument("--trajectory", action="store_true", default=None)
-
-    p_swp = sub.add_parser("sweep", help="sweep an error or design axis")
-    _add_common(p_swp)
-    p_swp.add_argument("axis", choices=("rabi", "detuning", "eta", "phase"))
-    p_swp.add_argument("--rabi-deltas", type=float, nargs="*", dest="rabi_deltas")
-    p_swp.add_argument("--detuning-eps", type=float, nargs="*", dest="detuning_eps")
     p_swp.add_argument("--n-values", type=int, nargs="*", dest="n_values")
+    p_swp.add_argument("axis", choices=tuple(RUNS["sweep"]))
+    parsers["reproduce"].add_argument("target", choices=tuple(RUNS["reproduce"]))
 
-    p_rep = sub.add_parser("reproduce", help="regenerate a benchmark dataset")
-    _add_common(p_rep)
-    p_rep.add_argument("target", choices=("table1", "fig1a", "fig4c", "fig4d", "fig5", "fig6"))
-
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
+    target = args.pop("axis", None) or args.pop("target", None)
+    reads, body = RUNS[command][target]
+    log = xp.InvariantLog()
     try:
-        cfg = _resolve(args)
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis)
-        return cmd_reproduce(cfg, args.target)
+        doc = config_document(path, args)
+        # an unknown key is config_from_mapping's error, a known one the run does not read is this one
+        unread = sorted(k for k, v in doc.items() if v is not None and k in _FIELDS and k not in reads | {"outdir"})
+        if unread:
+            flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+            raise ValueError(f"{' '.join(filter(None, (command, target)))} does not read {flags}")
+        cfg = config_from_mapping(doc)
+        cfg.resolved_workers()  # an invalid DQDPULSE_WORKERS fails every run
+        writer = RunWriter(cfg.resolved_outdir(), cfg)
+        body(cfg, writer, log)
+        writer.finish()
     except ValueError as exc:
         # invalid configs and unsupported combinations: one line, argparse's exit code
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    print(log.summary() or "no invariant checks recorded")
+    return 0 if log.ok else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params
+from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params, read_json_object
 from .dynamics import require_step_floor
 
 
@@ -125,9 +125,6 @@ def config_document(path: str | os.PathLike | None, overrides: Mapping[str, Any]
     """The JSON document at ``path`` (None: none) with each non-None override
     replacing its key: a config is constructed from it once, so that defaults
     depending on other keys (``grid_n`` under ``quick``) see only those given."""
-    doc = {}
-    if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
+    doc = {} if path is None else read_json_object(path, "config")
     doc.update((k, v) for k, v in overrides.items() if v is not None)
     return doc

@@ -52,8 +52,8 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         for name in ("e_z", "delta_ez", "j_max", "b_y_l0", "b_y_r0", "t2_q1", "t2_q2"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         # gate times divide by both; T2 = 0 is the no-dephasing sentinel
         for name in ("delta_ez", "j_max"):
             if not getattr(self, name) > 0.0:
@@ -83,10 +83,22 @@ _JSON_KEYS = {
 _TIME_KEYS = {"t2_q1_s", "t2_q2_s"}
 
 
+def read_json_object(path: str | os.PathLike, what: str) -> dict:
+    """The JSON object at ``path``; a document that cannot be read, does not
+    parse or is not an object is a ValueError naming ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what} {os.fspath(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {os.fspath(path)!r} is not a JSON object")
+    return doc
+
+
 def load_device_params(path: str | os.PathLike) -> DeviceParams:
     """Read DeviceParams from a JSON document with frequencies in Hz."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "device file")
     unknown = set(doc) - set(_JSON_KEYS)
     if unknown:
         raise ValueError(f"unknown device parameter keys: {sorted(unknown)}")

@@ -4,11 +4,12 @@ Each propagating driver is a list of gate jobs handed to ``run_jobs``.  A
 job names a schedule, an initial-state grid and the ``gate_report``
 arguments as plain data; the runner builds the schedule, propagates it
 once (closed-system or with projector dephasing) and averages its fidelity
-over the grid, in a process pool when asked.  Reports come back in job
-order for any worker count, so the output is byte-identical regardless of
-scheduling.  The runner records the invariant checks the CLI exit code
-keys off: each distinct pristine schedule's constraint residuals once,
-and one unitarity or Lindblad-trace check per job.
+over the grid, in a process pool when asked.  Reports and their evolution
+results come back in job order for any worker count, so the output is
+byte-identical regardless of scheduling.  The runner records the invariant
+checks the CLI exit code keys off: each distinct pristine schedule's
+constraint residuals once, and one unitarity or Lindblad-trace check per
+job.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def state_path(res: EvolutionResult) -> np.ndarray:
 Job = tuple[dict, tuple, dict]
 
 
-def _run_job(job: Job, check_constraints: bool) -> tuple[FidelityReport, InvariantLog]:
+def _run_job(job: Job, check_constraints: bool) -> tuple[FidelityReport, EvolutionResult, InvariantLog]:
     schedule_kwargs, grid_args, report_kwargs = job
     schedule = build_schedule(**schedule_kwargs)
     checks = InvariantLog()
@@ -239,11 +240,14 @@ def _run_job(job: Job, check_constraints: bool) -> tuple[FidelityReport, Invaria
         log_constraints(schedule, checks)
     report, res = gate_report(schedule, build_grid(*grid_args), **report_kwargs)
     log_run(res, report_kwargs["decoherence"], checks)
-    return report, checks
+    return report, res, checks
 
 
-def run_jobs(jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
-    """Reports of ``jobs`` in job order, from a process pool when ``workers`` > 1.
+def run_jobs(
+    jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None
+) -> list[tuple[FidelityReport, EvolutionResult]]:
+    """(report, evolution result) of each of ``jobs`` in job order, from a
+    process pool when ``workers`` > 1.
 
     ``log`` receives each job's checks in job order: the constraint
     residuals of its pristine schedule the first time that schedule
@@ -258,9 +262,9 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = N
         with ProcessPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(_run_job, jobs, flags))
     if log is not None:
-        for _, checks in out:
+        for *_, checks in out:
             log.extend(checks)
-    return [report for report, _ in out]
+    return [(report, res) for report, res, _ in out]
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +282,13 @@ def _table1_job(scheme: str, n_reps: int, quick: bool) -> Job:
 
 def table1_entry(scheme: str, n_reps: int, *, quick: bool = False) -> FidelityReport:
     """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
-    return run_jobs([_table1_job(scheme, n_reps, quick)])[0]
+    return run_jobs([_table1_job(scheme, n_reps, quick)])[0][0]
 
 
 def table1(*, quick: bool = False, workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
     """Both fidelity-table rows (rectangular and optimal-parameter) over N = 1..10."""
     jobs = [_table1_job(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)]
-    return run_jobs(jobs, workers, log)
+    return [rep for rep, _ in run_jobs(jobs, workers, log)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +347,7 @@ def fidelity_vs_eta(workers: int = 1, quick: bool = False, log: InvariantLog | N
     report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
     jobs = [({**schedule, "eta": eta}, (10,), report) for eta in etas]
     reports = run_jobs(jobs, workers, log)
-    return [{"eta": eta, "fidelity": rep.fidelity} for eta, rep in zip(etas, reports)]
+    return [{"eta": eta, "fidelity": rep.fidelity} for eta, (rep, _) in zip(etas, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +378,7 @@ def rabi_sweep(
             "fidelity_numeric": rep.fidelity,
             "fidelity_analytic": analytic_rabi_fidelity(rep.rabi_delta),
         }
-        for rep in run_jobs(jobs, log=log)
+        for rep, _ in run_jobs(jobs, log=log)
     ]
 
 
@@ -393,7 +397,7 @@ def detuning_sweep(
         for n in n_values
         for e in eps_values
     ]
-    return run_jobs(jobs, workers, log)
+    return [rep for rep, _ in run_jobs(jobs, workers, log)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def robustness_comparison(
     reports = run_jobs(jobs, workers, log)
     return [
         {"scheme": s, "error_kind": k, "value": v, "fidelity": rep.fidelity, "report": rep}
-        for (s, k, v), rep in zip(keys, reports)
+        for (s, k, v), (rep, _) in zip(keys, reports)
     ]
 
 
@@ -504,4 +508,4 @@ def initial_phase_sweep(
             phases = [0.0, 0.0, 0.0]
             phases[index] = float(v)
             jobs.append((dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n), (grid_n, tuple(phases)), report))
-    return run_jobs(jobs, workers, log)
+    return [rep for rep, _ in run_jobs(jobs, workers, log)]

@@ -1,11 +1,15 @@
+import ast
 import json
 import math
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dqdpulse.cli as cli
+import dqdpulse.config as config
 import dqdpulse.experiments as xp
 from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
@@ -31,11 +35,12 @@ class TestConfig:
     )
     def test_quick_grid_only_when_no_grid_given(self, flags, doc, grid_n, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_synthesize", seen.append)
+        reads, _ = cli.RUNS["simulate"][None]
+        monkeypatch.setitem(cli.RUNS["simulate"], None, (reads, lambda cfg, writer, log: seen.append(cfg)))
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
             flags = [*flags, "--config", str(tmp_path / "cfg.json")]
-        main(["synthesize", *flags])
+        main(["simulate", *flags, "--outdir", str(tmp_path / "out")])
         assert seen[0].quick and seen[0].grid_n == grid_n
 
     def test_rejects_unknown_keys(self):
@@ -228,6 +233,65 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert err.startswith("dqdpulse: error: ") and "must be positive" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, name", [("delta_e_z_hz", "delta_ez"), ("e_z_hz", "e_z"), ("t2_q1_s", "t2_q1")])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_infinite_device_constant_is_a_one_line_error(self, command, key, name, tmp_path, capsys):
+        device = tmp_path / "device.json"
+        device.write_text(json.dumps({key: math.inf}))  # written as Infinity
+        assert main([command, "--device-file", str(device), "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dqdpulse: error: {name} must be finite and nonnegative\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [("--config", None), ("--device-file", None), ("--config", "[1]"), ("--device-file", "[]"), ("--config", "{")],
+        ids=["config-missing", "device-missing", "config-list", "device-list", "config-truncated"],
+    )
+    def test_unreadable_document_is_a_one_line_error(self, flag, content, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["synthesize", flag, str(path), "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and str(path) in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_run_failing_before_its_first_file_leaves_no_directory(self, tmp_path, capsys):
+        assert main(["sweep", "rabi", "--scheme", "bgate", "--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, doc, flag",
+        [
+            (["synthesize", "--workers", "2"], None, "--workers"),
+            (["synthesize", "--quick"], None, "--quick"),
+            (
+                ["synthesize", "--workers", "3", "--grid-n", "7", "--steps-per-period", "400", "--convention", "paper"],
+                None,
+                "--convention, --grid-n, --steps-per-period, --workers",
+            ),
+            (["simulate", "--workers", "2"], None, "--workers"),
+            (["simulate"], {"n_values": [1]}, "--n-values"),
+        ],
+        ids=["synthesize-workers", "synthesize-quick", "synthesize-run-flags", "simulate-workers", "simulate-n-values-key"],
+    )
+    def test_synthesize_and_simulate_reject_what_they_do_not_read(self, argv, doc, flag, tmp_path, capsys):
+        if doc is not None:
+            (tmp_path / "doc.json").write_text(json.dumps(doc))
+            argv = [*argv, "--config", str(tmp_path / "doc.json")]
+        assert main([*argv, "--outdir", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == f"dqdpulse: error: {argv[0]} does not read {flag}\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_unknown_key_is_reported_as_unknown(self, tmp_path, capsys):
+        (tmp_path / "doc.json").write_text(json.dumps({"schem": "bgate"}))
+        assert main(["sweep", "eta", "--config", str(tmp_path / "doc.json"), "--outdir", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == "dqdpulse: error: unknown config keys: ['schem']\n"
 
     def test_synthesize_writes_schedule_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "syn"
@@ -451,3 +515,79 @@ class TestReproduceTable1:
         assert len(lines) == 21  # header + 2 schemes x N = 1..10
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"][0]["rows"] == 20
+
+
+def config_attribute_reads(config_source: str) -> dict[str, set[str]]:
+    """ExperimentConfig field, property or method name -> the fields it reads
+    off ``self``, following the methods and properties it uses."""
+    (cls,) = [n for n in ast.parse(config_source).body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig"]
+    fields = {s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)}
+    methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        if name in fields:
+            return {name}
+        seen.add(name)
+        return set().union(
+            *(
+                reads(n.attr, seen)
+                for n in ast.walk(methods[name])
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+                and n.attr not in seen
+            )
+        )
+
+    return {name: reads(name, set()) for name in fields | set(methods)}
+
+
+def body_reads(cli_source: str, name: str, attributes: dict[str, set[str]]) -> set[str]:
+    """Config fields the top-level function ``name`` reads off its ``cfg``,
+    following the module's functions it calls; ``"cfg"`` itself when the
+    config reaches any other call or binding, where its reads cannot be seen."""
+    defs = {n.name: n for n in ast.parse(cli_source).body if isinstance(n, ast.FunctionDef)}
+    read, todo, seen = set(), [name], {name}
+    while todo:
+        fn = defs[todo.pop()]
+        followed = set()  # the cfg names handed to a followed function or read through
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
+                followed.update(id(a) for a in node.args)
+                if node.func.id not in seen:
+                    seen.add(node.func.id)
+                    todo.append(node.func.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+                followed.add(id(node.value))
+                read |= attributes.get(node.attr, {node.attr})
+        if any(isinstance(n, ast.Name) and n.id == "cfg" and id(n) not in followed for n in ast.walk(fn)):
+            read.add("cfg")
+    return read
+
+
+def test_detector_follows_helpers_and_config_properties():
+    config_source = (
+        "@dataclass\nclass ExperimentConfig:\n    a: int = 1\n    b_ns: float = 1.0\n    unused: int = 0\n"
+        "    @property\n    def b(self):\n        return self.b_ns\n"
+        "    def c(self):\n        return self.b + self.a + self.c()\n"
+    )
+    attributes = config_attribute_reads(config_source)
+    assert attributes["b"] == {"b_ns"} and attributes["c"] == {"a", "b_ns"}
+    cli_source = (
+        "def body(cfg, writer, log):\n    helper(cfg, writer, cfg.b)\n"
+        "def helper(cfg, writer, x):\n    return cfg.c() + cfg.zz\n"
+        "def leaky(cfg, writer, log):\n    writer.send(cfg)\n"
+    )
+    assert body_reads(cli_source, "body", attributes) == {"a", "b_ns", "zz"}
+    assert body_reads(cli_source, "leaky", attributes) == {"cfg"}
+
+
+def test_every_run_declares_the_config_fields_its_body_reads():
+    attributes = config_attribute_reads(Path(config.__file__).read_text())
+    cli_source = Path(cli.__file__).read_text()
+    undeclared = {}
+    for command, runs in cli.RUNS.items():
+        for target, (reads, body) in runs.items():
+            name = (body.func if isinstance(body, partial) else body).__name__
+            extra = body_reads(cli_source, name, attributes) - reads
+            if extra:
+                undeclared[f"{command} {target}"] = sorted(extra)
+    assert undeclared == {}

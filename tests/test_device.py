@@ -58,6 +58,11 @@ class TestDeviceParams:
         with pytest.raises(ValueError, match=f"{name} must be"):
             DeviceParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["e_z", "delta_ez", "j_max", "b_y_l0", "b_y_r0", "t2_q1", "t2_q2"])
+    def test_rejects_infinite(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DeviceParams(**{name: math.inf})
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "device.json"
         save_device_params(DEFAULT_DEVICE, path)
@@ -71,6 +76,14 @@ class TestDeviceParams:
         path = tmp_path / "device.json"
         path.write_text(json.dumps({"e_z_hz": 1.0}))
         assert load_device_params(path).e_z == pytest.approx(TWO_PI)
+
+    @pytest.mark.parametrize("content", [None, "[1.0]", "{"], ids=["missing", "list", "truncated"])
+    def test_unreadable_json_names_the_path(self, content, tmp_path):
+        path = tmp_path / "device.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ValueError, match="device file .*device.json"):
+            load_device_params(path)
 
     def test_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "device.json"
