@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,11 +48,15 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+@lru_cache(maxsize=32)  # one entry per CSV row layout
+def _row_format(types: tuple[type, ...]) -> str:
+    """The format string of a CSV row of values of these types: strings as
+    they are, numbers in %.12g."""
+    return ",".join("{}" if issubclass(t, str) else "{:.12g}" for t in types)
+
+
 def _fmt_row(values: Sequence) -> str:
-    out = []
-    for v in values:
-        out.append(v if isinstance(v, str) else f"{v:.12g}")
-    return ",".join(out)
+    return _row_format(tuple(map(type, values))).format(*values)
 
 
 class RunWriter:

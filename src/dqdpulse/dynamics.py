@@ -3,7 +3,11 @@
 One driver serves both: it resolves H(t), checks the step floor, builds
 the step grid (breakpoints and sample times on nodes), and walks it in
 memory-bounded chunks, each reduced to one ordered product, recording the
-running product at every sample time.
+running product at every sample time.  A chunk holding sample times is
+cut at them into runs, padded with identities after their last step to
+one length and reduced in one batched tree reduction, which gives each
+run's product bit for bit; the running product then takes one matrix
+product per sample.
 
 H(t) is resolved once into per-segment term matrices R and coefficients
 c(t): a frame Hamiltonian's Fourier terms give
@@ -66,6 +70,7 @@ as fewer than 50 steps per period, are rejected with the required minimum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -92,6 +97,11 @@ _SERIES_RADIUS = 4.5
 # steps, real 16x16 and 8x8 float64 factors, so the 632k-step B gate runs in
 # bounded memory.
 CHUNK_BYTES = 1 << 17
+
+# Distinct step lengths per block of Magnus-Filon tables: sample times split
+# the B gate's steps into 4k lengths, whose full tables at once are a 16 MB
+# transient.
+_FILON_BLOCK = 256
 
 # RK4 end stages at a breakpoint or at T sample H this fraction of a step
 # inside the interval: schedules are right-continuous at envelope jumps.
@@ -196,32 +206,51 @@ def _step_grid(
     is taken as that node.
     """
     pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
-    nodes = [0.0]
+    pieces = [np.zeros(1)]  # numpy pieces: a list of 160k float objects is a 6.4 MB peak
     for lo, hi in zip(pts[:-1], pts[1:]):
         n = max(1, int(round(steps * (hi - lo) / duration)))
-        nodes.extend(np.linspace(lo, hi, n + 1)[1:])
-    nodes = np.asarray(nodes)
+        pieces.append(np.linspace(lo, hi, n + 1)[1:])
+    nodes = np.concatenate(pieces)
     marks = np.zeros(0, dtype=int)
     if sample_times is not None:
         i = np.clip(np.searchsorted(nodes, sample_times), 1, nodes.size - 1)
         lo, hi = nodes[i - 1], nodes[i]
         tol = _SNAP * (hi - lo)
         snapped = np.where(sample_times - lo <= tol, lo, np.where(hi - sample_times <= tol, hi, sample_times))
-        nodes = np.unique(np.concatenate([nodes, snapped]))
+        nodes = np.sort(np.concatenate([nodes, snapped]))
+        nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]  # np.unique would import numpy.ma: 14 ms, 1.4 MB
         marks = np.searchsorted(nodes, snapped)
     return nodes, np.isin(nodes[1:], pts[1:]), marks
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] via an order-preserving tree reduction."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            tail = mats[-1]
-            mats = np.matmul(mats[1::2], mats[:-1:2])
-            mats = np.concatenate([mats, tail[None]])
+    """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] via an
+    order-preserving tree reduction along the step axis, -3."""
+    while mats.shape[-3] > 1:
+        if mats.shape[-3] % 2:
+            tail = mats[..., -1:, :, :]
+            mats = np.matmul(mats[..., 1::2, :, :], mats[..., :-1:2, :, :])
+            mats = np.concatenate([mats, tail], axis=-3)
         else:
-            mats = np.matmul(mats[1::2], mats[::2])
-    return mats[0]
+            mats = np.matmul(mats[..., 1::2, :, :], mats[..., ::2, :, :])
+    return mats[..., 0, :, :]
+
+
+def _grouped(factors: np.ndarray, ends: list[int]) -> np.ndarray:
+    """The runs factors[ends[g - 1]:ends[g]] (ends increasing, the last
+    len(factors)) as one (G, L, dim, dim) stack, each padded after its last
+    factor with identities to the longest run's length L.
+
+    An identity factor changes no product, and padding at the end leaves each
+    run's tree reduction pairing its factors as it would alone, so
+    ``_ordered_product`` of the stack is each run's product bit for bit.
+    """
+    starts, eye = [0, *ends[:-1]], np.eye(factors.shape[-1])
+    out = np.empty((len(ends), max(e - s for s, e in zip(starts, ends))) + factors.shape[1:])
+    for g, (s, e) in enumerate(zip(starts, ends)):
+        out[g, : e - s] = factors[s:e]
+        out[g, e - s :] = eye
+    return out
 
 
 # step_factors(nodes, left) -> factors(a, b): the real (b - a, dim, dim) factors
@@ -276,16 +305,19 @@ def _propagate(
     chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
     factors_of = step_factors(nodes, left)
 
+    cuts = sorted(set(marks.tolist()))  # the sampled nodes, ascending (np.unique imports numpy.ma)
     state = np.eye(dim)
     snapshots = {0: state}
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
         factors = factors_of(a, b)
-        start = a
-        for m in sorted({*marks[(marks > a) & (marks < b)].tolist(), b}):
-            state = _ordered_product(factors[start - a : m - a]) @ state
-            snapshots[m] = state
-            start = m
+        ends = cuts[bisect_right(cuts, a) : bisect_left(cuts, b)] + [b]
+        if len(ends) == 1:
+            state = snapshots[b] = _ordered_product(factors) @ state
+        else:  # the chunk's sample intervals in one reduction, then one product per sample
+            products = _ordered_product(_grouped(factors, [m - a for m in ends]))
+            for m, product in zip(ends, products):
+                state = snapshots[m] = product @ state
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
     if times is None:
         states, final = None, restore(final)
@@ -327,15 +359,30 @@ def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     jj = h^2 f[0, z1, z2], summed as power series, free of the cancellation
     of the closed forms as nu h -> 0, up to |z2| = 2 |nu| h = _SERIES_RADIUS.
     """
-    hs = np.asarray(hs, dtype=float)
-    x = 1j * np.multiply.outer(hs, np.asarray(nus, dtype=float))
-    z1, z2 = x[:, :, None], x[:, :, None] + x[:, None, :]
-    r = 2.0 * np.abs(x).max(initial=0.0)  # max |z2|, at k = l
+    nus, hs = np.asarray(nus, dtype=float), np.asarray(hs, dtype=float)
+    k, l = np.indices((nus.size, nus.size)).reshape(2, -1)
+    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs))
+    return phi, jj.reshape(hs.size, nus.size, nus.size)
+
+
+def _series_terms(nus: np.ndarray, hs: np.ndarray) -> int:
+    """Terms of the ``filon_weights`` series for every step length in ``hs``."""
+    r = 2.0 * np.abs(nus).max(initial=0.0) * np.abs(hs).max(initial=0.0)  # max |z2|, at k = l
     if not r <= _SERIES_RADIUS:
         raise ValueError(f"Magnus-Filon step too long: |z| = 2 |nu h| reaches {r:.3g}, above {_SERIES_RADIUS}")
     terms = 1
     while (terms + 1) * r**terms / math.factorial(terms + 2) > _SERIES_TOL:
         terms += 1
+    return terms
+
+
+def _filon_series(
+    nus: np.ndarray, hs: np.ndarray, k: np.ndarray, l: np.ndarray, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi[u, k] and jj[u, p] = jj[u, k[p], l[p]] of ``filon_weights``, at a
+    given number of series terms."""
+    x = 1j * np.multiply.outer(hs, nus)
+    z1, z2 = x[:, k], x[:, k] + x[:, l]
     # f[0, z1] = sum z1^n / (n + 1)!; f[0, z1, z2] = sum c_n / (n + 2)! with
     # c_n = sum_{p + q = n} z1^p z2^q = z1 c_{n-1} + z2^n
     p1, s1 = np.ones_like(x), np.ones_like(x)
@@ -346,7 +393,7 @@ def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         p2 *= z2
         cn = z1 * cn + p2
         s2 += cn / math.factorial(n + 2)
-    return hs[:, None] * s1, hs[:, None, None] ** 2 * s2
+    return hs[:, None] * s1, hs[:, None] ** 2 * s2
 
 
 def _generators(terms: FourierTerms, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -377,7 +424,10 @@ class _MagnusFilon:
     i Omega = sum_k e^{i nu_k t0} phi_k G_k
               - (i/2) sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) [G_k, G_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length: Filon coefficients of the rows G_k and [G_k, G_l].
+    length: Filon coefficients of the rows G_k and [G_k, G_l].  The tables
+    are built ``_FILON_BLOCK`` lengths at a time, J only at the pairs
+    (k, l) and (l, k) that enter, with the series length of all of them, so
+    they equal one-shot ``filon_weights`` tables bit for bit.
     """
 
     def __init__(self, h: _Terms, nodes: np.ndarray, left: np.ndarray):
@@ -388,8 +438,14 @@ class _MagnusFilon:
         self.nus, self.k, self.l, rows = _generators(h, np.arange(count))
         self.rows = _closed_rows(rows.reshape(count, -1, 4, 4))
         hs, self.length = np.unique(dts, return_inverse=True)
-        self.phi, jj = filon_weights(self.nus, hs)
-        self.dj = -0.5j * (jj[:, self.k, self.l] - jj[:, self.l, self.k])
+        terms, pairs = _series_terms(self.nus, hs), self.k.size
+        k, l = np.concatenate([self.k, self.l]), np.concatenate([self.l, self.k])  # J_kl, then J_lk
+        self.phi = np.empty((hs.size, self.nus.size), dtype=complex)
+        self.dj = np.empty((hs.size, pairs), dtype=complex)
+        for i in range(0, hs.size, _FILON_BLOCK):
+            block = slice(i, i + _FILON_BLOCK)
+            self.phi[block], jj = _filon_series(self.nus, hs[block], k, l, terms)
+            self.dj[block] = -0.5j * (jj[:, :pairs] - jj[:, pairs:])
 
     def __call__(self, a: int, b: int) -> np.ndarray:
         u = self.length[a:b]
@@ -614,10 +670,8 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-def trajectory_rows(times: np.ndarray, rhos: np.ndarray):
-    """Populations and coherence magnitudes of sampled density matrices."""
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for t, rho in zip(times, rhos):
-        pops = [float(rho[i, i].real) for i in range(4)]
-        cohs = [float(abs(rho[i, j])) for i, j in pairs]
-        yield (t * 1e9, *pops, *cohs)
+def trajectory_rows(times: np.ndarray, rhos: np.ndarray) -> list[list[float]]:
+    """Populations and coherence magnitudes of sampled density matrices, one
+    row per sample: t in ns, then the columns of ``TRAJECTORY_CSV_HEADER``."""
+    i, j = np.triu_indices(4, 1)  # (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    return np.column_stack([times * 1e9, np.einsum("nii->ni", rhos).real, np.abs(rhos[:, i, j])]).tolist()

@@ -140,6 +140,65 @@ class TestBatchedTaylorExponential:
         np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (5, 4, 4)))
 
 
+def plain_horner_expm(a):
+    """batched_expm's series as first written: the strided 1-norm, and a fresh
+    array for each Horner step and squaring."""
+    nu = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    squarings = math.ceil(math.log2(nu / 0.5)) if nu > 0.5 else 0
+    a, nu = a * 2.0**-squarings, nu * 2.0**-squarings
+    m = 1
+    while nu ** (m + 1) / math.factorial(m + 1) * math.exp(nu) > 2.0**-53:
+        m += 1
+    eye = np.eye(a.shape[-1])
+    e = eye + a / m
+    for k in range(m - 1, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+class TestExpmPasses:
+    """The contiguous norm and in-place Horner steps give the plain series bit
+    for bit: the same degree and squarings, at every norm and layout."""
+
+    # 1e-5 and 1e-4 are the midpoint and Magnus-Filon steps; from 0.5 on squarings start
+    NORMS = [1e-8, 1e-5, 1e-4, 1e-2, 0.3, 0.7, 5.0, 1e2]
+
+    @staticmethod
+    def layouts(a):
+        yield "contiguous", a
+        yield "transposed", np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+        yield "strided", np.repeat(a, 2, axis=-1)[..., ::2]
+        yield "every other matrix", np.repeat(a, 2, axis=0)[::2]
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_real_forms_match_the_plain_series(self, norm):
+        rng = np.random.default_rng(int(-math.log10(norm) * 10) + 300)
+        a = realify(-1j * hermitian_batch(rng, rng.uniform(0.1, 1.0, 256) * norm, np.ones(256)))
+        expected = plain_horner_expm(a)
+        for name, view in self.layouts(a):
+            assert name == "contiguous" or not view.flags.c_contiguous
+            out = batched_expm(view)
+            assert out.shape == a.shape and out.dtype == np.dtype(float)
+            np.testing.assert_array_equal(out, expected, err_msg=name)
+
+    @pytest.mark.parametrize("norm", [1e-5, 0.3, 5.0])
+    def test_complex_input_matches_the_plain_series(self, norm):
+        a = random_complex(np.random.default_rng(int(norm * 10) + 310), 16, norm)
+        np.testing.assert_array_equal(batched_expm(a), plain_horner_expm(a))
+        np.testing.assert_array_equal(batched_expm(a.transpose(0, 2, 1)), plain_horner_expm(a.transpose(0, 2, 1)))
+
+    def test_input_is_left_unchanged(self):
+        a = realify(-1j * hermitian_batch(np.random.default_rng(320), np.full(4, 3.0), np.ones(4)))
+        kept = a.copy()
+        batched_expm(a)
+        np.testing.assert_array_equal(a, kept)
+
+    def test_empty_stack(self):
+        assert batched_expm(np.zeros((0, 8, 8))).shape == (0, 8, 8)
+
+
 def random_complex(rng, n, one_norm):
     """n random complex 4x4 matrices, neither Hermitian nor normal, of 1-norm ``one_norm``."""
     a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))

@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+import runpy
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -15,7 +17,7 @@ from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import main
 from dqdpulse.config import ExperimentConfig, config_document, config_from_mapping
 from dqdpulse.device import SCHEMES, frame_hamiltonian
-from dqdpulse.dynamics import propagate_unitary, required_steps
+from dqdpulse.dynamics import TRAJECTORY_CSV_HEADER, propagate_unitary, required_steps
 from dqdpulse.experiments import build_schedule
 
 
@@ -477,6 +479,23 @@ class TestTrajectory:
         assert err.startswith("dqdpulse: error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    def test_bgate_csv_bytes_match_the_per_value_formatter(self, tmp_path, monkeypatch):
+        # the rows as first written: one float() or abs() and one f-string per value
+        runs = []
+
+        def kept(*args, **kwargs):
+            runs.append(propagate_unitary(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(xp, "propagate_unitary", kept)
+        assert main([*self.BGATE, "--trajectory", "--samples", "201", "--outdir", str(tmp_path)]) == 0
+        lines = [TRAJECTORY_CSV_HEADER]
+        for t, rho in zip(runs[0].times, xp.state_path(runs[0])):
+            values = [t * 1e9, *(float(rho[i, i].real) for i in range(4))]
+            values += [float(abs(rho[i, j])) for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+            lines.append(",".join(f"{v:.12g}" for v in values))
+        assert (tmp_path / "trajectory.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_bgate_has_no_repetitions(self, tmp_path):
         assert main([*self.BGATE, "--n-reps", "2", "--outdir", str(tmp_path)]) == 0
         lines = (tmp_path / "fidelity.csv").read_text().strip().splitlines()
@@ -504,6 +523,46 @@ class TestDeterminismAcrossWorkers:
         assert runs[0] == runs[1]
         # 44 runs, plus the constraints of the geometric (3) and rectangular (2) schedules
         assert len(runs[0][1]) == 49
+
+
+class TestReproduceFiguresScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+
+    def run(self, monkeypatch, *args):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *args])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        return done.value.code, calls
+
+    def test_each_target_gets_the_flags_it_reads(self, monkeypatch):
+        code, calls = self.run(monkeypatch, "--quick", "--grid-n", "10", "--workers", "2")
+        assert code == 0
+        assert calls == [
+            ["reproduce", "fig1a", "--outdir", "out/fig1a"],
+            ["reproduce", "fig4c", "--outdir", "out/fig4c"],
+            ["reproduce", "fig4d", "--outdir", "out/fig4d", "--workers", "2", "--quick"],
+            ["reproduce", "fig5", "--outdir", "out/fig5", "--grid-n", "10", "--workers", "2", "--quick"],
+            ["reproduce", "fig6", "--outdir", "out/fig6", "--grid-n", "10", "--workers", "2", "--quick"],
+        ]
+        for argv in calls:  # every argv parses, and its run reads each flag it is given
+            reads = cli.RUNS["reproduce"][argv[1]][0]
+            assert {a[2:].replace("-", "_") for a in argv[4:] if a.startswith("--")} <= reads
+
+    def test_chosen_targets_and_outdir(self, monkeypatch):
+        code, calls = self.run(monkeypatch, "fig5", "fig1a", "--outdir", "figs")
+        assert code == 0
+        assert calls == [
+            ["reproduce", "fig5", "--outdir", "figs/fig5"],
+            ["reproduce", "fig1a", "--outdir", "figs/fig1a"],
+        ]
+
+    @pytest.mark.parametrize("args", [["fig1a", "--quick"], ["--scheme", "bgate"], ["table1"]])
+    def test_rejects_flags_no_target_reads_and_unknown_targets(self, monkeypatch, capsys, args):
+        code, calls = self.run(monkeypatch, *args)
+        assert code == 2 and calls == []
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReproduceTable1:

@@ -372,6 +372,67 @@ class TestChunkedDriver:
         with pytest.raises(ValueError, match="sample times"):
             propagate_unitary(lambda t: np.eye(4), 1.0, steps=16, sample_times=[0.5, 1.5])
 
+    @staticmethod
+    def awkward_sample_times(nodes, duration):
+        """Shuffled sample times: nodes at chunk edges (every third) and at
+        every node of a stretch, off-node times after them, duplicates, 0 and T."""
+        times = np.concatenate(
+            [nodes[3:30:3], nodes[31:45], np.linspace(0.61, 0.97, 9) * duration, nodes[[6, 6, 40]], [0.0, duration]]
+        )
+        return np.random.default_rng(5).permutation(times)
+
+    @staticmethod
+    def per_interval_states(factors_of, nodes, marks, dim, chunk):
+        """The driver's snapshots as first written: one ordered product per
+        sample interval inside each chunk, chained onto the running state."""
+        n = nodes.size - 1
+        state = np.eye(dim)
+        snapshots = {0: state}
+        for a in range(0, n, chunk):
+            b = min(a + chunk, n)
+            factors, start = factors_of(a, b), a
+            for m in sorted({*marks[(marks > a) & (marks < b)].tolist(), b}):
+                state = snapshots[m] = dynamics._ordered_product(factors[start - a : m - a]) @ state
+                start = m
+        return np.stack([snapshots[m] for m in marks]), state
+
+    @pytest.mark.parametrize("rule", ["magnus_filon", "rk4"])
+    def test_grouped_snapshots_match_per_interval_products(self, rule, monkeypatch):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        terms, fmax = h.terms, h.max_frequency_hz
+        dim, spp = (8, 50) if rule == "magnus_filon" else (16, 200)
+        steps = required_steps(fmax, T45, spp)
+        plain, _, _ = dynamics._step_grid(T45, steps, schedule.breakpoints, None)
+        times = self.awkward_sample_times(plain, T45)
+        nodes, left, marks = dynamics._step_grid(T45, steps, schedule.breakpoints, times)
+        # chunk edges fall on sample nodes, and chunks hold several samples each
+        assert np.array_equal(nodes[:31], plain[:31]) and {3, 6, 9} <= set(marks.tolist())
+        assert np.bincount(marks[(marks % 3 > 0)] // 3).max() >= 2 and len(set(marks.tolist())) < marks.size
+        if rule == "magnus_filon":
+            step_factors = partial(dynamics._MagnusFilon, terms)
+        else:
+            diss = dynamics._in_pauli_basis(dephasing_dissipator(DEFAULT_DEVICE))
+            step_factors = partial(dynamics._rk4_factors, terms, diss)
+        self.three_step_chunks(monkeypatch, dim)
+        res = dynamics._propagate(
+            fmax, rule, step_factors, T45, None, schedule.breakpoints, times, spp, 1, dim, lambda s: s
+        )
+        states, final = self.per_interval_states(step_factors(nodes, left), nodes, marks, dim, 3)
+        assert res.steps == nodes.size - 1 and res.states.shape == (times.size, dim, dim)
+        np.testing.assert_array_equal(res.states, states)
+        np.testing.assert_array_equal(res.final, final)
+
+    # [3, 4] and [5, 8] pad runs whose tree pairs differently if padded in front
+    @pytest.mark.parametrize("lengths", [[3], [1, 2], [2, 1], [1, 1, 1], [5, 1, 2], [1, 6], [3, 4], [5, 8]])
+    def test_grouped_products_are_each_runs_product(self, lengths):
+        factors = np.random.default_rng(sum(lengths) * 10 + len(lengths)).normal(size=(sum(lengths), 8, 8))
+        ends = np.cumsum(lengths).tolist()
+        products = dynamics._ordered_product(dynamics._grouped(factors, ends))
+        assert products.shape == (len(lengths), 8, 8)
+        for product, start, end in zip(products, [0, *ends[:-1]], ends):
+            np.testing.assert_array_equal(product, dynamics._ordered_product(factors[start:end]))
+
 
 class TestRabiErrorCommutation:
     @pytest.mark.parametrize("delta", [0.02, -0.02, 0.05, -0.05, 0.1, -0.1])
@@ -496,6 +557,22 @@ class TestFilonWeights:
         with pytest.raises(ValueError, match="step too long"):
             dynamics.filon_weights(nus, [self.H])
         dynamics.filon_weights(nus, [self.H / 2])
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_blocked_tables_equal_one_shot_weights(self, block, monkeypatch):
+        # 41 unsorted sample times split the steps into many distinct lengths
+        monkeypatch.setattr(dynamics, "_FILON_BLOCK", block)
+        schedule = build_schedule("bgate")
+        h = frame_hamiltonian(schedule, rwa=False)
+        steps = required_steps(h.max_frequency_hz, schedule.duration)
+        times = np.random.default_rng(7).uniform(0.0, schedule.duration, 41)
+        nodes, left, _ = dynamics._step_grid(schedule.duration, steps, schedule.breakpoints, times)
+        mf = dynamics._MagnusFilon(h.terms, nodes, left)
+        hs = np.unique(np.diff(nodes))
+        assert hs.size > 20 and mf.k.size > 0
+        phi, jj = dynamics.filon_weights(mf.nus, hs)
+        np.testing.assert_array_equal(mf.phi, phi)
+        np.testing.assert_array_equal(mf.dj, -0.5j * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k]))
 
     def test_one_row_per_step_length(self):
         phi, jj = dynamics.filon_weights(self.NUS, [self.H, 2 * self.H, self.H])
