@@ -1,13 +1,16 @@
 """Time-ordered closed-system propagation and Lindblad open-system evolution.
 
-One driver serves both: it resolves H(t), checks the step floor, builds
+One driver serves both: it resolves H(t), checks the step floor, lays out
 the step grid (breakpoints and sample times on nodes), and walks it in
 memory-bounded chunks, each reduced to one ordered product, recording the
-running product at every sample time.  A chunk holding sample times is
-cut at them into runs, padded with identities after their last step to
-one length and reduced in one batched tree reduction, which gives each
-run's product bit for bit; the running product then takes one matrix
-product per sample.
+running product at every sample time.  The grid holds its breakpoint
+intervals and sample nodes, and each chunk computes its own nodes, so a
+run holds O(chunk) step factors, O(samples) snapshots and, for the
+Magnus-Filon step, O(distinct step lengths) Filon tables, however many
+steps it takes.  A chunk holding sample times is cut at them into runs,
+padded with identities after their last step to one length and reduced
+in one batched tree reduction, which gives each run's product bit for
+bit; the running product then takes one matrix product per sample.
 
 H(t) is resolved once into per-segment term matrices R and coefficients
 c(t): a frame Hamiltonian's Fourier terms give
@@ -71,9 +74,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,8 +98,9 @@ _SERIES_TOL = 2.0**-56
 _SERIES_RADIUS = 4.5
 
 # Bytes of step factors held at once: 64 superoperator or 256 propagator
-# steps, real 16x16 and 8x8 float64 factors, so the 632k-step B gate runs in
-# bounded memory.
+# steps, real 16x16 and 8x8 float64 factors, so the B gate's 160k
+# Magnus-Filon steps (closed) and 631k RK4 steps (decohered) run in bounded
+# memory.
 CHUNK_BYTES = 1 << 17
 
 # Distinct step lengths per block of Magnus-Filon tables: sample times split
@@ -194,33 +199,128 @@ def _closed_rows(mats: np.ndarray) -> np.ndarray:
     return np.stack([realify(-1j * mats), realify(mats)], axis=2).reshape(mats.shape[0], -1, 64)
 
 
-def _step_grid(
-    duration: float, steps: int, breakpoints: Sequence[float], sample_times: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node times 0 = t_0 < ... < t_n = T, which steps end at a breakpoint or T,
-    and the node index of each sample time.
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending (np.unique would import numpy.ma: 14 ms, 1.4 MB)."""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=-np.inf) > 0]
 
-    Steps are distributed over the sub-intervals proportionally to length so
-    discontinuous envelopes never straddle a step; sample times become
-    nodes too, except that one within ``_SNAP`` of the local step of a node
-    is taken as that node.
+
+class _Grid:
+    """The step grid: nodes 0 = t_0 < ... < t_n = T, which steps end at a
+    breakpoint or T, and the node of each sample time, held as its
+    breakpoint intervals and sample nodes so that each chunk of steps
+    computes its own nodes.
+
+    Steps are distributed over the intervals between breakpoints
+    proportionally to length, so discontinuous envelopes never straddle a
+    step.  An interval [lo, hi] of n steps has the nodes of
+    np.linspace(lo, hi, n + 1) bit for bit: r * step + lo, the last set to
+    hi.  Sample times become nodes too, except that one within ``_SNAP`` of
+    the local step of a node is taken as that node; the others are the
+    ``extra`` nodes, merged between the interval nodes.  ``marks`` holds
+    each sample time's node index, and ``rows`` the sample times at each
+    sampled node.
     """
-    pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
-    pieces = [np.zeros(1)]  # numpy pieces: a list of 160k float objects is a 6.4 MB peak
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(1, int(round(steps * (hi - lo) / duration)))
-        pieces.append(np.linspace(lo, hi, n + 1)[1:])
-    nodes = np.concatenate(pieces)
-    marks = np.zeros(0, dtype=int)
-    if sample_times is not None:
-        i = np.clip(np.searchsorted(nodes, sample_times), 1, nodes.size - 1)
-        lo, hi = nodes[i - 1], nodes[i]
-        tol = _SNAP * (hi - lo)
-        snapped = np.where(sample_times - lo <= tol, lo, np.where(hi - sample_times <= tol, hi, sample_times))
-        nodes = np.sort(np.concatenate([nodes, snapped]))
-        nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]  # np.unique would import numpy.ma: 14 ms, 1.4 MB
-        marks = np.searchsorted(nodes, snapped)
-    return nodes, np.isin(nodes[1:], pts[1:]), marks
+
+    def __init__(
+        self, duration: float, steps: int, breakpoints: Sequence[float], sample_times: np.ndarray | None
+    ):
+        pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
+        self.duration, self.lo, self.hi = duration, pts[:-1], pts[1:]
+        self.n = [max(1, int(round(steps * (hi - lo) / duration))) for lo, hi in zip(self.lo, self.hi)]
+        self.step = [(hi - lo) / n for lo, hi, n in zip(self.lo, self.hi, self.n)]
+        self.base = [0, *accumulate(self.n)]  # interval j's nodes r = 0..n[j] are interval nodes base[j] + r
+        # the extra node times, ascending, the interval node after each, and each sample time's node
+        self.extra, after, self.marks = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        if sample_times is not None:
+            self.extra, after, self.marks = self._merge(sample_times)
+        # interval node p is node p + (the extra nodes before it)
+        self.extra_at = (after + np.arange(after.size)).tolist()
+        ends = np.array(self.base[1:])
+        self.end_at = (ends + np.searchsorted(after, ends, side="right")).tolist()  # each interval's last node
+        self.steps = self.base[-1] + after.size
+        order = np.argsort(self.marks, kind="stable")
+        starts = np.flatnonzero(np.diff(self.marks[order], prepend=-1))
+        self.cuts = self.marks[order[starts]].tolist()  # the sampled nodes, ascending
+        order, bounds = order.tolist(), [*starts.tolist(), order.size]
+        self.rows = {m: order[i:j] for m, i, j in zip(self.cuts, bounds, bounds[1:])}
+
+    def _merge(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The extra nodes among the sample times ``s``, the interval node
+        after each, and each sample time's node."""
+        j = np.minimum(np.searchsorted(self.hi, s), len(self.n) - 1)  # the interval (lo, hi] holding s
+        lo, hi, n, step, base = (np.array(v)[j] for v in (self.lo, self.hi, self.n, self.step, self.base))
+
+        def node(r: np.ndarray) -> np.ndarray:
+            return np.where(r == n, hi, r * step + lo)
+
+        r = np.clip(np.ceil((s - lo) / step), 1, n)  # the first node at or after s, up to rounding
+        r = np.where((r > 1) & (node(r - 1) >= s), r - 1, r)
+        r = np.where((r < n) & (node(r) < s), r + 1, r)
+        t0, t1 = node(r - 1), node(r)
+        tol = _SNAP * (t1 - t0)
+        down, up = s - t0 <= tol, t1 - s <= tol
+        off = ~(down | up)
+        nxt = base + r.astype(int)  # the interval node at t1
+        order = np.argsort(s[off], kind="stable")
+        extra, after = s[off][order], nxt[off][order]
+        keep = np.diff(extra, prepend=-np.inf) > 0
+        extra, after = extra[keep], after[keep]
+        marks = nxt - down
+        marks += np.searchsorted(after, marks, side="right")
+        i = np.searchsorted(extra, s[off])
+        marks[off] = after[i] + i
+        return extra, after, marks
+
+    def nodes(self, a: int, b: int) -> np.ndarray:
+        """Nodes a..b: one multiply-add per interval piece, extra nodes sorted in."""
+        k0, k1 = bisect_left(self.extra_at, a), bisect_right(self.extra_at, b)
+        p, last = a - k0, b - k1  # the interval nodes among them
+        j = min(bisect_right(self.base, p), len(self.n)) - 1
+        pieces = []
+        while True:
+            r0, r1 = p - self.base[j], min(last - self.base[j], self.n[j])
+            x = np.arange(r0, r1 + 1, dtype=float)
+            x *= self.step[j]
+            x += self.lo[j]
+            if r1 == self.n[j]:
+                x[-1] = self.hi[j]
+            pieces.append(x)
+            if last - self.base[j] <= self.n[j]:
+                break
+            j += 1
+            p = self.base[j] + 1
+        if k0 == k1:
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        x = np.concatenate([*pieces, self.extra[k0:k1]])
+        x.sort()  # extra nodes lie strictly between interval nodes
+        return x
+
+    def flags(self, a: int, b: int) -> np.ndarray:
+        """Which of the steps a..b-1 end at a breakpoint or T."""
+        out = np.zeros(b - a, dtype=bool)
+        for e in self.end_at[bisect_right(self.end_at, a) : bisect_right(self.end_at, b)]:
+            out[e - a - 1] = True
+        return out
+
+    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
+        """Each chunk [a, b) of ``size`` steps: a, b, its nodes a..b, which of
+        its steps end at a breakpoint or T, and the sampled nodes in (a, b)
+        followed by b.  Nodes are computed a block of chunks at a time, at
+        most ``CHUNK_BYTES`` of them."""
+        block = size * max(1, CHUNK_BYTES // (8 * size))
+        for start in range(0, self.steps, block):
+            stop = min(start + block, self.steps)
+            nodes, left = self.nodes(start, stop), self.flags(start, stop)
+            for a in range(start, stop, size):
+                b = min(a + size, stop)
+                ends = self.cuts[bisect_right(self.cuts, a) : bisect_left(self.cuts, b)] + [b]
+                yield a, b, nodes[a - start : b - start + 1], left[a - start : b - start], ends
+
+    def lengths(self) -> np.ndarray:
+        """The distinct step lengths, ascending, in one pass over blocks of
+        ``CHUNK_BYTES`` of nodes."""
+        return _distinct(np.concatenate([_distinct(np.diff(x)) for _, _, x, _, _ in self.chunks(CHUNK_BYTES // 8)]))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -253,9 +353,10 @@ def _grouped(factors: np.ndarray, ends: list[int]) -> np.ndarray:
     return out
 
 
-# step_factors(nodes, left) -> factors(a, b): the real (b - a, dim, dim) factors
-# of steps a..b-1 of the grid; ``left`` marks the steps that end at a breakpoint
-StepFactors = Callable[[np.ndarray, np.ndarray], Callable[[int, int], np.ndarray]]
+# step_factors(grid) -> factors(nodes, left): the real (len(nodes) - 1, dim, dim)
+# factors of the steps between a chunk's nodes; ``left`` marks the steps that
+# end at a breakpoint or T
+StepFactors = Callable[[_Grid], Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def _propagate(
@@ -298,35 +399,36 @@ def _propagate(
             f"for f_max = {fmax:.3e} Hz over {period:.3e} s"
         )
     times = None if sample_times is None else np.asarray(sample_times, dtype=float)
-    if times is not None and (times.min(initial=0.0) < 0.0 or times.max(initial=0.0) > duration):
+    if times is not None and not ((times >= 0.0) & (times <= duration)).all():  # NaN too
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
-    nodes, left, marks = _step_grid(period, steps, breakpoints, times)
-    n = nodes.size - 1
+    grid = _Grid(period, steps, breakpoints, times)
     chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
-    factors_of = step_factors(nodes, left)
-
-    cuts = sorted(set(marks.tolist()))  # the sampled nodes, ascending (np.unique imports numpy.ma)
+    factors_of = step_factors(grid)
+    rows = grid.rows
+    held = None if times is None else np.empty((times.size + 1, dim, dim))  # each sample's product, then the final
     state = np.eye(dim)
-    snapshots = {0: state}
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        factors = factors_of(a, b)
-        ends = cuts[bisect_right(cuts, a) : bisect_left(cuts, b)] + [b]
+    for r in rows.get(0, ()):
+        held[r] = state
+    for a, b, nodes, left, ends in grid.chunks(chunk):
+        factors = factors_of(nodes, left)
         if len(ends) == 1:
-            state = snapshots[b] = _ordered_product(factors) @ state
+            products = [_ordered_product(factors)]
         else:  # the chunk's sample intervals in one reduction, then one product per sample
             products = _ordered_product(_grouped(factors, [m - a for m in ends]))
-            for m, product in zip(ends, products):
-                state = snapshots[m] = product @ state
+        for m, product in zip(ends, products):
+            state = product @ state
+            for r in rows.get(m, ()):
+                held[r] = state
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
     if times is None:
         states, final = None, restore(final)
     else:  # restored together, so a sample at T is the final product bit for bit
-        out = restore(np.stack([*(snapshots[m] for m in marks), final]))
+        held[-1] = final
+        out = restore(held)
         states, final = out[:-1], out[-1]
     return EvolutionResult(
         final=final,
-        steps=n,
+        steps=grid.steps,
         rule=rule,
         steps_per_period=budget,
         max_frequency_hz=fmax,
@@ -336,15 +438,15 @@ def _propagate(
     )
 
 
-def _midpoint_factors(h: _Terms, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    dts = np.diff(nodes)
-    mids = nodes[:-1] + dts / 2.0
-    segment, rows = h.segment_index(mids), _closed_rows(_stepped(h, nodes[-1]))
+def _midpoint_factors(h: _Terms, grid: _Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    rows = _closed_rows(_stepped(h, grid.duration))
 
-    def factors(a: int, b: int) -> np.ndarray:
+    def factors(nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+        dts = np.diff(nodes)
+        mids = nodes[:-1] + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
-            coef = h.coefficients(mids[a:b]) * dts[a:b, None]
-        return batched_expm(_combine(coef, segment[a:b], rows).reshape(-1, 8, 8))
+            coef = h.coefficients(mids) * dts[:, None]
+        return batched_expm(_combine(coef, h.segment_index(mids), rows).reshape(-1, 8, 8))
 
     return factors
 
@@ -424,20 +526,20 @@ class _MagnusFilon:
     i Omega = sum_k e^{i nu_k t0} phi_k G_k
               - (i/2) sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) [G_k, G_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length: Filon coefficients of the rows G_k and [G_k, G_l].  The tables
-    are built ``_FILON_BLOCK`` lengths at a time, J only at the pairs
-    (k, l) and (l, k) that enter, with the series length of all of them, so
-    they equal one-shot ``filon_weights`` tables bit for bit.
+    length of the grid (``hs``): Filon coefficients of the rows G_k and
+    [G_k, G_l].  The tables are built ``_FILON_BLOCK`` lengths at a time, J
+    only at the pairs (k, l) and (l, k) that enter, with the series length
+    of all of them, so they equal one-shot ``filon_weights`` tables bit for
+    bit.  A chunk finds its steps' rows by length and their segments by
+    midpoint.
     """
 
-    def __init__(self, h: _Terms, nodes: np.ndarray, left: np.ndarray):
-        self.t0 = nodes[:-1]
-        dts = np.diff(nodes)
-        self.segment = h.segment_index(self.t0 + dts / 2.0)
-        count = len(_stepped(h, nodes[-1]))
+    def __init__(self, h: _Terms, grid: _Grid):
+        self.segment_index = h.segment_index
+        count = len(_stepped(h, grid.duration))
         self.nus, self.k, self.l, rows = _generators(h, np.arange(count))
         self.rows = _closed_rows(rows.reshape(count, -1, 4, 4))
-        hs, self.length = np.unique(dts, return_inverse=True)
+        self.hs = hs = grid.lengths()
         terms, pairs = _series_terms(self.nus, hs), self.k.size
         k, l = np.concatenate([self.k, self.l]), np.concatenate([self.l, self.k])  # J_kl, then J_lk
         self.phi = np.empty((hs.size, self.nus.size), dtype=complex)
@@ -447,11 +549,13 @@ class _MagnusFilon:
             self.phi[block], jj = _filon_series(self.nus, hs[block], k, l, terms)
             self.dj[block] = -0.5j * (jj[:, :pairs] - jj[:, pairs:])
 
-    def __call__(self, a: int, b: int) -> np.ndarray:
-        u = self.length[a:b]
-        phase = np.exp(1j * np.multiply.outer(self.t0[a:b], self.nus))
+    def __call__(self, nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+        t0 = nodes[:-1]
+        dts = nodes[1:] - t0
+        u = self.hs.searchsorted(dts)  # each step's row of the tables
+        phase = np.exp(1j * np.multiply.outer(t0, self.nus))
         coef = np.concatenate([phase * self.phi[u], phase[:, self.k] * phase[:, self.l] * self.dj[u]], axis=1)
-        return batched_expm(_combine(coef, self.segment[a:b], self.rows).reshape(-1, 8, 8))
+        return batched_expm(_combine(coef, self.segment_index(t0 + dts / 2.0), self.rows).reshape(-1, 8, 8))
 
 
 def propagate_unitary(
@@ -533,18 +637,18 @@ def _open_rows(mats: np.ndarray) -> np.ndarray:
     return np.stack([ls.real, -ls.imag], axis=2).reshape(mats.shape[0], -1, 256)
 
 
-def _rk4_factors(h: _Terms, diss: np.ndarray, nodes: np.ndarray, left: np.ndarray) -> Callable[[int, int], np.ndarray]:
+def _rk4_factors(h: _Terms, diss: np.ndarray, grid: _Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """One classical RK4 step of the linear master equation per step, as a
     real 16x16 matrix in the basis B, from Liouvillians -i[H, .] + D."""
-    rows = _open_rows(_stepped(h, nodes[-1]))
+    rows = _open_rows(_stepped(h, grid.duration))
 
-    def factors(a: int, b: int) -> np.ndarray:
-        dts = np.diff(nodes[a : b + 1])
-        n, t0 = dts.size, nodes[a:b]
+    def factors(nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+        dts = np.diff(nodes)
+        n, t0 = dts.size, nodes[:-1]
         # a step ending at a breakpoint or T takes H just inside; where that is
         # an interior node, the node's own H starts the next step
-        ends = nodes[a + 1 : b + 1] - np.where(left[a:b], _LEFT_LIMIT * dts, 0.0)
-        split = np.flatnonzero(left[a : b - 1])
+        ends = nodes[1:] - np.where(left, _LEFT_LIMIT * dts, 0.0)
+        split = np.flatnonzero(left[:-1])
         ts = np.concatenate([t0, ends[-1:], t0 + dts / 2.0, ends[split]])
         ls = _combine(h.coefficients(ts), h.segment_index(ts), rows)
         ls += diss.reshape(-1)
@@ -630,7 +734,9 @@ def lindblad_superoperator(
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return (s @ np.asarray(rho, dtype=complex).flatten(order="F")).reshape(4, 4, order="F")
+    """The density matrix S vec(rho), or one per superoperator of a stack, in one product."""
+    vec = s @ np.asarray(rho, dtype=complex).flatten(order="F")
+    return np.swapaxes(vec.reshape(vec.shape[:-1] + (4, 4)), -1, -2)  # column-stacked: vec[a + 4 b] = rho[a, b]
 
 
 def propagate_lindblad(
@@ -653,9 +759,7 @@ def propagate_lindblad(
         hamiltonian, params, duration, steps, breakpoints=breakpoints, sample_times=sample_times
     )
     rho_t = apply_superoperator(res.final, rho0)
-    states = None
-    if res.states is not None:
-        states = np.stack([apply_superoperator(s, rho0) for s in res.states])
+    states = None if res.states is None else apply_superoperator(res.states, rho0)
     trace_defect = abs(np.trace(rho_t).real - 1.0) + abs(np.trace(rho_t).imag)
     min_eig = float(np.linalg.eigvalsh((rho_t + rho_t.conj().T) / 2.0).min())
     return replace(res, final=rho_t, states=states, trace_defect=trace_defect, min_eigenvalue=min_eig)

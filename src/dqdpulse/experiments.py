@@ -220,7 +220,7 @@ def state_path(res: EvolutionResult) -> np.ndarray:
         psi = res.states @ PATH_STATE
         return np.einsum("ni,nj->nij", psi, psi.conj())
     rho0 = np.outer(PATH_STATE, PATH_STATE.conj())
-    return np.stack([apply_superoperator(s, rho0) for s in res.states])
+    return apply_superoperator(res.states, rho0)
 
 
 # ---------------------------------------------------------------------------

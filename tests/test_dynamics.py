@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,37 @@ def rk4_loop_superoperator(h, params, duration, steps, breakpoints):
             k4 = l1 @ (s + dt * k3)
             s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return s
+
+
+def step_grid(duration, steps, breakpoints, sample_times):
+    """Oracle: the whole step grid at once, as numpy builds it.
+
+    Node times 0 = t_0 < ... < t_n = T, which steps end at a breakpoint or
+    T, and the node index of each sample time.  Each sub-interval between
+    breakpoints is ``np.linspace`` of its share of the steps; a sample time
+    within ``_SNAP`` of the local step of a node is that node, any other is
+    merged as a node of its own.
+    """
+    pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
+    pieces = [np.zeros(1)]
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        n = max(1, int(round(steps * (hi - lo) / duration)))
+        pieces.append(np.linspace(lo, hi, n + 1)[1:])
+    nodes = np.concatenate(pieces)
+    marks = np.zeros(0, dtype=int)
+    if sample_times is not None:
+        i = np.clip(np.searchsorted(nodes, sample_times), 1, nodes.size - 1)
+        lo, hi = nodes[i - 1], nodes[i]
+        tol = dynamics._SNAP * (hi - lo)
+        snapped = np.where(sample_times - lo <= tol, lo, np.where(hi - sample_times <= tol, hi, sample_times))
+        nodes = np.unique(np.concatenate([nodes, snapped]))
+        marks = np.searchsorted(nodes, snapped)
+    return nodes, np.isin(nodes[1:], pts[1:]), marks
+
+
+def grid_nodes(grid):
+    """All nodes of a ``dynamics._Grid``, as one chunk."""
+    return grid.nodes(0, grid.steps)
 
 
 def sampled(h):
@@ -179,8 +211,8 @@ class TestSampleTimeSnapping:
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration, 200)
         times = np.linspace(0.0, schedule.duration, self.SAMPLES)
-        nodes, _, marks = dynamics._step_grid(schedule.duration, steps, schedule.breakpoints, times)
-        return nodes, marks, schedule.duration / steps
+        grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
+        return grid_nodes(grid), grid.marks, schedule.duration / steps
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
     def test_no_degenerate_steps(self, scheme, monkeypatch):
@@ -213,6 +245,97 @@ class TestSampleTimeSnapping:
         assert np.diff(nodes).min() >= 1e-6 * nominal
         monkeypatch.setattr(dynamics, "_SNAP", 0.0)
         np.testing.assert_array_equal(self.grid(schedule)[0], nodes)
+
+
+class TestStepGrid:
+    # the chunked grid against the whole-grid oracle, bit for bit
+    @staticmethod
+    def sample_times(nodes, duration):
+        """Unsorted sample times: nodes, duplicates, 0 and T twice, uniform
+        draws, and times within and just beyond ``_SNAP`` of a node's step."""
+        rng = np.random.default_rng(nodes.size)
+        i = rng.integers(0, nodes.size - 1, 20)
+        dt, snap = nodes[i + 1] - nodes[i], dynamics._SNAP
+        near = [nodes[i] + 0.5 * snap * dt, nodes[i + 1] - 0.5 * snap * dt, nodes[i] + 4.0 * snap * dt]
+        times = np.concatenate([nodes[i], nodes[i[:5]], [0.0, 0.0, duration, duration], *near])
+        return rng.permutation(np.concatenate([times, rng.uniform(0.0, duration, 40)]))
+
+    @staticmethod
+    def assert_chunks_match(grid, nodes, left, marks, size, stop=None, checked=lambda a, b: True):
+        """The chunks of ``size`` steps tile the grid up to ``stop``, and
+        those ``checked`` selects carry the oracle's nodes, flags and marks;
+        the chunks [a, b) checked."""
+        cuts, seen, last = sorted(set(marks.tolist())), [], 0
+        for a, b, chunk_nodes, chunk_left, ends in grid.chunks(size):
+            if stop is not None and a >= stop:
+                break
+            assert (a, b) == (last, min(a + size, grid.steps))
+            last = b
+            if checked(a, b):
+                np.testing.assert_array_equal(chunk_nodes, nodes[a : b + 1])
+                np.testing.assert_array_equal(chunk_left, left[a:b])
+                assert ends == [m for m in cuts if a < m < b] + [b]
+                seen.append((a, b))
+        assert stop is not None or last == grid.steps
+        return seen
+
+    @pytest.mark.parametrize("sampled_run", [False, True])
+    @pytest.mark.parametrize("spp", [STEPS_PER_PERIOD, 200])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_chunks_match_the_whole_grid(self, scheme, spp, sampled_run):
+        schedule = build_schedule(scheme, n_reps=3 if SCHEMES[scheme].one_step else 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        duration, breakpoints = schedule.duration, schedule.breakpoints
+        steps = required_steps(h.max_frequency_hz, duration, spp)
+        times = self.sample_times(step_grid(duration, steps, breakpoints, None)[0], duration) if sampled_run else None
+        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        grid = dynamics._Grid(duration, steps, breakpoints, times)
+        assert grid.steps == nodes.size - 1
+        np.testing.assert_array_equal(grid.marks, marks)
+        np.testing.assert_array_equal(grid_nodes(grid), nodes)
+        np.testing.assert_array_equal(grid.lengths(), np.unique(np.diff(nodes)))
+        if sampled_run:  # nodes within _SNAP of a sample time take it; the others are extra nodes
+            assert 0 < grid.extra.size < times.size
+        self.assert_chunks_match(grid, nodes, left, marks, 256)
+        self.assert_chunks_match(grid, nodes, left, marks, 7, stop=3000)
+
+    @pytest.mark.parametrize("snap", [dynamics._SNAP, 0.0])
+    @pytest.mark.parametrize("scheme", ["fsim_geometric", "bgate"])
+    def test_samples_an_ulp_from_nodes(self, scheme, snap, monkeypatch):
+        # the grid finds a sample's step from the rounded (t - lo) / step;
+        # an ulp off a node, that quotient lands on either side of a whole number
+        monkeypatch.setattr(dynamics, "_SNAP", snap)
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=False)
+        duration, breakpoints = schedule.duration, schedule.breakpoints
+        steps = required_steps(h.max_frequency_hz, duration)
+        plain = step_grid(duration, steps, breakpoints, None)[0]
+        i = np.random.default_rng(3).integers(1, plain.size - 1, 300)
+        times = np.concatenate([np.nextafter(plain[i], np.inf), np.nextafter(plain[i], -np.inf)])
+        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        grid = dynamics._Grid(duration, steps, breakpoints, times)
+        assert (grid.steps > steps) == (snap == 0.0)
+        np.testing.assert_array_equal(grid.marks, marks)
+        np.testing.assert_array_equal(grid_nodes(grid), nodes)
+        self.assert_chunks_match(grid, nodes, left, marks, 256)
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
+    def test_chunks_straddling_breakpoints(self, scheme):
+        # every step that ends at a breakpoint, with nodes, flags and samples
+        # on either side of it in the same chunk of 7 or of 8 steps
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=False)
+        duration, breakpoints = schedule.duration, schedule.breakpoints
+        steps = required_steps(h.max_frequency_hz, duration)
+        plain = step_grid(duration, steps, breakpoints, None)[0]
+        times = np.concatenate([breakpoints, (plain[:-1] + plain[1:])[np.isin(plain[1:], breakpoints)] / 2.0])
+        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        grid = dynamics._Grid(duration, steps, breakpoints, times)
+        ends = np.flatnonzero(left[:-1]) + 1
+        assert ends.size == len(set(breakpoints) - {0.0, duration}) > 0
+        straddling = lambda a, b: ((a < ends) & (ends < b)).any()
+        seen = [ab for size in (7, 8) for ab in self.assert_chunks_match(grid, nodes, left, marks, size, None, straddling)]
+        assert all(any(a < e < b for a, b in seen) for e in ends)
 
 
 class TestLindblad:
@@ -304,6 +427,16 @@ class TestLindblad:
             u = mat_exp_skew(h, t)
             assert np.abs(rho - u @ rho0 @ u.conj().T).max() < 1e-9
 
+    def test_superoperator_stack_is_applied_per_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(7, 16, 16)) + 1j * rng.normal(size=(7, 16, 16))
+        rho = random_density_matrix(rng)
+        out = apply_superoperator(stack, rho)
+        assert out.shape == (7, 4, 4)
+        for s, rho_t in zip(stack, out):
+            vec = s @ rho.flatten(order="F")  # column-stacked: vec[a + 4 b] = rho_t[a, b]
+            assert np.abs(rho_t - vec.reshape(4, 4, order="F")).max() <= 1e-15 * np.abs(vec).max()
+
     def test_rejects_invalid_initial_state(self):
         with pytest.raises(ValueError, match="density"):
             propagate_lindblad(lambda t: np.zeros((4, 4)), DEFAULT_DEVICE, np.eye(4), 1e-9, steps=16)
@@ -372,6 +505,11 @@ class TestChunkedDriver:
         with pytest.raises(ValueError, match="sample times"):
             propagate_unitary(lambda t: np.eye(4), 1.0, steps=16, sample_times=[0.5, 1.5])
 
+    @pytest.mark.parametrize("bad", [-1e-12, math.nan])
+    def test_rejects_negative_and_nan_sample_times(self, bad):
+        with pytest.raises(ValueError, match="sample times"):
+            propagate_unitary(lambda t: np.eye(4), 1.0, steps=16, sample_times=[0.5, bad])
+
     @staticmethod
     def awkward_sample_times(nodes, duration):
         """Shuffled sample times: nodes at chunk edges (every third) and at
@@ -403,9 +541,9 @@ class TestChunkedDriver:
         terms, fmax = h.terms, h.max_frequency_hz
         dim, spp = (8, 50) if rule == "magnus_filon" else (16, 200)
         steps = required_steps(fmax, T45, spp)
-        plain, _, _ = dynamics._step_grid(T45, steps, schedule.breakpoints, None)
+        plain, _, _ = step_grid(T45, steps, schedule.breakpoints, None)
         times = self.awkward_sample_times(plain, T45)
-        nodes, left, marks = dynamics._step_grid(T45, steps, schedule.breakpoints, times)
+        nodes, left, marks = step_grid(T45, steps, schedule.breakpoints, times)
         # chunk edges fall on sample nodes, and chunks hold several samples each
         assert np.array_equal(nodes[:31], plain[:31]) and {3, 6, 9} <= set(marks.tolist())
         assert np.bincount(marks[(marks % 3 > 0)] // 3).max() >= 2 and len(set(marks.tolist())) < marks.size
@@ -418,7 +556,10 @@ class TestChunkedDriver:
         res = dynamics._propagate(
             fmax, rule, step_factors, T45, None, schedule.breakpoints, times, spp, 1, dim, lambda s: s
         )
-        states, final = self.per_interval_states(step_factors(nodes, left), nodes, marks, dim, 3)
+        factors = step_factors(dynamics._Grid(T45, steps, schedule.breakpoints, times))
+        states, final = self.per_interval_states(
+            lambda a, b: factors(nodes[a : b + 1], left[a:b]), nodes, marks, dim, 3
+        )
         assert res.steps == nodes.size - 1 and res.states.shape == (times.size, dim, dim)
         np.testing.assert_array_equal(res.states, states)
         np.testing.assert_array_equal(res.final, final)
@@ -432,6 +573,40 @@ class TestChunkedDriver:
         assert products.shape == (len(lengths), 8, 8)
         for product, start, end in zip(products, [0, *ends[:-1]], ends):
             np.testing.assert_array_equal(product, dynamics._ordered_product(factors[start:end]))
+
+
+class TestMemoryBound:
+    # a run holds O(chunk) step factors, O(samples) snapshots and O(distinct
+    # step lengths) Filon tables, so its traced peak does not grow with the
+    # step count; a per-step float64 array at 30k more steps is 0.24 MB
+    BOUND = 0.5e6  # bytes
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint", "rk4"])
+    def test_peak_does_not_grow_with_the_step_count(self, rule):
+        schedule = fsim_rectangular(THETA, XI, T45, 1)
+        h = frame_hamiltonian(schedule, rwa=False)
+        if rule == "magnus_filon":
+            times = np.linspace(0.0, T45, 2001)
+            run = partial(propagate_unitary, h, T45, breakpoints=schedule.breakpoints, sample_times=times)
+        elif rule == "midpoint":
+            run = partial(propagate_unitary, sampled(h), T45, breakpoints=schedule.breakpoints)
+        else:
+            run = partial(lindblad_superoperator, h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints)
+        assert run(steps=1000).rule == rule  # and one-time allocations made
+        n = 10_000
+        peaks = [self.traced_peak(partial(run, steps=steps)) for steps in (n, 4 * n)]
+        assert abs(peaks[1] - peaks[0]) < self.BOUND, peaks
 
 
 class TestRabiErrorCommutation:
@@ -566,10 +741,11 @@ class TestFilonWeights:
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
         times = np.random.default_rng(7).uniform(0.0, schedule.duration, 41)
-        nodes, left, _ = dynamics._step_grid(schedule.duration, steps, schedule.breakpoints, times)
-        mf = dynamics._MagnusFilon(h.terms, nodes, left)
+        nodes, _, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
+        mf = dynamics._MagnusFilon(h.terms, dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times))
         hs = np.unique(np.diff(nodes))
         assert hs.size > 20 and mf.k.size > 0
+        np.testing.assert_array_equal(mf.hs, hs)
         phi, jj = dynamics.filon_weights(mf.nus, hs)
         np.testing.assert_array_equal(mf.phi, phi)
         np.testing.assert_array_equal(mf.dj, -0.5j * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k]))
@@ -669,7 +845,7 @@ def vec_liouvillians(hs, diss):
 def complex_rk4_superoperator(h, params, period, steps, breakpoints, repetitions):
     """Oracle: the RK4 step matrices of one repetition from complex vec-basis
     Liouvillians, multiplied in order and raised to the repetition count."""
-    nodes, left, _ = dynamics._step_grid(period, steps, breakpoints, None)
+    nodes, left, _ = step_grid(period, steps, breakpoints, None)
     dts = np.diff(nodes)
     ends = np.where(left, nodes[1:] - dynamics._LEFT_LIMIT * dts, nodes[1:])
     diss = dephasing_dissipator(params)
@@ -691,7 +867,7 @@ def complex_magnus_filon(h, duration, breakpoints):
     """Oracle: the Magnus-Filon propagator at the floor from complex 4x4
     generators i Omega, exponentiated as exp(-i (i Omega)) in complex form."""
     terms = h.terms
-    nodes, _, _ = dynamics._step_grid(duration, required_steps(h.max_frequency_hz, duration), breakpoints, None)
+    nodes, _, _ = step_grid(duration, required_steps(h.max_frequency_hz, duration), breakpoints, None)
     t0, dts = nodes[:-1], np.diff(nodes)
     segment = terms.segment_index(t0 + dts / 2.0)
     used = np.flatnonzero(np.bincount(segment))
