@@ -8,7 +8,6 @@ from .algebra import (
     isoclinic_right,
     mat_exp_skew,
     phase_aligned_distance,
-    simpson_integrate,
 )
 from .device import (
     DEFAULT_DEVICE,
@@ -44,6 +43,7 @@ from .kak import (
     synthesize_via_b,
 )
 from .pulses import (
+    Polynomial,
     PulseSchedule,
     Segment,
     apply_detuning_error,

@@ -3,8 +3,8 @@
 Everything downstream works with 4x4 complex matrices (Hamiltonians,
 propagators, density matrices) and with the two unit quaternions that
 factor a 4D rotation into its left- and right-isoclinic parts.  This
-module collects those primitives plus the quadrature helper used by the
-pulse-constraint checks.  Stacks of propagation steps are exponentiated
+module collects those primitives plus the running Simpson integral behind
+``pulses.error_sensitivity``.  Stacks of propagation steps are exponentiated
 in real arithmetic: a complex matrix X + iY enters as its real form
 [[X, -Y], [Y, X]], which numpy multiplies several times faster.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -233,38 +232,6 @@ def gate_infidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-invariant gate infidelity 1 - |tr(V^dag U)/d|^2."""
     d = u.shape[0]
     return float(1.0 - (abs(np.trace(v.conj().T @ u)) / d) ** 2)
-
-
-def simpson_integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    breakpoints: Sequence[float] = (),
-    panels: int = 10_000,
-) -> complex:
-    """Composite Simpson quadrature with breakpoints as panel boundaries.
-
-    ``f`` must accept a vector of sample points.  ``panels`` is the total
-    panel budget, distributed over the sub-intervals proportionally to
-    length (minimum 8 per sub-interval, rounded up to even).  Breakpoints
-    outside (a, b) are ignored.
-    """
-    if b == a:
-        return 0.0
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    total = 0.0 + 0.0j
-    span = b - a
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(8, int(math.ceil(panels * (hi - lo) / span)))
-        if n % 2:
-            n += 1
-        xs = np.linspace(lo, hi, n + 1)
-        ys = np.asarray(f(xs), dtype=complex)
-        h = (hi - lo) / n
-        total += h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-    if abs(total.imag) == 0.0:
-        return complex(total.real, 0.0)
-    return total
 
 
 def cumulative_simpson(ys: np.ndarray, h: float) -> np.ndarray:

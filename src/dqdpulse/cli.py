@@ -27,7 +27,7 @@ from .algebra import TWO_PI
 from .config import ExperimentConfig, config_document, config_from_mapping
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
-from .fidelity import REPORT_CSV_HEADER, report_row
+from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
 
 
@@ -138,14 +138,15 @@ def _synthesize(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) 
 
 def _simulate(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
     gate = _gate(cfg)
+    schedule, grid = xp.build_schedule(**gate), build_grid(cfg.grid_n, cfg.phases)
     # the config admits a trajectory only for a single (delta, eps) run
-    sample_times = np.linspace(0.0, xp.build_schedule(**gate).duration, cfg.samples) if cfg.trajectory else None
+    sample_times = np.linspace(0.0, schedule.duration, cfg.samples) if cfg.trajectory else None
     run = dict(
         convention=cfg.convention, rwa=cfg.rwa, decoherence=cfg.decoherence, params=gate["params"],
         steps_per_period=cfg.steps_per_period, sample_times=sample_times,
     )
     pairs = [(d, e) for d in cfg.rabi_deltas or (0.0,) for e in cfg.detuning_eps or (0.0,)]
-    jobs = [(gate, (cfg.grid_n, cfg.phases), {**run, "rabi_delta": d, "detuning_eps": e}) for d, e in pairs]
+    jobs = [(schedule, grid, {**run, "rabi_delta": d, "detuning_eps": e}) for d, e in pairs]
     out = xp.run_jobs(jobs, log=log)
     how = ("rule", "steps", "repetitions", "steps_per_period", "max_frequency_hz")
     writer.propagations = [

@@ -107,18 +107,35 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
-_LIST_KEYS = {"n_values", "rabi_deltas", "detuning_eps", "phases"}
+# the JSON values each field annotation takes: numbers for a float, but no
+# boolean for a number (bool is an int to Python)
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _accepts(annotation: str, val: Any) -> bool:
+    """Whether a JSON value has the type of a field annotated ``annotation``
+    (``float``, ``int | None``, ``tuple[float, ...]`` and the like)."""
+    if annotation.endswith(" | None"):
+        return val is None or _accepts(annotation[: -len(" | None")], val)
+    if annotation.startswith("tuple["):
+        items = annotation[len("tuple[") : -1].split(", ")
+        if not isinstance(val, list):
+            return False
+        if items[-1] == "...":
+            items = items[:1] * len(val)
+        return len(val) == len(items) and all(map(_accepts, items, val))
+    return isinstance(val, _JSON_TYPES[annotation]) and (annotation == "bool") == isinstance(val, bool)
 
 
 def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
-    kwargs: dict[str, Any] = {}
-    valid = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(doc) - valid
+    fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, val in doc.items():
-        kwargs[key] = tuple(val) if key in _LIST_KEYS and val is not None else val
-    return ExperimentConfig(**kwargs)
+        if not _accepts(fields[key], val):
+            raise ValueError(f"config key {key!r} must be of type {fields[key]}, got {json.dumps(val)}")
+    return ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def config_document(path: str | os.PathLike | None, overrides: Mapping[str, Any]) -> dict[str, Any]:

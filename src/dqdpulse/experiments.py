@@ -1,15 +1,16 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
 Each propagating driver is a list of gate jobs handed to ``run_jobs``.  A
-job names a schedule, an initial-state grid and the ``gate_report``
-arguments as plain data; the runner builds the schedule, propagates it
+job holds a built schedule, an initial-state grid and the ``gate_report``
+arguments.  A driver builds each distinct schedule once and one grid per
+grid argument, and its jobs share them.  The runner propagates each job
 once (closed-system or with projector dephasing) and averages its fidelity
 over the grid, in a process pool when asked.  Reports and their evolution
 results come back in job order for any worker count, so the output is
 byte-identical regardless of scheduling.  The runner records the invariant
 checks the CLI exit code keys off: each distinct pristine schedule's
-constraint residuals once, and one unitarity or Lindblad-trace check per
-job.
+constraint residuals the first time it appears, and one unitarity or
+Lindblad-trace check per job.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class InvariantLog:
 
     def add(self, name: str, value: float, bound: float) -> None:
         self.checks.append(InvariantCheck(name, float(value), float(bound)))
-
-    def extend(self, other: "InvariantLog") -> None:
-        self.checks.extend(other.checks)
 
     @property
     def ok(self) -> bool:
@@ -227,20 +225,14 @@ def state_path(res: EvolutionResult) -> np.ndarray:
 # Gate jobs
 # ---------------------------------------------------------------------------
 
-# (build_schedule kwargs, build_grid args, gate_report kwargs): plain data, so
-# a job pickles to a pool worker, which rebuilds the schedule's closures
-Job = tuple[dict, tuple, dict]
+# (schedule, initial-state grid, gate_report kwargs): the schedule is plain
+# data, so a job pickles to a pool worker as it is
+Job = tuple[PulseSchedule, InitialStateGrid, dict]
 
 
-def _run_job(job: Job, check_constraints: bool) -> tuple[FidelityReport, EvolutionResult, InvariantLog]:
-    schedule_kwargs, grid_args, report_kwargs = job
-    schedule = build_schedule(**schedule_kwargs)
-    checks = InvariantLog()
-    if check_constraints:
-        log_constraints(schedule, checks)
-    report, res = gate_report(schedule, build_grid(*grid_args), **report_kwargs)
-    log_run(res, report_kwargs["decoherence"], checks)
-    return report, res, checks
+def _run_job(job: Job) -> tuple[FidelityReport, EvolutionResult]:
+    schedule, grid, report_kwargs = job
+    return gate_report(schedule, grid, **report_kwargs)
 
 
 def run_jobs(
@@ -253,18 +245,19 @@ def run_jobs(
     residuals of its pristine schedule the first time that schedule
     appears, then one unitarity or Lindblad-trace check of its run.
     """
-    first: dict[tuple, int] = {}
-    keys = [tuple(sorted(job[0].items())) for job in jobs]
-    flags = [log is not None and first.setdefault(key, i) == i for i, key in enumerate(keys)]
     if workers <= 1 or len(jobs) <= 1:
-        out = list(map(_run_job, jobs, flags))
+        out = list(map(_run_job, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(_run_job, jobs, flags))
+            out = list(pool.map(_run_job, jobs))
     if log is not None:
-        for *_, checks in out:
-            log.extend(checks)
-    return [(report, res) for report, res, _ in out]
+        seen: set[int] = set()
+        for (schedule, _, report_kwargs), (_, res) in zip(jobs, out):
+            if id(schedule) not in seen:
+                seen.add(id(schedule))
+                log_constraints(schedule, log)
+            log_run(res, report_kwargs["decoherence"], log)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +265,23 @@ def run_jobs(
 # ---------------------------------------------------------------------------
 
 
-def _table1_job(scheme: str, n_reps: int, quick: bool) -> Job:
-    return (
-        dict(scheme=scheme, duration=scheme_spec(scheme).reference_time, n_reps=n_reps),
-        (10 if quick else 40,),
-        dict(rwa=False, decoherence=True, steps_per_period=_budget(quick)),
-    )
+def _table1_jobs(cells: Sequence[tuple[str, int]], quick: bool) -> list[Job]:
+    grid = build_grid(10 if quick else 40)
+    report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
+    return [
+        (build_schedule(scheme, duration=scheme_spec(scheme).reference_time, n_reps=n), grid, report)
+        for scheme, n in cells
+    ]
 
 
 def table1_entry(scheme: str, n_reps: int, *, quick: bool = False) -> FidelityReport:
     """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
-    return run_jobs([_table1_job(scheme, n_reps, quick)])[0][0]
+    return run_jobs(_table1_jobs([(scheme, n_reps)], quick))[0][0]
 
 
 def table1(*, quick: bool = False, workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
     """Both fidelity-table rows (rectangular and optimal-parameter) over N = 1..10."""
-    jobs = [_table1_job(scheme, n, quick) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)]
+    jobs = _table1_jobs([(scheme, n) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)], quick)
     return [rep for rep, _ in run_jobs(jobs, workers, log)]
 
 
@@ -343,9 +337,9 @@ def fidelity_vs_eta(workers: int = 1, quick: bool = False, log: InvariantLog | N
     Singular family members are dropped from the sweep.
     """
     etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
-    schedule = dict(scheme="fsim_poly", duration=POLY_GATE_TIME)
+    grid = build_grid(10)
     report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
-    jobs = [({**schedule, "eta": eta}, (10,), report) for eta in etas]
+    jobs = [(build_schedule("fsim_poly", duration=POLY_GATE_TIME, eta=eta), grid, report) for eta in etas]
     reports = run_jobs(jobs, workers, log)
     return [{"eta": eta, "fidelity": rep.fidelity} for eta, (rep, _) in zip(etas, reports)]
 
@@ -370,8 +364,8 @@ def rabi_sweep(
     spec = scheme_spec(scheme)
     if not spec.one_step:
         raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
-    schedule = dict(scheme=scheme, duration=spec.reference_time)
-    jobs = [(schedule, (grid_n,), dict(rwa=True, decoherence=False, rabi_delta=float(d))) for d in deltas]
+    schedule, grid = build_schedule(scheme, duration=spec.reference_time), build_grid(grid_n)
+    jobs = [(schedule, grid, dict(rwa=True, decoherence=False, rabi_delta=float(d))) for d in deltas]
     return [
         {
             "rabi_delta": rep.rabi_delta,
@@ -380,6 +374,11 @@ def rabi_sweep(
         }
         for rep, _ in run_jobs(jobs, log=log)
     ]
+
+
+def _poly_schedules(n_values: Sequence[int]) -> dict[int, PulseSchedule]:
+    """The reference polynomial gate for each distinct N, built once."""
+    return {n: build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n) for n in n_values}
 
 
 def detuning_sweep(
@@ -391,12 +390,9 @@ def detuning_sweep(
     log: InvariantLog | None = None,
 ) -> list[FidelityReport]:
     """Optimal-parameter-pulse fidelity under frame-frequency miscalibration."""
+    schedules, grid = _poly_schedules(n_values), build_grid(grid_n)
     report = dict(rwa=True, decoherence=False, steps_per_period=_budget(quick))
-    jobs = [
-        (dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n), (grid_n,), {**report, "detuning_eps": float(e)})
-        for n in n_values
-        for e in eps_values
-    ]
+    jobs = [(schedules[n], grid, {**report, "detuning_eps": float(e)}) for n in n_values for e in eps_values]
     return [rep for rep, _ in run_jobs(jobs, workers, log)]
 
 
@@ -420,13 +416,14 @@ def robustness_comparison(
     """
     schedules = {
         # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
-        "dynamic": dict(scheme="fsim_rect", duration=GEOMETRIC_GATE_TIME, n_reps=2),
-        "geometric": dict(scheme="fsim_geometric", duration=GEOMETRIC_GATE_TIME),
+        "dynamic": build_schedule("fsim_rect", duration=GEOMETRIC_GATE_TIME, n_reps=2),
+        "geometric": build_schedule("fsim_geometric", duration=GEOMETRIC_GATE_TIME),
     }
+    grid = build_grid(grid_n)
     errors = {"detuning": ("detuning_eps", eps_values), "rabi": ("rabi_delta", deltas)}
     keys = [(s, k, v) for s in schedules for k, (_, values) in errors.items() for v in sorted(map(float, values))]
     jobs = [
-        (schedules[s], (grid_n,), {"label": s, "rwa": True, "decoherence": False, errors[k][0]: v})
+        (schedules[s], grid, {"label": s, "rwa": True, "decoherence": False, errors[k][0]: v})
         for s, k, v in keys
     ]
     reports = run_jobs(jobs, workers, log)
@@ -501,11 +498,11 @@ def initial_phase_sweep(
     if axis not in axes:
         raise ValueError(f"axis must be one of {axes}, got {axis!r}")
     index = axes.index(axis)
+    schedules, grids = _poly_schedules(n_values), {}
+    for v in values:
+        phases = [0.0, 0.0, 0.0]
+        phases[index] = float(v)
+        grids[v] = build_grid(grid_n, tuple(phases))
     report = dict(rwa=False, decoherence=decoherence, steps_per_period=_budget(quick))
-    jobs = []
-    for n in n_values:
-        for v in values:
-            phases = [0.0, 0.0, 0.0]
-            phases[index] = float(v)
-            jobs.append((dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n), (grid_n, tuple(phases)), report))
+    jobs = [(schedules[n], grids[v], report) for n in n_values for v in values]
     return [rep for rep, _ in run_jobs(jobs, workers, log)]

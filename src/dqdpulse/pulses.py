@@ -1,12 +1,15 @@
 """Concrete pulse schedules for the four gate construction schemes.
 
 A schedule is an ordered list of segments tiling [0, T].  Each segment
-carries the exchange envelope j(t) (rad/s, a closed-form function of
-absolute time), the exchange carrier (omega, psi) entering
-J(t) = 2 j(t) cos(omega t + psi), and, for the B-gate scheme, the
-transverse drive amplitude/carrier.  Segment boundaries double as
-quadrature breakpoints, so discontinuous envelopes are represented
-exactly rather than smoothed.
+carries the exchange envelope j(t) (rad/s), the exchange carrier
+(omega, psi) entering J(t) = 2 j(t) cos(omega t + psi), and, for the
+B-gate scheme, the transverse drive amplitude/carrier.  Every envelope is
+a ``Polynomial`` on its segment, held as data: coefficients in a local
+time, an origin, a scale and a gain.  It is constant (degree 0) for the
+rectangular, geometric and B-gate schemes and degree 6 for ``fsim_poly``.
+The defining integrals of a schedule are exact, taken from those
+coefficients, and segment boundaries are where discontinuous envelopes
+jump, so nothing is smoothed.  A schedule is plain data, so it pickles.
 
 The N-repetition rule compresses the base envelope N-fold in time and
 repeats it, leaving amplitudes unchanged; the defining integrals are
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import TWO_PI, cumulative_simpson, simpson_integrate
+from .algebra import TWO_PI, cumulative_simpson
 from .trajectories import (
     GateTarget,
     IntegralConstraint,
@@ -33,20 +36,55 @@ from .trajectories import (
     solve_fsim_controls,
 )
 
-Envelope = Callable[[np.ndarray], np.ndarray]
-
 # per-segment fields every repetition shares
 _CARRIER_FIELDS = ("carrier_omega", "carrier_phase", "drive_amp", "drive_omega", "drive_phase")
 
 
 @dataclass(frozen=True)
-class _Constant:
-    """Constant envelope j(t) = level; the frame reads the level directly."""
+class Polynomial:
+    """Envelope j(t) = gain * sum_m c_m x^m in the local time x = (t - origin) / scale.
 
-    level: float
+    Called on absolute times (vectorized), it sums the terms in increasing
+    m and skips zero coefficients.
+    """
+
+    coefficients: tuple[float, ...]
+    origin: float
+    scale: float = 1.0
+    gain: float = 1.0
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(ts, dtype=float), self.level)
+        x = (np.asarray(ts, dtype=float) - self.origin) / self.scale
+        terms = [c * x**m for m, c in enumerate(self.coefficients) if c] or [np.zeros_like(x)]
+        return self.gain * sum(terms[1:], terms[0])
+
+    def integral(self, omega: float, lo: float, hi: float) -> complex:
+        """Integral of j(t) e^{i omega t} over [lo, hi], in closed form.
+
+        The moments M_m = int_a^b x^m e^{ikx} dx in the local time, with
+        k = omega * scale, come from the Taylor series of e^{ikx} where
+        |k x| <= 2 on [a, b] (30 terms reach rounding there; at omega = 0
+        the first term is the antiderivative).  Elsewhere they come from the
+        recurrence M_m = ([x^m e^{ikx}]_a^b - m M_{m-1}) / (ik), which scales
+        earlier rounding errors by m / |k|, so by at most 6! / 2^6 over
+        degree 6.
+        """
+        a, b = (lo - self.origin) / self.scale, (hi - self.origin) / self.scale
+        k = omega * self.scale
+        if abs(k) * max(abs(a), abs(b)) <= 2.0:
+            total = sum(
+                c * (1j * k) ** n / math.factorial(n) * (b ** (m + n + 1) - a ** (m + n + 1)) / (m + n + 1)
+                for m, c in enumerate(self.coefficients)
+                if c
+                for n in range(30 if k else 1)
+            )
+        else:
+            ea, eb = np.exp(1j * k * a), np.exp(1j * k * b)
+            total, moment = 0.0j, 0.0j
+            for m, c in enumerate(self.coefficients):
+                moment = (b**m * eb - a**m * ea - m * moment) / (1j * k)
+                total += c * moment
+        return complex(self.gain * self.scale * np.exp(1j * omega * self.origin) * total)
 
 
 @dataclass(frozen=True)
@@ -55,7 +93,7 @@ class Segment:
 
     t_start: float
     t_end: float
-    envelope: Envelope  # j(t), rad/s, takes absolute time (vectorized)
+    envelope: Polynomial  # j(t), rad/s
     carrier_omega: float
     carrier_phase: float = 0.0
     drive_amp: float = 0.0  # B_y^1 amplitude (rad/s); physical field is 2 B_y^1 cos(...)
@@ -64,8 +102,9 @@ class Segment:
 
     @property
     def level(self) -> float | None:
-        """j of a constant envelope, None for any other."""
-        return self.envelope.level if isinstance(self.envelope, _Constant) else None
+        """j of a constant (degree-0) envelope, None for any other."""
+        env = self.envelope
+        return env.gain * env.coefficients[0] if len(env.coefficients) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -114,9 +153,8 @@ class PulseSchedule:
                 raise ValueError(f"segment {i} does not start and end one repetition after segment {i % per_rep}")
             if any(getattr(seg, f) != getattr(base, f) for f in _CARRIER_FIELDS):
                 raise ValueError(f"segment {i} has other carrier or drive fields than segment {i % per_rep}")
-            ts = np.linspace(base.t_start, base.t_end, 3)
-            ref = base.envelope(ts)
-            if np.abs(seg.envelope(ts + shift) - ref).max() > 1e-9 * np.abs(ref).max():
+            env, ref = seg.envelope, base.envelope
+            if replace(env, origin=ref.origin) != ref or abs(env.origin - shift - ref.origin) > tol:
                 raise ValueError(f"segment {i} envelope is not segment {i % per_rep}'s shifted by a repetition")
         for seg in self.segments[:per_rep]:
             for omega in (seg.carrier_omega, seg.drive_omega if seg.drive_amp else 0.0):
@@ -185,50 +223,34 @@ class PulseSchedule:
             peak = max(peak, float(np.max(np.abs(2.0 * seg.envelope(ts) * np.cos(seg.carrier_omega * ts + seg.carrier_phase)))))
         return peak
 
-    def integrate_envelope(
-        self,
-        weight: Callable[[np.ndarray], np.ndarray] | None = None,
-        t_start: float = 0.0,
-        t_end: float | None = None,
-    ) -> float:
-        """Simpson quadrature of j(t) * weight(t), split exactly at segments.
-
-        Each sub-interval samples its own segment's closed-form envelope, so
-        discontinuities at the boundaries cost nothing.  The 20,000-panel
-        budget of [0, T] is shared in proportion to length.
-        """
+    def integrate_envelope(self, omega: float = 0.0, t_start: float = 0.0, t_end: float | None = None) -> float:
+        """Integral of j(t) cos(omega t) over [t_start, t_end] (default the
+        whole gate), exact from each segment's polynomial."""
         t_end = self.duration if t_end is None else t_end
         total = 0.0
         for seg in self.segments:
             lo = max(t_start, seg.t_start)
             hi = min(t_end, seg.t_end)
-            if hi <= lo:
-                continue
-            if weight is None:
-                f = seg.envelope
-            else:
-                f = lambda ts, _seg=seg: _seg.envelope(ts) * weight(ts)
-            total += complex(simpson_integrate(f, lo, hi, panels=max(64, int(20_000 * (hi - lo) / self.duration)))).real
+            if hi > lo:
+                total += seg.envelope.integral(omega, lo, hi).real
         return total
 
     def integrate_exchange(self) -> float:
-        """Simpson quadrature of the full pulse J(t) = 2 j cos(wt + psi) over
-        [0, T], 40,000 panels shared by the segments in proportion to length."""
+        """Integral of the full pulse J(t) = 2 j cos(wt + psi) over [0, T], exact."""
         total = 0.0
         for seg in self.segments:
-            f = lambda ts, _s=seg: 2.0 * _s.envelope(ts) * np.cos(_s.carrier_omega * ts + _s.carrier_phase)
-            panels = max(64, int(40_000 * (seg.t_end - seg.t_start) / self.duration))
-            total += complex(simpson_integrate(f, seg.t_start, seg.t_end, panels=panels)).real
+            moment = seg.envelope.integral(seg.carrier_omega, seg.t_start, seg.t_end)
+            total += (2.0 * np.exp(1j * seg.carrier_phase) * moment).real
         return total
 
     def check_constraints(self) -> dict[str, float]:
-        """Evaluate every defining integral by Simpson quadrature.
+        """Evaluate every defining integral in closed form.
 
         Returns {label: |integral - target|}.
         """
         residuals: dict[str, float] = {}
         for c in self.controls.constraints:
-            val = self.integrate_envelope(c.weight, c.t_start, c.t_end)
+            val = self.integrate_envelope(c.omega, c.t_start, c.t_end)
             residuals[c.label] = abs(val - c.target)
         return residuals
 
@@ -257,7 +279,7 @@ def fsim_rectangular(
         t0 = k * rep
         for frac0, frac1, level in ((0.0, 0.25, lo), (0.25, 0.75, hi), (0.75, 1.0, lo)):
             segments.append(
-                Segment(t0 + frac0 * rep, t0 + frac1 * rep, _Constant(level), omega)
+                Segment(t0 + frac0 * rep, t0 + frac1 * rep, Polynomial((level,), t0), omega)
             )
     return PulseSchedule(
         segments=tuple(segments),
@@ -302,18 +324,11 @@ def polynomial_coefficients(theta: float, xi: float, n_reps: int, eta: float) ->
     return alpha_hat, beta
 
 
-def _poly_envelope(alpha_hat: float, beta: float, eta: float, t0: float, rep: float, duration: float) -> Envelope:
-    def env(ts: np.ndarray) -> np.ndarray:
-        x = (np.asarray(ts, dtype=float) - t0) / rep
-        return (alpha_hat / duration) * (
-            (1.0 + 2.0 * beta + 3.0 * eta * beta) * x**2
-            - (3.0 * beta + 4.0 * eta * beta + 2.0) * x**3
-            + x**4
-            + beta * x**5
-            + eta * beta * x**6
-        )
-
-    return env
+def _poly_envelope(alpha_hat: float, beta: float, eta: float, t0: float, rep: float, duration: float) -> Polynomial:
+    coefficients = (
+        0.0, 0.0, 1.0 + 2.0 * beta + 3.0 * eta * beta, -(3.0 * beta + 4.0 * eta * beta + 2.0), 1.0, beta, eta * beta
+    )
+    return Polynomial(coefficients, t0, rep, alpha_hat / duration)
 
 
 def fsim_polynomial(
@@ -392,7 +407,7 @@ def fsim_geometric(theta: float, xi: float, duration: float) -> PulseSchedule:
         (j_outer, math.pi / 2.0),
     )
     segments = tuple(
-        Segment(k * quarter, (k + 1) * quarter, _Constant(j), omega, psi)
+        Segment(k * quarter, (k + 1) * quarter, Polynomial((j,), 0.0), omega, psi)
         for k, (j, psi) in enumerate(layout)
     )
     constraints = (
@@ -436,11 +451,11 @@ def bgate_rectangular(duration: float, e_z: float, delta_ez: float) -> PulseSche
     switch = 2.0 * duration / 3.0
     segments = (
         Segment(
-            0.0, switch, _Constant(j_level), delta_ez, 0.0,
+            0.0, switch, Polynomial((j_level,), 0.0), delta_ez, 0.0,
             drive_amp=c1.drive_amp, drive_omega=omega2, drive_phase=c1.drive_phase,
         ),
         Segment(
-            switch, duration, _Constant(j_level), delta_ez, 0.0,
+            switch, duration, Polynomial((j_level,), 0.0), delta_ez, 0.0,
             drive_amp=c2.drive_amp, drive_omega=omega2, drive_phase=c2.drive_phase,
         ),
     )
@@ -550,13 +565,9 @@ def apply_rabi_error(schedule: PulseSchedule, delta: float) -> PulseSchedule:
         warnings.warn(f"Rabi error |delta| = {abs(delta)} exceeds the modeled range 0.1")
     if delta == 0.0:
         return schedule
-
-    def scaled(env: Envelope) -> Envelope:
-        if isinstance(env, _Constant):
-            return _Constant((1.0 + delta) * env.level)
-        return lambda ts: (1.0 + delta) * env(ts)
-
-    segments = tuple(replace(seg, envelope=scaled(seg.envelope)) for seg in schedule.segments)
+    segments = tuple(
+        replace(seg, envelope=replace(seg.envelope, gain=(1.0 + delta) * seg.envelope.gain)) for seg in schedule.segments
+    )
     return _same_layout(schedule, segments=segments, rabi_delta=schedule.rabi_delta + delta)
 
 

@@ -215,15 +215,12 @@ class IntegralConstraint:
     t_start: float = 0.0
     t_end: float | None = None  # None means the schedule duration
 
-    def weight(self, ts: np.ndarray) -> np.ndarray:
-        return np.cos(self.omega * ts)
-
 
 @dataclass(frozen=True)
 class PhysicalControls:
     """Frame frequencies and envelope constraints realizing a gate target.
 
-    Frequencies are angular (rad/s).  ``constraints`` are quadrature
+    Frequencies are angular (rad/s).  ``constraints`` are integral
     conditions any concrete pulse for this target must satisfy.
     """
 

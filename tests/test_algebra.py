@@ -18,7 +18,6 @@ from dqdpulse.algebra import (
     mat_exp_skew,
     phase_aligned_distance,
     realify,
-    simpson_integrate,
     unitarity_defect,
 )
 
@@ -315,28 +314,6 @@ class TestDistances:
         assert gate_infidelity(np.eye(4), np.exp(0.3j) * np.eye(4)) == pytest.approx(0.0, abs=1e-15)
 
 
-class TestSimpson:
-    def test_polynomial_exact(self):
-        val = simpson_integrate(lambda x: x**3 - 2 * x, 0.0, 2.0, panels=64)
-        assert complex(val).real == pytest.approx(0.0, abs=1e-13)
-
-    def test_breakpoint_kink(self):
-        # derivative jump at the breakpoint: exact once split there
-        f = lambda x: np.abs(x - 1.0)
-        val = simpson_integrate(f, 0.0, 2.0, breakpoints=[1.0], panels=100)
-        assert complex(val).real == pytest.approx(1.0, abs=1e-13)
-
-    def test_jump_discontinuity_needs_per_piece_calls(self):
-        # jump discontinuities are integrated piece by piece (the schedule
-        # quadrature does exactly this); the pieces sum exactly
-        left = simpson_integrate(lambda x: np.full_like(x, 1.0), 0.0, 1.0, panels=100)
-        right = simpson_integrate(lambda x: np.full_like(x, 3.0), 1.0, 2.0, panels=100)
-        assert complex(left + right).real == pytest.approx(4.0, abs=1e-13)
-
-    def test_oscillatory(self):
-        val = simpson_integrate(lambda x: np.cos(40 * x), 0.0, math.pi, panels=20000)
-        assert complex(val).real == pytest.approx(math.sin(40 * math.pi) / 40, abs=1e-12)
-
-    def test_hermiticity_defect_reports(self):
-        m = np.array([[0, 1j], [1j, 0]])
-        assert hermiticity_defect(m) > 1.0
+def test_hermiticity_defect_reports():
+    m = np.array([[0, 1j], [1j, 0]])
+    assert hermiticity_defect(m) > 1.0

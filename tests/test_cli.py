@@ -49,6 +49,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             config_from_mapping({"schem": "fsim_rect"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"quick": "no"}, {"decoherence": "false"}, {"trajectory": 1}, {"n_reps": 2.5}, {"n_reps": True},
+            {"grid_n": 2.5}, {"steps_per_period": "200"}, {"theta": "0.5"}, {"theta": False}, {"gate_time_ns": [45]},
+            {"rabi_deltas": 0.05}, {"rabi_deltas": [0.05, True]}, {"phases": [0, 1, "2"]}, {"phases": [0, 1]}, {"device_file": 3},
+            {"scheme": None}, {"convention": 1},
+        ],
+        ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()),
+    )
+    def test_wrong_json_type_is_a_one_line_error(self, doc, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(tmp_path / "cfg.json"), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: config key ") and repr(next(iter(doc))) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_json_types_of_each_field_are_accepted(self, tmp_path):
+        doc = {"theta": 1, "xi": 0.5, "gate_time_ns": None, "n_reps": 2, "grid_n": None, "rabi_deltas": [0, 0.01]}
+        cfg = config_from_mapping({**doc, "device_file": None, "phases": [0, 0.5, 1], "quick": True})
+        assert (cfg.theta, cfg.n_reps, cfg.grid_n, cfg.rabi_deltas, cfg.phases) == (1, 2, 10, (0, 0.01), (0, 0.5, 1))
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "fsim_quick.json"
+        assert config_from_mapping(config_document(shipped, {})).n_reps == 3
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             ExperimentConfig(theta=2.0)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import dqdpulse
+import dqdpulse.experiments as xp
+from dqdpulse.cli import main
 from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import InvariantLog, initial_phase_sweep, parallel_transport_defect, rabi_sweep
@@ -76,3 +78,40 @@ class TestRabiSweep:
         assert constraints and sorted(constraints) == sorted(set(constraints))
         assert {"fsim_rect_area", "fsim_rect_cosine_moment"} <= set(constraints)
         assert log.ok
+
+
+class TestJobRunner:
+    """Drivers build each distinct schedule once; jobs carry it to ``run_jobs``."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = xp.build_schedule
+        monkeypatch.setattr(xp, "build_schedule", lambda *a, **k: calls.append(a[0] if a else k["scheme"]) or build(*a, **k))
+        return calls
+
+    def test_fig6_builds_two_schedules_for_its_44_jobs(self, builds, tmp_path, capsys):
+        runs = []
+        gate_channel = xp.gate_channel
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xp, "gate_channel", lambda *a, **k: runs.append(a[0]) or gate_channel(*a, **k))
+            assert main(["reproduce", "fig6", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+        assert builds == ["fsim_rect", "fsim_geometric"]
+        assert len(runs) == 44 and len({id(s) for s in runs}) == 2
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        legs = [f"[ok] fsim_geometric_leg{k}_area" for k in (1, 2, 3)]
+        run = ["[ok] unitarity_defect"] * 22
+        assert names == ["[ok] fsim_rect_area", "[ok] fsim_rect_cosine_moment", *run, *legs, *run]
+
+    def test_simulate_trajectory_builds_its_schedule_once(self, builds, tmp_path):
+        argv = ["simulate", "--scheme", "fsim_rect", "--no-decoherence", "--trajectory", "--samples", "5"]
+        assert main([*argv, "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+        assert builds == ["fsim_rect"]
+
+    def test_jobs_share_one_grid_per_grid_argument(self, monkeypatch):
+        grids = []
+        run_jobs = xp.run_jobs
+        monkeypatch.setattr(xp, "run_jobs", lambda jobs, *a, **k: grids.extend(g for _, g, _ in jobs) or run_jobs(jobs, *a, **k))
+        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], grid_n=2, decoherence=False, quick=True)
+        assert [g.phases for g in grids] == [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2
+        assert grids[0] is grids[2] and grids[1] is grids[3]

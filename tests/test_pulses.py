@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from dqdpulse.algebra import TWO_PI, cumulative_simpson
 from dqdpulse.cli import RunWriter
 from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
-from dqdpulse.experiments import POLY_GATE_TIME, sensitivity_vs_eta
+from dqdpulse.experiments import POLY_GATE_TIME, build_schedule, sensitivity_vs_eta
 from dqdpulse.pulses import (
+    Polynomial,
     PulseSchedule,
     Segment,
     apply_detuning_error,
@@ -338,7 +340,7 @@ class TestErrorInjection:
 
 class TestScheduleStructure:
     def test_segments_must_tile(self):
-        seg = Segment(0.0, 0.5, lambda ts: np.zeros_like(ts), 1.0)
+        seg = Segment(0.0, 0.5, Polynomial((0.0,), 0.0), 1.0)
         good = fsim_rectangular(THETA, XI, T45, 1)
         with pytest.raises(ValueError, match="segments"):
             PulseSchedule((seg,), 1.0, "fsim_rect", good.controls)
@@ -367,6 +369,14 @@ def _with_last_segment(schedule, **fields):
     return replace(schedule, segments=segments)
 
 
+def _with_gain_scaled(env, factor):
+    return replace(env, gain=factor * env.gain)
+
+
+def _with_origin_shifted(env, shift):
+    return replace(env, origin=env.origin + shift)
+
+
 def _with_carriers_scaled(schedule, factor):
     segments = tuple(replace(seg, carrier_omega=factor * seg.carrier_omega) for seg in schedule.segments)
     return replace(schedule, segments=segments)
@@ -388,15 +398,14 @@ class TestRepetitions:
         assert apply_rabi_error(s, 0.05).repetitions == 3
         assert apply_detuning_error(s, 0.05).repetitions == 3
 
-    def test_error_helpers_do_not_resample_envelopes(self):
+    def test_error_helpers_do_not_resample_envelopes(self, monkeypatch):
         # the layout is checked once, when the schedule is built
         calls = []
-
-        def counted(env):
-            return lambda ts: calls.append(len(ts)) or env(ts)
+        call = Polynomial.__call__
+        monkeypatch.setattr(Polynomial, "__call__", lambda env, ts: calls.append(len(ts)) or call(env, ts))
 
         s = fsim_polynomial(THETA, XI, T50, 3)
-        s = replace(s, segments=tuple(replace(seg, envelope=counted(seg.envelope)) for seg in s.segments))
+        s.envelope(np.linspace(0.0, T50, 5))
         assert calls
         calls.clear()
         perturbed = apply_detuning_error(apply_rabi_error(s, 0.05), 0.02)
@@ -421,11 +430,108 @@ class TestRepetitions:
             (lambda s: replace(s, repetitions=3), "start and end"),  # segments of T/8, T/4, T/8
             (lambda s: _with_last_segment(s, carrier_phase=0.1), "carrier or drive"),
             (lambda s: _with_last_segment(s, drive_amp=1e6), "carrier or drive"),
-            (lambda s: _with_last_segment(s, envelope=lambda ts: 1.01 * s.segments[2].envelope(ts)), "envelope"),
+            (lambda s: _with_last_segment(s, envelope=_with_gain_scaled(s.segments[-1].envelope, 1.01)), "envelope"),
+            (lambda s: _with_last_segment(s, envelope=_with_origin_shifted(s.segments[-1].envelope, 1e-11)), "envelope"),
             (lambda s: _with_carriers_scaled(s, 1.5), "whole number"),
         ],
-        ids=["zero", "segment-count", "boundaries", "carrier-phase", "drive", "envelope", "carrier-turns"],
+        ids=["zero", "segment-count", "boundaries", "carrier-phase", "drive", "envelope", "envelope-origin", "carrier-turns"],
     )
     def test_contradicted_count_rejected(self, contradict, match):
         with pytest.raises(ValueError, match=match):
             contradict(fsim_rectangular(THETA, XI, T45, 2))
+
+
+def closure_envelope(alpha_hat, beta, eta, t0, rep, duration):
+    """The degree-6 envelope as the closure it was before envelopes became
+    coefficient data: the bit-for-bit oracle of ``Polynomial``."""
+
+    def env(ts):
+        x = (np.asarray(ts, dtype=float) - t0) / rep
+        return (alpha_hat / duration) * (
+            (1.0 + 2.0 * beta + 3.0 * eta * beta) * x**2
+            - (3.0 * beta + 4.0 * eta * beta + 2.0) * x**3
+            + x**4
+            + beta * x**5
+            + eta * beta * x**6
+        )
+
+    return env
+
+
+def quadrature(schedule, weight, lo, hi):
+    """Integral of j(t) weight(t) over [lo, hi] by a 64-node Gauss-Legendre
+    rule on each segment's piece, from sampled envelope values."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    total = 0.0j
+    for seg in schedule.segments:
+        a, b = max(lo, seg.t_start), min(hi, seg.t_end)
+        if b > a:
+            ts = 0.5 * (b - a) * x + 0.5 * (b + a)
+            total += 0.5 * (b - a) * np.dot(w, seg.envelope(ts) * weight(ts))
+    return total
+
+
+CLOSED_FORM_CASES = {
+    **{name: partial(build_schedule, name) for name in SCHEMES},
+    "fsim_rect-N3": partial(fsim_rectangular, THETA, XI, T45, 3),
+    "fsim_poly-N3": partial(fsim_polynomial, THETA, XI, T50, 3),
+    "fsim_poly-eta0.2-N2": partial(fsim_polynomial, 0.6, -1.1, T50, 2, 0.2),
+    "fsim_poly-single-N3": partial(fsim_polynomial, THETA, XI, T50, 3, repeat=False),
+    "fsim_poly-single-eta0.7-N2": partial(fsim_polynomial, THETA, XI, T50, 2, 0.7, repeat=False),
+    "fsim_poly-rabi": lambda: apply_rabi_error(fsim_polynomial(THETA, XI, T50, 2), 0.07),
+    "bgate-rabi": lambda: apply_rabi_error(build_schedule("bgate"), -0.05),
+}
+
+
+class TestClosedForms:
+    """Envelope integrals from coefficients, against quadrature of sampled values."""
+
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+    @pytest.mark.parametrize(
+        "multiple", [0.0, 1e-3, 0.3, 1.0, 1.37], ids=["omega0", "omega-tiny", "omega-small", "carrier", "off-carrier"]
+    )
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.13, 0.71), (0.02, 0.05)], ids=["whole", "across", "inside"])
+    def test_integrals_match_quadrature(self, case, multiple, window):
+        s = CLOSED_FORM_CASES[case]()
+        omega = multiple * s.controls.delta_ez
+        lo, hi = (f * s.duration for f in window)
+        weight = lambda ts: np.exp(1j * omega * ts)
+        # relative to max|j| (hi - lo), which bounds every such integral
+        tol = 1e-12 * s.max_envelope() * (hi - lo)
+        assert abs(s.integrate_envelope(omega, lo, hi) - quadrature(s, weight, lo, hi).real) <= tol
+        for seg in s.segments:
+            a, b = max(lo, seg.t_start), min(hi, seg.t_end)
+            if b > a:
+                assert abs(seg.envelope.integral(omega, a, b) - quadrature(s, weight, a, b)) <= tol
+
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+    def test_constraints_and_exchange_match_quadrature(self, case):
+        s = CLOSED_FORM_CASES[case]()
+        residuals = s.check_constraints()
+        assert list(residuals) == [c.label for c in s.controls.constraints]
+        for c in s.controls.constraints:
+            value = quadrature(s, lambda ts: np.cos(c.omega * ts), c.t_start, s.duration if c.t_end is None else c.t_end)
+            assert residuals[c.label] == pytest.approx(abs(value.real - c.target), rel=0, abs=1e-12 * abs(c.target))
+        exchange = sum(
+            (2.0 * np.exp(1j * seg.carrier_phase) * quadrature(s, lambda ts: np.exp(1j * seg.carrier_omega * ts), seg.t_start, seg.t_end)).real
+            for seg in s.segments
+        )
+        assert s.integrate_exchange() == pytest.approx(exchange, rel=1e-12, abs=1e-12 * s.max_envelope() * s.duration)
+
+    @pytest.mark.parametrize("eta", [-1.0 / 3.0, 0.2, 0.7])
+    @pytest.mark.parametrize("n, repeat", [(1, True), (3, True), (3, False)])
+    def test_polynomial_evaluation_is_the_closure_bit_for_bit(self, eta, n, repeat):
+        s = fsim_polynomial(THETA, XI, T50, n, eta, repeat=repeat)
+        rep = T50 / n if repeat else T50
+        for k, seg in enumerate(s.segments):
+            old = closure_envelope(s.meta["alpha_hat"], s.meta["beta"], eta, k * rep, rep, T50)
+            ts = np.concatenate([np.linspace(seg.t_start, seg.t_end, 257), [k * rep, seg.t_end + 1e-9]])
+            # equal bits, down to the sign of zero
+            assert np.array_equal(seg.envelope(ts).view(np.int64), old(ts).view(np.int64))
+
+    @pytest.mark.parametrize("name", ["fsim_rect", "fsim_geometric", "bgate"])
+    def test_constant_evaluation_is_the_level(self, name):
+        for seg in build_schedule(name, n_reps=2 if name == "fsim_rect" else 1).segments:
+            ts = np.linspace(seg.t_start, seg.t_end, 9)
+            assert np.array_equal(seg.envelope(ts), np.full_like(ts, seg.level))
+            assert seg.envelope.coefficients == (seg.level,)

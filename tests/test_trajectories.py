@@ -312,7 +312,7 @@ class TestFsimCompleteness:
                 sched = build(theta, xi, 1.0, 2)
                 e_z = sched.controls.e_z
                 w = sched.controls.delta_ez
-                cos_moment = sched.integrate_envelope(lambda ts: np.cos(w * ts))
+                cos_moment = sched.integrate_envelope(w)
                 phi2_diff = e_z * sched.duration + cos_moment
                 phi4_diff = 2.0 * e_z * sched.duration
                 assert math.remainder(phi2_diff, TWO_PI) == pytest.approx(0.0, abs=1e-8)
