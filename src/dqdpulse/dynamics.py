@@ -170,7 +170,7 @@ def _resolve_hamiltonian(h) -> tuple[_Terms, float]:
     if isinstance(h, TimeDependentHamiltonian):
         return (h.terms if h.terms is not None else _Sampled(h.matrices)), h.max_frequency_hz
     if callable(h):
-        return _Sampled(lambda ts: np.stack([np.asarray(h(t), dtype=complex) for t in ts])), 0.0
+        return _Sampled(lambda ts: np.array([h(t) for t in ts], dtype=complex)), 0.0
     raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
 
 
@@ -595,14 +595,6 @@ def propagate_unitary(
 # ---------------------------------------------------------------------------
 # Lindblad evolution
 # ---------------------------------------------------------------------------
-
-_I2 = np.eye(2)
-_P = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-
-# projector collapse operators: |j><j| x I on qubit 1, I x |j'><j'| on qubit 2
-COLLAPSE_Q1 = tuple(np.kron(p, _I2) for p in _P)
-COLLAPSE_Q2 = tuple(np.kron(_I2, p) for p in _P)
-
 
 # The orthonormal Hermitian operator basis B_mu = sigma_a (x) sigma_b / 2,
 # mu = 4 a + b, and the unitary T whose column mu is vec(B_mu): a

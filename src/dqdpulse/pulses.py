@@ -67,24 +67,40 @@ class Polynomial:
         the first term is the antiderivative).  Elsewhere they come from the
         recurrence M_m = ([x^m e^{ikx}]_a^b - m M_{m-1}) / (ik), which scales
         earlier rounding errors by m / |k|, so by at most 6! / 2^6 over
-        degree 6.
+        degree 6.  On a window that holds the origin |a|, |b| <= b - a, so
+        the differences b^p - a^p lose no digits; a non-constant envelope is
+        first re-expanded about the centre of any other window.
         """
-        a, b = (lo - self.origin) / self.scale, (hi - self.origin) / self.scale
+        coefficients, origin = self.coefficients, self.origin
+        a, b = (lo - origin) / self.scale, (hi - origin) / self.scale
+        if len(coefficients) > 1 and (a > 0.0 or b < 0.0):
+            shift = (a + b) / 2.0
+            coefficients, origin = _taylor_shift(coefficients, shift), origin + shift * self.scale
+            a, b = (lo - origin) / self.scale, (hi - origin) / self.scale
         k = omega * self.scale
         if abs(k) * max(abs(a), abs(b)) <= 2.0:
             total = sum(
                 c * (1j * k) ** n / math.factorial(n) * (b ** (m + n + 1) - a ** (m + n + 1)) / (m + n + 1)
-                for m, c in enumerate(self.coefficients)
+                for m, c in enumerate(coefficients)
                 if c
                 for n in range(30 if k else 1)
             )
         else:
             ea, eb = np.exp(1j * k * a), np.exp(1j * k * b)
             total, moment = 0.0j, 0.0j
-            for m, c in enumerate(self.coefficients):
+            for m, c in enumerate(coefficients):
                 moment = (b**m * eb - a**m * ea - m * moment) / (1j * k)
                 total += c * moment
-        return complex(self.gain * self.scale * np.exp(1j * omega * self.origin) * total)
+        return complex(self.gain * self.scale * np.exp(1j * omega * origin) * total)
+
+
+def _taylor_shift(coefficients: tuple[float, ...], shift: float) -> tuple[float, ...]:
+    """Coefficients of p(y + shift) from those of p(x), by repeated synthetic division."""
+    d = list(coefficients)
+    for i in range(len(d) - 1):
+        for m in range(len(d) - 2, i - 1, -1):
+            d[m] += shift * d[m + 1]
+    return tuple(d)
 
 
 @dataclass(frozen=True)

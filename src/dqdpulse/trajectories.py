@@ -14,6 +14,13 @@ this module builds
   (+ left, - right) for q = (cos gamma, sin gamma n); the six amplitudes
   Omega_ij are sums and differences of their components.
 
+The generator and its amplitudes take a float time or an array of times,
+with one formula: ``math``/``cmath`` for a float, numpy for an array, whose
+results carry the array's shape (H is (n, 4, 4) for n times).  An array
+needs TimeFunctions that act elementwise on arrays, as :func:`const` and
+:func:`linear` do; the generator of one trajectory over a step grid is
+then one batch evaluation.
+
 It also solves the boundary-value constraints that turn an fSim(theta, xi)
 or B-gate target into physical control parameters (frame frequencies plus
 integral constraints on the exchange envelope j(t)).
@@ -21,6 +28,7 @@ integral constraints on the exchange envelope j(t)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,12 +42,14 @@ from .algebra import (
     isoclinic_right,
 )
 
-TimeFn = Callable[[float], float]
+Times = float | np.ndarray
+TimeFn = Callable[[Times], Times]
 
 
 @dataclass(frozen=True)
 class TimeFunction:
-    """A scalar function of time bundled with its first derivative."""
+    """A scalar function of time bundled with its first derivative; on an
+    array of times both should act elementwise."""
 
     value: TimeFn
     derivative: TimeFn
@@ -49,11 +59,11 @@ class TimeFunction:
 
 
 def const(c: float) -> TimeFunction:
-    return TimeFunction(lambda t: c, lambda t: 0.0)
+    return TimeFunction(lambda t: c + 0.0 * t, lambda t: 0.0 * t)
 
 
 def linear(rate: float) -> TimeFunction:
-    return TimeFunction(lambda t: rate * t, lambda t: rate)
+    return TimeFunction(lambda t: rate * t, lambda t: rate + 0.0 * t)
 
 
 @dataclass(frozen=True)
@@ -111,48 +121,60 @@ def parameterized_propagator(traj: AzimuthTrajectory, t: float) -> np.ndarray:
 
 
 def _angular_velocity(
-    gamma: TimeFunction, theta: TimeFunction, phi: TimeFunction, t: float, sign: float
-) -> tuple[float, float, float]:
+    gamma: TimeFunction, theta: TimeFunction, phi: TimeFunction, t: Times, sign: float
+) -> tuple[Times, Times, Times]:
     """dq/dt q^-1 (``sign`` = +1) or q^-1 dq/dt (-1) for q = (cos gamma, sin gamma n(theta, phi)).
 
     Summed in the orthonormal frame (n, e_theta, e_phi), where
     n' = theta' e_theta + sin theta phi' e_phi and n x n' = theta' e_phi - sin theta phi' e_theta.
     """
-    g, th, ph = gamma(t), theta(t), phi(t)
+    xp = np if isinstance(t, np.ndarray) else math
+    g, th, ph = gamma.value(t), theta.value(t), phi.value(t)
     dg, dth, dph = gamma.derivative(t), theta.derivative(t), phi.derivative(t)
-    sg, cg = math.sin(g), math.cos(g)
-    st, ct = math.sin(th), math.cos(th)
-    sp, cp = math.sin(ph), math.cos(ph)
+    sg, cg = xp.sin(g), xp.cos(g)
+    st, ct = xp.sin(th), xp.cos(th)
+    sp, cp = xp.sin(ph), xp.cos(ph)
     a = sg * cg * dth - sign * sg * sg * st * dph  # along e_theta = (-st, ct cp, ct sp)
     b = sg * cg * st * dph + sign * sg * sg * dth  # along e_phi = (0, -sp, cp)
     radial = dg * st + a * ct  # in the (y, z) plane, along (cp, sp)
     return dg * ct - a * st, radial * cp - b * sp, radial * sp + b * cp
 
 
-# Generator entry (row, column) of each amplitude.
-_PAIRS = {"o12": (0, 1), "o13": (0, 2), "o14": (0, 3), "o23": (1, 2), "o24": (1, 3), "o34": (2, 3)}
-
-
-def coupling_amplitudes(traj: AzimuthTrajectory, t: float) -> dict[str, float]:
-    """The six generator amplitudes Omega_ij = (dU_r/dt U_r^T)_{ij} = (M_L(l) + M_R(r))_{ij}."""
+def _amplitudes(traj: AzimuthTrajectory, t: Times) -> tuple[Times, ...]:
+    """Omega_12, Omega_13, Omega_14, Omega_23, Omega_24, Omega_34."""
     l1, l2, l3 = _angular_velocity(traj.gamma1, traj.theta1, traj.phi1, t, 1.0)
     r1, r2, r3 = _angular_velocity(traj.gamma2, traj.theta2, traj.phi2, t, -1.0)
-    return {
-        "o12": -(l1 + r1), "o13": -(l2 + r2), "o14": -(l3 + r3),
-        "o23": r3 - l3, "o24": l2 - r2, "o34": r1 - l1,
-    }
+    return -(l1 + r1), -(l2 + r2), -(l3 + r3), r3 - l3, l2 - r2, r1 - l1
 
 
-def parameterized_hamiltonian(traj: AzimuthTrajectory, t: float) -> np.ndarray:
-    """Generator i dU/dt U^dag = i K Omega K^dag - diag(dvphi/dt) (hbar = 1)."""
-    omega = np.zeros((4, 4))
-    for key, value in coupling_amplitudes(traj, t).items():
-        i, j = _PAIRS[key]
-        omega[i, j], omega[j, i] = value, -value
-    k = np.exp(1j * traj.level_phases(t))
-    h = 1j * k[:, None] * omega * k.conj()
-    h[1, 1], h[2, 2], h[3, 3] = -traj.vphi2.derivative(t), -traj.vphi3.derivative(t), -traj.vphi4.derivative(t)
-    return h
+def coupling_amplitudes(traj: AzimuthTrajectory, t: Times) -> dict[str, Times]:
+    """The six generator amplitudes Omega_ij = (dU_r/dt U_r^T)_{ij} = (M_L(l) + M_R(r))_{ij},
+    each a float for a float ``t`` and an array of its shape for an array."""
+    return dict(zip(("o12", "o13", "o14", "o23", "o24", "o34"), _amplitudes(traj, t)))
+
+
+def parameterized_hamiltonian(traj: AzimuthTrajectory, t: Times) -> np.ndarray:
+    """Generator i dU/dt U^dag = i K Omega K^dag - diag(dvphi/dt) (hbar = 1).
+
+    (4, 4) for a float ``t``; (n, 4, 4) for an array of n times, which
+    needs every TimeFunction of ``traj`` to act elementwise on arrays.
+    """
+    xp = np if isinstance(t, np.ndarray) else cmath
+    o12, o13, o14, o23, o24, o34 = _amplitudes(traj, t)
+    k2, k3, k4 = xp.exp(1j * traj.vphi2.value(t)), xp.exp(1j * traj.vphi3.value(t)), xp.exp(1j * traj.vphi4.value(t))
+    c2, c3, c4 = k2.conjugate(), k3.conjugate(), k4.conjugate()
+    h12, h13, h14 = 1j * o12 * c2, 1j * o13 * c3, 1j * o14 * c4
+    h23, h24, h34 = 1j * k2 * o23 * c3, 1j * k2 * o24 * c4, 1j * k3 * o34 * c4
+    h = np.array(
+        [
+            [0.0 * t, h12, h13, h14],
+            [h12.conjugate(), -traj.vphi2.derivative(t), h23, h24],
+            [h13.conjugate(), h23.conjugate(), -traj.vphi3.derivative(t), h34],
+            [h14.conjugate(), h24.conjugate(), h34.conjugate(), -traj.vphi4.derivative(t)],
+        ],
+        dtype=complex,
+    )
+    return h if xp is cmath else np.moveaxis(h, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------

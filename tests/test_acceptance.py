@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dqdpulse.algebra import gate_infidelity, phase_aligned_distance
-from dqdpulse.device import DEFAULT_DEVICE, frame_hamiltonian
+from dqdpulse.device import DEFAULT_DEVICE, TimeDependentHamiltonian, frame_hamiltonian
 from dqdpulse.dynamics import lindblad_superoperator, propagate_unitary
 from dqdpulse.fidelity import analytic_rabi_fidelity, average_fidelity, build_grid
 from dqdpulse.kak import (
@@ -127,10 +127,10 @@ def _trig_fn(rng, amplitude, zero_at_origin=False):
     off = -float(np.sum(b)) if zero_at_origin else 0.0
 
     def val(t):
-        return off + sum(ai * math.sin(wi * t) + bi * math.cos(wi * t) for ai, bi, wi in zip(a, b, w))
+        return off + sum(ai * np.sin(wi * t) + bi * np.cos(wi * t) for ai, bi, wi in zip(a, b, w))
 
     def der(t):
-        return sum(ai * wi * math.cos(wi * t) - bi * wi * math.sin(wi * t) for ai, bi, wi in zip(a, b, w))
+        return sum(ai * wi * np.cos(wi * t) - bi * wi * np.sin(wi * t) for ai, bi, wi in zip(a, b, w))
 
     return TimeFunction(val, der)
 
@@ -157,8 +157,11 @@ class TestCriterion4InverseEngineeringOracle:
             traj = _random_smooth_trajectory(seed)
             closed = parameterized_propagator(traj, 1.0)
             res = propagate_unitary(
-                lambda t: parameterized_hamiltonian(traj, t), 1.0, steps=10_000
+                TimeDependentHamiltonian(batch=lambda ts: parameterized_hamiltonian(traj, ts), max_frequency_hz=0.0),
+                1.0,
+                steps=10_000,
             )
+            assert res.rule == "midpoint"
             worst = max(worst, float(np.linalg.norm(res.final - closed)))
         check(
             "criterion 4 (propagator-generator duality, 50 trajectories)",

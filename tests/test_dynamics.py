@@ -16,8 +16,6 @@ from dqdpulse.device import (
     frame_hamiltonian,
 )
 from dqdpulse.dynamics import (
-    COLLAPSE_Q1,
-    COLLAPSE_Q2,
     STEPS_PER_PERIOD,
     apply_superoperator,
     dephasing_dissipator,
@@ -34,6 +32,11 @@ THETA, XI = math.pi / 4, math.pi / 2
 T45 = 45e-9
 
 NO_DECOHERENCE = DeviceParams(t2_q1=0.0, t2_q2=0.0)  # kappa = 0 sentinel
+
+# projector collapse operators: |j><j| x I on qubit 1, I x |j'><j'| on qubit 2
+_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+COLLAPSE_Q1 = tuple(np.kron(p, np.eye(2)) for p in _PROJECTORS)
+COLLAPSE_Q2 = tuple(np.kron(np.eye(2), p) for p in _PROJECTORS)
 
 
 def random_hermitian(rng, scale=1.0):

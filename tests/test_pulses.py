@@ -518,6 +518,22 @@ class TestClosedForms:
         )
         assert s.integrate_exchange() == pytest.approx(exchange, rel=1e-12, abs=1e-12 * s.max_envelope() * s.duration)
 
+    @pytest.mark.parametrize("multiple", [0.0, 1.0, 3.0], ids=["omega0", "carrier", "3x-carrier"])
+    def test_short_windows_keep_full_precision(self, multiple):
+        # 1e-4 T windows across a degree-6 envelope, against a 40-node
+        # Gauss-Legendre rule, which is exact to rounding on so short a window
+        s = fsim_polynomial(THETA, XI, T50, 2)
+        omega = multiple * s.controls.delta_ez
+        x, w = np.polynomial.legendre.leggauss(40)
+        for f in np.linspace(0.0, 1.0 - 1e-4, 37):
+            lo, hi = f * T50, (f + 1e-4) * T50
+            for seg in s.segments:
+                a, b = max(lo, seg.t_start), min(hi, seg.t_end)
+                if b > a:
+                    ts = 0.5 * (b - a) * x + 0.5 * (b + a)
+                    ref = 0.5 * (b - a) * np.dot(w, seg.envelope(ts) * np.exp(1j * omega * ts))
+                    assert abs(seg.envelope.integral(omega, a, b) - ref) <= 1e-14 * s.max_envelope() * (b - a)
+
     @pytest.mark.parametrize("eta", [-1.0 / 3.0, 0.2, 0.7])
     @pytest.mark.parametrize("n, repeat", [(1, True), (3, True), (3, False)])
     def test_polynomial_evaluation_is_the_closure_bit_for_bit(self, eta, n, repeat):

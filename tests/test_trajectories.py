@@ -207,6 +207,85 @@ class TestHamiltonian:
             assert fd == pytest.approx(fn.derivative(t), abs=1e-6)
 
 
+def np_trig_fn(rng, amplitude=0.6, zero_at_origin=False):
+    """trig_fn in numpy functions, so that it also takes arrays of times."""
+    a = rng.normal(0.0, amplitude, 3)
+    b = rng.normal(0.0, amplitude, 3)
+    w = rng.uniform(0.4, 2.0, 3)
+    off = -float(np.sum(b)) if zero_at_origin else 0.0
+    return TimeFunction(
+        lambda t: off + sum(ai * np.sin(wi * t) + bi * np.cos(wi * t) for ai, bi, wi in zip(a, b, w)),
+        lambda t: sum(ai * wi * np.cos(wi * t) - bi * wi * np.sin(wi * t) for ai, bi, wi in zip(a, b, w)),
+    )
+
+
+def array_trajectory(seed, kind):
+    """Random trajectories whose functions act elementwise on arrays: all
+    trigonometric, with the default constant level phases, or with linear
+    and constant fields."""
+    rng = np.random.default_rng(seed)
+    names = ("gamma1", "theta1", "phi1", "gamma2", "theta2", "phi2", "vphi2", "vphi3", "vphi4")
+    fns = {name: np_trig_fn(rng, zero_at_origin=name.startswith("gamma")) for name in names}
+    if kind == "default_phases":
+        del fns["vphi2"], fns["vphi3"], fns["vphi4"]
+    elif kind == "linear":
+        fns.update(
+            gamma1=linear(rng.uniform(0.5, 2.0)), gamma2=linear(-rng.uniform(0.5, 2.0)),
+            theta1=const(rng.uniform(0.2, 1.2)), phi2=const(rng.uniform(0.4, 2.0)),
+            vphi3=const(0.3), vphi4=linear(rng.uniform(-2.0, 2.0)),
+        )
+    return AzimuthTrajectory(**fns)
+
+
+TRAJECTORY_KINDS = ["trig", "default_phases", "linear"]
+
+
+class TestArrayTimes:
+    @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_equals_per_float(self, kind, seed):
+        traj = array_trajectory(seed, kind)
+        ts = np.random.default_rng(seed + 100).uniform(0.0, T, 17)
+        amps = coupling_amplitudes(traj, ts)
+        hs = parameterized_hamiltonian(traj, ts)
+        for n, t in enumerate(ts.tolist()):
+            for key, value in coupling_amplitudes(traj, t).items():
+                assert abs(amps[key][n] - value) <= 1e-15
+            np.testing.assert_allclose(hs[n], parameterized_hamiltonian(traj, t), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+    def test_shapes(self, kind):
+        traj = array_trajectory(7, kind)
+        h = parameterized_hamiltonian(traj, 0.4)
+        assert h.shape == (4, 4) and h.dtype == complex
+        assert all(isinstance(v, float) for v in coupling_amplitudes(traj, 0.4).values())
+        ts = np.linspace(0.0, T, 5)
+        assert parameterized_hamiltonian(traj, ts).shape == (5, 4, 4)
+        assert all(v.shape == (5,) for v in coupling_amplitudes(traj, ts).values())
+
+    def test_constant_and_linear_broadcast(self):
+        ts = np.linspace(0.0, 1.0, 6)
+        for fn in (const(0.7), linear(-1.3)):
+            assert fn.value(ts).shape == fn.derivative(ts).shape == ts.shape
+        assert const(0.7).value(0.5) == 0.7 and const(0.7).derivative(0.5) == 0.0
+        assert linear(-1.3).value(0.5) == -0.65 and linear(-1.3).derivative(0.5) == -1.3
+
+    @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+    def test_batched_propagation_equals_plain_callable(self, kind):
+        from dqdpulse.device import TimeDependentHamiltonian
+        from dqdpulse.dynamics import propagate_unitary
+
+        traj = array_trajectory(11, kind)
+        batched = propagate_unitary(
+            TimeDependentHamiltonian(batch=lambda ts: parameterized_hamiltonian(traj, ts), max_frequency_hz=0.0),
+            T,
+            steps=500,
+        )
+        plain = propagate_unitary(lambda t: parameterized_hamiltonian(traj, t), T, steps=500)
+        assert batched.rule == plain.rule == "midpoint"
+        assert np.abs(batched.final - plain.final).max() <= 1e-14
+
+
 class TestFsimControls:
     def test_frame_frequencies(self):
         # E_z = xi/(2T) and delta_Ez = 2 N pi / T as solved from the phase
