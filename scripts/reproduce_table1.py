@@ -3,7 +3,7 @@
 
 The full table averages 1600 initial states per cell and computes in about
 0.12 s after the package import (the manifest's runtime_s).  --quick
-averages 100 states and halves the RK4 budget to 100 steps per period;
+averages 100 states and halves the open step's budget to 100 steps per period;
 both fidelity grids give the exact grid mean, so --quick changes the
 results only through its step budget.
 """

@@ -3,10 +3,9 @@
 Everything downstream works with 4x4 complex matrices (Hamiltonians,
 propagators, density matrices) and with the two unit quaternions that
 factor a 4D rotation into its left- and right-isoclinic parts.  This
-module collects those primitives plus the running Simpson integral behind
-``pulses.error_sensitivity``.  Stacks of propagation steps are exponentiated
-in real arithmetic: a complex matrix X + iY enters as its real form
-[[X, -Y], [Y, X]], which numpy multiplies several times faster.
+module collects those primitives.  Stacks of propagation steps are
+exponentiated in real arithmetic: a complex matrix X + iY enters as its
+real form [[X, -Y], [Y, X]], which numpy multiplies several times faster.
 
 Conventions: hbar = 1 everywhere, so Hamiltonian entries are angular
 frequencies (rad/s) and propagators are exp(-i H t).
@@ -124,9 +123,10 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     nu^(m+1)/(m+1)! e^nu is at most ``_TAYLOR_TOL``, the series is summed
     by Horner's rule and the result squared s times.  The bound holds for
     any matrix; for skew-Hermitian A (or its real form) the factors are
-    unitary to rounding, not by construction.  Propagation steps sit near
-    ||A||_1 = 1e-5 (midpoint) to 1e-4 (Magnus-Filon), where m = 3 costs
-    two matrix products.
+    unitary to rounding, not by construction.  The frames' Magnus-Filon
+    steps at their default budgets sit near ||A||_1 = 1e-3 (the B gate,
+    closed or open; m = 4 or 5) to 0.1 (the closed geometric fSim at the
+    floor; m = 10), and m costs m - 1 matrix products.
 
     The column sums of the norm are one contiguous reduction, and Horner's
     rule runs in two buffers, adding I on their diagonal in place: the
@@ -232,18 +232,3 @@ def gate_infidelity(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-invariant gate infidelity 1 - |tr(V^dag U)/d|^2."""
     d = u.shape[0]
     return float(1.0 - (abs(np.trace(v.conj().T @ u)) / d) ** 2)
-
-
-def cumulative_simpson(ys: np.ndarray, h: float) -> np.ndarray:
-    """Running Simpson integral of samples on a uniform grid of spacing ``h``.
-
-    Returns len(ys) values starting at 0; ``ys`` needs an odd length of at
-    least 3.  Each interval integrates the parabola through its two nodes
-    and one neighbour: the next node for even intervals, the previous one
-    for odd intervals (the scheme of scipy's ``cumulative_simpson``).
-    """
-    left, mid, right = ys[:-2:2], ys[1:-1:2], ys[2::2]
-    parts = np.empty(len(ys) - 1, dtype=np.result_type(ys, float))
-    parts[0::2] = (h / 12.0) * (5.0 * left + 8.0 * mid - right)
-    parts[1::2] = (h / 12.0) * (8.0 * mid + 5.0 * right - left)
-    return np.concatenate([[0.0], np.cumsum(parts)])

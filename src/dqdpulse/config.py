@@ -34,7 +34,7 @@ class ExperimentConfig:
     convention: str = "standard"
     grid_n: int | None = None  # None: 10 under quick, else 40
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    steps_per_period: int | None = None  # None: the step rule's default
+    steps_per_period: int | None = None  # None: the run's default budget
     quick: bool = False
     workers: int = 1
     outdir: str = "out"

@@ -178,20 +178,22 @@ class FourierTerms:
     def segment_index(self, ts: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edges, ts, side="right")
 
-    def coefficients(self, ts: np.ndarray) -> np.ndarray:
-        """The (n, K) coefficients c_k = w_k(t) e^{i nu_k t} at each time."""
+    def envelope(self, ts: np.ndarray) -> np.ndarray:
+        """j(t) at each time, from the segment holding it."""
         seg = self.segment_index(ts)
+        present = np.flatnonzero(np.bincount(seg))
+        if present.size == 1:  # a step chunk's times mostly lie on one segment
+            return self.segments[present[0]].envelope(ts)
         j = np.empty(ts.size)
-        for s in np.flatnonzero(np.bincount(seg)):
-            sel = seg == s
-            level = self.segments[s].level
-            j[sel] = self.segments[s].envelope(ts[sel]) if level is None else level
-        return np.exp(1j * np.multiply.outer(ts, self.nus)) * np.where(self.scaled, j[:, None], 1.0)
+        for s in present:
+            j[seg == s] = self.segments[s].envelope(ts[seg == s])
+        return j
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
-        """H at each time: the (n, K) coefficients times each sample's (K, 16) terms."""
+        """H at each time: the (n, K) coefficients w_k(t) e^{i nu_k t} times each sample's (K, 16) terms."""
         rows = self.mats.reshape(len(self.segments), -1, 16)[self.segment_index(ts)]
-        return np.matmul(self.coefficients(ts)[:, None, :], rows).reshape(-1, 4, 4)
+        coef = np.exp(1j * np.multiply.outer(ts, self.nus)) * np.where(self.scaled, self.envelope(ts)[:, None], 1.0)
+        return np.matmul(coef[:, None, :], rows).reshape(-1, 4, 4)
 
 
 class TimeDependentHamiltonian:

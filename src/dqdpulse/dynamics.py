@@ -12,43 +12,42 @@ padded with identities after their last step to one length and reduced
 in one batched tree reduction, which gives each run's product bit for
 bit; the running product then takes one matrix product per sample.
 
-H(t) is resolved once into per-segment term matrices R and coefficients
-c(t): a frame Hamiltonian's Fourier terms give
-c_k = w_k(t) e^{i nu_k t}; any other H is one segment of the 16 unit
-matrices, with H's entries as coefficients.  Each step rule builds its
-generators the same way, the interleaved (Re c, Im c) of its samples times
-a real row table of their segment (``_combine``), so none forms a complex H:
+The step rule depends only on how H(t) is given, closed or open:
 
-* closed runs whose Fourier terms have constant envelopes on every segment
-  stepped through (``fsim_rect``, ``fsim_geometric``, ``bgate``, with their
-  Rabi and detuning errors) take the fourth-order Magnus-Filon step
-  (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-  151 (2009)): with H = sum_k G_k e^{i nu_k t} on a segment, its rows are
-  G_k and [G_k, G_l] and its coefficients exact oscillatory integrals
-  (``filon_weights``).  The error is fourth order once a step is shorter
-  than the fastest period, which the floor guarantees;
-* other closed runs (``fsim_poly``, whose envelope is a polynomial, and
-  sampled H) take the second-order midpoint exponential
-  exp(-i H(t + dt/2) dt), with coefficients c(t + dt/2) dt;
-* open runs take one classical RK4 step of the linear vectorized master
-  equation, the 16x16 matrix I + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the k's
-  taken at the identity; one superoperator serves a 1600-state grid.
+* a frame Hamiltonian's Fourier terms, H = sum_k w_k(t) e^{i nu_k t} R_k on
+  each segment (w_k the envelope j(t) or 1), take the fourth-order
+  Magnus-Filon step (Iserles, BIT 42, 561 (2002); Blanes, Casas, Oteo &
+  Ros, Phys. Rep. 470, 151 (2009)).  Its rows are the generator terms
+  A_k = -i R_k, or the Liouvillians -i[R_k, .] with the dissipator joining
+  the static one, and their commutators [A_k, A_l]; its coefficients are
+  exact oscillatory integrals (``filon_weights``).  A polynomial envelope
+  is replaced on each step by its quadratic interpolant through the step's
+  three Gauss points, whose moments are exact too; the node polynomial is
+  orthogonal to quadratics, so the error stays fourth order once a step is
+  shorter than the fastest period, which the floor guarantees;
+* sampled H (callables, ``TimeDependentHamiltonian(single=, batch=)``)
+  takes the second-order midpoint exponential exp(A(t + dt/2) dt): H's 16
+  entries times dt are the coefficients of the unit matrices E_ab, and an
+  open run adds the dissipator times dt.
 
-Rows, step factors and products are real, which numpy multiplies several
-times faster than complex matrices.  Closed rows are realify(-i R) and
-realify(R), real forms X + iY -> [[X, -Y], [Y, X]]: a ring homomorphism, so
-it commutes with products and with the Taylor series
-(``algebra.batched_expm``) of an 8x8 step.  Open rows are the Liouvillians
--i[R, .] in the orthonormal Pauli basis sigma_a (x) sigma_b / 2, where a
-Hermitian H's is real, from one table of the unit matrices'; the dissipator
-is added (Havel, J. Math. Phys. 44, 534 (2003)).  The product returns to
-the complex propagator, or to the superoperator on column-stacked vec(rho),
-once, at the snapshots and at the end.
+Each rule builds its generators as the interleaved (Re c, Im c) of its
+coefficients times a real row table of their segment (``_combine``), so
+none forms a complex H.  Rows, step factors and products are real, which
+numpy multiplies several times faster than complex matrices.  Closed rows
+are realify(A_k) and realify(i A_k), real forms X + iY -> [[X, -Y], [Y, X]]:
+a ring homomorphism, so it commutes with products and with the Taylor
+series (``algebra.batched_expm``) of an 8x8 step.  Open rows are
+(Re A_k, -Im A_k) in the orthonormal Pauli basis sigma_a (x) sigma_b / 2,
+where every Liouvillian of a Hermitian H and the dissipator are real
+(Havel, J. Math. Phys. 44, 534 (2003)); one 16x16 superoperator serves a
+1600-state grid.  The product returns to the complex propagator, or to
+the superoperator on column-stacked vec(rho), once, at the snapshots and
+at the end.
 
-Without a budget, a run takes its rule's default
-(``DEFAULT_STEPS_PER_PERIOD``): the floor of 50 steps per period for the
-Magnus-Filon step, 200 for the midpoint and RK4 rules.  Every result
-records its rule, steps, budget and f_max.
+Without a budget, a closed run whose Fourier terms have constant envelopes
+takes the floor of 50 steps per period, and every other run
+``DEFAULT_STEPS_PER_PERIOD``.  Every result records its rule, steps,
+budget and f_max.
 
 A schedule that repeats every T/N (an N-fold fSim gate: its envelope
 repeats, and every frame frequency is a multiple of 2 pi N / T) has the
@@ -76,7 +75,7 @@ import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -86,10 +85,10 @@ from .device import DeviceParams, FourierTerms, TimeDependentHamiltonian
 
 STEPS_PER_PERIOD = 50
 
-# Budget of each step rule when none is given, in steps per period of f_max:
-# the Magnus-Filon step integrates the oscillations exactly and is fourth
-# order, so the floor serves; the midpoint and RK4 rules keep 200.
-DEFAULT_STEPS_PER_PERIOD = {"magnus_filon": STEPS_PER_PERIOD, "midpoint": 200, "rk4": 200}
+# Budget when none is given, in steps per period of f_max, of every run but
+# closed constant-envelope frames: those integrate the oscillations and the
+# envelope exactly, and the floor serves them.
+DEFAULT_STEPS_PER_PERIOD = 200
 
 # filon_weights sums power series in z = i nu h, |z| up to the radius, until
 # the next term's bound (n + 1) r^n / (n + 2)! at r = max |z| is below the
@@ -98,19 +97,14 @@ _SERIES_TOL = 2.0**-56
 _SERIES_RADIUS = 4.5
 
 # Bytes of step factors held at once: 64 superoperator or 256 propagator
-# steps, real 16x16 and 8x8 float64 factors, so the B gate's 160k
-# Magnus-Filon steps (closed) and 631k RK4 steps (decohered) run in bounded
-# memory.
+# steps, real 16x16 and 8x8 float64 factors, so the B gate's 160k closed
+# and 632k decohered steps run in bounded memory.
 CHUNK_BYTES = 1 << 17
 
 # Distinct step lengths per block of Magnus-Filon tables: sample times split
 # the B gate's steps into 4k lengths, whose full tables at once are a 16 MB
 # transient.
 _FILON_BLOCK = 256
-
-# RK4 end stages at a breakpoint or at T sample H this fraction of a step
-# inside the interval: schedules are right-continuous at envelope jumps.
-_LEFT_LIMIT = 1e-9
 
 # A sample time this fraction of the local step from a node is that node;
 # merged as a node of its own, a rounding-level miss adds a degenerate step.
@@ -125,7 +119,7 @@ class EvolutionResult:
 
     final: np.ndarray  # propagator (closed) or density matrix (open)
     steps: int  # steps integrated: those of one repetition when raised to a power
-    rule: str  # "magnus_filon", "midpoint" or "rk4"
+    rule: str  # "magnus_filon" (Fourier terms) or "midpoint" (sampled H)
     steps_per_period: int | None  # the budget's, None when a step count was given
     max_frequency_hz: float
     repetitions: int = 1
@@ -149,34 +143,28 @@ def require_step_floor(steps_per_period: int) -> None:
 
 
 @dataclass(frozen=True)
-class _Sampled:
-    """Sampled H as ``FourierTerms``: one segment of the 16 unit matrices E_ab, H's entries as coefficients."""
+class _Space:
+    """The real matrices a run's steps act on: 8x8 real forms of propagators
+    (closed), or 16x16 superoperators in the Pauli basis (open), whose
+    generators take the dissipator."""
 
-    batch: Callable[[np.ndarray], np.ndarray]
-    mats = np.eye(16, dtype=complex).reshape(1, 16, 4, 4)
-    edges = np.zeros(0)
+    dim: int
+    restore: Callable[[np.ndarray], np.ndarray]  # a stack of real products to the complex ones reported
+    dissipator: np.ndarray | None = None  # real, in the Pauli basis
 
-    def segment_index(self, ts: np.ndarray) -> np.ndarray:
-        return np.zeros(ts.shape, dtype=int)
+    def generators(self, mats: np.ndarray) -> np.ndarray:
+        """The generator terms A_k of H terms R_k, (..., 4, 4): -i R_k, or the
+        Liouvillians -i[R_k, .] in the Pauli basis, (..., 16, 16)."""
+        if self.dissipator is None:
+            return -1j * mats
+        return (mats.reshape(mats.shape[:-2] + (16,)) @ _UNIT_LIOUVILLIANS).reshape(mats.shape[:-2] + (16, 16))
 
-    def coefficients(self, ts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.batch(ts), dtype=complex).reshape(-1, 16)
-
-
-_Terms = FourierTerms | _Sampled  # H(t) = sum_k c_k(t) mats[s, k] on segment s, [edges[s - 1], edges[s])
-
-
-def _resolve_hamiltonian(h) -> tuple[_Terms, float]:
-    if isinstance(h, TimeDependentHamiltonian):
-        return (h.terms if h.terms is not None else _Sampled(h.matrices)), h.max_frequency_hz
-    if callable(h):
-        return _Sampled(lambda ts: np.array([h(t) for t in ts], dtype=complex)), 0.0
-    raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
-
-
-def _stepped(terms: _Terms, duration: float) -> np.ndarray:
-    """The term matrices of the segments that start before ``duration``."""
-    return terms.mats[: np.searchsorted(terms.edges, duration) + 1]
+    def rows(self, gens: np.ndarray) -> np.ndarray:
+        """(S, 2K, dim^2) real rows of generator terms (S, K, d, d), in which
+        coefficients enter as (Re c, Im c): realify(A_k), realify(i A_k), or
+        Re A_k, -Im A_k, the real part of an open generator, all of it."""
+        parts = [realify(gens), realify(1j * gens)] if self.dissipator is None else [gens.real, -gens.imag]
+        return np.stack(parts, axis=2).reshape(gens.shape[0], -1, self.dim**2)
 
 
 def _combine(coef: np.ndarray, segment: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -194,11 +182,6 @@ def _combine(coef: np.ndarray, segment: np.ndarray, rows: np.ndarray) -> np.ndar
     return out
 
 
-def _closed_rows(mats: np.ndarray) -> np.ndarray:
-    """(S, 2K, 64) rows realify(-i R_k), realify(R_k): the real form of -i sum_k c_k R_k."""
-    return np.stack([realify(-1j * mats), realify(mats)], axis=2).reshape(mats.shape[0], -1, 64)
-
-
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of ``x``, ascending (np.unique would import numpy.ma: 14 ms, 1.4 MB)."""
     x = np.sort(x)
@@ -206,10 +189,9 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The step grid: nodes 0 = t_0 < ... < t_n = T, which steps end at a
-    breakpoint or T, and the node of each sample time, held as its
-    breakpoint intervals and sample nodes so that each chunk of steps
-    computes its own nodes.
+    """The step grid: nodes 0 = t_0 < ... < t_n = T and the node of each
+    sample time, held as its breakpoint intervals and sample nodes so that
+    each chunk of steps computes its own nodes.
 
     Steps are distributed over the intervals between breakpoints
     proportionally to length, so discontinuous envelopes never straddle a
@@ -236,8 +218,6 @@ class _Grid:
             self.extra, after, self.marks = self._merge(sample_times)
         # interval node p is node p + (the extra nodes before it)
         self.extra_at = (after + np.arange(after.size)).tolist()
-        ends = np.array(self.base[1:])
-        self.end_at = (ends + np.searchsorted(after, ends, side="right")).tolist()  # each interval's last node
         self.steps = self.base[-1] + after.size
         order = np.argsort(self.marks, kind="stable")
         starts = np.flatnonzero(np.diff(self.marks[order], prepend=-1))
@@ -296,31 +276,23 @@ class _Grid:
         x.sort()  # extra nodes lie strictly between interval nodes
         return x
 
-    def flags(self, a: int, b: int) -> np.ndarray:
-        """Which of the steps a..b-1 end at a breakpoint or T."""
-        out = np.zeros(b - a, dtype=bool)
-        for e in self.end_at[bisect_right(self.end_at, a) : bisect_right(self.end_at, b)]:
-            out[e - a - 1] = True
-        return out
-
-    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
-        """Each chunk [a, b) of ``size`` steps: a, b, its nodes a..b, which of
-        its steps end at a breakpoint or T, and the sampled nodes in (a, b)
-        followed by b.  Nodes are computed a block of chunks at a time, at
-        most ``CHUNK_BYTES`` of them."""
+    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, list[int]]]:
+        """Each chunk [a, b) of ``size`` steps: a, b, its nodes a..b and the
+        sampled nodes in (a, b) followed by b.  Nodes are computed a block of
+        chunks at a time, at most ``CHUNK_BYTES`` of them."""
         block = size * max(1, CHUNK_BYTES // (8 * size))
         for start in range(0, self.steps, block):
             stop = min(start + block, self.steps)
-            nodes, left = self.nodes(start, stop), self.flags(start, stop)
+            nodes = self.nodes(start, stop)
             for a in range(start, stop, size):
                 b = min(a + size, stop)
                 ends = self.cuts[bisect_right(self.cuts, a) : bisect_left(self.cuts, b)] + [b]
-                yield a, b, nodes[a - start : b - start + 1], left[a - start : b - start], ends
+                yield a, b, nodes[a - start : b - start + 1], ends
 
     def lengths(self) -> np.ndarray:
         """The distinct step lengths, ascending, in one pass over blocks of
         ``CHUNK_BYTES`` of nodes."""
-        return _distinct(np.concatenate([_distinct(np.diff(x)) for _, _, x, _, _ in self.chunks(CHUNK_BYTES // 8)]))
+        return _distinct(np.concatenate([_distinct(np.diff(x)) for _, _, x, _ in self.chunks(CHUNK_BYTES // 8)]))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -353,42 +325,51 @@ def _grouped(factors: np.ndarray, ends: list[int]) -> np.ndarray:
     return out
 
 
-# step_factors(grid) -> factors(nodes, left): the real (len(nodes) - 1, dim, dim)
-# factors of the steps between a chunk's nodes; ``left`` marks the steps that
-# end at a breakpoint or T
-StepFactors = Callable[[_Grid], Callable[[np.ndarray, np.ndarray], np.ndarray]]
+def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
+    """The rule of H's steps, step_factors(grid) -> factors(nodes) giving the
+    real (len(nodes) - 1, dim, dim) factors of a chunk's steps, f_max and
+    the default budget.
+
+    Fourier terms take the Magnus-Filon step, sampled H the midpoint rule.
+    A closed run whose stepped segments all have constant envelopes
+    defaults to the floor, any other run to ``DEFAULT_STEPS_PER_PERIOD``.
+    """
+    if isinstance(hamiltonian, TimeDependentHamiltonian) and hamiltonian.terms is not None:
+        terms = hamiltonian.terms
+        poly = None in [seg.level for seg in terms.segments[: np.searchsorted(terms.edges, period) + 1]]
+        default = STEPS_PER_PERIOD if space.dissipator is None and not poly else DEFAULT_STEPS_PER_PERIOD
+        return "magnus_filon", partial(_MagnusFilon, terms, space, poly), hamiltonian.max_frequency_hz, default
+    if isinstance(hamiltonian, TimeDependentHamiltonian):
+        batch, fmax = hamiltonian.matrices, hamiltonian.max_frequency_hz
+    elif callable(hamiltonian):
+        batch, fmax = (lambda ts: np.array([hamiltonian(t) for t in ts], dtype=complex)), 0.0
+    else:
+        raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
+    return "midpoint", partial(_midpoint_factors, batch, space), fmax, DEFAULT_STEPS_PER_PERIOD
 
 
 def _propagate(
-    fmax: float,
-    rule: str,
-    step_factors: StepFactors,
-    duration: float,
-    steps: int | None,
-    breakpoints: Sequence[float],
-    sample_times: Sequence[float] | None,
-    steps_per_period: int | None,
-    repetitions: int,
-    dim: int,
-    restore: Callable[[np.ndarray], np.ndarray],
+    hamiltonian, space: _Space, duration: float, steps: int | None, breakpoints: Sequence[float],
+    sample_times: Sequence[float] | None, steps_per_period: int | None, repetitions: int,
 ) -> EvolutionResult:
     """Ordered product of real per-step factors over one repetition, chunk
     by chunk, raised to the ``repetitions``-th power.
 
     ``steps`` budgets one repetition, [0, duration / repetitions]; without
-    it, ``steps_per_period`` does, or else the rule's default budget.
-    ``restore`` maps a stack of real products to the complex propagators or
-    superoperators the result reports, once for the snapshots and the final
-    product together.
+    it, ``steps_per_period`` does, or else the run's default budget.  The
+    space's ``restore`` maps the real products to the complex propagators
+    or superoperators the result reports, once for the snapshots and the
+    final product together.
     """
-    if steps_per_period is None:
-        steps_per_period = DEFAULT_STEPS_PER_PERIOD[rule]
-    require_step_floor(steps_per_period)
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    period = duration / repetitions
+    rule, step_factors, fmax, default = _step_rule(hamiltonian, space, period)
+    if steps_per_period is None:
+        steps_per_period = default
+    require_step_floor(steps_per_period)
     if repetitions > 1 and sample_times is not None:
         raise ValueError("sample times need every repetition stepped through; give no repetition count with them")
-    period = duration / repetitions
     floor = required_steps(fmax, period)
     budget = steps_per_period if steps is None else None
     if steps is None:
@@ -402,6 +383,7 @@ def _propagate(
     if times is not None and not ((times >= 0.0) & (times <= duration)).all():  # NaN too
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
     grid = _Grid(period, steps, breakpoints, times)
+    dim = space.dim
     chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
     factors_of = step_factors(grid)
     rows = grid.rows
@@ -409,8 +391,8 @@ def _propagate(
     state = np.eye(dim)
     for r in rows.get(0, ()):
         held[r] = state
-    for a, b, nodes, left, ends in grid.chunks(chunk):
-        factors = factors_of(nodes, left)
+    for a, b, nodes, ends in grid.chunks(chunk):
+        factors = factors_of(nodes)
         if len(ends) == 1:
             products = [_ordered_product(factors)]
         else:  # the chunk's sample intervals in one reduction, then one product per sample
@@ -421,55 +403,54 @@ def _propagate(
                 held[r] = state
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
     if times is None:
-        states, final = None, restore(final)
+        states, final = None, space.restore(final)
     else:  # restored together, so a sample at T is the final product bit for bit
         held[-1] = final
-        out = restore(held)
+        out = space.restore(held)
         states, final = out[:-1], out[-1]
-    return EvolutionResult(
-        final=final,
-        steps=grid.steps,
-        rule=rule,
-        steps_per_period=budget,
-        max_frequency_hz=fmax,
-        repetitions=repetitions,
-        times=times,
-        states=states,
-    )
+    return EvolutionResult(final, grid.steps, rule, budget, fmax, repetitions, times, states)
 
 
-def _midpoint_factors(h: _Terms, grid: _Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    rows = _closed_rows(_stepped(h, grid.duration))
+def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid) -> Callable:
+    """exp(A(t + dt/2) dt) of sampled H: its 16 entries are the coefficients
+    of the unit matrices E_ab, and an open run adds the dissipator's dt."""
+    rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
 
-    def factors(nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+    def factors(nodes: np.ndarray) -> np.ndarray:
         dts = np.diff(nodes)
         mids = nodes[:-1] + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
-            coef = h.coefficients(mids) * dts[:, None]
-        return batched_expm(_combine(coef, h.segment_index(mids), rows).reshape(-1, 8, 8))
+            coef = np.asarray(batch(mids), dtype=complex).reshape(-1, 16) * dts[:, None]
+        gen = _combine(coef, np.zeros(dts.size, dtype=int), rows)
+        if space.dissipator is not None:
+            gen += np.multiply.outer(dts, space.dissipator.reshape(-1))
+        return batched_expm(gen.reshape(-1, space.dim, space.dim))
 
     return factors
 
 
 def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact oscillatory integrals of a Magnus-Filon step of length h.
+    """The exact oscillatory moments of a Magnus-Filon step of length h.
 
-    phi[u, k] = int_0^h e^{i nu_k s} ds and
-    jj[u, k, l] = int_0^h e^{i nu_k s} int_0^s e^{i nu_l r} dr ds at h = hs[u].
-    Both are divided differences of exp (Hermite-Genocchi): with
-    z1 = i nu_k h and z2 = i (nu_k + nu_l) h, phi = h f[0, z1] and
-    jj = h^2 f[0, z1, z2], summed as power series, free of the cancellation
-    of the closed forms as nu h -> 0, up to |z2| = 2 |nu| h = _SERIES_RADIUS.
+    phi[u, k, m] = int_0^h (s/h)^m e^{i nu_k s} ds and
+    jj[u, k, l, m, n] = int_0^h (s/h)^m e^{i nu_k s} int_0^s (r/h)^n e^{i nu_l r} dr ds
+    at h = hs[u], for m and n up to ``_DEGREE``.  With a = i nu_k h and
+    b = i nu_l h they are divided differences of exp (Hermite-Genocchi),
+    phi = h f[0, a] and jj = h^2 f[0, a, a + b] at m = n = 0, each weight a
+    derivative in a or b, which repeats a node (``_moment_weights``),
+    summed as power series free of the cancellation of the closed forms as
+    nu h -> 0, up to |a + b| = 2 |nu| h = _SERIES_RADIUS.
     """
     nus, hs = np.asarray(nus, dtype=float), np.asarray(hs, dtype=float)
     k, l = np.indices((nus.size, nus.size)).reshape(2, -1)
-    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs))
-    return phi, jj.reshape(hs.size, nus.size, nus.size)
+    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs), _DEGREE)
+    return phi, jj.reshape(hs.size, nus.size, nus.size, _DEGREE + 1, _DEGREE + 1)
 
 
 def _series_terms(nus: np.ndarray, hs: np.ndarray) -> int:
-    """Terms of the ``filon_weights`` series for every step length in ``hs``."""
-    r = 2.0 * np.abs(nus).max(initial=0.0) * np.abs(hs).max(initial=0.0)  # max |z2|, at k = l
+    """Terms of the ``filon_weights`` series for every step length in ``hs``:
+    the bound below is that of f[0, a, a + b], and more nodes only lower it."""
+    r = 2.0 * np.abs(nus).max(initial=0.0) * np.abs(hs).max(initial=0.0)  # max |a + b|, at k = l
     if not r <= _SERIES_RADIUS:
         raise ValueError(f"Magnus-Filon step too long: |z| = 2 |nu h| reaches {r:.3g}, above {_SERIES_RADIUS}")
     terms = 1
@@ -478,84 +459,168 @@ def _series_terms(nus: np.ndarray, hs: np.ndarray) -> int:
     return terms
 
 
+@lru_cache
+def _moment_weights(degree: int) -> np.ndarray:
+    """W[m, n, p - 1, q - 1] with int_0^1 x^m e^{a x} int_0^x y^n e^{b y} dy dx =
+    sum W f[0, a (p times), a + b (q times)] for m, n <= degree: the m-th
+    derivative in a and n-th in b of f[0, a, a + b], where moving a node of
+    multiplicity p adds p f[..., that node once more]."""
+    out = np.zeros((degree + 1, degree + 1, degree + 1, 2 * degree + 1))
+    for m, n in np.ndindex(degree + 1, degree + 1):
+        cells = {(1, 1): 1}
+        for in_a in [True] * m + [False] * n:  # a moves both nodes, b only a + b
+            nxt: dict[tuple[int, int], int] = {}
+            for (p, q), w in cells.items():
+                for cell, times in (((p + 1, q), p * in_a), ((p, q + 1), q)):
+                    if times:
+                        nxt[cell] = nxt.get(cell, 0) + times * w
+            cells = nxt
+        for (p, q), w in cells.items():
+            out[m, n, p - 1, q - 1] = w
+    return out
+
+
+def _divided_exps(z: np.ndarray, w: np.ndarray, ps: range, qs: range, terms: int) -> np.ndarray:
+    """F[i, j] = f[0, z (ps[i] times), w (qs[j] times)] of exp, qs >= 1:
+    sum_n c_n / (n + p + q)!, with c_n the complete homogeneous polynomial
+    of degree n in those nodes.  For the w's alone c_n = C(n + q - 1, n) w^n;
+    each z joins as c_n(.., z) = z c_{n-1}(.., z) + c_n(..)."""
+    n, p, q = np.ogrid[:terms, ps.start : ps.stop, qs.start : qs.stop]
+    factorial = np.array([math.factorial(i) for i in range(terms + ps.stop + qs.stop)], dtype=float)
+    binomial = (factorial[n + q - 1] / factorial[n] / factorial[q - 1])[:, 0, :, None, None]  # C(n + q - 1, n)
+    weight = (1.0 / factorial[n + p + q])[..., None, None]  # a real multiply: complex division is 5x slower
+    c = np.ones((ps.stop, len(qs)) + z.shape, dtype=complex)  # c[p, j] for p up to max(ps), at n = 0
+    rows = slice(ps.start, ps.stop)
+    out = c[rows] * weight[0]
+    wn = np.ones_like(w)
+    for i in range(1, terms):
+        wn *= w
+        np.multiply(wn, binomial[i], out=c[0])
+        for j in range(1, ps.stop):
+            c[j] *= z
+            c[j] += c[j - 1]
+        out += c[rows] * weight[i]
+    return out
+
+
 def _filon_series(
-    nus: np.ndarray, hs: np.ndarray, k: np.ndarray, l: np.ndarray, terms: int
+    nus: np.ndarray, hs: np.ndarray, k: np.ndarray, l: np.ndarray, terms: int, degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi[u, k] and jj[u, p] = jj[u, k[p], l[p]] of ``filon_weights``, at a
-    given number of series terms."""
+    """phi[u, k, m] and jj[u, p, m, n] = jj[u, k[p], l[p], m, n] of
+    ``filon_weights``, at a given number of series terms."""
     x = 1j * np.multiply.outer(hs, nus)
-    z1, z2 = x[:, k], x[:, k] + x[:, l]
-    # f[0, z1] = sum z1^n / (n + 1)!; f[0, z1, z2] = sum c_n / (n + 2)! with
-    # c_n = sum_{p + q = n} z1^p z2^q = z1 c_{n-1} + z2^n
-    p1, s1 = np.ones_like(x), np.ones_like(x)
-    p2, cn, s2 = np.ones_like(z2), np.ones_like(z2), np.full_like(z2, 0.5)
-    for n in range(1, terms):
-        p1 *= x
-        s1 += p1 / math.factorial(n + 1)
-        p2 *= z2
-        cn = z1 * cn + p2
-        s2 += cn / math.factorial(n + 2)
-    return hs[:, None] * s1, hs[:, None] ** 2 * s2
+    single = _divided_exps(x, x, range(1), range(1, degree + 2), terms)[0]  # f[0, x (m + 1 times)]
+    phi = single * np.array([math.factorial(m) for m in range(degree + 1)])[:, None, None]
+    double = _divided_exps(x[:, k], x[:, k] + x[:, l], range(1, degree + 2), range(1, 2 * degree + 2), terms)
+    jj = np.tensordot(_moment_weights(degree), double, 2)
+    return hs[:, None, None] * np.moveaxis(phi, 0, -1), hs[:, None, None, None] ** 2 * np.moveaxis(jj, (0, 1), (-2, -1))
 
 
-def _generators(terms: FourierTerms, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct frequencies nu_k of the terms on ``segments``, the index
-    pairs (k < l) of the nonzero commutators, and per segment the rows G_k,
-    then [G_k, G_l], as (len(segments), K + P, 16)."""
-    levels = np.array([terms.segments[s].level for s in segments], dtype=float)
-    mats = terms.mats[segments] * np.where(terms.scaled, levels[:, None], 1.0)[:, :, None, None]
-    nus, inverse = np.unique(terms.nus, return_inverse=True)
-    g = np.zeros((segments.size, nus.size, 4, 4), dtype=complex)
-    for k, u in enumerate(inverse):
-        g[:, u] += mats[:, k]
-    present = g.any(axis=(0, 2, 3))
-    nus, g = nus[present], g[:, present]
-    k, l = np.triu_indices(nus.size, 1)
-    comm = g[:, k] @ g[:, l] - g[:, l] @ g[:, k]
-    nonzero = comm.any(axis=(0, 2, 3))
-    rows = np.concatenate([g, comm[:, nonzero]], axis=1).reshape(segments.size, -1, 16)
-    return nus, k[nonzero], l[nonzero], rows
+def _generators(terms: FourierTerms, duration: float, poly: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct terms of H on the segments that start before
+    ``duration``: their frequencies nu_k, which of them the envelope scales,
+    and per segment their matrices, as (segments, K, 4, 4).
+
+    Terms of one frequency merge: with constant envelopes each segment's
+    level scales its terms in, and none stays scaled; with a polynomial one
+    only terms alike in scaling merge.  The static term (nu = 0, unscaled)
+    comes first, even where its matrix is zero, because the dissipator
+    joins it.
+    """
+    count = int(np.searchsorted(terms.edges, duration)) + 1
+    mats, scaled = terms.mats[:count], terms.scaled & poly
+    if not poly:
+        levels = np.array([seg.level for seg in terms.segments[:count]])
+        mats = mats * np.where(terms.scaled, levels[:, None], 1.0)[:, :, None, None]
+    keys = list(zip(terms.nus.tolist(), scaled.tolist()))
+    distinct = sorted(set(keys) | {(0.0, False)}, key=lambda key: (key != (0.0, False), key))
+    g = np.zeros((count, len(distinct), 4, 4), dtype=complex)
+    for k, key in enumerate(keys):
+        g[:, distinct.index(key)] += mats[:, k]
+    keep = g.any(axis=(0, 2, 3))
+    keep[0] = True
+    nus, scaled = (np.array(v)[keep] for v in zip(*distinct))
+    return nus, scaled, g[:, keep]
+
+
+# A polynomial envelope on a step is its quadratic interpolant through the
+# step's three Gauss-Legendre points (fractions of the step): _INTERPOLANT
+# maps the values there to its coefficients in x = (t - t0) / h, column i
+# node i's Lagrange polynomial (np.linalg.inv costs the import 0.5 MB RSS).
+_DEGREE = 2
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(0.15)
+_INTERPOLANT = np.array(
+    [[a * b, -a - b, 1.0] / ((g - a) * (g - b)) for g, a, b in (_GAUSS[[i, i - 1, i - 2]] for i in range(3))]
+).T
 
 
 class _MagnusFilon:
     """Fourth-order Magnus-Filon factors exp(Omega_1 + Omega_2) of a
-    Hamiltonian given as Fourier terms on constant-envelope segments, in
-    real form.
+    Hamiltonian given as Fourier terms, closed or open, in real form.
 
-    On a step [t0, t0 + h] of a segment where H = sum_k G_k e^{i nu_k t},
-    i Omega = sum_k e^{i nu_k t0} phi_k G_k
-              - (i/2) sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) [G_k, G_l],
+    On a step [t0, t0 + h] of a segment where the generator is
+    A = sum_k a_k e^{i nu_k t} A_k, constant a_k = 1,
+      Omega = sum_k e^{i nu_k t0} phi_k A_k
+              + sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) / 2 [A_k, A_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length of the grid (``hs``): Filon coefficients of the rows G_k and
-    [G_k, G_l].  The tables are built ``_FILON_BLOCK`` lengths at a time, J
-    only at the pairs (k, l) and (l, k) that enter, with the series length
-    of all of them, so they equal one-shot ``filon_weights`` tables bit for
-    bit.  A chunk finds its steps' rows by length and their segments by
-    midpoint.
+    length of the grid (``hs``): Filon coefficients of the rows A_k and
+    [A_k, A_l], the commutators taken as products of the A's.  The tables
+    are built ``_FILON_BLOCK`` lengths at a time, J only at the pairs (k, l)
+    and (l, k) that enter, with the series length of all of them, so they
+    equal one-shot ``filon_weights`` tables bit for bit.  A chunk finds its
+    steps' rows by length and their segments by midpoint.
+
+    With a polynomial envelope, the step takes the envelope's quadratic
+    interpolant c_0 + c_1 x + c_2 x^2 through its Gauss points (x = (t - t0)
+    / h), and phi_k, J_kl become contractions with v = (1, c_0, c_1, c_2):
+    an unscaled term's moments enter at the 1, a scaled term's moments
+    weighted by x^m at c_m (``filon_weights`` at degree 2).
     """
 
-    def __init__(self, h: _Terms, grid: _Grid):
-        self.segment_index = h.segment_index
-        count = len(_stepped(h, grid.duration))
-        self.nus, self.k, self.l, rows = _generators(h, np.arange(count))
-        self.rows = _closed_rows(rows.reshape(count, -1, 4, 4))
+    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid):
+        self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
+        self.nus, scaled, g = _generators(terms, grid.duration, poly)
+        a = space.generators(g)
+        if space.dissipator is not None:
+            a[:, 0] += space.dissipator
+        k, l = np.triu_indices(self.nus.size, 1)
+        comm = a[:, k] @ a[:, l] - a[:, l] @ a[:, k]
+        nonzero = comm.any(axis=(0, 2, 3))
+        self.k, self.l = k[nonzero], l[nonzero]
+        self.rows = space.rows(np.concatenate([a, comm[:, nonzero]], axis=1))
         self.hs = hs = grid.lengths()
-        terms, pairs = _series_terms(self.nus, hs), self.k.size
+        series, pairs, m = _series_terms(self.nus, hs), self.k.size, 1 + poly * _DEGREE
         k, l = np.concatenate([self.k, self.l]), np.concatenate([self.l, self.k])  # J_kl, then J_lk
-        self.phi = np.empty((hs.size, self.nus.size), dtype=complex)
-        self.dj = np.empty((hs.size, pairs), dtype=complex)
+        phi = np.empty((hs.size, self.nus.size, m), dtype=complex)
+        dj = np.empty((hs.size, pairs, m, m), dtype=complex)
         for i in range(0, hs.size, _FILON_BLOCK):
             block = slice(i, i + _FILON_BLOCK)
-            self.phi[block], jj = _filon_series(self.nus, hs[block], k, l, terms)
-            self.dj[block] = -0.5j * (jj[:, :pairs] - jj[:, pairs:])
+            phi[block], jj = _filon_series(self.nus, hs[block], k, l, series, poly * _DEGREE)
+            dj[block] = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
+        if poly:  # embed[k] takes a term's moments to the entries of v that weight them
+            embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
+            phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
+            dj = embed[self.k] @ dj @ embed[self.l].swapaxes(-1, -2)
+        else:
+            phi, dj = phi[..., 0], dj[..., 0, 0]
+        self.table = np.concatenate([phi, dj], axis=1)  # (lengths, K + pairs), times v v^T with a polynomial
 
-    def __call__(self, nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
+    def __call__(self, nodes: np.ndarray) -> np.ndarray:
         t0 = nodes[:-1]
         dts = nodes[1:] - t0
-        u = self.hs.searchsorted(dts)  # each step's row of the tables
         phase = np.exp(1j * np.multiply.outer(t0, self.nus))
-        coef = np.concatenate([phase * self.phi[u], phase[:, self.k] * phase[:, self.l] * self.dj[u]], axis=1)
-        return batched_expm(_combine(coef, self.segment_index(t0 + dts / 2.0), self.rows).reshape(-1, 8, 8))
+        coef = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
+        table = self.table[self.hs.searchsorted(dts)]  # each step's row, by its length
+        if self.poly:
+            j = self.envelope((t0 + np.multiply.outer(_GAUSS, dts)).reshape(-1)).reshape(_GAUSS.size, -1)
+            v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ j]).T
+            vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1, 1)  # v_a v_b
+            table = (table.reshape(vv.shape[0], table.shape[1], -1) @ vv)[..., 0]
+        gen = _combine(coef * table, self.segment_index(t0 + dts / 2.0), self.rows)
+        return batched_expm(gen.reshape(-1, self.dim, self.dim))
+
+
+_CLOSED = _Space(8, complexify)
 
 
 def propagate_unitary(
@@ -571,24 +636,14 @@ def propagate_unitary(
     """Time-ordered propagator over [0, duration].
 
     ``hamiltonian`` is H(t): a callable, or a TimeDependentHamiltonian whose
-    terms (or else batch evaluator) and frequency bound are used.  One given as Fourier
-    terms whose segments (those of one repetition) all have constant
-    envelopes is integrated by the Magnus-Filon step, any other by the
-    midpoint rule.  With ``sample_times`` the intermediate propagators
+    terms (or else batch evaluator) and frequency bound are used.  One given
+    as Fourier terms is integrated by the Magnus-Filon step, any other by
+    the midpoint rule.  With ``sample_times`` the intermediate propagators
     U(t_k, 0) are recorded as well.  With ``repetitions`` = N, H(t)
     repeats every duration / N: one repetition is integrated, on ``steps``
     steps, and raised to the N-th power.
     """
-    h, fmax = _resolve_hamiltonian(hamiltonian)
-    stepped = h.segments[: len(_stepped(h, duration / repetitions))] if isinstance(h, FourierTerms) else ()
-    if isinstance(h, FourierTerms) and None not in [seg.level for seg in stepped]:
-        rule, factors = "magnus_filon", partial(_MagnusFilon, h)
-    else:
-        rule, factors = "midpoint", partial(_midpoint_factors, h)
-    res = _propagate(
-        fmax, rule, factors, duration, steps, breakpoints, sample_times, steps_per_period, repetitions,
-        8, complexify,
-    )
+    res = _propagate(hamiltonian, _CLOSED, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
     return replace(res, unitarity_defect=unitarity_defect(res.final))
 
 
@@ -620,58 +675,6 @@ def _in_pauli_basis(s: np.ndarray) -> np.ndarray:
 def _from_pauli_basis(s: np.ndarray) -> np.ndarray:
     """T S T^dag for a stack of superoperators in the basis B: the vec-basis form."""
     return _T @ s @ _T.conj().T
-
-
-def _open_rows(mats: np.ndarray) -> np.ndarray:
-    """(S, 2K, 256) rows Re L_k, -Im L_k, L_k = -i[R_k, .] in the basis B: the
-    real part of the Liouvillian of sum_k c_k R_k, all of it for Hermitian H."""
-    ls = mats.reshape(mats.shape[0], -1, 16) @ _UNIT_LIOUVILLIANS
-    return np.stack([ls.real, -ls.imag], axis=2).reshape(mats.shape[0], -1, 256)
-
-
-def _rk4_factors(h: _Terms, diss: np.ndarray, grid: _Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """One classical RK4 step of the linear master equation per step, as a
-    real 16x16 matrix in the basis B, from Liouvillians -i[H, .] + D."""
-    rows = _open_rows(_stepped(h, grid.duration))
-
-    def factors(nodes: np.ndarray, left: np.ndarray) -> np.ndarray:
-        dts = np.diff(nodes)
-        n, t0 = dts.size, nodes[:-1]
-        # a step ending at a breakpoint or T takes H just inside; where that is
-        # an interior node, the node's own H starts the next step
-        ends = nodes[1:] - np.where(left, _LEFT_LIMIT * dts, 0.0)
-        split = np.flatnonzero(left[:-1])
-        ts = np.concatenate([t0, ends[-1:], t0 + dts / 2.0, ends[split]])
-        ls = _combine(h.coefficients(ts), h.segment_index(ts), rows)
-        ls += diss.reshape(-1)
-        ls = ls.reshape(-1, 16, 16)
-        l0, lm = ls[:n], ls[n + 1 : 2 * n + 1]
-        end_index = np.arange(1, n + 1)
-        end_index[split] = np.arange(2 * n + 1, ls.shape[0])
-        l1 = ls[end_index]
-        dt = dts[:, None, None]
-        eye = np.eye(16)
-        # k1 = l0, k2 = lm (I + dt/2 k1), k3 = lm (I + dt/2 k2), k4 = l1 (I + dt k3),
-        # in place: a fresh temporary of a chunk's size costs more than its arithmetic
-        x = l0 * (0.5 * dt)
-        x += eye
-        k = lm @ x
-        acc = k * 2.0
-        acc += l0
-        np.multiply(k, 0.5 * dt, out=x)
-        x += eye
-        np.matmul(lm, x, out=k)
-        acc += k
-        acc += k
-        np.multiply(k, dt, out=x)
-        x += eye
-        np.matmul(l1, x, out=k)
-        acc += k
-        acc *= dt / 6.0
-        acc += eye
-        return acc
-
-    return factors
 
 
 def dephasing_dissipator(params: DeviceParams) -> np.ndarray:
@@ -711,18 +714,15 @@ def lindblad_superoperator(
     sample_times: Sequence[float] | None = None,
     repetitions: int = 1,
 ) -> EvolutionResult:
-    """RK4-integrated propagation superoperator S with vec(rho_T) = S vec(rho_0).
+    """Propagation superoperator S with vec(rho_T) = S vec(rho_0), by the
+    step rules of :func:`propagate_unitary` on the Liouvillian.
 
     One integration serves any number of initial states.  ``repetitions``
     is as for :func:`propagate_unitary`.  H(t) must be Hermitian: the steps
     are taken in the Pauli basis, where only its Hermitian part enters.
     """
-    h, fmax = _resolve_hamiltonian(hamiltonian)
-    diss = _in_pauli_basis(dephasing_dissipator(params))
-    return _propagate(
-        fmax, "rk4", partial(_rk4_factors, h, diss), duration, steps, breakpoints, sample_times, steps_per_period,
-        repetitions, 16, _from_pauli_basis,
-    )
+    space = _Space(16, _from_pauli_basis, _in_pauli_basis(dephasing_dissipator(params)))
+    return _propagate(hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -742,7 +742,7 @@ def propagate_lindblad(
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
     """Open-system evolution of one density matrix under projector dephasing,
-    at RK4's default of 200 steps per period unless ``steps`` is given.
+    at the default of 200 steps per period unless ``steps`` is given.
 
     Trace deviation is reported, never silently renormalized.
     """

@@ -63,9 +63,9 @@ GEOMETRIC_GATE_TIME = SCHEMES["fsim_geometric"].reference_time
 BGATE_GATE_TIME = SCHEMES["bgate"].reference_time
 ETA_REF = -1.0 / 3.0
 
-# the budgets of the midpoint and RK4 rules; a Magnus-Filon run takes the
-# floor unless given one
-STEPS_PER_PERIOD_FULL = DEFAULT_STEPS_PER_PERIOD["rk4"]
+# the default budget of every run but a closed constant-envelope frame,
+# which takes the floor unless given one
+STEPS_PER_PERIOD_FULL = DEFAULT_STEPS_PER_PERIOD
 STEPS_PER_PERIOD_QUICK = 100
 
 # initial state of the exported trajectories
@@ -139,7 +139,7 @@ def gate_channel(
     sample_times: Sequence[float] | None = None,
 ) -> EvolutionResult:
     """Propagate one configured gate, at ``steps_per_period`` or else the
-    step rule's default budget.
+    run's default budget (the floor for closed constant envelopes, 200).
 
     ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
     superoperator; with ``sample_times``, ``states`` holds the same run's

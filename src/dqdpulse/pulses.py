@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import TWO_PI, cumulative_simpson
+from .algebra import TWO_PI
 from .trajectories import (
     GateTarget,
     IntegralConstraint,
@@ -92,6 +92,19 @@ class Polynomial:
                 moment = (b**m * eb - a**m * ea - m * moment) / (1j * k)
                 total += c * moment
         return complex(self.gain * self.scale * np.exp(1j * omega * origin) * total)
+
+    def antiderivative(self) -> Polynomial:
+        """int j dt, vanishing at the origin."""
+        coefficients = (0.0, *(c / (m + 1) for m, c in enumerate(self.coefficients)))
+        return replace(self, coefficients=coefficients, gain=self.gain * self.scale)
+
+    def peak(self, lo: float, hi: float) -> float:
+        """max |j(t)| over [lo, hi], exact: at an end or at a root of j' inside,
+        where the real part of every root is tried, lest rounding hide one."""
+        a, b = (lo - self.origin) / self.scale, (hi - self.origin) / self.scale
+        slope = [m * c for m, c in enumerate(self.coefficients)][:0:-1]  # highest power first
+        xs = [a, b, *(r.real for r in np.roots(slope) if a < r.real < b)] if len(slope) > 1 else [a, b]
+        return float(np.abs(self(self.origin + self.scale * np.array(xs))).max())
 
 
 def _taylor_shift(coefficients: tuple[float, ...], shift: float) -> tuple[float, ...]:
@@ -223,12 +236,8 @@ class PulseSchedule:
         return out.reshape(np.shape(ts)) if np.shape(ts) else float(out[0])
 
     def max_envelope(self) -> float:
-        """max_t |j(t)| over 2001 samples per segment."""
-        peak = 0.0
-        for seg in self.segments:
-            ts = np.linspace(seg.t_start, seg.t_end, 2001)
-            peak = max(peak, float(np.max(np.abs(seg.envelope(ts)))))
-        return peak
+        """max_t |j(t)|, exact: each segment's at its ends and at the roots of j'."""
+        return max(seg.envelope.peak(seg.t_start, seg.t_end) for seg in self.segments)
 
     def max_exchange(self) -> float:
         """max_t |J(t)| over 4001 samples per segment; for these carriers this
@@ -512,10 +521,11 @@ def error_sensitivity(schedule: PulseSchedule, *, oversample: int = 1) -> float:
     """Second-order sensitivity q_s to the counter-rotating residue.
 
     q_s = | integral_0^T exp(-2 i theta(t)) j(t) sin(2 delta_Ez t) (i/2) dt |^2
-    with theta(t) the accumulated envelope area and delta_Ez the schedule's
-    own carrier.  Quadrature resolves both the carrier and the envelope, with
-    segment edges as breakpoints; ``oversample`` multiplies the node density
-    (used by convergence checks).
+    with theta(t) the accumulated envelope area, exact from each segment's
+    antiderivative, and delta_Ez the schedule's own carrier.  Simpson's rule
+    resolves both the carrier and the envelope, with segment edges as
+    breakpoints; ``oversample`` multiplies the node density (used by
+    convergence checks).
     """
     w = schedule.controls.delta_ez
     total = 0.0 + 0.0j
@@ -529,7 +539,8 @@ def error_sensitivity(schedule: PulseSchedule, *, oversample: int = 1) -> float:
         ts = np.linspace(seg.t_start, seg.t_end, n + 1)
         js = seg.envelope(ts)
         h = (seg.t_end - seg.t_start) / n
-        theta = theta_acc + cumulative_simpson(js, h)
+        area = seg.envelope.antiderivative()
+        theta = theta_acc + (area(ts) - area(seg.t_start))
         integrand = np.exp(-2j * theta) * js * np.sin(2.0 * w * ts) * 0.5j
         total += h / 3.0 * (integrand[0] + integrand[-1] + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
         theta_acc = float(theta[-1])

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from dqdpulse import dynamics
-from dqdpulse.algebra import batched_expm, mat_exp_skew, phase_aligned_distance
+from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
 from dqdpulse.device import (
     DEFAULT_DEVICE,
     SCHEMES,
@@ -50,31 +51,20 @@ def random_density_matrix(rng):
     return rho / np.trace(rho)
 
 
-def rk4_loop_superoperator(h, params, duration, steps, breakpoints):
-    """Reference: classical RK4 on the 16x16 superoperator, one step at a time.
+def midpoint_loop_superoperator(h, params, duration, steps, breakpoints):
+    """Reference: midpoint exponentials of the vec-basis Liouvillian, one step
+    at a time by scipy's expm.
 
-    Each sub-interval between breakpoints gets its share of the steps, and
-    its last end stage samples H just inside the interval (left limit).
+    Each sub-interval between breakpoints gets its share of the steps.
     """
+    expm = pytest.importorskip("scipy.linalg").expm
     diss = dephasing_dissipator(params)
-
-    def liouvillian(t):
-        ht = h(t)
-        return 1j * (np.kron(ht.T, np.eye(4)) - np.kron(np.eye(4), ht)) + diss
-
     pts = [0.0, *sorted(p for p in breakpoints if 0.0 < p < duration), duration]
     s = np.eye(16, dtype=complex)
     for lo, hi in zip(pts[:-1], pts[1:]):
         nodes = np.linspace(lo, hi, max(1, round(steps * (hi - lo) / duration)) + 1)
         for t0, t1 in zip(nodes[:-1], nodes[1:]):
-            dt = t1 - t0
-            l0, lm = liouvillian(t0), liouvillian(t0 + dt / 2.0)
-            l1 = liouvillian(t1 - 1e-9 * dt if t1 == hi else t1)
-            k1 = l0 @ s
-            k2 = lm @ (s + 0.5 * dt * k1)
-            k3 = lm @ (s + 0.5 * dt * k2)
-            k4 = l1 @ (s + dt * k3)
-            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s = expm(vec_liouvillians(np.asarray(h(t0 + (t1 - t0) / 2.0))[None], diss)[0] * (t1 - t0)) @ s
     return s
 
 
@@ -82,7 +72,7 @@ def step_grid(duration, steps, breakpoints, sample_times):
     """Oracle: the whole step grid at once, as numpy builds it.
 
     Node times 0 = t_0 < ... < t_n = T, which steps end at a breakpoint or
-    T, and the node index of each sample time.  Each sub-interval between
+    T (to place samples around them), and the node index of each sample time.  Each sub-interval between
     breakpoints is ``np.linspace`` of its share of the steps; a sample time
     within ``_SNAP`` of the local step of a node is that node, any other is
     merged as a node of its own.
@@ -264,19 +254,18 @@ class TestStepGrid:
         return rng.permutation(np.concatenate([times, rng.uniform(0.0, duration, 40)]))
 
     @staticmethod
-    def assert_chunks_match(grid, nodes, left, marks, size, stop=None, checked=lambda a, b: True):
+    def assert_chunks_match(grid, nodes, marks, size, stop=None, checked=lambda a, b: True):
         """The chunks of ``size`` steps tile the grid up to ``stop``, and
-        those ``checked`` selects carry the oracle's nodes, flags and marks;
-        the chunks [a, b) checked."""
+        those ``checked`` selects carry the oracle's nodes and marks; the
+        chunks [a, b) checked."""
         cuts, seen, last = sorted(set(marks.tolist())), [], 0
-        for a, b, chunk_nodes, chunk_left, ends in grid.chunks(size):
+        for a, b, chunk_nodes, ends in grid.chunks(size):
             if stop is not None and a >= stop:
                 break
             assert (a, b) == (last, min(a + size, grid.steps))
             last = b
             if checked(a, b):
                 np.testing.assert_array_equal(chunk_nodes, nodes[a : b + 1])
-                np.testing.assert_array_equal(chunk_left, left[a:b])
                 assert ends == [m for m in cuts if a < m < b] + [b]
                 seen.append((a, b))
         assert stop is not None or last == grid.steps
@@ -291,7 +280,7 @@ class TestStepGrid:
         duration, breakpoints = schedule.duration, schedule.breakpoints
         steps = required_steps(h.max_frequency_hz, duration, spp)
         times = self.sample_times(step_grid(duration, steps, breakpoints, None)[0], duration) if sampled_run else None
-        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        nodes, _, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
         assert grid.steps == nodes.size - 1
         np.testing.assert_array_equal(grid.marks, marks)
@@ -299,8 +288,8 @@ class TestStepGrid:
         np.testing.assert_array_equal(grid.lengths(), np.unique(np.diff(nodes)))
         if sampled_run:  # nodes within _SNAP of a sample time take it; the others are extra nodes
             assert 0 < grid.extra.size < times.size
-        self.assert_chunks_match(grid, nodes, left, marks, 256)
-        self.assert_chunks_match(grid, nodes, left, marks, 7, stop=3000)
+        self.assert_chunks_match(grid, nodes, marks, 256)
+        self.assert_chunks_match(grid, nodes, marks, 7, stop=3000)
 
     @pytest.mark.parametrize("snap", [dynamics._SNAP, 0.0])
     @pytest.mark.parametrize("scheme", ["fsim_geometric", "bgate"])
@@ -315,17 +304,17 @@ class TestStepGrid:
         plain = step_grid(duration, steps, breakpoints, None)[0]
         i = np.random.default_rng(3).integers(1, plain.size - 1, 300)
         times = np.concatenate([np.nextafter(plain[i], np.inf), np.nextafter(plain[i], -np.inf)])
-        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        nodes, _, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
         assert (grid.steps > steps) == (snap == 0.0)
         np.testing.assert_array_equal(grid.marks, marks)
         np.testing.assert_array_equal(grid_nodes(grid), nodes)
-        self.assert_chunks_match(grid, nodes, left, marks, 256)
+        self.assert_chunks_match(grid, nodes, marks, 256)
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
     def test_chunks_straddling_breakpoints(self, scheme):
-        # every step that ends at a breakpoint, with nodes, flags and samples
-        # on either side of it in the same chunk of 7 or of 8 steps
+        # every step that ends at a breakpoint, with nodes and samples on
+        # either side of it in the same chunk of 7 or of 8 steps
         schedule = build_schedule(scheme)
         h = frame_hamiltonian(schedule, rwa=False)
         duration, breakpoints = schedule.duration, schedule.breakpoints
@@ -337,7 +326,7 @@ class TestStepGrid:
         ends = np.flatnonzero(left[:-1]) + 1
         assert ends.size == len(set(breakpoints) - {0.0, duration}) > 0
         straddling = lambda a, b: ((a < ends) & (ends < b)).any()
-        seen = [ab for size in (7, 8) for ab in self.assert_chunks_match(grid, nodes, left, marks, size, None, straddling)]
+        seen = [ab for size in (7, 8) for ab in self.assert_chunks_match(grid, nodes, marks, size, None, straddling)]
         assert all(any(a < e < b for a, b in seen) for e in ends)
 
 
@@ -345,7 +334,7 @@ class TestLindblad:
     def test_closed_system_limit(self):
         # with both rates zero the master equation reduces to the
         # Schroedinger conjugation; the exact gate for this schedule is
-        # known in closed form, so RK4 can be checked against it directly
+        # known in closed form, so the open step can be checked against it
         schedule = fsim_rectangular(THETA, XI, T45, 1)
         h = frame_hamiltonian(schedule, rwa=True)
         rho0 = np.zeros((4, 4), dtype=complex)
@@ -407,15 +396,24 @@ class TestLindblad:
                 )
         assert np.abs(d - lindblad).max() <= 1e-15 * (k1 + k2)
 
-    def test_matches_scalar_rk4_loop(self):
+    def test_sampled_h_matches_scalar_midpoint_loop(self):
         schedule = fsim_rectangular(THETA, XI, T45, 1)
-        h = frame_hamiltonian(schedule, rwa=False)
-        res = lindblad_superoperator(
-            h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints, steps_per_period=200
-        )
-        assert res.steps == 400
-        ref = rk4_loop_superoperator(h, DEFAULT_DEVICE, T45, res.steps, schedule.breakpoints)
+        h = sampled(frame_hamiltonian(schedule, rwa=False))
+        res = lindblad_superoperator(h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints)
+        assert (res.rule, res.steps) == ("midpoint", 400)
+        ref = midpoint_loop_superoperator(h, DEFAULT_DEVICE, T45, res.steps, schedule.breakpoints)
         assert np.abs(res.final - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_trace_preserved_to_rounding(self, scheme):
+        # every Liouvillian, the dissipator's included, annihilates the
+        # trace, and so do their commutators: each step's generator has a
+        # zero first row in the Pauli basis, where B_0 = I / 2
+        schedule = build_schedule(scheme, duration=2e-9 if scheme == "bgate" else None)
+        res = gate_channel(schedule, rwa=False, decoherence=True)
+        # tr rho_T = sum_a vec(rho_T)[5 a], which must be tr rho_0 for every vec(rho_0)
+        trace_row = res.final[[0, 5, 10, 15]].sum(axis=0)
+        assert np.abs(trace_row - np.eye(4).flatten(order="F")).max() <= 1e-14
 
     def test_samples_include_both_ends(self):
         # constant H, no dephasing: every snapshot is the exact conjugation
@@ -485,8 +483,9 @@ class TestChunkedDriver:
         assert np.abs(res.final - ref.final).max() <= 1e-13
         assert np.abs(res.states - ref.states).max() <= 1e-13
 
-    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint", "rk4"])
-    def test_chunks_hold_at_most_chunk_bytes(self, rule, monkeypatch):
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
+    def test_chunks_hold_at_most_chunk_bytes(self, rule, decoherence, monkeypatch):
         # every chunk of real factors reaches the ordered product whole when
         # there are no sample times; the runs are long enough to fill one
         held = []
@@ -494,11 +493,12 @@ class TestChunkedDriver:
         monkeypatch.setattr(dynamics, "_ordered_product", lambda mats: held.append(mats) or reduce(mats))
         schedule = fsim_rectangular(THETA, XI, T45, 1)
         h = frame_hamiltonian(schedule, rwa=False)
+        h = h if rule == "magnus_filon" else sampled(h)
         kwargs = dict(breakpoints=schedule.breakpoints, steps_per_period=200)
-        if rule == "rk4":
+        if decoherence:
             res = lindblad_superoperator(h, DEFAULT_DEVICE, T45, **kwargs)
         else:
-            res = propagate_unitary(h if rule == "magnus_filon" else sampled(h), T45, **kwargs)
+            res = propagate_unitary(h, T45, **kwargs)
         assert (res.rule, res.steps) == (rule, 400)
         assert {m.dtype for m in held} == {np.dtype(float)}
         assert max(m.nbytes for m in held) == dynamics.CHUNK_BYTES
@@ -537,33 +537,28 @@ class TestChunkedDriver:
                 start = m
         return np.stack([snapshots[m] for m in marks]), state
 
-    @pytest.mark.parametrize("rule", ["magnus_filon", "rk4"])
-    def test_grouped_snapshots_match_per_interval_products(self, rule, monkeypatch):
+    @pytest.mark.parametrize("decoherence", [False, True])
+    def test_grouped_snapshots_match_per_interval_products(self, decoherence, monkeypatch):
         schedule = fsim_rectangular(THETA, XI, T45, 1)
         h = frame_hamiltonian(schedule, rwa=False)
-        terms, fmax = h.terms, h.max_frequency_hz
-        dim, spp = (8, 50) if rule == "magnus_filon" else (16, 200)
-        steps = required_steps(fmax, T45, spp)
+        if decoherence:
+            diss = dynamics._in_pauli_basis(dephasing_dissipator(DEFAULT_DEVICE))
+            space, spp = dynamics._Space(16, lambda s: s, diss), 200
+        else:
+            space, spp = replace(dynamics._CLOSED, restore=lambda s: s), 50
+        steps = required_steps(h.max_frequency_hz, T45, spp)
         plain, _, _ = step_grid(T45, steps, schedule.breakpoints, None)
         times = self.awkward_sample_times(plain, T45)
-        nodes, left, marks = step_grid(T45, steps, schedule.breakpoints, times)
+        nodes, _, marks = step_grid(T45, steps, schedule.breakpoints, times)
         # chunk edges fall on sample nodes, and chunks hold several samples each
         assert np.array_equal(nodes[:31], plain[:31]) and {3, 6, 9} <= set(marks.tolist())
         assert np.bincount(marks[(marks % 3 > 0)] // 3).max() >= 2 and len(set(marks.tolist())) < marks.size
-        if rule == "magnus_filon":
-            step_factors = partial(dynamics._MagnusFilon, terms)
-        else:
-            diss = dynamics._in_pauli_basis(dephasing_dissipator(DEFAULT_DEVICE))
-            step_factors = partial(dynamics._rk4_factors, terms, diss)
-        self.three_step_chunks(monkeypatch, dim)
-        res = dynamics._propagate(
-            fmax, rule, step_factors, T45, None, schedule.breakpoints, times, spp, 1, dim, lambda s: s
-        )
-        factors = step_factors(dynamics._Grid(T45, steps, schedule.breakpoints, times))
-        states, final = self.per_interval_states(
-            lambda a, b: factors(nodes[a : b + 1], left[a:b]), nodes, marks, dim, 3
-        )
-        assert res.steps == nodes.size - 1 and res.states.shape == (times.size, dim, dim)
+        self.three_step_chunks(monkeypatch, space.dim)
+        res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
+        factors = dynamics._MagnusFilon(h.terms, space, False, dynamics._Grid(T45, steps, schedule.breakpoints, times))
+        states, final = self.per_interval_states(lambda a, b: factors(nodes[a : b + 1]), nodes, marks, space.dim, 3)
+        assert res.rule == "magnus_filon"
+        assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, space.dim)
         np.testing.assert_array_equal(res.states, states)
         np.testing.assert_array_equal(res.final, final)
 
@@ -595,17 +590,20 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint", "rk4"])
-    def test_peak_does_not_grow_with_the_step_count(self, rule):
-        schedule = fsim_rectangular(THETA, XI, T45, 1)
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
+    def test_peak_does_not_grow_with_the_step_count(self, rule, decoherence):
+        schedule = build_schedule("fsim_poly")
         h = frame_hamiltonian(schedule, rwa=False)
-        if rule == "magnus_filon":
-            times = np.linspace(0.0, T45, 2001)
-            run = partial(propagate_unitary, h, T45, breakpoints=schedule.breakpoints, sample_times=times)
-        elif rule == "midpoint":
-            run = partial(propagate_unitary, sampled(h), T45, breakpoints=schedule.breakpoints)
+        kwargs = dict(breakpoints=schedule.breakpoints)
+        if rule == "midpoint":
+            h = sampled(h)
+        elif not decoherence:
+            kwargs["sample_times"] = np.linspace(0.0, schedule.duration, 2001)
+        if decoherence:
+            run = partial(lindblad_superoperator, h, DEFAULT_DEVICE, schedule.duration, **kwargs)
         else:
-            run = partial(lindblad_superoperator, h, DEFAULT_DEVICE, T45, breakpoints=schedule.breakpoints)
+            run = partial(propagate_unitary, h, schedule.duration, **kwargs)
         assert run(steps=1000).rule == rule  # and one-time allocations made
         n = 10_000
         peaks = [self.traced_peak(partial(run, steps=steps)) for steps in (n, 4 * n)]
@@ -700,21 +698,33 @@ class TestRepetitionPower:
             propagate_unitary(h, schedule.duration, sample_times=[0.0, schedule.duration], repetitions=2)
 
 
-def assert_filon_matches_quadrature(nus, step):
+def moment_exact(mp, m, nu, h, s=None):
+    """int_0^s (r/h)^m e^{i nu r} dr at mpmath precision (s = h by default):
+    the antiderivative of r^m e^{b r}, b = i nu, from repeated integration by parts."""
+    s = h if s is None else s
+    if nu == 0:
+        return s ** (m + 1) / (m + 1) / h**m
+    b = 1j * nu
+    total = sum((-1) ** j * mp.factorial(m) / mp.factorial(m - j) * s ** (m - j) / b ** (j + 1) for j in range(m + 1))
+    return (mp.exp(b * s) * total - (-1) ** m * mp.factorial(m) / b ** (m + 1)) / h**m
+
+
+def assert_filon_matches_quadrature(nus, step, degree=0):
+    """The moments of ``filon_weights`` up to ``degree`` against mpmath."""
     mp = pytest.importorskip("mpmath")
     phi, jj = dynamics.filon_weights(nus, [step])
+    d = dynamics._DEGREE + 1
+    assert phi.shape == (1, nus.size, d) and jj.shape == (1, nus.size, nus.size, d, d)
     with mp.workdps(30):
         h = mp.mpf(step)
-
-        def inner(nu, s):  # int_0^s e^{i nu r} dr, closed form at 30 digits
-            return s if nu == 0 else (mp.expj(nu * s) - 1) / (1j * nu)
-
         for k, a in enumerate(map(mp.mpf, nus)):
-            exact = mp.quad(lambda s: mp.expj(a * s), [0, h])
-            assert abs(phi[0, k] - complex(exact)) <= 1e-14 * abs(exact)
-            for l, b in enumerate(map(mp.mpf, nus)):
-                exact = mp.quad(lambda s: mp.expj(a * s) * inner(b, s), [0, h])
-                assert abs(jj[0, k, l] - complex(exact)) <= 1e-14 * abs(exact), (k, l)
+            for m in range(degree + 1):
+                exact = moment_exact(mp, m, a, h)
+                assert abs(phi[0, k, m] - complex(exact)) <= 1e-14 * abs(exact), (k, m)
+                for l, b in enumerate(map(mp.mpf, nus)):
+                    for n in range(degree + 1):
+                        exact = mp.quad(lambda s: (s / h) ** m * mp.expj(a * s) * moment_exact(mp, n, b, h, s), [0, h])
+                        assert abs(jj[0, k, l, m, n] - complex(exact)) <= 1e-14 * abs(exact), (k, l, m, n)
 
 
 class TestFilonWeights:
@@ -729,6 +739,12 @@ class TestFilonWeights:
         # nu_k + nu_l, and so |z2|, reaches the radius
         half = dynamics._SERIES_RADIUS / 2
         assert_filon_matches_quadrature(np.array([-half, -0.6 * half, 0.0, 0.3 * half, half]) / self.H, self.H)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, dynamics._SERIES_RADIUS / 2])
+    def test_weighted_moments_against_quadrature(self, scale):
+        # the moments the quadratic envelope interpolant takes, weighted by
+        # (s/h)^m (r/h)^n up to m, n = 2, out to the series radius
+        assert_filon_matches_quadrature(np.array([-1.0, 0.0, 0.4]) * scale / self.H, self.H, dynamics._DEGREE)
 
     def test_rejects_steps_beyond_the_series_radius(self):
         nus = np.array([0.0, (dynamics._SERIES_RADIUS / 2 + 1e-9) / self.H])
@@ -745,19 +761,20 @@ class TestFilonWeights:
         steps = required_steps(h.max_frequency_hz, schedule.duration)
         times = np.random.default_rng(7).uniform(0.0, schedule.duration, 41)
         nodes, _, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
-        mf = dynamics._MagnusFilon(h.terms, dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times))
+        grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
+        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
         hs = np.unique(np.diff(nodes))
         assert hs.size > 20 and mf.k.size > 0
         np.testing.assert_array_equal(mf.hs, hs)
         phi, jj = dynamics.filon_weights(mf.nus, hs)
-        np.testing.assert_array_equal(mf.phi, phi)
-        np.testing.assert_array_equal(mf.dj, -0.5j * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k]))
+        dj = 0.5 * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k])
+        np.testing.assert_array_equal(mf.table, np.concatenate([phi[..., 0], dj[..., 0, 0]], axis=1))
 
     def test_one_row_per_step_length(self):
         phi, jj = dynamics.filon_weights(self.NUS, [self.H, 2 * self.H, self.H])
-        assert phi.shape == (3, 8) and jj.shape == (3, 8, 8)
+        assert phi.shape == (3, 8, 3) and jj.shape == (3, 8, 8, 3, 3)
         np.testing.assert_array_equal(phi[0], phi[2])
-        np.testing.assert_allclose(jj[:, 3, 3], [self.H**2 / 2, 2 * self.H**2, self.H**2 / 2], rtol=1e-15)
+        np.testing.assert_allclose(jj[:, 3, 3, 0, 0], [self.H**2 / 2, 2 * self.H**2, self.H**2 / 2], rtol=1e-15)
 
 
 def richardson_reference(h, duration, steps, breakpoints=()):
@@ -807,17 +824,67 @@ class TestMagnusFilon:
         assert res.steps == required_steps(h.max_frequency_hz, schedule.duration)
         assert np.linalg.norm(res.final - ref) <= 1e-10
 
-    def test_step_rule_of_each_run(self):
-        # constant envelopes take the Magnus-Filon step, errors included; the
-        # polynomial envelope the midpoint rule; decohered runs RK4
-        geometric = build_schedule("fsim_geometric")
-        errors = dict(rabi_delta=0.05, detuning_eps=0.02)
-        closed = gate_channel(geometric, rwa=False, decoherence=False, **errors)
-        assert (closed.rule, closed.steps_per_period) == ("magnus_filon", STEPS_PER_PERIOD)
-        poly = gate_channel(build_schedule("fsim_poly"), rwa=True, decoherence=False, **errors)
-        assert (poly.rule, poly.steps_per_period) == ("midpoint", 200)
-        open_run = gate_channel(geometric, rwa=True, decoherence=True, steps_per_period=100)
-        assert (open_run.rule, open_run.steps_per_period) == ("rk4", 100)
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("rwa", [False, True])
+    def test_fourth_order_on_the_polynomial_envelope(self, rwa, decoherence):
+        # the quadratic interpolant through each step's Gauss points keeps the
+        # step fourth order.  The pristine RWA frame commutes with itself at
+        # all times, where the closed step is sixth order, so the closed RWA
+        # run takes a detuning error; the open runs take a strong dephasing
+        schedule = build_schedule("fsim_poly")
+        if rwa and not decoherence:
+            schedule = apply_detuning_error(schedule, 0.05)
+        h = frame_hamiltonian(schedule, rwa)
+        if decoherence:
+            run = partial(lindblad_superoperator, h, DeviceParams(t2_q1=40e-9, t2_q2=70e-9), schedule.duration)
+        else:
+            run = partial(propagate_unitary, h, schedule.duration)
+        floor = required_steps(h.max_frequency_hz, schedule.duration)
+        ref = run(64 * floor).final
+        runs = [run(m * floor) for m in (1, 2, 4)]
+        assert {r.rule for r in runs} == {"magnus_filon"}
+        errs = [np.linalg.norm(r.final - ref) for r in runs]
+        assert errs[-1] > 1e-11  # above rounding
+        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.05)
+        assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.05)
+
+    def test_polynomial_envelope_matches_the_midpoint_reference(self):
+        # pre-RWA, where the midpoint rule at its own default was 9.1e-6 off
+        for n in (1, 3):
+            schedule = build_schedule("fsim_poly", duration=SCHEMES["fsim_poly"].reference_time, n_reps=n)
+            h = frame_hamiltonian(schedule, rwa=False)
+            res = propagate_unitary(h, schedule.duration, breakpoints=schedule.breakpoints, repetitions=n)
+            assert (res.rule, res.steps_per_period) == ("magnus_filon", 200)
+            period_steps = required_steps(h.max_frequency_hz, schedule.period, 3200)
+            ref = np.linalg.matrix_power(richardson_reference(h, schedule.period, period_steps), n)
+            assert np.linalg.norm(res.final - ref) <= 1e-9
+
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_step_rule_of_each_run(self, scheme, rwa, decoherence):
+        # the rule follows how H is given: every frame's Fourier terms take the
+        # Magnus-Filon step.  The default budget keeps the floor for closed
+        # constant envelopes and 200 steps per period for every other run;
+        # errors keep the rule and the budget
+        schedule = build_schedule(scheme, duration=2e-9 if scheme == "bgate" else None)
+        res = gate_channel(schedule, rwa=rwa, decoherence=decoherence, rabi_delta=0.05, detuning_eps=0.02)
+        budget = 200 if decoherence or scheme == "fsim_poly" else STEPS_PER_PERIOD
+        assert (res.rule, res.steps_per_period) == ("magnus_filon", budget)
+        assert res.steps == required_steps(res.max_frequency_hz, schedule.period, budget)
+        quick = gate_channel(schedule, rwa=rwa, decoherence=decoherence, steps_per_period=100)
+        assert (quick.rule, quick.steps_per_period) == ("magnus_filon", 100)
+
+    @pytest.mark.parametrize("decoherence", [False, True])
+    def test_step_rule_of_sampled_runs(self, decoherence):
+        schedule = build_schedule("fsim_rect")
+        h = frame_hamiltonian(schedule, rwa=False)
+        propagate = partial(lindblad_superoperator, params=DEFAULT_DEVICE) if decoherence else propagate_unitary
+        for hamiltonian in (sampled(h), lambda t: h(t)):  # a TimeDependentHamiltonian without terms, a callable
+            res = propagate(hamiltonian, duration=schedule.duration, steps=400, breakpoints=schedule.breakpoints)
+            assert (res.rule, res.steps_per_period) == ("midpoint", None)
+        res = propagate(sampled(h), duration=schedule.duration, breakpoints=schedule.breakpoints)
+        assert (res.rule, res.steps_per_period) == ("midpoint", 200)
 
 
 class TestGeneratorPath:
@@ -845,57 +912,65 @@ def vec_liouvillians(hs, diss):
     return 1j * commutator.reshape(-1, 16, 16) + diss
 
 
-def complex_rk4_superoperator(h, params, period, steps, breakpoints, repetitions):
-    """Oracle: the RK4 step matrices of one repetition from complex vec-basis
-    Liouvillians, multiplied in order and raised to the repetition count."""
-    nodes, left, _ = step_grid(period, steps, breakpoints, None)
-    dts = np.diff(nodes)
-    ends = np.where(left, nodes[1:] - dynamics._LEFT_LIMIT * dts, nodes[1:])
-    diss = dephasing_dissipator(params)
-    s, eye = np.eye(16, dtype=complex), np.eye(16)
-    for a in range(0, dts.size, 1024):  # in pieces, to bound memory
-        dt = dts[a : a + 1024]
-        t0 = nodes[a : a + dt.size]
-        l0, lm, l1 = (vec_liouvillians(h.matrices(t), diss) for t in (t0, t0 + dt / 2.0, ends[a : a + dt.size]))
-        dt = dt[:, None, None]
-        k2 = lm @ (eye + 0.5 * dt * l0)
-        k3 = lm @ (eye + 0.5 * dt * k2)
-        k4 = l1 @ (eye + dt * k3)
-        for m in eye + dt / 6.0 * (l0 + 2.0 * k2 + 2.0 * k3 + k4):
-            s = m @ s
-    return np.linalg.matrix_power(s, repetitions)
+# the Gauss-Legendre points of a step, as fractions of its length
+GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(0.15)
 
 
-def complex_magnus_filon(h, duration, breakpoints):
-    """Oracle: the Magnus-Filon propagator at the floor from complex 4x4
-    generators i Omega, exponentiated as exp(-i (i Omega)) in complex form."""
+def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions=1):
+    """Oracle: the Magnus-Filon propagator of one repetition, closed, or with
+    ``params`` the superoperator on column-stacked vec(rho), raised to the
+    repetition count.
+
+    Every term of every segment enters on its own, as -i R or as its
+    vec-basis Liouvillian i(R^T (x) I - I (x) R), and the dissipator as one
+    more static term.  On each step a scaled term's envelope is its quadratic
+    fit through the Gauss points, and Omega = sum_k c_k A_k
+    + 1/2 sum_{k,l} c_kl [A_k, A_l] with ``filon_weights`` moments, in
+    complex arithmetic, exponentiated by scipy's expm one step at a time.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
     terms = h.terms
-    nodes, _, _ = step_grid(duration, required_steps(h.max_frequency_hz, duration), breakpoints, None)
+    nus, scaled = terms.nus, terms.scaled
+    if params is None:
+        gens = -1j * terms.mats
+    else:
+        diss = dephasing_dissipator(params)
+        gens = vec_liouvillians(terms.mats.reshape(-1, 4, 4), 0.0).reshape(terms.mats.shape[:2] + (16, 16))
+        gens = np.concatenate([gens, np.broadcast_to(diss, (gens.shape[0], 1, 16, 16))], axis=1)
+        nus, scaled = np.append(nus, 0.0), np.append(scaled, False)
+    nodes, _, _ = step_grid(period, steps, breakpoints, None)
     t0, dts = nodes[:-1], np.diff(nodes)
-    segment = terms.segment_index(t0 + dts / 2.0)
-    used = np.flatnonzero(np.bincount(segment))
-    nus, k, l, rows = dynamics._generators(terms, used)
     hs, length = np.unique(dts, return_inverse=True)
     phi, jj = dynamics.filon_weights(nus, hs)
-    dj = -0.5j * (jj[:, k, l] - jj[:, l, k])
-    phase = np.exp(1j * np.multiply.outer(t0, nus))
-    coef = np.concatenate([phase * phi[length], phase[:, k] * phase[:, l] * dj[length]], axis=1)
-    i_omega = np.einsum("nj,njk->nk", coef, rows[np.searchsorted(used, segment)]).reshape(-1, 4, 4)
-    u = np.eye(4, dtype=complex)
-    for a in range(0, i_omega.shape[0], 512):
-        u = dynamics._ordered_product(batched_expm(-1j * i_omega[a : a + 512])) @ u
-    return u
+    segment = terms.segment_index(t0 + dts / 2.0)
+    # each term's weights of 1, x, x^2 on each step, x = (t - t0) / h
+    samples = terms.envelope((t0 + np.multiply.outer(GAUSS, dts)).ravel()).reshape(3, -1)
+    fit = np.polynomial.polynomial.polyfit(GAUSS, samples, 2)
+    weights = np.where(scaled[:, None], fit.T[:, None, :], [1.0, 0.0, 0.0])
+    dim = gens.shape[-1]
+    comm = np.einsum("skab,slbc->sklac", gens, gens)
+    comm = comm - comm.swapaxes(1, 2)
+    u = np.eye(dim, dtype=complex)
+    for a in range(0, dts.size, 1024):  # in pieces, to bound memory
+        n, w, seg = slice(a, a + 1024), weights[a : a + 1024], segment[a : a + 1024]
+        phase = np.exp(1j * np.multiply.outer(t0[n], nus))
+        c1 = phase * np.einsum("nkm,nkm->nk", phi[length[n]], w)
+        c2 = phase[:, :, None] * phase[:, None, :] * np.einsum("nklab,nka,nlb->nkl", jj[length[n]], w, w)
+        omega = np.empty((seg.size, dim, dim), dtype=complex)
+        for s in np.unique(seg):
+            on = seg == s
+            first = c1[on] @ gens[s].reshape(-1, dim * dim)
+            second = c2[on].reshape(on.sum(), -1) @ comm[s].reshape(-1, dim * dim)
+            omega[on] = (first + 0.5 * second).reshape(-1, dim, dim)
+        for factor in expm(omega):
+            u = factor @ u
+    return np.linalg.matrix_power(u, repetitions)
 
 
 class TestRealKernels:
     @staticmethod
-    def open_generators(h, ts, diss):
-        """The Pauli-basis Liouvillians the RK4 rule builds: every segment's
-        open rows, combined with H's coefficients, plus the dissipator."""
-        terms, _ = dynamics._resolve_hamiltonian(h)
-        rows = dynamics._open_rows(terms.mats)
-        real = dynamics._combine(terms.coefficients(ts), terms.segment_index(ts), rows)
-        return (real + dynamics._in_pauli_basis(diss).reshape(-1)).reshape(-1, 16, 16)
+    def open_space(params=DEFAULT_DEVICE):
+        return dynamics._Space(16, dynamics._from_pauli_basis, dynamics._in_pauli_basis(dephasing_dissipator(params)))
 
     def test_pauli_basis_liouvillian_is_real(self):
         # H from 1e-3 to frame-like 1e10 rad/s against dephasing rates near 1e4
@@ -906,17 +981,21 @@ class TestRealKernels:
         pauli = dynamics._T.conj().T @ vec @ dynamics._T
         scale = np.abs(vec).max(axis=(1, 2))
         assert (np.abs(pauli.imag).max(axis=(1, 2)) <= 1e-15 * scale).all()
-        # a plain callable's rows: the Liouvillians of the unit matrices E_ab
-        real = self.open_generators(lambda t: hs[int(t)], np.arange(4.0), diss)
+        # the midpoint rule's rows: the Liouvillians of the unit matrices E_ab,
+        # H's entries their coefficients, and the dissipator added
+        space = self.open_space()
+        rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
+        real = dynamics._combine(hs.reshape(-1, 16), np.zeros(4, dtype=int), rows) + space.dissipator.reshape(-1)
         assert real.dtype == np.dtype(float)
-        assert (np.abs(real - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
+        assert (np.abs(real.reshape(-1, 16, 16) - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
 
     @pytest.mark.parametrize("error", ["none", "rabi", "detuning"])
     @pytest.mark.parametrize("rwa", [False, True])
     @pytest.mark.parametrize("scheme", list(SCHEMES))
     def test_open_rows_of_every_frame_match_vec_liouvillians(self, scheme, rwa, error):
-        # every segment's Fourier terms, projected once, against the complex
-        # H(t) the frame evaluates, at times on and between the breakpoints
+        # the Magnus-Filon rows of every segment's merged terms, the
+        # dissipator in the static one, against the complex H(t) the frame
+        # evaluates, at times on and between the breakpoints
         schedule = build_schedule(scheme, n_reps=2 if SCHEMES[scheme].one_step else 1)
         if error == "rabi":
             schedule = apply_rabi_error(schedule, 0.05)
@@ -924,9 +1003,15 @@ class TestRealKernels:
             schedule = apply_detuning_error(schedule, -0.03)
         h = frame_hamiltonian(schedule, rwa)
         ts = np.unique(np.concatenate([np.linspace(0.0, schedule.duration, 101), schedule.breakpoints]))
-        diss = dephasing_dissipator(DEFAULT_DEVICE)
-        real = self.open_generators(h, ts, diss)
-        vec = vec_liouvillians(h.matrices(ts), diss)
+        poly = scheme == "fsim_poly"
+        space = self.open_space()
+        nus, scaled, g = dynamics._generators(h.terms, schedule.duration, poly)
+        assert nus[0] == 0.0 and not scaled[0]
+        gens = space.generators(g)
+        gens[:, 0] += space.dissipator
+        coef = np.exp(1j * np.multiply.outer(ts, nus)) * np.where(scaled, h.terms.envelope(ts)[:, None], 1.0)
+        real = dynamics._combine(coef, h.terms.segment_index(ts), space.rows(gens)).reshape(-1, 16, 16)
+        vec = vec_liouvillians(h.matrices(ts), dephasing_dissipator(DEFAULT_DEVICE))
         pauli = dynamics._T.conj().T @ vec @ dynamics._T
         scale = np.abs(vec).max(axis=(1, 2))
         assert (np.abs(real - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
@@ -943,34 +1028,33 @@ class TestRealKernels:
         "scheme, n",
         [("fsim_rect", 1), ("fsim_rect", 2), ("fsim_rect", 3), ("fsim_poly", 1), ("fsim_poly", 3), ("fsim_poly", 10)],
     )
-    def test_table_cells_match_complex_rk4(self, scheme, n):
+    def test_table_cells_match_complex_magnus_filon(self, scheme, n):
         schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time, n_reps=n)
         res = gate_channel(schedule, rwa=False, decoherence=True)
         h = frame_hamiltonian(schedule, rwa=False)
-        ref = complex_rk4_superoperator(h, DEFAULT_DEVICE, schedule.period, res.steps, schedule.breakpoints, n)
-        assert res.repetitions == n
-        assert np.abs(res.final - ref).max() <= 1e-13
+        ref = complex_magnus_filon(h, schedule.period, res.steps, schedule.breakpoints, DEFAULT_DEVICE, n)
+        assert (res.rule, res.repetitions) == ("magnus_filon", n)
+        assert np.abs(res.final - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("rwa", [False, True])
     @pytest.mark.parametrize("scheme", ["fsim_geometric", "bgate"])
-    def test_drives_and_phase_switches_match_complex_rk4(self, scheme, rwa):
+    def test_drives_and_phase_switches_match_complex_magnus_filon(self, scheme, rwa):
         # the B gate's drive terms on its first 64th, 9.9k steps; the
         # geometric fSim's phase-switched segments over the whole gate
         schedule = build_schedule(scheme)
         h = frame_hamiltonian(schedule, rwa)
         span = schedule.duration / (64 if scheme == "bgate" else 1)
         res = lindblad_superoperator(h, DEFAULT_DEVICE, span, breakpoints=schedule.breakpoints)
-        ref = complex_rk4_superoperator(h, DEFAULT_DEVICE, span, res.steps, schedule.breakpoints, 1)
-        assert np.abs(res.final - ref).max() <= 1e-13
+        ref = complex_magnus_filon(h, span, res.steps, schedule.breakpoints, DEFAULT_DEVICE)
+        assert np.abs(res.final - ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
-    def test_closed_propagators_match_complex_taylor(self, scheme):
-        # the B gate on its first eighth, 19.7k steps: over the whole gate's
-        # 158k steps the two roundings drift apart by about 2.3e-13
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_closed_propagators_match_complex_magnus_filon(self, scheme):
+        # the B gate on its first eighth, 19.7k steps
         schedule = build_schedule(scheme)
         h = frame_hamiltonian(schedule, rwa=False)
         span = schedule.duration / (8 if scheme == "bgate" else 1)
         res = propagate_unitary(h, span, breakpoints=schedule.breakpoints)
         assert res.rule == "magnus_filon"
-        ref = complex_magnus_filon(h, span, schedule.breakpoints)
-        assert np.abs(res.final - ref).max() <= 1e-13
+        ref = complex_magnus_filon(h, span, res.steps, schedule.breakpoints)
+        assert np.abs(res.final - ref).max() <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdpulse.algebra import TWO_PI, cumulative_simpson
+from dqdpulse.algebra import TWO_PI
 from dqdpulse.cli import RunWriter
 from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
@@ -111,6 +111,32 @@ class TestPolynomial:
     def test_gate_time_from_exchange_cap(self):
         t_gate = SCHEMES["fsim_poly"].exchange_capped_time(THETA, XI, DEFAULT_DEVICE.j_max)
         assert t_gate == pytest.approx(50e-9, rel=0.03)
+
+    @pytest.mark.parametrize("eta", [0.2, 0.7])
+    def test_exchange_capped_gate_peaks_at_the_cap(self, eta):
+        # the peak of the degree-6 envelope falls between any samples; the
+        # exchange cap sets max |J| = 2 max |j| = j_max, to rounding
+        optimize = pytest.importorskip("scipy.optimize")
+        seg = build_schedule("fsim_poly", eta=eta).segments[0]
+        ts = np.linspace(seg.t_start, seg.t_end, 2001)
+        i = int(np.argmax(np.abs(seg.envelope(ts))))
+        found = optimize.minimize_scalar(
+            lambda t: -abs(seg.envelope(np.array([t]))[0]), bounds=(ts[i - 1], ts[i + 1]), method="bounded",
+            options={"xatol": 1e-9 * (ts[1] - ts[0])},
+        )
+        assert abs(-found.fun - DEFAULT_DEVICE.j_max / 2) <= 1e-13 * DEFAULT_DEVICE.j_max / 2
+
+    def test_max_envelope_is_each_segments_exact_peak(self):
+        # against the roots of the derivative that numpy's own polynomial finds
+        for s in (fsim_polynomial(THETA, XI, T50, 3, 0.2), fsim_polynomial(THETA, XI, T50, 1, 0.7, repeat=False)):
+            peaks = []
+            for seg in s.segments:
+                env = seg.envelope
+                p = np.polynomial.Polynomial(env.coefficients)
+                a, b = (seg.t_start - env.origin) / env.scale, (seg.t_end - env.origin) / env.scale
+                xs = np.concatenate([[a, b], [r.real for r in p.deriv().roots() if a < r.real < b]])
+                peaks.append(np.abs(env.gain * p(xs)).max())
+            assert s.max_envelope() == pytest.approx(max(peaks), rel=1e-14)
 
     def test_singular_configuration_reported(self):
         # the beta denominator has a root in eta for these gate parameters
@@ -216,8 +242,9 @@ class TestGeometric:
 
 
 def scipy_error_sensitivity(schedule):
-    """q_s with scipy's cumulative_simpson on the node grid of ``error_sensitivity``."""
-    from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
+    """q_s on the node grid of ``error_sensitivity``, with theta from numpy's
+    antiderivative of each segment's polynomial and scipy's Simpson rule."""
+    from scipy.integrate import simpson
 
     w = schedule.controls.delta_ez
     total, theta_acc = 0.0j, 0.0
@@ -225,31 +252,15 @@ def scipy_error_sensitivity(schedule):
     n = int(512 * max(1.0, periods / len(schedule.segments)))
     n += n % 2
     for seg in schedule.segments:
+        env = seg.envelope
+        area = np.polynomial.Polynomial(env.coefficients).integ()
         ts = np.linspace(seg.t_start, seg.t_end, n + 1)
-        js = seg.envelope(ts)
-        theta = theta_acc + np.concatenate([[0.0], scipy_cumulative_simpson(js, x=ts)])
-        f = np.exp(-2j * theta) * js * np.sin(2.0 * w * ts) * 0.5j
-        h = (seg.t_end - seg.t_start) / n
-        total += h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+        x = (ts - env.origin) / env.scale
+        theta = theta_acc + env.gain * env.scale * (area(x) - area(x[0]))
+        f = np.exp(-2j * theta) * seg.envelope(ts) * np.sin(2.0 * w * ts) * 0.5j
+        total += simpson(f, x=ts)
         theta_acc = float(theta[-1])
     return abs(total) ** 2
-
-
-class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [2, 4, 64, 1000])
-    def test_matches_scipy(self, n):
-        from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
-
-        rng = np.random.default_rng(n)
-        ts = np.linspace(1e-9, 5e-8, n + 1)
-        ys = 1e9 * np.sin(3e8 * ts) + 1e7 * rng.standard_normal(n + 1)
-        ref = np.concatenate([[0.0], scipy_cumulative_simpson(ys, x=ts)])
-        new = cumulative_simpson(ys, (ts[-1] - ts[0]) / n)
-        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    def test_exact_for_quadratics(self):
-        xs = np.linspace(0.0, 2.0, 9)
-        np.testing.assert_allclose(cumulative_simpson(3 * xs**2 - xs, 0.25), xs**3 - xs**2 / 2, atol=1e-14)
 
 
 class TestErrorSensitivity:
