@@ -349,8 +349,14 @@ def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable
 
 
 def _propagate(
-    hamiltonian, space: _Space, duration: float, steps: int | None, breakpoints: Sequence[float],
-    sample_times: Sequence[float] | None, steps_per_period: int | None, repetitions: int,
+    hamiltonian,
+    space: _Space,
+    duration: float,
+    steps: int | None,
+    breakpoints: Sequence[float],
+    sample_times: Sequence[float] | None,
+    steps_per_period: int | None,
+    repetitions: int,
 ) -> EvolutionResult:
     """Ordered product of real per-step factors over one repetition, chunk
     by chunk, raised to the ``repetitions``-th power.
@@ -408,7 +414,16 @@ def _propagate(
         held[-1] = final
         out = space.restore(held)
         states, final = out[:-1], out[-1]
-    return EvolutionResult(final, grid.steps, rule, budget, fmax, repetitions, times, states)
+    return EvolutionResult(
+        final=final,
+        steps=grid.steps,
+        rule=rule,
+        steps_per_period=budget,
+        max_frequency_hz=fmax,
+        repetitions=repetitions,
+        times=times,
+        states=states,
+    )
 
 
 def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid) -> Callable:
@@ -554,6 +569,43 @@ _INTERPOLANT = np.array(
 ).T
 
 
+# The last table _filon_table built, by its arguments: the gates of a sweep
+# over the envelope's shape share their frame frequencies and step lengths.
+_LAST_TABLE: dict[tuple, np.ndarray] = {}
+
+
+def _filon_table(
+    nus: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, hs: np.ndarray, poly: bool
+) -> np.ndarray:
+    """The Magnus-Filon coefficients of each step length in ``hs``: phi_k
+    for the terms nu_k, then (J_kl - J_lk) / 2 for the pairs (pk, pl), as
+    (lengths, K + pairs); with a polynomial envelope each entry is a matrix
+    that v v^T weights.  Built ``_FILON_BLOCK`` lengths at a time, J only at
+    the pairs (k, l) and (l, k) that enter, with the series length of all
+    of them, so the tables equal one-shot ``filon_weights`` tables bit for
+    bit.  A repeated call returns the last table."""
+    key = (poly, *(x.tobytes() for x in (nus, scaled, pk, pl, hs)))
+    if key in _LAST_TABLE:
+        return _LAST_TABLE[key]
+    _LAST_TABLE.clear()  # first, so that two tables are never held at once
+    series, pairs, m = _series_terms(nus, hs), pk.size, 1 + poly * _DEGREE
+    k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])  # J_kl, then J_lk
+    phi = np.empty((hs.size, nus.size, m), dtype=complex)
+    dj = np.empty((hs.size, pairs, m, m), dtype=complex)
+    for i in range(0, hs.size, _FILON_BLOCK):
+        block = slice(i, i + _FILON_BLOCK)
+        phi[block], jj = _filon_series(nus, hs[block], k, l, series, poly * _DEGREE)
+        dj[block] = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
+    if poly:  # embed[k] takes a term's moments to the entries of v that weight them
+        embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
+        phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
+        dj = embed[pk] @ dj @ embed[pl].swapaxes(-1, -2)
+    else:
+        phi, dj = phi[..., 0], dj[..., 0, 0]
+    _LAST_TABLE[key] = table = np.concatenate([phi, dj], axis=1)
+    return table
+
+
 class _MagnusFilon:
     """Fourth-order Magnus-Filon factors exp(Omega_1 + Omega_2) of a
     Hamiltonian given as Fourier terms, closed or open, in real form.
@@ -563,12 +615,9 @@ class _MagnusFilon:
       Omega = sum_k e^{i nu_k t0} phi_k A_k
               + sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) / 2 [A_k, A_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length of the grid (``hs``): Filon coefficients of the rows A_k and
-    [A_k, A_l], the commutators taken as products of the A's.  The tables
-    are built ``_FILON_BLOCK`` lengths at a time, J only at the pairs (k, l)
-    and (l, k) that enter, with the series length of all of them, so they
-    equal one-shot ``filon_weights`` tables bit for bit.  A chunk finds its
-    steps' rows by length and their segments by midpoint.
+    length of the grid (``hs``, ``_filon_table``): Filon coefficients of the
+    rows A_k and [A_k, A_l], the commutators taken as products of the A's.
+    A chunk finds its steps' rows by length and their segments by midpoint.
 
     With a polynomial envelope, the step takes the envelope's quadratic
     interpolant c_0 + c_1 x + c_2 x^2 through its Gauss points (x = (t - t0)
@@ -588,22 +637,8 @@ class _MagnusFilon:
         nonzero = comm.any(axis=(0, 2, 3))
         self.k, self.l = k[nonzero], l[nonzero]
         self.rows = space.rows(np.concatenate([a, comm[:, nonzero]], axis=1))
-        self.hs = hs = grid.lengths()
-        series, pairs, m = _series_terms(self.nus, hs), self.k.size, 1 + poly * _DEGREE
-        k, l = np.concatenate([self.k, self.l]), np.concatenate([self.l, self.k])  # J_kl, then J_lk
-        phi = np.empty((hs.size, self.nus.size, m), dtype=complex)
-        dj = np.empty((hs.size, pairs, m, m), dtype=complex)
-        for i in range(0, hs.size, _FILON_BLOCK):
-            block = slice(i, i + _FILON_BLOCK)
-            phi[block], jj = _filon_series(self.nus, hs[block], k, l, series, poly * _DEGREE)
-            dj[block] = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
-        if poly:  # embed[k] takes a term's moments to the entries of v that weight them
-            embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
-            phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
-            dj = embed[self.k] @ dj @ embed[self.l].swapaxes(-1, -2)
-        else:
-            phi, dj = phi[..., 0], dj[..., 0, 0]
-        self.table = np.concatenate([phi, dj], axis=1)  # (lengths, K + pairs), times v v^T with a polynomial
+        self.hs = grid.lengths()
+        self.table = _filon_table(self.nus, scaled, self.k, self.l, self.hs, poly)
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         t0 = nodes[:-1]
