@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .algebra import TWO_PI
 from .config import ExperimentConfig, config_document, config_from_mapping
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
-from .fidelity import REPORT_CSV_HEADER, build_grid, report_row
+from .fidelity import REPORT_CSV_HEADER, analytic_rabi_fidelity, build_grid, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
 
 
@@ -109,15 +109,6 @@ def _gate(cfg: ExperimentConfig) -> dict:
     )
 
 
-def _write_dicts(writer: RunWriter, name: str, header: str, rows: Iterable[dict]) -> None:
-    cols = header.split(",")
-    writer.write_csv(name, header, ([r[c] for c in cols] for r in rows))
-
-
-def _write_reports(writer: RunWriter, name: str, reports: Iterable) -> None:
-    writer.write_csv(name, REPORT_CSV_HEADER, map(report_row, reports))
-
-
 # The run bodies: each takes (cfg, writer, log), writes its files and records
 # its invariant checks; the dispatch in ``main`` writes the manifest.
 
@@ -152,7 +143,7 @@ def _simulate(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) ->
     writer.propagations = [
         {"rabi_delta": d, "detuning_eps": e, **{k: getattr(res, k) for k in how}} for (d, e), (_, res) in zip(pairs, out)
     ]
-    _write_reports(writer, "fidelity.csv", (rep for rep, _ in out))
+    writer.write_csv("fidelity.csv", REPORT_CSV_HEADER, (report_row(rep) for rep, _ in out))
     if cfg.trajectory:
         res = out[0][1]
         writer.write_csv("trajectory.csv", TRAJECTORY_CSV_HEADER, trajectory_rows(res.times, xp.state_path(res)))
@@ -163,67 +154,43 @@ def _simulate(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) ->
         )
 
 
-# the rabi-delta and detuning-eps grid of fig5 and fig6, and the sweeps' default
-_ERRORS = np.linspace(-0.1, 0.1, 11)
-_N_VALUES = (1, 2, 3)
+def _write_dicts(
+    name: str, header: str, rows: Callable[[], list[dict]],
+    cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog,
+) -> None:
+    """The body of a run that propagates nothing: it writes the dicts
+    ``rows()`` returns, a column per header field."""
+    cols = header.split(",")
+    writer.write_csv(name, header, ([r[c] for c in cols] for r in rows()))
 
 
-def _rabi(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog, name: str, deltas, scheme: str) -> None:
-    rows = xp.rabi_sweep(deltas, scheme=scheme, grid_n=cfg.grid_n, log=log)
-    _write_dicts(writer, name, "rabi_delta,fidelity_numeric,fidelity_analytic", rows)
+# CSV layouts of a dataset's (gate key, report) rows: a header and a row format
+_REPORTS = (REPORT_CSV_HEADER, lambda key, rep: report_row(rep))
+_RABI = (
+    "rabi_delta,fidelity_numeric,fidelity_analytic",
+    lambda key, rep: (rep.rabi_delta, rep.fidelity, analytic_rabi_fidelity(rep.rabi_delta)),
+)
+_ETA = ("eta,fidelity", lambda eta, rep: (eta, rep.fidelity))
 
 
-def _detuning(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog, name: str, eps, n_values) -> None:
-    workers = cfg.resolved_workers()
-    reports = xp.detuning_sweep(eps, n_values, grid_n=cfg.grid_n, workers=workers, quick=cfg.quick, log=log)
-    _write_reports(writer, name, reports)
+def _write_sweeps(files, parallel: bool, cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+    """Run each (file name, CSV layout, declaration) of ``files`` in turn and
+    write its rows; a declaration maps the config to the ``xp.Sweep`` to run."""
+    workers = cfg.resolved_workers() if parallel else 1
+    for name, (header, row), declare in files:
+        out = declare(cfg).run(cfg.grid_n, cfg.quick, workers, log)
+        writer.write_csv(name, header, (row(key, rep) for key, rep in out))
 
 
-def _eta(name: str, cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _write_dicts(writer, name, "eta,q_s", xp.sensitivity_vs_eta())
-
-
-def _sweep_rabi(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _rabi(cfg, writer, log, "rabi_sweep.csv", cfg.rabi_deltas or _ERRORS, cfg.scheme)
-
-
-def _sweep_detuning(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _detuning(cfg, writer, log, "detuning_sweep.csv", cfg.detuning_eps or _ERRORS, cfg.n_values or _N_VALUES)
-
-
-def _sweep_phase(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    phases, n_values, workers = np.linspace(0.0, np.pi, 5), cfg.n_values or _N_VALUES, cfg.resolved_workers()
-    reports = xp.initial_phase_sweep("phi1", phases, n_values, cfg.grid_n, workers=workers, quick=cfg.quick, log=log)
-    _write_reports(writer, "phase_sweep.csv", reports)
-
-
-def _table1(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _write_reports(writer, "table1.csv", xp.table1(quick=cfg.quick, workers=cfg.resolved_workers(), log=log))
-
-
-def _fig1a(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _write_dicts(writer, "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad", xp.amplitude_landscape())
-
-
-def _fig4d(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    rows = xp.fidelity_vs_eta(workers=cfg.resolved_workers(), quick=cfg.quick, log=log)
-    _write_dicts(writer, "fig4d.csv", "eta,fidelity", rows)
-
-
-def _fig5(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    _rabi(cfg, writer, log, "fig5a.csv", _ERRORS, "fsim_rect")
-    _detuning(cfg, writer, log, "fig5b.csv", _ERRORS, _N_VALUES)
-
-
-def _fig6(cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
-    rows = xp.robustness_comparison(_ERRORS, _ERRORS, grid_n=cfg.grid_n, workers=cfg.resolved_workers(), log=log)
-    _write_reports(writer, "fig6.csv", (r["report"] for r in rows))
+def _sweeps(reads: set[str], *files) -> tuple:
+    """The ``RUNS`` entry of a run of declared datasets: a process pool only if it reads ``workers``."""
+    return reads, partial(_write_sweeps, files, "workers" in reads)
 
 
 # Every run, by command and target (None for a command without targets): the
 # config fields it reads besides outdir (quick through grid_n's default), and
-# its body.  A run rejects any other flag or config-document key rather than
-# ignore it.
+# its body, which ``_sweeps`` makes for a run of declared datasets.  A run
+# rejects any other flag or config-document key rather than ignore it.
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _GATE = {"scheme", "theta", "xi", "gate_time_ns", "n_reps", "eta", "device_file"}
 _SIMULATE = _GATE | {
@@ -234,18 +201,31 @@ RUNS = {
     "synthesize": {None: (_GATE | {"samples"}, _synthesize)},
     "simulate": {None: (_SIMULATE, _simulate)},
     "sweep": {
-        "rabi": ({"scheme", "grid_n", "quick", "rabi_deltas"}, _sweep_rabi),
-        "detuning": ({"grid_n", "quick", "workers", "detuning_eps", "n_values"}, _sweep_detuning),
-        "eta": (set(), partial(_eta, "eta_sensitivity.csv")),
-        "phase": ({"grid_n", "quick", "workers", "n_values"}, _sweep_phase),
+        "rabi": _sweeps(
+            {"scheme", "grid_n", "quick", "rabi_deltas"},
+            ("rabi_sweep.csv", _RABI, lambda cfg: xp.rabi_sweep(cfg.rabi_deltas, cfg.scheme)),
+        ),
+        "detuning": _sweeps(
+            {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
+            ("detuning_sweep.csv", _REPORTS, lambda cfg: xp.detuning_sweep(cfg.detuning_eps, cfg.n_values)),
+        ),
+        "eta": (set(), partial(_write_dicts, "eta_sensitivity.csv", "eta,q_s", xp.sensitivity_vs_eta)),
+        "phase": _sweeps(
+            {"grid_n", "quick", "workers", "n_values"},
+            ("phase_sweep.csv", _REPORTS, lambda cfg: xp.initial_phase_sweep("phi1", n_values=cfg.n_values)),
+        ),
     },
     "reproduce": {
-        "table1": ({"quick", "workers"}, _table1),
-        "fig1a": (set(), _fig1a),
-        "fig4c": (set(), partial(_eta, "fig4c.csv")),
-        "fig4d": ({"quick", "workers"}, _fig4d),
-        "fig5": ({"grid_n", "quick", "workers"}, _fig5),
-        "fig6": ({"grid_n", "quick", "workers"}, _fig6),
+        "table1": _sweeps({"quick", "workers"}, ("table1.csv", _REPORTS, lambda cfg: xp.table1())),
+        "fig1a": (set(), partial(_write_dicts, "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad", xp.amplitude_landscape)),
+        "fig4c": (set(), partial(_write_dicts, "fig4c.csv", "eta,q_s", xp.sensitivity_vs_eta)),
+        "fig4d": _sweeps({"quick", "workers"}, ("fig4d.csv", _ETA, lambda cfg: xp.fidelity_vs_eta())),
+        "fig5": _sweeps(
+            {"grid_n", "quick", "workers"},
+            ("fig5a.csv", _RABI, lambda cfg: xp.rabi_sweep()),
+            ("fig5b.csv", _REPORTS, lambda cfg: xp.detuning_sweep()),
+        ),
+        "fig6": _sweeps({"grid_n", "quick", "workers"}, ("fig6.csv", _REPORTS, lambda cfg: xp.robustness_comparison())),
     },
 }
 

@@ -265,9 +265,9 @@ class Scheme:
     def exchange_capped_time(
         self, theta: float, xi: float, j_max: float, eta: float = -1.0 / 3.0, params: DeviceParams = DEFAULT_DEVICE
     ) -> float:
-        """Smallest T such that max|J(t)| = j_max.
+        """Smallest T at which the envelope amplitude 2 max|j(t)|, an upper bound on max|J(t)|, is j_max.
 
-        Envelopes scale as 1/T, so T = max|J(t) T| / j_max, evaluated on a
+        Envelopes scale as 1/T, so T = 2 max|j(t) T| / j_max, evaluated on a
         reference schedule at T = 1.
         """
         return 2.0 * self.build(theta, xi, 1.0, 1, eta, params).max_envelope() / j_max

@@ -1,16 +1,19 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
-Each propagating driver is a list of gate jobs handed to ``run_jobs``.  A
-job holds a built schedule, an initial-state grid and the ``gate_report``
-arguments.  A driver builds each distinct schedule once and one grid per
-grid argument, and its jobs share them.  The runner propagates each job
-once (closed-system or with projector dephasing) and averages its fidelity
-over the grid, in a process pool when asked.  Reports and their evolution
-results come back in job order for any worker count, so the output is
-byte-identical regardless of scheduling.  The runner records the invariant
-checks the CLI exit code keys off: each distinct pristine schedule's
-constraint residuals the first time it appears, and one unitarity or
-Lindblad-trace check per job.
+Each propagated dataset is declared once, as a :class:`Sweep` (its gates,
+its conditions, its frame and decoherence, its budget and grid rules), by a
+function that propagates nothing: ``table1``, ``fidelity_vs_eta``,
+``rabi_sweep``, ``detuning_sweep``, ``robustness_comparison`` and
+``initial_phase_sweep``.  ``Sweep.run`` builds each distinct schedule and
+grid once and hands the gate-major job list to ``run_jobs``; the CLI's
+``simulate`` hands it its own jobs.  A job holds a built schedule, an
+initial-state grid and the ``gate_report`` arguments; ``run_jobs``
+propagates each job once (closed-system or with projector dephasing) and
+averages its fidelity over the grid, in a process pool when asked.  Results come back in job order for
+any worker count, so the output is byte-identical regardless of scheduling.
+``run_jobs`` records the invariant checks the CLI exit code keys off: each
+distinct pristine schedule's constraint residuals the first time it
+appears, and one unitarity or Lindblad-trace check per job.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +42,6 @@ from .dynamics import (
 from .fidelity import (
     FidelityReport,
     InitialStateGrid,
-    analytic_rabi_fidelity,
     average_fidelity,
     build_grid,
 )
@@ -70,10 +72,6 @@ STEPS_PER_PERIOD_QUICK = 100
 
 # initial state of the exported trajectories
 PATH_STATE = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
-
-def _budget(quick: bool) -> int | None:
-    return STEPS_PER_PERIOD_QUICK if quick else None
 
 
 @dataclass
@@ -261,32 +259,153 @@ def run_jobs(
 
 
 # ---------------------------------------------------------------------------
-# Fidelity table (the `table1` dataset)
+# Propagated datasets, each declared once
 # ---------------------------------------------------------------------------
 
+# the amplitude and detuning errors of fig5 and fig6, and the repetition
+# counts of fig5: each sweep's default
+PAPER_ERRORS = tuple(np.linspace(-0.1, 0.1, 11))
+PAPER_N_VALUES = (1, 2, 3)
 
-def _table1_jobs(cells: Sequence[tuple[str, int]], quick: bool) -> list[Job]:
-    grid = build_grid(10 if quick else 40)
-    report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
-    return [
-        (build_schedule(scheme, duration=scheme_spec(scheme).reference_time, n_reps=n), grid, report)
-        for scheme, n in cells
-    ]
+# the one condition of an error-free run: the zero-phase grid, no injected error
+_PRISTINE = (((0.0, 0.0, 0.0), {}),)
 
 
-def table1_entry(scheme: str, n_reps: int, *, quick: bool = False) -> FidelityReport:
+def _errors(name: str, values: Sequence[float]) -> list[tuple[tuple[float, float, float], dict]]:
+    """One condition per value of the injected error ``name`` (none given:
+    ``PAPER_ERRORS``), on the zero-phase grid."""
+    return [((0.0, 0.0, 0.0), {name: float(v)}) for v in tuple(values) or PAPER_ERRORS]
+
+
+class Sweep(NamedTuple):
+    """A propagated dataset: every gate under every condition, gate-major.
+
+    ``gates`` are (key, ``build_schedule`` arguments) and ``conditions`` are
+    (initial-state grid phases, errors injected through ``gate_channel``).
+    Every gate runs in the RWA frame if ``rwa``, with or without
+    ``decoherence``.  With ``quick_budget``, a quick run takes the lower
+    step budget.  ``grid_n`` fixes the grid size, which is otherwise the
+    run's.  With ``label``, each report names its gate key instead of its
+    scheme.
+    """
+
+    gates: Sequence[tuple[object, dict]]
+    conditions: Sequence[tuple[tuple[float, float, float], dict]]
+    rwa: bool
+    decoherence: bool
+    quick_budget: bool = False
+    grid_n: int | None = None
+    label: bool = False
+
+    def run(
+        self, grid_n: int, quick: bool = False, workers: int = 1, log: InvariantLog | None = None
+    ) -> list[tuple[object, FidelityReport]]:
+        """(gate key, report) of every job in job order, from ``run_jobs``;
+        each distinct schedule and each distinct grid is built once."""
+        schedules = {k: build_schedule(**dict(k)) for k in dict.fromkeys(tuple(a.items()) for _, a in self.gates)}
+        grids = {p: build_grid(self.grid_n or grid_n, p) for p in dict.fromkeys(p for p, _ in self.conditions)}
+        run = dict(
+            rwa=self.rwa,
+            decoherence=self.decoherence,
+            steps_per_period=STEPS_PER_PERIOD_QUICK if quick and self.quick_budget else None,
+        )
+        keys, jobs = [], []
+        for key, args in self.gates:
+            for phases, errors in self.conditions:
+                keys.append(key)
+                label = key if self.label else None
+                jobs.append((schedules[tuple(args.items())], grids[phases], {**run, **errors, "label": label}))
+        return [(key, rep) for key, (rep, _) in zip(keys, run_jobs(jobs, workers, log))]
+
+
+def _table1(cells: Sequence[tuple[str, int]]) -> Sweep:
+    gates = [((s, n), dict(scheme=s, duration=scheme_spec(s).reference_time, n_reps=n)) for s, n in cells]
+    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True)
+
+
+def table1_entry(scheme: str, n_reps: int) -> Sweep:
     """One fidelity-table cell: decohered pre-RWA fidelity at theta=pi/4, xi=pi/2."""
-    return run_jobs(_table1_jobs([(scheme, n_reps)], quick))[0][0]
+    return _table1([(scheme, n_reps)])
 
 
-def table1(*, quick: bool = False, workers: int = 1, log: InvariantLog | None = None) -> list[FidelityReport]:
-    """Both fidelity-table rows (rectangular and optimal-parameter) over N = 1..10."""
-    jobs = _table1_jobs([(scheme, n) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)], quick)
-    return [rep for rep, _ in run_jobs(jobs, workers, log)]
+def table1() -> Sweep:
+    """Both fidelity-table rows (rectangular and optimal-parameter) over N = 1..10,
+    keyed by (scheme, N)."""
+    return _table1([(scheme, n) for scheme in ("fsim_rect", "fsim_poly") for n in range(1, 11)])
+
+
+def fidelity_vs_eta() -> Sweep:
+    """Decohered pre-RWA fidelity of the reference polynomial gate
+    (theta = pi/4, xi = pi/2, N = 1) at 41 eta values in [-1, 1], keyed by
+    eta, each on the 100-state grid.
+
+    Singular family members are dropped from the sweep.
+    """
+    etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
+    gates = [(eta, dict(scheme="fsim_poly", duration=POLY_GATE_TIME, eta=eta)) for eta in etas]
+    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True, grid_n=10)
+
+
+def rabi_sweep(deltas: Sequence[float] = (), scheme: str = "fsim_rect") -> Sweep:
+    """Closed-system RWA-frame fidelity of the N = 1 gate under each
+    amplitude error (none given: ``PAPER_ERRORS``), for comparison with the
+    analytic amplitude-error law.
+
+    The law holds for the one-step fSim schemes only; others are rejected.
+    """
+    spec = scheme_spec(scheme)
+    if not spec.one_step:
+        raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
+    gates = [(scheme, dict(scheme=scheme, duration=spec.reference_time))]
+    return Sweep(gates, _errors("rabi_delta", deltas), rwa=True, decoherence=False)
+
+
+def _poly_gates(n_values: Sequence[int]) -> list[tuple[int, dict]]:
+    """The reference polynomial gate at each N (none given: ``PAPER_N_VALUES``), keyed by N."""
+    return [(n, dict(scheme="fsim_poly", duration=POLY_GATE_TIME, n_reps=n)) for n in tuple(n_values) or PAPER_N_VALUES]
+
+
+def detuning_sweep(eps_values: Sequence[float] = (), n_values: Sequence[int] = ()) -> Sweep:
+    """Optimal-parameter-pulse fidelity under frame-frequency miscalibration
+    (none given: ``PAPER_ERRORS``), keyed by N."""
+    conditions = _errors("detuning_eps", eps_values)
+    return Sweep(_poly_gates(n_values), conditions, rwa=True, decoherence=False, quick_budget=True)
+
+
+def robustness_comparison(deltas: Sequence[float] = (), eps_values: Sequence[float] = ()) -> Sweep:
+    """Geometric+dynamic vs purely dynamic fidelity under control errors
+    (none given: ``PAPER_ERRORS``), keyed and labelled "geometric" and
+    "dynamic".
+
+    Both schemes run in the RWA frame with decoherence off and the same
+    delta_Ez = 4 pi / T, isolating control-error robustness.  Each scheme's
+    conditions are sorted by (error kind, value).
+    """
+    gates = [
+        # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
+        ("dynamic", dict(scheme="fsim_rect", duration=GEOMETRIC_GATE_TIME, n_reps=2)),
+        ("geometric", dict(scheme="fsim_geometric", duration=GEOMETRIC_GATE_TIME)),
+    ]
+    conditions = _errors("detuning_eps", sorted(map(float, eps_values)))
+    conditions += _errors("rabi_delta", sorted(map(float, deltas)))
+    return Sweep(gates, conditions, rwa=True, decoherence=False, label=True)
+
+
+def initial_phase_sweep(
+    axis: str, values: Sequence[float] = (), n_values: Sequence[int] = (), *, decoherence: bool = True
+) -> Sweep:
+    """Fidelity of the optimal-parameter scheme vs one initial-state phase
+    (none given: five values in [0, pi]), keyed by N."""
+    axes = ("phi1", "phi2", "phi3")
+    if axis not in axes:
+        raise ValueError(f"axis must be one of {axes}, got {axis!r}")
+    values = tuple(values) or np.linspace(0.0, math.pi, 5)
+    conditions = [(tuple(float(v) if axis == a else 0.0 for a in axes), {}) for v in values]
+    return Sweep(_poly_gates(n_values), conditions, rwa=False, decoherence=decoherence, quick_budget=True)
 
 
 # ---------------------------------------------------------------------------
-# Pulse-amplitude landscape (the `fig1a` dataset)
+# Pulse-amplitude landscape and error sensitivity (the `fig1a`/`fig4c` datasets)
 # ---------------------------------------------------------------------------
 
 
@@ -299,11 +418,6 @@ def amplitude_landscape() -> list[dict]:
             jt = 2.0 * fsim_rectangular(theta, xi, 1.0).max_envelope()
             rows.append({"theta_rad": float(theta), "xi_rad": float(xi), "abs_JT_max_rad": float(jt)})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Error sensitivity and fidelity vs eta (the `fig4c`/`fig4d` datasets)
-# ---------------------------------------------------------------------------
 
 
 def sensitivity_vs_eta(eta_grid: Sequence[float] | None = None, n_reps: int = 1) -> list[dict]:
@@ -327,110 +441,6 @@ def _regular_etas(eta_grid: Sequence[float]) -> list[float]:
             continue
         etas.append(eta)
     return etas
-
-
-def fidelity_vs_eta(workers: int = 1, quick: bool = False, log: InvariantLog | None = None) -> list[dict]:
-    """Decohered pre-RWA fidelity of the reference polynomial gate
-    (theta = pi/4, xi = pi/2, N = 1) at 41 eta values in [-1, 1], each on
-    the 100-state grid.
-
-    Singular family members are dropped from the sweep.
-    """
-    etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
-    grid = build_grid(10)
-    report = dict(rwa=False, decoherence=True, steps_per_period=_budget(quick))
-    jobs = [(build_schedule("fsim_poly", duration=POLY_GATE_TIME, eta=eta), grid, report) for eta in etas]
-    reports = run_jobs(jobs, workers, log)
-    return [{"eta": eta, "fidelity": rep.fidelity} for eta, (rep, _) in zip(etas, reports)]
-
-
-# ---------------------------------------------------------------------------
-# Systematic-error sweeps (the `fig5` dataset)
-# ---------------------------------------------------------------------------
-
-
-def rabi_sweep(
-    deltas: Sequence[float],
-    *,
-    scheme: str = "fsim_rect",
-    grid_n: int = 40,
-    log: InvariantLog | None = None,
-) -> list[dict]:
-    """Closed-system RWA-frame fidelity of the N = 1 gate against the analytic
-    amplitude-error law.
-
-    The law holds for the one-step fSim schemes only; others are rejected.
-    """
-    spec = scheme_spec(scheme)
-    if not spec.one_step:
-        raise ValueError(f"the amplitude-error law covers one-step fSim schemes, not {scheme!r}")
-    schedule, grid = build_schedule(scheme, duration=spec.reference_time), build_grid(grid_n)
-    jobs = [(schedule, grid, dict(rwa=True, decoherence=False, rabi_delta=float(d))) for d in deltas]
-    return [
-        {
-            "rabi_delta": rep.rabi_delta,
-            "fidelity_numeric": rep.fidelity,
-            "fidelity_analytic": analytic_rabi_fidelity(rep.rabi_delta),
-        }
-        for rep, _ in run_jobs(jobs, log=log)
-    ]
-
-
-def _poly_schedules(n_values: Sequence[int]) -> dict[int, PulseSchedule]:
-    """The reference polynomial gate for each distinct N, built once."""
-    return {n: build_schedule("fsim_poly", duration=POLY_GATE_TIME, n_reps=n) for n in n_values}
-
-
-def detuning_sweep(
-    eps_values: Sequence[float],
-    n_values: Sequence[int] = (1, 2, 3),
-    grid_n: int = 40,
-    workers: int = 1,
-    quick: bool = False,
-    log: InvariantLog | None = None,
-) -> list[FidelityReport]:
-    """Optimal-parameter-pulse fidelity under frame-frequency miscalibration."""
-    schedules, grid = _poly_schedules(n_values), build_grid(grid_n)
-    report = dict(rwa=True, decoherence=False, steps_per_period=_budget(quick))
-    jobs = [(schedules[n], grid, {**report, "detuning_eps": float(e)}) for n in n_values for e in eps_values]
-    return [rep for rep, _ in run_jobs(jobs, workers, log)]
-
-
-# ---------------------------------------------------------------------------
-# Geometric vs dynamic robustness (the `fig6` dataset)
-# ---------------------------------------------------------------------------
-
-
-def robustness_comparison(
-    deltas: Sequence[float],
-    eps_values: Sequence[float],
-    grid_n: int = 40,
-    workers: int = 1,
-    log: InvariantLog | None = None,
-) -> list[dict]:
-    """Geometric+dynamic vs purely dynamic fidelity under control errors.
-
-    Both schemes run in the RWA frame with decoherence off and the same
-    delta_Ez = 4 pi / T, isolating control-error robustness.  Rows are
-    sorted by (scheme, error kind, value).
-    """
-    schedules = {
-        # dynamic comparator: rectangular N=2 so delta_Ez = 4 pi / T matches
-        "dynamic": build_schedule("fsim_rect", duration=GEOMETRIC_GATE_TIME, n_reps=2),
-        "geometric": build_schedule("fsim_geometric", duration=GEOMETRIC_GATE_TIME),
-    }
-    grid = build_grid(grid_n)
-    errors = {"detuning": ("detuning_eps", eps_values), "rabi": ("rabi_delta", deltas)}
-    keys = [(s, k, v) for s in schedules for k, (_, values) in errors.items() for v in sorted(map(float, values))]
-    jobs = [
-        (schedules[s], grid, {"label": s, "rwa": True, "decoherence": False, errors[k][0]: v})
-        for s, k, v in keys
-    ]
-    reports = run_jobs(jobs, workers, log)
-    return [
-        {"scheme": s, "error_kind": k, "value": v, "fidelity": rep.fidelity, "report": rep}
-        for (s, k, v), (rep, _) in zip(keys, reports)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,34 +485,3 @@ def parallel_transport_defect(
     # H_c is the middle-block coupling alone, so <b|H_c|b> = 2 Re(b_1* H_12 b_2)
     h12 = h.matrices(times)[:, 1, 2]
     return float(np.abs(2.0 * (bt[:, 1].conj() * h12 * bt[:, 2]).real).max()) * schedule.duration
-
-
-# ---------------------------------------------------------------------------
-# Initial-phase sweeps
-# ---------------------------------------------------------------------------
-
-
-def initial_phase_sweep(
-    axis: str,
-    values: Sequence[float],
-    n_values: Sequence[int] = (1, 2, 3),
-    grid_n: int = 40,
-    *,
-    decoherence: bool = True,
-    workers: int = 1,
-    quick: bool = False,
-    log: InvariantLog | None = None,
-) -> list[FidelityReport]:
-    """Fidelity of the optimal-parameter scheme vs one initial-state phase."""
-    axes = ("phi1", "phi2", "phi3")
-    if axis not in axes:
-        raise ValueError(f"axis must be one of {axes}, got {axis!r}")
-    index = axes.index(axis)
-    schedules, grids = _poly_schedules(n_values), {}
-    for v in values:
-        phases = [0.0, 0.0, 0.0]
-        phases[index] = float(v)
-        grids[v] = build_grid(grid_n, tuple(phases))
-    report = dict(rwa=False, decoherence=decoherence, steps_per_period=_budget(quick))
-    jobs = [(schedules[n], grids[v], report) for n in n_values for v in values]
-    return [rep for rep, _ in run_jobs(jobs, workers, log)]

@@ -240,8 +240,8 @@ class PulseSchedule:
         return max(seg.envelope.peak(seg.t_start, seg.t_end) for seg in self.segments)
 
     def max_exchange(self) -> float:
-        """max_t |J(t)| over 4001 samples per segment; for these carriers this
-        equals 2 max|j|."""
+        """max_t |J(t)| over 4001 samples per segment: at most the envelope
+        amplitude 2 max|j|, and equal to it for every scheme but ``fsim_poly``."""
         peak = 0.0
         for seg in self.segments:
             ts = np.linspace(seg.t_start, seg.t_end, 4001)

@@ -55,7 +55,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 
 def decohered_fidelity(scheme: str, n_reps: int, grid_n: int) -> float:
-    rep = xp.table1_entry(scheme, n_reps, quick=(grid_n == 10))
+    ((_, rep),) = xp.table1_entry(scheme, n_reps).run(grid_n, quick=(grid_n == 10))
     return rep.fidelity
 
 
@@ -96,8 +96,8 @@ class TestCriterion2TableOneOptimal:
 class TestCriterion3AnalyticRabiLaw:
     def test_sweep_matches_law(self):
         deltas = np.linspace(-0.1, 0.1, 11)
-        rows = xp.rabi_sweep(deltas, grid_n=40)
-        dev = max(abs(r["fidelity_numeric"] - r["fidelity_analytic"]) for r in rows)
+        reports = [rep for _, rep in xp.rabi_sweep(deltas).run(40)]
+        dev = max(abs(r.fidelity - analytic_rabi_fidelity(r.rabi_delta)) for r in reports)
         check(
             "criterion 3 (Delta sweep vs closed form)",
             dev <= 5e-3,
@@ -112,7 +112,7 @@ class TestCriterion3AnalyticRabiLaw:
             law_edge > 0.997,
             f"F_law(+/-0.1) = {law_edge:.6f} > 0.997",
         )
-        num_edge = min(rows[0]["fidelity_numeric"], rows[-1]["fidelity_numeric"])
+        num_edge = min(reports[0].fidelity, reports[-1].fidelity)
         check(
             "criterion 3 (numeric floor at |Delta| = 0.1)",
             num_edge > 0.9955,
@@ -281,8 +281,11 @@ class TestCriterion8GeometricScheme:
         )
 
     def test_robustness_ordering(self):
-        rows = xp.robustness_comparison([0.1, -0.1], [0.1, -0.1], grid_n=40)
-        by_key = {(r["scheme"], r["error_kind"], r["value"]): r["fidelity"] for r in rows}
+        rows = xp.robustness_comparison([0.1, -0.1], [0.1, -0.1]).run(40)
+        by_key = {
+            (rep.scheme, "rabi" if rep.rabi_delta else "detuning", rep.rabi_delta or rep.detuning_eps): rep.fidelity
+            for _, rep in rows
+        }
         ok = True
         details = []
         for kind in ("rabi", "detuning"):

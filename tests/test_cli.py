@@ -625,27 +625,70 @@ def config_attribute_reads(config_source: str) -> dict[str, set[str]]:
     return {name: reads(name, set()) for name in fields | set(methods)}
 
 
-def body_reads(cli_source: str, name: str, attributes: dict[str, set[str]]) -> set[str]:
-    """Config fields the top-level function ``name`` reads off its ``cfg``,
-    following the module's functions it calls; ``"cfg"`` itself when the
-    config reaches any other call or binding, where its reads cannot be seen."""
-    defs = {n.name: n for n in ast.parse(cli_source).body if isinstance(n, ast.FunctionDef)}
-    read, todo, seen = set(), [name], {name}
+def derived_defaults(config_source: str) -> dict[str, set[str]]:
+    """ExperimentConfig field -> the fields ``__post_init__`` fills it in from
+    when it is unset (``if self.f is None: self.f = ...``)."""
+    (cls,) = [n for n in ast.parse(config_source).body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig"]
+    (post,) = [m for m in cls.body if isinstance(m, ast.FunctionDef) and m.name == "__post_init__"]
+    derived = {}
+    for node in ast.walk(post):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and isinstance(node.test.ops[0], ast.Is):
+            field, none = node.test.left, node.test.comparators[0]
+            if isinstance(field, ast.Attribute) and isinstance(none, ast.Constant) and none.value is None:
+                attrs = (n for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
+                derived[field.attr] = {n.attr for n in attrs if n.value.id == "self"} - {field.attr}
+    return derived
+
+
+def undeclared(read: set[str], reads: set[str], derived: dict[str, set[str]]) -> list[str]:
+    """The fields of ``read`` missing from a run's ``reads``.  A field the run
+    does not read from its flags holds its default, so a derived one counts
+    as the fields its default comes from (``grid_n`` as ``quick``)."""
+    return sorted(f for f in read - reads if not derived.get(f, {f}) <= reads)
+
+
+def body_reads(cli_source: str, body: str | int, attributes: dict[str, set[str]]) -> set[str]:
+    """Config fields that ``body`` reads off its ``cfg``: the top-level
+    function of that name, or the lambda that starts on that line.  The
+    module's functions it calls are followed; ``"cfg"`` itself is a read when
+    the config reaches any other call or binding, where its reads cannot be
+    seen."""
+    tree = ast.parse(cli_source)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    if isinstance(body, int):
+        (start,) = [n for n in ast.walk(tree) if isinstance(n, ast.Lambda) and n.lineno == body]
+    else:
+        start = defs[body]
+    read, todo, seen = set(), [start], {body}
     while todo:
-        fn = defs[todo.pop()]
+        fn = todo.pop()
         followed = set()  # the cfg names handed to a followed function or read through
         for node in ast.walk(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
                 followed.update(id(a) for a in node.args)
                 if node.func.id not in seen:
                     seen.add(node.func.id)
-                    todo.append(node.func.id)
+                    todo.append(defs[node.func.id])
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
                 followed.add(id(node.value))
                 read |= attributes.get(node.attr, {node.attr})
         if any(isinstance(n, ast.Name) and n.id == "cfg" and id(n) not in followed for n in ast.walk(fn)):
             read.add("cfg")
     return read
+
+
+def run_reads(cli_source: str, body, attributes: dict[str, set[str]]) -> set[str]:
+    """Config fields a ``cli.RUNS`` body reads.  The body of a run of
+    declared datasets (``cli._sweeps``) reads what the runner reads, with
+    ``workers`` only when it runs in parallel, and what each dataset's
+    declaration reads: the config the runner hands a declaration is followed
+    into it.  Any other body is a top-level function or a partial of one."""
+    fn = body.func if isinstance(body, partial) else body
+    if fn is not cli._write_sweeps:
+        return body_reads(cli_source, fn.__name__, attributes)
+    files, parallel = body.args
+    read = body_reads(cli_source, "_write_sweeps", attributes) - {"cfg"} - (set() if parallel else {"workers"})
+    return read.union(*(body_reads(cli_source, declare.__code__.co_firstlineno, attributes) for _, _, declare in files))
 
 
 def test_detector_follows_helpers_and_config_properties():
@@ -665,14 +708,33 @@ def test_detector_follows_helpers_and_config_properties():
     assert body_reads(cli_source, "leaky", attributes) == {"cfg"}
 
 
+def test_detector_follows_declarations_and_derived_defaults():
+    config_source = (
+        "@dataclass\nclass ExperimentConfig:\n    n: int | None = None\n    quick: bool = False\n    b: int = 0\n"
+        "    def __post_init__(self):\n        if self.n is None:\n            self.n = 10 if self.quick else 40\n"
+    )
+    attributes, derived = config_attribute_reads(config_source), derived_defaults(config_source)
+    assert derived == {"n": {"quick"}}
+    cli_source = (
+        "def helper(cfg):\n    return cfg.b\n"
+        "RUNS = {\n"
+        "    'grid': ({'quick'}, ('grid.csv', lambda cfg: sweep(cfg.n))),\n"
+        "    'undeclared': ({'quick'}, ('b.csv', lambda cfg: sweep(helper(cfg), cfg.quick))),\n"
+        "}\n"
+    )
+    grid, declaration = body_reads(cli_source, 4, attributes), body_reads(cli_source, 5, attributes)
+    assert grid == {"n"} and declaration == {"b", "quick"}
+    assert undeclared(grid, {"quick"}, derived) == []  # n's default comes from quick
+    assert undeclared(grid, set(), derived) == ["n"]
+    assert undeclared(declaration, {"quick"}, derived) == ["b"]
+
+
 def test_every_run_declares_the_config_fields_its_body_reads():
-    attributes = config_attribute_reads(Path(config.__file__).read_text())
+    config_source = Path(config.__file__).read_text()
+    attributes, derived = config_attribute_reads(config_source), derived_defaults(config_source)
     cli_source = Path(cli.__file__).read_text()
-    undeclared = {}
+    found = {}
     for command, runs in cli.RUNS.items():
         for target, (reads, body) in runs.items():
-            name = (body.func if isinstance(body, partial) else body).__name__
-            extra = body_reads(cli_source, name, attributes) - reads
-            if extra:
-                undeclared[f"{command} {target}"] = sorted(extra)
-    assert undeclared == {}
+            found[f"{command} {target}"] = undeclared(run_reads(cli_source, body, attributes), reads, derived)
+    assert found == {name: [] for name in found}

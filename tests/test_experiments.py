@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dqdpulse
+import dqdpulse.cli as cli
 import dqdpulse.experiments as xp
 from dqdpulse.cli import main
 from dqdpulse.device import SCHEMES, frame_hamiltonian
@@ -38,9 +39,8 @@ class TestParallelTransportDefect:
 
 class TestInitialPhaseSweep:
     def test_sweep_shape_and_axis(self):
-        reports = initial_phase_sweep(
-            "phi3", [0.0, 1.0, 2.0], [1, 2], grid_n=6, decoherence=False, quick=True
-        )
+        sweep = initial_phase_sweep("phi3", [0.0, 1.0, 2.0], [1, 2], decoherence=False)
+        reports = [rep for _, rep in sweep.run(6, quick=True)]
         assert len(reports) == 6
         assert reports[0].phases == (0.0, 0.0, 0.0)
         assert reports[1].phases == (0.0, 0.0, 1.0)
@@ -70,7 +70,7 @@ class TestRabiSweep:
 
     def test_pristine_constraints_logged_once(self):
         log = InvariantLog()
-        rows = rabi_sweep([-0.05, 0.0, 0.05], grid_n=4, log=log)
+        rows = rabi_sweep([-0.05, 0.0, 0.05]).run(4, log=log)
         assert len(rows) == 3
         names = [c.name for c in log.checks]
         assert names.count("unitarity_defect") == 3
@@ -81,7 +81,7 @@ class TestRabiSweep:
 
 
 class TestJobRunner:
-    """Drivers build each distinct schedule once; jobs carry it to ``run_jobs``."""
+    """Each run builds each distinct schedule and grid once; jobs carry them to ``run_jobs``."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -90,18 +90,69 @@ class TestJobRunner:
         monkeypatch.setattr(xp, "build_schedule", lambda *a, **k: calls.append(a[0] if a else k["scheme"]) or build(*a, **k))
         return calls
 
-    def test_fig6_builds_two_schedules_for_its_44_jobs(self, builds, tmp_path, capsys):
-        runs = []
-        gate_channel = xp.gate_channel
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(xp, "gate_channel", lambda *a, **k: runs.append(a[0]) or gate_channel(*a, **k))
-            assert main(["reproduce", "fig6", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+    # argv (each with --outdir), then the schedules built, grids built and jobs run
+    RUNS = {
+        "reproduce table1": (["reproduce", "table1", "--quick"], 20, 1, 20),
+        "reproduce fig4d": (["reproduce", "fig4d", "--quick"], 40, 1, 40),
+        "reproduce fig5": (["reproduce", "fig5", "--grid-n", "2"], 1 + 3, 1 + 1, 11 + 33),
+        "reproduce fig6": (["reproduce", "fig6", "--grid-n", "2"], 2, 1, 44),
+        "sweep rabi": (["sweep", "rabi", "--grid-n", "2"], 1, 1, 11),
+        "sweep detuning": (["sweep", "detuning", "--quick", "--grid-n", "2"], 3, 1, 33),
+        "sweep phase": (["sweep", "phase", "--quick", "--grid-n", "2"], 3, 5, 15),
+        "simulate None": (["simulate", "--no-decoherence", "--grid-n", "2"], 1, 1, 1),
+    }
+
+    @pytest.fixture
+    def counted(self, builds, monkeypatch):
+        """(schedules built, grids built, schedules run): each call of
+        ``build_schedule``, ``build_grid`` and ``gate_channel``."""
+        grids, runs = [], []
+        build_grid, gate_channel = xp.build_grid, xp.gate_channel
+        for module in (xp, cli):  # simulate builds its grid in the CLI
+            monkeypatch.setattr(module, "build_grid", lambda *a: grids.append(a) or build_grid(*a))
+        monkeypatch.setattr(xp, "gate_channel", lambda *a, **k: runs.append(a[0]) or gate_channel(*a, **k))
+        return builds, grids, runs
+
+    def test_every_propagating_run_is_counted(self):
+        propagating = {
+            f"{command} {target}"
+            for command, runs in cli.RUNS.items()
+            for target, (_, body) in runs.items()
+            if command == "simulate" or getattr(body, "func", None) is cli._write_sweeps
+        }
+        assert propagating == set(self.RUNS)
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_each_distinct_schedule_and_grid_is_built_once(self, run, counted, tmp_path, monkeypatch):
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        argv, schedules, grids, jobs = self.RUNS[run]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        built, grids_built, runs = counted
+        assert (len(built), len(grids_built), len(runs)) == (schedules, grids, jobs)
+        assert len({id(s) for s in runs}) == schedules
+
+    def test_duplicated_n_keeps_its_rows_and_is_built_once(self, counted, tmp_path, monkeypatch):
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        argv = ["sweep", "detuning", "--quick", "--grid-n", "2", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        built, grids, runs = counted
+        assert (len(built), len(grids), len(runs)) == (1, 1, 4)
+        rows = (tmp_path / "detuning_sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and rows[:2] == rows[2:] and rows[0] != rows[1]
+
+    def test_fig6_builds_and_logs_its_dynamic_schedule_first(self, builds, tmp_path, capsys):
+        assert main(["reproduce", "fig6", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
         assert builds == ["fsim_rect", "fsim_geometric"]
-        assert len(runs) == 44 and len({id(s) for s in runs}) == 2
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         legs = [f"[ok] fsim_geometric_leg{k}_area" for k in (1, 2, 3)]
         run = ["[ok] unitarity_defect"] * 22
         assert names == ["[ok] fsim_rect_area", "[ok] fsim_rect_cosine_moment", *run, *legs, *run]
+
+    def test_run_without_workers_ignores_the_worker_variable(self, tmp_path, monkeypatch):
+        # sweep rabi does not read workers, so DQDPULSE_WORKERS does not start a pool for it
+        monkeypatch.setenv("DQDPULSE_WORKERS", "2")
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", None)
+        assert main(["sweep", "rabi", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
 
     def test_simulate_trajectory_builds_its_schedule_once(self, builds, tmp_path):
         argv = ["simulate", "--scheme", "fsim_rect", "--no-decoherence", "--trajectory", "--samples", "5"]
@@ -112,6 +163,6 @@ class TestJobRunner:
         grids = []
         run_jobs = xp.run_jobs
         monkeypatch.setattr(xp, "run_jobs", lambda jobs, *a, **k: grids.extend(g for _, g, _ in jobs) or run_jobs(jobs, *a, **k))
-        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], grid_n=2, decoherence=False, quick=True)
+        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], decoherence=False).run(2, quick=True)
         assert [g.phases for g in grids] == [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2
         assert grids[0] is grids[2] and grids[1] is grids[3]

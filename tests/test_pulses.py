@@ -375,6 +375,39 @@ class TestScheduleStructure:
         assert first[1] == pytest.approx(-3 * math.pi / (2 * 76e-9) / TWO_PI / 1e6)
 
 
+class TestExchangeCap:
+    """The exchange cap bounds the envelope amplitude 2 max|j|, an upper
+    bound on max|J(t)| that only some schemes reach."""
+
+    @staticmethod
+    def ratios(scheme, n_reps):
+        """max|J| / (2 max|j|) at T = 60 ns on a 9 x 9 grid of |theta| <= pi/2,
+        |xi| <= pi, without singular family members and gates that need no exchange."""
+        out = []
+        for theta in np.linspace(-math.pi / 2, math.pi / 2, 9):
+            for xi in np.linspace(-math.pi, math.pi, 9):
+                try:
+                    s = build_schedule(scheme, theta, xi, duration=60e-9, n_reps=n_reps)
+                except ValueError:
+                    continue
+                if s.max_envelope() > 0.0:
+                    out.append(s.max_exchange() / (2.0 * s.max_envelope()))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n_reps", [1, 3])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_max_exchange_is_at_most_the_envelope_amplitude(self, scheme, n_reps):
+        ratios = self.ratios(scheme, n_reps)
+        assert len(ratios) >= 60 and ratios.max() <= 1.0 + 1e-12
+        if scheme in ("fsim_rect", "fsim_geometric", "bgate"):
+            np.testing.assert_allclose(ratios, 1.0, rtol=1e-12, atol=0.0)
+
+    def test_polynomial_envelope_amplitude_overstates_its_exchange(self):
+        # theta = -pi/2, xi = 0 reaches only half of the amplitude the cap bounds
+        ratios = self.ratios("fsim_poly", 1)
+        assert ratios.min() < 0.5
+
+
 def _with_last_segment(schedule, **fields):
     segments = (*schedule.segments[:-1], replace(schedule.segments[-1], **fields))
     return replace(schedule, segments=segments)

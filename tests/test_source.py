@@ -157,10 +157,11 @@ def _callee(call: ast.Call) -> str | None:
     return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        d = d.func if isinstance(d, ast.Call) else d
-        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+def _has_fields(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a ``NamedTuple``, whose annotated
+    class attributes are constructor fields."""
+    for d in [*(d.func if isinstance(d, ast.Call) else d for d in node.decorator_list), *node.bases]:
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) in ("dataclass", "NamedTuple"):
             return True
     return False
 
@@ -168,14 +169,14 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 def _options(tree: ast.Module) -> list[tuple[str, str, str, int | None, bool]]:
     """(reported name, callee name, parameter or field name, call position,
     is a field) of every defaulted parameter of every function and method and
-    every defaulted dataclass field; the position is None for keyword-only
-    parameters and does not count ``self``."""
+    every defaulted dataclass or ``NamedTuple`` field; the position is None
+    for keyword-only parameters and does not count ``self``."""
     found = []
 
     def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                if _is_dataclass(child):
+                if _has_fields(child):
                     fields = [s for s in child.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
                     found.extend(
                         (f"{child.name}.{s.target.id}", child.name, s.target.id, i, True)
@@ -206,8 +207,9 @@ def _options(tree: ast.Module) -> list[tuple[str, str, str, int | None, bool]]:
 
 def unset_options(defining: list[str], callers: list[str]) -> list[str]:
     """Defaulted parameters of the functions and methods of the ``defining``
-    sources, and defaulted fields of their dataclasses, that no call in any
-    source (defining or caller) passes, by keyword or by position.
+    sources, and defaulted fields of their dataclasses and ``NamedTuple``
+    classes, that no call in any source (defining or caller) passes, by
+    keyword or by position.
 
     Calls are matched by bare callee name (a class name for ``__init__`` and
     for fields), so a name collision can hide an unset option but never
@@ -245,13 +247,14 @@ def test_detector_flags_unset_options():
         "    def write(self, text, end='\\n'):\n        return text\n"
         "@dataclass\n"
         "class Point:\n    x: float\n    y: float = 0.0\n    z: float = 0.0\n    w: float = 0.0\n"
+        "class Pair(typing.NamedTuple):\n    a: int\n    b: int = 0\n    c: int = 0\n"
     )
     caller = (
         "f(1, 2, e=5)\nh(*args)\nWriter('p').write('t', '')\n"
-        "p = Point(1.0, 2.0)\nreplace(p, w=1.0)\n"
+        "p = Point(1.0, 2.0)\nreplace(p, w=1.0)\nPair(1, c=2)\n"
     )
     assert unset_options([module], [caller]) == [
-        "Point.z", "Writer.__init__(mode)", "f(c)", "f(d)", "g(y)",
+        "Pair.b", "Point.z", "Writer.__init__(mode)", "f(c)", "f(d)", "g(y)",
     ]
 
 
