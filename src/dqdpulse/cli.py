@@ -27,7 +27,7 @@ from .algebra import TWO_PI
 from .config import ExperimentConfig, config_document, config_from_mapping
 from .device import SCHEMES
 from .dynamics import TRAJECTORY_CSV_HEADER, trajectory_rows
-from .fidelity import REPORT_CSV_HEADER, analytic_rabi_fidelity, build_grid, report_row
+from .fidelity import FREQUENCIES, REPORT_CSV_HEADER, analytic_rabi_fidelity, build_grid, report_row
 from .pulses import SCHEDULE_CSV_HEADER, schedule_rows
 
 
@@ -173,24 +173,26 @@ _RABI = (
 _ETA = ("eta,fidelity", lambda eta, rep: (eta, rep.fidelity))
 
 
-def _write_sweeps(files, parallel: bool, cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
+def _write_sweeps(files, reads: set[str], cfg: ExperimentConfig, writer: RunWriter, log: xp.InvariantLog) -> None:
     """Run each (file name, CSV layout, declaration) of ``files`` in turn and
-    write its rows; a declaration maps the config to the ``xp.Sweep`` to run."""
-    workers = cfg.resolved_workers() if parallel else 1
+    write its rows; a declaration maps the config to the ``xp.Sweep`` to run.
+    A run takes a process pool and its grid size from ``cfg`` only if it ``reads`` them."""
+    workers = cfg.resolved_workers() if "workers" in reads else 1
+    grid_n = cfg.grid_n if "grid_n" in reads else ExperimentConfig.grid_n
     for name, (header, row), declare in files:
-        out = declare(cfg).run(cfg.grid_n, cfg.quick, workers, log)
+        out = declare(cfg).run(grid_n, cfg.quick, workers, log)
         writer.write_csv(name, header, (row(key, rep) for key, rep in out))
 
 
 def _sweeps(reads: set[str], *files) -> tuple:
-    """The ``RUNS`` entry of a run of declared datasets: a process pool only if it reads ``workers``."""
-    return reads, partial(_write_sweeps, files, "workers" in reads)
+    """The ``RUNS`` entry of a run of declared datasets."""
+    return reads, partial(_write_sweeps, files, reads)
 
 
 # Every run, by command and target (None for a command without targets): the
-# config fields it reads besides outdir (quick through grid_n's default), and
-# its body, which ``_sweeps`` makes for a run of declared datasets.  A run
-# rejects any other flag or config-document key rather than ignore it.
+# config fields it reads besides outdir, and its body, which ``_sweeps`` makes
+# for a run of declared datasets.  A run rejects any other flag or
+# config-document key rather than ignore it.
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _GATE = {"scheme", "theta", "xi", "gate_time_ns", "n_reps", "eta", "device_file"}
 _SIMULATE = _GATE | {
@@ -240,7 +242,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float)
     parser.add_argument("--grid-n", type=int, dest="grid_n")
     parser.add_argument("--steps-per-period", type=int, dest="steps_per_period")
-    parser.add_argument("--convention", choices=("standard", "paper"))
+    parser.add_argument("--convention", choices=tuple(FREQUENCIES))
     parser.add_argument("--outdir")
     parser.add_argument("--workers", type=int)
     parser.add_argument("--quick", action="store_true", default=None)

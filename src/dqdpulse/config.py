@@ -16,6 +16,7 @@ from typing import Any, Mapping
 
 from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params, read_json_object
 from .dynamics import require_step_floor
+from .fidelity import FREQUENCIES
 
 
 @dataclass
@@ -32,7 +33,7 @@ class ExperimentConfig:
     decoherence: bool = True
     rwa: bool = False
     convention: str = "standard"
-    grid_n: int | None = None  # None: 10 under quick, else 40
+    grid_n: int = 5  # the smallest grid exact under both conventions (see fidelity)
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
     steps_per_period: int | None = None  # None: the run's default budget
     quick: bool = False
@@ -45,12 +46,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
-        if self.convention not in ("standard", "paper"):
+        if self.convention not in FREQUENCIES:
             raise ValueError("convention must be 'standard' or 'paper'")
-        if self.grid_n is None:
-            self.grid_n = 10 if self.quick else 40
-        if self.grid_n < 1:
-            raise ValueError("grid_n must be >= 1")
+        freqs = FREQUENCIES[self.convention]  # the grid mean is exact unless grid_n divides one
+        if self.grid_n < 1 or any(k % self.grid_n == 0 for k in freqs):
+            raise ValueError(f"inexact grid_n: it must be >= 1 and divide no {self.convention} frequency {freqs}")
         if self.steps_per_period is not None:
             require_step_floor(self.steps_per_period)
         for name in ("theta", "xi", "eta"):
@@ -140,8 +140,8 @@ def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
 
 def config_document(path: str | os.PathLike | None, overrides: Mapping[str, Any]) -> dict[str, Any]:
     """The JSON document at ``path`` (None: none) with each non-None override
-    replacing its key: a config is constructed from it once, so that defaults
-    depending on other keys (``grid_n`` under ``quick``) see only those given."""
+    replacing its key: a None override is a flag not given, so its key keeps
+    the document's value, or the field's default if the document has none."""
     doc = {} if path is None else read_json_object(path, "config")
     doc.update((k, v) for k, v in overrides.items() if v is not None)
     return doc

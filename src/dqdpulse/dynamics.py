@@ -40,9 +40,9 @@ series (``algebra.batched_expm``) of an 8x8 step.  Open rows are
 (Re A_k, -Im A_k) in the orthonormal Pauli basis sigma_a (x) sigma_b / 2,
 where every Liouvillian of a Hermitian H and the dissipator are real
 (Havel, J. Math. Phys. 44, 534 (2003)); one 16x16 superoperator serves a
-1600-state grid.  The product returns to the complex propagator, or to
-the superoperator on column-stacked vec(rho), once, at the snapshots and
-at the end.
+whole initial-state grid.  The product returns to the complex propagator,
+or to the superoperator on column-stacked vec(rho), once, at the
+snapshots and at the end.
 
 Without a budget, a closed run whose Fourier terms have constant envelopes
 takes the floor of 50 steps per period, and every other run

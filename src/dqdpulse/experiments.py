@@ -1,7 +1,7 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
 Each propagated dataset is declared once, as a :class:`Sweep` (its gates,
-its conditions, its frame and decoherence, its budget and grid rules), by a
+its conditions, its frame and decoherence, its budget rule), by a
 function that propagates nothing: ``table1``, ``fidelity_vs_eta``,
 ``rabi_sweep``, ``detuning_sweep``, ``robustness_comparison`` and
 ``initial_phase_sweep``.  ``Sweep.run`` builds each distinct schedule and
@@ -284,9 +284,8 @@ class Sweep(NamedTuple):
     (initial-state grid phases, errors injected through ``gate_channel``).
     Every gate runs in the RWA frame if ``rwa``, with or without
     ``decoherence``.  With ``quick_budget``, a quick run takes the lower
-    step budget.  ``grid_n`` fixes the grid size, which is otherwise the
-    run's.  With ``label``, each report names its gate key instead of its
-    scheme.
+    step budget.  With ``label``, each report names its gate key instead of
+    its scheme.
     """
 
     gates: Sequence[tuple[object, dict]]
@@ -294,7 +293,6 @@ class Sweep(NamedTuple):
     rwa: bool
     decoherence: bool
     quick_budget: bool = False
-    grid_n: int | None = None
     label: bool = False
 
     def run(
@@ -303,7 +301,7 @@ class Sweep(NamedTuple):
         """(gate key, report) of every job in job order, from ``run_jobs``;
         each distinct schedule and each distinct grid is built once."""
         schedules = {k: build_schedule(**dict(k)) for k in dict.fromkeys(tuple(a.items()) for _, a in self.gates)}
-        grids = {p: build_grid(self.grid_n or grid_n, p) for p in dict.fromkeys(p for p, _ in self.conditions)}
+        grids = {p: build_grid(grid_n, p) for p in dict.fromkeys(p for p, _ in self.conditions)}
         run = dict(
             rwa=self.rwa,
             decoherence=self.decoherence,
@@ -336,14 +334,13 @@ def table1() -> Sweep:
 
 def fidelity_vs_eta() -> Sweep:
     """Decohered pre-RWA fidelity of the reference polynomial gate
-    (theta = pi/4, xi = pi/2, N = 1) at 41 eta values in [-1, 1], keyed by
-    eta, each on the 100-state grid.
+    (theta = pi/4, xi = pi/2, N = 1) at 41 eta values in [-1, 1], keyed by eta.
 
     Singular family members are dropped from the sweep.
     """
     etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
     gates = [(eta, dict(scheme="fsim_poly", duration=POLY_GATE_TIME, eta=eta)) for eta in etas]
-    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True, grid_n=10)
+    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True)
 
 
 def rabi_sweep(deltas: Sequence[float] = (), scheme: str = "fsim_rect") -> Sweep:

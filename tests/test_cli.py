@@ -25,17 +25,17 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
         assert cfg.scheme == "fsim_rect"
-        assert cfg.grid_n == 40
-
-    def test_quick_downscales_grid(self):
-        cfg = ExperimentConfig(quick=True)
-        assert cfg.grid_n == 10
 
     @pytest.mark.parametrize(
         "flags, doc, grid_n",
-        [(["--quick", "--grid-n", "40"], None, 40), (["--quick"], None, 10), (["--quick"], {"grid_n": 40}, 40)],
+        [
+            ([], None, 5), (["--quick"], None, 5),
+            (["--quick", "--grid-n", "40"], None, 40), (["--quick"], {"grid_n": 40}, 40),
+        ],
     )
-    def test_quick_grid_only_when_no_grid_given(self, flags, doc, grid_n, tmp_path, monkeypatch):
+    def test_default_grid_is_five_with_and_without_quick(self, flags, doc, grid_n, tmp_path, monkeypatch):
+        # the smallest grid exact under both conventions, unless a grid size is given
+        assert ExperimentConfig().grid_n == ExperimentConfig(quick=True).grid_n == 5
         seen = []
         reads, _ = cli.RUNS["simulate"][None]
         monkeypatch.setitem(cli.RUNS["simulate"], None, (reads, lambda cfg, writer, log: seen.append(cfg)))
@@ -43,7 +43,7 @@ class TestConfig:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
             flags = [*flags, "--config", str(tmp_path / "cfg.json")]
         main(["simulate", *flags, "--outdir", str(tmp_path / "out")])
-        assert seen[0].quick and seen[0].grid_n == grid_n
+        assert seen[0].quick == ("--quick" in flags) and seen[0].grid_n == grid_n
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -55,7 +55,7 @@ class TestConfig:
             {"quick": "no"}, {"decoherence": "false"}, {"trajectory": 1}, {"n_reps": 2.5}, {"n_reps": True},
             {"grid_n": 2.5}, {"steps_per_period": "200"}, {"theta": "0.5"}, {"theta": False}, {"gate_time_ns": [45]},
             {"rabi_deltas": 0.05}, {"rabi_deltas": [0.05, True]}, {"phases": [0, 1, "2"]}, {"phases": [0, 1]}, {"device_file": 3},
-            {"scheme": None}, {"convention": 1},
+            {"scheme": None}, {"convention": 1}, {"grid_n": None},
         ],
         ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()),
     )
@@ -69,9 +69,9 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_json_types_of_each_field_are_accepted(self, tmp_path):
-        doc = {"theta": 1, "xi": 0.5, "gate_time_ns": None, "n_reps": 2, "grid_n": None, "rabi_deltas": [0, 0.01]}
+        doc = {"theta": 1, "xi": 0.5, "gate_time_ns": None, "n_reps": 2, "grid_n": 7, "rabi_deltas": [0, 0.01]}
         cfg = config_from_mapping({**doc, "device_file": None, "phases": [0, 0.5, 1], "quick": True})
-        assert (cfg.theta, cfg.n_reps, cfg.grid_n, cfg.rabi_deltas, cfg.phases) == (1, 2, 10, (0, 0.01), (0, 0.5, 1))
+        assert (cfg.theta, cfg.n_reps, cfg.grid_n, cfg.rabi_deltas, cfg.phases) == (1, 2, 7, (0, 0.01), (0, 0.5, 1))
         shipped = Path(__file__).resolve().parent.parent / "configs" / "fsim_quick.json"
         assert config_from_mapping(config_document(shipped, {})).n_reps == 3
 
@@ -121,7 +121,7 @@ class TestCliRuns:
         assert not (tmp_path / "bad").exists()
 
     def test_steps_per_period_below_floor_is_a_one_line_error(self, tmp_path, capsys):
-        rc = main(["simulate", "--grid-n", "2", "--steps-per-period", "0", "--outdir", str(tmp_path / "bad")])
+        rc = main(["simulate", "--steps-per-period", "0", "--outdir", str(tmp_path / "bad")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("dqdpulse: error: ") and "below the floor" in err
@@ -129,10 +129,24 @@ class TestCliRuns:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize(
+        "flags", [["--grid-n", "4"], ["--grid-n", "3", "--convention", "paper"], ["--grid-n", "1"], ["--grid-n", "0"]]
+    )
+    def test_inexact_grid_is_a_one_line_error(self, flags, tmp_path, capsys):
+        assert main(["simulate", *flags, "--outdir", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dqdpulse: error: inexact grid_n") and err.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("flags", [["--grid-n", "3"], ["--grid-n", "10"], ["--grid-n", "10", "--convention", "paper"]])
+    def test_exact_grid_runs(self, flags, tmp_path):
+        assert main(["simulate", *flags, "--outdir", str(tmp_path)]) == 0
+        assert len((tmp_path / "fidelity.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
         "argv, workers_env",
         [
-            (["simulate", "--grid-n", "2", "--trajectory", "--samples", "0"], None),
-            (["simulate", "--grid-n", "2", "--trajectory", "--samples", "-3"], None),
+            (["simulate", "--trajectory", "--samples", "0"], None),
+            (["simulate", "--trajectory", "--samples", "-3"], None),
             (["synthesize", "--samples", "0"], None),
             (["synthesize", "--samples", "1"], None),
             (["sweep", "detuning", "--quick", "--workers", "-2"], None),
@@ -164,7 +178,7 @@ class TestCliRuns:
             (["sweep", "rabi", "--n-reps", "3"], "--n-reps"),
             (["sweep", "rabi", "--workers", "2", "--steps-per-period", "100"], "--steps-per-period, --workers"),
             (["sweep", "eta", "--theta", "0.5"], "--theta"),
-            (["sweep", "eta", "--grid-n", "2", "--quick"], "--grid-n, --quick"),
+            (["sweep", "eta", "--grid-n", "5", "--quick"], "--grid-n, --quick"),
             (["sweep", "detuning", "--scheme", "fsim_rect"], "--scheme"),
             (["sweep", "phase", "--rabi-deltas", "0.05"], "--rabi-deltas"),
         ],
@@ -197,7 +211,7 @@ class TestCliRuns:
         "argv, doc, flag",
         [
             (["sweep", "rabi"], {"n_reps": 3}, "--n-reps"),
-            (["sweep", "eta"], {"grid_n": 2, "quick": True}, "--grid-n, --quick"),
+            (["sweep", "eta"], {"grid_n": 5, "quick": True}, "--grid-n, --quick"),
             (["sweep", "detuning", "--quick"], {"scheme": "fsim_rect"}, "--scheme"),
             (["sweep", "phase", "--rabi-deltas", "0.05"], {"workers": 1, "theta": 0.5}, "--rabi-deltas, --theta"),
             (
@@ -369,7 +383,7 @@ class TestCliRuns:
         rc = main(
             [
                 "simulate", "--scheme", "bgate", "--no-decoherence", "--trajectory",
-                "--grid-n", "4", "--samples", "31", "--outdir", str(out),
+                "--samples", "31", "--outdir", str(out),
             ]
         )
         assert rc == 0
@@ -429,7 +443,7 @@ class TestCliRuns:
         monkeypatch.setattr(xp, "propagate_unitary", first_run_fails)
         rc = main(
             [
-                "sweep", "detuning", "--detuning-eps", "0", "0.05", "--n-values", "1", "--grid-n", "2",
+                "sweep", "detuning", "--detuning-eps", "0", "0.05", "--n-values", "1",
                 "--quick", "--workers", "1", "--outdir", str(tmp_path),
             ]
         )
@@ -441,7 +455,7 @@ class TestCliRuns:
         rc = main(
             [
                 "simulate", "--scheme", "fsim_rect", "--rwa", "--no-decoherence", "--rabi-deltas", "0", "0.05",
-                "--detuning-eps", "0", "0.01", "--grid-n", "2", "--outdir", str(tmp_path),
+                "--detuning-eps", "0", "0.01", "--outdir", str(tmp_path),
             ]
         )
         assert rc == 0
@@ -457,7 +471,7 @@ class TestTrajectory:
     """``simulate --trajectory`` samples the run it reports, whatever the scheme."""
 
     # the floor budget, 50 steps per period, keeps the 76 ns pre-RWA B gate fast
-    BGATE = ["simulate", "--scheme", "bgate", "--no-decoherence", "--grid-n", "2", "--steps-per-period", "50"]
+    BGATE = ["simulate", "--scheme", "bgate", "--no-decoherence", "--steps-per-period", "50"]
 
     def test_bgate_propagates_once(self, tmp_path, monkeypatch):
         calls = []
@@ -490,8 +504,7 @@ class TestTrajectory:
         np.testing.assert_allclose(rows[:, 1:], expected, rtol=0.0, atol=1e-12)
 
     def test_decohered_fsim_path(self, tmp_path):
-        rc = main(["simulate", "--scheme", "fsim_rect", "--trajectory", "--grid-n", "2", "--samples", "21",
-                   "--outdir", str(tmp_path)])
+        rc = main(["simulate", "--scheme", "fsim_rect", "--trajectory", "--samples", "21", "--outdir", str(tmp_path)])
         assert rc == 0
         pops = _csv(tmp_path / "trajectory.csv")[:, 1:5]
         assert pops.shape == (21, 4)
@@ -544,7 +557,7 @@ class TestDeterminismAcrossWorkers:
         runs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"
-            assert main(["reproduce", "fig6", "--grid-n", "2", "--workers", workers, "--outdir", str(out)]) == 0
+            assert main(["reproduce", "fig6", "--workers", workers, "--outdir", str(out)]) == 0
             runs.append(((out / "fig6.csv").read_bytes(), capsys.readouterr().out.splitlines()))
         assert runs[0] == runs[1]
         # 44 runs, plus the constraints of the geometric (3) and rectangular (2) schedules
@@ -625,26 +638,9 @@ def config_attribute_reads(config_source: str) -> dict[str, set[str]]:
     return {name: reads(name, set()) for name in fields | set(methods)}
 
 
-def derived_defaults(config_source: str) -> dict[str, set[str]]:
-    """ExperimentConfig field -> the fields ``__post_init__`` fills it in from
-    when it is unset (``if self.f is None: self.f = ...``)."""
-    (cls,) = [n for n in ast.parse(config_source).body if isinstance(n, ast.ClassDef) and n.name == "ExperimentConfig"]
-    (post,) = [m for m in cls.body if isinstance(m, ast.FunctionDef) and m.name == "__post_init__"]
-    derived = {}
-    for node in ast.walk(post):
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and isinstance(node.test.ops[0], ast.Is):
-            field, none = node.test.left, node.test.comparators[0]
-            if isinstance(field, ast.Attribute) and isinstance(none, ast.Constant) and none.value is None:
-                attrs = (n for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name))
-                derived[field.attr] = {n.attr for n in attrs if n.value.id == "self"} - {field.attr}
-    return derived
-
-
-def undeclared(read: set[str], reads: set[str], derived: dict[str, set[str]]) -> list[str]:
-    """The fields of ``read`` missing from a run's ``reads``.  A field the run
-    does not read from its flags holds its default, so a derived one counts
-    as the fields its default comes from (``grid_n`` as ``quick``)."""
-    return sorted(f for f in read - reads if not derived.get(f, {f}) <= reads)
+def undeclared(read: set[str], reads: set[str]) -> list[str]:
+    """The fields of ``read`` missing from a run's ``reads``."""
+    return sorted(read - reads)
 
 
 def body_reads(cli_source: str, body: str | int, attributes: dict[str, set[str]]) -> set[str]:
@@ -680,14 +676,15 @@ def body_reads(cli_source: str, body: str | int, attributes: dict[str, set[str]]
 def run_reads(cli_source: str, body, attributes: dict[str, set[str]]) -> set[str]:
     """Config fields a ``cli.RUNS`` body reads.  The body of a run of
     declared datasets (``cli._sweeps``) reads what the runner reads, with
-    ``workers`` only when it runs in parallel, and what each dataset's
-    declaration reads: the config the runner hands a declaration is followed
-    into it.  Any other body is a top-level function or a partial of one."""
+    ``workers`` and ``grid_n`` only when the run declares them (the runner
+    reads each only then), and what each dataset's declaration reads: the
+    config the runner hands a declaration is followed into it.  Any other
+    body is a top-level function or a partial of one."""
     fn = body.func if isinstance(body, partial) else body
     if fn is not cli._write_sweeps:
         return body_reads(cli_source, fn.__name__, attributes)
-    files, parallel = body.args
-    read = body_reads(cli_source, "_write_sweeps", attributes) - {"cfg"} - (set() if parallel else {"workers"})
+    files, reads = body.args
+    read = body_reads(cli_source, "_write_sweeps", attributes) - {"cfg"} - ({"workers", "grid_n"} - reads)
     return read.union(*(body_reads(cli_source, declare.__code__.co_firstlineno, attributes) for _, _, declare in files))
 
 
@@ -708,13 +705,9 @@ def test_detector_follows_helpers_and_config_properties():
     assert body_reads(cli_source, "leaky", attributes) == {"cfg"}
 
 
-def test_detector_follows_declarations_and_derived_defaults():
-    config_source = (
-        "@dataclass\nclass ExperimentConfig:\n    n: int | None = None\n    quick: bool = False\n    b: int = 0\n"
-        "    def __post_init__(self):\n        if self.n is None:\n            self.n = 10 if self.quick else 40\n"
-    )
-    attributes, derived = config_attribute_reads(config_source), derived_defaults(config_source)
-    assert derived == {"n": {"quick"}}
+def test_detector_follows_declarations():
+    config_source = "@dataclass\nclass ExperimentConfig:\n    n: int = 5\n    quick: bool = False\n    b: int = 0\n"
+    attributes = config_attribute_reads(config_source)
     cli_source = (
         "def helper(cfg):\n    return cfg.b\n"
         "RUNS = {\n"
@@ -724,17 +717,17 @@ def test_detector_follows_declarations_and_derived_defaults():
     )
     grid, declaration = body_reads(cli_source, 4, attributes), body_reads(cli_source, 5, attributes)
     assert grid == {"n"} and declaration == {"b", "quick"}
-    assert undeclared(grid, {"quick"}, derived) == []  # n's default comes from quick
-    assert undeclared(grid, set(), derived) == ["n"]
-    assert undeclared(declaration, {"quick"}, derived) == ["b"]
+    assert undeclared(grid, {"n", "quick"}) == []
+    assert undeclared(grid, {"quick"}) == ["n"]
+    assert undeclared(declaration, {"quick"}) == ["b"]
 
 
 def test_every_run_declares_the_config_fields_its_body_reads():
     config_source = Path(config.__file__).read_text()
-    attributes, derived = config_attribute_reads(config_source), derived_defaults(config_source)
+    attributes = config_attribute_reads(config_source)
     cli_source = Path(cli.__file__).read_text()
     found = {}
     for command, runs in cli.RUNS.items():
         for target, (reads, body) in runs.items():
-            found[f"{command} {target}"] = undeclared(run_reads(cli_source, body, attributes), reads, derived)
+            found[f"{command} {target}"] = undeclared(run_reads(cli_source, body, attributes), reads)
     assert found == {name: [] for name in found}

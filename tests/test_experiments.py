@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import dqdpulse
 import dqdpulse.cli as cli
 import dqdpulse.experiments as xp
 from dqdpulse.cli import main
+from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import InvariantLog, initial_phase_sweep, parallel_transport_defect, rabi_sweep
@@ -70,7 +72,7 @@ class TestRabiSweep:
 
     def test_pristine_constraints_logged_once(self):
         log = InvariantLog()
-        rows = rabi_sweep([-0.05, 0.0, 0.05]).run(4, log=log)
+        rows = rabi_sweep([-0.05, 0.0, 0.05]).run(5, log=log)
         assert len(rows) == 3
         names = [c.name for c in log.checks]
         assert names.count("unitarity_defect") == 3
@@ -94,12 +96,12 @@ class TestJobRunner:
     RUNS = {
         "reproduce table1": (["reproduce", "table1", "--quick"], 20, 1, 20),
         "reproduce fig4d": (["reproduce", "fig4d", "--quick"], 40, 1, 40),
-        "reproduce fig5": (["reproduce", "fig5", "--grid-n", "2"], 1 + 3, 1 + 1, 11 + 33),
-        "reproduce fig6": (["reproduce", "fig6", "--grid-n", "2"], 2, 1, 44),
-        "sweep rabi": (["sweep", "rabi", "--grid-n", "2"], 1, 1, 11),
-        "sweep detuning": (["sweep", "detuning", "--quick", "--grid-n", "2"], 3, 1, 33),
-        "sweep phase": (["sweep", "phase", "--quick", "--grid-n", "2"], 3, 5, 15),
-        "simulate None": (["simulate", "--no-decoherence", "--grid-n", "2"], 1, 1, 1),
+        "reproduce fig5": (["reproduce", "fig5"], 1 + 3, 1 + 1, 11 + 33),
+        "reproduce fig6": (["reproduce", "fig6"], 2, 1, 44),
+        "sweep rabi": (["sweep", "rabi"], 1, 1, 11),
+        "sweep detuning": (["sweep", "detuning", "--quick"], 3, 1, 33),
+        "sweep phase": (["sweep", "phase", "--quick"], 3, 5, 15),
+        "simulate None": (["simulate", "--no-decoherence"], 1, 1, 1),
     }
 
     @pytest.fixture
@@ -130,10 +132,11 @@ class TestJobRunner:
         built, grids_built, runs = counted
         assert (len(built), len(grids_built), len(runs)) == (schedules, grids, jobs)
         assert len({id(s) for s in runs}) == schedules
+        assert {args[0] for args in grids_built} == {5}  # no grid given: the smallest exact one
 
     def test_duplicated_n_keeps_its_rows_and_is_built_once(self, counted, tmp_path, monkeypatch):
         monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
-        argv = ["sweep", "detuning", "--quick", "--grid-n", "2", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
+        argv = ["sweep", "detuning", "--quick", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
         built, grids, runs = counted
         assert (len(built), len(grids), len(runs)) == (1, 1, 4)
@@ -141,7 +144,7 @@ class TestJobRunner:
         assert len(rows) == 4 and rows[:2] == rows[2:] and rows[0] != rows[1]
 
     def test_fig6_builds_and_logs_its_dynamic_schedule_first(self, builds, tmp_path, capsys):
-        assert main(["reproduce", "fig6", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+        assert main(["reproduce", "fig6", "--outdir", str(tmp_path)]) == 0
         assert builds == ["fsim_rect", "fsim_geometric"]
         names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         legs = [f"[ok] fsim_geometric_leg{k}_area" for k in (1, 2, 3)]
@@ -152,17 +155,26 @@ class TestJobRunner:
         # sweep rabi does not read workers, so DQDPULSE_WORKERS does not start a pool for it
         monkeypatch.setenv("DQDPULSE_WORKERS", "2")
         monkeypatch.setattr(xp, "ProcessPoolExecutor", None)
-        assert main(["sweep", "rabi", "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+        assert main(["sweep", "rabi", "--outdir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("target, grid_n", [("table1", 5), ("fig4d", 5), ("fig5", 40), ("fig6", 40)])
+    def test_run_without_grid_n_ignores_the_config_grid(self, target, grid_n, monkeypatch):
+        # table1 and fig4d do not read grid_n, so they run on the default grid whatever the config holds
+        seen = []
+        monkeypatch.setattr(xp.Sweep, "run", lambda sweep, n, *a: seen.append(n) or [])
+        _, body = cli.RUNS["reproduce"][target]
+        body(ExperimentConfig(grid_n=40), SimpleNamespace(write_csv=lambda *a: None), InvariantLog())
+        assert seen and set(seen) == {grid_n}
 
     def test_simulate_trajectory_builds_its_schedule_once(self, builds, tmp_path):
         argv = ["simulate", "--scheme", "fsim_rect", "--no-decoherence", "--trajectory", "--samples", "5"]
-        assert main([*argv, "--grid-n", "2", "--outdir", str(tmp_path)]) == 0
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
         assert builds == ["fsim_rect"]
 
     def test_jobs_share_one_grid_per_grid_argument(self, monkeypatch):
         grids = []
         run_jobs = xp.run_jobs
         monkeypatch.setattr(xp, "run_jobs", lambda jobs, *a, **k: grids.extend(g for _, g, _ in jobs) or run_jobs(jobs, *a, **k))
-        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], decoherence=False).run(2, quick=True)
+        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], decoherence=False).run(5, quick=True)
         assert [g.phases for g in grids] == [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2
         assert grids[0] is grids[2] and grids[1] is grids[3]

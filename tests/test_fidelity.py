@@ -1,12 +1,17 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqdpulse.algebra import TWO_PI
+from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import DEFAULT_DEVICE, frame_hamiltonian
 from dqdpulse.dynamics import lindblad_superoperator, propagate_unitary
 from dqdpulse.fidelity import (
+    FREQUENCIES,
     FidelityReport,
     analytic_rabi_fidelity,
     average_fidelity,
@@ -116,6 +121,55 @@ class TestAverageFidelity:
     def test_report_mean_consistency_enforced(self):
         with pytest.raises(ValueError):
             FidelityReport(fidelity=0.5, per_state=np.array([1.0, 1.0]))
+
+
+def random_unitary(seed: int) -> np.ndarray:
+    """A Haar-random 4x4 unitary: the QR factor of a complex Gaussian matrix, phases fixed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@lru_cache(maxsize=None)
+def decohered_gate(n_reps: int) -> np.ndarray:
+    """The superoperator of the decohered pre-RWA rectangular fSim gate."""
+    schedule = fsim_rectangular(THETA, XI, T45, n_reps)
+    h = frame_hamiltonian(schedule, rwa=False)
+    return lindblad_superoperator(h, DEFAULT_DEVICE, schedule.duration, breakpoints=schedule.breakpoints).final
+
+
+# channel and target unitaries from disjoint seeds, so that no target is its channel
+CHANNELS = st.one_of(st.integers(0, 2**31 - 1).map(random_unitary), st.sampled_from([1, 3]).map(decohered_gate))
+TARGETS = st.integers(2**31, 2**32 - 1).map(random_unitary)
+PHASES = st.tuples(*[st.floats(0.0, TWO_PI)] * 3)
+
+
+class TestGridExactness:
+    """The n-point grid mean is the exact average over both grid angles
+    unless n divides one of the convention's per-state frequencies."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(CHANNELS, TARGETS, PHASES, st.sampled_from(tuple(FREQUENCIES)))
+    def test_default_grid_equals_the_fine_grid(self, channel, target, phases, convention):
+        def mean(n):
+            return average_fidelity(channel, target, build_grid(n, phases), convention).fidelity
+
+        default = mean(ExperimentConfig.grid_n)
+        assert abs(default - mean(40)) <= 1e-14
+        # one size the rule excludes under each convention is measurably off
+        assert abs(mean(4 if convention == "standard" else 6) - default) > 1e-6
+
+    @pytest.mark.parametrize("convention", list(FREQUENCIES))
+    def test_config_rejects_exactly_the_inexact_grids(self, convention):
+        channel, target, phases = random_unitary(1), random_unitary(2), (0.3, 1.1, 2.0)
+        fine = average_fidelity(channel, target, build_grid(64, phases), convention).fidelity
+        for n in range(1, 13):
+            error = abs(average_fidelity(channel, target, build_grid(n, phases), convention).fidelity - fine)
+            if error > 1e-6:
+                with pytest.raises(ValueError, match="inexact grid_n"):
+                    ExperimentConfig(grid_n=n, convention=convention)
+            else:
+                assert error <= 1e-14 and ExperimentConfig(grid_n=n, convention=convention).grid_n == n
 
 
 class TestAnalyticRabiLaw:
