@@ -33,23 +33,19 @@ SCHEMES = ("fsim_rect", "fsim_poly", "fsim_geometric", "bgate")
 
 COMMANDS = [
     ["reproduce", "table1"],
-    ["reproduce", "table1", "--quick"],
     ["reproduce", "fig1a"],
     ["reproduce", "fig4c"],
     ["reproduce", "fig4d"],
-    ["reproduce", "fig4d", "--quick"],
     ["reproduce", "fig5"],
-    ["reproduce", "fig5", "--quick"],
     ["reproduce", "fig5", "--grid-n", "7"],
     ["reproduce", "fig6"],
-    ["reproduce", "fig6", "--quick"],
     ["sweep", "rabi"],
     ["sweep", "rabi", "--scheme", "fsim_poly", "--rabi-deltas", "-0.05", "0.02", "--grid-n", "6"],
     ["sweep", "detuning"],
-    ["sweep", "detuning", "--quick", "--n-values", "2", "2", "--detuning-eps", "0.03"],
+    ["sweep", "detuning", "--n-values", "2", "2", "--detuning-eps", "0.03"],
     ["sweep", "eta"],
     ["sweep", "phase"],
-    ["sweep", "phase", "--quick", "--n-values", "3", "1"],
+    ["sweep", "phase", "--n-values", "3", "1"],
     *(["synthesize", "--scheme", s] for s in SCHEMES),
     *(
         ["simulate", "--scheme", s, *closed, *trajectory]

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the plot-ready datasets (fig1a, fig4c, fig4d, fig5, fig6).
 
-    scripts/reproduce_figures.py [TARGET ...] [--quick] [--workers N] [--grid-n N] [--outdir DIR]
+    scripts/reproduce_figures.py [TARGET ...] [--workers N] [--grid-n N] [--outdir DIR]
 
 Without targets, every figure is made, each into DIR/<target> (default
 out/<target>).  Each target gets only the flags its run reads (``cli.RUNS``):
-fig1a and fig4c read none, so ``--quick`` goes to fig4d, fig5 and fig6.  A
-flag that no chosen target reads is an error.
+fig1a and fig4c read none and fig4d no grid size, so ``--grid-n`` goes to
+fig5 and fig6 only.  A flag that no chosen target reads is an error.
 """
 import argparse
 import os

@@ -2,9 +2,9 @@
 """Regenerate the gate-fidelity table (rectangular and optimal-parameter rows).
 
 Each cell averages its fidelity exactly over the 25-state initial-state
-grid, and the table computes in about 0.09 s after the package import (the
-manifest's runtime_s).  --quick halves the open step's budget to 100 steps
-per period, which is all it changes.
+grid at 200 steps per period, and the table computes in about 0.09 s after
+the package import (the manifest's runtime_s).  Extra arguments go to
+``dqdpulse reproduce table1``, which reads only ``--workers`` and ``--outdir``.
 """
 import sys
 

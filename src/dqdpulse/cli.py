@@ -180,7 +180,7 @@ def _write_sweeps(files, reads: set[str], cfg: ExperimentConfig, writer: RunWrit
     workers = cfg.resolved_workers() if "workers" in reads else 1
     grid_n = cfg.grid_n if "grid_n" in reads else ExperimentConfig.grid_n
     for name, (header, row), declare in files:
-        out = declare(cfg).run(grid_n, cfg.quick, workers, log)
+        out = declare(cfg).run(grid_n, workers, log)
         writer.write_csv(name, header, (row(key, rep) for key, rep in out))
 
 
@@ -196,7 +196,7 @@ def _sweeps(reads: set[str], *files) -> tuple:
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _GATE = {"scheme", "theta", "xi", "gate_time_ns", "n_reps", "eta", "device_file"}
 _SIMULATE = _GATE | {
-    "grid_n", "quick", "phases", "convention", "rwa", "decoherence", "rabi_deltas", "detuning_eps",
+    "grid_n", "phases", "convention", "rwa", "decoherence", "rabi_deltas", "detuning_eps",
     "steps_per_period", "samples", "trajectory",
 }
 RUNS = {
@@ -204,30 +204,30 @@ RUNS = {
     "simulate": {None: (_SIMULATE, _simulate)},
     "sweep": {
         "rabi": _sweeps(
-            {"scheme", "grid_n", "quick", "rabi_deltas"},
+            {"scheme", "grid_n", "rabi_deltas"},
             ("rabi_sweep.csv", _RABI, lambda cfg: xp.rabi_sweep(cfg.rabi_deltas, cfg.scheme)),
         ),
         "detuning": _sweeps(
-            {"grid_n", "quick", "workers", "detuning_eps", "n_values"},
+            {"grid_n", "workers", "detuning_eps", "n_values"},
             ("detuning_sweep.csv", _REPORTS, lambda cfg: xp.detuning_sweep(cfg.detuning_eps, cfg.n_values)),
         ),
         "eta": (set(), partial(_write_dicts, "eta_sensitivity.csv", "eta,q_s", xp.sensitivity_vs_eta)),
         "phase": _sweeps(
-            {"grid_n", "quick", "workers", "n_values"},
+            {"grid_n", "workers", "n_values"},
             ("phase_sweep.csv", _REPORTS, lambda cfg: xp.initial_phase_sweep("phi1", n_values=cfg.n_values)),
         ),
     },
     "reproduce": {
-        "table1": _sweeps({"quick", "workers"}, ("table1.csv", _REPORTS, lambda cfg: xp.table1())),
+        "table1": _sweeps({"workers"}, ("table1.csv", _REPORTS, lambda cfg: xp.table1())),
         "fig1a": (set(), partial(_write_dicts, "fig1a.csv", "theta_rad,xi_rad,abs_JT_max_rad", xp.amplitude_landscape)),
         "fig4c": (set(), partial(_write_dicts, "fig4c.csv", "eta,q_s", xp.sensitivity_vs_eta)),
-        "fig4d": _sweeps({"quick", "workers"}, ("fig4d.csv", _ETA, lambda cfg: xp.fidelity_vs_eta())),
+        "fig4d": _sweeps({"workers"}, ("fig4d.csv", _ETA, lambda cfg: xp.fidelity_vs_eta())),
         "fig5": _sweeps(
-            {"grid_n", "quick", "workers"},
+            {"grid_n", "workers"},
             ("fig5a.csv", _RABI, lambda cfg: xp.rabi_sweep()),
             ("fig5b.csv", _REPORTS, lambda cfg: xp.detuning_sweep()),
         ),
-        "fig6": _sweeps({"grid_n", "quick", "workers"}, ("fig6.csv", _REPORTS, lambda cfg: xp.robustness_comparison())),
+        "fig6": _sweeps({"grid_n", "workers"}, ("fig6.csv", _REPORTS, lambda cfg: xp.robustness_comparison())),
     },
 }
 
@@ -245,7 +245,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--convention", choices=tuple(FREQUENCIES))
     parser.add_argument("--outdir")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--quick", action="store_true", default=None)
     parser.add_argument("--device-file", dest="device_file")
     parser.add_argument("--samples", type=int)
 

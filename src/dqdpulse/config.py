@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .device import DEFAULT_DEVICE, SCHEMES, DeviceParams, load_device_params, read_json_object
 from .dynamics import require_step_floor
-from .fidelity import FREQUENCIES
+from .fidelity import FREQUENCIES, require_exact_grid
 
 
 @dataclass
@@ -36,7 +36,6 @@ class ExperimentConfig:
     grid_n: int = 5  # the smallest grid exact under both conventions (see fidelity)
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
     steps_per_period: int | None = None  # None: the run's default budget
-    quick: bool = False
     workers: int = 1
     outdir: str = "out"
     device_file: str | None = None
@@ -48,9 +47,7 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
         if self.convention not in FREQUENCIES:
             raise ValueError("convention must be 'standard' or 'paper'")
-        freqs = FREQUENCIES[self.convention]  # the grid mean is exact unless grid_n divides one
-        if self.grid_n < 1 or any(k % self.grid_n == 0 for k in freqs):
-            raise ValueError(f"inexact grid_n: it must be >= 1 and divide no {self.convention} frequency {freqs}")
+        require_exact_grid(self.grid_n, self.convention)
         if self.steps_per_period is not None:
             require_step_floor(self.steps_per_period)
         for name in ("theta", "xi", "eta"):

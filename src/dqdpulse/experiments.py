@@ -1,10 +1,9 @@
 """Reproducible experiment drivers behind the CLI and the scripts.
 
 Each propagated dataset is declared once, as a :class:`Sweep` (its gates,
-its conditions, its frame and decoherence, its budget rule), by a
-function that propagates nothing: ``table1``, ``fidelity_vs_eta``,
-``rabi_sweep``, ``detuning_sweep``, ``robustness_comparison`` and
-``initial_phase_sweep``.  ``Sweep.run`` builds each distinct schedule and
+its conditions, its frame and decoherence), by a function that propagates
+nothing: ``table1``, ``fidelity_vs_eta``, ``rabi_sweep``, ``detuning_sweep``,
+``robustness_comparison`` and ``initial_phase_sweep``.  ``Sweep.run`` builds each distinct schedule and
 grid once and hands the gate-major job list to ``run_jobs``; the CLI's
 ``simulate`` hands it its own jobs.  A job holds a built schedule, an
 initial-state grid and the ``gate_report`` arguments; ``run_jobs``
@@ -44,6 +43,7 @@ from .fidelity import (
     InitialStateGrid,
     average_fidelity,
     build_grid,
+    require_exact_grid,
 )
 from .pulses import (
     PulseSchedule,
@@ -68,7 +68,6 @@ ETA_REF = -1.0 / 3.0
 # the default budget of every run but a closed constant-envelope frame,
 # which takes the floor unless given one
 STEPS_PER_PERIOD_FULL = DEFAULT_STEPS_PER_PERIOD
-STEPS_PER_PERIOD_QUICK = 100
 
 # initial state of the exported trajectories
 PATH_STATE = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -283,30 +282,25 @@ class Sweep(NamedTuple):
     ``gates`` are (key, ``build_schedule`` arguments) and ``conditions`` are
     (initial-state grid phases, errors injected through ``gate_channel``).
     Every gate runs in the RWA frame if ``rwa``, with or without
-    ``decoherence``.  With ``quick_budget``, a quick run takes the lower
-    step budget.  With ``label``, each report names its gate key instead of
-    its scheme.
+    ``decoherence``, at its default step budget.  With ``label``, each
+    report names its gate key instead of its scheme.
     """
 
     gates: Sequence[tuple[object, dict]]
     conditions: Sequence[tuple[tuple[float, float, float], dict]]
     rwa: bool
     decoherence: bool
-    quick_budget: bool = False
     label: bool = False
 
     def run(
-        self, grid_n: int, quick: bool = False, workers: int = 1, log: InvariantLog | None = None
+        self, grid_n: int, workers: int = 1, log: InvariantLog | None = None
     ) -> list[tuple[object, FidelityReport]]:
         """(gate key, report) of every job in job order, from ``run_jobs``;
         each distinct schedule and each distinct grid is built once."""
+        require_exact_grid(grid_n, "standard")  # before any build; every sweep report is standard
         schedules = {k: build_schedule(**dict(k)) for k in dict.fromkeys(tuple(a.items()) for _, a in self.gates)}
         grids = {p: build_grid(grid_n, p) for p in dict.fromkeys(p for p, _ in self.conditions)}
-        run = dict(
-            rwa=self.rwa,
-            decoherence=self.decoherence,
-            steps_per_period=STEPS_PER_PERIOD_QUICK if quick and self.quick_budget else None,
-        )
+        run = dict(rwa=self.rwa, decoherence=self.decoherence)
         keys, jobs = [], []
         for key, args in self.gates:
             for phases, errors in self.conditions:
@@ -318,7 +312,7 @@ class Sweep(NamedTuple):
 
 def _table1(cells: Sequence[tuple[str, int]]) -> Sweep:
     gates = [((s, n), dict(scheme=s, duration=scheme_spec(s).reference_time, n_reps=n)) for s, n in cells]
-    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True)
+    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True)
 
 
 def table1_entry(scheme: str, n_reps: int) -> Sweep:
@@ -340,7 +334,7 @@ def fidelity_vs_eta() -> Sweep:
     """
     etas = _regular_etas(np.linspace(-1.0, 1.0, 41))
     gates = [(eta, dict(scheme="fsim_poly", duration=POLY_GATE_TIME, eta=eta)) for eta in etas]
-    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True, quick_budget=True)
+    return Sweep(gates, _PRISTINE, rwa=False, decoherence=True)
 
 
 def rabi_sweep(deltas: Sequence[float] = (), scheme: str = "fsim_rect") -> Sweep:
@@ -366,7 +360,7 @@ def detuning_sweep(eps_values: Sequence[float] = (), n_values: Sequence[int] = (
     """Optimal-parameter-pulse fidelity under frame-frequency miscalibration
     (none given: ``PAPER_ERRORS``), keyed by N."""
     conditions = _errors("detuning_eps", eps_values)
-    return Sweep(_poly_gates(n_values), conditions, rwa=True, decoherence=False, quick_budget=True)
+    return Sweep(_poly_gates(n_values), conditions, rwa=True, decoherence=False)
 
 
 def robustness_comparison(deltas: Sequence[float] = (), eps_values: Sequence[float] = ()) -> Sweep:
@@ -398,7 +392,7 @@ def initial_phase_sweep(
         raise ValueError(f"axis must be one of {axes}, got {axis!r}")
     values = tuple(values) or np.linspace(0.0, math.pi, 5)
     conditions = [(tuple(float(v) if axis == a else 0.0 for a in axes), {}) for v in values]
-    return Sweep(_poly_gates(n_values), conditions, rwa=False, decoherence=decoherence, quick_budget=True)
+    return Sweep(_poly_gates(n_values), conditions, rwa=False, decoherence=decoherence)
 
 
 # ---------------------------------------------------------------------------

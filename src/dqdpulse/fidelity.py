@@ -19,6 +19,7 @@ The n-point periodic trapezoid rule integrates e^{ik Phi} exactly unless n
 divides k (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), so the grid
 mean is the exact average over (Phi1, Phi2) for every other n; n = 5 (25
 states) is the smallest grid exact under both conventions.
+``require_exact_grid`` rejects the other sizes; ``build_grid`` takes any.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ class InitialStateGrid:
     @property
     def size(self) -> int:
         return self.states.shape[0]
+
+
+def require_exact_grid(n: int, convention: str) -> None:
+    """Raise ``ValueError`` unless the n-point grid mean is exact under ``convention``."""
+    freqs = FREQUENCIES[convention]
+    if n < 1 or any(k % n == 0 for k in freqs):
+        raise ValueError(f"inexact grid_n: it must be >= 1 and divide no {convention} frequency {freqs}")
 
 
 def build_grid(n: int, phases: Sequence[float] = (0.0, 0.0, 0.0)) -> InitialStateGrid:

@@ -322,8 +322,8 @@ def polynomial_coefficients(theta: float, xi: float, n_reps: int, eta: float) ->
     beta solves the cosine-moment constraint for a single pulse against
     cos(2 n_reps pi t / T); alpha then fixes the area to 2 theta.  Either
     solution denominator may vanish (the amplitude normalization does so
-    identically at eta = 0, where beta = -2/5 and 14 + 35 beta = 0); both
-    cases are the family's singular configurations.
+    identically at eta = 0, where beta = -2/5 and 14 + 35 beta = 0), and the
+    beta one overflows as theta -> 0: the family's singular configurations.
     """
     m = n_reps * math.pi
     a_coef = -(6300.0 + 12600.0 * eta)
@@ -333,9 +333,9 @@ def polynomial_coefficients(theta: float, xi: float, n_reps: int, eta: float) ->
     ratio = xi / theta
     den = 18900.0 * eta + a_coef * m**2 + b_coef * m**6 * ratio
     scale = abs(18900.0 * eta) + abs(a_coef) * m**2 + abs(b_coef) * m**6 * abs(ratio)
-    if abs(den) < 1e-9 * scale:
+    if not math.isfinite(scale) or abs(den) < 1e-9 * scale:
         raise ValueError(
-            f"singular polynomial configuration: beta denominator vanishes "
+            f"singular polynomial configuration: beta denominator vanishes or overflows "
             f"(eta={eta}, n_reps={n_reps}, xi/theta={ratio})"
         )
     beta = (2520.0 * m**2 - 14.0 * m**6 * ratio) / den

@@ -55,7 +55,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 
 def decohered_fidelity(scheme: str, n_reps: int, grid_n: int) -> float:
-    ((_, rep),) = xp.table1_entry(scheme, n_reps).run(grid_n, quick=(grid_n == 10))
+    ((_, rep),) = xp.table1_entry(scheme, n_reps).run(grid_n)
     return rep.fidelity
 
 
@@ -71,11 +71,11 @@ class TestCriterion1TableOneRectangular:
         )
 
     @pytest.mark.parametrize("n_reps", [1, 2, 3])
-    def test_quick_grid(self, n_reps):
+    def test_ten_point_grid(self, n_reps):
         f = decohered_fidelity("fsim_rect", n_reps, 10)
         ref = TABLE1_RECT[n_reps]
         check(
-            f"criterion 1 (rect N={n_reps}, quick n=10)",
+            f"criterion 1 (rect N={n_reps}, n=10)",
             abs(f - ref) <= TABLE1_TOL_QUICK,
             f"F = {f:.6f} vs {ref:.4f} +/- {TABLE1_TOL_QUICK:.4f}",
         )

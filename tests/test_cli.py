@@ -29,13 +29,13 @@ class TestConfig:
     @pytest.mark.parametrize(
         "flags, doc, grid_n",
         [
-            ([], None, 5), (["--quick"], None, 5),
-            (["--quick", "--grid-n", "40"], None, 40), (["--quick"], {"grid_n": 40}, 40),
+            ([], None, 5), (["--grid-n", "40"], None, 40),
+            ([], {"grid_n": 40}, 40), (["--grid-n", "7"], {"grid_n": 40}, 7),
         ],
     )
-    def test_default_grid_is_five_with_and_without_quick(self, flags, doc, grid_n, tmp_path, monkeypatch):
+    def test_default_grid_is_five(self, flags, doc, grid_n, tmp_path, monkeypatch):
         # the smallest grid exact under both conventions, unless a grid size is given
-        assert ExperimentConfig().grid_n == ExperimentConfig(quick=True).grid_n == 5
+        assert ExperimentConfig().grid_n == 5
         seen = []
         reads, _ = cli.RUNS["simulate"][None]
         monkeypatch.setitem(cli.RUNS["simulate"], None, (reads, lambda cfg, writer, log: seen.append(cfg)))
@@ -43,7 +43,7 @@ class TestConfig:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
             flags = [*flags, "--config", str(tmp_path / "cfg.json")]
         main(["simulate", *flags, "--outdir", str(tmp_path / "out")])
-        assert seen[0].quick == ("--quick" in flags) and seen[0].grid_n == grid_n
+        assert seen[0].grid_n == grid_n
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -52,7 +52,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "doc",
         [
-            {"quick": "no"}, {"decoherence": "false"}, {"trajectory": 1}, {"n_reps": 2.5}, {"n_reps": True},
+            {"rwa": "no"}, {"decoherence": "false"}, {"trajectory": 1}, {"n_reps": 2.5}, {"n_reps": True},
             {"grid_n": 2.5}, {"steps_per_period": "200"}, {"theta": "0.5"}, {"theta": False}, {"gate_time_ns": [45]},
             {"rabi_deltas": 0.05}, {"rabi_deltas": [0.05, True]}, {"phases": [0, 1, "2"]}, {"phases": [0, 1]}, {"device_file": 3},
             {"scheme": None}, {"convention": 1}, {"grid_n": None},
@@ -70,9 +70,10 @@ class TestConfig:
 
     def test_json_types_of_each_field_are_accepted(self, tmp_path):
         doc = {"theta": 1, "xi": 0.5, "gate_time_ns": None, "n_reps": 2, "grid_n": 7, "rabi_deltas": [0, 0.01]}
-        cfg = config_from_mapping({**doc, "device_file": None, "phases": [0, 0.5, 1], "quick": True})
+        cfg = config_from_mapping({**doc, "device_file": None, "phases": [0, 0.5, 1], "rwa": True})
         assert (cfg.theta, cfg.n_reps, cfg.grid_n, cfg.rabi_deltas, cfg.phases) == (1, 2, 7, (0, 0.01), (0, 0.5, 1))
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "fsim_quick.json"
+        assert cfg.rwa is True
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "fsim_rect_n3.json"
         assert config_from_mapping(config_document(shipped, {})).n_reps == 3
 
     def test_rejects_bad_ranges(self):
@@ -149,12 +150,12 @@ class TestCliRuns:
             (["simulate", "--trajectory", "--samples", "-3"], None),
             (["synthesize", "--samples", "0"], None),
             (["synthesize", "--samples", "1"], None),
-            (["sweep", "detuning", "--quick", "--workers", "-2"], None),
-            (["sweep", "detuning", "--quick", "--n-values", "0"], None),
-            (["sweep", "detuning", "--quick", "--n-values", "1", "-1"], None),
+            (["sweep", "detuning", "--workers", "-2"], None),
+            (["sweep", "detuning", "--n-values", "0"], None),
+            (["sweep", "detuning", "--n-values", "1", "-1"], None),
             (["reproduce", "fig4c"], "0"),
             (["reproduce", "fig4c"], "two"),
-            (["sweep", "phase", "--quick"], "-1"),
+            (["sweep", "phase"], "-1"),
         ],
         ids=[
             "simulate-samples-0", "simulate-samples-negative", "synthesize-samples-0", "synthesize-samples-1",
@@ -178,7 +179,7 @@ class TestCliRuns:
             (["sweep", "rabi", "--n-reps", "3"], "--n-reps"),
             (["sweep", "rabi", "--workers", "2", "--steps-per-period", "100"], "--steps-per-period, --workers"),
             (["sweep", "eta", "--theta", "0.5"], "--theta"),
-            (["sweep", "eta", "--grid-n", "5", "--quick"], "--grid-n, --quick"),
+            (["sweep", "eta", "--grid-n", "5", "--workers", "2"], "--grid-n, --workers"),
             (["sweep", "detuning", "--scheme", "fsim_rect"], "--scheme"),
             (["sweep", "phase", "--rabi-deltas", "0.05"], "--rabi-deltas"),
         ],
@@ -211,15 +212,15 @@ class TestCliRuns:
         "argv, doc, flag",
         [
             (["sweep", "rabi"], {"n_reps": 3}, "--n-reps"),
-            (["sweep", "eta"], {"grid_n": 5, "quick": True}, "--grid-n, --quick"),
-            (["sweep", "detuning", "--quick"], {"scheme": "fsim_rect"}, "--scheme"),
+            (["sweep", "eta"], {"grid_n": 5, "workers": 2}, "--grid-n, --workers"),
+            (["sweep", "detuning"], {"scheme": "fsim_rect"}, "--scheme"),
             (["sweep", "phase", "--rabi-deltas", "0.05"], {"workers": 1, "theta": 0.5}, "--rabi-deltas, --theta"),
             (
                 ["reproduce", "fig1a"],
                 {"scheme": "bgate", "n_reps": 3, "steps_per_period": 400},
                 "--n-reps, --scheme, --steps-per-period",
             ),
-            (["reproduce", "table1"], {"quick": True, "steps_per_period": 400}, "--steps-per-period"),
+            (["reproduce", "table1"], {"workers": 1, "steps_per_period": 400}, "--steps-per-period"),
         ],
         ids=["rabi-n-reps", "eta-grid", "detuning-scheme", "phase-flag-and-key", "fig1a-gate-keys", "table1-steps"],
     )
@@ -311,7 +312,7 @@ class TestCliRuns:
         "argv, doc, flag",
         [
             (["synthesize", "--workers", "2"], None, "--workers"),
-            (["synthesize", "--quick"], None, "--quick"),
+            (["synthesize", "--grid-n", "7"], None, "--grid-n"),
             (
                 ["synthesize", "--workers", "3", "--grid-n", "7", "--steps-per-period", "400", "--convention", "paper"],
                 None,
@@ -320,7 +321,7 @@ class TestCliRuns:
             (["simulate", "--workers", "2"], None, "--workers"),
             (["simulate"], {"n_values": [1]}, "--n-values"),
         ],
-        ids=["synthesize-workers", "synthesize-quick", "synthesize-run-flags", "simulate-workers", "simulate-n-values-key"],
+        ids=["synthesize-workers", "synthesize-grid", "synthesize-run-flags", "simulate-workers", "simulate-n-values-key"],
     )
     def test_synthesize_and_simulate_reject_what_they_do_not_read(self, argv, doc, flag, tmp_path, capsys):
         if doc is not None:
@@ -334,6 +335,21 @@ class TestCliRuns:
         (tmp_path / "doc.json").write_text(json.dumps({"schem": "bgate"}))
         assert main(["sweep", "eta", "--config", str(tmp_path / "doc.json"), "--outdir", str(tmp_path / "bad")]) == 2
         assert capsys.readouterr().err == "dqdpulse: error: unknown config keys: ['schem']\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["synthesize"], ["simulate"], ["sweep", "rabi"], ["reproduce", "table1"]], ids=lambda argv: argv[0]
+    )
+    def test_quick_is_no_option(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([*argv, "--quick", "--outdir", str(tmp_path / "bad")])
+        assert done.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["dqdpulse: error: unrecognized arguments: --quick"]
+        assert not (tmp_path / "bad").exists()
+        (tmp_path / "doc.json").write_text(json.dumps({"quick": True}))
+        assert main([*argv, "--config", str(tmp_path / "doc.json"), "--outdir", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == "dqdpulse: error: unknown config keys: ['quick']\n"
+        assert not (tmp_path / "bad").exists()
 
     def test_synthesize_writes_schedule_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "syn"
@@ -444,7 +460,7 @@ class TestCliRuns:
         rc = main(
             [
                 "sweep", "detuning", "--detuning-eps", "0", "0.05", "--n-values", "1",
-                "--quick", "--workers", "1", "--outdir", str(tmp_path),
+                "--workers", "1", "--outdir", str(tmp_path),
             ]
         )
         assert rc == 1 and len(runs) == 2
@@ -545,7 +561,7 @@ class TestDeterminismAcrossWorkers:
     def test_detuning_sweep_bytes_identical(self, tmp_path):
         args = [
             "sweep", "detuning", "--detuning-eps", "-0.05", "0.05",
-            "--n-values", "1", "--grid-n", "6", "--quick",
+            "--n-values", "1", "--grid-n", "6",
         ]
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert main(args + ["--outdir", str(out1), "--workers", "1"]) == 0
@@ -576,14 +592,14 @@ class TestReproduceFiguresScript:
         return done.value.code, calls
 
     def test_each_target_gets_the_flags_it_reads(self, monkeypatch):
-        code, calls = self.run(monkeypatch, "--quick", "--grid-n", "10", "--workers", "2")
+        code, calls = self.run(monkeypatch, "--grid-n", "10", "--workers", "2")
         assert code == 0
         assert calls == [
             ["reproduce", "fig1a", "--outdir", "out/fig1a"],
             ["reproduce", "fig4c", "--outdir", "out/fig4c"],
-            ["reproduce", "fig4d", "--outdir", "out/fig4d", "--workers", "2", "--quick"],
-            ["reproduce", "fig5", "--outdir", "out/fig5", "--grid-n", "10", "--workers", "2", "--quick"],
-            ["reproduce", "fig6", "--outdir", "out/fig6", "--grid-n", "10", "--workers", "2", "--quick"],
+            ["reproduce", "fig4d", "--outdir", "out/fig4d", "--workers", "2"],
+            ["reproduce", "fig5", "--outdir", "out/fig5", "--grid-n", "10", "--workers", "2"],
+            ["reproduce", "fig6", "--outdir", "out/fig6", "--grid-n", "10", "--workers", "2"],
         ]
         for argv in calls:  # every argv parses, and its run reads each flag it is given
             reads = cli.RUNS["reproduce"][argv[1]][0]
@@ -597,7 +613,7 @@ class TestReproduceFiguresScript:
             ["reproduce", "fig1a", "--outdir", "figs/fig1a"],
         ]
 
-    @pytest.mark.parametrize("args", [["fig1a", "--quick"], ["--scheme", "bgate"], ["table1"]])
+    @pytest.mark.parametrize("args", [["fig1a", "--workers", "2"], ["--scheme", "bgate"], ["table1"]])
     def test_rejects_flags_no_target_reads_and_unknown_targets(self, monkeypatch, capsys, args):
         code, calls = self.run(monkeypatch, *args)
         assert code == 2 and calls == []
@@ -605,9 +621,9 @@ class TestReproduceFiguresScript:
 
 
 class TestReproduceTable1:
-    def test_quick_emits_twenty_rows(self, tmp_path):
+    def test_emits_twenty_rows(self, tmp_path):
         out = tmp_path / "t1"
-        rc = main(["reproduce", "table1", "--quick", "--outdir", str(out), "--workers", "2"])
+        rc = main(["reproduce", "table1", "--outdir", str(out), "--workers", "2"])
         assert rc == 0
         lines = (out / "table1.csv").read_text().strip().splitlines()
         assert len(lines) == 21  # header + 2 schemes x N = 1..10
@@ -641,6 +657,11 @@ def config_attribute_reads(config_source: str) -> dict[str, set[str]]:
 def undeclared(read: set[str], reads: set[str]) -> list[str]:
     """The fields of ``read`` missing from a run's ``reads``."""
     return sorted(read - reads)
+
+
+def unread(read: set[str], reads: set[str]) -> list[str]:
+    """The fields a run declares in ``reads`` that its body never reads."""
+    return sorted(reads - read)
 
 
 def body_reads(cli_source: str, body: str | int, attributes: dict[str, set[str]]) -> set[str]:
@@ -706,28 +727,30 @@ def test_detector_follows_helpers_and_config_properties():
 
 
 def test_detector_follows_declarations():
-    config_source = "@dataclass\nclass ExperimentConfig:\n    n: int = 5\n    quick: bool = False\n    b: int = 0\n"
+    config_source = "@dataclass\nclass ExperimentConfig:\n    n: int = 5\n    rwa: bool = False\n    b: int = 0\n"
     attributes = config_attribute_reads(config_source)
     cli_source = (
         "def helper(cfg):\n    return cfg.b\n"
         "RUNS = {\n"
-        "    'grid': ({'quick'}, ('grid.csv', lambda cfg: sweep(cfg.n))),\n"
-        "    'undeclared': ({'quick'}, ('b.csv', lambda cfg: sweep(helper(cfg), cfg.quick))),\n"
+        "    'grid': ({'rwa'}, ('grid.csv', lambda cfg: sweep(cfg.n))),\n"
+        "    'undeclared': ({'rwa'}, ('b.csv', lambda cfg: sweep(helper(cfg), cfg.rwa))),\n"
         "}\n"
     )
     grid, declaration = body_reads(cli_source, 4, attributes), body_reads(cli_source, 5, attributes)
-    assert grid == {"n"} and declaration == {"b", "quick"}
-    assert undeclared(grid, {"n", "quick"}) == []
-    assert undeclared(grid, {"quick"}) == ["n"]
-    assert undeclared(declaration, {"quick"}) == ["b"]
+    assert grid == {"n"} and declaration == {"b", "rwa"}
+    assert undeclared(grid, {"n"}) == unread(grid, {"n"}) == []
+    assert undeclared(grid, {"rwa"}) == ["n"] and unread(grid, {"rwa"}) == ["rwa"]
+    assert undeclared(declaration, {"rwa"}) == ["b"] and unread(declaration, {"rwa"}) == []
 
 
-def test_every_run_declares_the_config_fields_its_body_reads():
+def test_every_run_declares_exactly_the_config_fields_its_body_reads():
+    # (read but not declared, declared but not read) of each run
     config_source = Path(config.__file__).read_text()
     attributes = config_attribute_reads(config_source)
     cli_source = Path(cli.__file__).read_text()
     found = {}
     for command, runs in cli.RUNS.items():
         for target, (reads, body) in runs.items():
-            found[f"{command} {target}"] = undeclared(run_reads(cli_source, body, attributes), reads)
-    assert found == {name: [] for name in found}
+            read = run_reads(cli_source, body, attributes)
+            found[f"{command} {target}"] = (undeclared(read, reads), unread(read, reads))
+    assert found == {name: ([], []) for name in found}

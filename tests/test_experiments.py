@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dqdpulse
 import dqdpulse.cli as cli
@@ -16,7 +18,8 @@ from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import InvariantLog, initial_phase_sweep, parallel_transport_defect, rabi_sweep
-from dqdpulse.pulses import fsim_rectangular
+from dqdpulse.fidelity import build_grid
+from dqdpulse.pulses import fsim_rectangular, polynomial_coefficients
 
 
 class TestParallelTransportDefect:
@@ -39,10 +42,38 @@ class TestParallelTransportDefect:
         assert parallel_transport_defect(schedule, sample_count=n) == pytest.approx(expected, rel=1e-12)
 
 
+class TestPristineGateLaw:
+    """A closed, RWA-frame, error-free fSim gate at its scheme's reference
+    time is its target on the default grid, at every (theta, xi, N) the
+    config accepts for a one-step scheme (N = 1 for the geometric one).
+
+    The law's domain leaves out the polynomial family's singular
+    configurations, where ``polynomial_coefficients`` raises, and
+    theta = +-pi/2 for the geometric construction, which divides by cos(theta).
+    """
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly", "fsim_geometric"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.floats(-math.pi / 2.0, math.pi / 2.0), st.floats(-math.pi, math.pi), st.integers(1, 10))
+    def test_reaches_its_target(self, scheme, theta, xi, n_reps):
+        if scheme == "fsim_geometric":
+            n_reps = 1
+            assume(abs(math.cos(theta)) >= 1e-12)
+        cfg = ExperimentConfig(scheme=scheme, theta=theta, xi=xi, n_reps=n_reps)
+        if scheme == "fsim_poly":
+            try:
+                polynomial_coefficients(theta, xi, n_reps, cfg.eta)
+            except ValueError:
+                assume(False)
+        schedule = xp.build_schedule(scheme, theta, xi, SCHEMES[scheme].reference_time, n_reps, cfg.eta)
+        report, _ = xp.gate_report(schedule, build_grid(cfg.grid_n), rwa=True, decoherence=False)
+        assert 1.0 - report.fidelity <= 1e-12
+
+
 class TestInitialPhaseSweep:
     def test_sweep_shape_and_axis(self):
         sweep = initial_phase_sweep("phi3", [0.0, 1.0, 2.0], [1, 2], decoherence=False)
-        reports = [rep for _, rep in sweep.run(6, quick=True)]
+        reports = [rep for _, rep in sweep.run(6)]
         assert len(reports) == 6
         assert reports[0].phases == (0.0, 0.0, 0.0)
         assert reports[1].phases == (0.0, 0.0, 1.0)
@@ -94,13 +125,13 @@ class TestJobRunner:
 
     # argv (each with --outdir), then the schedules built, grids built and jobs run
     RUNS = {
-        "reproduce table1": (["reproduce", "table1", "--quick"], 20, 1, 20),
-        "reproduce fig4d": (["reproduce", "fig4d", "--quick"], 40, 1, 40),
+        "reproduce table1": (["reproduce", "table1"], 20, 1, 20),
+        "reproduce fig4d": (["reproduce", "fig4d"], 40, 1, 40),
         "reproduce fig5": (["reproduce", "fig5"], 1 + 3, 1 + 1, 11 + 33),
         "reproduce fig6": (["reproduce", "fig6"], 2, 1, 44),
         "sweep rabi": (["sweep", "rabi"], 1, 1, 11),
-        "sweep detuning": (["sweep", "detuning", "--quick"], 3, 1, 33),
-        "sweep phase": (["sweep", "phase", "--quick"], 3, 5, 15),
+        "sweep detuning": (["sweep", "detuning"], 3, 1, 33),
+        "sweep phase": (["sweep", "phase"], 3, 5, 15),
         "simulate None": (["simulate", "--no-decoherence"], 1, 1, 1),
     }
 
@@ -136,12 +167,18 @@ class TestJobRunner:
 
     def test_duplicated_n_keeps_its_rows_and_is_built_once(self, counted, tmp_path, monkeypatch):
         monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
-        argv = ["sweep", "detuning", "--quick", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
+        argv = ["sweep", "detuning", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
         built, grids, runs = counted
         assert (len(built), len(grids), len(runs)) == (1, 1, 4)
         rows = (tmp_path / "detuning_sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 and rows[:2] == rows[2:] and rows[0] != rows[1]
+
+    @pytest.mark.parametrize("grid_n", [4, 2, 1, 0])
+    def test_inexact_grid_is_rejected_before_any_schedule_is_built(self, grid_n, builds):
+        with pytest.raises(ValueError, match="inexact grid_n"):
+            xp.table1().run(grid_n)
+        assert builds == []
 
     def test_fig6_builds_and_logs_its_dynamic_schedule_first(self, builds, tmp_path, capsys):
         assert main(["reproduce", "fig6", "--outdir", str(tmp_path)]) == 0
@@ -175,6 +212,6 @@ class TestJobRunner:
         grids = []
         run_jobs = xp.run_jobs
         monkeypatch.setattr(xp, "run_jobs", lambda jobs, *a, **k: grids.extend(g for _, g, _ in jobs) or run_jobs(jobs, *a, **k))
-        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], decoherence=False).run(5, quick=True)
+        initial_phase_sweep("phi2", [0.0, 1.0], [1, 2], decoherence=False).run(5)
         assert [g.phases for g in grids] == [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)] * 2
         assert grids[0] is grids[2] and grids[1] is grids[3]

@@ -154,6 +154,12 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             fsim_polynomial(0.0, XI, T50, 1)
 
+    @pytest.mark.parametrize("theta", [5e-324, 2.2e-311, -1e-306])
+    def test_overflowing_xi_over_theta_is_singular(self, theta):
+        # the theta -> 0 limit, where xi/theta overflows the beta denominator
+        with pytest.raises(ValueError, match="singular"):
+            polynomial_coefficients(theta, 1.0, 1, -1.0 / 3.0)
+
 
 class TestBgate:
     def test_segment_areas(self):
