@@ -7,12 +7,15 @@ Runs a fixed list of ``dqdpulse`` commands (``COMMANDS``) twice: in a
 ``git archive`` copy of REV (default HEAD) and in the working tree, each
 with ``PYTHONPATH`` pointed at that tree's ``src``.  For every output file
 it reports whether the bytes are identical and, if not, the largest
-absolute and relative change per CSV column; manifests are compared key by
-key, ignoring ``runtime_s``.  It also reports exit-code and stdout
-differences.  A changed header, row count or file list is an error.  The
-exit code is 0 only if nothing differs.  Uses the standard library only;
-one tree takes about 25 s on two shared vCPUs, most of it the decohered
-B gate.
+absolute and relative change per CSV column.  Manifests are compared key by
+key, ignoring ``runtime_s``, and each changed propagation record by its
+fields (rule, steps, budget, ...).  On stdout, each invariant check line
+``[ok] name: value <= bound`` whose value, bound or status moved is
+reported with its old and new value and the change; other changed lines
+are counted.  It also reports exit-code differences.  A changed header,
+row count or file list is an error.  The exit code is 0 only if nothing
+differs.  Uses the standard library only; one tree takes about 25 s on
+two shared vCPUs, most of it the decohered B gate.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMES = ("fsim_rect", "fsim_poly", "fsim_geometric", "bgate")
@@ -110,9 +115,70 @@ def csv_changes(old: str, new: str) -> dict[str, tuple[float, float]]:
     return changes
 
 
+# an invariant check as the CLI prints it: [ok] name: 1.234e-15 <= 1.0e-09
+CHECK = re.compile(r"\[(ok|FAIL)\] (\S+): (\S+) <= (\S+)")
+
+
+def _checks(stdout: str) -> tuple[dict[str, tuple[str, str, str]], list[str]]:
+    """The check lines of ``stdout`` by name, numbered where a name repeats,
+    as (status, value, bound), and the other lines."""
+    lines = stdout.splitlines()
+    matches = [CHECK.fullmatch(line) for line in lines]
+    found = [m.groups() for m in matches if m]
+    total, seen = Counter(name for _, name, _, _ in found), Counter()
+    checks = {}
+    for status, name, value, bound in found:
+        seen[name] += 1
+        checks[name if total[name] == 1 else f"{name} #{seen[name]}"] = (status, value, bound)
+    return checks, [line for line, m in zip(lines, matches) if m is None]
+
+
+def stdout_changes(old: str, new: str) -> list[str]:
+    """One line per invariant check whose value, bound or status moved, with
+    the change, and a count of the other lines that differ."""
+    (ca, oa), (cb, ob) = _checks(old), _checks(new)
+    lines = []
+    for name in [*ca, *(n for n in cb if n not in ca)]:
+        if name not in ca or name not in cb:
+            lines.append(f"check {name}: only in the {'new' if name in cb else 'old'} run")
+        elif ca[name] != cb[name]:
+            (sa, va, ba), (sb, vb, bb) = ca[name], cb[name]
+            fa, fb = _number(va), _number(vb)
+            change = f" ({fb - fa:+.3g})" if fa is not None and fb is not None else ""
+            extra = "".join(
+                f", {what} {x} -> {y}" for what, x, y in (("bound", ba, bb), ("status", sa, sb)) if x != y
+            )
+            lines.append(f"check {name}: {va} -> {vb}{change}{extra}")
+    changed = sum(x != y for x, y in zip(oa, ob)) + abs(len(oa) - len(ob))
+    if changed:
+        lines.append(f"stdout: {changed} of {len(oa)} other lines differ")
+    return lines
+
+
+def _indices(ix: list[int]) -> str:
+    listed = ", ".join(map(str, ix[:5]))
+    return f"{listed}, ... ({len(ix)} records)" if len(ix) > 5 else listed
+
+
 def _manifest_changes(old: str, new: str) -> list[str]:
+    """The changed manifest keys but ``runtime_s`` and ``propagations``, then
+    each changed propagation record's fields, records with equal changes
+    together."""
     a, b = json.loads(old), json.loads(new)
-    return sorted(k for k in a.keys() | b.keys() if k != "runtime_s" and a.get(k) != b.get(k))
+    skip = ("runtime_s", "propagations")
+    keys = sorted(k for k in a.keys() | b.keys() if k not in skip and a.get(k) != b.get(k))
+    lines = [f"manifest.json: {', '.join(keys)} differ"] if keys else []
+    pa, pb = a.get("propagations", []), b.get("propagations", [])
+    if len(pa) != len(pb):
+        lines.append(f"manifest.json propagations: {len(pa)} -> {len(pb)} records")
+    changes: dict[str, list[int]] = {}
+    for i, (x, y) in enumerate(zip(pa, pb)):
+        fields = [f"{f} {x.get(f)} -> {y.get(f)}" for f in sorted(x.keys() | y.keys()) if x.get(f) != y.get(f)]
+        if fields:
+            changes.setdefault(", ".join(fields), []).append(i)
+    for fields, ix in changes.items():
+        lines.append(f"manifest.json propagation {_indices(ix)}: {fields}")
+    return lines
 
 
 def compare(old: dict, new: dict) -> list[str]:
@@ -121,10 +187,7 @@ def compare(old: dict, new: dict) -> list[str]:
     lines = []
     if old["code"] != new["code"]:
         lines.append(f"exit code {old['code']} -> {new['code']}")
-    if old["stdout"] != new["stdout"]:
-        a, b = old["stdout"].splitlines(), new["stdout"].splitlines()
-        changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-        lines.append(f"stdout: {changed} of {len(a)} lines differ")
+    lines += stdout_changes(old["stdout"], new["stdout"])
     files = [set(os.listdir(r["outdir"])) if os.path.isdir(r["outdir"]) else set() for r in (old, new)]
     if files[0] != files[1]:
         lines.append(f"ERROR file list {sorted(files[0])} -> {sorted(files[1])}")
@@ -132,9 +195,7 @@ def compare(old: dict, new: dict) -> list[str]:
         with open(os.path.join(old["outdir"], name)) as fa, open(os.path.join(new["outdir"], name)) as fb:
             a, b = fa.read(), fb.read()
         if name == "manifest.json":
-            keys = _manifest_changes(a, b)
-            if keys:
-                lines.append(f"{name}: {', '.join(keys)} differ")
+            lines += _manifest_changes(a, b)
         elif a != b:
             try:
                 changes = csv_changes(a, b)

@@ -121,7 +121,8 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     A is scaled by 2^-s so that nu = max_k ||A_k||_1 is at most
     ``_TAYLOR_THETA``, the degree m is the smallest whose remainder bound
     nu^(m+1)/(m+1)! e^nu is at most ``_TAYLOR_TOL``, the series is summed
-    by Horner's rule and the result squared s times.  The bound holds for
+    by Horner's rule on its coefficients 1/k!, E = A/m! + I/(m-1)! and then
+    E <- A E + I/k!, and the result squared s times.  The bound holds for
     any matrix; for skew-Hermitian A (or its real form) the factors are
     unitary to rounding, not by construction.  The frames' Magnus-Filon
     steps at their default budgets sit near ||A||_1 = 1e-3 (the B gate,
@@ -129,9 +130,12 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     floor; m = 10), and m costs m - 1 matrix products.
 
     The column sums of the norm are one contiguous reduction, and Horner's
-    rule runs in two buffers, adding I on their diagonal in place: the
-    array passes around the products cost more than the 8x8 products.
-    The result is bit for bit that of the plain Horner sum I + (A E) / k.
+    rule runs in two buffers, adding I/k! on their diagonal in place: each
+    degree costs one product and no pass over the stack, such passes
+    costing more than 8x8 products.  Each buffer's matrices end in a spare
+    row, which puts all their diagonal entries on one stride; the factors
+    returned are a view without it.  The result is bit for bit that of the
+    plain coefficient-form sum A E + I/k! on fresh arrays.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite input is reported below
         nu = float(np.einsum("...ij->...j", np.abs(a)).max(initial=0.0))
@@ -146,18 +150,15 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     while nu ** (m + 1) / math.factorial(m + 1) * math.exp(nu) > _TAYLOR_TOL:
         m += 1
     d = a.shape[-1]
-    e = np.empty(a.shape, dtype=np.result_type(a, float))  # C order whatever a's layout: the diagonal view below
-    spare = np.empty_like(e)
-    np.divide(a, m, out=e)
-    e.reshape(-1, d * d)[:, :: d + 1] += 1.0
-    for k in range(m - 1, 0, -1):
+    buffers = [np.empty((*a.shape[:-2], d + 1, d), dtype=np.result_type(a, float)) for _ in range(2)]
+    e, spare = (b[..., :d, :] for b in buffers)
+    diag, spare_diag = (b.reshape(-1)[:: d + 1] for b in buffers)
+    np.multiply(a, 1.0 / math.factorial(m), out=e)
+    diag += 1.0 / math.factorial(m - 1)
+    for k in range(m - 2, -1, -1):
         np.matmul(a, e, out=spare)
-        if k & (k - 1):
-            spare /= k
-        elif k > 1:
-            spare *= 1.0 / k  # the same rounding as / k for a power of two, at a third of the cost
-        spare.reshape(-1, d * d)[:, :: d + 1] += 1.0
-        e, spare = spare, e
+        spare_diag += 1.0 / math.factorial(k)
+        e, spare, diag, spare_diag = spare, e, spare_diag, diag
     for _ in range(squarings):
         np.matmul(e, e, out=spare)
         e, spare = spare, e

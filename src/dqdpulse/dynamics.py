@@ -495,15 +495,24 @@ def _moment_weights(degree: int) -> np.ndarray:
     return out
 
 
+@lru_cache
+def _series_weights(terms: int, ps: range, qs: range) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only constants of ``_divided_exps``: C(n + q - 1, n) as
+    (terms, q, 1, 1) and 1 / (n + p + q)! as (terms, p, q, 1, 1)."""
+    n, p, q = np.ogrid[:terms, ps.start : ps.stop, qs.start : qs.stop]
+    factorial = np.array([math.factorial(i) for i in range(terms + ps.stop + qs.stop)], dtype=float)
+    binomial = (factorial[n + q - 1] / factorial[n] / factorial[q - 1])[:, 0, :, None, None]
+    weight = (1.0 / factorial[n + p + q])[..., None, None]  # a real multiply: complex division is 5x slower
+    binomial.flags.writeable = weight.flags.writeable = False
+    return binomial, weight
+
+
 def _divided_exps(z: np.ndarray, w: np.ndarray, ps: range, qs: range, terms: int) -> np.ndarray:
     """F[i, j] = f[0, z (ps[i] times), w (qs[j] times)] of exp, qs >= 1:
     sum_n c_n / (n + p + q)!, with c_n the complete homogeneous polynomial
     of degree n in those nodes.  For the w's alone c_n = C(n + q - 1, n) w^n;
     each z joins as c_n(.., z) = z c_{n-1}(.., z) + c_n(..)."""
-    n, p, q = np.ogrid[:terms, ps.start : ps.stop, qs.start : qs.stop]
-    factorial = np.array([math.factorial(i) for i in range(terms + ps.stop + qs.stop)], dtype=float)
-    binomial = (factorial[n + q - 1] / factorial[n] / factorial[q - 1])[:, 0, :, None, None]  # C(n + q - 1, n)
-    weight = (1.0 / factorial[n + p + q])[..., None, None]  # a real multiply: complex division is 5x slower
+    binomial, weight = _series_weights(terms, ps, qs)
     c = np.ones((ps.stop, len(qs)) + z.shape, dtype=complex)  # c[p, j] for p up to max(ps), at n = 0
     rows = slice(ps.start, ps.stop)
     out = c[rows] * weight[0]
@@ -606,6 +615,14 @@ def _filon_table(
     return table
 
 
+@lru_cache
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(size, 1), read-only."""
+    k, l = np.triu_indices(size, 1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
+
+
 class _MagnusFilon:
     """Fourth-order Magnus-Filon factors exp(Omega_1 + Omega_2) of a
     Hamiltonian given as Fourier terms, closed or open, in real form.
@@ -632,7 +649,7 @@ class _MagnusFilon:
         a = space.generators(g)
         if space.dissipator is not None:
             a[:, 0] += space.dissipator
-        k, l = np.triu_indices(self.nus.size, 1)
+        k, l = _pairs(self.nus.size)
         comm = a[:, k] @ a[:, l] - a[:, l] @ a[:, k]
         nonzero = comm.any(axis=(0, 2, 3))
         self.k, self.l = k[nonzero], l[nonzero]

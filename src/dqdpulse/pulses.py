@@ -36,6 +36,11 @@ from .trajectories import (
     solve_fsim_controls,
 )
 
+# fsim_geometric's middle amplitudes grow as xi / cos(theta).  From this
+# |cos(theta)| up, its closed RWA gate at the reference time reaches the
+# target to |1 - F| <= 3.1e-13 at every |xi| <= pi; at 1e-3, 1.5e-12.
+GEOMETRIC_MIN_COS = 2e-3
+
 # per-segment fields every repetition shares
 _CARRIER_FIELDS = ("carrier_omega", "carrier_phase", "drive_amp", "drive_omega", "drive_phase")
 
@@ -63,8 +68,9 @@ class Polynomial:
 
         The moments M_m = int_a^b x^m e^{ikx} dx in the local time, with
         k = omega * scale, come from the Taylor series of e^{ikx} where
-        |k x| <= 2 on [a, b] (30 terms reach rounding there; at omega = 0
-        the first term is the antiderivative).  Elsewhere they come from the
+        r = |k| max(|a|, |b|) <= 2, summed until the bound r^n / n! of the
+        next term falls below rounding (at most 24 terms; at omega = 0 the
+        first term is the antiderivative).  Elsewhere they come from the
         recurrence M_m = ([x^m e^{ikx}]_a^b - m M_{m-1}) / (ik), which scales
         earlier rounding errors by m / |k|, so by at most 6! / 2^6 over
         degree 6.  On a window that holds the origin |a|, |b| <= b - a, so
@@ -78,12 +84,16 @@ class Polynomial:
             coefficients, origin = _taylor_shift(coefficients, shift), origin + shift * self.scale
             a, b = (lo - origin) / self.scale, (hi - origin) / self.scale
         k = omega * self.scale
-        if abs(k) * max(abs(a), abs(b)) <= 2.0:
+        r = abs(k) * max(abs(a), abs(b))
+        if r <= 2.0:
+            terms = 1
+            while r**terms / math.factorial(terms) > 2.0**-53:
+                terms += 1
             total = sum(
                 c * (1j * k) ** n / math.factorial(n) * (b ** (m + n + 1) - a ** (m + n + 1)) / (m + n + 1)
                 for m, c in enumerate(coefficients)
                 if c
-                for n in range(30 if k else 1)
+                for n in range(terms)
             )
         else:
             ea, eb = np.exp(1j * k * a), np.exp(1j * k * b)
@@ -415,8 +425,8 @@ def fsim_geometric(theta: float, xi: float, duration: float) -> PulseSchedule:
     bright state equator -> pole -> pole -> equator, and the full exchange
     integral is exactly -xi.
     """
-    if abs(math.cos(theta)) < 1e-12:
-        raise ValueError("geometric construction divides by cos(theta); theta = pi/2 is excluded")
+    if abs(math.cos(theta)) < GEOMETRIC_MIN_COS:
+        raise ValueError(f"fsim_geometric divides by cos(theta): |cos(theta)| < {GEOMETRIC_MIN_COS:g} is excluded")
     if duration <= 0.0:
         raise ValueError("gate duration must be positive")
     base = solve_fsim_controls(theta, xi, duration, 1)

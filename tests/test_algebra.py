@@ -140,8 +140,9 @@ class TestBatchedTaylorExponential:
 
 
 def plain_horner_expm(a):
-    """batched_expm's series as first written: the strided 1-norm, and a fresh
-    array for each Horner step and squaring."""
+    """batched_expm's series in its plain coefficient form: the strided 1-norm,
+    the same degree and squarings, and a fresh array for each Horner step
+    A E + I/k! and each squaring."""
     nu = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     squarings = math.ceil(math.log2(nu / 0.5)) if nu > 0.5 else 0
     a, nu = a * 2.0**-squarings, nu * 2.0**-squarings
@@ -149,17 +150,17 @@ def plain_horner_expm(a):
     while nu ** (m + 1) / math.factorial(m + 1) * math.exp(nu) > 2.0**-53:
         m += 1
     eye = np.eye(a.shape[-1])
-    e = eye + a / m
-    for k in range(m - 1, 0, -1):
-        e = eye + (a @ e) / k
+    e = a * (1.0 / math.factorial(m)) + eye / math.factorial(m - 1)
+    for k in range(m - 2, -1, -1):
+        e = a @ e + eye / math.factorial(k)
     for _ in range(squarings):
         e = e @ e
     return e
 
 
 class TestExpmPasses:
-    """The contiguous norm and in-place Horner steps give the plain series bit
-    for bit: the same degree and squarings, at every norm and layout."""
+    """The contiguous norm and in-place Horner steps give the plain coefficient
+    form bit for bit: the same degree and squarings, at every norm and layout."""
 
     # 1e-5 and 1e-4 are the midpoint and Magnus-Filon steps; from 0.5 on squarings start
     NORMS = [1e-8, 1e-5, 1e-4, 1e-2, 0.3, 0.7, 5.0, 1e2]
@@ -196,6 +197,11 @@ class TestExpmPasses:
 
     def test_empty_stack(self):
         assert batched_expm(np.zeros((0, 8, 8))).shape == (0, 8, 8)
+
+    def test_one_matrix_and_a_stack_of_stacks(self):
+        a = realify(-1j * hermitian_batch(np.random.default_rng(330), np.full(6, 0.3), np.ones(6)))
+        np.testing.assert_array_equal(batched_expm(a[0]), plain_horner_expm(a[0]))
+        np.testing.assert_array_equal(batched_expm(a.reshape(2, 3, 8, 8)), plain_horner_expm(a).reshape(2, 3, 8, 8))
 
 
 def random_complex(rng, n, one_norm):

@@ -330,6 +330,13 @@ class TestStepGrid:
         assert all(any(a < e < b for a, b in seen) for e in ends)
 
 
+def choi_matrix(s):
+    """C[(a, i), (b, j)] = S(|a><b|)[i, j] of a superoperator on column-stacked
+    vec(rho), S[i + 4 j, a + 4 b]: positive semidefinite iff S is completely
+    positive (Choi, Linear Algebra Appl. 10, 285 (1975))."""
+    return s.reshape(4, 4, 4, 4).transpose(3, 1, 2, 0).reshape(16, 16)
+
+
 class TestLindblad:
     def test_closed_system_limit(self):
         # with both rates zero the master equation reduces to the
@@ -414,6 +421,22 @@ class TestLindblad:
         # tr rho_T = sum_a vec(rho_T)[5 a], which must be tr rho_0 for every vec(rho_0)
         trace_row = res.final[[0, 5, 10, 15]].sum(axis=0)
         assert np.abs(trace_row - np.eye(4).flatten(order="F")).max() <= 1e-14
+
+    def test_choi_matrix_of_a_unitary_channel(self):
+        u = mat_exp_skew(random_hermitian(np.random.default_rng(9)), 1.0)
+        psi = u.T.flatten()  # C[(a, i), (b, j)] = U[i, a] conj(U[j, b]) for rho -> U rho U^dag
+        np.testing.assert_allclose(choi_matrix(np.kron(u.conj(), u)), np.outer(psi, psi.conj()), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "scheme, n_reps", [("fsim_rect", 1), ("fsim_rect", 10), ("fsim_poly", 3), ("fsim_geometric", 1)]
+    )
+    def test_decohered_gates_are_completely_positive(self, scheme, n_reps):
+        # the fourth-order step keeps the Lindblad form only to its order
+        # (Omega_2 holds commutators with the dissipator): at the default
+        # budget the Choi matrix's smallest eigenvalue sits at rounding
+        schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time, n_reps=n_reps)
+        res = gate_channel(schedule, rwa=False, decoherence=True)
+        assert np.linalg.eigvalsh(choi_matrix(res.final)).min() >= -1e-13
 
     def test_samples_include_both_ends(self):
         # constant H, no dephasing: every snapshot is the exact conjugation

@@ -19,7 +19,7 @@ from dqdpulse.device import SCHEMES, frame_hamiltonian
 from dqdpulse.dynamics import propagate_unitary
 from dqdpulse.experiments import InvariantLog, initial_phase_sweep, parallel_transport_defect, rabi_sweep
 from dqdpulse.fidelity import build_grid
-from dqdpulse.pulses import fsim_rectangular, polynomial_coefficients
+from dqdpulse.pulses import GEOMETRIC_MIN_COS, fsim_rectangular, polynomial_coefficients
 
 
 class TestParallelTransportDefect:
@@ -48,8 +48,10 @@ class TestPristineGateLaw:
     config accepts for a one-step scheme (N = 1 for the geometric one).
 
     The law's domain leaves out the polynomial family's singular
-    configurations, where ``polynomial_coefficients`` raises, and
-    theta = +-pi/2 for the geometric construction, which divides by cos(theta).
+    configurations, where ``polynomial_coefficients`` raises, and the band
+    |cos(theta)| < GEOMETRIC_MIN_COS that the geometric construction, which
+    divides by cos(theta), rejects.  The law is two-sided: near that band
+    the gate's miss showed as fidelities above 1.
     """
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly", "fsim_geometric"])
@@ -58,7 +60,7 @@ class TestPristineGateLaw:
     def test_reaches_its_target(self, scheme, theta, xi, n_reps):
         if scheme == "fsim_geometric":
             n_reps = 1
-            assume(abs(math.cos(theta)) >= 1e-12)
+            assume(abs(math.cos(theta)) >= GEOMETRIC_MIN_COS)
         cfg = ExperimentConfig(scheme=scheme, theta=theta, xi=xi, n_reps=n_reps)
         if scheme == "fsim_poly":
             try:
@@ -67,7 +69,16 @@ class TestPristineGateLaw:
                 assume(False)
         schedule = xp.build_schedule(scheme, theta, xi, SCHEMES[scheme].reference_time, n_reps, cfg.eta)
         report, _ = xp.gate_report(schedule, build_grid(cfg.grid_n), rwa=True, decoherence=False)
-        assert 1.0 - report.fidelity <= 1e-12
+        assert abs(1.0 - report.fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("xi", [-math.pi, math.pi])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_geometric_gate_at_the_edge_of_its_domain(self, sign, xi):
+        theta = sign * math.acos(1.001 * GEOMETRIC_MIN_COS)
+        schedule = xp.build_schedule("fsim_geometric", theta, xi, SCHEMES["fsim_geometric"].reference_time)
+        report, res = xp.gate_report(schedule, build_grid(5), rwa=True, decoherence=False)
+        assert abs(1.0 - report.fidelity) <= 1e-12
+        assert res.unitarity_defect <= 1e-11
 
 
 class TestInitialPhaseSweep:

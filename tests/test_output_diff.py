@@ -5,6 +5,7 @@ comparison of outputs is tested here.
 """
 
 import ast
+import json
 import importlib.util
 import math
 import sys
@@ -77,3 +78,59 @@ def test_script_imports_only_the_standard_library():
     modules = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 0}
     assert modules <= set(sys.stdlib_module_names)
+
+
+STDOUT = (
+    "scheme=fsim_rect N=1 F=0.987183\n"
+    "[ok] fsim_rect_area: 2.220e-16 <= 1.0e-08\n"
+    "[ok] unitarity_defect: 1.122e-14 <= 1.0e-09\n"
+    "[ok] unitarity_defect: 3.000e-15 <= 1.0e-09\n"
+)
+
+
+def test_unchanged_stdout_has_no_changes(output_diff):
+    assert output_diff.stdout_changes(STDOUT, STDOUT) == []
+
+
+def test_moved_check_values_are_reported_with_their_change(output_diff):
+    new = STDOUT.replace("1.122e-14", "1.300e-14").replace("[ok] unitarity_defect: 3", "[FAIL] unitarity_defect: 3")
+    new = new.replace("2.220e-16", "3.330e-16")
+    assert output_diff.stdout_changes(STDOUT, new) == [
+        "check fsim_rect_area: 2.220e-16 -> 3.330e-16 (+1.11e-16)",
+        "check unitarity_defect #1: 1.122e-14 -> 1.300e-14 (+1.78e-15)",
+        "check unitarity_defect #2: 3.000e-15 -> 3.000e-15 (+0), status ok -> FAIL",
+    ]
+
+
+def test_other_stdout_lines_and_missing_checks_are_counted(output_diff):
+    new = STDOUT.replace("F=0.987183", "F=0.987184").replace("[ok] fsim_rect_area: 2.220e-16 <= 1.0e-08\n", "")
+    assert output_diff.stdout_changes(STDOUT, new) == [
+        "check fsim_rect_area: only in the old run",
+        "stdout: 1 of 1 other lines differ",
+    ]
+
+
+def propagation(**fields):
+    return {"rule": "magnus_filon", "steps": 100, "steps_per_period": 50, "repetitions": 1, **fields}
+
+
+def test_propagation_records_are_reported_by_their_fields(output_diff, tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    records = [propagation(), propagation(steps=400), propagation()]
+    halved = propagation(steps=200, steps_per_period=100)
+    moved = [halved, propagation(steps=400), halved]
+    for d, props in ((old, records), (new, moved)):
+        d.mkdir()
+        (d / "manifest.json").write_text(json.dumps({"runtime_s": 0.1, "propagations": props}))
+    runs = [{"code": 0, "stdout": "", "outdir": str(d)} for d in (old, new)]
+    assert output_diff.compare(*runs) == [
+        "manifest.json propagation 0, 2: steps 100 -> 200, steps_per_period 50 -> 100",
+    ]
+    midpoint = [propagation(rule="midpoint")] * 7
+    (new / "manifest.json").write_text(json.dumps({"runtime_s": 0.1, "propagations": midpoint}))
+    assert output_diff.compare(*runs) == [
+        "manifest.json propagations: 3 -> 7 records",
+        "manifest.json propagation 0, 2: rule magnus_filon -> midpoint",
+        "manifest.json propagation 1: rule magnus_filon -> midpoint, steps 400 -> 100",
+    ]
+    assert output_diff._indices(list(range(8))) == "0, 1, 2, 3, 4, ... (8 records)"

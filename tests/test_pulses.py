@@ -13,6 +13,7 @@ from dqdpulse.config import ExperimentConfig
 from dqdpulse.device import DEFAULT_DEVICE, SCHEMES
 from dqdpulse.experiments import POLY_GATE_TIME, build_schedule, sensitivity_vs_eta
 from dqdpulse.pulses import (
+    GEOMETRIC_MIN_COS,
     Polynomial,
     PulseSchedule,
     Segment,
@@ -245,6 +246,17 @@ class TestGeometric:
     def test_rejects_theta_pi_half(self):
         with pytest.raises(ValueError, match="cos"):
             fsim_geometric(math.pi / 2, XI, 1.0)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_rejects_the_band_near_pi_half(self, sign):
+        for c in (1e-11, 1e-6, 1e-5, 0.999 * GEOMETRIC_MIN_COS):
+            with pytest.raises(ValueError, match=r"\|cos\(theta\)\| < 0.002"):
+                fsim_geometric(sign * math.acos(c), XI, 158e-9)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_accepts_the_edge_of_the_band(self, sign):
+        s = fsim_geometric(sign * math.acos(1.001 * GEOMETRIC_MIN_COS), XI, 158e-9)
+        assert max(s.check_constraints().values()) < 1e-10
 
 
 def scipy_error_sensitivity(schedule):
