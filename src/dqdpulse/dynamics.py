@@ -578,25 +578,33 @@ _INTERPOLANT = np.array(
 ).T
 
 
-# The last table _filon_table built, by its arguments: the gates of a sweep
-# over the envelope's shape share their frame frequencies and step lengths.
-_LAST_TABLE: dict[tuple, np.ndarray] = {}
+# The last Magnus-Filon set-up built, by its key: gates share a frame's rows
+# when they share its term matrices (a table's N-fold gates), and its table
+# when they share its frequencies and step lengths (an envelope-shape sweep).
+_LAST_FRAME: dict[tuple, tuple[np.ndarray, ...]] = {}
+_LAST_TABLE: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+def _last(cache: dict, key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """cache[key], or else build()'s arrays, made read-only and kept as the
+    one entry: emptied first, so that two values are never held at once."""
+    if key not in cache:
+        cache.clear()
+        cache[key] = build()
+        for x in cache[key]:
+            x.flags.writeable = False
+    return cache[key]
 
 
 def _filon_table(
     nus: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, hs: np.ndarray, poly: bool
-) -> np.ndarray:
+) -> tuple[np.ndarray]:
     """The Magnus-Filon coefficients of each step length in ``hs``: phi_k
     for the terms nu_k, then (J_kl - J_lk) / 2 for the pairs (pk, pl), as
     (lengths, K + pairs); with a polynomial envelope each entry is a matrix
     that v v^T weights.  Built ``_FILON_BLOCK`` lengths at a time, J only at
     the pairs (k, l) and (l, k) that enter, with the series length of all
-    of them, so the tables equal one-shot ``filon_weights`` tables bit for
-    bit.  A repeated call returns the last table."""
-    key = (poly, *(x.tobytes() for x in (nus, scaled, pk, pl, hs)))
-    if key in _LAST_TABLE:
-        return _LAST_TABLE[key]
-    _LAST_TABLE.clear()  # first, so that two tables are never held at once
+    of them, so the tables equal one-shot ``filon_weights`` tables bit for bit."""
     series, pairs, m = _series_terms(nus, hs), pk.size, 1 + poly * _DEGREE
     k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])  # J_kl, then J_lk
     phi = np.empty((hs.size, nus.size, m), dtype=complex)
@@ -611,16 +619,19 @@ def _filon_table(
         dj = embed[pk] @ dj @ embed[pl].swapaxes(-1, -2)
     else:
         phi, dj = phi[..., 0], dj[..., 0, 0]
-    _LAST_TABLE[key] = table = np.concatenate([phi, dj], axis=1)
-    return table
+    return (np.concatenate([phi, dj], axis=1),)
 
 
-@lru_cache
-def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(size, 1), read-only."""
-    k, l = np.triu_indices(size, 1)
-    k.flags.writeable = l.flags.writeable = False
-    return k, l
+def _frame(space: _Space, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs k < l with [A_k, A_l] nonzero and the real rows of the generator
+    terms A_k of the term matrices ``g``, then of those commutators, as products."""
+    a = space.generators(g)
+    if space.dissipator is not None:
+        a[:, 0] += space.dissipator
+    k, l = np.triu_indices(g.shape[1], 1)
+    comm = a[:, k] @ a[:, l] - a[:, l] @ a[:, k]
+    nonzero = comm.any(axis=(0, 2, 3))
+    return k[nonzero], l[nonzero], space.rows(np.concatenate([a, comm[:, nonzero]], axis=1))
 
 
 class _MagnusFilon:
@@ -646,16 +657,11 @@ class _MagnusFilon:
     def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid):
         self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
-        a = space.generators(g)
-        if space.dissipator is not None:
-            a[:, 0] += space.dissipator
-        k, l = _pairs(self.nus.size)
-        comm = a[:, k] @ a[:, l] - a[:, l] @ a[:, k]
-        nonzero = comm.any(axis=(0, 2, 3))
-        self.k, self.l = k[nonzero], l[nonzero]
-        self.rows = space.rows(np.concatenate([a, comm[:, nonzero]], axis=1))
+        key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
+        self.k, self.l, self.rows = _last(_LAST_FRAME, key, partial(_frame, space, g))
         self.hs = grid.lengths()
-        self.table = _filon_table(self.nus, scaled, self.k, self.l, self.hs, poly)
+        args = (self.nus, scaled, self.k, self.l, self.hs)
+        (self.table,) = _last(_LAST_TABLE, (poly, *(x.tobytes() for x in args)), partial(_filon_table, *args, poly))
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         t0 = nodes[:-1]

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dqdpulse import dynamics
+from dqdpulse import dynamics, experiments
 from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
 from dqdpulse.device import (
     DEFAULT_DEVICE,
@@ -705,6 +705,24 @@ class TestRepetitionPower:
                 assert (power.steps * n, power.repetitions) == (full.steps, n)
                 assert np.abs(power.final - full.final).max() <= 1e-13
 
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    def test_power_of_one_repetition_is_the_full_walk(self, scheme, n, rwa):
+        # U(T/N)^N on n steps against all N repetitions stepped through on
+        # N n steps, closed and decohered: at most 9.3e-16 apart
+        schedule = self.table_schedule(scheme, n)
+        h = frame_hamiltonian(schedule, rwa)
+        steps = required_steps(h.max_frequency_hz, schedule.period, 200)
+        for run in (
+            partial(propagate_unitary, h, schedule.duration, breakpoints=schedule.breakpoints),
+            partial(lindblad_superoperator, h, DEFAULT_DEVICE, schedule.duration, breakpoints=schedule.breakpoints),
+        ):
+            power = run(steps, repetitions=n)
+            full = run(n * steps, sample_times=[schedule.duration])
+            assert (power.steps * n, full.repetitions) == (full.steps, 1)
+            assert np.abs(power.final - full.final).max() <= 2e-15
+
     def test_sampled_run_steps_through_every_repetition(self):
         schedule = self.table_schedule("fsim_poly", 3)
         times = np.linspace(0.0, schedule.duration, 7)
@@ -807,6 +825,65 @@ class TestFilonWeights:
         assert len(built) == 2
         gate_channel(schedules[1], rwa=True, decoherence=True)  # other frame frequencies: a new table
         assert len(built) == 3
+
+    @pytest.fixture
+    def frame_builds(self, monkeypatch):
+        """Empties both set-up caches and counts the frame set-ups built."""
+        monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
+        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        built = []
+        monkeypatch.setattr(dynamics, "_frame", lambda *a, _f=dynamics._frame: built.append(a) or _f(*a))
+        return built
+
+    @pytest.mark.parametrize("decoherence", [False, True])
+    def test_reused_frame_gives_the_final_of_a_fresh_one(self, decoherence, frame_builds, monkeypatch):
+        # N = 2 and 3 share their term matrices but not their frequencies
+        two, three = (build_schedule("fsim_rect", duration=T45, n_reps=n) for n in (2, 3))
+        gate_channel(two, rwa=False, decoherence=decoherence)
+        reused = gate_channel(three, rwa=False, decoherence=decoherence).final
+        assert len(frame_builds) == 1
+        monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
+        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        np.testing.assert_array_equal(gate_channel(three, rwa=False, decoherence=decoherence).final, reused)
+        assert len(frame_builds) == 2
+
+    def test_closed_and_decohered_runs_do_not_share_a_frame(self, frame_builds):
+        schedule = build_schedule("fsim_rect", duration=T45)
+        closed = gate_channel(schedule, rwa=False, decoherence=False)
+        gate_channel(schedule, rwa=False, decoherence=True)
+        assert len(frame_builds) == 2
+        np.testing.assert_array_equal(gate_channel(schedule, rwa=False, decoherence=False).final, closed.final)
+        assert len(frame_builds) == 3
+
+    @pytest.mark.parametrize(
+        "scheme, duration, error",
+        [("fsim_poly", POLY_GATE_TIME, apply_detuning_error), ("fsim_rect", T45, apply_rabi_error)],
+    )
+    def test_injected_error_builds_the_frame_again(self, scheme, duration, error, frame_builds):
+        # a detuning error changes the static matrix, a Rabi error a constant
+        # envelope's level, which scales the drive's matrices
+        schedule = build_schedule(scheme, duration=duration)
+        gate_channel(schedule, rwa=False, decoherence=True)
+        gate_channel(error(schedule, 0.05), rwa=False, decoherence=True)
+        assert len(frame_builds) == 2
+
+    def test_fidelity_table_builds_one_frame_per_term_matrices(self, frame_builds, monkeypatch):
+        # 20 gates, each with its own frequencies and step lengths, in three
+        # frames: fsim_rect N = 1..9, fsim_rect N = 10, every fsim_poly gate
+        tables = []
+        monkeypatch.setattr(dynamics, "_filon_table", lambda *a, _f=dynamics._filon_table: tables.append(a) or _f(*a))
+        experiments.table1().run(5)
+        assert (len(frame_builds), len(tables)) == (3, 20)
+
+    @pytest.mark.parametrize("decoherence", [False, True])
+    def test_cached_set_up_is_read_only(self, decoherence, frame_builds):
+        # a stray in-place operation would change every later run that hits the cache
+        gate_channel(build_schedule("fsim_poly", duration=POLY_GATE_TIME), rwa=False, decoherence=decoherence)
+        (frame,), (table,) = dynamics._LAST_FRAME.values(), dynamics._LAST_TABLE.values()
+        assert len(frame) == 3 and frame[0].size > 0
+        for cached in (*frame, *table):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
 
     def test_one_row_per_step_length(self):
         phi, jj = dynamics.filon_weights(self.NUS, [self.H, 2 * self.H, self.H])
