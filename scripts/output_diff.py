@@ -58,6 +58,7 @@ COMMANDS = [
         for closed in ([], ["--no-decoherence"])
         for trajectory in ([], ["--trajectory", "--samples", "101"])
     ),
+    ["simulate", "--scheme", "bgate", "--no-decoherence", "--trajectory"],  # the benchmark's 2,001 samples
 ]
 
 

@@ -1,16 +1,18 @@
 """Time-ordered closed-system propagation and Lindblad open-system evolution.
 
 One driver serves both: it resolves H(t), checks the step floor, lays out
-the step grid (breakpoints and sample times on nodes), and walks it in
-memory-bounded chunks, each reduced to one ordered product, recording the
-running product at every sample time.  The grid holds its breakpoint
-intervals and sample nodes, and each chunk computes its own nodes, so a
-run holds O(chunk) step factors, O(samples) snapshots and, for the
-Magnus-Filon step, O(distinct step lengths) Filon tables, however many
-steps it takes.  A chunk holding sample times is cut at them into runs,
-padded with identities after their last step to one length and reduced
-in one batched tree reduction, which gives each run's product bit for
-bit; the running product then takes one matrix product per sample.
+the step grid, and walks it in memory-bounded chunks, each reduced to one
+ordered product, recording the running product at every sample time.
+Breakpoints and sample times alike end the grid's intervals, and each
+interval takes one uniform step, its length over its share of the steps.
+The grid holds its intervals, and each chunk computes its own step starts,
+so a run holds O(chunk) step factors, O(samples) intervals and snapshots
+and, for the Magnus-Filon step, one Filon table row per distinct interval
+step (a handful), however many steps it takes.  A chunk holding sample
+times is cut at them into runs, padded with identities after their last
+step to one length and reduced in one batched tree reduction, which gives
+each run's product bit for bit; the running product then takes one matrix
+product per sample.
 
 The step rule depends only on how H(t) is given, closed or open:
 
@@ -67,13 +69,14 @@ Step budgets are guarded by a Nyquist-style floor: dt <= 1/(50 f_max)
 with f_max the fastest frequency present (twice the carrier for
 counter-rotating residues).  Requests below the floor, as a step count or
 as fewer than 50 steps per period, are rejected with the required minimum.
+Each interval rounds its share of the budget up, so no step is longer than
+the budget's.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
@@ -97,19 +100,15 @@ _SERIES_TOL = 2.0**-56
 _SERIES_RADIUS = 4.5
 
 # Bytes of step factors held at once: 64 superoperator or 256 propagator
-# steps, real 16x16 and 8x8 float64 factors, so the B gate's 160k closed
+# steps, real 16x16 and 8x8 float64 factors, so the B gate's 158k closed
 # and 632k decohered steps run in bounded memory.
 CHUNK_BYTES = 1 << 17
 
-# Distinct step lengths per block of Magnus-Filon tables: sample times split
-# the B gate's steps into 4k lengths, whose full tables at once are a 16 MB
-# transient.
-_FILON_BLOCK = 256
-
-# A sample time this fraction of the local step from a node is that node;
-# merged as a node of its own, a rounding-level miss adds a degenerate step.
-# A budget this fraction above a whole step count is that count: spp f T
-# lands a rounding error above an integer for whole-period durations.
+# A sample time this fraction of the nominal step from another interval end
+# is that end; kept as one of its own, a rounding-level miss adds a
+# degenerate interval.  A budget or an interval's share of it this fraction
+# above a whole step count is that count: spp f T lands a rounding error
+# above an integer for whole-period durations.
 _SNAP = 1e-9
 
 
@@ -182,117 +181,76 @@ def _combine(coef: np.ndarray, segment: np.ndarray, rows: np.ndarray) -> np.ndar
     return out
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, ascending (np.unique would import numpy.ma: 14 ms, 1.4 MB)."""
-    x = np.sort(x)
-    return x[np.diff(x, prepend=-np.inf) > 0]
-
-
 class _Grid:
-    """The step grid: nodes 0 = t_0 < ... < t_n = T and the node of each
-    sample time, held as its breakpoint intervals and sample nodes so that
-    each chunk of steps computes its own nodes.
+    """The step grid of [0, T], held as its intervals so that each chunk of
+    steps computes its own step starts.
 
-    Steps are distributed over the intervals between breakpoints
-    proportionally to length, so discontinuous envelopes never straddle a
-    step.  An interval [lo, hi] of n steps has the nodes of
-    np.linspace(lo, hi, n + 1) bit for bit: r * step + lo, the last set to
-    hi.  Sample times become nodes too, except that one within ``_SNAP`` of
-    the local step of a node is taken as that node; the others are the
-    ``extra`` nodes, merged between the interval nodes.  ``marks`` holds
-    each sample time's node index, and ``rows`` the sample times at each
-    sampled node.
+    Breakpoints and sample times alike end intervals, so discontinuous
+    envelopes never straddle a step and every sample time is a node.  Two
+    of them within ``_SNAP`` times the nominal step T / steps are one: a
+    sample time that near 0, T or a breakpoint is that point, and sample
+    times chained by such gaps are the first of them.  Each interval [lo, hi]
+    gets its share of the steps, rounded up so that no step is longer than
+    the budget's, and a uniform step h = (hi - lo) / n: its nodes are those
+    of np.linspace(lo, hi, n + 1) bit for bit, r * h + lo, and the step
+    takes h as its length.  ``hs`` holds the distinct h, ascending, and
+    ``row`` each interval's index in it; ``marks`` holds each sample time's
+    node index, and ``samples_at`` the sample times at each sampled node.
     """
 
     def __init__(
         self, duration: float, steps: int, breakpoints: Sequence[float], sample_times: np.ndarray | None
     ):
-        pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
-        self.duration, self.lo, self.hi = duration, pts[:-1], pts[1:]
-        self.n = [max(1, int(round(steps * (hi - lo) / duration))) for lo, hi in zip(self.lo, self.hi)]
-        self.step = [(hi - lo) / n for lo, hi, n in zip(self.lo, self.hi, self.n)]
-        self.base = [0, *accumulate(self.n)]  # interval j's nodes r = 0..n[j] are interval nodes base[j] + r
-        # the extra node times, ascending, the interval node after each, and each sample time's node
-        self.extra, after, self.marks = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+        self.duration, tol = duration, _SNAP * duration / steps
+        ends = np.array([0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration])
+        snapped = np.zeros(0)  # each sample time's interval end
         if sample_times is not None:
-            self.extra, after, self.marks = self._merge(sample_times)
-        # interval node p is node p + (the extra nodes before it)
-        self.extra_at = (after + np.arange(after.size)).tolist()
-        self.steps = self.base[-1] + after.size
+            s = sample_times
+            i = np.clip(np.searchsorted(ends, s), 1, ends.size - 1)
+            snapped = np.where(s - ends[i - 1] <= ends[i] - s, ends[i - 1], ends[i])  # the nearest of 0, T, breakpoints
+            free = np.abs(s - snapped) > tol
+            firsts = np.sort(s[free])
+            firsts = firsts[np.diff(firsts, prepend=-np.inf) > tol]  # the first of each chain
+            snapped[free] = firsts[np.searchsorted(firsts, s[free], side="right") - 1]
+            ends = np.sort(np.concatenate([ends, firsts]))
+        lo, hi = ends[:-1], ends[1:]
+        n = np.maximum(1, np.ceil(steps * (hi - lo) / duration * (1.0 - _SNAP))).astype(int)
+        h = (hi - lo) / n
+        self.hs = np.array(sorted(set(h.tolist())))
+        self.lo, self.h, self.row = lo, h, np.searchsorted(self.hs, h)
+        self.base = np.concatenate([[0], np.cumsum(n)])  # interval j's steps are base[j]..base[j + 1] - 1
+        self.steps = int(self.base[-1])
+        self.marks = self.base[np.searchsorted(ends, snapped)]
         order = np.argsort(self.marks, kind="stable")
-        starts = np.flatnonzero(np.diff(self.marks[order], prepend=-1))
-        self.cuts = self.marks[order[starts]].tolist()  # the sampled nodes, ascending
-        order, bounds = order.tolist(), [*starts.tolist(), order.size]
-        self.rows = {m: order[i:j] for m, i, j in zip(self.cuts, bounds, bounds[1:])}
+        first = np.flatnonzero(np.diff(self.marks[order], prepend=-1))
+        self.cuts = self.marks[order[first]].tolist()  # the sampled nodes, ascending
+        order, bounds = order.tolist(), [*first.tolist(), order.size]
+        self.samples_at = {m: order[i:j] for m, i, j in zip(self.cuts, bounds, bounds[1:])}
 
-    def _merge(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The extra nodes among the sample times ``s``, the interval node
-        after each, and each sample time's node."""
-        j = np.minimum(np.searchsorted(self.hi, s), len(self.n) - 1)  # the interval (lo, hi] holding s
-        lo, hi, n, step, base = (np.array(v)[j] for v in (self.lo, self.hi, self.n, self.step, self.base))
+    def starts(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The starts of steps a..b - 1, r * h + lo in their interval, and
+        each one's row of ``hs``."""
+        j0, j1 = np.searchsorted(self.base, a, side="right") - 1, np.searchsorted(self.base, b)
+        j, counts = slice(j0, j1), np.diff(np.clip(self.base[j0 : j1 + 1], a, b))
+        t = np.arange(a, b, dtype=float)
+        t -= np.repeat(self.base[j], counts)
+        t *= np.repeat(self.h[j], counts)
+        t += np.repeat(self.lo[j], counts)
+        return t, np.repeat(self.row[j], counts)
 
-        def node(r: np.ndarray) -> np.ndarray:
-            return np.where(r == n, hi, r * step + lo)
-
-        r = np.clip(np.ceil((s - lo) / step), 1, n)  # the first node at or after s, up to rounding
-        r = np.where((r > 1) & (node(r - 1) >= s), r - 1, r)
-        r = np.where((r < n) & (node(r) < s), r + 1, r)
-        t0, t1 = node(r - 1), node(r)
-        tol = _SNAP * (t1 - t0)
-        down, up = s - t0 <= tol, t1 - s <= tol
-        off = ~(down | up)
-        nxt = base + r.astype(int)  # the interval node at t1
-        order = np.argsort(s[off], kind="stable")
-        extra, after = s[off][order], nxt[off][order]
-        keep = np.diff(extra, prepend=-np.inf) > 0
-        extra, after = extra[keep], after[keep]
-        marks = nxt - down
-        marks += np.searchsorted(after, marks, side="right")
-        i = np.searchsorted(extra, s[off])
-        marks[off] = after[i] + i
-        return extra, after, marks
-
-    def nodes(self, a: int, b: int) -> np.ndarray:
-        """Nodes a..b: one multiply-add per interval piece, extra nodes sorted in."""
-        k0, k1 = bisect_left(self.extra_at, a), bisect_right(self.extra_at, b)
-        p, last = a - k0, b - k1  # the interval nodes among them
-        j = min(bisect_right(self.base, p), len(self.n)) - 1
-        pieces = []
-        while True:
-            r0, r1 = p - self.base[j], min(last - self.base[j], self.n[j])
-            x = np.arange(r0, r1 + 1, dtype=float)
-            x *= self.step[j]
-            x += self.lo[j]
-            if r1 == self.n[j]:
-                x[-1] = self.hi[j]
-            pieces.append(x)
-            if last - self.base[j] <= self.n[j]:
-                break
-            j += 1
-            p = self.base[j] + 1
-        if k0 == k1:
-            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        x = np.concatenate([*pieces, self.extra[k0:k1]])
-        x.sort()  # extra nodes lie strictly between interval nodes
-        return x
-
-    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, list[int]]]:
-        """Each chunk [a, b) of ``size`` steps: a, b, its nodes a..b and the
-        sampled nodes in (a, b) followed by b.  Nodes are computed a block of
-        chunks at a time, at most ``CHUNK_BYTES`` of them."""
-        block = size * max(1, CHUNK_BYTES // (8 * size))
+    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
+        """Each chunk [a, b) of ``size`` steps: a, b, its steps' starts and
+        rows, and the sampled nodes in (a, b) followed by b.  Starts and rows
+        are computed a block of chunks at a time, at most ``CHUNK_BYTES`` of
+        them and their temporaries."""
+        block = size * max(1, CHUNK_BYTES // (32 * size))
         for start in range(0, self.steps, block):
             stop = min(start + block, self.steps)
-            nodes = self.nodes(start, stop)
+            t0, row = self.starts(start, stop)
             for a in range(start, stop, size):
                 b = min(a + size, stop)
                 ends = self.cuts[bisect_right(self.cuts, a) : bisect_left(self.cuts, b)] + [b]
-                yield a, b, nodes[a - start : b - start + 1], ends
-
-    def lengths(self) -> np.ndarray:
-        """The distinct step lengths, ascending, in one pass over blocks of
-        ``CHUNK_BYTES`` of nodes."""
-        return _distinct(np.concatenate([_distinct(np.diff(x)) for _, _, x, _ in self.chunks(CHUNK_BYTES // 8)]))
+                yield a, b, t0[a - start : b - start], row[a - start : b - start], ends
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -326,9 +284,9 @@ def _grouped(factors: np.ndarray, ends: list[int]) -> np.ndarray:
 
 
 def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
-    """The rule of H's steps, step_factors(grid) -> factors(nodes) giving the
-    real (len(nodes) - 1, dim, dim) factors of a chunk's steps, f_max and
-    the default budget.
+    """The rule of H's steps, step_factors(grid) -> factors(t0, row) giving
+    the real (len(t0), dim, dim) factors of a chunk's steps, which start at
+    t0 and take the lengths grid.hs[row], f_max and the default budget.
 
     Fourier terms take the Magnus-Filon step, sampled H the midpoint rule.
     A closed run whose stepped segments all have constant envelopes
@@ -392,20 +350,20 @@ def _propagate(
     dim = space.dim
     chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
     factors_of = step_factors(grid)
-    rows = grid.rows
+    samples_at = grid.samples_at
     held = None if times is None else np.empty((times.size + 1, dim, dim))  # each sample's product, then the final
     state = np.eye(dim)
-    for r in rows.get(0, ()):
+    for r in samples_at.get(0, ()):
         held[r] = state
-    for a, b, nodes, ends in grid.chunks(chunk):
-        factors = factors_of(nodes)
+    for a, b, t0, row, ends in grid.chunks(chunk):
+        factors = factors_of(t0, row)
         if len(ends) == 1:
             products = [_ordered_product(factors)]
         else:  # the chunk's sample intervals in one reduction, then one product per sample
             products = _ordered_product(_grouped(factors, [m - a for m in ends]))
         for m, product in zip(ends, products):
             state = product @ state
-            for r in rows.get(m, ()):
+            for r in samples_at.get(m, ()):
                 held[r] = state
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
     if times is None:
@@ -431,9 +389,9 @@ def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, 
     of the unit matrices E_ab, and an open run adds the dissipator's dt."""
     rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
 
-    def factors(nodes: np.ndarray) -> np.ndarray:
-        dts = np.diff(nodes)
-        mids = nodes[:-1] + dts / 2.0
+    def factors(t0: np.ndarray, row: np.ndarray) -> np.ndarray:
+        dts = grid.hs[row]
+        mids = t0 + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
             coef = np.asarray(batch(mids), dtype=complex).reshape(-1, 16) * dts[:, None]
         gen = _combine(coef, np.zeros(dts.size, dtype=int), rows)
@@ -599,20 +557,16 @@ def _last(cache: dict, key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) 
 def _filon_table(
     nus: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, hs: np.ndarray, poly: bool
 ) -> tuple[np.ndarray]:
-    """The Magnus-Filon coefficients of each step length in ``hs``: phi_k
-    for the terms nu_k, then (J_kl - J_lk) / 2 for the pairs (pk, pl), as
-    (lengths, K + pairs); with a polynomial envelope each entry is a matrix
-    that v v^T weights.  Built ``_FILON_BLOCK`` lengths at a time, J only at
-    the pairs (k, l) and (l, k) that enter, with the series length of all
-    of them, so the tables equal one-shot ``filon_weights`` tables bit for bit."""
-    series, pairs, m = _series_terms(nus, hs), pk.size, 1 + poly * _DEGREE
+    """The Magnus-Filon coefficients of each distinct step length in ``hs``,
+    a handful per grid: phi_k for the terms nu_k, then (J_kl - J_lk) / 2
+    for the pairs (pk, pl), as (lengths, K + pairs); with a polynomial
+    envelope each entry is a matrix that v v^T weights.  J is computed only
+    at the pairs (k, l) and (l, k) that enter; the table equals one-shot
+    ``filon_weights`` bit for bit."""
+    pairs, m = pk.size, 1 + poly * _DEGREE
     k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])  # J_kl, then J_lk
-    phi = np.empty((hs.size, nus.size, m), dtype=complex)
-    dj = np.empty((hs.size, pairs, m, m), dtype=complex)
-    for i in range(0, hs.size, _FILON_BLOCK):
-        block = slice(i, i + _FILON_BLOCK)
-        phi[block], jj = _filon_series(nus, hs[block], k, l, series, poly * _DEGREE)
-        dj[block] = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
+    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs), poly * _DEGREE)
+    dj = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
     if poly:  # embed[k] takes a term's moments to the entries of v that weight them
         embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
         phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
@@ -643,9 +597,10 @@ class _MagnusFilon:
       Omega = sum_k e^{i nu_k t0} phi_k A_k
               + sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) / 2 [A_k, A_l],
     with phi and J from ``filon_weights``, evaluated once per distinct step
-    length of the grid (``hs``, ``_filon_table``): Filon coefficients of the
-    rows A_k and [A_k, A_l], the commutators taken as products of the A's.
-    A chunk finds its steps' rows by length and their segments by midpoint.
+    length h of the grid's intervals (``grid.hs``, ``_filon_table``): Filon
+    coefficients of the rows A_k and [A_k, A_l], the commutators taken as
+    products of the A's.  Each step reads its table row by its interval,
+    and its segment by its midpoint.
 
     With a polynomial envelope, the step takes the envelope's quadratic
     interpolant c_0 + c_1 x + c_2 x^2 through its Gauss points (x = (t - t0)
@@ -659,16 +614,15 @@ class _MagnusFilon:
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
         key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
         self.k, self.l, self.rows = _last(_LAST_FRAME, key, partial(_frame, space, g))
-        self.hs = grid.lengths()
+        self.hs = grid.hs
         args = (self.nus, scaled, self.k, self.l, self.hs)
         (self.table,) = _last(_LAST_TABLE, (poly, *(x.tobytes() for x in args)), partial(_filon_table, *args, poly))
 
-    def __call__(self, nodes: np.ndarray) -> np.ndarray:
-        t0 = nodes[:-1]
-        dts = nodes[1:] - t0
+    def __call__(self, t0: np.ndarray, row: np.ndarray) -> np.ndarray:
+        dts = self.hs[row]
         phase = np.exp(1j * np.multiply.outer(t0, self.nus))
         coef = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
-        table = self.table[self.hs.searchsorted(dts)]  # each step's row, by its length
+        table = self.table[row]
         if self.poly:
             j = self.envelope((t0 + np.multiply.outer(_GAUSS, dts)).reshape(-1)).reshape(_GAUSS.size, -1)
             v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ j]).T
@@ -761,6 +715,11 @@ def _require_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+# The last open space's dissipator in the Pauli basis, by the device's
+# dephasing rates: every gate of a sweep runs on one device.
+_LAST_DISSIPATOR: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
 def lindblad_superoperator(
     hamiltonian,
     params: DeviceParams,
@@ -779,7 +738,9 @@ def lindblad_superoperator(
     is as for :func:`propagate_unitary`.  H(t) must be Hermitian: the steps
     are taken in the Pauli basis, where only its Hermitian part enters.
     """
-    space = _Space(16, _from_pauli_basis, _in_pauli_basis(dephasing_dissipator(params)))
+    rates = (params.kappa_1, params.kappa_2)
+    (dissipator,) = _last(_LAST_DISSIPATOR, rates, lambda: (_in_pauli_basis(dephasing_dissipator(params)),))
+    space = _Space(16, _from_pauli_basis, dissipator)
     return _propagate(hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
 
 

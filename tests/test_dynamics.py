@@ -71,32 +71,44 @@ def midpoint_loop_superoperator(h, params, duration, steps, breakpoints):
 def step_grid(duration, steps, breakpoints, sample_times):
     """Oracle: the whole step grid at once, as numpy builds it.
 
-    Node times 0 = t_0 < ... < t_n = T, which steps end at a breakpoint or
-    T (to place samples around them), and the node index of each sample time.  Each sub-interval between
-    breakpoints is ``np.linspace`` of its share of the steps; a sample time
-    within ``_SNAP`` of the local step of a node is that node, any other is
-    merged as a node of its own.
+    The interval ends are 0, the breakpoints, T and the sample times, where
+    two within ``_SNAP`` times the nominal step T / steps are one: a sample
+    time that near 0, T or a breakpoint is that point, and sample times
+    chained by such gaps are the first of them.  Each interval [lo, hi] is
+    ``np.linspace`` of its share of the steps, rounded up, and each of its
+    steps has the length (hi - lo) / n.  Returns the nodes 0 = t_0 < ... <
+    t_n = T, each step's length and each sample time's node index.
     """
     pts = [0.0] + sorted(p for p in set(breakpoints) if 0.0 < p < duration) + [duration]
-    pieces = [np.zeros(1)]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(1, int(round(steps * (hi - lo) / duration)))
-        pieces.append(np.linspace(lo, hi, n + 1)[1:])
-    nodes = np.concatenate(pieces)
-    marks = np.zeros(0, dtype=int)
-    if sample_times is not None:
-        i = np.clip(np.searchsorted(nodes, sample_times), 1, nodes.size - 1)
-        lo, hi = nodes[i - 1], nodes[i]
-        tol = dynamics._SNAP * (hi - lo)
-        snapped = np.where(sample_times - lo <= tol, lo, np.where(hi - sample_times <= tol, hi, sample_times))
-        nodes = np.unique(np.concatenate([nodes, snapped]))
-        marks = np.searchsorted(nodes, snapped)
-    return nodes, np.isin(nodes[1:], pts[1:]), marks
+    tol = dynamics._SNAP * duration / steps
+    samples = [] if sample_times is None else list(sample_times)
+    end, last = {}, None  # each sample time's interval end; the last one not at a point
+    for s in sorted(samples):
+        near = min(pts, key=lambda p: abs(p - s))
+        if abs(s - near) <= tol:
+            end[s] = near
+        else:
+            end[s] = end[last] if last is not None and s - last <= tol else s
+            last = s
+    ends = sorted(set(pts) | set(end.values()))
+    nodes, lengths = [np.zeros(1)], []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        n = max(1, math.ceil(steps * (hi - lo) / duration * (1.0 - dynamics._SNAP)))
+        nodes.append(np.linspace(lo, hi, n + 1)[1:])
+        lengths.append(np.full(n, (hi - lo) / n))
+    nodes = np.concatenate(nodes)
+    return nodes, np.concatenate(lengths), np.searchsorted(nodes, [end[s] for s in samples]).astype(int)
 
 
-def grid_nodes(grid):
-    """All nodes of a ``dynamics._Grid``, as one chunk."""
-    return grid.nodes(0, grid.steps)
+def budget_steps(max_frequency_hz, period, breakpoints, steps_per_period=STEPS_PER_PERIOD):
+    """The steps of a run at ``steps_per_period``: the budget's, each breakpoint interval's share rounded up."""
+    return step_grid(period, required_steps(max_frequency_hz, period, steps_per_period), breakpoints, None)[0].size - 1
+
+
+def grid_steps(grid):
+    """The starts and lengths of all steps of a ``dynamics._Grid``, as one chunk."""
+    t0, row = grid.starts(0, grid.steps)
+    return t0, grid.hs[row]
 
 
 def sampled(h):
@@ -200,28 +212,40 @@ class TestNonFiniteHamiltonian:
 class TestSampleTimeSnapping:
     SAMPLES = 2001
 
-    def grid(self, schedule):
+    @classmethod
+    def times(cls, schedule, misses):
+        """``SAMPLES`` uniform sample times; with ``misses``, each interior
+        breakpoint and every 100th of them again, an ulp either side."""
+        times = np.linspace(0.0, schedule.duration, cls.SAMPLES)
+        if not misses:
+            return times
+        off = np.concatenate([[p for p in schedule.breakpoints if 0.0 < p < schedule.duration], times[1:-1:100]])
+        return np.concatenate([times, np.nextafter(off, np.inf), np.nextafter(off, -np.inf)])
+
+    @classmethod
+    def grid(cls, schedule, misses=False):
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration, 200)
-        times = np.linspace(0.0, schedule.duration, self.SAMPLES)
-        grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
-        return grid_nodes(grid), grid.marks, schedule.duration / steps
+        times = cls.times(schedule, misses)
+        return dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times), schedule.duration / steps
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
     def test_no_degenerate_steps(self, scheme, monkeypatch):
+        # a rounding-level miss of another interval end would add an interval
+        # of a rounding-level step
         schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time)
-        nodes, marks, nominal = self.grid(schedule)
-        assert np.diff(nodes).min() >= 1e-6 * nominal
-        assert marks[0] == 0 and marks[-1] == nodes.size - 1
+        grid, nominal = self.grid(schedule, misses=True)
+        assert grid.hs.min() >= 1e-6 * nominal
+        assert grid.marks[0] == 0 and grid.marks[self.SAMPLES - 1] == grid.steps
         monkeypatch.setattr(dynamics, "_SNAP", 0.0)
-        unsnapped, _, _ = self.grid(schedule)
-        assert (np.diff(unsnapped) < 1e-6 * nominal).sum() > 0
+        unsnapped, _ = self.grid(schedule, misses=True)
+        assert unsnapped.hs.min() < 1e-6 * nominal
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
     def test_samples_match_unsnapped_run(self, scheme, monkeypatch):
         schedule = build_schedule(scheme, duration=SCHEMES[scheme].reference_time)
         h = frame_hamiltonian(schedule, rwa=False)
-        times = np.linspace(0.0, schedule.duration, self.SAMPLES)
+        times = self.times(schedule, misses=True)
         kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times, steps_per_period=200)
         res = propagate_unitary(h, schedule.duration, **kwargs)
         monkeypatch.setattr(dynamics, "_SNAP", 0.0)
@@ -233,11 +257,12 @@ class TestSampleTimeSnapping:
 
     def test_bgate_step_count_unchanged(self, monkeypatch):
         schedule = build_schedule("bgate")
-        nodes, _, nominal = self.grid(schedule)
-        assert nodes.size - 1 == 633_885
-        assert np.diff(nodes).min() >= 1e-6 * nominal
+        grid, nominal = self.grid(schedule)
+        assert grid.steps == 632_001
+        assert grid.hs.min() >= 1e-6 * nominal
         monkeypatch.setattr(dynamics, "_SNAP", 0.0)
-        np.testing.assert_array_equal(self.grid(schedule)[0], nodes)
+        for unsnapped, snapped in zip(grid_steps(self.grid(schedule)[0]), grid_steps(grid)):
+            np.testing.assert_array_equal(unsnapped, snapped)
 
 
 class TestStepGrid:
@@ -254,22 +279,33 @@ class TestStepGrid:
         return rng.permutation(np.concatenate([times, rng.uniform(0.0, duration, 40)]))
 
     @staticmethod
-    def assert_chunks_match(grid, nodes, marks, size, stop=None, checked=lambda a, b: True):
+    def assert_chunks_match(grid, nodes, lengths, marks, size, stop=None, checked=lambda a, b: True):
         """The chunks of ``size`` steps tile the grid up to ``stop``, and
-        those ``checked`` selects carry the oracle's nodes and marks; the
-        chunks [a, b) checked."""
+        those ``checked`` selects carry the oracle's step starts, lengths
+        and marks; the chunks [a, b) checked."""
         cuts, seen, last = sorted(set(marks.tolist())), [], 0
-        for a, b, chunk_nodes, ends in grid.chunks(size):
+        for a, b, t0, row, ends in grid.chunks(size):
             if stop is not None and a >= stop:
                 break
             assert (a, b) == (last, min(a + size, grid.steps))
             last = b
             if checked(a, b):
-                np.testing.assert_array_equal(chunk_nodes, nodes[a : b + 1])
+                np.testing.assert_array_equal(t0, nodes[a:b])
+                np.testing.assert_array_equal(grid.hs[row], lengths[a:b])
                 assert ends == [m for m in cuts if a < m < b] + [b]
                 seen.append((a, b))
         assert stop is not None or last == grid.steps
         return seen
+
+    @staticmethod
+    def assert_grid_matches(grid, nodes, lengths, marks):
+        """The whole grid is the oracle's, and its table rows are the distinct step lengths."""
+        assert grid.steps == nodes.size - 1
+        np.testing.assert_array_equal(grid.marks, marks)
+        t0, h = grid_steps(grid)
+        np.testing.assert_array_equal(t0, nodes[:-1])
+        np.testing.assert_array_equal(h, lengths)
+        np.testing.assert_array_equal(grid.hs, np.unique(lengths))
 
     @pytest.mark.parametrize("sampled_run", [False, True])
     @pytest.mark.parametrize("spp", [STEPS_PER_PERIOD, 200])
@@ -280,22 +316,23 @@ class TestStepGrid:
         duration, breakpoints = schedule.duration, schedule.breakpoints
         steps = required_steps(h.max_frequency_hz, duration, spp)
         times = self.sample_times(step_grid(duration, steps, breakpoints, None)[0], duration) if sampled_run else None
-        nodes, _, marks = step_grid(duration, steps, breakpoints, times)
+        nodes, lengths, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
-        assert grid.steps == nodes.size - 1
-        np.testing.assert_array_equal(grid.marks, marks)
-        np.testing.assert_array_equal(grid_nodes(grid), nodes)
-        np.testing.assert_array_equal(grid.lengths(), np.unique(np.diff(nodes)))
-        if sampled_run:  # nodes within _SNAP of a sample time take it; the others are extra nodes
-            assert 0 < grid.extra.size < times.size
-        self.assert_chunks_match(grid, nodes, marks, 256)
-        self.assert_chunks_match(grid, nodes, marks, 7, stop=3000)
+        self.assert_grid_matches(grid, nodes, lengths, marks)
+        intervals = len(set(breakpoints) - {0.0, duration}) + 1
+        if sampled_run:  # sample times within _SNAP of another interval end are that end
+            assert intervals < grid.lo.size < intervals + times.size
+        else:
+            assert grid.lo.size == intervals
+        self.assert_chunks_match(grid, nodes, lengths, marks, 256)
+        self.assert_chunks_match(grid, nodes, lengths, marks, 7, stop=3000)
 
     @pytest.mark.parametrize("snap", [dynamics._SNAP, 0.0])
     @pytest.mark.parametrize("scheme", ["fsim_geometric", "bgate"])
     def test_samples_an_ulp_from_nodes(self, scheme, snap, monkeypatch):
-        # the grid finds a sample's step from the rounded (t - lo) / step;
-        # an ulp off a node, that quotient lands on either side of a whole number
+        # sample times in pairs an ulp either side of a node: within _SNAP
+        # each pair is one interval end (a breakpoint where the node is one),
+        # without it two
         monkeypatch.setattr(dynamics, "_SNAP", snap)
         schedule = build_schedule(scheme)
         h = frame_hamiltonian(schedule, rwa=False)
@@ -304,12 +341,11 @@ class TestStepGrid:
         plain = step_grid(duration, steps, breakpoints, None)[0]
         i = np.random.default_rng(3).integers(1, plain.size - 1, 300)
         times = np.concatenate([np.nextafter(plain[i], np.inf), np.nextafter(plain[i], -np.inf)])
-        nodes, _, marks = step_grid(duration, steps, breakpoints, times)
+        nodes, lengths, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
-        assert (grid.steps > steps) == (snap == 0.0)
-        np.testing.assert_array_equal(grid.marks, marks)
-        np.testing.assert_array_equal(grid_nodes(grid), nodes)
-        self.assert_chunks_match(grid, nodes, marks, 256)
+        assert (len(set(grid.marks.tolist())) == len(set(i.tolist()))) == (snap > 0.0)
+        self.assert_grid_matches(grid, nodes, lengths, marks)
+        self.assert_chunks_match(grid, nodes, lengths, marks, 256)
 
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
     def test_chunks_straddling_breakpoints(self, scheme):
@@ -321,13 +357,30 @@ class TestStepGrid:
         steps = required_steps(h.max_frequency_hz, duration)
         plain = step_grid(duration, steps, breakpoints, None)[0]
         times = np.concatenate([breakpoints, (plain[:-1] + plain[1:])[np.isin(plain[1:], breakpoints)] / 2.0])
-        nodes, left, marks = step_grid(duration, steps, breakpoints, times)
+        nodes, lengths, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
-        ends = np.flatnonzero(left[:-1]) + 1
+        ends = np.flatnonzero(np.isin(nodes[1:-1], breakpoints)) + 1
         assert ends.size == len(set(breakpoints) - {0.0, duration}) > 0
         straddling = lambda a, b: ((a < ends) & (ends < b)).any()
-        seen = [ab for size in (7, 8) for ab in self.assert_chunks_match(grid, nodes, marks, size, None, straddling)]
+        chunks = [self.assert_chunks_match(grid, nodes, lengths, marks, size, None, straddling) for size in (7, 8)]
+        seen = [ab for pairs in chunks for ab in pairs]
         assert all(any(a < e < b for a, b in seen) for e in ends)
+
+    @pytest.mark.parametrize("sampled_run", [False, True])
+    @pytest.mark.parametrize("spp", [STEPS_PER_PERIOD, 200])
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_no_step_longer_than_the_budgets_step(self, scheme, rwa, spp, sampled_run):
+        # each interval's share of the budget is rounded up, never down:
+        # rounding a share of 12.5 or 105,315.33 down lengthens its steps
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa)
+        duration = schedule.duration
+        steps = required_steps(h.max_frequency_hz, duration, spp)
+        times = np.linspace(0.0, duration, 2001) if sampled_run else None
+        grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
+        _, step_factors, _, _ = dynamics._step_rule(h, dynamics._CLOSED, duration)
+        assert step_factors(grid).hs.max() <= duration / steps * (1.0 + 1e-12)
 
 
 def choi_matrix(s):
@@ -465,6 +518,33 @@ class TestLindblad:
         with pytest.raises(ValueError, match="density"):
             propagate_lindblad(lambda t: np.zeros((4, 4)), DEFAULT_DEVICE, np.eye(4), 1e-9, steps=16)
 
+    @pytest.fixture
+    def dissipator_builds(self, monkeypatch):
+        """Empties the dissipator cache and counts the dissipators built."""
+        monkeypatch.setattr(dynamics, "_LAST_DISSIPATOR", {})
+        built = []
+        count = lambda p, _f=dephasing_dissipator: built.append(p) or _f(p)
+        monkeypatch.setattr(dynamics, "dephasing_dissipator", count)
+        return built
+
+    def test_one_device_builds_its_dissipator_once(self, dissipator_builds):
+        h = frame_hamiltonian(fsim_rectangular(THETA, XI, T45, 1), rwa=False)
+        first = lindblad_superoperator(h, DEFAULT_DEVICE, T45).final
+        np.testing.assert_array_equal(lindblad_superoperator(h, DEFAULT_DEVICE, T45).final, first)
+        # a device of the same dephasing rates reuses it too
+        lindblad_superoperator(h, replace(DEFAULT_DEVICE, b_y_l0=2.0 * DEFAULT_DEVICE.b_y_l0), T45)
+        assert len(dissipator_builds) == 1
+        for device in (DeviceParams(t2_q1=40e-9), DeviceParams(t2_q2=70e-9), DEFAULT_DEVICE):
+            lindblad_superoperator(h, device, T45)
+        assert len(dissipator_builds) == 4
+
+    def test_cached_dissipator_is_read_only(self, dissipator_builds):
+        h = frame_hamiltonian(fsim_rectangular(THETA, XI, T45, 1), rwa=False)
+        lindblad_superoperator(h, DEFAULT_DEVICE, T45)
+        ((dissipator,),) = dynamics._LAST_DISSIPATOR.values()
+        with pytest.raises(ValueError, match="read-only"):
+            dissipator[0, 0] = 0.0
+
     def test_collapse_operators_are_projectors(self):
         for op in (*COLLAPSE_Q1, *COLLAPSE_Q2):
             np.testing.assert_allclose(op @ op, op, atol=0)
@@ -546,10 +626,9 @@ class TestChunkedDriver:
         return np.random.default_rng(5).permutation(times)
 
     @staticmethod
-    def per_interval_states(factors_of, nodes, marks, dim, chunk):
+    def per_interval_states(factors_of, n, marks, dim, chunk):
         """The driver's snapshots as first written: one ordered product per
         sample interval inside each chunk, chained onto the running state."""
-        n = nodes.size - 1
         state = np.eye(dim)
         snapshots = {0: state}
         for a in range(0, n, chunk):
@@ -574,12 +653,14 @@ class TestChunkedDriver:
         times = self.awkward_sample_times(plain, T45)
         nodes, _, marks = step_grid(T45, steps, schedule.breakpoints, times)
         # chunk edges fall on sample nodes, and chunks hold several samples each
-        assert np.array_equal(nodes[:31], plain[:31]) and {3, 6, 9} <= set(marks.tolist())
+        assert {3, 6, 9, 31} <= set(marks.tolist())
         assert np.bincount(marks[(marks % 3 > 0)] // 3).max() >= 2 and len(set(marks.tolist())) < marks.size
         self.three_step_chunks(monkeypatch, space.dim)
         res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
-        factors = dynamics._MagnusFilon(h.terms, space, False, dynamics._Grid(T45, steps, schedule.breakpoints, times))
-        states, final = self.per_interval_states(lambda a, b: factors(nodes[a : b + 1]), nodes, marks, space.dim, 3)
+        grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
+        factors = dynamics._MagnusFilon(h.terms, space, False, grid)
+        factors_of = lambda a, b: factors(*grid.starts(a, b))
+        states, final = self.per_interval_states(factors_of, grid.steps, marks, space.dim, 3)
         assert res.rule == "magnus_filon"
         assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, space.dim)
         np.testing.assert_array_equal(res.states, states)
@@ -597,9 +678,10 @@ class TestChunkedDriver:
 
 
 class TestMemoryBound:
-    # a run holds O(chunk) step factors, O(samples) snapshots and O(distinct
-    # step lengths) Filon tables, so its traced peak does not grow with the
-    # step count; a per-step float64 array at 30k more steps is 0.24 MB
+    # a run holds O(chunk) step factors, O(samples) intervals and snapshots
+    # and a Filon table over its intervals' distinct step lengths, so its
+    # traced peak does not grow with the step count; a per-step float64
+    # array at 30k more steps is 0.24 MB
     BOUND = 0.5e6  # bytes
 
     @staticmethod
@@ -793,20 +875,21 @@ class TestFilonWeights:
             dynamics.filon_weights(nus, [self.H])
         dynamics.filon_weights(nus, [self.H / 2])
 
-    @pytest.mark.parametrize("block", [1, 7, 256])
-    def test_blocked_tables_equal_one_shot_weights(self, block, monkeypatch):
-        # 41 unsorted sample times split the steps into many distinct lengths
-        monkeypatch.setattr(dynamics, "_FILON_BLOCK", block)
+    @pytest.mark.parametrize("samples, rows", [(0, 1), (41, 43), (2001, 14)])
+    def test_table_rows_are_the_distinct_interval_steps(self, samples, rows, monkeypatch):
+        # unsorted sample times split the B gate into intervals of many lengths
         monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
-        times = np.random.default_rng(7).uniform(0.0, schedule.duration, 41)
-        nodes, _, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
+        rng, duration = np.random.default_rng(7), schedule.duration
+        times = {0: None, 41: rng.uniform(0.0, duration, 41), 2001: rng.permutation(np.linspace(0.0, duration, 2001))}
+        times = times[samples]
+        _, lengths, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
         grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
         mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
-        hs = np.unique(np.diff(nodes))
-        assert hs.size > 20 and mf.k.size > 0
+        hs = np.unique(lengths)
+        assert hs.size == rows and mf.table.shape[0] == rows and mf.k.size > 0
         np.testing.assert_array_equal(mf.hs, hs)
         phi, jj = dynamics.filon_weights(mf.nus, hs)
         dj = 0.5 * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k])
@@ -936,7 +1019,7 @@ class TestMagnusFilon:
         h = frame_hamiltonian(schedule, rwa=True)
         ref = richardson_reference(h, schedule.duration, 4096, schedule.breakpoints)
         res = propagate_unitary(h, schedule.duration, breakpoints=schedule.breakpoints)
-        assert res.steps == required_steps(h.max_frequency_hz, schedule.duration)
+        assert res.steps == budget_steps(h.max_frequency_hz, schedule.duration, schedule.breakpoints)
         assert np.linalg.norm(res.final - ref) <= 1e-10
 
     @pytest.mark.parametrize("decoherence", [False, True])
@@ -986,7 +1069,7 @@ class TestMagnusFilon:
         res = gate_channel(schedule, rwa=rwa, decoherence=decoherence, rabi_delta=0.05, detuning_eps=0.02)
         budget = 200 if decoherence or scheme == "fsim_poly" else STEPS_PER_PERIOD
         assert (res.rule, res.steps_per_period) == ("magnus_filon", budget)
-        assert res.steps == required_steps(res.max_frequency_hz, schedule.period, budget)
+        assert res.steps == budget_steps(res.max_frequency_hz, schedule.period, schedule.breakpoints, budget)
         quick = gate_channel(schedule, rwa=rwa, decoherence=decoherence, steps_per_period=100)
         assert (quick.rule, quick.steps_per_period) == ("magnus_filon", 100)
 
@@ -1063,8 +1146,8 @@ def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions
         gens = vec_liouvillians(terms.mats.reshape(-1, 4, 4), 0.0).reshape(terms.mats.shape[:2] + (16, 16))
         gens = np.concatenate([gens, np.broadcast_to(diss, (gens.shape[0], 1, 16, 16))], axis=1)
         nus, scaled = np.append(nus, 0.0), np.append(scaled, False)
-    nodes, _, _ = step_grid(period, steps, breakpoints, None)
-    t0, dts = nodes[:-1], np.diff(nodes)
+    nodes, dts, _ = step_grid(period, steps, breakpoints, None)
+    t0 = nodes[:-1]
     hs, length = np.unique(dts, return_inverse=True)
     phi, jj = dynamics.filon_weights(nus, hs)
     segment = terms.segment_index(t0 + dts / 2.0)
