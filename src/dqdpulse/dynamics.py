@@ -1,18 +1,18 @@
 """Time-ordered closed-system propagation and Lindblad open-system evolution.
 
 One driver serves both: it resolves H(t), checks the step floor, lays out
-the step grid, and walks it in memory-bounded chunks, each reduced to one
-ordered product, recording the running product at every sample time.
+the step grid, and walks it in memory-bounded chunks, each reduced to
+ordered products, recording the running product at every sample time.
 Breakpoints and sample times alike end the grid's intervals, and each
 interval takes one uniform step, its length over its share of the steps.
 The grid holds its intervals, and each chunk computes its own step starts,
 so a run holds O(chunk) step factors, O(samples) intervals and snapshots
 and, for the Magnus-Filon step, one Filon table row per distinct interval
-step (a handful), however many steps it takes.  A chunk holding sample
-times is cut at them into runs, padded with identities after their last
-step to one length and reduced in one batched tree reduction, which gives
-each run's product bit for bit; the running product then takes one matrix
-product per sample.
+step (a handful), however many steps it takes.  A chunk holds whole runs of
+one length between sampled nodes, as one stack that a batched tree
+reduction takes to each run's product, bit for bit as alone, and the
+running product takes one matrix product per run; a run longer than a
+chunk is cut into pieces (``_Grid.chunks``).
 
 The step rule depends only on how H(t) is given, closed or open:
 
@@ -76,9 +76,9 @@ the budget's.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -195,7 +195,8 @@ class _Grid:
     of np.linspace(lo, hi, n + 1) bit for bit, r * h + lo, and the step
     takes h as its length.  ``hs`` holds the distinct h, ascending, and
     ``row`` each interval's index in it; ``marks`` holds each sample time's
-    node index, and ``samples_at`` the sample times at each sampled node.
+    node index, and ``samples_at`` the sample times at each sampled node, in
+    node order.
     """
 
     def __init__(
@@ -223,9 +224,9 @@ class _Grid:
         self.marks = self.base[np.searchsorted(ends, snapped)]
         order = np.argsort(self.marks, kind="stable")
         first = np.flatnonzero(np.diff(self.marks[order], prepend=-1))
-        self.cuts = self.marks[order[first]].tolist()  # the sampled nodes, ascending
+        cuts = self.marks[order[first]].tolist()  # the sampled nodes, ascending
         order, bounds = order.tolist(), [*first.tolist(), order.size]
-        self.samples_at = {m: order[i:j] for m, i, j in zip(self.cuts, bounds, bounds[1:])}
+        self.samples_at = {m: order[i:j] for m, i, j in zip(cuts, bounds, bounds[1:])}
 
     def starts(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """The starts of steps a..b - 1, r * h + lo in their interval, and
@@ -238,49 +239,45 @@ class _Grid:
         t += np.repeat(self.lo[j], counts)
         return t, np.repeat(self.row[j], counts)
 
-    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
-        """Each chunk [a, b) of ``size`` steps: a, b, its steps' starts and
-        rows, and the sampled nodes in (a, b) followed by b.  Starts and rows
-        are computed a block of chunks at a time, at most ``CHUNK_BYTES`` of
-        them and their temporaries."""
-        block = size * max(1, CHUNK_BYTES // (32 * size))
-        for start in range(0, self.steps, block):
-            stop = min(start + block, self.steps)
-            t0, row = self.starts(start, stop)
-            for a in range(start, stop, size):
-                b = min(a + size, stop)
-                ends = self.cuts[bisect_right(self.cuts, a) : bisect_left(self.cuts, b)] + [b]
-                yield a, b, t0[a - start : b - start], row[a - start : b - start], ends
+    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, range]]:
+        """Each chunk [a, b) of at most ``size`` steps, planned lazily: a, b,
+        its steps' starts and rows, and the ends a + L, ..., b of its runs of
+        L steps.  A chunk holds consecutive whole runs of one length between
+        sampled nodes, or ``size`` steps or the remainder of a longer run, so
+        an unsampled grid, one run, is chunked from step 0.  Starts and rows
+        take ``CHUNK_BYTES`` a block."""
+        block, stop = size * max(1, CHUNK_BYTES // (32 * size)), 0
+        for a, b, run in self._plan(size):
+            if b > stop:
+                start, stop = a, min(a + block, self.steps)
+                t0, row = self.starts(start, stop)
+            yield a, b, t0[a - start : b - start], row[a - start : b - start], range(a + run, b + 1, run)
+
+    def _plan(self, size: int) -> Iterator[tuple[int, int, int]]:
+        """The chunks of ``chunks`` as (a, b, L): runs of L steps from step a to b."""
+        run, k, last = 0, 0, 0  # k pending runs of `run` steps ending at the last run end
+        for end in chain(self.samples_at, [self.steps]):
+            n = end - last
+            if k and (n != run or (k + 1) * n > size):
+                yield last - k * run, last, run
+                k = 0
+            if n > size:  # chunks of ``size`` steps, the remainder last
+                for lo in range(last, end, size):
+                    yield lo, min(lo + size, end), min(size, end - lo)
+            elif n:
+                run, k = n, k + 1
+            last = end
+        if k:
+            yield last - k * run, last, run
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] via an
     order-preserving tree reduction along the step axis, -3."""
-    while mats.shape[-3] > 1:
-        if mats.shape[-3] % 2:
-            tail = mats[..., -1:, :, :]
-            mats = np.matmul(mats[..., 1::2, :, :], mats[..., :-1:2, :, :])
-            mats = np.concatenate([mats, tail], axis=-3)
-        else:
-            mats = np.matmul(mats[..., 1::2, :, :], mats[..., ::2, :, :])
+    while (n := mats.shape[-3]) > 1:
+        pairs = np.matmul(mats[..., 1::2, :, :], mats[..., : n - 1 : 2, :, :])
+        mats = np.concatenate([pairs, mats[..., -1:, :, :]], axis=-3) if n % 2 else pairs
     return mats[..., 0, :, :]
-
-
-def _grouped(factors: np.ndarray, ends: list[int]) -> np.ndarray:
-    """The runs factors[ends[g - 1]:ends[g]] (ends increasing, the last
-    len(factors)) as one (G, L, dim, dim) stack, each padded after its last
-    factor with identities to the longest run's length L.
-
-    An identity factor changes no product, and padding at the end leaves each
-    run's tree reduction pairing its factors as it would alone, so
-    ``_ordered_product`` of the stack is each run's product bit for bit.
-    """
-    starts, eye = [0, *ends[:-1]], np.eye(factors.shape[-1])
-    out = np.empty((len(ends), max(e - s for s, e in zip(starts, ends))) + factors.shape[1:])
-    for g, (s, e) in enumerate(zip(starts, ends)):
-        out[g, : e - s] = factors[s:e]
-        out[g, e - s :] = eye
-    return out
 
 
 def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
@@ -355,12 +352,9 @@ def _propagate(
     state = np.eye(dim)
     for r in samples_at.get(0, ()):
         held[r] = state
-    for a, b, t0, row, ends in grid.chunks(chunk):
-        factors = factors_of(t0, row)
-        if len(ends) == 1:
-            products = [_ordered_product(factors)]
-        else:  # the chunk's sample intervals in one reduction, then one product per sample
-            products = _ordered_product(_grouped(factors, [m - a for m in ends]))
+    for _, _, t0, row, ends in grid.chunks(chunk):  # the chunk's runs in one reduction, then one product each
+        factors = factors_of(t0, row)  # held until the next chunk's exist: released sooner, glibc may trim the heap
+        products = _ordered_product(factors.reshape(len(ends), -1, dim, dim))
         for m, product in zip(ends, products):
             state = product @ state
             for r in samples_at.get(m, ()):

@@ -2,9 +2,12 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dqdpulse import dynamics, experiments
 from dqdpulse.algebra import mat_exp_skew, phase_aligned_distance
@@ -25,8 +28,8 @@ from dqdpulse.dynamics import (
     propagate_unitary,
     required_steps,
 )
-from dqdpulse.experiments import POLY_GATE_TIME, build_schedule, gate_channel
-from dqdpulse.pulses import apply_detuning_error, apply_rabi_error, fsim_rectangular
+from dqdpulse.experiments import ETA_REF, POLY_GATE_TIME, build_schedule, gate_channel
+from dqdpulse.pulses import apply_detuning_error, apply_rabi_error, fsim_rectangular, polynomial_coefficients
 from dqdpulse.trajectories import fsim_matrix
 
 THETA, XI = math.pi / 4, math.pi / 2
@@ -109,6 +112,35 @@ def grid_steps(grid):
     """The starts and lengths of all steps of a ``dynamics._Grid``, as one chunk."""
     t0, row = grid.starts(0, grid.steps)
     return t0, grid.hs[row]
+
+
+def run_pieces(marks, steps, size):
+    """Oracle: a grid's reduction units at ``size`` steps a chunk, as (lo, hi,
+    whole).  The runs between sampled nodes, 0 and the last step are whole
+    when they fit; a longer run is cut into pieces of ``size`` steps with
+    the remainder last."""
+    bounds = sorted({0, *np.asarray(marks, dtype=int).tolist(), steps})
+    units = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo <= size:
+            units.append((lo, hi, True))
+            continue
+        edges = [*range(lo, hi, size), hi]
+        units += [(x, y, False) for x, y in zip(edges[:-1], edges[1:])]
+    return units
+
+
+def planned_chunks(marks, steps, size):
+    """Oracle: each chunk's (a, b, run ends), the reduction units in order,
+    with consecutive whole runs of one length merged while they fit."""
+    chunks = []
+    for lo, hi, whole in run_pieces(marks, steps, size):
+        a, ends, merges = chunks[-1] if chunks else (0, [0], False)
+        if whole and merges and hi - lo == ends[0] - a and hi - a <= size:
+            ends.append(hi)
+        else:
+            chunks.append((lo, [hi], whole))
+    return [(a, ends[-1], ends) for a, ends, _ in chunks]
 
 
 def sampled(h):
@@ -280,21 +312,23 @@ class TestStepGrid:
 
     @staticmethod
     def assert_chunks_match(grid, nodes, lengths, marks, size, stop=None, checked=lambda a, b: True):
-        """The chunks of ``size`` steps tile the grid up to ``stop``, and
-        those ``checked`` selects carry the oracle's step starts, lengths
-        and marks; the chunks [a, b) checked."""
-        cuts, seen, last = sorted(set(marks.tolist())), [], 0
+        """The chunks of at most ``size`` steps tile the grid up to ``stop``
+        as the oracle plans them from the marks, run ends included, and
+        those ``checked`` selects carry the oracle's step starts and
+        lengths; the chunks [a, b) checked."""
+        planned, seen, last = iter(planned_chunks(marks, grid.steps, size)), [], 0
         for a, b, t0, row, ends in grid.chunks(size):
             if stop is not None and a >= stop:
                 break
-            assert (a, b) == (last, min(a + size, grid.steps))
+            assert a == last and 0 < b - a <= size
             last = b
+            assert (a, b, list(ends)) == next(planned)
+            assert {m for m in marks.tolist() if a < m <= b} <= set(ends)
             if checked(a, b):
                 np.testing.assert_array_equal(t0, nodes[a:b])
                 np.testing.assert_array_equal(grid.hs[row], lengths[a:b])
-                assert ends == [m for m in cuts if a < m < b] + [b]
                 seen.append((a, b))
-        assert stop is not None or last == grid.steps
+        assert stop is not None or (last == grid.steps and next(planned, None) is None)
         return seen
 
     @staticmethod
@@ -350,13 +384,15 @@ class TestStepGrid:
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_geometric", "bgate"])
     def test_chunks_straddling_breakpoints(self, scheme):
         # every step that ends at a breakpoint, with nodes and samples on
-        # either side of it in the same chunk of 7 or of 8 steps
+        # either side of it in the same chunk of 7 or of 8 steps: samples 1
+        # and 3 steps either side make it the middle of three 2-step runs
         schedule = build_schedule(scheme)
         h = frame_hamiltonian(schedule, rwa=False)
         duration, breakpoints = schedule.duration, schedule.breakpoints
         steps = required_steps(h.max_frequency_hz, duration)
         plain = step_grid(duration, steps, breakpoints, None)[0]
-        times = np.concatenate([breakpoints, (plain[:-1] + plain[1:])[np.isin(plain[1:], breakpoints)] / 2.0])
+        at = np.flatnonzero(np.isin(plain[1:-1], breakpoints)) + 1
+        times = plain[np.add.outer(at, [-3, -1, 1, 3]).ravel()]
         nodes, lengths, marks = step_grid(duration, steps, breakpoints, times)
         grid = dynamics._Grid(duration, steps, breakpoints, times)
         ends = np.flatnonzero(np.isin(nodes[1:-1], breakpoints)) + 1
@@ -365,6 +401,30 @@ class TestStepGrid:
         chunks = [self.assert_chunks_match(grid, nodes, lengths, marks, size, None, straddling) for size in (7, 8)]
         seen = [ab for pairs in chunks for ab in pairs]
         assert all(any(a < e < b for a, b in seen) for e in ends)
+
+    def test_long_runs_keep_full_chunks(self):
+        # the closed B gate's 1,580-step runs between 101 samples (one of
+        # them 1,581 steps, across the breakpoint): 6 full chunks each and
+        # the remainder, which no later chunk joins
+        schedule = build_schedule("bgate")
+        steps = required_steps(frame_hamiltonian(schedule, rwa=False).max_frequency_hz, schedule.duration)
+        grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, np.linspace(0.0, schedule.duration, 101))
+        chunks = list(grid.chunks(256))
+        assert len(chunks) == 100 * 7 and {len(ends) for *_, ends in chunks} == {1}
+        assert sorted({b - a for a, b, *_ in chunks}) == [44, 45, 256]
+
+    def test_chunk_plan_is_walked_lazily(self):
+        # 10,000 runs of random lengths take about as many chunks, planned
+        # as they are walked: held whole, the plan alone would take 0.7 MB
+        times = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 10_000))
+        grid = dynamics._Grid(1.0, 100_000, [], times)
+        tracemalloc.start()
+        try:
+            chunks = sum(1 for _ in grid.chunks(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks > 9_000 and peak < 0.25e6
 
     @pytest.mark.parametrize("sampled_run", [False, True])
     @pytest.mark.parametrize("spp", [STEPS_PER_PERIOD, 200])
@@ -472,6 +532,22 @@ class TestLindblad:
         schedule = build_schedule(scheme, duration=2e-9 if scheme == "bgate" else None)
         res = gate_channel(schedule, rwa=False, decoherence=True)
         # tr rho_T = sum_a vec(rho_T)[5 a], which must be tr rho_0 for every vec(rho_0)
+        trace_row = res.final[[0, 5, 10, 15]].sum(axis=0)
+        assert np.abs(trace_row - np.eye(4).flatten(order="F")).max() <= 1e-14
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(st.floats(-math.pi / 2.0, math.pi / 2.0), st.floats(-math.pi, math.pi), st.integers(1, 10), st.booleans())
+    def test_drawn_channels_preserve_trace(self, scheme, theta, xi, n_reps, rwa):
+        # the law above over the (theta, xi, N) the config accepts, in
+        # either frame, outside the polynomial family's singular configurations
+        if scheme == "fsim_poly":
+            try:
+                polynomial_coefficients(theta, xi, n_reps, ETA_REF)
+            except ValueError:
+                assume(False)
+        schedule = build_schedule(scheme, theta, xi, SCHEMES[scheme].reference_time, n_reps)
+        res = gate_channel(schedule, rwa=rwa, decoherence=True)
         trace_row = res.final[[0, 5, 10, 15]].sum(axis=0)
         assert np.abs(trace_row - np.eye(4).flatten(order="F")).max() <= 1e-14
 
@@ -605,7 +681,7 @@ class TestChunkedDriver:
         assert (res.rule, res.steps) == (rule, 400)
         assert {m.dtype for m in held} == {np.dtype(float)}
         assert max(m.nbytes for m in held) == dynamics.CHUNK_BYTES
-        assert sum(m.shape[0] for m in held) == res.steps
+        assert sum(m.shape[0] * m.shape[1] for m in held) == res.steps  # runs x their length
 
     def test_rejects_sample_times_outside_the_gate(self):
         with pytest.raises(ValueError, match="sample times"):
@@ -626,15 +702,15 @@ class TestChunkedDriver:
         return np.random.default_rng(5).permutation(times)
 
     @staticmethod
-    def per_interval_states(factors_of, n, marks, dim, chunk):
-        """The driver's snapshots as first written: one ordered product per
-        sample interval inside each chunk, chained onto the running state."""
+    def per_run_states(factors_of, n, marks, dim, chunk):
+        """The driver's snapshots one run at a time: each planned chunk's
+        factors, then one ordered product per run or piece in it, chained
+        onto the running state."""
         state = np.eye(dim)
         snapshots = {0: state}
-        for a in range(0, n, chunk):
-            b = min(a + chunk, n)
+        for a, b, ends in planned_chunks(marks, n, chunk):
             factors, start = factors_of(a, b), a
-            for m in sorted({*marks[(marks > a) & (marks < b)].tolist(), b}):
+            for m in ends:
                 state = snapshots[m] = dynamics._ordered_product(factors[start - a : m - a]) @ state
                 start = m
         return np.stack([snapshots[m] for m in marks]), state
@@ -652,29 +728,77 @@ class TestChunkedDriver:
         plain, _, _ = step_grid(T45, steps, schedule.breakpoints, None)
         times = self.awkward_sample_times(plain, T45)
         nodes, _, marks = step_grid(T45, steps, schedule.breakpoints, times)
-        # chunk edges fall on sample nodes, and chunks hold several samples each
-        assert {3, 6, 9, 31} <= set(marks.tolist())
-        assert np.bincount(marks[(marks % 3 > 0)] // 3).max() >= 2 and len(set(marks.tolist())) < marks.size
+        # chunks hold several whole runs, single runs and pieces of longer ones
+        assert {3, 6, 9, 31} <= set(marks.tolist()) and len(set(marks.tolist())) < marks.size
+        plan = planned_chunks(marks, nodes.size - 1, 3)
+        assert {1, 3} <= {len(ends) for _, _, ends in plan}
+        assert any(b not in marks for _, b, _ in plan)  # a piece of a longer run
         self.three_step_chunks(monkeypatch, space.dim)
         res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
         grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
         factors = dynamics._MagnusFilon(h.terms, space, False, grid)
         factors_of = lambda a, b: factors(*grid.starts(a, b))
-        states, final = self.per_interval_states(factors_of, grid.steps, marks, space.dim, 3)
+        states, final = self.per_run_states(factors_of, grid.steps, marks, space.dim, 3)
         assert res.rule == "magnus_filon"
         assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, space.dim)
         np.testing.assert_array_equal(res.states, states)
         np.testing.assert_array_equal(res.final, final)
 
-    # [3, 4] and [5, 8] pad runs whose tree pairs differently if padded in front
-    @pytest.mark.parametrize("lengths", [[3], [1, 2], [2, 1], [1, 1, 1], [5, 1, 2], [1, 6], [3, 4], [5, 8]])
-    def test_grouped_products_are_each_runs_product(self, lengths):
-        factors = np.random.default_rng(sum(lengths) * 10 + len(lengths)).normal(size=(sum(lengths), 8, 8))
-        ends = np.cumsum(lengths).tolist()
-        products = dynamics._ordered_product(dynamics._grouped(factors, ends))
-        assert products.shape == (len(lengths), 8, 8)
-        for product, start, end in zip(products, [0, *ends[:-1]], ends):
-            np.testing.assert_array_equal(product, dynamics._ordered_product(factors[start:end]))
+    def test_sampled_bgate_reduces_each_step_once(self, monkeypatch):
+        # the benchmark's closed B gate with 2,001 samples: its 79-step runs
+        # share chunks whole, so every step reaches the ordered product
+        # once, in no stack above CHUNK_BYTES, and in about as many
+        # reductions as the unsampled run's
+        stacks = []
+        reduce = dynamics._ordered_product
+        monkeypatch.setattr(dynamics, "_ordered_product", lambda m: stacks.append((m.shape, m.nbytes)) or reduce(m))
+        schedule = build_schedule("bgate")
+        reductions = []
+        for times in (None, np.linspace(0.0, schedule.duration, 2001)):
+            stacks.clear()
+            res = gate_channel(schedule, rwa=False, decoherence=False, sample_times=times)
+            reductions.append(len(stacks))
+        assert res.steps == 158_001 and reductions[0] == 618
+        assert sum(shape[0] * shape[1] for shape, _ in stacks) == res.steps
+        assert max(nbytes for _, nbytes in stacks) <= dynamics.CHUNK_BYTES
+        assert reductions[1] <= 1.1 * reductions[0]
+
+    @pytest.mark.parametrize("decoherence", [False, True])
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(st.integers(3, 60), st.integers(0, 2), st.integers(0, 100), st.integers(0, 100))
+    def test_runs_that_fit_make_states_independent_of_the_budget(
+        self, scheme, decoherence, samples, skip, extra_1, extra_2
+    ):
+        # each run that fits in a chunk is reduced whole, so where chunk
+        # edges fall moves no sampled state: bit for bit once each step is
+        # exponentiated alone.  batched_expm shares one Taylor degree and
+        # squaring count over its stack, so as run a step's factor depends
+        # on the steps chunked with it, at rounding
+        schedule = build_schedule(scheme)
+        duration = schedule.duration
+        times = np.linspace(0.0, duration, samples)[skip:]
+        steps = required_steps(frame_hamiltonian(schedule, rwa=False).max_frequency_hz, duration, 200)
+        grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
+        longest = int(np.diff([0, *grid.samples_at, grid.steps]).max())
+        factor_bytes = 8 * (16 if decoherence else 8) ** 2
+        expm = dynamics.batched_expm
+        alone = lambda a: np.stack([expm(x[None])[0] for x in a])
+
+        def run(size, exponential):
+            with mock.patch.object(dynamics, "CHUNK_BYTES", size * factor_bytes):
+                with mock.patch.object(dynamics, "batched_expm", exponential):
+                    return gate_channel(
+                        schedule, rwa=False, decoherence=decoherence, steps_per_period=200, sample_times=times
+                    )
+
+        sizes = (longest + extra_1, longest + extra_2)
+        ref, res = (run(size, alone) for size in sizes)
+        assert res.steps == ref.steps == grid.steps
+        np.testing.assert_array_equal(res.states, ref.states)
+        np.testing.assert_array_equal(res.final, ref.final)
+        ref, res = (run(size, expm) for size in sizes)
+        assert np.abs(res.states - ref.states).max() <= 1e-14
 
 
 class TestMemoryBound:
