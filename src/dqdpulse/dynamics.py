@@ -5,14 +5,15 @@ the step grid, and walks it in memory-bounded chunks, each reduced to
 ordered products, recording the running product at every sample time.
 Breakpoints and sample times alike end the grid's intervals, and each
 interval takes one uniform step, its length over its share of the steps.
-The grid holds its intervals, and each chunk computes its own step starts,
-so a run holds O(chunk) step factors, O(samples) intervals and snapshots
-and, for the Magnus-Filon step, one Filon table row per distinct interval
-step (a handful), however many steps it takes.  A chunk holds whole runs of
-one length between sampled nodes, as one stack that a batched tree
-reduction takes to each run's product, bit for bit as alone, and the
-running product takes one matrix product per run; a run longer than a
-chunk is cut into pieces (``_Grid.chunks``).
+The grid holds its intervals, and each chunk its pieces, the stretches of
+one interval in it, so a run holds O(chunk) step factors, O(samples)
+intervals and snapshots and, for the Magnus-Filon step, one Filon row and
+one unit phase table per distinct interval step (a handful), however many
+steps it takes.  A chunk holds whole runs of one length between sampled
+nodes, as one stack that a batched tree reduction takes to each run's
+product, bit for bit as alone, and the running product takes one matrix
+product per run; a run longer than a chunk is cut into full chunks
+(``_Grid.chunks``).
 
 The step rule depends only on how H(t) is given, closed or open:
 
@@ -166,24 +167,26 @@ class _Space:
         return np.stack(parts, axis=2).reshape(gens.shape[0], -1, self.dim**2)
 
 
-def _combine(coef: np.ndarray, segment: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_k c_k rows[s, k] for each sample, s its segment, in real arithmetic,
-    one product per segment present; the finiteness check of every rule."""
+def _combine(coef: np.ndarray, segment: np.ndarray | int, rows: np.ndarray) -> np.ndarray:
+    """sum_k c_k rows[s, k] for each sample, s its segment (one for all of
+    them, or one each, nondecreasing as time-ordered samples' are), in real
+    arithmetic, one product per run of a segment; the finiteness check of
+    every rule."""
     if not np.isfinite(coef).all():
         raise ValueError("cannot propagate: H has non-finite entries")
     coef = np.ascontiguousarray(coef).view(float)  # Re c, Im c interleaved
-    present = np.flatnonzero(np.bincount(segment))
-    if present.size == 1:
-        return coef @ rows[present[0]]
+    if np.ndim(segment) == 0:
+        return coef @ rows[segment]
+    cuts = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), len(segment)]
     out = np.empty((coef.shape[0], rows.shape[-1]))
-    for s in present:
-        out[segment == s] = coef[segment == s] @ rows[s]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        np.matmul(coef[lo:hi], rows[segment[lo]], out=out[lo:hi])
     return out
 
 
 class _Grid:
-    """The step grid of [0, T], held as its intervals so that each chunk of
-    steps computes its own step starts.
+    """The step grid of [0, T], held as its intervals, so that a chunk of
+    steps takes its pieces (``pieces``) or computes its own step starts.
 
     Breakpoints and sample times alike end intervals, so discontinuous
     envelopes never straddle a step and every sample time is a node.  Two
@@ -228,30 +231,32 @@ class _Grid:
         order, bounds = order.tolist(), [*first.tolist(), order.size]
         self.samples_at = {m: order[i:j] for m, i, j in zip(cuts, bounds, bounds[1:])}
 
+    def pieces(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steps a..b - 1 cut at interval ends: each piece's interval, first
+        step and number of steps."""
+        j0, j1 = np.searchsorted(self.base, (a, b - 1), side="right").tolist()  # base[j0 - 1] <= a < b <= base[j1]
+        bounds = self.base[j0 - 1 : j1 + 1].copy()
+        bounds[0], bounds[-1] = a, b
+        return np.arange(j0 - 1, j1), bounds[:-1], bounds[1:] - bounds[:-1]
+
     def starts(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """The starts of steps a..b - 1, r * h + lo in their interval, and
         each one's row of ``hs``."""
-        j0, j1 = np.searchsorted(self.base, a, side="right") - 1, np.searchsorted(self.base, b)
-        j, counts = slice(j0, j1), np.diff(np.clip(self.base[j0 : j1 + 1], a, b))
+        j, _, n = self.pieces(a, b)
         t = np.arange(a, b, dtype=float)
-        t -= np.repeat(self.base[j], counts)
-        t *= np.repeat(self.h[j], counts)
-        t += np.repeat(self.lo[j], counts)
-        return t, np.repeat(self.row[j], counts)
+        t -= np.repeat(self.base[j], n)
+        t *= np.repeat(self.h[j], n)
+        t += np.repeat(self.lo[j], n)
+        return t, np.repeat(self.row[j], n)
 
-    def chunks(self, size: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, range]]:
+    def chunks(self, size: int) -> Iterator[tuple[int, int, tuple[np.ndarray, ...], range]]:
         """Each chunk [a, b) of at most ``size`` steps, planned lazily: a, b,
-        its steps' starts and rows, and the ends a + L, ..., b of its runs of
-        L steps.  A chunk holds consecutive whole runs of one length between
+        its pieces (``pieces``), and the ends a + L, ..., b of its runs of L
+        steps.  A chunk holds consecutive whole runs of one length between
         sampled nodes, or ``size`` steps or the remainder of a longer run, so
-        an unsampled grid, one run, is chunked from step 0.  Starts and rows
-        take ``CHUNK_BYTES`` a block."""
-        block, stop = size * max(1, CHUNK_BYTES // (32 * size)), 0
+        an unsampled grid, one run, is chunked from step 0."""
         for a, b, run in self._plan(size):
-            if b > stop:
-                start, stop = a, min(a + block, self.steps)
-                t0, row = self.starts(start, stop)
-            yield a, b, t0[a - start : b - start], row[a - start : b - start], range(a + run, b + 1, run)
+            yield a, b, self.pieces(a, b), range(a + run, b + 1, run)
 
     def _plan(self, size: int) -> Iterator[tuple[int, int, int]]:
         """The chunks of ``chunks`` as (a, b, L): runs of L steps from step a to b."""
@@ -281,9 +286,10 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
-    """The rule of H's steps, step_factors(grid) -> factors(t0, row) giving
-    the real (len(t0), dim, dim) factors of a chunk's steps, which start at
-    t0 and take the lengths grid.hs[row], f_max and the default budget.
+    """The rule of H's steps, step_factors(grid, size) -> factors(a, b,
+    pieces) giving the real (b - a, dim, dim) factors of a chunk's steps
+    a..b - 1 (``_Grid.chunks``, at most ``size`` a chunk), f_max and the
+    default budget.
 
     Fourier terms take the Magnus-Filon step, sampled H the midpoint rule.
     A closed run whose stepped segments all have constant envelopes
@@ -346,19 +352,20 @@ def _propagate(
     grid = _Grid(period, steps, breakpoints, times)
     dim = space.dim
     chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
-    factors_of = step_factors(grid)
+    factors_of = step_factors(grid, chunk)
     samples_at = grid.samples_at
     held = None if times is None else np.empty((times.size + 1, dim, dim))  # each sample's product, then the final
     state = np.eye(dim)
     for r in samples_at.get(0, ()):
         held[r] = state
-    for _, _, t0, row, ends in grid.chunks(chunk):  # the chunk's runs in one reduction, then one product each
-        factors = factors_of(t0, row)  # held until the next chunk's exist: released sooner, glibc may trim the heap
+    for a, b, pieces, ends in grid.chunks(chunk):  # the chunk's runs in one reduction, then one product each
+        factors = factors_of(a, b, pieces)  # held until the next chunk's exist: released sooner, glibc may trim
         products = _ordered_product(factors.reshape(len(ends), -1, dim, dim))
         for m, product in zip(ends, products):
             state = product @ state
             for r in samples_at.get(m, ()):
                 held[r] = state
+    del factors_of, factors  # the step rule's tables would add to the peak of restoring the states
     final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
     if times is None:
         states, final = None, space.restore(final)
@@ -378,17 +385,20 @@ def _propagate(
     )
 
 
-def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid) -> Callable:
+def _midpoint_factors(
+    batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid, size: int
+) -> Callable:
     """exp(A(t + dt/2) dt) of sampled H: its 16 entries are the coefficients
     of the unit matrices E_ab, and an open run adds the dissipator's dt."""
     rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
 
-    def factors(t0: np.ndarray, row: np.ndarray) -> np.ndarray:
+    def factors(a: int, b: int, pieces: list) -> np.ndarray:
+        t0, row = grid.starts(a, b)
         dts = grid.hs[row]
         mids = t0 + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
             coef = np.asarray(batch(mids), dtype=complex).reshape(-1, 16) * dts[:, None]
-        gen = _combine(coef, np.zeros(dts.size, dtype=int), rows)
+        gen = _combine(coef, 0, rows)
         if space.dissipator is not None:
             gen += np.multiply.outer(dts, space.dissipator.reshape(-1))
         return batched_expm(gen.reshape(-1, space.dim, space.dim))
@@ -530,44 +540,73 @@ _INTERPOLANT = np.array(
 ).T
 
 
-# The last Magnus-Filon set-up built, by its key: gates share a frame's rows
-# when they share its term matrices (a table's N-fold gates), and its table
-# when they share its frequencies and step lengths (an envelope-shape sweep).
+# The last Magnus-Filon frame set-up built, by its key: gates share a
+# frame's rows when they share its term matrices (a table's N-fold gates).
 _LAST_FRAME: dict[tuple, tuple[np.ndarray, ...]] = {}
-_LAST_TABLE: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+# The Filon rows in z of the last frame structure (poly, scaled terms,
+# pairs), by the bytes of a step length's z-row nu h: a table's N-fold gates
+# and an envelope-shape sweep step at a few z up to rounding, and share
+# them.  A new structure empties it.
+_LAST_FILON: dict[tuple, dict[bytes, tuple[np.ndarray, ...]]] = {}
 
 
-def _last(cache: dict, key: tuple, build: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """cache[key], or else build()'s arrays, made read-only and kept as the
-    one entry: emptied first, so that two values are never held at once."""
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a stray in-place operation on a kept
+    value would change every later run that reads it."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _last(cache: dict, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """cache[key], or else build()'s value, kept as the one entry: emptied
+    first, so that two values are never held at once."""
     if key not in cache:
         cache.clear()
         cache[key] = build()
-        for x in cache[key]:
-            x.flags.writeable = False
     return cache[key]
 
 
-def _filon_table(
-    nus: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, hs: np.ndarray, poly: bool
-) -> tuple[np.ndarray]:
-    """The Magnus-Filon coefficients of each distinct step length in ``hs``,
-    a handful per grid: phi_k for the terms nu_k, then (J_kl - J_lk) / 2
-    for the pairs (pk, pl), as (lengths, K + pairs); with a polynomial
-    envelope each entry is a matrix that v v^T weights.  J is computed only
-    at the pairs (k, l) and (l, k) that enter; the table equals one-shot
-    ``filon_weights`` bit for bit."""
-    pairs, m = pk.size, 1 + poly * _DEGREE
-    k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])  # J_kl, then J_lk
-    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs), poly * _DEGREE)
-    dj = 0.5 * (jj[:, :pairs] - jj[:, pairs:].swapaxes(-1, -2))
-    if poly:  # embed[k] takes a term's moments to the entries of v that weight them
-        embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
-        phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
-        dj = embed[pk] @ dj @ embed[pl].swapaxes(-1, -2)
-    else:
-        phi, dj = phi[..., 0], dj[..., 0, 0]
-    return (np.concatenate([phi, dj], axis=1),)
+def _filon_row(
+    z: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, poly: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Filon row in z = nu h of a step length h: ``filon_weights`` at
+    h = 1 for the frequencies z, through its code and its series term
+    count, as phi_k, then J_kl and J_lk^T at the pairs (pk, pl); times h
+    and h^2 they are ``filon_weights`` at h, bit for bit.  With a
+    polynomial envelope each entry is placed in a matrix that v v^T
+    weights, exactly: embed[k] takes a term's moments to the entries of v
+    that weight them."""
+    one, degree = np.ones(1), poly * _DEGREE
+    k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])
+    phi, jj = _filon_series(z, one, k, l, _series_terms(z, one), degree)
+    phi, jj = phi[0], np.concatenate([jj[0, : pk.size], jj[0, pk.size :].swapaxes(-1, -2)])
+    if not poly:
+        return phi[:, 0], jj[:, 0, 0]
+    m = degree + 1
+    embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
+    phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
+    return phi, embed[np.tile(pk, 2)] @ jj @ embed[np.tile(pl, 2)].swapaxes(-1, -2)
+
+
+def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> np.ndarray:
+    """e^{i z_k r} and e^{i (z_k + z_l) r} at the pairs (pk, pl) of each
+    z-row zs[u], for r < steps, as (rows, steps, K + pairs)."""
+    e = np.exp(1j * (np.arange(steps)[:, None] * zs[:, None, :]))
+    return np.concatenate([e, e[..., pk] * e[..., pl]], axis=-1)
+
+
+def _filon_table(rows: list[tuple[np.ndarray, ...]], hs: np.ndarray) -> np.ndarray:
+    """The Magnus-Filon coefficients of each step length hs[u] from its Filon
+    row in z: phi_k, then (J_kl - J_lk) / 2 for the pairs, as (lengths,
+    K + pairs); with a polynomial envelope each entry is a matrix that
+    v v^T weights.  Without one, row u is ``filon_weights`` at hs[u]'s."""
+    phi, jj = (np.stack(x) for x in zip(*rows))
+    h = hs.reshape((-1,) + (1,) * (phi.ndim - 1))
+    jj = h**2 * jj
+    pairs = jj.shape[1] // 2
+    return np.concatenate([h * phi, 0.5 * (jj[:, :pairs] - jj[:, pairs:])], axis=1)
 
 
 def _frame(space: _Space, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -590,11 +629,16 @@ class _MagnusFilon:
     A = sum_k a_k e^{i nu_k t} A_k, constant a_k = 1,
       Omega = sum_k e^{i nu_k t0} phi_k A_k
               + sum_{k<l} e^{i (nu_k + nu_l) t0} (J_kl - J_lk) / 2 [A_k, A_l],
-    with phi and J from ``filon_weights``, evaluated once per distinct step
-    length h of the grid's intervals (``grid.hs``, ``_filon_table``): Filon
-    coefficients of the rows A_k and [A_k, A_l], the commutators taken as
-    products of the A's.  Each step reads its table row by its interval,
-    and its segment by its midpoint.
+    with phi and J from ``filon_weights``: Filon coefficients of the rows
+    A_k and [A_k, A_l], the commutators taken as products of the A's.  They
+    depend on z = nu h alone, times h and h^2, so each distinct step length
+    of the grid's intervals (``grid.hs``) takes its Filon row in z from a
+    table that every run of the frame structure shares (``_LAST_FILON``),
+    and its unit phases e^{i z r}, for r below the run's longest piece,
+    from one the run's intervals share.  A piece of a chunk, steps r0..r0 +
+    n - 1 of one interval (``_Grid.pieces``), takes one offset
+    e^{i nu t_r0} times its coefficient row times the unit phases r < n,
+    and the segment of its interval.
 
     With a polynomial envelope, the step takes the envelope's quadratic
     interpolant c_0 + c_1 x + c_2 x^2 through its Gauss points (x = (t - t0)
@@ -603,27 +647,73 @@ class _MagnusFilon:
     weighted by x^m at c_m (``filon_weights`` at degree 2).
     """
 
-    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid):
+    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid, size: int):
         self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
+        self.segments, self.grid = terms.segments, grid
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
         key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
-        self.k, self.l, self.rows = _last(_LAST_FRAME, key, partial(_frame, space, g))
-        self.hs = grid.hs
-        args = (self.nus, scaled, self.k, self.l, self.hs)
-        (self.table,) = _last(_LAST_TABLE, (poly, *(x.tobytes() for x in args)), partial(_filon_table, *args, poly))
+        self.k, self.l, self.rows = _last(_LAST_FRAME, key, lambda: _read_only(*_frame(space, g)))
+        n = np.diff(grid.base)
+        zs = np.multiply.outer(grid.hs, self.nus)
+        keys = [z.tobytes() for z in zs]
+        filon = _last(_LAST_FILON, (poly, scaled.tobytes(), self.k.tobytes(), self.l.tobytes()), dict)
+        for key, z in zip(keys, zs):
+            if key not in filon:
+                filon[key] = _read_only(*_filon_row(z, scaled, self.k, self.l, poly))
+        self.table = _filon_table([filon[key] for key in keys], grid.hs)
+        self.longest = min(size, int(n.max()))
+        # z-row u's unit phases at r < longest, as row u * longest + r
+        self.units = _unit_phases(zs, self.k, self.l, self.longest).reshape(-1, self.table.shape[1])
+        if poly:  # each row's entries as (v_a v_b, Re and Im interleaved), which v v^T weights in real arithmetic
+            self.table = np.ascontiguousarray(self.table.reshape(zs.shape[0], -1, 16).transpose(0, 2, 1)).view(float)
+        # each interval's segment, by its first step's first Gauss point and
+        # its last step's last, which bracket every step's midpoint and Gauss
+        # points, as segment_index locates them; where they differ (breakpoints
+        # short of the segment edges), its steps are located one by one
+        ends = np.concatenate([grid.lo + _GAUSS[0] * grid.h, (n - 1) * grid.h + grid.lo + _GAUSS[-1] * grid.h])
+        first, last = np.searchsorted(terms.edges, ends, side="right").reshape(2, -1)
+        self.segment, self.straddling = first, first != last
 
-    def __call__(self, t0: np.ndarray, row: np.ndarray) -> np.ndarray:
-        dts = self.hs[row]
-        phase = np.exp(1j * np.multiply.outer(t0, self.nus))
-        coef = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
-        table = self.table[row]
+    def __call__(self, a: int, b: int, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
+        grid, (j, first, n) = self.grid, pieces
+        segments = self.segment[j]
+        if self.straddling[j].any():
+            t0, row = grid.starts(a, b)
+            segment = self.segment_index(t0 + grid.hs[row] / 2.0)
+        elif segments[0] == segments[-1]:  # nondecreasing, so one segment
+            segment = segments[0]
+        else:
+            segment = np.repeat(segments, n)
+        t = (first - grid.base[j]) * grid.h[j] + grid.lo[j]  # each piece's first start, as _Grid.starts
+        phase = np.exp(1j * np.multiply.outer(t, self.nus))
+        offset = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
+        rows = grid.row[j]
+        if not self.poly:
+            offset *= self.table[rows]
+        if j.size == 1:
+            at = rows[0] * self.longest
+            coef = self.units[at : at + b - a] * offset[0]
+        else:  # each step's unit phase row: its piece's z-row, its place in the piece
+            coef = self.units.take(np.repeat(rows * self.longest - first, n) + np.arange(a, b), axis=0)
+            coef *= np.repeat(offset, n, axis=0)
         if self.poly:
-            j = self.envelope((t0 + np.multiply.outer(_GAUSS, dts)).reshape(-1)).reshape(_GAUSS.size, -1)
-            v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ j]).T
-            vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1, 1)  # v_a v_b
-            table = (table.reshape(vv.shape[0], table.shape[1], -1) @ vv)[..., 0]
-        gen = _combine(coef * table, self.segment_index(t0 + dts / 2.0), self.rows)
+            coef *= self._contracted(a, b, segment)
+        gen = _combine(coef, segment, self.rows)
         return batched_expm(gen.reshape(-1, self.dim, self.dim))
+
+    def _contracted(self, a: int, b: int, segment: np.ndarray | int) -> np.ndarray:
+        """Each step's table row contracted with v v^T, v from the envelope
+        at the step's Gauss points."""
+        t0, row = self.grid.starts(a, b)
+        ts = (t0 + np.multiply.outer(_GAUSS, self.grid.hs[row])).reshape(-1)
+        env = self.envelope(ts) if np.ndim(segment) else self.segments[segment].envelope(ts)
+        v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ env.reshape(_GAUSS.size, -1)]).T
+        vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1)  # v_a v_b
+        out, rows = np.empty((t0.size, self.table.shape[-1])), set(row.tolist())
+        for u in rows:
+            on = slice(None) if len(rows) == 1 else row == u
+            out[on] = vv[on] @ self.table[u]
+        return out.view(complex)
 
 
 _CLOSED = _Space(8, complexify)
@@ -733,7 +823,7 @@ def lindblad_superoperator(
     are taken in the Pauli basis, where only its Hermitian part enters.
     """
     rates = (params.kappa_1, params.kappa_2)
-    (dissipator,) = _last(_LAST_DISSIPATOR, rates, lambda: (_in_pauli_basis(dephasing_dissipator(params)),))
+    (dissipator,) = _last(_LAST_DISSIPATOR, rates, lambda: _read_only(_in_pauli_basis(dephasing_dissipator(params))))
     space = _Space(16, _from_pauli_basis, dissipator)
     return _propagate(hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
 

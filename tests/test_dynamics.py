@@ -55,8 +55,8 @@ def random_density_matrix(rng):
 
 
 def midpoint_loop_superoperator(h, params, duration, steps, breakpoints):
-    """Reference: midpoint exponentials of the vec-basis Liouvillian, one step
-    at a time by scipy's expm.
+    """Reference: midpoint exponentials of the vec-basis Liouvillian, each
+    step's by scipy's stacked expm, multiplied one step at a time.
 
     Each sub-interval between breakpoints gets its share of the steps.
     """
@@ -66,8 +66,10 @@ def midpoint_loop_superoperator(h, params, duration, steps, breakpoints):
     s = np.eye(16, dtype=complex)
     for lo, hi in zip(pts[:-1], pts[1:]):
         nodes = np.linspace(lo, hi, max(1, round(steps * (hi - lo) / duration)) + 1)
-        for t0, t1 in zip(nodes[:-1], nodes[1:]):
-            s = expm(vec_liouvillians(np.asarray(h(t0 + (t1 - t0) / 2.0))[None], diss)[0] * (t1 - t0)) @ s
+        dts = np.diff(nodes)
+        mids = [t0 + dt / 2.0 for t0, dt in zip(nodes[:-1], dts)]
+        for factor in expm(vec_liouvillians(np.array([h(t) for t in mids]), diss) * dts[:, None, None]):
+            s = factor @ s
     return s
 
 
@@ -314,10 +316,11 @@ class TestStepGrid:
     def assert_chunks_match(grid, nodes, lengths, marks, size, stop=None, checked=lambda a, b: True):
         """The chunks of at most ``size`` steps tile the grid up to ``stop``
         as the oracle plans them from the marks, run ends included, and
-        those ``checked`` selects carry the oracle's step starts and
-        lengths; the chunks [a, b) checked."""
-        planned, seen, last = iter(planned_chunks(marks, grid.steps, size)), [], 0
-        for a, b, t0, row, ends in grid.chunks(size):
+        those ``checked`` selects are tiled by pieces within one interval
+        each, whose steps have the oracle's lengths and whose first starts
+        are the oracle's nodes; the chunks [a, b) checked."""
+        planned, seen, held, last = iter(planned_chunks(marks, grid.steps, size)), [], [], 0
+        for a, b, pieces, ends in grid.chunks(size):
             if stop is not None and a >= stop:
                 break
             assert a == last and 0 < b - a <= size
@@ -325,9 +328,16 @@ class TestStepGrid:
             assert (a, b, list(ends)) == next(planned)
             assert {m for m in marks.tolist() if a < m <= b} <= set(ends)
             if checked(a, b):
-                np.testing.assert_array_equal(t0, nodes[a:b])
-                np.testing.assert_array_equal(grid.hs[row], lengths[a:b])
+                j, first, n = pieces
+                assert first[0] == a and (np.cumsum(n) + a).tolist() == [*first[1:].tolist(), b]
+                assert (grid.base[j] <= first).all() and (first + n <= grid.base[j + 1]).all()
+                held.append(pieces)
                 seen.append((a, b))
+        if held:  # each piece's steps have its interval's length, and its first start is the oracle's node
+            j, first, n = np.concatenate(held, axis=1)
+            steps = np.concatenate([np.arange(*ab) for ab in seen])
+            np.testing.assert_array_equal(np.repeat(grid.h[j], n), lengths[steps])
+            np.testing.assert_array_equal((first - grid.base[j]) * grid.h[j] + grid.lo[j], nodes[first])
         assert stop is not None or (last == grid.steps and next(planned, None) is None)
         return seen
 
@@ -439,8 +449,7 @@ class TestStepGrid:
         steps = required_steps(h.max_frequency_hz, duration, spp)
         times = np.linspace(0.0, duration, 2001) if sampled_run else None
         grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
-        _, step_factors, _, _ = dynamics._step_rule(h, dynamics._CLOSED, duration)
-        assert step_factors(grid).hs.max() <= duration / steps * (1.0 + 1e-12)
+        assert grid.hs.max() <= duration / steps * (1.0 + 1e-12)
 
 
 def choi_matrix(s):
@@ -736,8 +745,8 @@ class TestChunkedDriver:
         self.three_step_chunks(monkeypatch, space.dim)
         res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
         grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
-        factors = dynamics._MagnusFilon(h.terms, space, False, grid)
-        factors_of = lambda a, b: factors(*grid.starts(a, b))
+        factors = dynamics._MagnusFilon(h.terms, space, False, grid, 3)
+        factors_of = lambda a, b: factors(a, b, grid.pieces(a, b))
         states, final = self.per_run_states(factors_of, grid.steps, marks, space.dim, 3)
         assert res.rule == "magnus_filon"
         assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, space.dim)
@@ -748,10 +757,15 @@ class TestChunkedDriver:
         # the benchmark's closed B gate with 2,001 samples: its 79-step runs
         # share chunks whole, so every step reaches the ordered product
         # once, in no stack above CHUNK_BYTES, and in about as many
-        # reductions as the unsampled run's
-        stacks = []
+        # reductions as the unsampled run's.  Its envelopes are constant:
+        # each piece of a chunk takes one offset phase and its interval's
+        # segment, so no step's start, segment or envelope value is computed
+        stacks, calls = [], []
         reduce = dynamics._ordered_product
         monkeypatch.setattr(dynamics, "_ordered_product", lambda m: stacks.append((m.shape, m.nbytes)) or reduce(m))
+        for owner, name in ((dynamics._Grid, "starts"), (FourierTerms, "segment_index"), (FourierTerms, "envelope")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
         schedule = build_schedule("bgate")
         reductions = []
         for times in (None, np.linspace(0.0, schedule.duration, 2001)):
@@ -762,6 +776,7 @@ class TestChunkedDriver:
         assert sum(shape[0] * shape[1] for shape, _ in stacks) == res.steps
         assert max(nbytes for _, nbytes in stacks) <= dynamics.CHUNK_BYTES
         assert reductions[1] <= 1.1 * reductions[0]
+        assert calls == []
 
     @pytest.mark.parametrize("decoherence", [False, True])
     @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly"])
@@ -1001,8 +1016,11 @@ class TestFilonWeights:
 
     @pytest.mark.parametrize("samples, rows", [(0, 1), (41, 43), (2001, 14)])
     def test_table_rows_are_the_distinct_interval_steps(self, samples, rows, monkeypatch):
-        # unsorted sample times split the B gate into intervals of many lengths
-        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        # unsorted sample times split the B gate into intervals of many
+        # lengths; each takes its Filon row in z = nu h times h and h^2,
+        # filon_weights at that length alone bit for bit, and unit phases
+        # e^{i z r} for r below the longest piece
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
@@ -1011,33 +1029,38 @@ class TestFilonWeights:
         times = times[samples]
         _, lengths, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
         grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
-        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
+        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid, 256)
         hs = np.unique(lengths)
         assert hs.size == rows and mf.table.shape[0] == rows and mf.k.size > 0
-        np.testing.assert_array_equal(mf.hs, hs)
-        phi, jj = dynamics.filon_weights(mf.nus, hs)
-        dj = 0.5 * (jj[:, mf.k, mf.l] - jj[:, mf.l, mf.k])
-        np.testing.assert_array_equal(mf.table, np.concatenate([phi[..., 0], dj[..., 0, 0]], axis=1))
+        np.testing.assert_array_equal(grid.hs, hs)
+        longest = min(256, int(np.diff(grid.base).max()))
+        assert mf.longest == longest and mf.units.shape == (rows * longest, mf.table.shape[1])
+        for row, units, length in zip(mf.table, mf.units.reshape(rows, longest, -1), hs):
+            phi, jj = dynamics.filon_weights(mf.nus, [length])
+            dj = 0.5 * (jj[0, mf.k, mf.l] - jj[0, mf.l, mf.k])
+            np.testing.assert_array_equal(row, np.concatenate([phi[0, :, 0], dj[:, 0, 0]]))
+            phase = np.exp(1j * np.multiply.outer(np.arange(longest), mf.nus * length))
+            np.testing.assert_allclose(units, np.concatenate([phase, phase[:, mf.k] * phase[:, mf.l]], 1), 0, 1e-15)
 
     def test_gates_of_one_frame_and_grid_share_their_table(self, monkeypatch):
         # an eta sweep at one duration: the same frame frequencies and steps
-        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         built = []
-        monkeypatch.setattr(dynamics, "_series_terms", lambda *a, _f=dynamics._series_terms: built.append(a) or _f(*a))
+        monkeypatch.setattr(dynamics, "_filon_row", lambda *a, _f=dynamics._filon_row: built.append(a) or _f(*a))
         schedules = [build_schedule("fsim_poly", duration=POLY_GATE_TIME, eta=eta) for eta in (0.2, 0.7)]
         finals = [gate_channel(schedule, rwa=False, decoherence=True).final for schedule in schedules]
         assert len(built) == 1
-        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         np.testing.assert_array_equal(gate_channel(schedules[1], rwa=False, decoherence=True).final, finals[1])
         assert len(built) == 2
-        gate_channel(schedules[1], rwa=True, decoherence=True)  # other frame frequencies: a new table
+        gate_channel(schedules[1], rwa=True, decoherence=True)  # other frame frequencies: a new row
         assert len(built) == 3
 
     @pytest.fixture
     def frame_builds(self, monkeypatch):
-        """Empties both set-up caches and counts the frame set-ups built."""
+        """Empties the set-up caches and counts the frame set-ups built."""
         monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
-        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         built = []
         monkeypatch.setattr(dynamics, "_frame", lambda *a, _f=dynamics._frame: built.append(a) or _f(*a))
         return built
@@ -1050,7 +1073,7 @@ class TestFilonWeights:
         reused = gate_channel(three, rwa=False, decoherence=decoherence).final
         assert len(frame_builds) == 1
         monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
-        monkeypatch.setattr(dynamics, "_LAST_TABLE", {})
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         np.testing.assert_array_equal(gate_channel(three, rwa=False, decoherence=decoherence).final, reused)
         assert len(frame_builds) == 2
 
@@ -1076,19 +1099,24 @@ class TestFilonWeights:
 
     def test_fidelity_table_builds_one_frame_per_term_matrices(self, frame_builds, monkeypatch):
         # 20 gates, each with its own frequencies and step lengths, in three
-        # frames: fsim_rect N = 1..9, fsim_rect N = 10, every fsim_poly gate
-        tables = []
-        monkeypatch.setattr(dynamics, "_filon_table", lambda *a, _f=dynamics._filon_table: tables.append(a) or _f(*a))
+        # frames: fsim_rect N = 1..9, fsim_rect N = 10, every fsim_poly gate;
+        # the N-fold gates of a scheme step at one z = nu h up to rounding,
+        # and build at most one Filon row per distinct z-row
+        zs, rows = [], []  # each run's z-rows, and the Filon rows built
+        phases, row = dynamics._unit_phases, dynamics._filon_row
+        monkeypatch.setattr(dynamics, "_unit_phases", lambda z, *a: zs.extend(x.tobytes() for x in z) or phases(z, *a))
+        monkeypatch.setattr(dynamics, "_filon_row", lambda z, *a: rows.append(z.tobytes()) or row(z, *a))
         experiments.table1().run(5)
-        assert (len(frame_builds), len(tables)) == (3, 20)
+        assert len(frame_builds) == 3
+        assert len(rows) == len(set(rows)) <= len(set(zs)) < 20
 
     @pytest.mark.parametrize("decoherence", [False, True])
     def test_cached_set_up_is_read_only(self, decoherence, frame_builds):
         # a stray in-place operation would change every later run that hits the cache
         gate_channel(build_schedule("fsim_poly", duration=POLY_GATE_TIME), rwa=False, decoherence=decoherence)
-        (frame,), (table,) = dynamics._LAST_FRAME.values(), dynamics._LAST_TABLE.values()
-        assert len(frame) == 3 and frame[0].size > 0
-        for cached in (*frame, *table):
+        (frame,), (filon,) = dynamics._LAST_FRAME.values(), dynamics._LAST_FILON.values()
+        assert len(frame) == 3 and frame[0].size > 0 and len(filon) == 1
+        for cached in (*frame, *(x for row in filon.values() for x in row)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
 
@@ -1248,10 +1276,11 @@ def pairwise_product(factors):
     return factors[0]
 
 
-def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions=1):
+def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions=1, sample_times=None):
     """Oracle: the Magnus-Filon propagator of one repetition, closed, or with
     ``params`` the superoperator on column-stacked vec(rho), raised to the
-    repetition count.
+    repetition count; with ``sample_times``, on the grid they cut, also the
+    propagator at each of them, as (states, final).
 
     Every term of every segment enters on its own, as -i R or as its
     vec-basis Liouvillian i(R^T (x) I - I (x) R), and the dissipator as one
@@ -1270,7 +1299,7 @@ def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions
         gens = vec_liouvillians(terms.mats.reshape(-1, 4, 4), 0.0).reshape(terms.mats.shape[:2] + (16, 16))
         gens = np.concatenate([gens, np.broadcast_to(diss, (gens.shape[0], 1, 16, 16))], axis=1)
         nus, scaled = np.append(nus, 0.0), np.append(scaled, False)
-    nodes, dts, _ = step_grid(period, steps, breakpoints, None)
+    nodes, dts, marks = step_grid(period, steps, breakpoints, sample_times)
     t0 = nodes[:-1]
     hs, length = np.unique(dts, return_inverse=True)
     phi, jj = dynamics.filon_weights(nus, hs)
@@ -1283,8 +1312,10 @@ def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions
     comm = np.einsum("skab,slbc->sklac", gens, gens)
     comm = comm - comm.swapaxes(1, 2)
     u = np.eye(dim, dtype=complex)
-    for a in range(0, dts.size, 1024):  # in pieces, to bound memory
-        n, w, seg = slice(a, a + 1024), weights[a : a + 1024], segment[a : a + 1024]
+    held = {0: u}
+    cuts = sorted({*range(0, dts.size, 1024), *marks.tolist(), dts.size})  # in pieces, to bound memory
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n, w, seg = slice(a, b), weights[a:b], segment[a:b]
         phase = np.exp(1j * np.multiply.outer(t0[n], nus))
         c1 = phase * np.einsum("nkm,nkm->nk", phi[length[n]], w)
         c2 = phase[:, :, None] * phase[:, None, :] * np.einsum("nklab,nka,nlb->nkl", jj[length[n]], w, w)
@@ -1294,8 +1325,9 @@ def complex_magnus_filon(h, period, steps, breakpoints, params=None, repetitions
             first = c1[on] @ gens[s].reshape(-1, dim * dim)
             second = c2[on].reshape(on.sum(), -1) @ comm[s].reshape(-1, dim * dim)
             omega[on] = (first + 0.5 * second).reshape(-1, dim, dim)
-        u = pairwise_product(expm(omega)) @ u
-    return np.linalg.matrix_power(u, repetitions)
+        u = held[b] = pairwise_product(expm(omega)) @ u
+    final = np.linalg.matrix_power(u, repetitions)
+    return final if sample_times is None else (np.stack([held[m] for m in marks]), final)
 
 
 class TestRealKernels:
@@ -1389,3 +1421,44 @@ class TestRealKernels:
         assert res.rule == "magnus_filon"
         ref = complex_magnus_filon(h, span, res.steps, schedule.breakpoints)
         assert np.abs(res.final - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["fsim_rect", "fsim_poly", "bgate"])
+    def test_sampled_runs_match_complex_magnus_filon(self, scheme):
+        # uneven sample times cut intervals of unequal step lengths, runs
+        # longer than a chunk into pieces, and a cluster of them puts whole
+        # runs side by side in one chunk: each piece's phases are its offset
+        # times unit phases.  The B gate closed on its first eighth, 19.7k
+        # steps; the fSim gates decohered on their first half
+        schedule = build_schedule(scheme)
+        h = frame_hamiltonian(schedule, rwa=False)
+        closed = scheme == "bgate"
+        span = schedule.duration / (8 if closed else 2)
+        times = span * np.array([0.0, 0.013, 0.05, 0.052, 0.054, 0.056, 0.5, 0.51, 0.77, 1.0])
+        steps = required_steps(h.max_frequency_hz, span, STEPS_PER_PERIOD if closed else 200)
+        kwargs = dict(breakpoints=schedule.breakpoints, sample_times=times)
+        if closed:
+            res, params = propagate_unitary(h, span, steps, **kwargs), None
+        else:
+            res, params = lindblad_superoperator(h, DEFAULT_DEVICE, span, steps, **kwargs), DEFAULT_DEVICE
+        grid = dynamics._Grid(span, steps, schedule.breakpoints, times)
+        chunk = dynamics.CHUNK_BYTES // (8 * (8 if closed else 16) ** 2)
+        assert grid.hs.size > 2 and np.diff([0, *grid.samples_at, grid.steps]).max() > chunk
+        assert max(len(ends) for *_, ends in grid.chunks(chunk)) > 1
+        states, final = complex_magnus_filon(h, span, steps, schedule.breakpoints, params, sample_times=times)
+        assert res.rule == "magnus_filon" and res.steps == grid.steps
+        assert np.abs(res.states - states).max() <= 1e-13
+        assert np.abs(res.final - final).max() <= 1e-13
+
+    @pytest.mark.parametrize("scheme, n_reps", [("fsim_geometric", 1), ("fsim_poly", 2)])
+    def test_steps_across_segment_edges_match_complex_magnus_filon(self, scheme, n_reps):
+        # without breakpoints the grid's intervals straddle the segment
+        # edges, and each step there takes the segment of its midpoint
+        schedule = build_schedule(scheme, n_reps=n_reps)
+        h = frame_hamiltonian(schedule, rwa=False)
+        assert h.terms.edges.size > 0
+        times = schedule.duration * np.array([0.0, 0.3, 0.31, 1.0])
+        steps = required_steps(h.max_frequency_hz, schedule.duration, 200)
+        res = propagate_unitary(h, schedule.duration, steps, sample_times=times)
+        states, final = complex_magnus_filon(h, schedule.duration, steps, (), sample_times=times)
+        assert np.abs(res.states - states).max() <= 1e-13
+        assert np.abs(res.final - final).max() <= 1e-13
