@@ -649,7 +649,7 @@ class _MagnusFilon:
 
     def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid, size: int):
         self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
-        self.segments, self.grid = terms.segments, grid
+        self.grid = grid
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
         key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
         self.k, self.l, self.rows = _last(_LAST_FRAME, key, lambda: _read_only(*_frame(space, g)))
@@ -697,17 +697,16 @@ class _MagnusFilon:
             coef = self.units.take(np.repeat(rows * self.longest - first, n) + np.arange(a, b), axis=0)
             coef *= np.repeat(offset, n, axis=0)
         if self.poly:
-            coef *= self._contracted(a, b, segment)
+            coef *= self._contracted(a, b)
         gen = _combine(coef, segment, self.rows)
         return batched_expm(gen.reshape(-1, self.dim, self.dim))
 
-    def _contracted(self, a: int, b: int, segment: np.ndarray | int) -> np.ndarray:
+    def _contracted(self, a: int, b: int) -> np.ndarray:
         """Each step's table row contracted with v v^T, v from the envelope
         at the step's Gauss points."""
         t0, row = self.grid.starts(a, b)
         ts = (t0 + np.multiply.outer(_GAUSS, self.grid.hs[row])).reshape(-1)
-        env = self.envelope(ts) if np.ndim(segment) else self.segments[segment].envelope(ts)
-        v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ env.reshape(_GAUSS.size, -1)]).T
+        v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ self.envelope(ts).reshape(_GAUSS.size, -1)]).T
         vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1)  # v_a v_b
         out, rows = np.empty((t0.size, self.table.shape[-1])), set(row.tolist())
         for u in rows:
