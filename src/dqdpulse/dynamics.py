@@ -239,11 +239,11 @@ class _Grid:
         bounds[0], bounds[-1] = a, b
         return np.arange(j0 - 1, j1), bounds[:-1], bounds[1:] - bounds[:-1]
 
-    def starts(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The starts of steps a..b - 1, r * h + lo in their interval, and
-        each one's row of ``hs``."""
-        j, _, n = self.pieces(a, b)
-        t = np.arange(a, b, dtype=float)
+    def starts(self, pieces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The starts of the steps of ``pieces`` (those of steps a..b - 1),
+        r * h + lo in their interval, and each one's row of ``hs``."""
+        j, first, n = pieces
+        t = np.arange(first[0], first[-1] + n[-1], dtype=float)
         t -= np.repeat(self.base[j], n)
         t *= np.repeat(self.h[j], n)
         t += np.repeat(self.lo[j], n)
@@ -392,8 +392,8 @@ def _midpoint_factors(
     of the unit matrices E_ab, and an open run adds the dissipator's dt."""
     rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
 
-    def factors(a: int, b: int, pieces: list) -> np.ndarray:
-        t0, row = grid.starts(a, b)
+    def factors(a: int, b: int, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
+        t0, row = grid.starts(pieces)
         dts = grid.hs[row]
         mids = t0 + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
@@ -548,7 +548,7 @@ _LAST_FRAME: dict[tuple, tuple[np.ndarray, ...]] = {}
 # pairs), by the bytes of a step length's z-row nu h: a table's N-fold gates
 # and an envelope-shape sweep step at a few z up to rounding, and share
 # them.  A new structure empties it.
-_LAST_FILON: dict[tuple, dict[bytes, tuple[np.ndarray, ...]]] = {}
+_LAST_FILON: dict[tuple, dict[bytes, np.ndarray]] = {}
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -570,12 +570,12 @@ def _last(cache: dict, key: tuple, build: Callable[[], tuple]) -> tuple:
 
 def _filon_row(
     z: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, poly: bool
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The Filon row in z = nu h of a step length h: ``filon_weights`` at
     h = 1 for the frequencies z, through its code and its series term
-    count, as phi_k, then J_kl and J_lk^T at the pairs (pk, pl); times h
-    and h^2 they are ``filon_weights`` at h, bit for bit.  With a
-    polynomial envelope each entry is placed in a matrix that v v^T
+    count, as phi_k, then J_kl and J_lk^T at the pairs (pk, pl), in one
+    array; times h and h^2 they are ``filon_weights`` at h, bit for bit.
+    With a polynomial envelope each entry is placed in a matrix that v v^T
     weights, exactly: embed[k] takes a term's moments to the entries of v
     that weight them."""
     one, degree = np.ones(1), poly * _DEGREE
@@ -583,11 +583,11 @@ def _filon_row(
     phi, jj = _filon_series(z, one, k, l, _series_terms(z, one), degree)
     phi, jj = phi[0], np.concatenate([jj[0, : pk.size], jj[0, pk.size :].swapaxes(-1, -2)])
     if not poly:
-        return phi[:, 0], jj[:, 0, 0]
+        return np.concatenate([phi[:, 0], jj[:, 0, 0]])
     m = degree + 1
     embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
     phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
-    return phi, embed[np.tile(pk, 2)] @ jj @ embed[np.tile(pl, 2)].swapaxes(-1, -2)
+    return np.concatenate([phi, embed[np.tile(pk, 2)] @ jj @ embed[np.tile(pl, 2)].swapaxes(-1, -2)])
 
 
 def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> np.ndarray:
@@ -597,16 +597,17 @@ def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> 
     return np.concatenate([e, e[..., pk] * e[..., pl]], axis=-1)
 
 
-def _filon_table(rows: list[tuple[np.ndarray, ...]], hs: np.ndarray) -> np.ndarray:
+def _filon_table(rows: list[np.ndarray], hs: np.ndarray, terms: int) -> np.ndarray:
     """The Magnus-Filon coefficients of each step length hs[u] from its Filon
-    row in z: phi_k, then (J_kl - J_lk) / 2 for the pairs, as (lengths,
-    K + pairs); with a polynomial envelope each entry is a matrix that
-    v v^T weights.  Without one, row u is ``filon_weights`` at hs[u]'s."""
-    phi, jj = (np.stack(x) for x in zip(*rows))
-    h = hs.reshape((-1,) + (1,) * (phi.ndim - 1))
-    jj = h**2 * jj
+    row in z of ``terms`` terms: phi_k, then (J_kl - J_lk) / 2 for the
+    pairs, as (lengths, K + pairs); with a polynomial envelope each entry is
+    a matrix that v v^T weights.  Without one, row u is ``filon_weights``
+    at hs[u]'s."""
+    z = np.array(rows)
+    h = hs.reshape((-1,) + (1,) * (z.ndim - 1))
+    jj = h**2 * z[:, terms:]
     pairs = jj.shape[1] // 2
-    return np.concatenate([h * phi, 0.5 * (jj[:, :pairs] - jj[:, pairs:])], axis=1)
+    return np.concatenate([h * z[:, :terms], 0.5 * (jj[:, :pairs] - jj[:, pairs:])], axis=1)
 
 
 def _frame(space: _Space, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -659,8 +660,8 @@ class _MagnusFilon:
         filon = _last(_LAST_FILON, (poly, scaled.tobytes(), self.k.tobytes(), self.l.tobytes()), dict)
         for key, z in zip(keys, zs):
             if key not in filon:
-                filon[key] = _read_only(*_filon_row(z, scaled, self.k, self.l, poly))
-        self.table = _filon_table([filon[key] for key in keys], grid.hs)
+                (filon[key],) = _read_only(_filon_row(z, scaled, self.k, self.l, poly))
+        self.table = _filon_table([filon[key] for key in keys], grid.hs, self.nus.size)
         self.longest = min(size, int(n.max()))
         # z-row u's unit phases at r < longest, as row u * longest + r
         self.units = _unit_phases(zs, self.k, self.l, self.longest).reshape(-1, self.table.shape[1])
@@ -678,7 +679,7 @@ class _MagnusFilon:
         grid, (j, first, n) = self.grid, pieces
         segments = self.segment[j]
         if self.straddling[j].any():
-            t0, row = grid.starts(a, b)
+            t0, row = grid.starts(pieces)
             segment = self.segment_index(t0 + grid.hs[row] / 2.0)
         elif segments[0] == segments[-1]:  # nondecreasing, so one segment
             segment = segments[0]
@@ -697,14 +698,14 @@ class _MagnusFilon:
             coef = self.units.take(np.repeat(rows * self.longest - first, n) + np.arange(a, b), axis=0)
             coef *= np.repeat(offset, n, axis=0)
         if self.poly:
-            coef *= self._contracted(a, b)
+            coef *= self._contracted(pieces)
         gen = _combine(coef, segment, self.rows)
         return batched_expm(gen.reshape(-1, self.dim, self.dim))
 
-    def _contracted(self, a: int, b: int) -> np.ndarray:
+    def _contracted(self, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
         """Each step's table row contracted with v v^T, v from the envelope
         at the step's Gauss points."""
-        t0, row = self.grid.starts(a, b)
+        t0, row = self.grid.starts(pieces)
         ts = (t0 + np.multiply.outer(_GAUSS, self.grid.hs[row])).reshape(-1)
         v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ self.envelope(ts).reshape(_GAUSS.size, -1)]).T
         vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1)  # v_a v_b

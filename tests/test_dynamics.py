@@ -112,7 +112,7 @@ def budget_steps(max_frequency_hz, period, breakpoints, steps_per_period=STEPS_P
 
 def grid_steps(grid):
     """The starts and lengths of all steps of a ``dynamics._Grid``, as one chunk."""
-    t0, row = grid.starts(0, grid.steps)
+    t0, row = grid.starts(grid.pieces(0, grid.steps))
     return t0, grid.hs[row]
 
 
@@ -1116,7 +1116,7 @@ class TestFilonWeights:
         gate_channel(build_schedule("fsim_poly", duration=POLY_GATE_TIME), rwa=False, decoherence=decoherence)
         (frame,), (filon,) = dynamics._LAST_FRAME.values(), dynamics._LAST_FILON.values()
         assert len(frame) == 3 and frame[0].size > 0 and len(filon) == 1
-        for cached in (*frame, *(x for row in filon.values() for x in row)):
+        for cached in (*frame, *filon.values()):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
 
