@@ -7,9 +7,9 @@ Breakpoints and sample times alike end the grid's intervals, and each
 interval takes one uniform step, its length over its share of the steps.
 The grid holds its intervals, and each chunk its pieces, the stretches of
 one interval in it, so a run holds O(chunk) step factors, O(samples)
-intervals and snapshots and, for the Magnus-Filon step, one Filon row and
-one unit phase table per distinct interval step (a handful), however many
-steps it takes.  A chunk holds whole runs of one length between sampled
+intervals and snapshots and, for the Magnus-Filon step, one Filon row per
+distinct interval step (a handful) and at most ``_UNIT_BYTES`` of unit
+phases, however many steps it takes.  A chunk holds whole runs of one length between sampled
 nodes, as one stack that a batched tree reduction takes to each run's
 product, bit for bit as alone, and the running product takes one matrix
 product per run; a run longer than a chunk is cut into full chunks
@@ -105,6 +105,12 @@ _SERIES_RADIUS = 4.5
 # and 632k decohered steps run in bounded memory.
 CHUNK_BYTES = 1 << 17
 
+# Bytes of unit phases, e^{i z r} per step length z and place r in a span,
+# that a Magnus-Filon run holds at most: the sampled B gate's 14 step
+# lengths take theirs whole.  More step lengths shorten the span of steps
+# that one offset phase serves.
+_UNIT_BYTES = 1 << 19
+
 # A sample time this fraction of the nominal step from another interval end
 # is that end; kept as one of its own, a rounding-level miss adds a
 # degenerate interval.  A budget or an interval's share of it this fraction
@@ -152,6 +158,11 @@ class _Space:
     restore: Callable[[np.ndarray], np.ndarray]  # a stack of real products to the complex ones reported
     dissipator: np.ndarray | None = None  # real, in the Pauli basis
 
+    @property
+    def chunk(self) -> int:
+        """Steps a chunk holds: ``CHUNK_BYTES`` of real step factors."""
+        return max(1, CHUNK_BYTES // (8 * self.dim * self.dim))
+
     def generators(self, mats: np.ndarray) -> np.ndarray:
         """The generator terms A_k of H terms R_k, (..., 4, 4): -i R_k, or the
         Liouvillians -i[R_k, .] in the Pauli basis, (..., 16, 16)."""
@@ -167,21 +178,26 @@ class _Space:
         return np.stack(parts, axis=2).reshape(gens.shape[0], -1, self.dim**2)
 
 
-def _combine(coef: np.ndarray, segment: np.ndarray | int, rows: np.ndarray) -> np.ndarray:
-    """sum_k c_k rows[s, k] for each sample, s its segment (one for all of
-    them, or one each, nondecreasing as time-ordered samples' are), in real
-    arithmetic, one product per run of a segment; the finiteness check of
+def _by_runs(x: np.ndarray, index: np.ndarray, counts: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """x[i] @ mats[v] for each sample i of a run of counts[r] consecutive
+    samples with index[r] = v, as a chunk's pieces are, neighbouring runs of
+    one index taken in one product."""
+    out, lo, hi, index = np.empty((x.shape[0], mats.shape[-1])), 0, 0, index.tolist()
+    for i, count in enumerate(counts.tolist(), 1):
+        hi += count
+        if i == len(index) or index[i] != index[i - 1]:
+            np.matmul(x[lo:hi], mats[index[i - 1]], out=out[lo:hi])
+            lo = hi
+    return out
+
+
+def _combine(coef: np.ndarray, segment: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k c_k rows[s, k] for each sample, s its segment, given per run of
+    samples (``_by_runs``), in real arithmetic; the finiteness check of
     every rule."""
     if not np.isfinite(coef).all():
         raise ValueError("cannot propagate: H has non-finite entries")
-    coef = np.ascontiguousarray(coef).view(float)  # Re c, Im c interleaved
-    if np.ndim(segment) == 0:
-        return coef @ rows[segment]
-    cuts = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), len(segment)]
-    out = np.empty((coef.shape[0], rows.shape[-1]))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        np.matmul(coef[lo:hi], rows[segment[lo]], out=out[lo:hi])
-    return out
+    return _by_runs(np.ascontiguousarray(coef).view(float), segment, counts, rows)  # Re c, Im c interleaved
 
 
 class _Grid:
@@ -286,10 +302,9 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
-    """The rule of H's steps, step_factors(grid, size) -> factors(a, b,
-    pieces) giving the real (b - a, dim, dim) factors of a chunk's steps
-    a..b - 1 (``_Grid.chunks``, at most ``size`` a chunk), f_max and the
-    default budget.
+    """The rule of H's steps, step_factors(grid) -> factors(a, b, pieces)
+    giving the real (b - a, dim, dim) factors of a chunk's steps a..b - 1
+    (``_Grid.chunks``), f_max and the default budget.
 
     Fourier terms take the Magnus-Filon step, sampled H the midpoint rule.
     A closed run whose stepped segments all have constant envelopes
@@ -351,14 +366,13 @@ def _propagate(
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
     grid = _Grid(period, steps, breakpoints, times)
     dim = space.dim
-    chunk = max(1, CHUNK_BYTES // (8 * dim * dim))
-    factors_of = step_factors(grid, chunk)
+    factors_of = step_factors(grid)
     samples_at = grid.samples_at
     held = None if times is None else np.empty((times.size + 1, dim, dim))  # each sample's product, then the final
     state = np.eye(dim)
     for r in samples_at.get(0, ()):
         held[r] = state
-    for a, b, pieces, ends in grid.chunks(chunk):  # the chunk's runs in one reduction, then one product each
+    for a, b, pieces, ends in grid.chunks(space.chunk):  # the chunk's runs in one reduction, then one product each
         factors = factors_of(a, b, pieces)  # held until the next chunk's exist: released sooner, glibc may trim
         products = _ordered_product(factors.reshape(len(ends), -1, dim, dim))
         for m, product in zip(ends, products):
@@ -385,9 +399,7 @@ def _propagate(
     )
 
 
-def _midpoint_factors(
-    batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid, size: int
-) -> Callable:
+def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid) -> Callable:
     """exp(A(t + dt/2) dt) of sampled H: its 16 entries are the coefficients
     of the unit matrices E_ab, and an open run adds the dissipator's dt."""
     rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
@@ -398,7 +410,7 @@ def _midpoint_factors(
         mids = t0 + dts / 2.0
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
             coef = np.asarray(batch(mids), dtype=complex).reshape(-1, 16) * dts[:, None]
-        gen = _combine(coef, 0, rows)
+        gen = _combine(coef, np.zeros(1, dtype=int), np.array([dts.size]), rows)
         if space.dissipator is not None:
             gen += np.multiply.outer(dts, space.dissipator.reshape(-1))
         return batched_expm(gen.reshape(-1, space.dim, space.dim))
@@ -420,7 +432,7 @@ def filon_weights(nus: np.ndarray, hs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     nus, hs = np.asarray(nus, dtype=float), np.asarray(hs, dtype=float)
     k, l = np.indices((nus.size, nus.size)).reshape(2, -1)
-    phi, jj = _filon_series(nus, hs, k, l, _series_terms(nus, hs), _DEGREE)
+    phi, jj = _filon_series(1j * np.multiply.outer(hs, nus), hs, k, l, _series_terms(nus, hs), _DEGREE)
     return phi, jj.reshape(hs.size, nus.size, nus.size, _DEGREE + 1, _DEGREE + 1)
 
 
@@ -490,11 +502,11 @@ def _divided_exps(z: np.ndarray, w: np.ndarray, ps: range, qs: range, terms: int
 
 
 def _filon_series(
-    nus: np.ndarray, hs: np.ndarray, k: np.ndarray, l: np.ndarray, terms: int, degree: int
+    x: np.ndarray, hs: np.ndarray, k: np.ndarray, l: np.ndarray, terms: int, degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi[u, k, m] and jj[u, p, m, n] = jj[u, k[p], l[p], m, n] of
-    ``filon_weights``, at a given number of series terms."""
-    x = 1j * np.multiply.outer(hs, nus)
+    ``filon_weights`` at x[u] = i nu h of hs[u], at a given number of series
+    terms."""
     single = _divided_exps(x, x, range(1), range(1, degree + 2), terms)[0]  # f[0, x (m + 1 times)]
     phi = single * np.array([math.factorial(m) for m in range(degree + 1)])[:, None, None]
     double = _divided_exps(x[:, k], x[:, k] + x[:, l], range(1, degree + 2), range(1, 2 * degree + 2), terms)
@@ -544,11 +556,13 @@ _INTERPOLANT = np.array(
 # frame's rows when they share its term matrices (a table's N-fold gates).
 _LAST_FRAME: dict[tuple, tuple[np.ndarray, ...]] = {}
 
-# The Filon rows in z of the last frame structure (poly, scaled terms,
-# pairs), by the bytes of a step length's z-row nu h: a table's N-fold gates
-# and an envelope-shape sweep step at a few z up to rounding, and share
-# them.  A new structure empties it.
-_LAST_FILON: dict[tuple, dict[bytes, np.ndarray]] = {}
+# The Filon rows in z of recent runs, by frame structure (poly, scaled
+# terms, pairs) and the bytes of a step length's z-row nu h: a table's
+# N-fold gates and an envelope-shape sweep step at a few z up to rounding,
+# and share them.  Least recently used first, and _KEPT_ROWS of them at
+# most, or the last run's rows where it used more.
+_LAST_FILON: dict[tuple, np.ndarray] = {}
+_KEPT_ROWS = 32
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -568,26 +582,31 @@ def _last(cache: dict, key: tuple, build: Callable[[], tuple]) -> tuple:
     return cache[key]
 
 
-def _filon_row(
-    z: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, poly: bool
-) -> np.ndarray:
-    """The Filon row in z = nu h of a step length h: ``filon_weights`` at
-    h = 1 for the frequencies z, through its code and its series term
-    count, as phi_k, then J_kl and J_lk^T at the pairs (pk, pl), in one
-    array; times h and h^2 they are ``filon_weights`` at h, bit for bit.
-    With a polynomial envelope each entry is placed in a matrix that v v^T
-    weights, exactly: embed[k] takes a term's moments to the entries of v
-    that weight them."""
-    one, degree = np.ones(1), poly * _DEGREE
-    k, l = np.concatenate([pk, pl]), np.concatenate([pl, pk])
-    phi, jj = _filon_series(z, one, k, l, _series_terms(z, one), degree)
-    phi, jj = phi[0], np.concatenate([jj[0, : pk.size], jj[0, pk.size :].swapaxes(-1, -2)])
-    if not poly:
-        return np.concatenate([phi[:, 0], jj[:, 0, 0]])
-    m = degree + 1
+def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, poly: bool) -> np.ndarray:
+    """The Filon row in z = nu h of each step length's z-row zs[u]:
+    ``filon_weights`` at h = 1 for the frequencies zs[u], through its code
+    and with the series term count of that row alone, as phi_k, then J_kl
+    and J_lk^T at the pairs (pk, pl), read-only; times h and h^2 a row is
+    ``filon_weights`` at h, bit for bit.  Rows of one term count are built
+    together.  With a polynomial envelope each entry is placed in a matrix
+    that v v^T weights, exactly: embed[k] takes a term's moments to the
+    entries of v that weight them."""
+    degree = poly * _DEGREE
+    m, k, l = degree + 1, np.concatenate([pk, pl]), np.concatenate([pl, pk])
     embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
-    phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
-    return np.concatenate([phi, embed[np.tile(pk, 2)] @ jj @ embed[np.tile(pl, 2)].swapaxes(-1, -2)])
+    terms = np.array([_series_terms(z, np.ones(1)) for z in zs], dtype=int)
+    out = np.empty((zs.shape[0], zs.shape[1] + k.size) + (m + 1, m + 1) * poly, dtype=complex)
+    for count in set(terms.tolist()):
+        on = terms == count
+        phi, jj = _filon_series(1j * zs[on], np.ones(on.sum()), k, l, count, degree)
+        jj = np.concatenate([jj[:, : pk.size], jj[:, pk.size :].swapaxes(-1, -2)], axis=1)
+        if poly:
+            phi = np.eye(m + 1, 1) * (embed @ phi[..., None])[..., None, :, 0]  # row 0, as v_0 = 1
+            jj = embed[np.tile(pk, 2)] @ jj @ embed[np.tile(pl, 2)].swapaxes(-1, -2)
+        else:
+            phi, jj = phi[..., 0], jj[..., 0, 0]
+        out[on] = np.concatenate([phi, jj], axis=1)
+    return _read_only(out)[0]
 
 
 def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> np.ndarray:
@@ -597,13 +616,12 @@ def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> 
     return np.concatenate([e, e[..., pk] * e[..., pl]], axis=-1)
 
 
-def _filon_table(rows: list[np.ndarray], hs: np.ndarray, terms: int) -> np.ndarray:
+def _filon_table(z: np.ndarray, hs: np.ndarray, terms: int) -> np.ndarray:
     """The Magnus-Filon coefficients of each step length hs[u] from its Filon
-    row in z of ``terms`` terms: phi_k, then (J_kl - J_lk) / 2 for the
-    pairs, as (lengths, K + pairs); with a polynomial envelope each entry is
-    a matrix that v v^T weights.  Without one, row u is ``filon_weights``
-    at hs[u]'s."""
-    z = np.array(rows)
+    row in z, z[u], of ``terms`` terms: phi_k, then (J_kl - J_lk) / 2 for
+    the pairs, as (lengths, K + pairs); with a polynomial envelope each
+    entry is a matrix that v v^T weights.  Without one, row u is
+    ``filon_weights`` at hs[u]'s."""
     h = hs.reshape((-1,) + (1,) * (z.ndim - 1))
     jj = h**2 * z[:, terms:]
     pairs = jj.shape[1] // 2
@@ -633,13 +651,14 @@ class _MagnusFilon:
     with phi and J from ``filon_weights``: Filon coefficients of the rows
     A_k and [A_k, A_l], the commutators taken as products of the A's.  They
     depend on z = nu h alone, times h and h^2, so each distinct step length
-    of the grid's intervals (``grid.hs``) takes its Filon row in z from a
-    table that every run of the frame structure shares (``_LAST_FILON``),
-    and its unit phases e^{i z r}, for r below the run's longest piece,
-    from one the run's intervals share.  A piece of a chunk, steps r0..r0 +
-    n - 1 of one interval (``_Grid.pieces``), takes one offset
-    e^{i nu t_r0} times its coefficient row times the unit phases r < n,
-    and the segment of its interval.
+    of the grid's intervals (``grid.hs``) takes its Filon row in z from
+    those recent runs kept (``_LAST_FILON``), or builds it, and its unit
+    phases e^{i z r} for r below a span: the longest piece, or fewer steps
+    where the run's step lengths would take the table past
+    ``_UNIT_BYTES``, and then its pieces are cut into spans.  A piece of a
+    chunk (``_Grid.pieces``), n steps of one interval from step r0, takes
+    one offset e^{i nu t_r0} times its coefficient row times the unit
+    phases r < n, and the segment of its interval.
 
     With a polynomial envelope, the step takes the envelope's quadratic
     interpolant c_0 + c_1 x + c_2 x^2 through its Gauss points (x = (t - t0)
@@ -648,23 +667,32 @@ class _MagnusFilon:
     weighted by x^m at c_m (``filon_weights`` at degree 2).
     """
 
-    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid, size: int):
+    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid):
         self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
         self.grid = grid
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
         key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
         self.k, self.l, self.rows = _last(_LAST_FRAME, key, lambda: _read_only(*_frame(space, g)))
-        n = np.diff(grid.base)
         zs = np.multiply.outer(grid.hs, self.nus)
-        keys = [z.tobytes() for z in zs]
-        filon = _last(_LAST_FILON, (poly, scaled.tobytes(), self.k.tobytes(), self.l.tobytes()), dict)
-        for key, z in zip(keys, zs):
-            if key not in filon:
-                (filon[key],) = _read_only(_filon_row(z, scaled, self.k, self.l, poly))
-        self.table = _filon_table([filon[key] for key in keys], grid.hs, self.nus.size)
-        self.longest = min(size, int(n.max()))
-        # z-row u's unit phases at r < longest, as row u * longest + r
-        self.units = _unit_phases(zs, self.k, self.l, self.longest).reshape(-1, self.table.shape[1])
+        structure = (poly, scaled.tobytes(), self.k.tobytes(), self.l.tobytes())
+        keys = [(*structure, z.tobytes()) for z in zs]
+        # ulp-apart step lengths may share a z-row: each missing row built once
+        missing = list({key: u for u, key in enumerate(keys) if key not in _LAST_FILON}.values())
+        if missing:
+            _LAST_FILON.update(zip([keys[u] for u in missing], _filon_rows(zs[missing], scaled, self.k, self.l, poly)))
+        self.table = _filon_table(np.array([_LAST_FILON[key] for key in keys]), grid.hs, self.nus.size)
+        for key in keys:  # the run's rows become the most recently used
+            _LAST_FILON[key] = _LAST_FILON.pop(key)
+        while len(_LAST_FILON) > max(_KEPT_ROWS, len(set(keys))):
+            del _LAST_FILON[next(iter(_LAST_FILON))]
+        # z-row u's unit phases at r < span as row u * span + r, _UNIT_BYTES
+        # at most: pieces are cut into spans where some can be longer, and
+        # with one-step spans every unit phase is 1, one row for all
+        n = np.diff(grid.base)
+        self.span = max(1, min(int(n.max()), space.chunk, _UNIT_BYTES // (16 * self.table.shape[1] * zs.shape[0])))
+        self.cut, self.stride = self.span < min(int(n.max()), space.chunk), self.span if self.span > 1 else 0
+        self.units = _unit_phases(zs[: None if self.stride else 1], self.k, self.l, self.span)
+        self.units = self.units.reshape(-1, self.table.shape[1])
         if poly:  # each row's entries as (v_a v_b, Re and Im interleaved), which v v^T weights in real arithmetic
             self.table = np.ascontiguousarray(self.table.reshape(zs.shape[0], -1, 16).transpose(0, 2, 1)).view(float)
         # each interval's segment, by its first step's first Gauss point and
@@ -676,31 +704,42 @@ class _MagnusFilon:
         self.segment, self.straddling = first, first != last
 
     def __call__(self, a: int, b: int, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
-        grid, (j, first, n) = self.grid, pieces
-        segments = self.segment[j]
-        if self.straddling[j].any():
-            t0, row = grid.starts(pieces)
-            segment = self.segment_index(t0 + grid.hs[row] / 2.0)
-        elif segments[0] == segments[-1]:  # nondecreasing, so one segment
-            segment = segments[0]
+        grid = self.grid
+        j, first, n = pieces = self._spans(pieces) if self.cut else pieces
+        if j.size == 1:  # one piece: a slice of its unit phases
+            at = grid.row[j[0]] * self.stride
+            coef = self.units[at : at + b - a] * self._offsets(a - grid.base[j], j)
         else:
-            segment = np.repeat(segments, n)
-        t = (first - grid.base[j]) * grid.h[j] + grid.lo[j]  # each piece's first start, as _Grid.starts
-        phase = np.exp(1j * np.multiply.outer(t, self.nus))
-        offset = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
-        rows = grid.row[j]
-        if not self.poly:
-            offset *= self.table[rows]
-        if j.size == 1:
-            at = rows[0] * self.longest
-            coef = self.units[at : at + b - a] * offset[0]
-        else:  # each step's unit phase row: its piece's z-row, its place in the piece
-            coef = self.units.take(np.repeat(rows * self.longest - first, n) + np.arange(a, b), axis=0)
-            coef *= np.repeat(offset, n, axis=0)
+            coef = self.units.take(np.repeat(grid.row[j] * self.stride - first, n) + np.arange(a, b), axis=0)
+            coef *= np.repeat(self._offsets(first - grid.base[j], j), n, axis=0)
         if self.poly:
             coef *= self._contracted(pieces)
-        gen = _combine(coef, segment, self.rows)
+        if self.straddling[j].any():  # its steps located one by one
+            t0, row = grid.starts(pieces)
+            gen = _combine(coef, self.segment_index(t0 + grid.hs[row] / 2.0), np.ones(b - a, dtype=int), self.rows)
+        else:
+            gen = _combine(coef, self.segment[j], n, self.rows)
         return batched_expm(gen.reshape(-1, self.dim, self.dim))
+
+    def _spans(self, pieces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pieces cut into spans of ``span`` steps from their first, the
+        remainder last: the interval, first step and steps of each."""
+        j, first, n = pieces
+        count = -(-n // self.span)
+        place = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # each span's in its piece
+        start = np.repeat(first, count) + self.span * place
+        return np.repeat(j, count), start, np.minimum(self.span, np.repeat(first + n, count) - start)
+
+    def _offsets(self, place: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """e^{i nu_k t} and their pair products at each piece's first start
+        t, ``place`` steps into interval j, as ``_Grid.starts`` computes it;
+        times its coefficient row where the envelopes are constant."""
+        grid = self.grid
+        phase = np.exp(1j * np.multiply.outer(place * grid.h[j] + grid.lo[j], self.nus))
+        offset = np.concatenate([phase, phase[:, self.k] * phase[:, self.l]], axis=1)
+        if not self.poly:
+            offset *= self.table[grid.row[j]]
+        return offset
 
     def _contracted(self, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
         """Each step's table row contracted with v v^T, v from the envelope
@@ -709,11 +748,8 @@ class _MagnusFilon:
         ts = (t0 + np.multiply.outer(_GAUSS, self.grid.hs[row])).reshape(-1)
         v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ self.envelope(ts).reshape(_GAUSS.size, -1)]).T
         vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1)  # v_a v_b
-        out, rows = np.empty((t0.size, self.table.shape[-1])), set(row.tolist())
-        for u in rows:
-            on = slice(None) if len(rows) == 1 else row == u
-            out[on] = vv[on] @ self.table[u]
-        return out.view(complex)
+        j, _, n = pieces
+        return _by_runs(vv, self.grid.row[j], n, self.table).view(complex)
 
 
 _CLOSED = _Space(8, complexify)

@@ -745,7 +745,7 @@ class TestChunkedDriver:
         self.three_step_chunks(monkeypatch, space.dim)
         res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
         grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
-        factors = dynamics._MagnusFilon(h.terms, space, False, grid, 3)
+        factors = dynamics._MagnusFilon(h.terms, space, False, grid)
         factors_of = lambda a, b: factors(a, b, grid.pieces(a, b))
         states, final = self.per_run_states(factors_of, grid.steps, marks, space.dim, 3)
         assert res.rule == "magnus_filon"
@@ -1019,7 +1019,8 @@ class TestFilonWeights:
         # unsorted sample times split the B gate into intervals of many
         # lengths; each takes its Filon row in z = nu h times h and h^2,
         # filon_weights at that length alone bit for bit, and unit phases
-        # e^{i z r} for r below the longest piece
+        # e^{i z r} for r below a span: the longest piece, or shorter, so
+        # that the table holds at most _UNIT_BYTES
         monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
@@ -1029,24 +1030,45 @@ class TestFilonWeights:
         times = times[samples]
         _, lengths, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
         grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
-        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid, 256)
+        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
         hs = np.unique(lengths)
         assert hs.size == rows and mf.table.shape[0] == rows and mf.k.size > 0
         np.testing.assert_array_equal(grid.hs, hs)
-        longest = min(256, int(np.diff(grid.base).max()))
-        assert mf.longest == longest and mf.units.shape == (rows * longest, mf.table.shape[1])
-        for row, units, length in zip(mf.table, mf.units.reshape(rows, longest, -1), hs):
+        width = mf.table.shape[1]
+        span = min(int(np.diff(grid.base).max()), 256, dynamics._UNIT_BYTES // (16 * width * rows))
+        assert mf.span == span > 1 and mf.units.shape == (rows * span, width)
+        for row, units, length in zip(mf.table, mf.units.reshape(rows, span, -1), hs):
             phi, jj = dynamics.filon_weights(mf.nus, [length])
             dj = 0.5 * (jj[0, mf.k, mf.l] - jj[0, mf.l, mf.k])
             np.testing.assert_array_equal(row, np.concatenate([phi[0, :, 0], dj[:, 0, 0]]))
-            phase = np.exp(1j * np.multiply.outer(np.arange(longest), mf.nus * length))
+            phase = np.exp(1j * np.multiply.outer(np.arange(span), mf.nus * length))
             np.testing.assert_allclose(units, np.concatenate([phase, phase[:, mf.k] * phase[:, mf.l]], 1), 0, 1e-15)
+
+    def test_unit_phase_table_is_bounded_for_any_number_of_step_lengths(self, monkeypatch):
+        # geometric sample times give nearly every interval a step length
+        # of its own: more lengths shorten the span, and once it is one
+        # step every unit phase is 1, one row for all, so the table never
+        # grows past _UNIT_BYTES with the number of lengths
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
+        schedule = build_schedule("bgate")
+        h = frame_hamiltonian(schedule, rwa=False)
+        steps = required_steps(h.max_frequency_hz, schedule.duration)
+        spans = []
+        for samples in (600, 10_000):
+            times = np.geomspace(1e-3, 1.0, samples) * schedule.duration
+            grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
+            mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
+            assert mf.units.nbytes <= dynamics._UNIT_BYTES
+            spans.append((grid.hs.size, mf.span))
+        assert 1 < spans[0][1] < dynamics._CLOSED.chunk and spans[1][0] > 9000 and spans[1][1] == 1
+        assert mf.units.shape[0] == 1 and (mf.units == 1).all()
 
     def test_gates_of_one_frame_and_grid_share_their_table(self, monkeypatch):
         # an eta sweep at one duration: the same frame frequencies and steps
         monkeypatch.setattr(dynamics, "_LAST_FILON", {})
-        built = []
-        monkeypatch.setattr(dynamics, "_filon_row", lambda *a, _f=dynamics._filon_row: built.append(a) or _f(*a))
+        built = []  # the z-rows whose Filon rows were built
+        build = dynamics._filon_rows
+        monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.extend(zs) or build(zs, *a))
         schedules = [build_schedule("fsim_poly", duration=POLY_GATE_TIME, eta=eta) for eta in (0.2, 0.7)]
         finals = [gate_channel(schedule, rwa=False, decoherence=True).final for schedule in schedules]
         assert len(built) == 1
@@ -1055,6 +1077,60 @@ class TestFilonWeights:
         assert len(built) == 2
         gate_channel(schedules[1], rwa=True, decoherence=True)  # other frame frequencies: a new row
         assert len(built) == 3
+
+    @pytest.mark.parametrize("kept", [0, 32])
+    def test_rows_kept_across_runs_are_the_most_recently_used(self, kept, monkeypatch):
+        # _KEPT_ROWS of them, or the last run's where it used more: a gate
+        # run again after one of another frame structure reuses its rows
+        # only while they are kept
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
+        monkeypatch.setattr(dynamics, "_KEPT_ROWS", kept)
+        built = []
+        build = dynamics._filon_rows
+        monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.append(len(zs)) or build(zs, *a))
+        rect, poly = build_schedule("fsim_rect", duration=T45), build_schedule("fsim_poly", duration=POLY_GATE_TIME)
+        first = gate_channel(rect, rwa=False, decoherence=False).final
+        rows = sum(built)
+        gate_channel(poly, rwa=False, decoherence=False)
+        assert len(dynamics._LAST_FILON) == (sum(built) - rows if kept == 0 else sum(built))
+        built.clear()
+        np.testing.assert_array_equal(gate_channel(rect, rwa=False, decoherence=False).final, first)
+        assert sum(built) == (rows if kept == 0 else 0)
+
+    def test_a_row_used_again_is_kept_longest(self, monkeypatch):
+        # rect, poly, rect again, then RWA rect with room for two gates'
+        # rows: the poly gate's, least recently used, are the ones dropped
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
+        built = []
+        build = dynamics._filon_rows
+        monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.append(len(zs)) or build(zs, *a))
+        rect, poly = build_schedule("fsim_rect", duration=T45), build_schedule("fsim_poly", duration=POLY_GATE_TIME)
+        runs = [(rect, False), (poly, False), (rect, True)]
+        counts = []
+        for schedule, rwa in runs:
+            gate_channel(schedule, rwa=rwa, decoherence=False)
+            counts.append(sum(built))
+            built.clear()
+        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
+        monkeypatch.setattr(dynamics, "_KEPT_ROWS", counts[0] + counts[2])
+        for schedule, rwa in [*runs[:2], runs[0], runs[2], runs[0]]:
+            gate_channel(schedule, rwa=rwa, decoherence=False)
+        assert sum(built) == sum(counts)  # the second and third rect runs hit
+
+    def test_rows_built_together_equal_rows_built_alone(self):
+        # step lengths over four decades take 3 to 13 series terms; each
+        # row keeps its own count, so a kept row does not depend on the
+        # rows built with it
+        rng = np.random.default_rng(3)
+        nus = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 5)]) * 4e9
+        k, l = np.triu_indices(nus.size, 1)
+        scaled = np.arange(nus.size) % 2 == 1
+        zs = np.multiply.outer(np.geomspace(1e-16, 5e-11, 40), nus)
+        assert len({dynamics._series_terms(z, np.ones(1)) for z in zs}) > 5
+        for poly in (False, True):
+            together = dynamics._filon_rows(zs, scaled, k, l, poly)
+            for z, row in zip(zs, together):
+                np.testing.assert_array_equal(dynamics._filon_rows(z[None], scaled, k, l, poly)[0], row)
 
     @pytest.fixture
     def frame_builds(self, monkeypatch):
@@ -1103,9 +1179,9 @@ class TestFilonWeights:
         # the N-fold gates of a scheme step at one z = nu h up to rounding,
         # and build at most one Filon row per distinct z-row
         zs, rows = [], []  # each run's z-rows, and the Filon rows built
-        phases, row = dynamics._unit_phases, dynamics._filon_row
+        phases, build = dynamics._unit_phases, dynamics._filon_rows
         monkeypatch.setattr(dynamics, "_unit_phases", lambda z, *a: zs.extend(x.tobytes() for x in z) or phases(z, *a))
-        monkeypatch.setattr(dynamics, "_filon_row", lambda z, *a: rows.append(z.tobytes()) or row(z, *a))
+        monkeypatch.setattr(dynamics, "_filon_rows", lambda z, *a: rows.extend(x.tobytes() for x in z) or build(z, *a))
         experiments.table1().run(5)
         assert len(frame_builds) == 3
         assert len(rows) == len(set(rows)) <= len(set(zs)) < 20
@@ -1114,9 +1190,9 @@ class TestFilonWeights:
     def test_cached_set_up_is_read_only(self, decoherence, frame_builds):
         # a stray in-place operation would change every later run that hits the cache
         gate_channel(build_schedule("fsim_poly", duration=POLY_GATE_TIME), rwa=False, decoherence=decoherence)
-        (frame,), (filon,) = dynamics._LAST_FRAME.values(), dynamics._LAST_FILON.values()
+        (frame,), filon = dynamics._LAST_FRAME.values(), list(dynamics._LAST_FILON.values())
         assert len(frame) == 3 and frame[0].size > 0 and len(filon) == 1
-        for cached in (*frame, *filon.values()):
+        for cached in (*frame, *filon):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
 
@@ -1348,7 +1424,8 @@ class TestRealKernels:
         # H's entries their coefficients, and the dissipator added
         space = self.open_space()
         rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
-        real = dynamics._combine(hs.reshape(-1, 16), np.zeros(4, dtype=int), rows) + space.dissipator.reshape(-1)
+        real = dynamics._combine(hs.reshape(-1, 16), np.zeros(1, dtype=int), np.array([4]), rows)
+        real += space.dissipator.reshape(-1)
         assert real.dtype == np.dtype(float)
         assert (np.abs(real.reshape(-1, 16, 16) - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
 
@@ -1373,7 +1450,8 @@ class TestRealKernels:
         gens = space.generators(g)
         gens[:, 0] += space.dissipator
         coef = np.exp(1j * np.multiply.outer(ts, nus)) * np.where(scaled, h.terms.envelope(ts)[:, None], 1.0)
-        real = dynamics._combine(coef, h.terms.segment_index(ts), space.rows(gens)).reshape(-1, 16, 16)
+        ones = np.ones(ts.size, dtype=int)  # one run per sample
+        real = dynamics._combine(coef, h.terms.segment_index(ts), ones, space.rows(gens)).reshape(-1, 16, 16)
         vec = vec_liouvillians(h.matrices(ts), dephasing_dissipator(DEFAULT_DEVICE))
         pauli = dynamics._T.conj().T @ vec @ dynamics._T
         scale = np.abs(vec).max(axis=(1, 2))
@@ -1446,6 +1524,26 @@ class TestRealKernels:
         assert max(len(ends) for *_, ends in grid.chunks(chunk)) > 1
         states, final = complex_magnus_filon(h, span, steps, schedule.breakpoints, params, sample_times=times)
         assert res.rule == "magnus_filon" and res.steps == grid.steps
+        assert np.abs(res.states - states).max() <= 1e-13
+        assert np.abs(res.final - final).max() <= 1e-13
+
+    @pytest.mark.parametrize("unit_bytes, span", [(1, 1), (300 * 208 * 2, 2), (300 * 208 * 7, 7)])
+    def test_pieces_cut_into_spans_match_complex_magnus_filon(self, unit_bytes, span, monkeypatch):
+        # geometric sample times on the B gate's first 64th give each of
+        # its 300 intervals a step length of its own; a smaller unit phase
+        # table cuts the pieces into spans of 7, 2 or 1 steps, each with an
+        # offset of its own
+        monkeypatch.setattr(dynamics, "_UNIT_BYTES", unit_bytes)
+        schedule = build_schedule("bgate")
+        h = frame_hamiltonian(schedule, rwa=False)
+        duration = schedule.duration / 64
+        times = duration * np.geomspace(1e-3, 1.0, 300)
+        steps = required_steps(h.max_frequency_hz, duration)
+        res = propagate_unitary(h, duration, steps, breakpoints=schedule.breakpoints, sample_times=times)
+        grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
+        assert dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid).span == span < np.diff(grid.base).max()
+        states, final = complex_magnus_filon(h, duration, steps, schedule.breakpoints, sample_times=times)
+        assert res.steps == grid.steps
         assert np.abs(res.states - states).max() <= 1e-13
         assert np.abs(res.final - final).max() <= 1e-13
 
