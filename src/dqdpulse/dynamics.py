@@ -594,7 +594,11 @@ def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarr
     degree = poly * _DEGREE
     m, k, l = degree + 1, np.concatenate([pk, pl]), np.concatenate([pl, pk])
     embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
-    terms = np.array([_series_terms(z, np.ones(1)) for z in zs], dtype=int)
+    # each row's count is nondecreasing in its max |z|: one for all where the
+    # rows of the least and the largest agree
+    one, r = np.ones(1), np.abs(zs).max(axis=1)
+    least, most = (_series_terms(zs[u], one) for u in (r.argmin(), r.argmax()))
+    terms = np.full(len(zs), least) if least == most else np.array([_series_terms(z, one) for z in zs])
     out = np.empty((zs.shape[0], zs.shape[1] + k.size) + (m + 1, m + 1) * poly, dtype=complex)
     for count in set(terms.tolist()):
         on = terms == count
@@ -609,11 +613,16 @@ def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarr
     return _read_only(out)[0]
 
 
-def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, steps: int) -> np.ndarray:
+def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^{i z_k r} and e^{i (z_k + z_l) r} at the pairs (pk, pl) of each
-    z-row zs[u], for r < steps, as (rows, steps, K + pairs)."""
-    e = np.exp(1j * (np.arange(steps)[:, None] * zs[:, None, :]))
-    return np.concatenate([e, e[..., pk] * e[..., pl]], axis=-1)
+    z-row zs[u], for r < spans[u], one row each, after a row of ones that
+    every one-step span shares; and each z-row's first row."""
+    size = np.where(spans > 1, spans, 0)
+    start = np.where(size > 0, np.cumsum(size) - size + 1, 0)
+    r = np.arange(size.sum()) - np.repeat(start - 1, size)
+    e = np.exp(1j * (r[:, None] * np.repeat(zs, size, axis=0)))
+    e = np.concatenate([np.ones((1, zs.shape[1])), e])
+    return np.concatenate([e, e[:, pk] * e[:, pl]], axis=1), start
 
 
 def _filon_table(z: np.ndarray, hs: np.ndarray, terms: int) -> np.ndarray:
@@ -653,9 +662,9 @@ class _MagnusFilon:
     depend on z = nu h alone, times h and h^2, so each distinct step length
     of the grid's intervals (``grid.hs``) takes its Filon row in z from
     those recent runs kept (``_LAST_FILON``), or builds it, and its unit
-    phases e^{i z r} for r below a span: the longest piece, or fewer steps
-    where the run's step lengths would take the table past
-    ``_UNIT_BYTES``, and then its pieces are cut into spans.  A piece of a
+    phases e^{i z r} for r below its longest piece, or below a cap where
+    the run's step lengths would take the table past ``_UNIT_BYTES``, and
+    then its pieces are cut into spans of the cap.  A piece of a
     chunk (``_Grid.pieces``), n steps of one interval from step r0, takes
     one offset e^{i nu t_r0} times its coefficient row times the unit
     phases r < n, and the segment of its interval.
@@ -685,14 +694,15 @@ class _MagnusFilon:
             _LAST_FILON[key] = _LAST_FILON.pop(key)
         while len(_LAST_FILON) > max(_KEPT_ROWS, len(set(keys))):
             del _LAST_FILON[next(iter(_LAST_FILON))]
-        # z-row u's unit phases at r < span as row u * span + r, _UNIT_BYTES
-        # at most: pieces are cut into spans where some can be longer, and
-        # with one-step spans every unit phase is 1, one row for all
+        # z-row u's unit phases at r below its longest piece or the cap,
+        # row start[u] + r: no more exponentials than the run has steps, and
+        # _UNIT_BYTES at most, where pieces are cut into spans of the cap
         n = np.diff(grid.base)
-        self.span = max(1, min(int(n.max()), space.chunk, _UNIT_BYTES // (16 * self.table.shape[1] * zs.shape[0])))
-        self.cut, self.stride = self.span < min(int(n.max()), space.chunk), self.span if self.span > 1 else 0
-        self.units = _unit_phases(zs[: None if self.stride else 1], self.k, self.l, self.span)
-        self.units = self.units.reshape(-1, self.table.shape[1])
+        longest = np.zeros(zs.shape[0], dtype=int)
+        np.maximum.at(longest, grid.row, np.minimum(n, space.chunk))
+        self.cap = max(1, _UNIT_BYTES // (16 * self.table.shape[1] * zs.shape[0]))
+        self.cut = bool((longest > self.cap).any())
+        self.units, self.start = _unit_phases(zs, self.k, self.l, np.minimum(longest, self.cap))
         if poly:  # each row's entries as (v_a v_b, Re and Im interleaved), which v v^T weights in real arithmetic
             self.table = np.ascontiguousarray(self.table.reshape(zs.shape[0], -1, 16).transpose(0, 2, 1)).view(float)
         # each interval's segment, by its first step's first Gauss point and
@@ -707,10 +717,10 @@ class _MagnusFilon:
         grid = self.grid
         j, first, n = pieces = self._spans(pieces) if self.cut else pieces
         if j.size == 1:  # one piece: a slice of its unit phases
-            at = grid.row[j[0]] * self.stride
+            at = self.start[grid.row[j[0]]]
             coef = self.units[at : at + b - a] * self._offsets(a - grid.base[j], j)
         else:
-            coef = self.units.take(np.repeat(grid.row[j] * self.stride - first, n) + np.arange(a, b), axis=0)
+            coef = self.units.take(np.repeat(self.start[grid.row[j]] - first, n) + np.arange(a, b), axis=0)
             coef *= np.repeat(self._offsets(first - grid.base[j], j), n, axis=0)
         if self.poly:
             coef *= self._contracted(pieces)
@@ -722,13 +732,13 @@ class _MagnusFilon:
         return batched_expm(gen.reshape(-1, self.dim, self.dim))
 
     def _spans(self, pieces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pieces cut into spans of ``span`` steps from their first, the
+        """The pieces cut into spans of ``cap`` steps from their first, the
         remainder last: the interval, first step and steps of each."""
         j, first, n = pieces
-        count = -(-n // self.span)
+        count = -(-n // self.cap)
         place = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)  # each span's in its piece
-        start = np.repeat(first, count) + self.span * place
-        return np.repeat(j, count), start, np.minimum(self.span, np.repeat(first + n, count) - start)
+        start = np.repeat(first, count) + self.cap * place
+        return np.repeat(j, count), start, np.minimum(self.cap, np.repeat(first + n, count) - start)
 
     def _offsets(self, place: np.ndarray, j: np.ndarray) -> np.ndarray:
         """e^{i nu_k t} and their pair products at each piece's first start

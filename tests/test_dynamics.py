@@ -1019,8 +1019,8 @@ class TestFilonWeights:
         # unsorted sample times split the B gate into intervals of many
         # lengths; each takes its Filon row in z = nu h times h and h^2,
         # filon_weights at that length alone bit for bit, and unit phases
-        # e^{i z r} for r below a span: the longest piece, or shorter, so
-        # that the table holds at most _UNIT_BYTES
+        # e^{i z r} for r below its longest piece, or below a cap that holds
+        # the table to _UNIT_BYTES
         monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
@@ -1034,15 +1034,19 @@ class TestFilonWeights:
         hs = np.unique(lengths)
         assert hs.size == rows and mf.table.shape[0] == rows and mf.k.size > 0
         np.testing.assert_array_equal(grid.hs, hs)
-        width = mf.table.shape[1]
-        span = min(int(np.diff(grid.base).max()), 256, dynamics._UNIT_BYTES // (16 * width * rows))
-        assert mf.span == span > 1 and mf.units.shape == (rows * span, width)
-        for row, units, length in zip(mf.table, mf.units.reshape(rows, span, -1), hs):
+        n, cap = np.diff(grid.base), dynamics._UNIT_BYTES // (16 * mf.table.shape[1] * rows)
+        at = 1  # after the row of ones
+        for u, (row, length) in enumerate(zip(mf.table, hs)):
             phi, jj = dynamics.filon_weights(mf.nus, [length])
             dj = 0.5 * (jj[0, mf.k, mf.l] - jj[0, mf.l, mf.k])
             np.testing.assert_array_equal(row, np.concatenate([phi[0, :, 0], dj[:, 0, 0]]))
+            span = min(n[grid.row == u].max(), 256, cap)
+            assert mf.start[u] == (at if span > 1 else 0)
+            at += span * (span > 1)
+            units = mf.units[mf.start[u] : mf.start[u] + span]
             phase = np.exp(1j * np.multiply.outer(np.arange(span), mf.nus * length))
             np.testing.assert_allclose(units, np.concatenate([phase, phase[:, mf.k] * phase[:, mf.l]], 1), 0, 1e-15)
+        assert mf.units.shape[0] == at  # no row a piece does not take
 
     def test_unit_phase_table_is_bounded_for_any_number_of_step_lengths(self, monkeypatch):
         # geometric sample times give nearly every interval a step length
@@ -1054,13 +1058,13 @@ class TestFilonWeights:
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
         spans = []
-        for samples in (600, 10_000):
+        for samples in (600, 2000):
             times = np.geomspace(1e-3, 1.0, samples) * schedule.duration
             grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
             mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
-            assert mf.units.nbytes <= dynamics._UNIT_BYTES
-            spans.append((grid.hs.size, mf.span))
-        assert 1 < spans[0][1] < dynamics._CLOSED.chunk and spans[1][0] > 9000 and spans[1][1] == 1
+            assert mf.units.nbytes <= dynamics._UNIT_BYTES + mf.units[0].nbytes  # and the row of ones
+            spans.append((grid.hs.size, mf.cap))
+        assert 1 < spans[0][1] < dynamics._CLOSED.chunk and spans[1][0] > 1900 and spans[1][1] == 1
         assert mf.units.shape[0] == 1 and (mf.units == 1).all()
 
     def test_gates_of_one_frame_and_grid_share_their_table(self, monkeypatch):
@@ -1527,21 +1531,21 @@ class TestRealKernels:
         assert np.abs(res.states - states).max() <= 1e-13
         assert np.abs(res.final - final).max() <= 1e-13
 
-    @pytest.mark.parametrize("unit_bytes, span", [(1, 1), (300 * 208 * 2, 2), (300 * 208 * 7, 7)])
+    @pytest.mark.parametrize("unit_bytes, span", [(1, 1), (75 * 208 * 2, 2)])
     def test_pieces_cut_into_spans_match_complex_magnus_filon(self, unit_bytes, span, monkeypatch):
-        # geometric sample times on the B gate's first 64th give each of
-        # its 300 intervals a step length of its own; a smaller unit phase
-        # table cuts the pieces into spans of 7, 2 or 1 steps, each with an
-        # offset of its own
+        # geometric sample times on the B gate's first 256th give each of
+        # its 75 intervals a step length of its own; a smaller unit phase
+        # table cuts the pieces into spans of 2 steps, the odd ones' last of
+        # 1, or into single steps, each span with an offset of its own
         monkeypatch.setattr(dynamics, "_UNIT_BYTES", unit_bytes)
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
-        duration = schedule.duration / 64
-        times = duration * np.geomspace(1e-3, 1.0, 300)
+        duration = schedule.duration / 256
+        times = duration * np.geomspace(1e-3, 1.0, 75)
         steps = required_steps(h.max_frequency_hz, duration)
         res = propagate_unitary(h, duration, steps, breakpoints=schedule.breakpoints, sample_times=times)
         grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
-        assert dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid).span == span < np.diff(grid.base).max()
+        assert dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid).cap == span < np.diff(grid.base).max()
         states, final = complex_magnus_filon(h, duration, steps, schedule.breakpoints, sample_times=times)
         assert res.steps == grid.steps
         assert np.abs(res.states - states).max() <= 1e-13
