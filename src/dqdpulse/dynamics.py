@@ -613,7 +613,9 @@ def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarr
     return _read_only(out)[0]
 
 
-def _unit_phases(zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_phases(
+    zs: np.ndarray, pk: np.ndarray, pl: np.ndarray, spans: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """e^{i z_k r} and e^{i (z_k + z_l) r} at the pairs (pk, pl) of each
     z-row zs[u], for r < spans[u], one row each, after a row of ones that
     every one-step span shares; and each z-row's first row."""
