@@ -45,7 +45,9 @@ where every Liouvillian of a Hermitian H and the dissipator are real
 (Havel, J. Math. Phys. 44, 534 (2003)); one 16x16 superoperator serves a
 whole initial-state grid.  The product returns to the complex propagator,
 or to the superoperator on column-stacked vec(rho), once, at the
-snapshots and at the end.
+snapshots and at the end.  Set-up that gates share lives in the
+``RunTables`` a caller passes or a bare call makes, so what a call builds
+never depends on what ran before it.
 
 Without a budget, a closed run whose Fourier terms have constant envelopes
 takes the floor of 50 steps per period, and every other run
@@ -301,7 +303,7 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable, float, int]:
+def _step_rule(hamiltonian, space: _Space, period: float, tables: RunTables) -> tuple[str, Callable, float, int]:
     """The rule of H's steps, step_factors(grid) -> factors(a, b, pieces)
     giving the real (b - a, dim, dim) factors of a chunk's steps a..b - 1
     (``_Grid.chunks``), f_max and the default budget.
@@ -314,7 +316,7 @@ def _step_rule(hamiltonian, space: _Space, period: float) -> tuple[str, Callable
         terms = hamiltonian.terms
         poly = None in [seg.level for seg in terms.segments[: np.searchsorted(terms.edges, period) + 1]]
         default = STEPS_PER_PERIOD if space.dissipator is None and not poly else DEFAULT_STEPS_PER_PERIOD
-        return "magnus_filon", partial(_MagnusFilon, terms, space, poly), hamiltonian.max_frequency_hz, default
+        return "magnus_filon", partial(_MagnusFilon, terms, space, poly, tables), hamiltonian.max_frequency_hz, default
     if isinstance(hamiltonian, TimeDependentHamiltonian):
         batch, fmax = hamiltonian.matrices, hamiltonian.max_frequency_hz
     elif callable(hamiltonian):
@@ -333,6 +335,7 @@ def _propagate(
     sample_times: Sequence[float] | None,
     steps_per_period: int | None,
     repetitions: int,
+    tables: RunTables,
 ) -> EvolutionResult:
     """Ordered product of real per-step factors over one repetition, chunk
     by chunk, raised to the ``repetitions``-th power.
@@ -346,7 +349,7 @@ def _propagate(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     period = duration / repetitions
-    rule, step_factors, fmax, default = _step_rule(hamiltonian, space, period)
+    rule, step_factors, fmax, default = _step_rule(hamiltonian, space, period, tables)
     if steps_per_period is None:
         steps_per_period = default
     require_step_floor(steps_per_period)
@@ -477,8 +480,7 @@ def _series_weights(terms: int, ps: range, qs: range) -> tuple[np.ndarray, np.nd
     factorial = np.array([math.factorial(i) for i in range(terms + ps.stop + qs.stop)], dtype=float)
     binomial = (factorial[n + q - 1] / factorial[n] / factorial[q - 1])[:, 0, :, None, None]
     weight = (1.0 / factorial[n + p + q])[..., None, None]  # a real multiply: complex division is 5x slower
-    binomial.flags.writeable = weight.flags.writeable = False
-    return binomial, weight
+    return _read_only(binomial), _read_only(weight)
 
 
 def _divided_exps(z: np.ndarray, w: np.ndarray, ps: range, qs: range, terms: int) -> np.ndarray:
@@ -552,34 +554,10 @@ _INTERPOLANT = np.array(
 ).T
 
 
-# The last Magnus-Filon frame set-up built, by its key: gates share a
-# frame's rows when they share its term matrices (a table's N-fold gates).
-_LAST_FRAME: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-# The Filon rows in z of recent runs, by frame structure (poly, scaled
-# terms, pairs) and the bytes of a step length's z-row nu h: a table's
-# N-fold gates and an envelope-shape sweep step at a few z up to rounding,
-# and share them.  Least recently used first, and _KEPT_ROWS of them at
-# most, or the last run's rows where it used more.
-_LAST_FILON: dict[tuple, np.ndarray] = {}
-_KEPT_ROWS = 32
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: a stray in-place operation on a kept
-    value would change every later run that reads it."""
-    for x in arrays:
-        x.flags.writeable = False
-    return arrays
-
-
-def _last(cache: dict, key: tuple, build: Callable[[], tuple]) -> tuple:
-    """cache[key], or else build()'s value, kept as the one entry: emptied
-    first, so that two values are never held at once."""
-    if key not in cache:
-        cache.clear()
-        cache[key] = build()
-    return cache[key]
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """x, made read-only: a stray write would change every later gate that shares it."""
+    x.flags.writeable = False
+    return x
 
 
 def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarray, poly: bool) -> np.ndarray:
@@ -594,11 +572,7 @@ def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarr
     degree = poly * _DEGREE
     m, k, l = degree + 1, np.concatenate([pk, pl]), np.concatenate([pl, pk])
     embed = np.where(scaled[:, None, None], np.eye(m + 1, m, -1), np.eye(m + 1, m) * np.eye(1, m))
-    # each row's count is nondecreasing in its max |z|: one for all where the
-    # rows of the least and the largest agree
-    one, r = np.ones(1), np.abs(zs).max(axis=1)
-    least, most = (_series_terms(zs[u], one) for u in (r.argmin(), r.argmax()))
-    terms = np.full(len(zs), least) if least == most else np.array([_series_terms(z, one) for z in zs])
+    terms = np.array([_series_terms(z, np.ones(1)) for z in zs])
     out = np.empty((zs.shape[0], zs.shape[1] + k.size) + (m + 1, m + 1) * poly, dtype=complex)
     for count in set(terms.tolist()):
         on = terms == count
@@ -610,7 +584,7 @@ def _filon_rows(zs: np.ndarray, scaled: np.ndarray, pk: np.ndarray, pl: np.ndarr
         else:
             phi, jj = phi[..., 0], jj[..., 0, 0]
         out[on] = np.concatenate([phi, jj], axis=1)
-    return _read_only(out)[0]
+    return _read_only(out)
 
 
 def _unit_phases(
@@ -651,6 +625,40 @@ def _frame(space: _Space, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return k[nonzero], l[nonzero], space.rows(np.concatenate([a, comm[:, nonzero]], axis=1))
 
 
+class RunTables:
+    """Set-up the gates of one run share, read-only, dropped with the run:
+    the last frame set-up (sweeps are gate-major, so one slot serves), every
+    Filon row by frame structure and z-row, and dissipators by dephasing
+    rates.  Results are bit-identical with shared tables, fresh ones or none."""
+
+    def __init__(self) -> None:
+        self.last_frame, self.filon, self.dissipators = ((), ()), {}, {}  # the last frame as (key, value)
+
+    def frame(self, space: _Space, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_frame(space, g)``, by the space and the term matrices."""
+        key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
+        if self.last_frame[0] != key:
+            self.last_frame = key, tuple(map(_read_only, _frame(space, g)))
+        return self.last_frame[1]
+
+    def filon_rows(self, zs: np.ndarray, scaled: np.ndarray, k: np.ndarray, l: np.ndarray, poly: bool) -> np.ndarray:
+        """``_filon_rows`` of each z-row zs[u], the missing ones in one call."""
+        structure = (poly, scaled.tobytes(), k.tobytes(), l.tobytes())
+        keys = [(*structure, z.tobytes()) for z in zs]
+        # ulp-apart step lengths may share a z-row: each missing row built once
+        missing = list({key: u for u, key in enumerate(keys) if key not in self.filon}.values())
+        if missing:
+            self.filon.update(zip([keys[u] for u in missing], _filon_rows(zs[missing], scaled, k, l, poly)))
+        return np.array([self.filon[key] for key in keys])
+
+    def dissipator(self, params: DeviceParams) -> np.ndarray:
+        """The dephasing dissipator of ``params`` in the Pauli basis."""
+        rates = (params.kappa_1, params.kappa_2)
+        if rates not in self.dissipators:
+            self.dissipators[rates] = _read_only(_in_pauli_basis(dephasing_dissipator(params)))
+        return self.dissipators[rates]
+
+
 class _MagnusFilon:
     """Fourth-order Magnus-Filon factors exp(Omega_1 + Omega_2) of a
     Hamiltonian given as Fourier terms, closed or open, in real form.
@@ -663,11 +671,11 @@ class _MagnusFilon:
     A_k and [A_k, A_l], the commutators taken as products of the A's.  They
     depend on z = nu h alone, times h and h^2, so each distinct step length
     of the grid's intervals (``grid.hs``) takes its Filon row in z from
-    those recent runs kept (``_LAST_FILON``), or builds it, and its unit
+    ``RunTables``, built once for all the gates they serve, and its unit
     phases e^{i z r} for r below its longest piece, or below a cap where
     the run's step lengths would take the table past ``_UNIT_BYTES``, and
-    then its pieces are cut into spans of the cap.  A piece of a
-    chunk (``_Grid.pieces``), n steps of one interval from step r0, takes
+    then its pieces are cut into spans of the cap.  A piece of a chunk
+    (``_Grid.pieces``), n steps of one interval from step r0, takes
     one offset e^{i nu t_r0} times its coefficient row times the unit
     phases r < n, and the segment of its interval.
 
@@ -678,24 +686,13 @@ class _MagnusFilon:
     weighted by x^m at c_m (``filon_weights`` at degree 2).
     """
 
-    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, grid: _Grid):
+    def __init__(self, terms: FourierTerms, space: _Space, poly: bool, tables: RunTables, grid: _Grid):
         self.segment_index, self.envelope, self.poly, self.dim = terms.segment_index, terms.envelope, poly, space.dim
         self.grid = grid
         self.nus, scaled, g = _generators(terms, grid.duration, poly)
-        key = (space.dim, None if space.dissipator is None else space.dissipator.tobytes(), g.shape, g.tobytes())
-        self.k, self.l, self.rows = _last(_LAST_FRAME, key, lambda: _read_only(*_frame(space, g)))
+        self.k, self.l, self.rows = tables.frame(space, g)
         zs = np.multiply.outer(grid.hs, self.nus)
-        structure = (poly, scaled.tobytes(), self.k.tobytes(), self.l.tobytes())
-        keys = [(*structure, z.tobytes()) for z in zs]
-        # ulp-apart step lengths may share a z-row: each missing row built once
-        missing = list({key: u for u, key in enumerate(keys) if key not in _LAST_FILON}.values())
-        if missing:
-            _LAST_FILON.update(zip([keys[u] for u in missing], _filon_rows(zs[missing], scaled, self.k, self.l, poly)))
-        self.table = _filon_table(np.array([_LAST_FILON[key] for key in keys]), grid.hs, self.nus.size)
-        for key in keys:  # the run's rows become the most recently used
-            _LAST_FILON[key] = _LAST_FILON.pop(key)
-        while len(_LAST_FILON) > max(_KEPT_ROWS, len(set(keys))):
-            del _LAST_FILON[next(iter(_LAST_FILON))]
+        self.table = _filon_table(tables.filon_rows(zs, scaled, self.k, self.l, poly), grid.hs, self.nus.size)
         # z-row u's unit phases at r below its longest piece or the cap,
         # row start[u] + r: no more exponentials than the run has steps, and
         # _UNIT_BYTES at most, where pieces are cut into spans of the cap
@@ -776,6 +773,7 @@ def propagate_unitary(
     sample_times: Sequence[float] | None = None,
     steps_per_period: int | None = None,
     repetitions: int = 1,
+    tables: RunTables | None = None,
 ) -> EvolutionResult:
     """Time-ordered propagator over [0, duration].
 
@@ -785,9 +783,13 @@ def propagate_unitary(
     the midpoint rule.  With ``sample_times`` the intermediate propagators
     U(t_k, 0) are recorded as well.  With ``repetitions`` = N, H(t)
     repeats every duration / N: one repetition is integrated, on ``steps``
-    steps, and raised to the N-th power.
+    steps, and raised to the N-th power.  ``tables`` (``RunTables``) holds
+    set-up shared with other gates; a call without them builds its own.
     """
-    res = _propagate(hamiltonian, _CLOSED, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
+    tables = RunTables() if tables is None else tables
+    res = _propagate(
+        hamiltonian, _CLOSED, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables
+    )
     return replace(res, unitarity_defect=unitarity_defect(res.final))
 
 
@@ -847,11 +849,6 @@ def _require_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-# The last open space's dissipator in the Pauli basis, by the device's
-# dephasing rates: every gate of a sweep runs on one device.
-_LAST_DISSIPATOR: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-
 def lindblad_superoperator(
     hamiltonian,
     params: DeviceParams,
@@ -862,18 +859,20 @@ def lindblad_superoperator(
     steps_per_period: int | None = None,
     sample_times: Sequence[float] | None = None,
     repetitions: int = 1,
+    tables: RunTables | None = None,
 ) -> EvolutionResult:
     """Propagation superoperator S with vec(rho_T) = S vec(rho_0), by the
     step rules of :func:`propagate_unitary` on the Liouvillian.
 
     One integration serves any number of initial states.  ``repetitions``
-    is as for :func:`propagate_unitary`.  H(t) must be Hermitian: the steps
-    are taken in the Pauli basis, where only its Hermitian part enters.
+    and ``tables`` are as for :func:`propagate_unitary`.  H(t) must be Hermitian:
+    the steps are taken in the Pauli basis, where only its Hermitian part enters.
     """
-    rates = (params.kappa_1, params.kappa_2)
-    (dissipator,) = _last(_LAST_DISSIPATOR, rates, lambda: _read_only(_in_pauli_basis(dephasing_dissipator(params))))
-    space = _Space(16, _from_pauli_basis, dissipator)
-    return _propagate(hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions)
+    tables = RunTables() if tables is None else tables
+    space = _Space(16, _from_pauli_basis, tables.dissipator(params))
+    return _propagate(
+        hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables
+    )
 
 
 def apply_superoperator(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ grid once and hands the gate-major job list to ``run_jobs``; the CLI's
 ``simulate`` hands it its own jobs.  A job holds a built schedule, an
 initial-state grid and the ``gate_report`` arguments; ``run_jobs``
 propagates each job once (closed-system or with projector dephasing) and
-averages its fidelity over the grid, in a process pool when asked.  Results come back in job order for
+averages its fidelity over the grid, in contiguous blocks (one per pool
+worker when asked) whose gates share a ``dynamics.RunTables``.  Results come back in job order for
 any worker count, so the output is byte-identical regardless of scheduling.
 ``run_jobs`` records the invariant checks the CLI exit code keys off: each
 distinct pristine schedule's constraint residuals the first time it
@@ -34,6 +35,7 @@ from .device import (
 from .dynamics import (
     DEFAULT_STEPS_PER_PERIOD,
     EvolutionResult,
+    RunTables,
     apply_superoperator,
     lindblad_superoperator,
     propagate_unitary,
@@ -134,9 +136,11 @@ def gate_channel(
     detuning_eps: float = 0.0,
     steps_per_period: int | None = None,
     sample_times: Sequence[float] | None = None,
+    tables: RunTables | None = None,
 ) -> EvolutionResult:
     """Propagate one configured gate, at ``steps_per_period`` or else the
-    run's default budget (the floor for closed constant envelopes, 200).
+    run's default budget (the floor for closed constant envelopes, 200),
+    sharing set-up with other gates through ``tables`` if given.
 
     ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
     superoperator; with ``sample_times``, ``states`` holds the same run's
@@ -154,6 +158,7 @@ def gate_channel(
         steps_per_period=steps_per_period,
         sample_times=sample_times,
         repetitions=schedule.repetitions if sample_times is None else 1,
+        tables=tables,
     )
     if decoherence:
         return lindblad_superoperator(h, params, schedule.duration, **stepping)
@@ -227,26 +232,29 @@ def state_path(res: EvolutionResult) -> np.ndarray:
 Job = tuple[PulseSchedule, InitialStateGrid, dict]
 
 
-def _run_job(job: Job) -> tuple[FidelityReport, EvolutionResult]:
-    schedule, grid, report_kwargs = job
-    return gate_report(schedule, grid, **report_kwargs)
+def _run_block(jobs: Sequence[Job]) -> list[tuple[FidelityReport, EvolutionResult]]:
+    tables = RunTables()
+    return [gate_report(schedule, grid, tables=tables, **kwargs) for schedule, grid, kwargs in jobs]
 
 
 def run_jobs(
     jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None
 ) -> list[tuple[FidelityReport, EvolutionResult]]:
     """(report, evolution result) of each of ``jobs`` in job order, from a
-    process pool when ``workers`` > 1.
+    process pool when ``workers`` > 1, one block of ceil(jobs / workers)
+    each; a block's gates share one ``RunTables``.
 
     ``log`` receives each job's checks in job order: the constraint
     residuals of its pristine schedule the first time that schedule
     appears, then one unitarity or Lindblad-trace check of its run.
     """
     if workers <= 1 or len(jobs) <= 1:
-        out = list(map(_run_job, jobs))
+        out = _run_block(jobs)
     else:
+        size = -(-len(jobs) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(_run_job, jobs))
+            blocks = pool.map(_run_block, [jobs[i : i + size] for i in range(0, len(jobs), size)])
+            out = [result for block in blocks for result in block]
     if log is not None:
         seen: set[int] = set()
         for (schedule, _, report_kwargs), (_, res) in zip(jobs, out):

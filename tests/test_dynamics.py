@@ -605,8 +605,7 @@ class TestLindblad:
 
     @pytest.fixture
     def dissipator_builds(self, monkeypatch):
-        """Empties the dissipator cache and counts the dissipators built."""
-        monkeypatch.setattr(dynamics, "_LAST_DISSIPATOR", {})
+        """Counts the dissipators built."""
         built = []
         count = lambda p, _f=dephasing_dissipator: built.append(p) or _f(p)
         monkeypatch.setattr(dynamics, "dephasing_dissipator", count)
@@ -614,19 +613,24 @@ class TestLindblad:
 
     def test_one_device_builds_its_dissipator_once(self, dissipator_builds):
         h = frame_hamiltonian(fsim_rectangular(THETA, XI, T45, 1), rwa=False)
-        first = lindblad_superoperator(h, DEFAULT_DEVICE, T45).final
-        np.testing.assert_array_equal(lindblad_superoperator(h, DEFAULT_DEVICE, T45).final, first)
+        tables = dynamics.RunTables()
+        first = lindblad_superoperator(h, DEFAULT_DEVICE, T45, tables=tables).final
+        np.testing.assert_array_equal(lindblad_superoperator(h, DEFAULT_DEVICE, T45, tables=tables).final, first)
         # a device of the same dephasing rates reuses it too
-        lindblad_superoperator(h, replace(DEFAULT_DEVICE, b_y_l0=2.0 * DEFAULT_DEVICE.b_y_l0), T45)
+        lindblad_superoperator(h, replace(DEFAULT_DEVICE, b_y_l0=2.0 * DEFAULT_DEVICE.b_y_l0), T45, tables=tables)
         assert len(dissipator_builds) == 1
         for device in (DeviceParams(t2_q1=40e-9), DeviceParams(t2_q2=70e-9), DEFAULT_DEVICE):
-            lindblad_superoperator(h, device, T45)
+            lindblad_superoperator(h, device, T45, tables=tables)
+        assert len(dissipator_builds) == 3  # each pair of rates once in the tables' lifetime
+        # a bare call builds its own, to the same superoperator
+        np.testing.assert_array_equal(lindblad_superoperator(h, DEFAULT_DEVICE, T45).final, first)
         assert len(dissipator_builds) == 4
 
     def test_cached_dissipator_is_read_only(self, dissipator_builds):
         h = frame_hamiltonian(fsim_rectangular(THETA, XI, T45, 1), rwa=False)
-        lindblad_superoperator(h, DEFAULT_DEVICE, T45)
-        ((dissipator,),) = dynamics._LAST_DISSIPATOR.values()
+        tables = dynamics.RunTables()
+        lindblad_superoperator(h, DEFAULT_DEVICE, T45, tables=tables)
+        (dissipator,) = tables.dissipators.values()
         with pytest.raises(ValueError, match="read-only"):
             dissipator[0, 0] = 0.0
 
@@ -743,9 +747,9 @@ class TestChunkedDriver:
         assert {1, 3} <= {len(ends) for _, _, ends in plan}
         assert any(b not in marks for _, b, _ in plan)  # a piece of a longer run
         self.three_step_chunks(monkeypatch, space.dim)
-        res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1)
+        res = dynamics._propagate(h, space, T45, None, schedule.breakpoints, times, spp, 1, dynamics.RunTables())
         grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
-        factors = dynamics._MagnusFilon(h.terms, space, False, grid)
+        factors = dynamics._MagnusFilon(h.terms, space, False, dynamics.RunTables(), grid)
         factors_of = lambda a, b: factors(a, b, grid.pieces(a, b))
         states, final = self.per_run_states(factors_of, grid.steps, marks, space.dim, 3)
         assert res.rule == "magnus_filon"
@@ -1015,13 +1019,12 @@ class TestFilonWeights:
         dynamics.filon_weights(nus, [self.H / 2])
 
     @pytest.mark.parametrize("samples, rows", [(0, 1), (41, 43), (2001, 14)])
-    def test_table_rows_are_the_distinct_interval_steps(self, samples, rows, monkeypatch):
+    def test_table_rows_are_the_distinct_interval_steps(self, samples, rows):
         # unsorted sample times split the B gate into intervals of many
         # lengths; each takes its Filon row in z = nu h times h and h^2,
         # filon_weights at that length alone bit for bit, and unit phases
         # e^{i z r} for r below its longest piece, or below a cap that holds
         # the table to _UNIT_BYTES
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
@@ -1030,7 +1033,7 @@ class TestFilonWeights:
         times = times[samples]
         _, lengths, _ = step_grid(schedule.duration, steps, schedule.breakpoints, times)
         grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
-        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
+        mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, dynamics.RunTables(), grid)
         hs = np.unique(lengths)
         assert hs.size == rows and mf.table.shape[0] == rows and mf.k.size > 0
         np.testing.assert_array_equal(grid.hs, hs)
@@ -1048,12 +1051,11 @@ class TestFilonWeights:
             np.testing.assert_allclose(units, np.concatenate([phase, phase[:, mf.k] * phase[:, mf.l]], 1), 0, 1e-15)
         assert mf.units.shape[0] == at  # no row a piece does not take
 
-    def test_unit_phase_table_is_bounded_for_any_number_of_step_lengths(self, monkeypatch):
+    def test_unit_phase_table_is_bounded_for_any_number_of_step_lengths(self):
         # geometric sample times give nearly every interval a step length
         # of its own: more lengths shorten the span, and once it is one
         # step every unit phase is 1, one row for all, so the table never
         # grows past _UNIT_BYTES with the number of lengths
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         schedule = build_schedule("bgate")
         h = frame_hamiltonian(schedule, rwa=False)
         steps = required_steps(h.max_frequency_hz, schedule.duration)
@@ -1061,7 +1063,7 @@ class TestFilonWeights:
         for samples in (600, 2000):
             times = np.geomspace(1e-3, 1.0, samples) * schedule.duration
             grid = dynamics._Grid(schedule.duration, steps, schedule.breakpoints, times)
-            mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid)
+            mf = dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, dynamics.RunTables(), grid)
             assert mf.units.nbytes <= dynamics._UNIT_BYTES + mf.units[0].nbytes  # and the row of ones
             spans.append((grid.hs.size, mf.cap))
         assert 1 < spans[0][1] < dynamics._CLOSED.chunk and spans[1][0] > 1900 and spans[1][1] == 1
@@ -1069,57 +1071,17 @@ class TestFilonWeights:
 
     def test_gates_of_one_frame_and_grid_share_their_table(self, monkeypatch):
         # an eta sweep at one duration: the same frame frequencies and steps
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         built = []  # the z-rows whose Filon rows were built
         build = dynamics._filon_rows
         monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.extend(zs) or build(zs, *a))
         schedules = [build_schedule("fsim_poly", duration=POLY_GATE_TIME, eta=eta) for eta in (0.2, 0.7)]
-        finals = [gate_channel(schedule, rwa=False, decoherence=True).final for schedule in schedules]
+        tables = dynamics.RunTables()
+        finals = [gate_channel(schedule, rwa=False, decoherence=True, tables=tables).final for schedule in schedules]
         assert len(built) == 1
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         np.testing.assert_array_equal(gate_channel(schedules[1], rwa=False, decoherence=True).final, finals[1])
-        assert len(built) == 2
-        gate_channel(schedules[1], rwa=True, decoherence=True)  # other frame frequencies: a new row
+        assert len(built) == 2  # a bare call builds its own
+        gate_channel(schedules[1], rwa=True, decoherence=True, tables=tables)  # other frame frequencies: a new row
         assert len(built) == 3
-
-    @pytest.mark.parametrize("kept", [0, 32])
-    def test_rows_kept_across_runs_are_the_most_recently_used(self, kept, monkeypatch):
-        # _KEPT_ROWS of them, or the last run's where it used more: a gate
-        # run again after one of another frame structure reuses its rows
-        # only while they are kept
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
-        monkeypatch.setattr(dynamics, "_KEPT_ROWS", kept)
-        built = []
-        build = dynamics._filon_rows
-        monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.append(len(zs)) or build(zs, *a))
-        rect, poly = build_schedule("fsim_rect", duration=T45), build_schedule("fsim_poly", duration=POLY_GATE_TIME)
-        first = gate_channel(rect, rwa=False, decoherence=False).final
-        rows = sum(built)
-        gate_channel(poly, rwa=False, decoherence=False)
-        assert len(dynamics._LAST_FILON) == (sum(built) - rows if kept == 0 else sum(built))
-        built.clear()
-        np.testing.assert_array_equal(gate_channel(rect, rwa=False, decoherence=False).final, first)
-        assert sum(built) == (rows if kept == 0 else 0)
-
-    def test_a_row_used_again_is_kept_longest(self, monkeypatch):
-        # rect, poly, rect again, then RWA rect with room for two gates'
-        # rows: the poly gate's, least recently used, are the ones dropped
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
-        built = []
-        build = dynamics._filon_rows
-        monkeypatch.setattr(dynamics, "_filon_rows", lambda zs, *a: built.append(len(zs)) or build(zs, *a))
-        rect, poly = build_schedule("fsim_rect", duration=T45), build_schedule("fsim_poly", duration=POLY_GATE_TIME)
-        runs = [(rect, False), (poly, False), (rect, True)]
-        counts = []
-        for schedule, rwa in runs:
-            gate_channel(schedule, rwa=rwa, decoherence=False)
-            counts.append(sum(built))
-            built.clear()
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
-        monkeypatch.setattr(dynamics, "_KEPT_ROWS", counts[0] + counts[2])
-        for schedule, rwa in [*runs[:2], runs[0], runs[2], runs[0]]:
-            gate_channel(schedule, rwa=rwa, decoherence=False)
-        assert sum(built) == sum(counts)  # the second and third rect runs hit
 
     def test_rows_built_together_equal_rows_built_alone(self):
         # step lengths over four decades take 3 to 13 series terms; each
@@ -1138,31 +1100,30 @@ class TestFilonWeights:
 
     @pytest.fixture
     def frame_builds(self, monkeypatch):
-        """Empties the set-up caches and counts the frame set-ups built."""
-        monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
+        """Counts the frame set-ups built."""
         built = []
         monkeypatch.setattr(dynamics, "_frame", lambda *a, _f=dynamics._frame: built.append(a) or _f(*a))
         return built
 
     @pytest.mark.parametrize("decoherence", [False, True])
-    def test_reused_frame_gives_the_final_of_a_fresh_one(self, decoherence, frame_builds, monkeypatch):
+    def test_reused_frame_gives_the_final_of_a_fresh_one(self, decoherence, frame_builds):
         # N = 2 and 3 share their term matrices but not their frequencies
         two, three = (build_schedule("fsim_rect", duration=T45, n_reps=n) for n in (2, 3))
-        gate_channel(two, rwa=False, decoherence=decoherence)
-        reused = gate_channel(three, rwa=False, decoherence=decoherence).final
+        tables = dynamics.RunTables()
+        gate_channel(two, rwa=False, decoherence=decoherence, tables=tables)
+        reused = gate_channel(three, rwa=False, decoherence=decoherence, tables=tables).final
         assert len(frame_builds) == 1
-        monkeypatch.setattr(dynamics, "_LAST_FRAME", {})
-        monkeypatch.setattr(dynamics, "_LAST_FILON", {})
         np.testing.assert_array_equal(gate_channel(three, rwa=False, decoherence=decoherence).final, reused)
         assert len(frame_builds) == 2
 
     def test_closed_and_decohered_runs_do_not_share_a_frame(self, frame_builds):
         schedule = build_schedule("fsim_rect", duration=T45)
-        closed = gate_channel(schedule, rwa=False, decoherence=False)
-        gate_channel(schedule, rwa=False, decoherence=True)
+        tables = dynamics.RunTables()
+        closed = gate_channel(schedule, rwa=False, decoherence=False, tables=tables)
+        gate_channel(schedule, rwa=False, decoherence=True, tables=tables)
         assert len(frame_builds) == 2
-        np.testing.assert_array_equal(gate_channel(schedule, rwa=False, decoherence=False).final, closed.final)
+        closed_again = gate_channel(schedule, rwa=False, decoherence=False, tables=tables)
+        np.testing.assert_array_equal(closed_again.final, closed.final)
         assert len(frame_builds) == 3
 
     @pytest.mark.parametrize(
@@ -1173,8 +1134,9 @@ class TestFilonWeights:
         # a detuning error changes the static matrix, a Rabi error a constant
         # envelope's level, which scales the drive's matrices
         schedule = build_schedule(scheme, duration=duration)
-        gate_channel(schedule, rwa=False, decoherence=True)
-        gate_channel(error(schedule, 0.05), rwa=False, decoherence=True)
+        tables = dynamics.RunTables()
+        gate_channel(schedule, rwa=False, decoherence=True, tables=tables)
+        gate_channel(error(schedule, 0.05), rwa=False, decoherence=True, tables=tables)
         assert len(frame_builds) == 2
 
     def test_fidelity_table_builds_one_frame_per_term_matrices(self, frame_builds, monkeypatch):
@@ -1190,13 +1152,30 @@ class TestFilonWeights:
         assert len(frame_builds) == 3
         assert len(rows) == len(set(rows)) <= len(set(zs)) < 20
 
+    def test_each_run_builds_its_set_up_again(self, frame_builds, monkeypatch):
+        # nothing outlives a run: a second table1 pass in the process builds
+        # the frames and Filon rows of the first again, no fewer
+        rows = []
+        build = dynamics._filon_rows
+        monkeypatch.setattr(dynamics, "_filon_rows", lambda z, *a: rows.extend(x.tobytes() for x in z) or build(z, *a))
+        built = []
+        for _ in range(2):
+            experiments.table1().run(5)
+            built.append((len(frame_builds), rows[:]))
+            frame_builds.clear()
+            rows.clear()
+        assert built[0] == built[1] and built[0][0] == 3 and 0 < len(built[0][1]) <= 6
+
     @pytest.mark.parametrize("decoherence", [False, True])
-    def test_cached_set_up_is_read_only(self, decoherence, frame_builds):
-        # a stray in-place operation would change every later run that hits the cache
-        gate_channel(build_schedule("fsim_poly", duration=POLY_GATE_TIME), rwa=False, decoherence=decoherence)
-        (frame,), filon = dynamics._LAST_FRAME.values(), list(dynamics._LAST_FILON.values())
+    def test_cached_set_up_is_read_only(self, decoherence):
+        # a stray in-place operation would change every later gate that shares the tables
+        tables = dynamics.RunTables()
+        schedule = build_schedule("fsim_poly", duration=POLY_GATE_TIME)
+        gate_channel(schedule, rwa=False, decoherence=decoherence, tables=tables)
+        (_, frame), filon = tables.last_frame, list(tables.filon.values())
         assert len(frame) == 3 and frame[0].size > 0 and len(filon) == 1
-        for cached in (*frame, *filon):
+        assert len(tables.dissipators) == decoherence
+        for cached in (*frame, *filon, *tables.dissipators.values()):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
 
@@ -1545,7 +1524,7 @@ class TestRealKernels:
         steps = required_steps(h.max_frequency_hz, duration)
         res = propagate_unitary(h, duration, steps, breakpoints=schedule.breakpoints, sample_times=times)
         grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
-        assert dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, grid).cap == span < np.diff(grid.base).max()
+        assert dynamics._MagnusFilon(h.terms, dynamics._CLOSED, False, dynamics.RunTables(), grid).cap == span < np.diff(grid.base).max()
         states, final = complex_magnus_filon(h, duration, steps, schedule.breakpoints, sample_times=times)
         assert res.steps == grid.steps
         assert np.abs(res.states - states).max() <= 1e-13

@@ -69,6 +69,82 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
+# methods of dict, list and set that change the container in place
+MUTATORS = frozenset(
+    "append extend insert remove pop popitem clear update setdefault add discard sort reverse "
+    "difference_update intersection_update symmetric_difference_update".split()
+)
+
+
+def _mutated_names(fn: ast.AST) -> set[str]:
+    """Names that a function or lambda changes in place: the targets of a
+    subscript store or ``del``, and the receivers of mutating methods."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            out.add(target.id)
+    return out
+
+
+def mutated_module_containers(source: str) -> list[str]:
+    """Module-level names bound to a dict, list or set (a literal, a
+    comprehension or a bare ``dict()``, ``list()``, ``set()`` call) that a
+    function or lambda changes in place, directly or by passing it to a
+    function of the module that changes that parameter.  Building a
+    container at module level is not a change: only state that outlives a
+    call is flagged."""
+    tree = ast.parse(source)
+    literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            v = node.value
+            call = isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id in ("dict", "list", "set")
+            if isinstance(v, literals) or call:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    changes_param = {}  # function name -> positions of the parameters it changes
+    for fn in functions:
+        if not isinstance(fn, ast.Lambda):
+            params, changed = [a.arg for a in fn.args.posonlyargs + fn.args.args], _mutated_names(fn)
+            changes_param[fn.name] = {i for i, name in enumerate(params) if name in changed}
+    mutated = set()
+    for fn in functions:
+        mutated |= _mutated_names(fn)
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)):
+            positions = changes_param.get(call.func.id, set())
+            mutated.update(a.id for i, a in enumerate(call.args) if i in positions and isinstance(a, ast.Name))
+    return sorted(containers & mutated)
+
+
+def test_detector_flags_mutated_module_containers():
+    source = (
+        "import numpy as np\n"
+        "TABLE = {'a': 1}\n_SEEN: set = set()\n_LOG = []\n_SLOTS = {}\n_KEPT = {}\n_SQUARES = [i * i for i in range(3)]\n"
+        "READ = {'b': 2}\nFIXED = (1, 2)\nARRAY = np.zeros(3)\nBUILT = {}\nBUILT['c'] = 3\n"
+        "def _put(cache, key):\n    cache.clear()\n    cache[key] = 1\n"
+        "def f(x):\n    _SEEN.add(x)\n    _put(_SLOTS, x)\n    del TABLE['a']\n    ARRAY[0] = 1.0\n"
+        "    return READ[x] + len(FIXED) + _SQUARES[x]\n"
+        "class C:\n    def g(self):\n        self.log = []\n        self.log.append(1)\n        _KEPT[1] = 2\n"
+        "h = lambda v: _LOG.append(v)\n"
+    )
+    assert mutated_module_containers(source) == ["TABLE", "_KEPT", "_LOG", "_SEEN", "_SLOTS"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_mutable_module_state(path):
+    # set-up shared by gates lives in an object the run owns
+    # (dynamics.RunTables), so no result depends on what ran before it
+    assert mutated_module_containers(path.read_text()) == []
+
+
 def _names_read(node: ast.AST) -> set[str]:
     """Names, attributes and string constants read anywhere under ``node``,
     except a definition's reads of its own name (recursion is not a use)."""
