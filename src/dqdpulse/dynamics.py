@@ -328,26 +328,28 @@ def _step_rule(hamiltonian, space: _Space, period: float, tables: RunTables) -> 
 
 def _propagate(
     hamiltonian,
-    space: _Space,
     duration: float,
     steps: int | None,
     breakpoints: Sequence[float],
     sample_times: Sequence[float] | None,
     steps_per_period: int | None,
     repetitions: int,
-    tables: RunTables,
+    tables: RunTables | None,
+    params: DeviceParams | None = None,
 ) -> EvolutionResult:
     """Ordered product of real per-step factors over one repetition, chunk
-    by chunk, raised to the ``repetitions``-th power.
+    by chunk, raised to the ``repetitions``-th power: of propagators, or with
+    ``params`` of superoperators under its dephasing; set-up from ``tables``.
 
     ``steps`` budgets one repetition, [0, duration / repetitions]; without
     it, ``steps_per_period`` does, or else the run's default budget.  The
-    space's ``restore`` maps the real products to the complex propagators
-    or superoperators the result reports, once for the snapshots and the
-    final product together.
+    real products return to the complex propagators or superoperators the
+    result reports once, for the snapshots and the final product together.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    tables = RunTables() if tables is None else tables
+    space = _CLOSED if params is None else _Space(16, _from_pauli_basis, tables.dissipator(params))
     period = duration / repetitions
     rule, step_factors, fmax, default = _step_rule(hamiltonian, space, period, tables)
     if steps_per_period is None:
@@ -653,8 +655,7 @@ class RunTables:
 
     def dissipator(self, params: DeviceParams) -> np.ndarray:
         """The dephasing dissipator of ``params`` in the Pauli basis."""
-        rates = (params.kappa_1, params.kappa_2)
-        if rates not in self.dissipators:
+        if (rates := (params.kappa_1, params.kappa_2)) not in self.dissipators:
             self.dissipators[rates] = _read_only(_in_pauli_basis(dephasing_dissipator(params)))
         return self.dissipators[rates]
 
@@ -674,8 +675,8 @@ class _MagnusFilon:
     ``RunTables``, built once for all the gates they serve, and its unit
     phases e^{i z r} for r below its longest piece, or below a cap where
     the run's step lengths would take the table past ``_UNIT_BYTES``, and
-    then its pieces are cut into spans of the cap.  A piece of a chunk
-    (``_Grid.pieces``), n steps of one interval from step r0, takes
+    then its pieces are cut into spans of the cap.  A piece of a
+    chunk (``_Grid.pieces``), n steps of one interval from step r0, takes
     one offset e^{i nu t_r0} times its coefficient row times the unit
     phases r < n, and the segment of its interval.
 
@@ -786,10 +787,7 @@ def propagate_unitary(
     steps, and raised to the N-th power.  ``tables`` (``RunTables``) holds
     set-up shared with other gates; a call without them builds its own.
     """
-    tables = RunTables() if tables is None else tables
-    res = _propagate(
-        hamiltonian, _CLOSED, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables
-    )
+    res = _propagate(hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables)
     return replace(res, unitarity_defect=unitarity_defect(res.final))
 
 
@@ -868,10 +866,8 @@ def lindblad_superoperator(
     and ``tables`` are as for :func:`propagate_unitary`.  H(t) must be Hermitian:
     the steps are taken in the Pauli basis, where only its Hermitian part enters.
     """
-    tables = RunTables() if tables is None else tables
-    space = _Space(16, _from_pauli_basis, tables.dissipator(params))
     return _propagate(
-        hamiltonian, space, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables
+        hamiltonian, duration, steps, breakpoints, sample_times, steps_per_period, repetitions, tables, params
     )
 
 

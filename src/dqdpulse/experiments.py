@@ -8,9 +8,8 @@ grid once and hands the gate-major job list to ``run_jobs``; the CLI's
 ``simulate`` hands it its own jobs.  A job holds a built schedule, an
 initial-state grid and the ``gate_report`` arguments; ``run_jobs``
 propagates each job once (closed-system or with projector dephasing) and
-averages its fidelity over the grid, in contiguous blocks (one per pool
-worker when asked) whose gates share a ``dynamics.RunTables``.  Results come back in job order for
-any worker count, so the output is byte-identical regardless of scheduling.
+averages its fidelity over the grid, in blocks (one per pool worker when asked) that share a
+``dynamics.RunTables``, in job order for any worker count, so output is byte-identical.
 ``run_jobs`` records the invariant checks the CLI exit code keys off: each
 distinct pristine schedule's constraint residuals the first time it
 appears, and one unitarity or Lindblad-trace check per job.
@@ -138,9 +137,8 @@ def gate_channel(
     sample_times: Sequence[float] | None = None,
     tables: RunTables | None = None,
 ) -> EvolutionResult:
-    """Propagate one configured gate, at ``steps_per_period`` or else the
-    run's default budget (the floor for closed constant envelopes, 200),
-    sharing set-up with other gates through ``tables`` if given.
+    """Propagate one configured gate, at ``steps_per_period`` or else the run's
+    default budget (the floor for closed constant envelopes, 200), set-up from ``tables``.
 
     ``final`` is the 4x4 propagator, or with ``decoherence`` the 16x16
     superoperator; with ``sample_times``, ``states`` holds the same run's
@@ -240,9 +238,8 @@ def _run_block(jobs: Sequence[Job]) -> list[tuple[FidelityReport, EvolutionResul
 def run_jobs(
     jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None
 ) -> list[tuple[FidelityReport, EvolutionResult]]:
-    """(report, evolution result) of each of ``jobs`` in job order, from a
-    process pool when ``workers`` > 1, one block of ceil(jobs / workers)
-    each; a block's gates share one ``RunTables``.
+    """(report, evolution result) of each of ``jobs`` in job order, in one block, or
+    ``workers`` > 1 contiguous ones in a process pool; a block's gates share one ``RunTables``.
 
     ``log`` receives each job's checks in job order: the constraint
     residuals of its pristine schedule the first time that schedule
@@ -253,8 +250,7 @@ def run_jobs(
     else:
         size = -(-len(jobs) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(_run_block, [jobs[i : i + size] for i in range(0, len(jobs), size)])
-            out = [result for block in blocks for result in block]
+            out = sum(pool.map(_run_block, [jobs[i : i + size] for i in range(0, len(jobs), size)]), [])
     if log is not None:
         seen: set[int] = set()
         for (schedule, _, report_kwargs), (_, res) in zip(jobs, out):

@@ -69,16 +69,33 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
-# methods of dict, list and set that change the container in place
+# methods of the builtin and collections containers that change them in place
 MUTATORS = frozenset(
     "append extend insert remove pop popitem clear update setdefault add discard sort reverse "
-    "difference_update intersection_update symmetric_difference_update".split()
+    "difference_update intersection_update symmetric_difference_update move_to_end "
+    "appendleft extendleft popleft rotate subtract".split()
 )
+
+# calls that make a container, by the name called (``collections.`` or not)
+CONTAINER_CALLS = frozenset("dict list set OrderedDict defaultdict deque Counter".split())
+
+# calls that make an object holding a run's shared set-up: one bound at
+# module level would outlive every run, whoever changes it
+RUN_STATE_CALLS = frozenset({"RunTables"})
+
+
+def _called(node: ast.AST | None) -> str | None:
+    """The name a call calls, ``f`` of ``f(...)`` or ``m.f(...)``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return None
 
 
 def _mutated_names(fn: ast.AST) -> set[str]:
     """Names that a function or lambda changes in place: the targets of a
-    subscript store or ``del``, and the receivers of mutating methods."""
+    subscript store or ``del``, and the receivers of mutating methods, or of
+    an entry of theirs (``x[k].append``)."""
     out = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -87,28 +104,32 @@ def _mutated_names(fn: ast.AST) -> set[str]:
             target = node.func.value
         else:
             continue
+        while isinstance(target, ast.Subscript):
+            target = target.value
         if isinstance(target, ast.Name):
             out.add(target.id)
     return out
 
 
 def mutated_module_containers(source: str) -> list[str]:
-    """Module-level names bound to a dict, list or set (a literal, a
-    comprehension or a bare ``dict()``, ``list()``, ``set()`` call) that a
-    function or lambda changes in place, directly or by passing it to a
-    function of the module that changes that parameter.  Building a
+    """Module-level names bound to a container (a dict, list or set literal
+    or comprehension, or a ``CONTAINER_CALLS`` call) that a function or
+    lambda changes in place, directly or by passing it to a function of the
+    module that changes that parameter, and every module-level name bound
+    to a ``RUN_STATE_CALLS`` object, which changes itself.  Building a
     container at module level is not a change: only state that outlives a
     call is flagged."""
     tree = ast.parse(source)
     literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
-    containers = set()
+    containers, held = set(), set()
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            v = node.value
-            call = isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id in ("dict", "list", "set")
-            if isinstance(v, literals) or call:
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                containers.update(t.id for t in targets if isinstance(t, ast.Name))
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if isinstance(node.value, literals) or _called(node.value) in CONTAINER_CALLS:
+                containers |= names
+            elif _called(node.value) in RUN_STATE_CALLS:
+                held |= names
     functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     changes_param = {}  # function name -> positions of the parameters it changes
     for fn in functions:
@@ -121,21 +142,26 @@ def mutated_module_containers(source: str) -> list[str]:
         for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)):
             positions = changes_param.get(call.func.id, set())
             mutated.update(a.id for i, a in enumerate(call.args) if i in positions and isinstance(a, ast.Name))
-    return sorted(containers & mutated)
+    return sorted(containers & mutated | held)
 
 
 def test_detector_flags_mutated_module_containers():
     source = (
-        "import numpy as np\n"
+        "import collections\nimport numpy as np\nfrom collections import defaultdict\n"
         "TABLE = {'a': 1}\n_SEEN: set = set()\n_LOG = []\n_SLOTS = {}\n_KEPT = {}\n_SQUARES = [i * i for i in range(3)]\n"
         "READ = {'b': 2}\nFIXED = (1, 2)\nARRAY = np.zeros(3)\nBUILT = {}\nBUILT['c'] = 3\n"
+        "_RECENT = collections.OrderedDict()\n_GROUPS = defaultdict(list)\nNAMES = collections.OrderedDict(a=1)\n"
+        "_TABLES = RunTables()\n"
         "def _put(cache, key):\n    cache.clear()\n    cache[key] = 1\n"
         "def f(x):\n    _SEEN.add(x)\n    _put(_SLOTS, x)\n    del TABLE['a']\n    ARRAY[0] = 1.0\n"
-        "    return READ[x] + len(FIXED) + _SQUARES[x]\n"
+        "    _RECENT.move_to_end(x)\n    _GROUPS[x].append(x)\n    _TABLES.frame(x)\n"
+        "    return READ[x] + len(FIXED) + _SQUARES[x] + NAMES[x] + RunTables().frame(x)\n"
         "class C:\n    def g(self):\n        self.log = []\n        self.log.append(1)\n        _KEPT[1] = 2\n"
         "h = lambda v: _LOG.append(v)\n"
     )
-    assert mutated_module_containers(source) == ["TABLE", "_KEPT", "_LOG", "_SEEN", "_SLOTS"]
+    assert mutated_module_containers(source) == [
+        "TABLE", "_GROUPS", "_KEPT", "_LOG", "_RECENT", "_SEEN", "_SLOTS", "_TABLES"
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
