@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -108,12 +109,16 @@ def realify(m: np.ndarray) -> np.ndarray:
 
 
 def complexify(r: np.ndarray) -> np.ndarray:
-    """X + iY from a stack of real forms [[X, -Y], [Y, X]], shape (..., d, d)."""
-    d = r.shape[-1] // 2
-    return r[..., :d, :d] + 1j * r[..., d:, :d]
+    """X + iY from a stack of real forms [[X, -Y], [Y, X]], or of their left
+    halves [X; Y] (all it reads), shape (..., d, d).  Built in the one
+    complex array it returns, bit for bit the sum X + 1j * Y."""
+    d = r.shape[-2] // 2
+    out = np.multiply(r[..., d:, :d], 1j)
+    out.real += r[..., :d, :d]
+    return out
 
 
-def batched_expm(a: np.ndarray) -> np.ndarray:
+def batched_expm(a: np.ndarray, buffers: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """exp(A_k) for a stack of real or complex matrices, shape (n, d, d).
 
     Truncated Taylor series with scaling and squaring (Al-Mohy & Higham,
@@ -134,11 +139,24 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     degree costs one product and no pass over the stack, such passes
     costing more than 8x8 products.  Each buffer's matrices end in a spare
     row, which puts all their diagonal entries on one stride; the factors
-    returned are a view without it.  The result is bit for bit that of the
-    plain coefficient-form sum A E + I/k! on fresh arrays.
+    returned are a view without it.  ``buffers`` are the caller's: two
+    C-contiguous (n, d + 1, d) arrays of A's type promoted to float, which
+    hold |A| and its column sums first.  Without them the call makes its
+    own.  ``a`` is never written: a stack that needs squaring is scaled
+    into a new array.  The result is bit for bit that of the plain
+    coefficient-form sum A E + I/k! on fresh arrays.
     """
+    d = a.shape[-1]
+    shape, dtype = (*a.shape[:-2], d + 1, d), np.result_type(a, float)
+    if buffers is None:
+        buffers = np.empty((2, *shape), dtype)
+    elif len(buffers) != 2 or not all(b.shape == shape and b.dtype == dtype and b.flags.c_contiguous for b in buffers):
+        raise ValueError(f"batched_expm needs two C-contiguous {dtype} buffers of shape {shape}")
+    b0, b1 = buffers
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite input is reported below
-        nu = float(np.einsum("...ij->...j", np.abs(a)).max(initial=0.0))
+        # |A| contiguous at the start of one buffer (strided, it sums 1.5x slower), its column sums in the other
+        norms = np.abs(a, out=np.ndarray(a.shape, float, b0))
+        nu = float(np.einsum("...ij->...j", norms, out=np.ndarray(a.shape[:-1], float, b1)).max(initial=0.0))
     if not math.isfinite(nu):
         raise ValueError("cannot exponentiate: A has non-finite entries or 1-norm")
     squarings = 0
@@ -149,11 +167,11 @@ def batched_expm(a: np.ndarray) -> np.ndarray:
     m = 1
     while nu ** (m + 1) / math.factorial(m + 1) * math.exp(nu) > _TAYLOR_TOL:
         m += 1
-    d = a.shape[-1]
-    buffers = [np.empty((*a.shape[:-2], d + 1, d), dtype=np.result_type(a, float)) for _ in range(2)]
-    e, spare = (b[..., :d, :] for b in buffers)
-    diag, spare_diag = (b.reshape(-1)[:: d + 1] for b in buffers)
-    np.multiply(a, 1.0 / math.factorial(m), out=e)
+    e, spare = b0[..., :d, :], b1[..., :d, :]
+    diag, spare_diag = b0.reshape(-1)[:: d + 1], b1.reshape(-1)[:: d + 1]
+    # A/m! into a contiguous start, then copied: written straight into the
+    # strided e, numpy would allocate a 64 KiB buffer for it
+    np.copyto(e, np.multiply(a, 1.0 / math.factorial(m), out=np.ndarray(a.shape, dtype, b1)))
     diag += 1.0 / math.factorial(m - 1)
     for k in range(m - 2, -1, -1):
         np.matmul(a, e, out=spare)

@@ -13,7 +13,12 @@ phases, however many steps it takes.  A chunk holds whole runs of one length bet
 nodes, as one stack that a batched tree reduction takes to each run's
 product, bit for bit as alone, and the running product takes one matrix
 product per run; a run longer than a chunk is cut into full chunks
-(``_Grid.chunks``).
+(``_Grid.chunks``).  A chunk holds ``CHUNK_WORK`` of product work, steps x
+dim^3, and every chunk of a run works in one ``_Workspace`` allocated once,
+its generators, coefficients, exponential and tree levels alike, so the walk
+allocates nothing above a few KiB and nothing of a chunk outlives the
+next one's.  A closed snapshot keeps the left half of its real form, all
+that ``complexify`` reads; the workspace is gone before they are restored.
 
 The step rule depends only on how H(t) is given, closed or open:
 
@@ -102,10 +107,16 @@ DEFAULT_STEPS_PER_PERIOD = 200
 _SERIES_TOL = 2.0**-56
 _SERIES_RADIUS = 4.5
 
-# Bytes of step factors held at once: 64 superoperator or 256 propagator
-# steps, real 16x16 and 8x8 float64 factors, so the B gate's 158k closed
-# and 632k decohered steps run in bounded memory.
-CHUNK_BYTES = 1 << 17
+# Product work of a chunk, steps x dim^3: 512 propagator or 64
+# superoperator steps, real 8x8 and 16x16 factors, so the B gate's 158k
+# closed and 632k decohered steps run in bounded memory, in one
+# ``_Workspace`` that every chunk of a run reuses.
+CHUNK_WORK = 1 << 18
+
+# Steps a chunk of sampled H holds at most: a caller's callable makes its
+# own arrays for every step it is sampled at, and a workspace of 512 closed
+# steps raised the peak of a 10k-step callable run by 0.2 MB, for no speed.
+_SAMPLED_CHUNK = 256
 
 # Bytes of unit phases, e^{i z r} per step length z and place r in a span,
 # that a Magnus-Filon run holds at most: the sampled B gate's 14 step
@@ -162,8 +173,14 @@ class _Space:
 
     @property
     def chunk(self) -> int:
-        """Steps a chunk holds: ``CHUNK_BYTES`` of real step factors."""
-        return max(1, CHUNK_BYTES // (8 * self.dim * self.dim))
+        """Steps a chunk holds: ``CHUNK_WORK`` of products of dim x dim factors."""
+        return max(1, CHUNK_WORK // self.dim**3)
+
+    @property
+    def columns(self) -> int:
+        """Columns of a product that a snapshot keeps: the left half of a
+        closed real form, all that ``complexify`` reads, or all of them."""
+        return self.dim // 2 if self.dissipator is None else self.dim
 
     def generators(self, mats: np.ndarray) -> np.ndarray:
         """The generator terms A_k of H terms R_k, (..., 4, 4): -i R_k, or the
@@ -180,11 +197,11 @@ class _Space:
         return np.stack(parts, axis=2).reshape(gens.shape[0], -1, self.dim**2)
 
 
-def _by_runs(x: np.ndarray, index: np.ndarray, counts: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """x[i] @ mats[v] for each sample i of a run of counts[r] consecutive
-    samples with index[r] = v, as a chunk's pieces are, neighbouring runs of
-    one index taken in one product."""
-    out, lo, hi, index = np.empty((x.shape[0], mats.shape[-1])), 0, 0, index.tolist()
+def _by_runs(x: np.ndarray, index: np.ndarray, counts: np.ndarray, mats: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x[i] @ mats[v] into out[i] for each sample i of a run of counts[r]
+    consecutive samples with index[r] = v, as a chunk's pieces are,
+    neighbouring runs of one index taken in one product."""
+    lo, hi, index = 0, 0, index.tolist()
     for i, count in enumerate(counts.tolist(), 1):
         hi += count
         if i == len(index) or index[i] != index[i - 1]:
@@ -193,13 +210,54 @@ def _by_runs(x: np.ndarray, index: np.ndarray, counts: np.ndarray, mats: np.ndar
     return out
 
 
-def _combine(coef: np.ndarray, segment: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_k c_k rows[s, k] for each sample, s its segment, given per run of
-    samples (``_by_runs``), in real arithmetic; the finiteness check of
-    every rule."""
+def _combine(
+    coef: np.ndarray, segment: np.ndarray, counts: np.ndarray, rows: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """sum_k c_k rows[s, k] into out[i] for each sample i, s its segment,
+    given per run of samples (``_by_runs``), in real arithmetic; the
+    finiteness check of every rule."""
     if not np.isfinite(coef).all():
         raise ValueError("cannot propagate: H has non-finite entries")
-    return _by_runs(np.ascontiguousarray(coef).view(float), segment, counts, rows)  # Re c, Im c interleaved
+    return _by_runs(np.ascontiguousarray(coef).view(float), segment, counts, rows, out)  # Re c, Im c interleaved
+
+
+class _Workspace:
+    """A run's scratch for its chunks: one block of three stacks of
+    (dim + 1, dim) real matrices, as many as its longest chunk has steps.
+    Stack 0 holds a chunk's generators and stacks 1 and 2 are
+    ``batched_expm``'s buffers; every other array of a chunk above a few
+    KiB takes a stack its stage leaves free: the complex coefficients and a
+    factor of them in 1 and 2, v_a v_b in 0, the tree's levels in the two
+    that the step factors are not in.  Nothing of a chunk outlives the next
+    one's, so every chunk reuses the block whole.  The tree's levels are
+    kept for the next chunk of the same shape, as full chunks are."""
+
+    def __init__(self, dim: int, steps: int):
+        self.dim = dim
+        self.flat = list(np.empty((3, steps * (dim + 1) * dim)))
+        self.levels: tuple[tuple, list[np.ndarray]] = ((), [])  # the last tree's (spare stacks, shape) and levels
+
+    def stack(self, i: int, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        """The start of stack i as a C-contiguous array of ``shape``."""
+        return np.ndarray(shape, dtype, self.flat[i])
+
+    def expm(self, gen: np.ndarray) -> np.ndarray:
+        """``batched_expm`` of a chunk's (steps, dim^2) generators, in stacks 1 and 2."""
+        n, d = gen.shape[0], self.dim
+        return batched_expm(gen.reshape(n, d, d), buffers=(self.stack(1, (n, d + 1, d)), self.stack(2, (n, d + 1, d))))
+
+    def product(self, factors: np.ndarray, runs: int) -> np.ndarray:
+        """The ordered product of each of ``runs`` equal runs of ``factors``,
+        its tree's levels in turn in stack 0 and the Horner buffer they are not in."""
+        mats = factors.reshape(runs, -1, self.dim, self.dim)
+        spare = (0, 2) if np.may_share_memory(factors, self.flat[1]) else (0, 1)
+        if self.levels[0] != (key := (spare, mats.shape)):
+            levels, n = [], mats.shape[1]
+            while n > 1:
+                n -= n // 2
+                levels.append(self.stack(spare[len(levels) % 2], (runs, n, self.dim, self.dim)))
+            self.levels = key, levels
+        return _ordered_product(mats, self.levels[1])
 
 
 class _Grid:
@@ -294,19 +352,28 @@ class _Grid:
             yield last - k * run, last, run
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
+def _ordered_product(mats: np.ndarray, levels: Sequence[np.ndarray]) -> np.ndarray:
     """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] via an
-    order-preserving tree reduction along the step axis, -3."""
-    while (n := mats.shape[-3]) > 1:
-        pairs = np.matmul(mats[..., 1::2, :, :], mats[..., : n - 1 : 2, :, :])
-        mats = np.concatenate([pairs, mats[..., -1:, :, :]], axis=-3) if n % 2 else pairs
+    order-preserving tree reduction along the step axis, -3, each level of
+    it into the next of ``levels``, of n - n // 2 matrices for n in the one
+    below: an odd last factor is copied up."""
+    for pairs in levels:
+        n = mats.shape[-3]
+        half = n // 2
+        if n % 2:
+            np.matmul(mats[..., 1::2, :, :], mats[..., : n - 1 : 2, :, :], out=pairs[..., :half, :, :])
+            pairs[..., half, :, :] = mats[..., -1, :, :]
+        else:
+            np.matmul(mats[..., 1::2, :, :], mats[..., ::2, :, :], out=pairs)
+        mats = pairs
     return mats[..., 0, :, :]
 
 
-def _step_rule(hamiltonian, space: _Space, period: float, tables: RunTables) -> tuple[str, Callable, float, int]:
-    """The rule of H's steps, step_factors(grid) -> factors(a, b, pieces)
-    giving the real (b - a, dim, dim) factors of a chunk's steps a..b - 1
-    (``_Grid.chunks``), f_max and the default budget.
+def _step_rule(hamiltonian, space: _Space, period: float, tables: RunTables) -> tuple[str, Callable, float, int, int]:
+    """The rule of H's steps, step_factors(grid) -> factors(a, b, pieces,
+    work) giving the real (b - a, dim, dim) factors of a chunk's steps
+    a..b - 1 (``_Grid.chunks``) in the ``_Workspace`` ``work``, f_max, the
+    default budget and the steps of a chunk.
 
     Fourier terms take the Magnus-Filon step, sampled H the midpoint rule.
     A closed run whose stepped segments all have constant envelopes
@@ -316,14 +383,20 @@ def _step_rule(hamiltonian, space: _Space, period: float, tables: RunTables) -> 
         terms = hamiltonian.terms
         poly = None in [seg.level for seg in terms.segments[: np.searchsorted(terms.edges, period) + 1]]
         default = STEPS_PER_PERIOD if space.dissipator is None and not poly else DEFAULT_STEPS_PER_PERIOD
-        return "magnus_filon", partial(_MagnusFilon, terms, space, poly, tables), hamiltonian.max_frequency_hz, default
+        factors = partial(_MagnusFilon, terms, space, poly, tables)
+        return "magnus_filon", factors, hamiltonian.max_frequency_hz, default, space.chunk
     if isinstance(hamiltonian, TimeDependentHamiltonian):
-        batch, fmax = hamiltonian.matrices, hamiltonian.max_frequency_hz
+        fill, fmax = (lambda ts, out: np.copyto(out, hamiltonian.matrices(ts))), hamiltonian.max_frequency_hz
     elif callable(hamiltonian):
-        batch, fmax = (lambda ts: np.array([hamiltonian(t) for t in ts], dtype=complex)), 0.0
+        def fill(ts: np.ndarray, out: np.ndarray) -> None:
+            for i, t in enumerate(ts):
+                out[i] = hamiltonian(t)
+
+        fmax = 0.0
     else:
         raise TypeError("hamiltonian must be callable or a TimeDependentHamiltonian")
-    return "midpoint", partial(_midpoint_factors, batch, space), fmax, DEFAULT_STEPS_PER_PERIOD
+    chunk = min(space.chunk, _SAMPLED_CHUNK)
+    return "midpoint", partial(_midpoint_factors, fill, space), fmax, DEFAULT_STEPS_PER_PERIOD, chunk
 
 
 def _propagate(
@@ -351,7 +424,7 @@ def _propagate(
     tables = RunTables() if tables is None else tables
     space = _CLOSED if params is None else _Space(16, _from_pauli_basis, tables.dissipator(params))
     period = duration / repetitions
-    rule, step_factors, fmax, default = _step_rule(hamiltonian, space, period, tables)
+    rule, step_factors, fmax, default, chunk = _step_rule(hamiltonian, space, period, tables)
     if steps_per_period is None:
         steps_per_period = default
     require_step_floor(steps_per_period)
@@ -370,22 +443,11 @@ def _propagate(
     if times is not None and not ((times >= 0.0) & (times <= duration)).all():  # NaN too
         raise ValueError(f"sample times must lie in [0, {duration:.3e}] s")
     grid = _Grid(period, steps, breakpoints, times)
-    dim = space.dim
-    factors_of = step_factors(grid)
-    samples_at = grid.samples_at
-    held = None if times is None else np.empty((times.size + 1, dim, dim))  # each sample's product, then the final
-    state = np.eye(dim)
-    for r in samples_at.get(0, ()):
-        held[r] = state
-    for a, b, pieces, ends in grid.chunks(space.chunk):  # the chunk's runs in one reduction, then one product each
-        factors = factors_of(a, b, pieces)  # held until the next chunk's exist: released sooner, glibc may trim
-        products = _ordered_product(factors.reshape(len(ends), -1, dim, dim))
-        for m, product in zip(ends, products):
-            state = product @ state
-            for r in samples_at.get(m, ()):
-                held[r] = state
-    del factors_of, factors  # the step rule's tables would add to the peak of restoring the states
-    final = np.linalg.matrix_power(state, repetitions)  # repeated squaring
+    columns = space.columns
+    # each sample's product, then the final, by the columns restoring reads
+    held = None if times is None else np.empty((times.size + 1, space.dim, columns))
+    state = _walk(grid, space, step_factors(grid), held, chunk)
+    final = np.linalg.matrix_power(state, repetitions)[:, :columns]  # repeated squaring
     if times is None:
         states, final = None, space.restore(final)
     else:  # restored together, so a sample at T is the final product bit for bit
@@ -404,21 +466,46 @@ def _propagate(
     )
 
 
-def _midpoint_factors(batch: Callable[[np.ndarray], np.ndarray], space: _Space, grid: _Grid) -> Callable:
-    """exp(A(t + dt/2) dt) of sampled H: its 16 entries are the coefficients
-    of the unit matrices E_ab, and an open run adds the dissipator's dt."""
+def _walk(grid: _Grid, space: _Space, factors_of: Callable, held: np.ndarray | None, chunk: int) -> np.ndarray:
+    """The product of the real step factors ``factors_of`` gives over the
+    grid, in chunks of ``chunk`` steps in one workspace, each chunk's runs in one
+    reduction and then one product each; the running product at each
+    sampled node goes to its samples' rows of ``held``, by the columns a
+    snapshot keeps.  The workspace and the step rule's tables go on return,
+    before the snapshots are restored."""
+    columns, samples_at = space.columns, grid.samples_at
+    work = _Workspace(space.dim, min(chunk, grid.steps))
+    state = np.eye(space.dim)
+    for r in samples_at.get(0, ()):
+        held[r] = state[:, :columns]
+    for a, b, pieces, ends in grid.chunks(chunk):
+        for m, product in zip(ends, work.product(factors_of(a, b, pieces, work), len(ends))):
+            state = product @ state
+            for r in samples_at.get(m, ()):
+                held[r] = state[:, :columns]
+    return state
+
+
+def _midpoint_factors(fill: Callable[[np.ndarray, np.ndarray], None], space: _Space, grid: _Grid) -> Callable:
+    """exp(A(t + dt/2) dt) of sampled H, which fill(ts, out) writes into the
+    workspace: its 16 entries are the coefficients of the unit matrices
+    E_ab, and an open run adds the dissipator's dt."""
     rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
 
-    def factors(a: int, b: int, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
+    def factors(a: int, b: int, pieces: tuple[np.ndarray, ...], work: _Workspace) -> np.ndarray:
         t0, row = grid.starts(pieces)
         dts = grid.hs[row]
-        mids = t0 + dts / 2.0
+        n = dts.size
+        coef, scale = work.stack(1, (n, 16), complex), work.stack(2, (n, 16), complex)
+        gen = work.stack(0, (n, space.dim**2))
+        np.copyto(scale, dts[:, None])  # whole, so that the product does not broadcast: numpy would buffer it
         with np.errstate(invalid="ignore"):  # non-finite coefficients are rejected in _combine
-            coef = np.asarray(batch(mids), dtype=complex).reshape(-1, 16) * dts[:, None]
-        gen = _combine(coef, np.zeros(1, dtype=int), np.array([dts.size]), rows)
+            fill(t0 + dts / 2.0, coef.reshape(n, 4, 4))
+            np.multiply(coef, scale, out=coef)
+        _combine(coef, np.zeros(1, dtype=int), np.array([n]), rows, gen)
         if space.dissipator is not None:
-            gen += np.multiply.outer(dts, space.dissipator.reshape(-1))
-        return batched_expm(gen.reshape(-1, space.dim, space.dim))
+            gen += np.einsum("n,k->nk", dts, space.dissipator.reshape(-1), out=work.stack(2, gen.shape))
+        return work.expm(gen)
 
     return factors
 
@@ -713,23 +800,27 @@ class _MagnusFilon:
         first, last = np.searchsorted(terms.edges, ends, side="right").reshape(2, -1)
         self.segment, self.straddling = first, first != last
 
-    def __call__(self, a: int, b: int, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
+    def __call__(self, a: int, b: int, pieces: tuple[np.ndarray, ...], work: _Workspace) -> np.ndarray:
         grid = self.grid
         j, first, n = pieces = self._spans(pieces) if self.cut else pieces
-        if j.size == 1:  # one piece: a slice of its unit phases
+        shape = (b - a, self.units.shape[1])
+        coef, factor = work.stack(1, shape, complex), work.stack(2, shape, complex)
+        if j.size == 1:  # one piece: a slice of its unit phases, times its offset copied whole (unbuffered)
             at = self.start[grid.row[j[0]]]
-            coef = self.units[at : at + b - a] * self._offsets(a - grid.base[j], j)
-        else:
-            coef = self.units.take(np.repeat(self.start[grid.row[j]] - first, n) + np.arange(a, b), axis=0)
-            coef *= np.repeat(self._offsets(first - grid.base[j], j), n, axis=0)
+            np.copyto(factor, self._offsets(a - grid.base[j], j))
+            np.multiply(self.units[at : at + b - a], factor, out=coef)
+        else:  # mode="clip" takes into `out` unbuffered; every index is in range
+            self.units.take(np.repeat(self.start[grid.row[j]] - first, n) + np.arange(a, b), 0, coef, "clip")
+            coef *= self._offsets(first - grid.base[j], j).take(np.repeat(np.arange(j.size), n), 0, factor, "clip")
         if self.poly:
-            coef *= self._contracted(pieces)
+            coef *= self._contracted(pieces, factor, work)
+        gen = work.stack(0, (b - a, self.dim**2))
         if self.straddling[j].any():  # its steps located one by one
             t0, row = grid.starts(pieces)
-            gen = _combine(coef, self.segment_index(t0 + grid.hs[row] / 2.0), np.ones(b - a, dtype=int), self.rows)
+            _combine(coef, self.segment_index(t0 + grid.hs[row] / 2.0), np.ones(b - a, dtype=int), self.rows, gen)
         else:
-            gen = _combine(coef, self.segment[j], n, self.rows)
-        return batched_expm(gen.reshape(-1, self.dim, self.dim))
+            _combine(coef, self.segment[j], n, self.rows, gen)
+        return work.expm(gen)
 
     def _spans(self, pieces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pieces cut into spans of ``cap`` steps from their first, the
@@ -751,15 +842,16 @@ class _MagnusFilon:
             offset *= self.table[grid.row[j]]
         return offset
 
-    def _contracted(self, pieces: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Each step's table row contracted with v v^T, v from the envelope
-        at the step's Gauss points."""
+    def _contracted(self, pieces: tuple[np.ndarray, ...], out: np.ndarray, work: _Workspace) -> np.ndarray:
+        """Each step's table row contracted with v v^T into ``out``, v from
+        the envelope at the step's Gauss points, v_a v_b in stack 0 of ``work``."""
         t0, row = self.grid.starts(pieces)
         ts = (t0 + np.multiply.outer(_GAUSS, self.grid.hs[row])).reshape(-1)
         v = np.concatenate([np.ones((1, t0.size)), _INTERPOLANT @ self.envelope(ts).reshape(_GAUSS.size, -1)]).T
-        vv = (v[:, :, None] * v[:, None, :]).reshape(t0.size, -1)  # v_a v_b
+        vv = np.multiply(v[:, :, None], v[:, None, :], out=work.stack(0, (t0.size, v.shape[1], v.shape[1])))
         j, _, n = pieces
-        return _by_runs(vv, self.grid.row[j], n, self.table).view(complex)
+        _by_runs(vv.reshape(t0.size, -1), self.grid.row[j], n, self.table, out.view(float))
+        return out
 
 
 _CLOSED = _Space(8, complexify)

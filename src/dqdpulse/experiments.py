@@ -7,8 +7,9 @@ nothing: ``table1``, ``fidelity_vs_eta``, ``rabi_sweep``, ``detuning_sweep``,
 grid once and hands the gate-major job list to ``run_jobs``; the CLI's
 ``simulate`` hands it its own jobs.  A job holds a built schedule, an
 initial-state grid and the ``gate_report`` arguments; ``run_jobs``
-propagates each job once (closed-system or with projector dephasing) and
-averages its fidelity over the grid, in blocks (one per pool worker when asked) that share a
+propagates each distinct gate and injected error once (closed-system or
+with projector dephasing) and averages its fidelity over each of its
+jobs' grids, in blocks (one per pool worker when asked) that share a
 ``dynamics.RunTables``, in job order for any worker count, so output is byte-identical.
 ``run_jobs`` records the invariant checks the CLI exit code keys off: each
 distinct pristine schedule's constraint residuals the first time it
@@ -197,7 +198,19 @@ def gate_report(
     ``gate_channel_kwargs``, which go to :func:`gate_channel` unchanged.
     """
     res = gate_channel(schedule, **gate_channel_kwargs)
-    report = average_fidelity(
+    return _report(schedule, grid, res, label, convention, gate_channel_kwargs), res
+
+
+def _report(
+    schedule: PulseSchedule,
+    grid: InitialStateGrid,
+    res: EvolutionResult,
+    label: str | None,
+    convention: str,
+    errors: dict,
+) -> FidelityReport:
+    """``gate_report``'s report of the run ``res`` of ``schedule``, ``errors`` its ``gate_channel`` arguments."""
+    return average_fidelity(
         res.final,
         fsim_target(schedule),
         grid,
@@ -205,11 +218,10 @@ def gate_report(
         scheme=label or schedule.scheme,
         n_reps=schedule.meta.get("n_reps", 1),
         gate_time=schedule.duration,
-        rabi_delta=gate_channel_kwargs.get("rabi_delta", 0.0),
-        detuning_eps=gate_channel_kwargs.get("detuning_eps", 0.0),
+        rabi_delta=errors.get("rabi_delta", 0.0),
+        detuning_eps=errors.get("detuning_eps", 0.0),
         delta_ez=schedule.controls.delta_ez,
     )
-    return report, res
 
 
 def state_path(res: EvolutionResult) -> np.ndarray:
@@ -231,15 +243,26 @@ Job = tuple[PulseSchedule, InitialStateGrid, dict]
 
 
 def _run_block(jobs: Sequence[Job]) -> list[tuple[FidelityReport, EvolutionResult]]:
-    tables = RunTables()
-    return [gate_report(schedule, grid, tables=tables, **kwargs) for schedule, grid, kwargs in jobs]
+    """``gate_report`` of each job, set-up shared in one ``RunTables``: each
+    distinct schedule and ``gate_channel`` arguments (arrays by identity)
+    propagated once, its run averaged over each of their jobs' grids."""
+    tables, runs, out = RunTables(), {}, []
+    for schedule, grid, kwargs in jobs:
+        channel = {k: v for k, v in kwargs.items() if k not in ("label", "convention")}
+        key = (id(schedule), *((k, id(v) if isinstance(v, np.ndarray) else v) for k, v in sorted(channel.items())))
+        if key not in runs:
+            runs[key] = gate_channel(schedule, tables=tables, **channel)
+        report = _report(schedule, grid, runs[key], kwargs.get("label"), kwargs.get("convention", "standard"), channel)
+        out.append((report, runs[key]))
+    return out
 
 
 def run_jobs(
     jobs: Sequence[Job], workers: int = 1, log: InvariantLog | None = None
 ) -> list[tuple[FidelityReport, EvolutionResult]]:
     """(report, evolution result) of each of ``jobs`` in job order, in one block, or
-    ``workers`` > 1 contiguous ones in a process pool; a block's gates share one ``RunTables``.
+    ``workers`` > 1 contiguous ones in a process pool; a block's gates share one
+    ``RunTables`` and its jobs of one gate and injected errors one propagation.
 
     ``log`` receives each job's checks in job order: the constraint
     residuals of its pristine schedule the first time that schedule

@@ -198,6 +198,49 @@ class TestExpmPasses:
     def test_empty_stack(self):
         assert batched_expm(np.zeros((0, 8, 8))).shape == (0, 8, 8)
 
+    @staticmethod
+    def buffers(a, fill):
+        """Two caller buffers for ``a``, full of ``fill``: a result that read them would show it."""
+        d = a.shape[-1]
+        return [np.full((*a.shape[:-2], d + 1, d), fill, dtype=np.result_type(a, float)) for _ in range(2)]
+
+    # 1e-5 and 0.3 take no squaring, 5.0 four and 1e2 nine
+    @pytest.mark.parametrize("norm", [1e-5, 0.3, 5.0, 1e2])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_caller_buffers_give_the_fresh_result(self, kind, norm):
+        rng = np.random.default_rng(int(norm * 100) + 340)
+        if kind == "real":
+            a = realify(-1j * hermitian_batch(rng, rng.uniform(0.1, 1.0, 64) * norm, np.ones(64)))
+        else:
+            a = random_complex(rng, 64, norm)
+        kept = a.copy()
+        fresh = batched_expm(a)
+        for fill in (np.nan, 7.0):
+            buffers = self.buffers(a, fill)
+            out = batched_expm(a, buffers=buffers)
+            assert out.dtype == a.dtype and any(np.shares_memory(out, b) for b in buffers)  # computed in them
+            np.testing.assert_array_equal(out, fresh)
+            np.testing.assert_array_equal(a, kept)  # the input stack is never written, scaled or not
+
+    def test_wrong_buffers_are_rejected(self):
+        a = realify(-1j * hermitian_batch(np.random.default_rng(350), np.full(4, 0.3), np.ones(4)))
+        good = self.buffers(a, 0.0)
+        wrong = {
+            "factor shape": [np.zeros(a.shape), good[1]],
+            "stack size": [good[0], np.zeros((5, 9, 8))],
+            "complex for a real stack": [good[0], good[1].astype(complex)],
+            "single precision": [good[0].astype(np.float32), good[1]],
+            "strided": [good[0], np.zeros((4, 9, 16))[..., ::2]],
+            "one buffer": good[:1],
+        }
+        message = r"batched_expm needs two C-contiguous float64 buffers of shape \(4, 9, 8\)"
+        for name, buffers in wrong.items():
+            with pytest.raises(ValueError, match=message) as err:
+                batched_expm(a, buffers=buffers)
+            assert "\n" not in str(err.value), name
+        with pytest.raises(ValueError, match=r"complex128 buffers of shape \(4, 5, 4\)"):
+            batched_expm(random_complex(np.random.default_rng(351), 4, 0.3), buffers=good)
+
     def test_one_matrix_and_a_stack_of_stacks(self):
         a = realify(-1j * hermitian_batch(np.random.default_rng(330), np.full(6, 0.3), np.ones(6)))
         np.testing.assert_array_equal(batched_expm(a[0]), plain_horner_expm(a[0]))

@@ -145,6 +145,15 @@ def planned_chunks(marks, steps, size):
     return [(a, ends[-1], ends) for a, ends, _ in chunks]
 
 
+def tree_levels(n, dim):
+    """Fresh arrays for each level of ``dynamics._ordered_product``'s tree over n factors."""
+    levels = []
+    while n > 1:
+        n -= n // 2
+        levels.append(np.empty((n, dim, dim)))
+    return levels
+
+
 def sampled(h):
     """``h`` without its Fourier terms, so the propagator takes the midpoint rule."""
     return TimeDependentHamiltonian(single=h, batch=h.matrices, max_frequency_hz=h.max_frequency_hz)
@@ -642,10 +651,10 @@ class TestLindblad:
 
 class TestChunkedDriver:
     # three steps per chunk, so chunk edges fall between and on sample times;
-    # a step factor is a real dim x dim float64 matrix
+    # a step's product work is dim^3, its factor a real dim x dim matrix
     @staticmethod
     def three_step_chunks(monkeypatch, dim):
-        monkeypatch.setattr(dynamics, "CHUNK_BYTES", 3 * 8 * dim * dim)
+        monkeypatch.setattr(dynamics, "CHUNK_WORK", 3 * dim**3)
 
     @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
     def test_unitary_chunks_match_default(self, rule, monkeypatch):
@@ -679,21 +688,26 @@ class TestChunkedDriver:
     @pytest.mark.parametrize("rule", ["magnus_filon", "midpoint"])
     def test_chunks_hold_at_most_chunk_bytes(self, rule, decoherence, monkeypatch):
         # every chunk of real factors reaches the ordered product whole when
-        # there are no sample times; the runs are long enough to fill one
+        # there are no sample times; the runs are long enough to fill one:
+        # 400 open steps, 64 a chunk, and 1,600 closed steps, 512 a chunk,
+        # or 256 where each step samples H
         held = []
         reduce = dynamics._ordered_product
-        monkeypatch.setattr(dynamics, "_ordered_product", lambda mats: held.append(mats) or reduce(mats))
+        monkeypatch.setattr(dynamics, "_ordered_product", lambda m, levels: held.append(m) or reduce(m, levels))
         schedule = fsim_rectangular(THETA, XI, T45, 1)
         h = frame_hamiltonian(schedule, rwa=False)
         h = h if rule == "magnus_filon" else sampled(h)
-        kwargs = dict(breakpoints=schedule.breakpoints, steps_per_period=200)
+        spp = 200 if decoherence else 800
+        kwargs = dict(breakpoints=schedule.breakpoints, steps_per_period=spp)
         if decoherence:
             res = lindblad_superoperator(h, DEFAULT_DEVICE, T45, **kwargs)
         else:
             res = propagate_unitary(h, T45, **kwargs)
-        assert (res.rule, res.steps) == (rule, 400)
+        assert (res.rule, res.steps) == (rule, 2 * spp)
         assert {m.dtype for m in held} == {np.dtype(float)}
-        assert max(m.nbytes for m in held) == dynamics.CHUNK_BYTES
+        chunk = dynamics.CHUNK_WORK // (16 if decoherence else 8) ** 3
+        chunk = chunk if rule == "magnus_filon" else min(chunk, dynamics._SAMPLED_CHUNK)
+        assert max(m.nbytes for m in held) == chunk * held[0][0, 0].nbytes  # a chunk's steps of real factors
         assert sum(m.shape[0] * m.shape[1] for m in held) == res.steps  # runs x their length
 
     def test_rejects_sample_times_outside_the_gate(self):
@@ -724,7 +738,8 @@ class TestChunkedDriver:
         for a, b, ends in planned_chunks(marks, n, chunk):
             factors, start = factors_of(a, b), a
             for m in ends:
-                state = snapshots[m] = dynamics._ordered_product(factors[start - a : m - a]) @ state
+                run = factors[start - a : m - a]
+                state = snapshots[m] = dynamics._ordered_product(run, tree_levels(len(run), dim)) @ state
                 start = m
         return np.stack([snapshots[m] for m in marks]), state
 
@@ -753,23 +768,26 @@ class TestChunkedDriver:
         res = dynamics._propagate(h, T45, None, schedule.breakpoints, times, spp, 1, None, params)
         grid = dynamics._Grid(T45, steps, schedule.breakpoints, times)
         factors = dynamics._MagnusFilon(h.terms, space, False, dynamics.RunTables(), grid)
-        factors_of = lambda a, b: factors(a, b, grid.pieces(a, b))
+        work = dynamics._Workspace(space.dim, 3)
+        factors_of = lambda a, b: factors(a, b, grid.pieces(a, b), work)
         states, final = self.per_run_states(factors_of, grid.steps, marks, space.dim, 3)
+        # a closed snapshot keeps the left half of its real form, all that restoring reads
+        states, final = states[..., : space.columns], final[..., : space.columns]
         assert res.rule == "magnus_filon"
-        assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, space.dim)
+        assert res.steps == nodes.size - 1 and res.states.shape == (times.size, space.dim, 16 if decoherence else 4)
         np.testing.assert_array_equal(res.states, states)
         np.testing.assert_array_equal(res.final, final)
 
     def test_sampled_bgate_reduces_each_step_once(self, monkeypatch):
         # the benchmark's closed B gate with 2,001 samples: its 79-step runs
         # share chunks whole, so every step reaches the ordered product
-        # once, in no stack above CHUNK_BYTES, and in about as many
+        # once, in no stack above CHUNK_WORK, and in about as many
         # reductions as the unsampled run's.  Its envelopes are constant:
         # each piece of a chunk takes one offset phase and its interval's
         # segment, so no step's start, segment or envelope value is computed
         stacks, calls = [], []
         reduce = dynamics._ordered_product
-        monkeypatch.setattr(dynamics, "_ordered_product", lambda m: stacks.append((m.shape, m.nbytes)) or reduce(m))
+        monkeypatch.setattr(dynamics, "_ordered_product", lambda m, levels: stacks.append(m.shape) or reduce(m, levels))
         for owner, name in ((dynamics._Grid, "starts"), (FourierTerms, "segment_index"), (FourierTerms, "envelope")):
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
@@ -779,9 +797,9 @@ class TestChunkedDriver:
             stacks.clear()
             res = gate_channel(schedule, rwa=False, decoherence=False, sample_times=times)
             reductions.append(len(stacks))
-        assert res.steps == 158_001 and reductions[0] == 618
-        assert sum(shape[0] * shape[1] for shape, _ in stacks) == res.steps
-        assert max(nbytes for _, nbytes in stacks) <= dynamics.CHUNK_BYTES
+        assert res.steps == 158_001 and reductions[0] == 309
+        assert sum(shape[0] * shape[1] for shape in stacks) == res.steps
+        assert max(shape[0] * shape[1] * 8**3 for shape in stacks) <= dynamics.CHUNK_WORK
         assert reductions[1] <= 1.1 * reductions[0]
         assert calls == []
 
@@ -803,12 +821,12 @@ class TestChunkedDriver:
         steps = required_steps(frame_hamiltonian(schedule, rwa=False).max_frequency_hz, duration, 200)
         grid = dynamics._Grid(duration, steps, schedule.breakpoints, times)
         longest = int(np.diff([0, *grid.samples_at, grid.steps]).max())
-        factor_bytes = 8 * (16 if decoherence else 8) ** 2
+        step_work = (16 if decoherence else 8) ** 3
         expm = dynamics.batched_expm
-        alone = lambda a: np.stack([expm(x[None])[0] for x in a])
+        alone = lambda a, buffers: np.stack([expm(x[None])[0] for x in a])
 
         def run(size, exponential):
-            with mock.patch.object(dynamics, "CHUNK_BYTES", size * factor_bytes):
+            with mock.patch.object(dynamics, "CHUNK_WORK", size * step_work):
                 with mock.patch.object(dynamics, "batched_expm", exponential):
                     return gate_channel(
                         schedule, rwa=False, decoherence=decoherence, steps_per_period=200, sample_times=times
@@ -859,6 +877,37 @@ class TestMemoryBound:
         n = 10_000
         peaks = [self.traced_peak(partial(run, steps=steps)) for steps in (n, 4 * n)]
         assert abs(peaks[1] - peaks[0]) < self.BOUND, peaks
+
+    # beside its workspace the chunk loop allocates arrays of a few KiB
+    # only: the unsampled closed B gate's loop peaked 26 KiB above it
+    ALLOWANCE = 64 * 1024  # bytes
+
+    @pytest.mark.parametrize(
+        "scheme, decoherence, budgets", [("bgate", False, (50, 60)), ("fsim_rect", True, (200, 800))]
+    )
+    def test_chunk_loop_peaks_at_its_workspace(self, scheme, decoherence, budgets, monkeypatch):
+        # the unsampled closed B gate (158k and 190k steps, 512 a chunk) and
+        # a decohered fSim gate (400 and 1,600 steps, 64 a chunk): one
+        # workspace of three stacks of (dim + 1, dim) float64 matrices,
+        # a chunk's steps each, allocated once per run
+        peaks = []
+        walk = dynamics._walk
+
+        def traced_walk(grid, space, factors_of, held, chunk):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state = walk(grid, space, factors_of, held, chunk)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start, 3 * chunk * (space.dim + 1) * space.dim * 8))
+            assert chunk == space.chunk
+            return state
+
+        monkeypatch.setattr(dynamics, "_walk", traced_walk)
+        schedule = build_schedule(scheme)
+        for spp in budgets:
+            self.traced_peak(partial(gate_channel, schedule, rwa=False, decoherence=decoherence, steps_per_period=spp))
+        assert len(peaks) == 2
+        for peak, workspace in peaks:
+            assert workspace <= peak <= workspace + self.ALLOWANCE, (peak, workspace)
 
 
 class TestRabiErrorCommutation:
@@ -1046,7 +1095,7 @@ class TestFilonWeights:
             phi, jj = dynamics.filon_weights(mf.nus, [length])
             dj = 0.5 * (jj[0, mf.k, mf.l] - jj[0, mf.l, mf.k])
             np.testing.assert_array_equal(row, np.concatenate([phi[0, :, 0], dj[:, 0, 0]]))
-            span = min(n[grid.row == u].max(), 256, cap)
+            span = min(n[grid.row == u].max(), dynamics._CLOSED.chunk, cap)
             assert mf.start[u] == (at if span > 1 else 0)
             at += span * (span > 1)
             units = mf.units[mf.start[u] : mf.start[u] + span]
@@ -1402,7 +1451,7 @@ class TestRealKernels:
         # H's entries their coefficients, and the dissipator added
         space = self.open_space()
         rows = space.rows(space.generators(np.eye(16, dtype=complex).reshape(1, 16, 4, 4)))
-        real = dynamics._combine(hs.reshape(-1, 16), np.zeros(1, dtype=int), np.array([4]), rows)
+        real = dynamics._combine(hs.reshape(-1, 16), np.zeros(1, dtype=int), np.array([4]), rows, np.empty((4, 256)))
         real += space.dissipator.reshape(-1)
         assert real.dtype == np.dtype(float)
         assert (np.abs(real.reshape(-1, 16, 16) - pauli.real).max(axis=(1, 2)) <= 1e-15 * scale).all()
@@ -1429,7 +1478,9 @@ class TestRealKernels:
         gens[:, 0] += space.dissipator
         coef = np.exp(1j * np.multiply.outer(ts, nus)) * np.where(scaled, h.terms.envelope(ts)[:, None], 1.0)
         ones = np.ones(ts.size, dtype=int)  # one run per sample
-        real = dynamics._combine(coef, h.terms.segment_index(ts), ones, space.rows(gens)).reshape(-1, 16, 16)
+        real = np.empty((ts.size, 256))
+        dynamics._combine(coef, h.terms.segment_index(ts), ones, space.rows(gens), real)
+        real = real.reshape(-1, 16, 16)
         vec = vec_liouvillians(h.matrices(ts), dephasing_dissipator(DEFAULT_DEVICE))
         pauli = dynamics._T.conj().T @ vec @ dynamics._T
         scale = np.abs(vec).max(axis=(1, 2))
@@ -1497,7 +1548,7 @@ class TestRealKernels:
         else:
             res, params = lindblad_superoperator(h, DEFAULT_DEVICE, span, steps, **kwargs), DEFAULT_DEVICE
         grid = dynamics._Grid(span, steps, schedule.breakpoints, times)
-        chunk = dynamics.CHUNK_BYTES // (8 * (8 if closed else 16) ** 2)
+        chunk = dynamics.CHUNK_WORK // (8 if closed else 16) ** 3
         assert grid.hs.size > 2 and np.diff([0, *grid.samples_at, grid.steps]).max() > chunk
         assert max(len(ends) for *_, ends in grid.chunks(chunk)) > 1
         states, final = complex_magnus_filon(h, span, steps, schedule.breakpoints, params, sample_times=times)

@@ -134,7 +134,8 @@ class TestJobRunner:
         monkeypatch.setattr(xp, "build_schedule", lambda *a, **k: calls.append(a[0] if a else k["scheme"]) or build(*a, **k))
         return calls
 
-    # argv (each with --outdir), then the schedules built, grids built and jobs run
+    # argv (each with --outdir), then the schedules built, grids built and
+    # propagations: one per distinct gate and injected errors
     RUNS = {
         "reproduce table1": (["reproduce", "table1"], 20, 1, 20),
         "reproduce fig4d": (["reproduce", "fig4d"], 40, 1, 40),
@@ -142,7 +143,7 @@ class TestJobRunner:
         "reproduce fig6": (["reproduce", "fig6"], 2, 1, 44),
         "sweep rabi": (["sweep", "rabi"], 1, 1, 11),
         "sweep detuning": (["sweep", "detuning"], 3, 1, 33),
-        "sweep phase": (["sweep", "phase"], 3, 5, 15),
+        "sweep phase": (["sweep", "phase"], 3, 5, 3),
         "simulate None": (["simulate", "--no-decoherence"], 1, 1, 1),
     }
 
@@ -176,12 +177,29 @@ class TestJobRunner:
         assert len({id(s) for s in runs}) == schedules
         assert {args[0] for args in grids_built} == {5}  # no grid given: the smallest exact one
 
+    def test_phase_sweep_propagates_each_gate_once(self, tmp_path, monkeypatch):
+        # its five grid phases share each N's channel, and the CSV is the one
+        # that propagating every job on its own writes, byte for byte
+        monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
+        calls = []
+        propagate = xp.lindblad_superoperator
+        monkeypatch.setattr(xp, "lindblad_superoperator", lambda *a, **k: calls.append(a) or propagate(*a, **k))
+        assert main(["sweep", "phase", "--outdir", str(tmp_path / "shared")]) == 0
+        assert len(calls) == 3
+        each = lambda jobs: [xp.gate_report(schedule, grid, **kwargs) for schedule, grid, kwargs in jobs]
+        monkeypatch.setattr(xp, "_run_block", each)
+        assert main(["sweep", "phase", "--outdir", str(tmp_path / "each")]) == 0
+        assert len(calls) == 3 + 15
+        csv = "phase_sweep.csv"
+        assert (tmp_path / "shared" / csv).read_bytes() == (tmp_path / "each" / csv).read_bytes()
+
     def test_duplicated_n_keeps_its_rows_and_is_built_once(self, counted, tmp_path, monkeypatch):
+        # and propagated once per detuning: its second N repeats the first's runs
         monkeypatch.delenv("DQDPULSE_WORKERS", raising=False)
         argv = ["sweep", "detuning", "--n-values", "1", "1", "--detuning-eps", "0", "0.05"]
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
         built, grids, runs = counted
-        assert (len(built), len(grids), len(runs)) == (1, 1, 4)
+        assert (len(built), len(grids), len(runs)) == (1, 1, 2)
         rows = (tmp_path / "detuning_sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 and rows[:2] == rows[2:] and rows[0] != rows[1]
 
